@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .codec import Codec
 from .constructions import ConstructionMethod, construct
 from .errors import InputError
 from .models import DEFAULT_GUARD, EmpiricalModel, equivalent_empirical
@@ -105,7 +106,7 @@ def enumerate_regions() -> tuple[frozenset[str], ...]:
 
 
 @dataclass(frozen=True)
-class RegionVerdict:
+class RegionVerdict(Codec):
     """One region's classification with its supporting construction(s) or kernel."""
 
     region: tuple[str, ...]
@@ -113,28 +114,6 @@ class RegionVerdict:
     methods: tuple[str, ...] = ()
     kernel: str | None = None
     kernel_properties: tuple[str, ...] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "region": list(self.region),
-            "achievable": self.achievable,
-            "methods": list(self.methods),
-            "kernel": self.kernel,
-            "kernel_properties": None
-            if self.kernel_properties is None
-            else list(self.kernel_properties),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RegionVerdict":
-        kernel_properties = data.get("kernel_properties")
-        return cls(
-            region=tuple(data["region"]),
-            achievable=bool(data["achievable"]),
-            methods=tuple(data.get("methods", ())),
-            kernel=data.get("kernel"),
-            kernel_properties=None if kernel_properties is None else tuple(kernel_properties),
-        )
 
 
 def classify_region(region: Iterable[str]) -> RegionVerdict:
@@ -176,7 +155,7 @@ def classify_region(region: Iterable[str]) -> RegionVerdict:
 
 
 @dataclass(frozen=True)
-class RegionEvidence:
+class RegionEvidence(Codec):
     """Live recheck of one construction against one region's properties."""
 
     method: str
@@ -184,44 +163,12 @@ class RegionEvidence:
     all_hold: bool
     equivalent: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "properties_checked": list(self.properties_checked),
-            "all_hold": self.all_hold,
-            "equivalent": self.equivalent,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RegionEvidence":
-        return cls(
-            method=data["method"],
-            properties_checked=tuple(data["properties_checked"]),
-            all_hold=bool(data["all_hold"]),
-            equivalent=bool(data["equivalent"]),
-        )
-
 
 @dataclass(frozen=True)
-class RegionEntry:
+class RegionEntry(Codec):
     verdict: RegionVerdict
     note: str
     evidence: tuple[RegionEvidence, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.to_dict(),
-            "note": self.note,
-            "evidence": [item.to_dict() for item in self.evidence],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RegionEntry":
-        return cls(
-            verdict=RegionVerdict.from_dict(data["verdict"]),
-            note=data["note"],
-            evidence=tuple(RegionEvidence.from_dict(item) for item in data.get("evidence", ())),
-        )
 
 
 SPLIT_NOTE = (
@@ -232,31 +179,15 @@ SPLIT_NOTE = (
 
 
 @dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Codec):
     """All 21 regions with verdicts, optional live evidence, and the split."""
+
+    kind = "classification-report"
 
     regions: tuple[RegionEntry, ...]
     achievable_count: int
     impossible_count: int
     split_note: str = SPLIT_NOTE
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "classification-report",
-            "regions": [entry.to_dict() for entry in self.regions],
-            "achievable_count": self.achievable_count,
-            "impossible_count": self.impossible_count,
-            "split_note": self.split_note,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ClassificationReport":
-        return cls(
-            regions=tuple(RegionEntry.from_dict(entry) for entry in data["regions"]),
-            achievable_count=int(data["achievable_count"]),
-            impossible_count=int(data["impossible_count"]),
-            split_note=data["split_note"],
-        )
 
 
 _KERNEL_NOTES: Mapping[str, str] = {

@@ -264,20 +264,10 @@ def _cmd_nogo(args: argparse.Namespace) -> int:
         report = verify_epr()
         text = _epr_text(report)
     elif args.argument == "bell":
-        method = args.method or "both"
-        if method not in ("certificate", "polytope", "both"):
-            raise InputError(
-                f"unknown bell method {method!r}; expected certificate, polytope, or both"
-            )
-        report = verify_bell(method=method, guard=guard)
+        report = verify_bell(method=args.method or "both", guard=guard)
         text = _bell_text(report)
     else:
-        method = args.method or "both"
-        if method not in ("coloring", "parity", "both"):
-            raise InputError(
-                f"unknown ks method {method!r}; expected coloring, parity, or both"
-            )
-        report = verify_ks(method=method, guard=guard)
+        report = verify_ks(method=args.method or "both", guard=guard)
         text = _ks_text(report)
     if args.format == "json":
         _print_json({"command": "nogo", "argument": args.argument, "report": report.to_dict()})
@@ -349,19 +339,13 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _common_options() -> argparse.ArgumentParser:
-    """Flags shared by every subcommand: --format, --seed, --guard."""
+    """Flags shared by every subcommand: --format and --guard."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
         help="output rendering (default: text)",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="generator seed (only the random command reads it)",
     )
     common.add_argument(
         "--guard",
@@ -446,6 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_random = sub.add_parser(
         "random", parents=[common], help="generate a reproducible random model"
     )
+    p_random.add_argument("--seed", type=int, default=None, help="generator seed (required)")
     p_random.add_argument("--sites", type=_positive_int, default=2)
     p_random.add_argument("--measurements", type=_positive_int, default=2)
     p_random.add_argument("--outcomes", type=_positive_int, default=2)

@@ -25,6 +25,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
+from .codec import Codec
 from .errors import (
     InputError,
     ModelFormatError,
@@ -98,6 +99,11 @@ class Event:
         object.__setattr__(self, "outcomes", dict(self.outcomes))
         object.__setattr__(self, "measurements", dict(self.measurements))
 
+    def __hash__(self) -> int:
+        return hash(
+            (tuple(sorted(self.outcomes.items())), tuple(sorted(self.measurements.items())), self.hidden)
+        )
+
 
 def merge_events(first: Event, second: Event) -> Event | None:
     """Conjunction of two events, or None if they contradict each other."""
@@ -120,7 +126,7 @@ def merge_events(first: Event, second: Event) -> Event | None:
 
 
 @dataclass(frozen=True)
-class Witness:
+class Witness(Codec):
     """Two event descriptions whose probabilities disagree."""
 
     lhs_desc: str
@@ -136,28 +142,9 @@ class Witness:
     def describe(self) -> str:
         return f"{self.lhs_desc} = {self.lhs} but {self.rhs_desc} = {self.rhs}"
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs_desc": self.lhs_desc,
-            "rhs_desc": self.rhs_desc,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "where": list(self.where),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Witness":
-        return cls(
-            lhs_desc=data["lhs_desc"],
-            rhs_desc=data["rhs_desc"],
-            lhs=Fraction(data["lhs"]),
-            rhs=Fraction(data["rhs"]),
-            where=tuple(data.get("where", ())),
-        )
-
 
 @dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(Codec):
     """Outcome of one property check: holds, or fails with a witness."""
 
     holds: bool
@@ -174,20 +161,6 @@ class PropertyVerdict:
             return "holds"
         assert self.witness is not None
         return f"fails: {self.witness.describe()}"
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PropertyVerdict":
-        witness = data.get("witness")
-        return cls(
-            holds=bool(data["holds"]),
-            witness=None if witness is None else Witness.from_dict(witness),
-        )
 
 
 def describe_context(sites: Sequence[Site], context: Context) -> str:

@@ -31,12 +31,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
+from .codec import Codec
 from .constructions import construct_sv
 from .errors import InputError, SizeGuardError
 from .linprog import feasible_point, verify_farkas, verify_solution
-from .modelio import model_from_dict, model_to_dict
 from .models import (
     DEFAULT_GUARD,
     ONE,
@@ -59,10 +59,6 @@ from .properties import (
     check_parameter_independence,
     check_strong_determinism,
 )
-
-
-def _fraction_list(values: Sequence[Fraction]) -> list[str]:
-    return [str(v) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +212,7 @@ def enumerate_deterministic_strategies(
 
 
 @dataclass(frozen=True)
-class PolytopeResult:
+class PolytopeResult(Codec):
     """Outcome of the deterministic-mixture membership test.
 
     Feasible: `strategy_weights` lists (strategy index, weight) for the
@@ -225,41 +221,14 @@ class PolytopeResult:
     y.A >= 0 and y.b < 0.
     """
 
+    kind = "polytope-membership"
+
     feasible: bool
     strategy_count: int
     row_labels: tuple[str, ...]
     strategy_weights: tuple[tuple[int, Fraction], ...] | None = None
     certificate: tuple[Fraction, ...] | None = None
     hvm: HiddenVariableModel | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "polytope-membership",
-            "feasible": self.feasible,
-            "strategy_count": self.strategy_count,
-            "row_labels": list(self.row_labels),
-            "strategy_weights": None
-            if self.strategy_weights is None
-            else [[index, str(weight)] for index, weight in self.strategy_weights],
-            "certificate": None if self.certificate is None else _fraction_list(self.certificate),
-            "hvm": None if self.hvm is None else model_to_dict(self.hvm),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PolytopeResult":
-        weights = data.get("strategy_weights")
-        certificate = data.get("certificate")
-        hvm = data.get("hvm")
-        return cls(
-            feasible=bool(data["feasible"]),
-            strategy_count=int(data["strategy_count"]),
-            row_labels=tuple(data["row_labels"]),
-            strategy_weights=None
-            if weights is None
-            else tuple((int(i), Fraction(w)) for i, w in weights),
-            certificate=None if certificate is None else tuple(Fraction(v) for v in certificate),
-            hvm=None if hvm is None else model_from_dict(hvm),  # type: ignore[arg-type]
-        )
 
 
 def _mixture_hvm(
@@ -372,8 +341,10 @@ def random_strategy_mixture(
 
 
 @dataclass(frozen=True)
-class EprReport:
+class EprReport(Codec):
     """Single-valued completions of the anti-correlated model break outcome independence."""
+
+    kind = "epr-report"
 
     marginal: Fraction
     pinned_by_partner: Fraction
@@ -383,32 +354,6 @@ class EprReport:
     escape_oi: PropertyVerdict
     escape_equivalent: PropertyVerdict
     confirmed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "epr-report",
-            "marginal": str(self.marginal),
-            "pinned_by_partner": str(self.pinned_by_partner),
-            "oi_single_state": self.oi_single_state.to_dict(),
-            "escape_sd": self.escape_sd.to_dict(),
-            "escape_li": self.escape_li.to_dict(),
-            "escape_oi": self.escape_oi.to_dict(),
-            "escape_equivalent": self.escape_equivalent.to_dict(),
-            "confirmed": self.confirmed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "EprReport":
-        return cls(
-            marginal=Fraction(data["marginal"]),
-            pinned_by_partner=Fraction(data["pinned_by_partner"]),
-            oi_single_state=PropertyVerdict.from_dict(data["oi_single_state"]),
-            escape_sd=PropertyVerdict.from_dict(data["escape_sd"]),
-            escape_li=PropertyVerdict.from_dict(data["escape_li"]),
-            escape_oi=PropertyVerdict.from_dict(data["escape_oi"]),
-            escape_equivalent=PropertyVerdict.from_dict(data["escape_equivalent"]),
-            confirmed=bool(data["confirmed"]),
-        )
 
 
 def verify_epr() -> EprReport:
@@ -468,8 +413,10 @@ _L_SETS: tuple[frozenset[int], ...] = (
 
 
 @dataclass(frozen=True)
-class CertificateEquation:
+class CertificateEquation(Codec):
     """One agreement equation: p of its atoms equals the empirical agreement rate."""
+
+    derived = ("rhs",)
 
     i: int
     j: int
@@ -481,29 +428,9 @@ class CertificateEquation:
     def rhs(self) -> Fraction:
         return self.plus_plus + self.minus_minus
 
-    def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "atoms": list(self.atoms),
-            "plus_plus": str(self.plus_plus),
-            "minus_minus": str(self.minus_minus),
-            "rhs": str(self.rhs),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CertificateEquation":
-        return cls(
-            i=int(data["i"]),
-            j=int(data["j"]),
-            atoms=tuple(int(a) for a in data["atoms"]),
-            plus_plus=Fraction(data["plus_plus"]),
-            minus_minus=Fraction(data["minus_minus"]),
-        )
-
 
 @dataclass(frozen=True)
-class BellCertificate:
+class BellCertificate(Codec):
     """Three equations over eight response atoms that cannot all hold.
 
     Atoms 1..8 are the joint deterministic response types compatible with
@@ -516,6 +443,8 @@ class BellCertificate:
     have to total `aggregate_value`, which exceeds 1.
     """
 
+    kind = "bell-certificate"
+
     k_sets: tuple[tuple[int, ...], ...]
     l_sets: tuple[tuple[int, ...], ...]
     equations: tuple[CertificateEquation, ...]
@@ -523,30 +452,6 @@ class BellCertificate:
     atoms_counted_twice: bool
     aggregate_value: Fraction
     impossible: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "bell-certificate",
-            "k_sets": [list(s) for s in self.k_sets],
-            "l_sets": [list(s) for s in self.l_sets],
-            "equations": [eq.to_dict() for eq in self.equations],
-            "aggregate_atoms": list(self.aggregate_atoms),
-            "atoms_counted_twice": self.atoms_counted_twice,
-            "aggregate_value": str(self.aggregate_value),
-            "impossible": self.impossible,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "BellCertificate":
-        return cls(
-            k_sets=tuple(tuple(int(a) for a in s) for s in data["k_sets"]),
-            l_sets=tuple(tuple(int(a) for a in s) for s in data["l_sets"]),
-            equations=tuple(CertificateEquation.from_dict(eq) for eq in data["equations"]),
-            aggregate_atoms=tuple(int(a) for a in data["aggregate_atoms"]),
-            atoms_counted_twice=bool(data["atoms_counted_twice"]),
-            aggregate_value=Fraction(data["aggregate_value"]),
-            impossible=bool(data["impossible"]),
-        )
 
 
 def bell_certificate() -> BellCertificate:
@@ -579,9 +484,11 @@ def bell_certificate() -> BellCertificate:
 
 
 @dataclass(frozen=True)
-class BellEscapeReport:
+class BellEscapeReport(Codec):
     """The single-state completion keeps lambda-independence and parameter
     independence while failing outcome independence."""
+
+    kind = "bell-escape"
 
     li: PropertyVerdict
     pi: PropertyVerdict
@@ -589,28 +496,6 @@ class BellEscapeReport:
     conditional_with_partner: Fraction
     conditional_alone: Fraction
     confirmed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "bell-escape",
-            "li": self.li.to_dict(),
-            "pi": self.pi.to_dict(),
-            "oi": self.oi.to_dict(),
-            "conditional_with_partner": str(self.conditional_with_partner),
-            "conditional_alone": str(self.conditional_alone),
-            "confirmed": self.confirmed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "BellEscapeReport":
-        return cls(
-            li=PropertyVerdict.from_dict(data["li"]),
-            pi=PropertyVerdict.from_dict(data["pi"]),
-            oi=PropertyVerdict.from_dict(data["oi"]),
-            conditional_with_partner=Fraction(data["conditional_with_partner"]),
-            conditional_alone=Fraction(data["conditional_alone"]),
-            confirmed=bool(data["confirmed"]),
-        )
 
 
 def bell_pi_escape() -> BellEscapeReport:
@@ -639,39 +524,21 @@ def bell_pi_escape() -> BellEscapeReport:
 
 
 @dataclass(frozen=True)
-class BellReport:
+class BellReport(Codec):
     """Combined result of the requested impossibility routes."""
+
+    kind = "bell-report"
 
     certificate: BellCertificate | None
     polytope: PolytopeResult | None
     escape: BellEscapeReport
     confirmed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "bell-report",
-            "certificate": None if self.certificate is None else self.certificate.to_dict(),
-            "polytope": None if self.polytope is None else self.polytope.to_dict(),
-            "escape": self.escape.to_dict(),
-            "confirmed": self.confirmed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "BellReport":
-        certificate = data.get("certificate")
-        polytope = data.get("polytope")
-        return cls(
-            certificate=None if certificate is None else BellCertificate.from_dict(certificate),
-            polytope=None if polytope is None else PolytopeResult.from_dict(polytope),
-            escape=BellEscapeReport.from_dict(data["escape"]),
-            confirmed=bool(data["confirmed"]),
-        )
-
 
 def verify_bell(method: str = "both", guard: int = DEFAULT_GUARD) -> BellReport:
     """Run the certificate route, the polytope route, or both."""
     if method not in ("certificate", "polytope", "both"):
-        raise InputError(f"unknown method {method!r}; expected certificate, polytope, or both")
+        raise InputError(f"unknown bell method {method!r}; expected certificate, polytope, or both")
     certificate = bell_certificate() if method in ("certificate", "both") else None
     polytope = (
         local_polytope_feasibility(bell_model(), guard) if method in ("polytope", "both") else None
@@ -690,8 +557,10 @@ def verify_bell(method: str = "both", guard: int = DEFAULT_GUARD) -> BellReport:
 
 
 @dataclass(frozen=True)
-class KsTable:
+class KsTable(Codec):
     """Columns of measurement labels; a coloring must pick one winner per column."""
+
+    kind = "ks-table"
 
     columns: tuple[tuple[str, ...], ...]
 
@@ -722,13 +591,6 @@ class KsTable:
         counts = Counter(itertools.chain.from_iterable(self.columns))
         return tuple((label, counts[label]) for label in self.labels())
 
-    def to_dict(self) -> dict:
-        return {"kind": "ks-table", "columns": [list(column) for column in self.columns]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "KsTable":
-        return cls(tuple(tuple(column) for column in data["columns"]))
-
 
 def ks_table() -> KsTable:
     """The canonical 9-column, 18-label table behind `ks_model`."""
@@ -736,8 +598,10 @@ def ks_table() -> KsTable:
 
 
 @dataclass(frozen=True)
-class KsColoring:
+class KsColoring(Codec):
     """A 0/1 value per label, in the table's label order."""
+
+    kind = "ks-coloring"
 
     assignment: tuple[tuple[str, int], ...]
 
@@ -750,13 +614,6 @@ class KsColoring:
             return all(sum(values[label] for label in column) == 1 for column in table.columns)
         except KeyError:
             return False
-
-    def to_dict(self) -> dict:
-        return {"kind": "ks-coloring", "assignment": [[label, value] for label, value in self.assignment]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "KsColoring":
-        return cls(tuple((label, int(value)) for label, value in data["assignment"]))
 
 
 def ks_coloring_candidates(table: KsTable) -> int:
@@ -808,8 +665,10 @@ def ks_search_colorings(table: KsTable, guard: int = DEFAULT_GUARD) -> list[KsCo
 
 
 @dataclass(frozen=True)
-class KsParityReport:
+class KsParityReport(Codec):
     """Occurrence counts versus column count: all even against odd is conclusive."""
+
+    kind = "ks-parity"
 
     label_counts: tuple[tuple[str, int], ...]
     column_count: int
@@ -820,26 +679,6 @@ class KsParityReport:
     @property
     def conclusive(self) -> bool:
         return self.verdict == "impossible"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "ks-parity",
-            "label_counts": [[label, count] for label, count in self.label_counts],
-            "column_count": self.column_count,
-            "all_counts_even": self.all_counts_even,
-            "column_count_odd": self.column_count_odd,
-            "verdict": self.verdict,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "KsParityReport":
-        return cls(
-            label_counts=tuple((label, int(count)) for label, count in data["label_counts"]),
-            column_count=int(data["column_count"]),
-            all_counts_even=bool(data["all_counts_even"]),
-            column_count_odd=bool(data["column_count_odd"]),
-            verdict=data["verdict"],
-        )
 
 
 def ks_parity_certificate(table: KsTable) -> KsParityReport:
@@ -862,8 +701,10 @@ def ks_parity_certificate(table: KsTable) -> KsParityReport:
 
 
 @dataclass(frozen=True)
-class KsReport:
+class KsReport(Codec):
     """Combined result of the requested table obstruction routes."""
+
+    kind = "ks-report"
 
     exchangeability: PropertyVerdict
     winner_pattern_ok: bool
@@ -873,38 +714,11 @@ class KsReport:
     parity: KsParityReport | None
     confirmed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "ks-report",
-            "exchangeability": self.exchangeability.to_dict(),
-            "winner_pattern_ok": self.winner_pattern_ok,
-            "non_contextuality": self.non_contextuality.to_dict(),
-            "coloring_candidates": self.coloring_candidates,
-            "coloring_count": self.coloring_count,
-            "parity": None if self.parity is None else self.parity.to_dict(),
-            "confirmed": self.confirmed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "KsReport":
-        parity = data.get("parity")
-        candidates = data.get("coloring_candidates")
-        count = data.get("coloring_count")
-        return cls(
-            exchangeability=PropertyVerdict.from_dict(data["exchangeability"]),
-            winner_pattern_ok=bool(data["winner_pattern_ok"]),
-            non_contextuality=PropertyVerdict.from_dict(data["non_contextuality"]),
-            coloring_candidates=None if candidates is None else int(candidates),
-            coloring_count=None if count is None else int(count),
-            parity=None if parity is None else KsParityReport.from_dict(parity),
-            confirmed=bool(data["confirmed"]),
-        )
-
 
 def verify_ks(method: str = "both", guard: int = DEFAULT_GUARD) -> KsReport:
     """Check the canonical table model and run the requested obstruction routes."""
     if method not in ("coloring", "parity", "both"):
-        raise InputError(f"unknown method {method!r}; expected coloring, parity, or both")
+        raise InputError(f"unknown ks method {method!r}; expected coloring, parity, or both")
     e = ks_model()
     exchangeability = check_exchangeability(e)
     pattern_ok = True

@@ -10,9 +10,8 @@ Seven checks apply to hidden-variable models:
 * weak determinism: given the hidden state and the full context, the joint
   outcome tuple is deterministic.
 * outcome independence: given context and hidden state, each site's outcome
-  is conditionally independent of the other sites' outcomes. Checked in two
-  equivalent forms (conditioning on partner outcomes, and factorization into
-  site marginals); both are evaluated and must agree.
+  is conditionally independent of the other sites' outcomes, checked by
+  conditioning on every assignment of the partner outcomes.
 * parameter independence: given the hidden state, a site's outcome
   distribution depends only on that site's own measurement, not on the rest
   of the context.
@@ -150,23 +149,23 @@ def check_lambda_independence(model: HiddenVariableModel) -> PropertyVerdict:
     """The hidden state's distribution is the same on every non-null context."""
     h = _require_hidden(model, "lambda-independence")
     contexts = sorted(h.context_weights(), key=h.context_sort_key)
-    dists = [h.lambda_distribution(c) for c in contexts]
-    for i in range(len(contexts)):
-        for j in range(i + 1, len(contexts)):
-            for lam in h.lambda_set:
-                left = dists[i].get(lam, ZERO)
-                right = dists[j].get(lam, ZERO)
-                if left != right:
-                    return PropertyVerdict(
-                        False,
-                        Witness(
-                            lhs_desc=f"p(λ={lam} | {describe_context(h.sites, contexts[i])})",
-                            rhs_desc=f"p(λ={lam} | {describe_context(h.sites, contexts[j])})",
-                            lhs=left,
-                            rhs=right,
-                            where=(lam,),
-                        ),
-                    )
+    first = h.lambda_distribution(contexts[0])
+    for context in contexts[1:]:
+        dist = h.lambda_distribution(context)
+        for lam in h.lambda_set:
+            left = first.get(lam, ZERO)
+            right = dist.get(lam, ZERO)
+            if left != right:
+                return PropertyVerdict(
+                    False,
+                    Witness(
+                        lhs_desc=f"p(λ={lam} | {describe_context(h.sites, contexts[0])})",
+                        rhs_desc=f"p(λ={lam} | {describe_context(h.sites, context)})",
+                        lhs=left,
+                        rhs=right,
+                        where=(lam,),
+                    ),
+                )
     return PropertyVerdict(True)
 
 
@@ -233,7 +232,13 @@ def _site_marginals(
     return marginals
 
 
-def _oi_conditional_form(h: HiddenVariableModel) -> PropertyVerdict:
+def check_outcome_independence(model: HiddenVariableModel) -> PropertyVerdict:
+    """Given context and hidden state, sites' outcomes are independent.
+
+    Compares each site's outcome distribution conditioned on every assignment
+    of the partner outcomes with its unconditioned one.
+    """
+    h = _require_hidden(model, "outcome-independence")
     for context, lam in _sorted_context_lambda(h):
         dist = h.outcome_distribution(context, lam)
         ctx_desc = describe_context(h.sites, context)
@@ -270,50 +275,6 @@ def _oi_conditional_form(h: HiddenVariableModel) -> PropertyVerdict:
                             ),
                         )
     return PropertyVerdict(True)
-
-
-def _oi_product_form(h: HiddenVariableModel) -> PropertyVerdict:
-    for context, lam in _sorted_context_lambda(h):
-        dist = h.outcome_distribution(context, lam)
-        ctx_desc = describe_context(h.sites, context)
-        marginals = _site_marginals(h.sites, dist)
-        for outcome in itertools.product(*(site.outcomes for site in h.sites)):
-            left = dist.get(outcome, ZERO)
-            right = ONE
-            for i, a in enumerate(outcome):
-                right *= marginals[i].get(a, ZERO)
-            if left != right:
-                return PropertyVerdict(
-                    False,
-                    Witness(
-                        lhs_desc=(
-                            f"p({describe_outcome(h.sites, outcome)} | {ctx_desc}, λ={lam})"
-                        ),
-                        rhs_desc="the product of its per-site marginals",
-                        lhs=left,
-                        rhs=right,
-                        where=(lam,),
-                    ),
-                )
-    return PropertyVerdict(True)
-
-
-def check_outcome_independence(model: HiddenVariableModel) -> PropertyVerdict:
-    """Given context and hidden state, sites' outcomes are independent.
-
-    Evaluates both the partner-conditioning form and the product form; the two
-    are equivalent for finite models and the check insists they agree. The
-    returned witness, if any, comes from the partner-conditioning form.
-    """
-    h = _require_hidden(model, "outcome-independence")
-    conditional = _oi_conditional_form(h)
-    product = _oi_product_form(h)
-    if conditional.holds != product.holds:
-        raise AssertionError(
-            "outcome-independence forms disagree: "
-            f"conditional={conditional.describe()} product={product.describe()}"
-        )
-    return conditional
 
 
 def check_parameter_independence(model: HiddenVariableModel) -> PropertyVerdict:
@@ -397,30 +358,29 @@ def check_non_contextuality(model: EmpiricalModel) -> PropertyVerdict:
     for i, site in enumerate(e.sites):
         for m in site.measurements:
             relevant = [c for c in contexts if c[i] == m]
-            for k in range(len(relevant)):
-                for l in range(k + 1, len(relevant)):
-                    left_marg = marginals(relevant[k])[i]
-                    right_marg = marginals(relevant[l])[i]
-                    for a in site.outcomes:
-                        left = left_marg.get(a, ZERO)
-                        right = right_marg.get(a, ZERO)
-                        if left != right:
-                            return PropertyVerdict(
-                                False,
-                                Witness(
-                                    lhs_desc=(
-                                        f"q({site.name}={a} | "
-                                        f"{describe_context(e.sites, relevant[k])})"
-                                    ),
-                                    rhs_desc=(
-                                        f"q({site.name}={a} | "
-                                        f"{describe_context(e.sites, relevant[l])})"
-                                    ),
-                                    lhs=left,
-                                    rhs=right,
-                                    where=(site.name, m),
+            for other in relevant[1:]:
+                left_marg = marginals(relevant[0])[i]
+                right_marg = marginals(other)[i]
+                for a in site.outcomes:
+                    left = left_marg.get(a, ZERO)
+                    right = right_marg.get(a, ZERO)
+                    if left != right:
+                        return PropertyVerdict(
+                            False,
+                            Witness(
+                                lhs_desc=(
+                                    f"q({site.name}={a} | "
+                                    f"{describe_context(e.sites, relevant[0])})"
                                 ),
-                            )
+                                rhs_desc=(
+                                    f"q({site.name}={a} | "
+                                    f"{describe_context(e.sites, other)})"
+                                ),
+                                lhs=left,
+                                rhs=right,
+                                where=(site.name, m),
+                            ),
+                        )
     return PropertyVerdict(True)
 
 

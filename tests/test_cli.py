@@ -332,6 +332,12 @@ def test_random_requires_seed(cli):
     assert "requires --seed" in err
 
 
+def test_seed_is_only_accepted_by_random(cli):
+    code, _, err = cli("nogo", "epr", "--seed", "1")
+    assert code == 2
+    assert "--seed" in err
+
+
 def test_random_is_deterministic(cli):
     code1, out1, _ = cli("random", "--seed", "9")
     code2, out2, _ = cli("random", "--seed", "9")

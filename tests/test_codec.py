@@ -1,0 +1,109 @@
+"""The dict form of every result class survives a trip through JSON."""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from hvw import (
+    ClassificationReport,
+    KsColoring,
+    KsTable,
+    PolytopeResult,
+    PropertyVerdict,
+    Witness,
+    bell_certificate,
+    bell_model,
+    bell_pi_escape,
+    classify_all,
+    classify_region,
+    epr_model,
+    ks_parity_certificate,
+    ks_search_colorings,
+    ks_table,
+    local_polytope_feasibility,
+    model_to_dict,
+    verify_bell,
+    verify_epr,
+    verify_ks,
+)
+from hvw.codec import Codec
+from hvw.nogo import CertificateEquation
+
+WITNESS = Witness(
+    lhs_desc="p(x)", rhs_desc="p(y)", lhs=Fraction(1, 3), rhs=Fraction(1, 2), where=("a", "l0")
+)
+
+
+def _sample_classification() -> ClassificationReport:
+    return classify_all(sample=epr_model())
+
+
+# One instance of every class that uses the codec, built on demand.
+INSTANCES = {
+    "Witness": lambda: WITNESS,
+    "Witness-no-where": lambda: Witness(
+        lhs_desc="p(x)", rhs_desc="p(y)", lhs=Fraction(0), rhs=Fraction(1)
+    ),
+    "PropertyVerdict": lambda: PropertyVerdict(False, WITNESS),
+    "PropertyVerdict-holds": lambda: PropertyVerdict(True),
+    "PolytopeResult": lambda: local_polytope_feasibility(bell_model()),
+    "PolytopeResult-feasible": lambda: local_polytope_feasibility(epr_model()),
+    "EprReport": verify_epr,
+    "CertificateEquation": lambda: bell_certificate().equations[0],
+    "BellCertificate": bell_certificate,
+    "BellEscapeReport": bell_pi_escape,
+    "BellReport": lambda: verify_bell(method="certificate"),
+    "KsTable": ks_table,
+    "KsColoring": lambda: ks_search_colorings(KsTable((("a", "b"), ("b", "c"))))[0],
+    "KsParityReport": lambda: ks_parity_certificate(ks_table()),
+    "KsReport": lambda: verify_ks(method="parity"),
+    "RegionVerdict": lambda: classify_region({"SV", "LI"}),
+    "RegionEvidence": lambda: _sample_classification().regions[0].evidence[0],
+    "RegionEntry": lambda: _sample_classification().regions[0],
+    "ClassificationReport": _sample_classification,
+}
+
+
+def test_every_codec_class_has_an_instance():
+    covered = {name.split("-")[0] for name in INSTANCES}
+    assert {cls.__name__ for cls in Codec.__subclasses__()} <= covered
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_json_round_trip(name):
+    value = INSTANCES[name]()
+    assert type(value).__name__ == name.split("-")[0]
+    data = json.loads(json.dumps(value.to_dict()))
+    assert type(value).from_dict(data) == value
+
+
+def test_embedded_model_uses_the_model_file_form():
+    result = local_polytope_feasibility(epr_model())
+    assert result.feasible and result.hvm is not None
+    assert result.to_dict()["hvm"] == model_to_dict(result.hvm)
+
+
+def test_kind_tag_comes_first_and_is_ignored_on_decode():
+    result = local_polytope_feasibility(bell_model())
+    data = result.to_dict()
+    assert list(data)[:2] == ["kind", "feasible"]
+    assert data["kind"] == "polytope-membership"
+    assert PolytopeResult.from_dict({**data, "kind": "other"}) == result
+
+
+def test_derived_rhs_is_written_but_not_read():
+    equation = bell_certificate().equations[0]
+    data = equation.to_dict()
+    assert list(data)[-1] == "rhs"
+    assert data["rhs"] == str(equation.plus_plus + equation.minus_minus)
+    assert CertificateEquation.from_dict({**data, "rhs": "99"}) == equation
+
+
+def test_missing_optional_keys_take_defaults():
+    data = WITNESS.to_dict()
+    del data["where"]
+    assert Witness.from_dict(data).where == ()
+    assert KsColoring.from_dict({"assignment": [["a", 1]]}) == KsColoring((("a", 1),))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +228,11 @@ def test_load_missing_file_is_an_input_error(tmp_path):
 def test_model_to_dict_matches_serialization():
     model = epr_model()
     assert json.loads(serialize_model(model)) == model_to_dict(model)
+
+
+def test_readme_model_examples_parse():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), flags=re.S)
+    assert blocks
+    for block in blocks:
+        parse_model(block)

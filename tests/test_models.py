@@ -180,6 +180,14 @@ def test_merge_events():
     assert merge_events(second, Event(hidden="l1")) is None
 
 
+def test_equal_events_hash_equal():
+    first = Event(outcomes={"a": "+_a", "b": "-_b"}, measurements={"a": "A"}, hidden="l0")
+    second = Event(outcomes={"b": "-_b", "a": "+_a"}, measurements={"a": "A"}, hidden="l0")
+    assert first == second
+    assert hash(first) == hash(second)
+    assert len({first, second, Event()}) == 2
+
+
 def test_total_probability_identity_over_hidden_states():
     for seed in range(10):
         h = generate_random_model(seed, grid_sites(2, 2, 2), lambda_size=3)

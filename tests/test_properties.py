@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,44 @@ def test_outcome_independence_holds_on_e1():
 
 def test_outcome_independence_single_site_is_vacuous():
     assert check_outcome_independence(construct_sv(single_site_third_model())).holds
+
+
+def oi_product_form_holds(h: HiddenVariableModel) -> bool:
+    """Reference form of outcome independence: on every non-null (context,
+    hidden state) pair, each outcome tuple's probability is the product of its
+    per-site marginals."""
+    for context, lam in h.context_lambda_weights():
+        dist = h.outcome_distribution(context, lam)
+        marginals: list[dict[str, Fraction]] = [{} for _ in h.sites]
+        for outcome, p in dist.items():
+            for i, a in enumerate(outcome):
+                marginals[i][a] = marginals[i].get(a, 0) + p
+        for outcome in itertools.product(*(site.outcomes for site in h.sites)):
+            product = ONE
+            for i, a in enumerate(outcome):
+                product *= marginals[i].get(a, 0)
+            if dist.get(outcome, 0) != product:
+                return False
+    return True
+
+
+def test_outcome_independence_matches_product_form(uniform_quarter, all_pairs_anticorrelation):
+    cases: list[HiddenVariableModel] = [
+        epr_escape_hvm(),
+        pi_violating_hvm(),
+        construct_sv(point_mass_model()),
+        construct_sv(single_site_third_model()),
+        construct_sv(uniform_quarter),
+        construct_sv(all_pairs_anticorrelation),
+    ]
+    for seed in range(12):
+        cases.append(generate_random_model(seed, grid_sites(2, 2, 2), lambda_size=1 + seed % 3))
+        cases.append(generate_random_model(seed, grid_sites(3, 2, 2), lambda_size=2))
+        empirical = generate_random_model(seed, grid_sites(2, 2, 2 + seed % 2))
+        cases.extend(construct(empirical) for construct in (construct_e1, construct_e2, construct_sv))
+    verdicts = [check_outcome_independence(hidden).holds for hidden in cases]
+    assert verdicts == [oi_product_form_holds(hidden) for hidden in cases]
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------
