@@ -6,6 +6,12 @@ phase-one simplex with Bland's anti-cycling rule carried out entirely in
 (y.A >= 0 componentwise while y.b < 0), and `verify_farkas` /
 `verify_solution` recheck either answer by direct arithmetic, independent of
 the solver's internals.
+
+The tableau is dense, but every operation on it touches only the entries that
+are not exactly zero: a pivot collects the nonzero cells of the pivot row once
+and updates just those columns of the other rows and of the cost row, in
+place. Bland's rule picks the same entering column and leaving row as a dense
+update would, so the pivot sequence and the answers do not depend on this.
 """
 
 from __future__ import annotations
@@ -17,16 +23,27 @@ from .errors import InputError
 from .models import ONE, ZERO
 
 
+def _exact(value: object, where: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InputError(f"{where} is not a finite rational number: {value!r}") from None
+
+
 def _checked_system(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[list[list[Fraction]], list[Fraction]]:
     if len(rows) != len(rhs):
         raise InputError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
-    matrix = [[Fraction(v) for v in row] for row in rows]
+    matrix = [
+        [v if type(v) is Fraction else _exact(v, f"row {i}, column {j}") for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
     width = {len(row) for row in matrix}
     if len(width) > 1:
         raise InputError(f"rows have inconsistent lengths: {sorted(width)}")
-    return matrix, [Fraction(v) for v in rhs]
+    b = [v if type(v) is Fraction else _exact(v, f"right-hand side {i}") for i, v in enumerate(rhs)]
+    return matrix, b
 
 
 def feasible_point(
@@ -37,27 +54,30 @@ def feasible_point(
     Returns (x, None) with a nonnegative rational solution when the system is
     feasible, else (None, y) with a Farkas certificate of infeasibility.
     """
-    matrix, b = _checked_system(rows, rhs)
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
+    # The tableau grows in place from the private rows `_checked_system`
+    # copies, never from the caller's.
+    tableau, b = _checked_system(rows, rhs)
+    m = len(tableau)
+    n = len(tableau[0]) if m else 0
     if m == 0:
         return [], None
 
     # Phase-one tableau: structural columns, artificial columns, rhs.
     # Rows with negative rhs are negated first (sign unwound in the certificate).
     flip = [-1 if value < 0 else 1 for value in b]
-    tableau: list[list[Fraction]] = []
-    for i in range(m):
-        sign = flip[i]
-        row = [sign * v for v in matrix[i]]
+    for i, row in enumerate(tableau):
+        if flip[i] < 0:
+            row[:] = [-v for v in row]
         row.extend(ONE if j == i else ZERO for j in range(m))
-        row.append(sign * b[i])
-        tableau.append(row)
+        row.append(abs(b[i]))
     basis = [n + i for i in range(m)]
     # Reduced costs for min sum(artificials); last cell is minus the objective.
-    cost = [-sum(tableau[i][j] for i in range(m)) for j in range(n)]
-    cost.extend(ZERO for _ in range(m))
-    cost.append(-sum(tableau[i][-1] for i in range(m)))
+    cost = [ZERO] * (n + m + 1)
+    for row in tableau:
+        for j in range(n):
+            if row[j]:
+                cost[j] -= row[j]
+        cost[-1] -= row[-1]
 
     total_cols = n + m
     while True:
@@ -99,19 +119,35 @@ def _pivot(
 ) -> None:
     row = tableau[pivot_row]
     pivot = row[pivot_col]
+    nonzero = [(j, v) for j, v in enumerate(row) if v]
     if pivot != 1:
-        row = [v / pivot for v in row]
-        tableau[pivot_row] = row
-    for i, other in enumerate(tableau):
-        if i == pivot_row:
-            continue
+        nonzero = [(j, v / pivot) for j, v in nonzero]
+        for j, v in nonzero:
+            row[j] = v
+    for other in tableau:
         factor = other[pivot_col]
-        if factor:
-            tableau[i] = [a - factor * b for a, b in zip(other, row)]
+        if factor and other is not row:
+            _subtract(other, factor, nonzero)
     factor = cost[pivot_col]
     if factor:
-        cost[:] = [a - factor * b for a, b in zip(cost, row)]
+        _subtract(cost, factor, nonzero)
     basis[pivot_row] = pivot_col
+
+
+def _subtract(
+    target: list[Fraction], factor: Fraction, nonzero: list[tuple[int, Fraction]]
+) -> None:
+    """target -= factor * row, given the row's nonzero cells."""
+    # Most factors in 0/1 membership systems are +1 or -1; skip the product.
+    if factor == 1:
+        for j, v in nonzero:
+            target[j] -= v
+    elif factor == -1:
+        for j, v in nonzero:
+            target[j] += v
+    else:
+        for j, v in nonzero:
+            target[j] -= factor * v
 
 
 def verify_solution(
@@ -123,8 +159,9 @@ def verify_solution(
         return False
     if any(v < 0 for v in x):
         return False
+    support = [(j, v) for j, v in enumerate(x) if v]
     for row, target in zip(matrix, b):
-        if sum(c * v for c, v in zip(row, x)) != target:
+        if sum(row[j] * v for j, v in support if row[j]) != target:
             return False
     return True
 
@@ -140,8 +177,14 @@ def verify_farkas(
     matrix, b = _checked_system(rows, rhs)
     if len(y) != len(matrix):
         return False
+    # y.A accumulated row by row over the nonzero products only.
     n = len(matrix[0]) if matrix else 0
-    for j in range(n):
-        if sum(y[i] * matrix[i][j] for i in range(len(matrix))) < 0:
-            return False
-    return sum(yi * bi for yi, bi in zip(y, b)) < 0
+    combination = [ZERO] * n
+    for yi, row in zip(y, matrix):
+        if yi:
+            for j, a in enumerate(row):
+                if a:
+                    combination[j] += yi * a
+    if any(v < 0 for v in combination):
+        return False
+    return sum(yi * bi for yi, bi in zip(y, b) if yi and bi) < 0

@@ -147,6 +147,22 @@ def test_criterion_3_polytope_membership(cli, uniform_quarter, all_pairs_anticor
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
+def test_criterion_3_membership_at_512_strategies():
+    """The membership test stays fast on a three-site control: (3,3,2) has
+    512 deterministic strategies and 217 equations."""
+    with criterion(3, "deterministic-mixture membership at 512 strategies"):
+        started = time.monotonic()
+        control = project_to_empirical(random_strategy_mixture(0, grid_sites(3, 3, 2)))
+        result = local_polytope_feasibility(control)
+        assert result.strategy_count == 512
+        assert len(result.row_labels) == 217
+        assert result.feasible
+        assert result.hvm is not None
+        assert equivalent_empirical(control, result.hvm).holds
+        elapsed = time.monotonic() - started
+        assert elapsed < 10.0, f"took {elapsed:.2f}s"
+
+
 def test_criterion_4_orthogonality_table(cli):
     with criterion(4, "orthogonality-table argument"):
         started = time.monotonic()

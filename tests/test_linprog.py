@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,13 +10,78 @@ import pytest
 
 from conftest import fr
 
-from hvw import InputError, feasible_point, verify_farkas, verify_solution
+import hvw.nogo
+from hvw import (
+    InputError,
+    bell_model,
+    feasible_point,
+    generate_random_model,
+    grid_sites,
+    local_polytope_feasibility,
+    project_to_empirical,
+    random_strategy_mixture,
+    verify_farkas,
+    verify_solution,
+)
 
 F = Fraction
 
 
 def rows_of(*rows):
     return [[F(v) for v in row] for row in rows]
+
+
+def dense_feasible_point(rows, rhs):
+    """Reference phase-one simplex: the dense tableau update, row by row.
+
+    The solver under test must take the same Bland pivots and so return
+    exactly the same x or y.
+    """
+    matrix = [[F(v) for v in row] for row in rows]
+    b = [F(v) for v in rhs]
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    if m == 0:
+        return [], None
+    flip = [-1 if value < 0 else 1 for value in b]
+    tableau = []
+    for i in range(m):
+        row = [flip[i] * v for v in matrix[i]]
+        row.extend(F(1) if j == i else F(0) for j in range(m))
+        row.append(flip[i] * b[i])
+        tableau.append(row)
+    basis = [n + i for i in range(m)]
+    cost = [-sum(tableau[i][j] for i in range(m)) for j in range(n)]
+    cost.extend(F(0) for _ in range(m))
+    cost.append(-sum(tableau[i][-1] for i in range(m)))
+    while True:
+        col = next((j for j in range(n + m) if cost[j] < 0), None)
+        if col is None:
+            break
+        pivot_row = -1
+        best = None
+        for i in range(m):
+            coeff = tableau[i][col]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
+                    best = ratio
+                    pivot_row = i
+        assert pivot_row >= 0
+        row = [v / tableau[pivot_row][col] for v in tableau[pivot_row]]
+        tableau[pivot_row] = row
+        for i, other in enumerate(tableau):
+            if i != pivot_row and other[col]:
+                tableau[i] = [a - other[col] * c for a, c in zip(other, row)]
+        cost = [a - cost[col] * c for a, c in zip(cost, row)]
+        basis[pivot_row] = col
+    if cost[-1] == 0:
+        x = [F(0)] * n
+        for i, var in enumerate(basis):
+            if var < n:
+                x[var] = tableau[i][-1]
+        return x, None
+    return None, [(cost[n + i] - 1) * flip[i] for i in range(m)]
 
 
 def test_two_by_two_feasible():
@@ -74,6 +140,34 @@ def test_empty_system_is_trivially_feasible():
     assert x == [] and y is None
 
 
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf"), None, "abc", "1/0", object()]
+)
+def test_bad_entries_raise_input_error(bad):
+    with pytest.raises(InputError, match=r"row 1, column 0 is not a finite rational"):
+        feasible_point([[F(1), F(0)], [bad, F(1)]], [F(1), F(1)])
+    with pytest.raises(InputError, match=r"right-hand side 1 is not a finite rational"):
+        feasible_point(rows_of([1], [1]), [F(1), bad])
+    with pytest.raises(InputError):
+        verify_solution([[bad]], [F(1)], [F(1)])
+    with pytest.raises(InputError):
+        verify_farkas([[F(1)]], [bad], [F(1)])
+
+
+def test_floats_and_fraction_strings_are_accepted():
+    x, y = feasible_point([[0.5, 0.25]], ["1/2"])
+    assert y is None
+    assert x == [F(1), F(0)]
+
+
+def test_inputs_are_not_modified():
+    rows = rows_of([-1, 2, 0], [0, 1, 1])
+    rhs = [F(-1), F(3)]
+    snapshot = ([list(row) for row in rows], list(rhs))
+    feasible_point(rows, rhs)
+    assert (rows, rhs) == snapshot
+
+
 def test_shape_validation():
     with pytest.raises(InputError):
         feasible_point(rows_of([1, 2]), [F(1), F(2)])
@@ -114,7 +208,7 @@ def test_degenerate_system_terminates():
     assert verify_solution(rows, rhs, x)
 
 
-def test_random_systems_round_trip():
+def planted_systems():
     """Feasible by construction: plant x0 >= 0 and ask for b = A x0."""
     rng = random.Random(7)
     for _ in range(25):
@@ -122,21 +216,59 @@ def test_random_systems_round_trip():
         n = rng.randint(1, 6)
         rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
         planted = [F(rng.randint(0, 4), rng.randint(1, 4)) for _ in range(n)]
-        rhs = [sum((c * v for c, v in zip(row, planted)), F(0)) for row in rows]
+        yield rows, [sum((c * v for c, v in zip(row, planted)), F(0)) for row in rows]
+
+
+def free_systems():
+    """Small random systems of either verdict."""
+    rng = random.Random(11)
+    for _ in range(40):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 5)
+        rows = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+        yield rows, [F(rng.randint(-2, 2)) for _ in range(m)]
+
+
+def test_random_systems_round_trip():
+    for rows, rhs in planted_systems():
         x, y = feasible_point(rows, rhs)
         assert y is None, (rows, rhs)
         assert verify_solution(rows, rhs, x)
 
 
+def test_matches_dense_reference_on_random_systems():
+    for rows, rhs in itertools.chain(planted_systems(), free_systems()):
+        assert feasible_point(rows, rhs) == dense_feasible_point(rows, rhs), (rows, rhs)
+
+
+def test_matches_dense_reference_on_membership_systems(monkeypatch):
+    """Same x and y as the dense reference on the exact systems that the
+    deterministic-mixture membership test builds, of both verdicts."""
+    models = [bell_model()]
+    for shape in ((2, 3, 2), (3, 2, 2)):
+        sites = grid_sites(*shape)
+        for seed in range(3):
+            models.append(project_to_empirical(random_strategy_mixture(seed, sites)))
+            models.append(generate_random_model(seed, sites))
+    solved = []
+
+    def compared(rows, rhs):
+        answer = feasible_point(rows, rhs)
+        assert answer == dense_feasible_point(rows, rhs)
+        solved.append(answer[0] is not None)
+        return answer
+
+    monkeypatch.setattr(hvw.nogo, "feasible_point", compared)
+    for model in models:
+        local_polytope_feasibility(model)
+    assert len(solved) == len(models)
+    assert any(solved) and not all(solved)
+
+
 def test_random_verdicts_are_always_certified():
     """Whatever the verdict, the independent recheck must accept it."""
-    rng = random.Random(11)
     feasible = infeasible = 0
-    for _ in range(40):
-        m = rng.randint(1, 4)
-        n = rng.randint(1, 5)
-        rows = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
-        rhs = [F(rng.randint(-2, 2)) for _ in range(m)]
+    for rows, rhs in free_systems():
         x, y = feasible_point(rows, rhs)
         if x is not None:
             feasible += 1
