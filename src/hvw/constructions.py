@@ -28,6 +28,7 @@ from .models import (
     HiddenVariableModel,
     project_to_empirical,
 )
+from .properties import _require_empirical
 
 
 class ConstructionMethod(Enum):
@@ -36,12 +37,6 @@ class ConstructionMethod(Enum):
     E1_STRONG_DETERMINISTIC = "e1"
     E2_WEAK_DET_LAMBDA_INDEP = "e2"
     SV_SINGLE_VALUED = "sv"
-
-
-def _require_empirical(model: object, name: str) -> EmpiricalModel:
-    if not isinstance(model, EmpiricalModel):
-        raise InputError(f"{name} expects an empirical model")
-    return model
 
 
 def construct_e1(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVariableModel:

@@ -33,12 +33,18 @@ def _exact(value: object, where: str) -> Fraction:
 def _checked_system(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[list[list[Fraction]], list[Fraction]]:
+    # A string would otherwise read as its characters, one entry each.
+    if not isinstance(rhs, (list, tuple)):
+        raise InputError(f"the right-hand side is not a list or tuple of numbers: {rhs!r}")
     if len(rows) != len(rhs):
         raise InputError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
-    matrix = [
-        [v if type(v) is Fraction else _exact(v, f"row {i}, column {j}") for j, v in enumerate(row)]
-        for i, row in enumerate(rows)
-    ]
+    matrix = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise InputError(f"row {i} is not a list or tuple of numbers: {row!r}")
+        matrix.append(
+            [v if type(v) is Fraction else _exact(v, f"row {i}, column {j}") for j, v in enumerate(row)]
+        )
     width = {len(row) for row in matrix}
     if len(width) > 1:
         raise InputError(f"rows have inconsistent lengths: {sorted(width)}")

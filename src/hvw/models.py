@@ -397,6 +397,7 @@ class HiddenVariableModel(_BaseModel):
         self._weights = cleaned
         self._ctx_mass: dict[Context, Fraction] | None = None
         self._ctx_lam_mass: dict[tuple[Context, str], Fraction] | None = None
+        self._lambda_by_context: dict[Context, dict[str, Fraction]] | None = None
         self._by_context: dict[Context, dict[OutcomeTuple, Fraction]] | None = None
         self._by_context_lambda: dict[tuple[Context, str], dict[OutcomeTuple, Fraction]] | None = None
         self._site_meas_mass: dict[tuple[int, str, str], Fraction] | None = None
@@ -469,11 +470,16 @@ class HiddenVariableModel(_BaseModel):
         mass = self.context_weights().get(context, ZERO)
         if mass == 0:
             raise NullConditioningError(f"context {context} has probability 0")
-        dist: dict[str, Fraction] = {}
-        for (ctx, lam), weight in self.context_lambda_weights().items():
-            if ctx == context:
-                dist[lam] = weight / mass
-        return dist
+        return {lam: weight / mass for lam, weight in self._lambda_table()[context].items()}
+
+    def _lambda_table(self) -> dict[Context, dict[str, Fraction]]:
+        """`context_lambda_weights` grouped by context."""
+        if self._lambda_by_context is None:
+            table: dict[Context, dict[str, Fraction]] = {}
+            for (context, lam), weight in self.context_lambda_weights().items():
+                table.setdefault(context, {})[lam] = weight
+            self._lambda_by_context = table
+        return self._lambda_by_context
 
     def _context_table(self) -> dict[Context, dict[OutcomeTuple, Fraction]]:
         if self._by_context is None:

@@ -25,6 +25,9 @@ Two apply to empirical models:
   same in every non-null context containing it.
 * exchangeability: permuting the sites (all sites must share identical
   measurement and outcome label lists) leaves every prediction unchanged.
+  Only two permutations are tried, the swap of sites 0 and 1 and the cycle
+  sending site i to i+1 (mod n): they generate all n! permutations, so a
+  failing check names the first of the two that changes a prediction.
 
 Each check returns a `PropertyVerdict`; a failing verdict carries the first
 violation found in a fixed canonical scan order, with exact values on both
@@ -236,40 +239,44 @@ def check_outcome_independence(model: HiddenVariableModel) -> PropertyVerdict:
     """Given context and hidden state, sites' outcomes are independent.
 
     Compares each site's outcome distribution conditioned on every assignment
-    of the partner outcomes with its unconditioned one.
+    of the partner outcomes with its unconditioned one. A point-mass row is a
+    product distribution, so only rows with two or more outcome tuples are
+    scanned.
     """
     h = _require_hidden(model, "outcome-independence")
+    # Per site: the other sites and the rank of each of their outcomes.
+    partners = []
+    for i in range(h.n_sites):
+        others = h.sites[:i] + h.sites[i + 1 :]
+        partners.append((others, [{a: k for k, a in enumerate(s.outcomes)} for s in others]))
     for context, lam in _sorted_context_lambda(h):
         dist = h.outcome_distribution(context, lam)
-        ctx_desc = describe_context(h.sites, context)
+        if len(dist) == 1:
+            continue
         marginals = _site_marginals(h.sites, dist)
         for i, site in enumerate(h.sites):
-            rest_index = [
-                {a: k for k, a in enumerate(other.outcomes)}
-                for j, other in enumerate(h.sites)
-                if j != i
-            ]
+            others, ranks = partners[i]
             rest_mass: dict[tuple[str, ...], Fraction] = {}
             for outcome, p in dist.items():
                 rest = outcome[:i] + outcome[i + 1 :]
                 rest_mass[rest] = rest_mass.get(rest, ZERO) + p
             for rest in sorted(
-                rest_mass, key=lambda r: tuple(idx[a] for idx, a in zip(rest_index, r))
+                rest_mass, key=lambda r: tuple(idx[b] for idx, b in zip(ranks, r))
             ):
-                denominator = rest_mass[rest]
-                others = [s for j, s in enumerate(h.sites) if j != i]
-                rest_desc = ", ".join(f"{s.name}={a}" for s, a in zip(others, rest))
+                mass = rest_mass[rest]
                 for a in site.outcomes:
                     joint = dist.get(rest[:i] + (a,) + rest[i:], ZERO)
-                    left = joint / denominator
                     right = marginals[i].get(a, ZERO)
-                    if left != right:
+                    # joint / mass != right, without the division: mass > 0.
+                    if joint != right * mass:
+                        ctx_desc = describe_context(h.sites, context)
+                        rest_desc = ", ".join(f"{s.name}={b}" for s, b in zip(others, rest))
                         return PropertyVerdict(
                             False,
                             Witness(
                                 lhs_desc=f"p({site.name}={a} | {ctx_desc}, {rest_desc}, λ={lam})",
                                 rhs_desc=f"p({site.name}={a} | {ctx_desc}, λ={lam})",
-                                lhs=left,
+                                lhs=joint / mass,
                                 rhs=right,
                                 where=(site.name, lam),
                             ),
@@ -399,12 +406,18 @@ def check_exchangeability(model: EmpiricalModel) -> PropertyVerdict:
                 "exchangeability requires all sites to share identical measurement "
                 f"and outcome label lists; {site.name!r} differs from {first.name!r}"
             )
+    # The swap of sites 0 and 1 and the n-cycle generate the symmetric group,
+    # and the permutations that leave the model unchanged form a group, so
+    # checking the two generators decides invariance under all n! of them.
+    n = e.n_sites
+    generators = []
+    if n >= 2:
+        generators.append(Permutation((1, 0) + tuple(range(2, n))))
+    if n >= 3:
+        generators.append(Permutation(tuple(range(1, n)) + (0,)))
     ctx_weights = e.context_weights()
     contexts = sorted(ctx_weights, key=e.context_sort_key)
-    for image in itertools.permutations(range(e.n_sites)):
-        if image == tuple(range(e.n_sites)):
-            continue
-        perm = Permutation(image)
+    for perm in generators:
         for context in contexts:
             moved_ctx = perm.apply(context)
             ctx_desc = describe_context(e.sites, context)

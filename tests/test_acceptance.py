@@ -8,6 +8,7 @@ budgets are asserted with a monotonic clock.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import time
@@ -18,9 +19,11 @@ from conftest import fr, pi_violating_hvm
 
 from hvw import (
     ClassificationReport,
+    EmpiricalModel,
     EprReport,
     KsReport,
     bell_model,
+    check_exchangeability,
     check_lambda_independence,
     check_locality,
     check_non_contextuality,
@@ -184,6 +187,25 @@ def test_criterion_4_orthogonality_table(cli):
         assert parity.conclusive
         assert report.confirmed
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
+
+
+def test_criterion_4_exchangeability_at_9_sites():
+    """Exchangeability is decided on two generators of the symmetric group,
+    not on all 9! = 362,880 site permutations."""
+    with criterion(4, "exchangeability of a symmetric 9-site model"):
+        sites = grid_sites(9, 1, 2)
+        context = ("M1",) * 9
+        # The weight of an outcome tuple depends only on how many sites read o2.
+        raw = {
+            (outcome, context): 1 + outcome.count("o2")
+            for outcome in itertools.product(("o1", "o2"), repeat=9)
+        }
+        total = sum(raw.values())
+        model = EmpiricalModel(sites, {key: Fraction(v, total) for key, v in raw.items()})
+        started = time.monotonic()
+        assert check_exchangeability(model).holds
+        elapsed = time.monotonic() - started
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
 def test_criterion_5_construction_guarantees():

@@ -154,6 +154,26 @@ def test_bad_entries_raise_input_error(bad):
         verify_farkas([[F(1)]], [bad], [F(1)])
 
 
+@pytest.mark.parametrize("bad_row", ["12", 5, None, {0: F(1)}])
+def test_bad_rows_raise_input_error(bad_row):
+    # A string row would otherwise read as its characters: "12" as [1, 2].
+    with pytest.raises(InputError, match=r"^row 0 is not a list or tuple of numbers: "):
+        feasible_point([bad_row], [3])
+    with pytest.raises(InputError, match=r"^row 1 is not a list or tuple"):
+        verify_solution([[F(1)], bad_row], [F(1), F(3)], [F(1)])
+    with pytest.raises(InputError, match=r"^row 0 is not a list or tuple"):
+        verify_farkas([bad_row], [F(3)], [F(-1)])
+
+
+def test_string_right_hand_side_raises_input_error():
+    with pytest.raises(InputError, match=r"^the right-hand side is not a list or tuple"):
+        feasible_point([[F(1)], [F(1)]], "12")
+
+
+def test_list_and_tuple_rows_are_accepted():
+    assert feasible_point(((1, 1), [2, 0]), (2, 2)) == ([F(1), F(1)], None)
+
+
 def test_floats_and_fraction_strings_are_accepted():
     x, y = feasible_point([[0.5, 0.25]], ["1/2"])
     assert y is None

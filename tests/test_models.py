@@ -206,6 +206,28 @@ def test_total_probability_identity_over_hidden_states():
                 assert total == q
 
 
+def test_lambda_distribution_matches_conditional_probability():
+    seeded = [
+        generate_random_model(seed, grid_sites(*shape), lambda_size=lam)
+        for seed in range(5)
+        for shape, lam in (((2, 2, 2), 3), ((3, 2, 2), 2), ((1, 3, 2), 4))
+    ]
+    completions = [
+        construct_e2(generate_random_model(seed, grid_sites(*shape)))
+        for seed in range(5)
+        for shape in ((2, 2, 2), (2, 3, 2))
+    ]
+    for h in seeded + completions:
+        for context in h.context_weights():
+            given = Event(measurements={s.name: m for s, m in zip(h.sites, context)})
+            expected = {}
+            for lam in h.lambda_set:
+                p = h.cond_prob(Event(hidden=lam), given)
+                if p:
+                    expected[lam] = p
+            assert h.lambda_distribution(context) == expected
+
+
 def test_hidden_model_validation():
     sites = (Site("X", ("M",), ("0", "1")),)
     with pytest.raises(UnknownLabelError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -335,6 +336,108 @@ def test_exchangeability_fails_on_null_context_mismatch():
 
 def test_exchangeability_single_site_is_vacuous():
     assert check_exchangeability(single_site_third_model()).holds
+
+
+def exchangeable_by_brute_force(model: EmpiricalModel) -> bool:
+    """Reference verdict: try every one of the n! site permutations."""
+    ctx_weights = model.context_weights()
+    for image in itertools.permutations(range(model.n_sites)):
+        perm = Permutation(image)
+        for context in ctx_weights:
+            moved_ctx = perm.apply(context)
+            if moved_ctx not in ctx_weights:
+                return False
+            moved_dist = model.outcome_distribution(moved_ctx)
+            for outcome, q in model.outcome_distribution(context).items():
+                if moved_dist.get(perm.apply(outcome), 0) != q:
+                    return False
+    return True
+
+
+SWAP = "swap"
+CYCLE = "cycle"
+
+
+def generator_image(kind: str, n: int) -> tuple[int, ...]:
+    if kind == SWAP:
+        return (1, 0) + tuple(range(2, n))
+    return tuple(range(1, n)) + (0,)
+
+
+def orbit_model(seed: int, n: int, generators: tuple[str, ...]) -> EmpiricalModel:
+    """Seeded model on grid_sites(n, 2, 2) whose joint weights are constant on
+    the orbits of the group the named generators span, so it is invariant
+    under that group (and, for a generic seed, under nothing larger)."""
+    images = [generator_image(kind, n) for kind in generators if n >= 2]
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for h in images:
+            gh = tuple(h[g[i]] for i in range(n))
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    perms = [Permutation(g) for g in sorted(group)]
+    sites = grid_sites(n, 2, 2)
+    rng = random.Random(seed)
+    weight: dict[tuple, int] = {}
+    for context in itertools.product(*(site.measurements for site in sites)):
+        for outcome in itertools.product(*(site.outcomes for site in sites)):
+            if (outcome, context) not in weight:
+                drawn = rng.randint(0, 3)
+                for p in perms:
+                    weight[(p.apply(outcome), p.apply(context))] = drawn
+    raw = {key: w for key, w in weight.items() if w}
+    if not raw:
+        raw[(("o1",) * n, ("M1",) * n)] = 1
+    total = sum(raw.values())
+    return EmpiricalModel(sites, {key: Fraction(v, total) for key, v in raw.items()})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exchangeability_matches_brute_force(n):
+    verdicts: dict[str, list[bool]] = {}
+    for seed in range(3):
+        cases = {
+            "symmetric": orbit_model(seed, n, (SWAP, CYCLE)),
+            "cycle-only": orbit_model(seed, n, (CYCLE,)),
+            "swap-only": orbit_model(seed, n, (SWAP,)),
+            "random": generate_random_model(seed, grid_sites(n, 2, 2)),
+        }
+        for name, model in cases.items():
+            verdict = check_exchangeability(model)
+            assert verdict.holds == exchangeable_by_brute_force(model), (name, seed)
+            verdicts.setdefault(name, []).append(verdict.holds)
+            if verdict.holds:
+                continue
+            swap = Permutation(generator_image(SWAP, n)).describe()
+            cycle = Permutation(generator_image(CYCLE, n)).describe()
+            # The swap is tried first; a model invariant under it fails on the cycle.
+            expected = cycle if name == "swap-only" else swap
+            if name == "random":
+                assert verdict.witness.where[0] in (swap, cycle)
+            else:
+                assert verdict.witness.where == (expected,), (name, seed)
+    assert all(verdicts["symmetric"])
+    if n >= 3:
+        # Each one-generator family really exercises the other generator.
+        assert not any(verdicts["cycle-only"]) and not any(verdicts["swap-only"])
+    if n >= 2:
+        assert not any(verdicts["random"])
+
+
+def test_exchangeability_witness_on_three_sites_is_the_failing_generator():
+    # Invariant under the swap (1 0 2), so the n-cycle (1 2 0) is the witness.
+    sites = grid_sites(3, 1, 2)
+    model = EmpiricalModel(sites, {(("o1", "o1", "o2"), ("M1", "M1", "M1")): ONE})
+    verdict = check_exchangeability(model)
+    assert not verdict.holds
+    witness = verdict.witness
+    assert witness.where == ("(1 2 0)",)
+    assert witness.lhs == ONE
+    assert witness.rhs == 0
+    assert witness.rhs_desc.startswith("q(s1=o2, s2=o1, s3=o1 | ")
 
 
 # ---------------------------------------------------------------------------
