@@ -9,8 +9,10 @@ succeeded; 1 means the property fails, the models differ, the system is
 infeasible, or an impossibility argument was confirmed; 2 means the command
 line or the input could not be used at all.
 
-The size guard for combinatorial enumerations resolves in this order: the
---guard flag, the HVW_GUARD environment variable, then the built-in default.
+The size guard for combinatorial enumerations applies to construct, nogo,
+classify and random, the subcommands that enumerate. It resolves in this
+order: the --guard flag, the HVW_GUARD environment variable, then the
+built-in default.
 """
 
 from __future__ import annotations
@@ -338,8 +340,9 @@ def _cmd_random(args: argparse.Namespace) -> int:
 # Parser assembly
 
 
-def _common_options() -> argparse.ArgumentParser:
-    """Flags shared by every subcommand: --format and --guard."""
+def _common_options() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """Parent parsers: --format for every subcommand, and --format with
+    --guard for the four that enumerate (construct, nogo, classify, random)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -347,14 +350,15 @@ def _common_options() -> argparse.ArgumentParser:
         default="text",
         help="output rendering (default: text)",
     )
-    common.add_argument(
+    guarded = argparse.ArgumentParser(add_help=False, parents=[common])
+    guarded.add_argument(
         "--guard",
         type=_positive_int,
         default=None,
         metavar="N",
         help=f"size cap for enumerations (default: ${GUARD_ENV_VAR} or {DEFAULT_GUARD})",
     )
-    return common
+    return common, guarded
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hvw",
         description="Exact workbench for finite hidden-variable models.",
     )
-    common = _common_options()
+    common, guarded = _common_options()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser(
@@ -378,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_construct = sub.add_parser(
-        "construct", parents=[common], help="complete an empirical model with hidden states"
+        "construct", parents=[guarded], help="complete an empirical model with hidden states"
     )
     p_construct.add_argument("model", help="path to a model file")
     p_construct.add_argument(
@@ -398,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv.set_defaults(func=_cmd_equiv)
 
     p_nogo = sub.add_parser(
-        "nogo", parents=[common], help="rerun one of the impossibility arguments"
+        "nogo", parents=[guarded], help="rerun one of the impossibility arguments"
     )
     p_nogo.add_argument("argument", choices=("epr", "bell", "ks"))
     p_nogo.add_argument(
@@ -410,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser(
         "classify",
-        parents=[common],
+        parents=[guarded],
         help="classify all property regions as achievable or impossible",
     )
     p_classify.add_argument(
@@ -428,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_canon.set_defaults(func=_cmd_canon)
 
     p_random = sub.add_parser(
-        "random", parents=[common], help="generate a reproducible random model"
+        "random", parents=[guarded], help="generate a reproducible random model"
     )
     p_random.add_argument("--seed", type=int, default=None, help="generator seed (required)")
     p_random.add_argument("--sites", type=_positive_int, default=2)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .codec import Codec
 from .errors import (
@@ -57,6 +57,8 @@ def _as_fraction(value: object, where: object) -> Fraction:
 
 
 def _unique_labels(labels: Sequence[str], what: str) -> tuple[str, ...]:
+    if isinstance(labels, str):
+        raise InputError(f"{what} must be a sequence of labels, not the string {labels!r}")
     out = tuple(labels)
     if not out:
         raise InputError(f"{what} must not be empty")
@@ -172,9 +174,14 @@ def describe_outcome(sites: Sequence[Site], outcome: OutcomeTuple) -> str:
 
 
 class _BaseModel:
-    """Shared site bookkeeping, validation, and event probabilities."""
+    """The weight table both model kinds share.
 
-    def __init__(self, sites: Sequence[Site]) -> None:
+    Every key starts with (outcome tuple, context); a subclass's `_check_key`
+    validates the rest of its key shape. Validation, the support, event
+    probabilities and the per-context outcome table live here.
+    """
+
+    def __init__(self, sites: Sequence[Site], weights: Mapping[tuple, object]) -> None:
         sites = tuple(sites)
         if not sites:
             raise InputError("a model needs at least one site")
@@ -188,6 +195,42 @@ class _BaseModel:
         self._site_index = {site.name: i for i, site in enumerate(sites)}
         self._meas_index = tuple({m: i for i, m in enumerate(site.measurements)} for site in sites)
         self._out_index = tuple({a: i for i, a in enumerate(site.outcomes)} for site in sites)
+        cleaned: dict[tuple, Fraction] = {}
+        total = ZERO
+        for raw_key, raw in weights.items():
+            key = self._check_key(raw_key)
+            value = _as_fraction(raw, raw_key)
+            if value < 0:
+                raise NegativeWeightError(key, value)
+            total += value
+            if value:
+                cleaned[key] = value
+        if total != 1:
+            raise WeightSumError(total)
+        self._weights = cleaned
+        # Aggregate views, built on first use. Every cache attribute is assigned
+        # in __init__, so instances keep sharing one dict key layout.
+        self._ctx_mass: dict[Context, Fraction] | None = None
+        self._by_context: dict[Context, dict[OutcomeTuple, Fraction]] | None = None
+        self._dist_cache: dict[object, Mapping[OutcomeTuple, Fraction]] = {}
+
+    def _check_key(self, key: tuple) -> tuple:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def check_lambda(self, lam: str) -> str:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    @property
+    def weights(self) -> Mapping[tuple, Fraction]:
+        """Read-only support of the joint weight table (zero entries omitted)."""
+        return MappingProxyType(self._weights)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.sites == other.sites and self._weights == other._weights
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def n_sites(self) -> int:
@@ -221,6 +264,8 @@ class _BaseModel:
 
     def check_context(self, context: Sequence[str]) -> Context:
         """Validate and canonicalize a context, one measurement per site."""
+        if isinstance(context, str):
+            raise ModelFormatError(f"context {context!r} is a string, not a sequence of measurements")
         context = tuple(context)
         if len(context) != self.n_sites:
             raise ModelFormatError(f"context {context} does not have one entry per site")
@@ -231,6 +276,8 @@ class _BaseModel:
 
     def check_outcome_tuple(self, outcome: Sequence[str]) -> OutcomeTuple:
         """Validate and canonicalize an outcome tuple, one outcome per site."""
+        if isinstance(outcome, str):
+            raise ModelFormatError(f"outcome tuple {outcome!r} is a string, not a sequence of outcomes")
         outcome = tuple(outcome)
         if len(outcome) != self.n_sites:
             raise ModelFormatError(f"outcome tuple {outcome} does not have one entry per site")
@@ -239,7 +286,9 @@ class _BaseModel:
                 raise UnknownLabelError(f"unknown outcome {label!r} at site {self.sites[i].name!r}")
         return outcome
 
-    def _event_constraints(self, event: Event) -> tuple[dict[int, str], dict[int, str]]:
+    def event_prob(self, event: Event) -> Fraction:
+        """Exact probability that every constraint in `event` is realized."""
+        hidden = None if event.hidden is None else self.check_lambda(event.hidden)
         outcome_by_index: dict[int, str] = {}
         for name, label in event.outcomes.items():
             i = self.site_index(name)
@@ -252,7 +301,16 @@ class _BaseModel:
             if label not in self._meas_index[i]:
                 raise UnknownLabelError(f"unknown measurement {label!r} at site {name!r}")
             measurement_by_index[i] = label
-        return outcome_by_index, measurement_by_index
+        total = ZERO
+        for key, weight in self._weights.items():
+            outcome, context = key[0], key[1]
+            if (
+                (hidden is None or key[2] == hidden)
+                and all(outcome[i] == a for i, a in outcome_by_index.items())
+                and all(context[i] == m for i, m in measurement_by_index.items())
+            ):
+                total += weight
+        return total
 
     def cond_prob(self, target: Event, given: Event) -> Fraction:
         """Exact conditional probability of `target` given `given`."""
@@ -263,8 +321,43 @@ class _BaseModel:
         numerator = ZERO if merged is None else self.event_prob(merged)
         return numerator / denominator
 
-    def event_prob(self, event: Event) -> Fraction:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def context_weights(self) -> Mapping[Context, Fraction]:
+        """Marginal weight of each non-null context (hidden states summed out)."""
+        if self._ctx_mass is None:
+            mass: dict[Context, Fraction] = {}
+            for key, weight in self._weights.items():
+                mass[key[1]] = mass.get(key[1], ZERO) + weight
+            self._ctx_mass = mass
+        return MappingProxyType(self._ctx_mass)
+
+    def _context_table(self) -> dict[Context, dict[OutcomeTuple, Fraction]]:
+        """Outcome weights grouped by context, hidden states summed out."""
+        if self._by_context is None:
+            table: dict[Context, dict[OutcomeTuple, Fraction]] = {}
+            for key, weight in self._weights.items():
+                row = table.setdefault(key[1], {})
+                outcome = key[0]
+                # A cell seen once keeps its weight object: no new Fraction.
+                row[outcome] = row[outcome] + weight if outcome in row else weight
+            self._by_context = table
+        return self._by_context
+
+    def _conditional(
+        self, key: object, masses: Callable[[], Mapping], rows: Callable[[], Mapping]
+    ) -> Mapping[OutcomeTuple, Fraction]:
+        """`rows()[key]` divided by `masses()[key]`, cached by key."""
+        dist = self._dist_cache.get(key)
+        if dist is None:
+            mass = masses().get(key, ZERO)
+            if mass == 0:
+                raise NullConditioningError(f"conditioning event {key} has probability 0")
+            dist = MappingProxyType({o: w / mass for o, w in rows()[key].items()})
+            self._dist_cache[key] = dist
+        return dist
+
+    def outcome_distribution(self, context: Sequence[str]) -> Mapping[OutcomeTuple, Fraction]:
+        """Conditional outcome distribution on a non-null context (sparse)."""
+        return self._conditional(self.check_context(context), self.context_weights, self._context_table)
 
 
 class EmpiricalModel(_BaseModel):
@@ -273,91 +366,18 @@ class EmpiricalModel(_BaseModel):
     Treat instances as immutable; aggregate views are cached on first use.
     """
 
-    def __init__(
-        self,
-        sites: Sequence[Site],
-        weights: Mapping[tuple[Sequence[str], Sequence[str]], object],
-    ) -> None:
-        super().__init__(sites)
-        cleaned: dict[tuple[OutcomeTuple, Context], Fraction] = {}
-        total = ZERO
-        for key, raw in weights.items():
-            try:
-                outcome_part, context_part = key
-            except (TypeError, ValueError) as exc:
-                raise ModelFormatError(f"weight key {key!r} is not an (outcome, context) pair") from exc
-            outcome = self.check_outcome_tuple(outcome_part)
-            context = self.check_context(context_part)
-            value = _as_fraction(raw, key)
-            if value < 0:
-                raise NegativeWeightError((outcome, context), value)
-            total += value
-            if value:
-                cleaned[(outcome, context)] = value
-        if total != 1:
-            raise WeightSumError(total)
-        self._weights = cleaned
-        self._ctx_mass: dict[Context, Fraction] | None = None
-        self._by_context: dict[Context, dict[OutcomeTuple, Fraction]] | None = None
-        self._dist_cache: dict[Context, Mapping[OutcomeTuple, Fraction]] = {}
+    def _check_key(self, key: tuple) -> tuple[OutcomeTuple, Context]:
+        try:
+            outcome, context = key
+        except (TypeError, ValueError) as exc:
+            raise ModelFormatError(f"weight key {key!r} is not an (outcome, context) pair") from exc
+        return self.check_outcome_tuple(outcome), self.check_context(context)
 
-    @property
-    def weights(self) -> Mapping[tuple[OutcomeTuple, Context], Fraction]:
-        """Read-only support of the joint weight table (zero entries omitted)."""
-        return MappingProxyType(self._weights)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EmpiricalModel):
-            return NotImplemented
-        return self.sites == other.sites and self._weights == other._weights
-
-    __hash__ = None  # type: ignore[assignment]
+    def check_lambda(self, lam: str) -> str:
+        raise InputError("empirical models have no hidden states to condition on")
 
     def __repr__(self) -> str:
         return f"EmpiricalModel({len(self.sites)} sites, support {len(self._weights)})"
-
-    def event_prob(self, event: Event) -> Fraction:
-        """Exact probability that every constraint in `event` is realized."""
-        if event.hidden is not None:
-            raise InputError("empirical models have no hidden states to condition on")
-        outcome_by_index, measurement_by_index = self._event_constraints(event)
-        total = ZERO
-        for (outcome, context), weight in self._weights.items():
-            if all(outcome[i] == a for i, a in outcome_by_index.items()) and all(
-                context[i] == m for i, m in measurement_by_index.items()
-            ):
-                total += weight
-        return total
-
-    def context_weights(self) -> Mapping[Context, Fraction]:
-        """Marginal weight of each non-null context."""
-        if self._ctx_mass is None:
-            mass: dict[Context, Fraction] = {}
-            for (_, context), weight in self._weights.items():
-                mass[context] = mass.get(context, ZERO) + weight
-            self._ctx_mass = mass
-        return MappingProxyType(self._ctx_mass)
-
-    def _context_table(self) -> dict[Context, dict[OutcomeTuple, Fraction]]:
-        if self._by_context is None:
-            table: dict[Context, dict[OutcomeTuple, Fraction]] = {}
-            for (outcome, context), weight in self._weights.items():
-                table.setdefault(context, {})[outcome] = weight
-            self._by_context = table
-        return self._by_context
-
-    def outcome_distribution(self, context: Sequence[str]) -> Mapping[OutcomeTuple, Fraction]:
-        """Conditional outcome distribution on a non-null context (sparse)."""
-        context = self.check_context(context)
-        cached = self._dist_cache.get(context)
-        if cached is not None:
-            return cached
-        mass = self.context_weights().get(context, ZERO)
-        if mass == 0:
-            raise NullConditioningError(f"context {context} has probability 0")
-        dist = MappingProxyType({o: w / mass for o, w in self._context_table()[context].items()})
-        self._dist_cache[context] = dist
-        return dist
 
 
 class HiddenVariableModel(_BaseModel):
@@ -372,87 +392,37 @@ class HiddenVariableModel(_BaseModel):
         lambda_set: Sequence[str],
         weights: Mapping[tuple[Sequence[str], Sequence[str], str], object],
     ) -> None:
-        super().__init__(sites)
         self.lambda_set: tuple[str, ...] = _unique_labels(lambda_set, "hidden state set")
         self._lambda_index = {lam: i for i, lam in enumerate(self.lambda_set)}
-        cleaned: dict[tuple[OutcomeTuple, Context, str], Fraction] = {}
-        total = ZERO
-        for key, raw in weights.items():
-            try:
-                outcome_part, context_part, lam = key
-            except (TypeError, ValueError) as exc:
-                raise ModelFormatError(f"weight key {key!r} is not an (outcome, context, hidden) triple") from exc
-            outcome = self.check_outcome_tuple(outcome_part)
-            context = self.check_context(context_part)
-            if lam not in self._lambda_index:
-                raise UnknownLabelError(f"unknown hidden state {lam!r}")
-            value = _as_fraction(raw, key)
-            if value < 0:
-                raise NegativeWeightError((outcome, context, lam), value)
-            total += value
-            if value:
-                cleaned[(outcome, context, lam)] = value
-        if total != 1:
-            raise WeightSumError(total)
-        self._weights = cleaned
-        self._ctx_mass: dict[Context, Fraction] | None = None
+        super().__init__(sites, weights)
         self._ctx_lam_mass: dict[tuple[Context, str], Fraction] | None = None
         self._lambda_by_context: dict[Context, dict[str, Fraction]] | None = None
-        self._by_context: dict[Context, dict[OutcomeTuple, Fraction]] | None = None
         self._by_context_lambda: dict[tuple[Context, str], dict[OutcomeTuple, Fraction]] | None = None
         self._site_meas_mass: dict[tuple[int, str, str], Fraction] | None = None
         self._site_out_mass: dict[tuple[int, str, str, str], Fraction] | None = None
-        self._dist_cache: dict[object, Mapping[OutcomeTuple, Fraction]] = {}
 
-    @property
-    def weights(self) -> Mapping[tuple[OutcomeTuple, Context, str], Fraction]:
-        """Read-only support of the joint weight table (zero entries omitted)."""
-        return MappingProxyType(self._weights)
+    def _check_key(self, key: tuple) -> tuple[OutcomeTuple, Context, str]:
+        try:
+            outcome, context, lam = key
+        except (TypeError, ValueError) as exc:
+            raise ModelFormatError(f"weight key {key!r} is not an (outcome, context, hidden) triple") from exc
+        return self.check_outcome_tuple(outcome), self.check_context(context), self.check_lambda(lam)
+
+    def check_lambda(self, lam: str) -> str:
+        if not isinstance(lam, str) or lam not in self._lambda_index:
+            raise UnknownLabelError(f"unknown hidden state {lam!r}")
+        return lam
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HiddenVariableModel):
             return NotImplemented
-        return (
-            self.sites == other.sites
-            and self.lambda_set == other.lambda_set
-            and self._weights == other._weights
-        )
-
-    __hash__ = None  # type: ignore[assignment]
+        return self.lambda_set == other.lambda_set and super().__eq__(other)
 
     def __repr__(self) -> str:
         return (
             f"HiddenVariableModel({len(self.sites)} sites, "
             f"{len(self.lambda_set)} hidden states, support {len(self._weights)})"
         )
-
-    def check_lambda(self, lam: str) -> str:
-        if lam not in self._lambda_index:
-            raise UnknownLabelError(f"unknown hidden state {lam!r}")
-        return lam
-
-    def event_prob(self, event: Event) -> Fraction:
-        """Exact probability that every constraint in `event` is realized."""
-        outcome_by_index, measurement_by_index = self._event_constraints(event)
-        hidden = None if event.hidden is None else self.check_lambda(event.hidden)
-        total = ZERO
-        for (outcome, context, lam), weight in self._weights.items():
-            if hidden is not None and lam != hidden:
-                continue
-            if all(outcome[i] == a for i, a in outcome_by_index.items()) and all(
-                context[i] == m for i, m in measurement_by_index.items()
-            ):
-                total += weight
-        return total
-
-    def context_weights(self) -> Mapping[Context, Fraction]:
-        """Marginal weight of each non-null context (hidden states summed out)."""
-        if self._ctx_mass is None:
-            mass: dict[Context, Fraction] = {}
-            for (_, context, _), weight in self._weights.items():
-                mass[context] = mass.get(context, ZERO) + weight
-            self._ctx_mass = mass
-        return MappingProxyType(self._ctx_mass)
 
     def context_lambda_weights(self) -> Mapping[tuple[Context, str], Fraction]:
         """Joint weight of each (context, hidden state) pair with positive mass."""
@@ -481,15 +451,6 @@ class HiddenVariableModel(_BaseModel):
             self._lambda_by_context = table
         return self._lambda_by_context
 
-    def _context_table(self) -> dict[Context, dict[OutcomeTuple, Fraction]]:
-        if self._by_context is None:
-            table: dict[Context, dict[OutcomeTuple, Fraction]] = {}
-            for (outcome, context, _), weight in self._weights.items():
-                row = table.setdefault(context, {})
-                row[outcome] = row.get(outcome, ZERO) + weight
-            self._by_context = table
-        return self._by_context
-
     def _context_lambda_table(self) -> dict[tuple[Context, str], dict[OutcomeTuple, Fraction]]:
         if self._by_context_lambda is None:
             table: dict[tuple[Context, str], dict[OutcomeTuple, Fraction]] = {}
@@ -502,22 +463,10 @@ class HiddenVariableModel(_BaseModel):
         self, context: Sequence[str], lam: str | None = None
     ) -> Mapping[OutcomeTuple, Fraction]:
         """Conditional outcome distribution given a context, optionally a state."""
-        context = self.check_context(context)
-        key: object = context if lam is None else (context, self.check_lambda(lam))
-        cached = self._dist_cache.get(key)
-        if cached is not None:
-            return cached
         if lam is None:
-            mass = self.context_weights().get(context, ZERO)
-            row = self._context_table().get(context)
-        else:
-            mass = self.context_lambda_weights().get((context, lam), ZERO)
-            row = self._context_lambda_table().get((context, lam))
-        if mass == 0 or row is None:
-            raise NullConditioningError(f"conditioning event {key} has probability 0")
-        dist = MappingProxyType({o: w / mass for o, w in row.items()})
-        self._dist_cache[key] = dist
-        return dist
+            return super().outcome_distribution(context)
+        key = (self.check_context(context), self.check_lambda(lam))
+        return self._conditional(key, self.context_lambda_weights, self._context_lambda_table)
 
     def site_measurement_mass(self) -> Mapping[tuple[int, str, str], Fraction]:
         """Joint mass of (measurement chosen at site i, hidden state) pairs.
@@ -564,8 +513,8 @@ def project_to_empirical(hvm: HiddenVariableModel) -> EmpiricalModel:
 def _prediction_agreement(left: _BaseModel, right: _BaseModel) -> PropertyVerdict:
     if left.sites != right.sites:
         raise SignatureMismatchError("models do not share the same site signature")
-    left_ctx = left.context_weights()  # type: ignore[attr-defined]
-    right_ctx = right.context_weights()  # type: ignore[attr-defined]
+    left_ctx = left.context_weights()
+    right_ctx = right.context_weights()
     contexts = sorted(set(left_ctx) | set(right_ctx), key=left.context_sort_key)
     for context in contexts:
         left_mass = left_ctx.get(context, ZERO)
@@ -584,8 +533,8 @@ def _prediction_agreement(left: _BaseModel, right: _BaseModel) -> PropertyVerdic
             )
         if left_mass == 0:
             continue
-        left_dist = left.outcome_distribution(context)  # type: ignore[attr-defined]
-        right_dist = right.outcome_distribution(context)  # type: ignore[attr-defined]
+        left_dist = left.outcome_distribution(context)
+        right_dist = right.outcome_distribution(context)
         for outcome in sorted(set(left_dist) | set(right_dist), key=left.outcome_sort_key):
             left_p = left_dist.get(outcome, ZERO)
             right_p = right_dist.get(outcome, ZERO)

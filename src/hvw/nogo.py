@@ -31,7 +31,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .codec import Codec
 from .constructions import construct_sv
@@ -232,20 +232,20 @@ class PolytopeResult(Codec):
 
 
 def _mixture_hvm(
-    e: EmpiricalModel,
+    sites: tuple[Site, ...],
+    context_weights: Mapping[tuple[str, ...], Fraction],
     strategies: Sequence[DeterministicStrategy],
     mixture: Sequence[tuple[int, Fraction]],
 ) -> HiddenVariableModel:
-    context_weights = e.context_weights()
-    labels = tuple(f"s{index}" for index, _ in mixture)
+    """Hidden state `s<index>` plays strategy `index` with weight x on every context."""
     weights: dict = {}
     for index, x in mixture:
         lam = f"s{index}"
         strategy = strategies[index]
         for context, mass in context_weights.items():
-            outcome = strategy.outcome_for(e.sites, context)
+            outcome = strategy.outcome_for(sites, context)
             weights[(outcome, context, lam)] = weights.get((outcome, context, lam), ZERO) + mass * x
-    return HiddenVariableModel(e.sites, labels, weights)
+    return HiddenVariableModel(sites, tuple(f"s{index}" for index, _ in mixture), weights)
 
 
 def local_polytope_feasibility(
@@ -287,7 +287,7 @@ def local_polytope_feasibility(
         if not verify_solution(rows, rhs, x):
             raise AssertionError("solver returned a point that fails direct recheck")
         mixture = tuple((i, w) for i, w in enumerate(x) if w)
-        hvm = _mixture_hvm(model, strategies, mixture)
+        hvm = _mixture_hvm(model.sites, model.context_weights(), strategies, mixture)
         return PolytopeResult(
             feasible=True,
             strategy_count=len(strategies),
@@ -325,15 +325,9 @@ def random_strategy_mixture(
     parts = [rng.randint(1, 8) for _ in indices]
     total = sum(parts)
     contexts = list(itertools.product(*(site.measurements for site in sites)))
-    context_mass = Fraction(1, len(contexts))
-    weights: dict = {}
-    for index, part in zip(indices, parts):
-        lam = f"s{index}"
-        x = Fraction(part, total)
-        for context in contexts:
-            outcome = strategies[index].outcome_for(sites, context)
-            weights[(outcome, context, lam)] = context_mass * x
-    return HiddenVariableModel(sites, tuple(f"s{i}" for i in indices), weights)
+    context_weights = dict.fromkeys(contexts, Fraction(1, len(contexts)))
+    mixture = [(index, Fraction(part, total)) for index, part in zip(indices, parts)]
+    return _mixture_hvm(sites, context_weights, strategies, mixture)
 
 
 # ---------------------------------------------------------------------------

@@ -313,39 +313,54 @@ def check_parameter_independence(model: HiddenVariableModel) -> PropertyVerdict:
     return PropertyVerdict(True)
 
 
+def _factor_product(factors: list[dict[str, Fraction]], outcome: tuple[str, ...]) -> Fraction:
+    right = ONE
+    for i, a in enumerate(outcome):
+        right *= factors[i].get(a, ZERO)
+    return right
+
+
 def check_locality(model: HiddenVariableModel) -> PropertyVerdict:
-    """Joint outcomes factor into per-site responses to own measurements."""
+    """Joint outcomes factor into per-site responses to own measurements.
+
+    Decided on the support of each (context, hidden state) row. An outcome
+    tuple off the support breaks the factorisation exactly when all of its
+    per-site factors are positive, and the first such tuple is found by
+    walking the product of the positive factors in canonical order, which
+    stops within |support| + 1 steps. The witness is the canonically first
+    failing outcome tuple, as in a scan of the full outcome product.
+    """
     h = _require_hidden(model, "locality")
     meas_mass = h.site_measurement_mass()
     out_mass = h.site_outcome_mass()
     for context, lam in _sorted_context_lambda(h):
         dist = h.outcome_distribution(context, lam)
-        ctx_desc = describe_context(h.sites, context)
-        factors = [
-            {
-                a: out_mass.get((i, m, a, lam), ZERO) / meas_mass[(i, m, lam)]
-                for a in site.outcomes
-            }
-            for i, (site, m) in enumerate(zip(h.sites, context))
-        ]
-        for outcome in itertools.product(*(site.outcomes for site in h.sites)):
-            left = dist.get(outcome, ZERO)
-            right = ONE
-            for i, a in enumerate(outcome):
-                right *= factors[i][a]
-            if left != right:
-                return PropertyVerdict(
-                    False,
-                    Witness(
-                        lhs_desc=(
-                            f"p({describe_outcome(h.sites, outcome)} | {ctx_desc}, λ={lam})"
-                        ),
-                        rhs_desc="the product of per-site responses to own measurements",
-                        lhs=left,
-                        rhs=right,
-                        where=(lam,),
+        # Per site, the positive factors p(a | own measurement, λ).
+        factors = []
+        for i, (site, m) in enumerate(zip(h.sites, context)):
+            total = meas_mass[(i, m, lam)]
+            factors.append(
+                {a: w / total for a in site.outcomes if (w := out_mass.get((i, m, a, lam)))}
+            )
+        failing = [o for o, p in dist.items() if p != _factor_product(factors, o)]
+        missing = next((o for o in itertools.product(*factors) if o not in dist), None)
+        if missing is not None:
+            failing.append(missing)
+        if failing:
+            outcome = min(failing, key=h.outcome_sort_key)
+            return PropertyVerdict(
+                False,
+                Witness(
+                    lhs_desc=(
+                        f"p({describe_outcome(h.sites, outcome)} | "
+                        f"{describe_context(h.sites, context)}, λ={lam})"
                     ),
-                )
+                    rhs_desc="the product of per-site responses to own measurements",
+                    lhs=dist.get(outcome, ZERO),
+                    rhs=_factor_product(factors, outcome),
+                    where=(lam,),
+                ),
+            )
     return PropertyVerdict(True)
 
 

@@ -21,6 +21,7 @@ from hvw import (
     ClassificationReport,
     EmpiricalModel,
     EprReport,
+    HiddenVariableModel,
     KsReport,
     bell_model,
     check_exchangeability,
@@ -291,6 +292,35 @@ def test_criterion_6_implication_lattice():
         # None of the implications may have passed vacuously.
         for name in ("SV", "SD", "WD", "LI&PI"):
             assert antecedents[name] > 0, antecedents
+
+
+def test_criterion_6_locality_at_40_sites():
+    """Locality is decided on the support: a point mass on 40 sites has
+    2^40 outcome tuples but one support cell, and so has a two-cell model
+    that fails, with the witness the dense scan would name first."""
+    with criterion(6, "locality of 40-site point-mass models"):
+        sites = grid_sites(40, 1, 2)
+        context = ("M1",) * 40
+        point = HiddenVariableModel(sites, ("l",), {(("o1",) * 40, context, "l"): ONE})
+        split = HiddenVariableModel(
+            sites,
+            ("l", "m"),
+            {
+                (("o1",) * 40, context, "l"): Fraction(1, 2),
+                (("o2",) * 40, context, "l"): Fraction(1, 4),
+                (("o2",) * 40, context, "m"): Fraction(1, 4),
+            },
+        )
+        started = time.monotonic()
+        assert check_locality(point).holds
+        verdict = check_locality(split)
+        elapsed = time.monotonic() - started
+        assert not verdict.holds
+        assert verdict.witness.lhs == Fraction(2, 3)
+        assert verdict.witness.rhs == Fraction(2, 3) ** 40
+        assert verdict.witness.lhs_desc.startswith("p(s1=o1, s2=o1,")
+        assert verdict.witness.where == ("l",)
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
 def test_criterion_7_region_classification(cli, tmp_path):

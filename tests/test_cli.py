@@ -396,6 +396,30 @@ def test_negative_guard_flag_is_usage_error(cli):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ("check", "equiv", "canon"))
+def test_guard_is_rejected_where_nothing_is_enumerated(cli, epr_file, command):
+    args = {
+        "check": ("check", epr_file, "--property", "non-contextuality"),
+        "equiv": ("equiv", epr_file, epr_file),
+        "canon": ("canon", "epr"),
+    }[command]
+    assert cli(*args)[0] == 0
+    code, out, err = cli(*args, "--guard", "5")
+    assert code == 2
+    assert out == ""
+    assert "--guard" in err
+
+
+def test_guard_is_accepted_by_the_enumerating_subcommands(cli, epr_file):
+    assert cli("construct", epr_file, "--method", "e1", "--guard", "5")[0] == 0
+    assert cli("nogo", "epr", "--guard", "5")[0] == 1
+    assert cli("classify", "--guard", "1000000")[0] == 0
+    assert cli("random", "--seed", "1", "--guard", "1000000")[0] == 0
+    code, _, err = cli("construct", epr_file, "--method", "e1", "--guard", "1")
+    assert code == 2
+    assert "over the guard of 1" in err
+
+
 # ---------------------------------------------------------------------------
 # Harness behavior
 

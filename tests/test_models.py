@@ -339,3 +339,128 @@ def test_lambda_distribution_and_masses():
     h = epr_escape_hvm()
     dist = h.lambda_distribution(("A", "B"))
     assert dist == {"l1": Fraction(1, 2), "l2": Fraction(1, 2)}
+
+
+# ---------------------------------------------------------------------------
+# Both model kinds validate their weight tables alike
+
+KINDS = ("empirical", "hidden")
+
+
+def build(kind: str, weights: dict, sites=None, lambda_set=("l0",)):
+    """A model of the given kind; hidden tuple keys gain the state "l0"."""
+    if sites is None:
+        sites = (Site("X", ("A", "B"), ("0", "1")), Site("Y", ("C",), ("0", "1")))
+    if kind == "empirical":
+        return EmpiricalModel(sites, weights)
+    return HiddenVariableModel(
+        sites,
+        lambda_set,
+        {key + ("l0",) if isinstance(key, tuple) else key: value for key, value in weights.items()},
+    )
+
+
+VALIDATION_CASES = {
+    "key-too-short": ({(("0", "1"),): 1}, ModelFormatError),
+    "key-not-a-tuple": ({5: 1}, ModelFormatError),
+    "outcome-length": ({(("0",), ("A", "C")): 1}, ModelFormatError),
+    "context-length": ({(("0", "1"), ("A",)): 1}, ModelFormatError),
+    "unknown-outcome": ({(("0", "9"), ("A", "C")): 1}, UnknownLabelError),
+    "unknown-measurement": ({(("0", "1"), ("Z", "C")): 1}, UnknownLabelError),
+    "string-outcome": ({("01", ("A", "C")): 1}, ModelFormatError),
+    "string-context": ({(("0", "1"), "AC"): 1}, ModelFormatError),
+    "negative-weight": (
+        {(("0", "0"), ("A", "C")): Fraction(3, 2), (("0", "1"), ("A", "C")): Fraction(-1, 2)},
+        NegativeWeightError,
+    ),
+    "sum-short": ({(("0", "0"), ("A", "C")): Fraction(35, 36)}, WeightSumError),
+    "sum-over": (
+        {(("0", "0"), ("A", "C")): 1, (("1", "1"), ("B", "C")): Fraction(1, 4)},
+        WeightSumError,
+    ),
+    "float-weight": ({(("0", "0"), ("A", "C")): 0.5, (("1", "1"), ("A", "C")): 0.5}, InputError),
+    "not-a-rational": ({(("0", "0"), ("A", "C")): "half"}, ModelFormatError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+@pytest.mark.parametrize("kind", KINDS)
+def test_weight_table_validation_for_both_kinds(kind, case):
+    weights, error = VALIDATION_CASES[case]
+    with pytest.raises(error):
+        build(kind, weights)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_site_list_validation_for_both_kinds(kind):
+    site = Site("X", ("A",), ("0", "1"))
+    with pytest.raises(InputError, match="at least one site"):
+        build(kind, {}, sites=())
+    with pytest.raises(InputError, match="expected a Site"):
+        build(kind, {}, sites=("X",))
+    with pytest.raises(InputError, match="duplicate site names"):
+        build(kind, {}, sites=(site, site))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_negative_weight_error_names_the_cell(kind):
+    with pytest.raises(NegativeWeightError) as exc:
+        build(kind, VALIDATION_CASES["negative-weight"][0])
+    expected = (("0", "1"), ("A", "C")) + (("l0",) if kind == "hidden" else ())
+    assert exc.value.key == expected
+    assert exc.value.value == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lists_are_accepted_as_outcomes_and_contexts(kind):
+    model = build(kind, {(("0", "1"), ("A", "C")): 1})
+    assert model.check_outcome_tuple(["0", "1"]) == ("0", "1")
+    assert model.check_context(["A", "C"]) == ("A", "C")
+    assert model.outcome_distribution(["A", "C"]) == {("0", "1"): 1}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_outcome_distribution_rejects_a_string_context(kind):
+    model = build(kind, {(("0", "1"), ("A", "C")): 1})
+    assert model.outcome_distribution(("A", "C")) == {("0", "1"): 1}
+    with pytest.raises(ModelFormatError, match="'AC'"):
+        model.outcome_distribution("AC")
+
+
+def test_site_rejects_strings_as_label_lists():
+    with pytest.raises(InputError, match="'MN'"):
+        Site("x", "MN", ("0", "1"))
+    with pytest.raises(InputError, match="'01'"):
+        Site("x", ("M", "N"), "01")
+    assert Site("x", ["M", "N"], ["0", "1"]).measurements == ("M", "N")
+
+
+def test_hidden_model_rejects_a_string_as_its_state_set():
+    sites = (Site("X", ("M",), ("0", "1")),)
+    with pytest.raises(InputError, match="'lm'"):
+        HiddenVariableModel(sites, "lm", {(("0",), ("M",), "l"): 1})
+    assert HiddenVariableModel(sites, ["l", "m"], {(("0",), ("M",), "l"): 1}).lambda_set == ("l", "m")
+
+
+def test_hidden_outcome_distribution_given_a_state():
+    h = epr_escape_hvm()
+    assert h.outcome_distribution(["A", "B"], "l1") == h.outcome_distribution(("A", "B"), "l1")
+    with pytest.raises(ModelFormatError):
+        h.outcome_distribution("AB", "l1")
+    with pytest.raises(UnknownLabelError):
+        h.outcome_distribution(("A", "B"), "l9")
+    with pytest.raises(UnknownLabelError):
+        h.outcome_distribution(("A", "B"), ["l1"])
+
+
+def test_model_kinds_are_siblings():
+    e = epr_model()
+    h = construct_sv(e)
+    assert not isinstance(e, HiddenVariableModel)
+    assert not isinstance(h, EmpiricalModel)
+    assert e != h and h != e
+    assert h == construct_sv(epr_model())
+    with pytest.raises(TypeError):
+        hash(e)
+    with pytest.raises(TypeError):
+        hash(h)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -41,6 +42,7 @@ from hvw import (
     local_polytope_feasibility,
     project_to_empirical,
     random_strategy_mixture,
+    serialize_model,
     verify_bell,
     verify_epr,
     verify_ks,
@@ -222,6 +224,16 @@ def test_strategy_mixtures_project_inside():
     for seed in range(3):
         hidden = random_strategy_mixture(seed, bell_model().sites)
         assert local_polytope_feasibility(project_to_empirical(hidden)).feasible
+
+
+def test_strategy_mixture_serialization_is_pinned():
+    """Seeded strategy mixtures serialize to pinned bytes: one sha256 over
+    seeds 0-49 on four shapes."""
+    digest = hashlib.sha256()
+    for shape in ((2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 3, 2)):
+        for seed in range(50):
+            digest.update(serialize_model(random_strategy_mixture(seed, grid_sites(*shape))).encode())
+    assert digest.hexdigest() == "ff678a23f8e2ca68a5bf0410276d1efec3ca6dfb4891d63928f7079c04ee476f"
 
 
 def test_polytope_result_round_trips(uniform_quarter):

@@ -22,7 +22,9 @@ from hvw import (
     InputError,
     Permutation,
     PropertyId,
+    PropertyVerdict,
     Site,
+    Witness,
     bell_model,
     check_exchangeability,
     check_lambda_independence,
@@ -259,6 +261,67 @@ def test_locality_agrees_with_oi_and_pi():
         oi = check_outcome_independence(hidden).holds
         pi = check_parameter_independence(hidden).holds
         assert local == (oi and pi)
+
+
+def locality_by_dense_scan(h: HiddenVariableModel) -> PropertyVerdict:
+    """Reference form of locality: scan the full outcome product of every
+    non-null (context, hidden state) row in canonical order, comparing each
+    probability with the product of its per-site responses."""
+    meas_mass = h.site_measurement_mass()
+    out_mass = h.site_outcome_mass()
+    lambda_rank = {lam: i for i, lam in enumerate(h.lambda_set)}
+    rows = sorted(
+        h.context_lambda_weights(), key=lambda key: (h.context_sort_key(key[0]), lambda_rank[key[1]])
+    )
+    for context, lam in rows:
+        dist = h.outcome_distribution(context, lam)
+        factors = [
+            {a: out_mass.get((i, m, a, lam), 0) / meas_mass[(i, m, lam)] for a in site.outcomes}
+            for i, (site, m) in enumerate(zip(h.sites, context))
+        ]
+        for outcome in itertools.product(*(site.outcomes for site in h.sites)):
+            left = dist.get(outcome, Fraction(0))
+            right = ONE
+            for i, a in enumerate(outcome):
+                right *= factors[i][a]
+            if left != right:
+                ctx = ", ".join(f"{s.name}={m}" for s, m in zip(h.sites, context))
+                out = ", ".join(f"{s.name}={a}" for s, a in zip(h.sites, outcome))
+                return PropertyVerdict(
+                    False,
+                    Witness(
+                        lhs_desc=f"p({out} | {ctx}, λ={lam})",
+                        rhs_desc="the product of per-site responses to own measurements",
+                        lhs=left,
+                        rhs=right,
+                        where=(lam,),
+                    ),
+                )
+    return PropertyVerdict(True)
+
+
+def test_locality_matches_dense_scan(uniform_quarter, all_pairs_anticorrelation):
+    cases: list[HiddenVariableModel] = [
+        epr_escape_hvm(),
+        pi_violating_hvm(),
+        construct_sv(point_mass_model()),
+        construct_sv(single_site_third_model()),
+        construct_sv(uniform_quarter),
+        construct_sv(all_pairs_anticorrelation),
+        construct_e1(bell_model()),
+        construct_e2(bell_model()),
+    ]
+    for seed in range(40):
+        for shape in ((2, 2, 2), (2, 2, 3), (3, 2, 2), (1, 2, 3)):
+            cases.append(generate_random_model(seed, grid_sites(*shape), lambda_size=1 + seed % 3))
+        cases.append(random_strategy_mixture(seed, grid_sites(2, 2, 2)))
+    for seed in range(12):
+        empirical = generate_random_model(seed, grid_sites(2, 2, 2 + seed % 2))
+        cases.extend(construct(empirical) for construct in (construct_e1, construct_e2, construct_sv))
+    verdicts = [check_locality(hidden) for hidden in cases]
+    assert verdicts == [locality_by_dense_scan(hidden) for hidden in cases]
+    assert sum(v.holds for v in verdicts) >= 40
+    assert sum(not v.holds for v in verdicts) >= 40
 
 
 # ---------------------------------------------------------------------------
