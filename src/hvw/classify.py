@@ -17,6 +17,7 @@ asserted at runtime to be exclusive and exhaustive over all 21 regions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping
 from .codec import Codec
 from .constructions import ConstructionMethod, construct
 from .errors import InputError
-from .models import DEFAULT_GUARD, EmpiricalModel, equivalent_empirical
+from .models import DEFAULT_GUARD, EmpiricalModel, HiddenVariableModel, equivalent_empirical
 from .properties import PropertyId, check_property
 
 PROPERTY_CODES: tuple[str, ...] = ("SV", "LI", "SD", "WD", "OI", "PI")
@@ -204,8 +205,23 @@ def classify_all(
 
     For each achievable region and each of its guaranteeing constructions, the
     sample is completed, every property in the region is checked on the
-    result, and the completion is verified equivalent to the sample.
+    result, and the completion is verified equivalent to the sample. Each
+    completion, and each check on it, runs once per call however many
+    regions share it.
     """
+
+    @functools.cache
+    def completion(method_value: str) -> HiddenVariableModel:
+        return construct(sample, ConstructionMethod(method_value), guard=guard)
+
+    @functools.cache
+    def holds(method_value: str, code: str) -> bool:
+        return check_property(completion(method_value), CODE_TO_PROPERTY[code]).holds
+
+    @functools.cache
+    def equivalent(method_value: str) -> bool:
+        return equivalent_empirical(sample, completion(method_value)).holds
+
     entries = []
     achievable = 0
     impossible = 0
@@ -218,17 +234,12 @@ def classify_all(
             if sample is not None:
                 checked = []
                 for method_value in verdict.methods:
-                    hvm = construct(sample, ConstructionMethod(method_value), guard=guard)
-                    all_hold = all(
-                        check_property(hvm, CODE_TO_PROPERTY[code]).holds
-                        for code in verdict.region
-                    )
                     checked.append(
                         RegionEvidence(
                             method=method_value,
                             properties_checked=verdict.region,
-                            all_hold=all_hold,
-                            equivalent=equivalent_empirical(sample, hvm).holds,
+                            all_hold=all(holds(method_value, code) for code in verdict.region),
+                            equivalent=equivalent(method_value),
                         )
                     )
                 evidence = tuple(checked)

@@ -71,21 +71,19 @@ def construct_e2(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVar
     """
     e = _require_empirical(model, "construct_e2")
     context_weights = e.context_weights()
-    contexts = sorted(context_weights, key=e.context_sort_key)
     denominators = [1]
-    for context in contexts:
+    for context in context_weights:
         denominators.extend(p.denominator for p in e.outcome_distribution(context).values())
     size = math.lcm(*denominators)
     if size > guard:
         raise SizeGuardError("e2 hidden state set", size, guard)
     labels = tuple(str(i) for i in range(size))
     weights: dict = {}
-    for context in contexts:
-        share = context_weights[context] / size
-        distribution = e.outcome_distribution(context)
+    for context, mass in context_weights.items():
+        share = mass / size
         start = 0
-        for outcome in sorted(distribution, key=e.outcome_sort_key):
-            block = distribution[outcome] * size
+        for outcome, p in e.outcome_distribution(context).items():
+            block = p * size
             assert block.denominator == 1
             for state in range(start, start + block.numerator):
                 weights[(outcome, context, labels[state])] = share

@@ -10,6 +10,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+# Longest numerator or denominator, in bits, that a message prints in full:
+# about 900 decimal digits, well under CPython's int-to-str conversion limit.
+_MAX_SHOWN_BITS = 3000
+
+
+def _show_fraction(value: Fraction) -> str:
+    """`str(value)`, or only the size of its parts when one is too long to print."""
+    bits = (value.numerator.bit_length(), value.denominator.bit_length())
+    if max(bits) <= _MAX_SHOWN_BITS:
+        return str(value)
+    return "a fraction with a {}-bit numerator and a {}-bit denominator".format(*bits)
+
 
 class WorkbenchError(Exception):
     """Base class for all deliberate errors raised by this package."""
@@ -31,7 +43,7 @@ class NegativeWeightError(InputError):
     """A probability weight is negative."""
 
     def __init__(self, key: object, value: Fraction) -> None:
-        super().__init__(f"negative weight {value} at {key}")
+        super().__init__(f"negative weight {_show_fraction(value)} at {key}")
         self.key = key
         self.value = value
 
@@ -42,10 +54,10 @@ class WeightSumError(InputError):
     def __init__(self, total: Fraction) -> None:
         deficit = 1 - total
         if deficit > 0:
-            detail = f"short by {deficit}"
+            detail = f"short by {_show_fraction(deficit)}"
         else:
-            detail = f"over by {-deficit}"
-        super().__init__(f"weights sum to {total}, not 1 ({detail})")
+            detail = f"over by {_show_fraction(-deficit)}"
+        super().__init__(f"weights sum to {_show_fraction(total)}, not 1 ({detail})")
         self.total = total
         self.deficit = deficit
 

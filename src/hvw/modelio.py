@@ -21,6 +21,7 @@ in lowest terms, so equal models serialize byte-identically.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Mapping
 
@@ -33,6 +34,11 @@ _TOP_KEYS = {"sites", "lambda", "weights"}
 _SITE_KEYS = {"name", "measurements", "outcomes"}
 _ROW_KEYS = {"outcome", "measurement", "lambda", "p"}
 
+# Largest decimal exponent a probability string may carry ("1e-300" is fine).
+# A larger one is refused before 10 ** exponent is built.
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)")
+
 
 def parse_fraction(value: object, where: str) -> Fraction:
     """Exact rational from a JSON value; floats are refused outright."""
@@ -40,6 +46,11 @@ def parse_fraction(value: object, where: str) -> Fraction:
         raise ModelFormatError(f"{where}: probability must be an exact rational string, got {value!r}")
     if not isinstance(value, (str, int)):
         raise ModelFormatError(f"{where}: probability must be a string like \"3/8\", got {value!r}")
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+            raise ModelFormatError(f"{where}: exponent in {value!r} is beyond ±{MAX_EXPONENT}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -131,13 +142,15 @@ def parse_model(text: str) -> Model:
     """Parse a model file's content."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise ModelFormatError("not valid JSON: nested too deeply") from exc
+    except ValueError as exc:  # a decoding error, or an integer past the int-to-str limit
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
     return model_from_dict(data)
 
 
 def model_to_dict(model: Model) -> dict:
-    """Canonical JSON-ready form of a model (deterministic row order)."""
+    """Canonical JSON-ready form of a model (rows in the model's canonical order)."""
     if not isinstance(model, (EmpiricalModel, HiddenVariableModel)):
         raise InputError(f"not a model: {model!r}")
     data: dict = {
@@ -149,23 +162,12 @@ def model_to_dict(model: Model) -> dict:
     rows = []
     if isinstance(model, HiddenVariableModel):
         data["lambda"] = list(model.lambda_set)
-        lambda_rank = {lam: i for i, lam in enumerate(model.lambda_set)}
-        for (outcome, context, lam), value in sorted(
-            model.weights.items(),
-            key=lambda item: (
-                model.context_sort_key(item[0][1]),
-                model.outcome_sort_key(item[0][0]),
-                lambda_rank[item[0][2]],
-            ),
-        ):
+        for (outcome, context, lam), value in model.weights.items():
             rows.append(
                 {"outcome": list(outcome), "measurement": list(context), "lambda": lam, "p": str(value)}
             )
     else:
-        for (outcome, context), value in sorted(
-            model.weights.items(),
-            key=lambda item: (model.context_sort_key(item[0][1]), model.outcome_sort_key(item[0][0])),
-        ):
+        for (outcome, context), value in model.weights.items():
             rows.append({"outcome": list(outcome), "measurement": list(context), "p": str(value)})
     data["weights"] = rows
     return data

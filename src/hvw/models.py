@@ -8,6 +8,14 @@ weights triples (outcome tuple, context, hidden state). All weights are
 nonnegative `fractions.Fraction` values summing to exactly 1; nothing in this
 package ever rounds.
 
+Canonical order sorts contexts, outcome tuples and hidden states by the
+index of each label in its declared list, position by position. A model
+stores its weight table in canonical order: by context, then outcome tuple,
+then hidden state. So `weights` and every aggregate view (context marginals,
+per-context and per-(context, hidden state) outcome rows, hidden-state
+distributions, per-site responses) iterate in canonical order, and a check
+that scans them in turn finds the canonically first violation.
+
 Events are partial assignments (some sites' outcomes, some sites'
 measurements, optionally a hidden state). `event_prob` and `cond_prob` give
 exact unconditional and conditional probabilities, and the module-level
@@ -48,6 +56,8 @@ DEFAULT_GUARD = 10**6
 
 
 def _as_fraction(value: object, where: object) -> Fraction:
+    if type(value) is Fraction:  # immutable, so shared as it is
+        return value
     if isinstance(value, float):
         raise InputError(f"weight at {where!r} is a float; weights must be exact rationals")
     try:
@@ -177,7 +187,9 @@ class _BaseModel:
     """The weight table both model kinds share.
 
     Every key starts with (outcome tuple, context); a subclass's `_check_key`
-    validates the rest of its key shape. Validation, the support, event
+    validates the rest of its key shape and its `_rank` gives the key's
+    position in canonical order: the label indices of its context, then of its
+    outcome tuple, then of its hidden state. Validation, the support, event
     probabilities and the per-context outcome table live here.
     """
 
@@ -207,7 +219,7 @@ class _BaseModel:
                 cleaned[key] = value
         if total != 1:
             raise WeightSumError(total)
-        self._weights = cleaned
+        self._weights = {key: cleaned[key] for key in sorted(cleaned, key=self._rank)}
         # Aggregate views, built on first use. Every cache attribute is assigned
         # in __init__, so instances keep sharing one dict key layout.
         self._ctx_mass: dict[Context, Fraction] | None = None
@@ -215,6 +227,9 @@ class _BaseModel:
         self._dist_cache: dict[object, Mapping[OutcomeTuple, Fraction]] = {}
 
     def _check_key(self, key: tuple) -> tuple:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _rank(self, key: tuple) -> tuple[int, ...]:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def check_lambda(self, lam: str) -> str:  # pragma: no cover - abstract
@@ -239,7 +254,7 @@ class _BaseModel:
     def site_index(self, name: str) -> int:
         try:
             return self._site_index[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownLabelError(f"unknown site name: {name!r}") from None
 
     def context_tuples(self) -> Iterator[Context]:
@@ -257,10 +272,10 @@ class _BaseModel:
         return math.prod(len(site.outcomes) for site in self.sites)
 
     def context_sort_key(self, context: Context) -> tuple[int, ...]:
-        return tuple(self._meas_index[i][m] for i, m in enumerate(context))
+        return tuple(map(dict.__getitem__, self._meas_index, context))
 
     def outcome_sort_key(self, outcome: OutcomeTuple) -> tuple[int, ...]:
-        return tuple(self._out_index[i][a] for i, a in enumerate(outcome))
+        return tuple(map(dict.__getitem__, self._out_index, outcome))
 
     def check_context(self, context: Sequence[str]) -> Context:
         """Validate and canonicalize a context, one measurement per site."""
@@ -270,7 +285,11 @@ class _BaseModel:
         if len(context) != self.n_sites:
             raise ModelFormatError(f"context {context} does not have one entry per site")
         for i, label in enumerate(context):
-            if label not in self._meas_index[i]:
+            try:
+                known = label in self._meas_index[i]
+            except TypeError:  # an unhashable label
+                known = False
+            if not known:
                 raise UnknownLabelError(f"unknown measurement {label!r} at site {self.sites[i].name!r}")
         return context
 
@@ -282,7 +301,11 @@ class _BaseModel:
         if len(outcome) != self.n_sites:
             raise ModelFormatError(f"outcome tuple {outcome} does not have one entry per site")
         for i, label in enumerate(outcome):
-            if label not in self._out_index[i]:
+            try:
+                known = label in self._out_index[i]
+            except TypeError:  # an unhashable label
+                known = False
+            if not known:
                 raise UnknownLabelError(f"unknown outcome {label!r} at site {self.sites[i].name!r}")
         return outcome
 
@@ -292,13 +315,13 @@ class _BaseModel:
         outcome_by_index: dict[int, str] = {}
         for name, label in event.outcomes.items():
             i = self.site_index(name)
-            if label not in self._out_index[i]:
+            if not isinstance(label, str) or label not in self._out_index[i]:
                 raise UnknownLabelError(f"unknown outcome {label!r} at site {name!r}")
             outcome_by_index[i] = label
         measurement_by_index: dict[int, str] = {}
         for name, label in event.measurements.items():
             i = self.site_index(name)
-            if label not in self._meas_index[i]:
+            if not isinstance(label, str) or label not in self._meas_index[i]:
                 raise UnknownLabelError(f"unknown measurement {label!r} at site {name!r}")
             measurement_by_index[i] = label
         total = ZERO
@@ -373,6 +396,12 @@ class EmpiricalModel(_BaseModel):
             raise ModelFormatError(f"weight key {key!r} is not an (outcome, context) pair") from exc
         return self.check_outcome_tuple(outcome), self.check_context(context)
 
+    def _rank(self, key: tuple[OutcomeTuple, Context]) -> tuple[int, ...]:
+        return (
+            *map(dict.__getitem__, self._meas_index, key[1]),
+            *map(dict.__getitem__, self._out_index, key[0]),
+        )
+
     def check_lambda(self, lam: str) -> str:
         raise InputError("empirical models have no hidden states to condition on")
 
@@ -398,8 +427,7 @@ class HiddenVariableModel(_BaseModel):
         self._ctx_lam_mass: dict[tuple[Context, str], Fraction] | None = None
         self._lambda_by_context: dict[Context, dict[str, Fraction]] | None = None
         self._by_context_lambda: dict[tuple[Context, str], dict[OutcomeTuple, Fraction]] | None = None
-        self._site_meas_mass: dict[tuple[int, str, str], Fraction] | None = None
-        self._site_out_mass: dict[tuple[int, str, str, str], Fraction] | None = None
+        self._responses: dict[tuple[int, str, str], Mapping[str, Fraction]] | None = None
 
     def _check_key(self, key: tuple) -> tuple[OutcomeTuple, Context, str]:
         try:
@@ -407,6 +435,13 @@ class HiddenVariableModel(_BaseModel):
         except (TypeError, ValueError) as exc:
             raise ModelFormatError(f"weight key {key!r} is not an (outcome, context, hidden) triple") from exc
         return self.check_outcome_tuple(outcome), self.check_context(context), self.check_lambda(lam)
+
+    def _rank(self, key: tuple[OutcomeTuple, Context, str]) -> tuple[int, ...]:
+        return (
+            *map(dict.__getitem__, self._meas_index, key[1]),
+            *map(dict.__getitem__, self._out_index, key[0]),
+            self._lambda_index[key[2]],
+        )
 
     def check_lambda(self, lam: str) -> str:
         if not isinstance(lam, str) or lam not in self._lambda_index:
@@ -427,11 +462,9 @@ class HiddenVariableModel(_BaseModel):
     def context_lambda_weights(self) -> Mapping[tuple[Context, str], Fraction]:
         """Joint weight of each (context, hidden state) pair with positive mass."""
         if self._ctx_lam_mass is None:
-            mass: dict[tuple[Context, str], Fraction] = {}
-            for (_, context, lam), weight in self._weights.items():
-                key = (context, lam)
-                mass[key] = mass.get(key, ZERO) + weight
-            self._ctx_lam_mass = mass
+            self._ctx_lam_mass = {
+                key: sum(row.values(), ZERO) for key, row in self._context_lambda_table().items()
+            }
         return MappingProxyType(self._ctx_lam_mass)
 
     def lambda_distribution(self, context: Sequence[str]) -> Mapping[str, Fraction]:
@@ -452,11 +485,18 @@ class HiddenVariableModel(_BaseModel):
         return self._lambda_by_context
 
     def _context_lambda_table(self) -> dict[tuple[Context, str], dict[OutcomeTuple, Fraction]]:
+        """Outcome weights of each positive (context, hidden state) row."""
         if self._by_context_lambda is None:
-            table: dict[tuple[Context, str], dict[OutcomeTuple, Fraction]] = {}
+            by_context: dict[Context, dict[str, dict[OutcomeTuple, Fraction]]] = {}
             for (outcome, context, lam), weight in self._weights.items():
-                table.setdefault((context, lam), {})[outcome] = weight
-            self._by_context_lambda = table
+                by_context.setdefault(context, {}).setdefault(lam, {})[outcome] = weight
+            # Storage order sorts the contexts, not the hidden states within one.
+            rank = self._lambda_index.__getitem__
+            self._by_context_lambda = {
+                (context, lam): rows[lam]
+                for context, rows in by_context.items()
+                for lam in sorted(rows, key=rank)
+            }
         return self._by_context_lambda
 
     def outcome_distribution(
@@ -468,35 +508,32 @@ class HiddenVariableModel(_BaseModel):
         key = (self.check_context(context), self.check_lambda(lam))
         return self._conditional(key, self.context_lambda_weights, self._context_lambda_table)
 
-    def site_measurement_mass(self) -> Mapping[tuple[int, str, str], Fraction]:
-        """Joint mass of (measurement chosen at site i, hidden state) pairs.
+    def site_responses(self) -> Mapping[tuple[int, str, str], Mapping[str, Fraction]]:
+        """Each site's response to its own measurement, p(a | m, λ).
 
-        Keyed by (site index, measurement label, hidden state); everything at
-        the other sites is summed out. Positive entries only.
+        Keyed by (site index, measurement, hidden state), everything at the
+        other sites summed out. Only keys with positive mass appear, in
+        canonical order: site, then measurement, then hidden state. Each
+        response lists its positive outcomes in the site's declared order.
         """
-        if self._site_meas_mass is None:
-            mass: dict[tuple[int, str, str], Fraction] = {}
-            for (_, context, lam), weight in self._weights.items():
-                for i, m in enumerate(context):
-                    key = (i, m, lam)
-                    mass[key] = mass.get(key, ZERO) + weight
-            self._site_meas_mass = mass
-        return MappingProxyType(self._site_meas_mass)
-
-    def site_outcome_mass(self) -> Mapping[tuple[int, str, str, str], Fraction]:
-        """Joint mass of (measurement at site i, its outcome, hidden state).
-
-        Keyed by (site index, measurement, outcome, hidden state), other sites
-        summed out. Positive entries only.
-        """
-        if self._site_out_mass is None:
-            mass: dict[tuple[int, str, str, str], Fraction] = {}
+        if self._responses is None:
+            masses: dict[tuple[int, str, str], dict[str, Fraction]] = {}
             for (outcome, context, lam), weight in self._weights.items():
                 for i, m in enumerate(context):
-                    key = (i, m, outcome[i], lam)
-                    mass[key] = mass.get(key, ZERO) + weight
-            self._site_out_mass = mass
-        return MappingProxyType(self._site_out_mass)
+                    row = masses.setdefault((i, m, lam), {})
+                    a = outcome[i]
+                    row[a] = row[a] + weight if a in row else weight
+            responses: dict[tuple[int, str, str], Mapping[str, Fraction]] = {}
+            for i, m, lam in sorted(
+                masses, key=lambda k: (k[0], self._meas_index[k[0]][k[1]], self._lambda_index[k[2]])
+            ):
+                row = masses[(i, m, lam)]
+                total = sum(row.values(), ZERO)
+                responses[(i, m, lam)] = MappingProxyType(
+                    {a: row[a] / total for a in self.sites[i].outcomes if a in row}
+                )
+            self._responses = responses
+        return MappingProxyType(self._responses)
 
 
 def project_to_empirical(hvm: HiddenVariableModel) -> EmpiricalModel:

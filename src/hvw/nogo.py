@@ -261,7 +261,7 @@ def local_polytope_feasibility(
     if not isinstance(model, EmpiricalModel):
         raise InputError("local_polytope_feasibility expects an empirical model")
     strategies = enumerate_deterministic_strategies(model.sites, guard)
-    contexts = sorted(model.context_weights(), key=model.context_sort_key)
+    contexts = list(model.context_weights())
     outcomes = list(model.outcome_tuples())
     behavior = [
         [strategy.outcome_for(model.sites, context) for context in contexts]
@@ -716,7 +716,7 @@ def verify_ks(method: str = "both", guard: int = DEFAULT_GUARD) -> KsReport:
     e = ks_model()
     exchangeability = check_exchangeability(e)
     pattern_ok = True
-    for context in sorted(e.context_weights(), key=e.context_sort_key):
+    for context in e.context_weights():
         distribution = e.outcome_distribution(context)
         if len(distribution) != 1:
             pattern_ok = False

@@ -40,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import InputError
 from .models import (
@@ -123,14 +123,6 @@ def _require_empirical(model: object, name: str) -> EmpiricalModel:
     return model
 
 
-def _sorted_context_lambda(h: HiddenVariableModel) -> list[tuple[tuple[str, ...], str]]:
-    lambda_rank = {lam: i for i, lam in enumerate(h.lambda_set)}
-    return sorted(
-        h.context_lambda_weights(),
-        key=lambda key: (h.context_sort_key(key[0]), lambda_rank[key[1]]),
-    )
-
-
 def check_single_valuedness(model: HiddenVariableModel) -> PropertyVerdict:
     """Exactly one hidden state."""
     h = _require_hidden(model, "single-valuedness")
@@ -151,7 +143,7 @@ def check_single_valuedness(model: HiddenVariableModel) -> PropertyVerdict:
 def check_lambda_independence(model: HiddenVariableModel) -> PropertyVerdict:
     """The hidden state's distribution is the same on every non-null context."""
     h = _require_hidden(model, "lambda-independence")
-    contexts = sorted(h.context_weights(), key=h.context_sort_key)
+    contexts = list(h.context_weights())
     first = h.lambda_distribution(contexts[0])
     for context in contexts[1:]:
         dist = h.lambda_distribution(context)
@@ -175,53 +167,45 @@ def check_lambda_independence(model: HiddenVariableModel) -> PropertyVerdict:
 def check_strong_determinism(model: HiddenVariableModel) -> PropertyVerdict:
     """Given the hidden state, each site responds to its own measurement deterministically."""
     h = _require_hidden(model, "strong-determinism")
-    meas_mass = h.site_measurement_mass()
-    out_mass = h.site_outcome_mass()
-    for i, site in enumerate(h.sites):
-        for m in site.measurements:
-            for lam in h.lambda_set:
-                total = meas_mass.get((i, m, lam), ZERO)
-                if total == 0:
-                    continue
-                if any(out_mass.get((i, m, a, lam), ZERO) == total for a in site.outcomes):
-                    continue
-                for a in site.outcomes:
-                    value = out_mass.get((i, m, a, lam), ZERO)
-                    if ZERO < value < total:
-                        return PropertyVerdict(
-                            False,
-                            Witness(
-                                lhs_desc=f"p({site.name}={a} | {site.name}={m}, λ={lam})",
-                                rhs_desc="the point mass required by strong determinism",
-                                lhs=value / total,
-                                rhs=ONE,
-                                where=(site.name, m, lam),
-                            ),
-                        )
+    for (i, m, lam), response in h.site_responses().items():
+        if len(response) == 1:
+            continue
+        name = h.sites[i].name
+        a, p = next(iter(response.items()))
+        return PropertyVerdict(
+            False,
+            Witness(
+                lhs_desc=f"p({name}={a} | {name}={m}, λ={lam})",
+                rhs_desc="the point mass required by strong determinism",
+                lhs=p,
+                rhs=ONE,
+                where=(name, m, lam),
+            ),
+        )
     return PropertyVerdict(True)
 
 
 def check_weak_determinism(model: HiddenVariableModel) -> PropertyVerdict:
     """Given context and hidden state, the whole outcome tuple is determined."""
     h = _require_hidden(model, "weak-determinism")
-    for context, lam in _sorted_context_lambda(h):
+    for context, lam in h.context_lambda_weights():
         dist = h.outcome_distribution(context, lam)
-        if any(p == 1 for p in dist.values()):
+        if len(dist) == 1:
             continue
-        for outcome in sorted(dist, key=h.outcome_sort_key):
-            return PropertyVerdict(
-                False,
-                Witness(
-                    lhs_desc=(
-                        f"p({describe_outcome(h.sites, outcome)} | "
-                        f"{describe_context(h.sites, context)}, λ={lam})"
-                    ),
-                    rhs_desc="the point mass required by weak determinism",
-                    lhs=dist[outcome],
-                    rhs=ONE,
-                    where=(lam,),
+        outcome, p = next(iter(dist.items()))
+        return PropertyVerdict(
+            False,
+            Witness(
+                lhs_desc=(
+                    f"p({describe_outcome(h.sites, outcome)} | "
+                    f"{describe_context(h.sites, context)}, λ={lam})"
                 ),
-            )
+                rhs_desc="the point mass required by weak determinism",
+                lhs=p,
+                rhs=ONE,
+                where=(lam,),
+            ),
+        )
     return PropertyVerdict(True)
 
 
@@ -249,7 +233,7 @@ def check_outcome_independence(model: HiddenVariableModel) -> PropertyVerdict:
     for i in range(h.n_sites):
         others = h.sites[:i] + h.sites[i + 1 :]
         partners.append((others, [{a: k for k, a in enumerate(s.outcomes)} for s in others]))
-    for context, lam in _sorted_context_lambda(h):
+    for context, lam in h.context_lambda_weights():
         dist = h.outcome_distribution(context, lam)
         if len(dist) == 1:
             continue
@@ -287,18 +271,17 @@ def check_outcome_independence(model: HiddenVariableModel) -> PropertyVerdict:
 def check_parameter_independence(model: HiddenVariableModel) -> PropertyVerdict:
     """A site's response given the hidden state ignores the partners' measurements."""
     h = _require_hidden(model, "parameter-independence")
-    meas_mass = h.site_measurement_mass()
-    out_mass = h.site_outcome_mass()
-    for context, lam in _sorted_context_lambda(h):
+    responses = h.site_responses()
+    for context, lam in h.context_lambda_weights():
         dist = h.outcome_distribution(context, lam)
         ctx_desc = describe_context(h.sites, context)
         marginals = _site_marginals(h.sites, dist)
         for i, site in enumerate(h.sites):
             m = context[i]
-            site_total = meas_mass[(i, m, lam)]
+            response = responses[(i, m, lam)]
             for a in site.outcomes:
                 left = marginals[i].get(a, ZERO)
-                right = out_mass.get((i, m, a, lam), ZERO) / site_total
+                right = response.get(a, ZERO)
                 if left != right:
                     return PropertyVerdict(
                         False,
@@ -313,7 +296,7 @@ def check_parameter_independence(model: HiddenVariableModel) -> PropertyVerdict:
     return PropertyVerdict(True)
 
 
-def _factor_product(factors: list[dict[str, Fraction]], outcome: tuple[str, ...]) -> Fraction:
+def _factor_product(factors: list[Mapping[str, Fraction]], outcome: tuple[str, ...]) -> Fraction:
     right = ONE
     for i, a in enumerate(outcome):
         right *= factors[i].get(a, ZERO)
@@ -331,17 +314,11 @@ def check_locality(model: HiddenVariableModel) -> PropertyVerdict:
     failing outcome tuple, as in a scan of the full outcome product.
     """
     h = _require_hidden(model, "locality")
-    meas_mass = h.site_measurement_mass()
-    out_mass = h.site_outcome_mass()
-    for context, lam in _sorted_context_lambda(h):
+    responses = h.site_responses()
+    for context, lam in h.context_lambda_weights():
         dist = h.outcome_distribution(context, lam)
         # Per site, the positive factors p(a | own measurement, λ).
-        factors = []
-        for i, (site, m) in enumerate(zip(h.sites, context)):
-            total = meas_mass[(i, m, lam)]
-            factors.append(
-                {a: w / total for a in site.outcomes if (w := out_mass.get((i, m, a, lam)))}
-            )
+        factors = [responses[(i, m, lam)] for i, m in enumerate(context)]
         failing = [o for o, p in dist.items() if p != _factor_product(factors, o)]
         missing = next((o for o in itertools.product(*factors) if o not in dist), None)
         if missing is not None:
@@ -367,7 +344,7 @@ def check_locality(model: HiddenVariableModel) -> PropertyVerdict:
 def check_non_contextuality(model: EmpiricalModel) -> PropertyVerdict:
     """A measurement's observed marginal is the same in every context containing it."""
     e = _require_empirical(model, "non-contextuality")
-    contexts = sorted(e.context_weights(), key=e.context_sort_key)
+    contexts = list(e.context_weights())
     marginal_cache: dict[tuple[str, ...], list[dict[str, Fraction]]] = {}
 
     def marginals(context: tuple[str, ...]) -> list[dict[str, Fraction]]:
@@ -431,9 +408,8 @@ def check_exchangeability(model: EmpiricalModel) -> PropertyVerdict:
     if n >= 3:
         generators.append(Permutation(tuple(range(1, n)) + (0,)))
     ctx_weights = e.context_weights()
-    contexts = sorted(ctx_weights, key=e.context_sort_key)
     for perm in generators:
-        for context in contexts:
+        for context in ctx_weights:
             moved_ctx = perm.apply(context)
             ctx_desc = describe_context(e.sites, context)
             moved_ctx_desc = describe_context(e.sites, moved_ctx)
@@ -450,9 +426,8 @@ def check_exchangeability(model: EmpiricalModel) -> PropertyVerdict:
                 )
             dist = e.outcome_distribution(context)
             moved_dist = e.outcome_distribution(moved_ctx)
-            for outcome in sorted(dist, key=e.outcome_sort_key):
+            for outcome, left in dist.items():
                 moved_outcome = perm.apply(outcome)
-                left = dist[outcome]
                 right = moved_dist.get(moved_outcome, ZERO)
                 if left != right:
                     return PropertyVerdict(

@@ -7,7 +7,10 @@ import json
 
 import pytest
 
+from hvw import classify as classify_module
 from hvw import (
+    check_property,
+    construct,
     CONSTRUCTION_GUARANTEES,
     IMPLICATIONS,
     OBSTRUCTION_KERNELS,
@@ -208,6 +211,25 @@ def test_live_evidence_on_random_samples():
             for item in entry.evidence:
                 assert item.all_hold, (seed, entry.verdict.region, item.method)
                 assert item.equivalent, (seed, entry.verdict.region, item.method)
+
+
+def test_live_evidence_builds_each_completion_once(monkeypatch):
+    built = []
+    checked = []
+
+    def counting_construct(sample, method, guard):
+        built.append(method)
+        return construct(sample, method, guard)
+
+    def counting_check(model, prop):
+        checked.append((id(model), prop))
+        return check_property(model, prop)
+
+    monkeypatch.setattr(classify_module, "construct", counting_construct)
+    monkeypatch.setattr(classify_module, "check_property", counting_check)
+    classify_all(sample=epr_model())
+    assert sorted(method.value for method in built) == ["e1", "e2", "sv"]
+    assert len(checked) == len(set(checked)) == 9
 
 
 def test_classification_report_round_trips():

@@ -104,6 +104,44 @@ def test_check_input_error_exits_two(cli, epr_file):
     assert err.startswith("error: ")
 
 
+def _one_site_file(tmp_path, first: str, second: str) -> str:
+    """A one-site model file whose two weights are the raw JSON values given."""
+    rows = ", ".join(
+        f'{{"outcome": ["{a}"], "measurement": ["M"], "p": {p}}}' for a, p in (("0", first), ("1", second))
+    )
+    path = tmp_path / "model.em"
+    path.write_text(
+        f'{{"sites": [{{"name": "a", "measurements": ["M"], "outcomes": ["0", "1"]}}], "weights": [{rows}]}}'
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ('"1"', '"1e-5000"'),
+        ('"1e5000"', '"0"'),
+        (f'"1/{10**3000 + 1}"', f'"1/{3 * 10**3000 + 7}"'),
+        ("1" + "0" * 5000, '"0"'),
+    ],
+    ids=["tiny-exponent", "huge-exponent", "long-denominators", "long-json-integer"],
+)
+def test_huge_rationals_in_a_model_file_exit_two(cli, tmp_path, first, second):
+    code, out, err = cli("check", _one_site_file(tmp_path, first, second), "--property", "exchangeability")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_deeply_nested_model_file_exits_two(cli, tmp_path):
+    path = tmp_path / "deep.em"
+    path.write_text("[" * 3000)
+    code, out, err = cli("check", str(path), "--property", "exchangeability")
+    assert code == 2
+    assert out == ""
+    assert err == "error: not valid JSON: nested too deeply\n"
+
+
 def test_check_hidden_property_on_empirical_file(cli, epr_file):
     code, _, err = cli("check", epr_file, "--property", "locality")
     assert code == 2

@@ -26,6 +26,7 @@ from hvw import (
     save_model,
     serialize_model,
 )
+from hvw.modelio import MAX_EXPONENT, parse_fraction
 
 EPR_TEXT = """
 {
@@ -203,6 +204,24 @@ def test_bad_fraction_diagnostics():
                     "weights": [{"outcome": ["x"], "measurement": ["A"], "p": bad}],
                 }
             )
+
+
+def test_exponent_limit_is_checked_before_the_power_is_built():
+    assert parse_fraction(f"1e-{MAX_EXPONENT}", "w") == Fraction(1, 10**MAX_EXPONENT)
+    assert parse_fraction(f"25E+{MAX_EXPONENT}", "w") == 25 * 10**MAX_EXPONENT
+    for bad in (f"1e{MAX_EXPONENT + 1}", f"1.5e-{MAX_EXPONENT + 1}", "1e999999999", "1e" + "9" * 5000):
+        with pytest.raises(ModelFormatError, match="exponent"):
+            parse_fraction(bad, "w")
+
+
+def test_weight_sum_error_shows_only_the_size_of_a_huge_sum():
+    text = EPR_TEXT.replace('"p": "1/2"', f'"p": "1/{10**3000 + 1}"', 1)
+    with pytest.raises(WeightSumError) as exc:
+        parse_model(text)
+    total = Fraction(1, 2) + Fraction(1, 10**3000 + 1)
+    assert exc.value.total == total
+    size = f"{total.numerator.bit_length()}-bit numerator and a {total.denominator.bit_length()}-bit denominator"
+    assert str(exc.value).startswith(f"weights sum to a fraction with a {size}, not 1 (short by a fraction")
 
 
 def test_weight_sum_error_propagates_with_deficit():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -464,3 +466,133 @@ def test_model_kinds_are_siblings():
         hash(e)
     with pytest.raises(TypeError):
         hash(h)
+
+
+# ---------------------------------------------------------------------------
+# Canonical order: storage and every view, whatever order the weights came in
+
+ORDER_SITES = (Site("b", ("Y", "X"), ("1", "0")), Site("a", ("Q", "P", "R"), ("-", "+")))
+ORDER_STATES = ("z", "y", "x")
+
+
+def _rank(labels, values) -> tuple[int, ...]:
+    return tuple(declared.index(v) for declared, v in zip(labels, values))
+
+
+def _context_rank(context) -> tuple[int, ...]:
+    return _rank([s.measurements for s in ORDER_SITES], context)
+
+
+def _outcome_rank(outcome) -> tuple[int, ...]:
+    return _rank([s.outcomes for s in ORDER_SITES], outcome)
+
+
+def _shuffled_weights(seed: int, hidden: bool) -> dict:
+    """Random positive weights on about two thirds of the cells, inserted in a
+    shuffled order."""
+    rng = random.Random(seed)
+    cells = [
+        (outcome, context) + ((lam,) if hidden else ())
+        for outcome in itertools.product(*(s.outcomes for s in ORDER_SITES))
+        for context in itertools.product(*(s.measurements for s in ORDER_SITES))
+        for lam in (ORDER_STATES if hidden else ("",))
+    ]
+    counts = {cell: rng.randint(1, 5) for cell in cells if rng.random() < 0.66}
+    total = sum(counts.values())
+    keys = list(counts)
+    rng.shuffle(keys)
+    return {key: Fraction(counts[key], total) for key in keys}
+
+
+def _in_order(keys, rank) -> bool:
+    keys = list(keys)
+    return keys == sorted(keys, key=rank)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_weights_and_views_iterate_in_canonical_order(seed):
+    e = EmpiricalModel(ORDER_SITES, _shuffled_weights(seed, hidden=False))
+    assert _in_order(e.weights, lambda key: (_context_rank(key[1]), _outcome_rank(key[0])))
+    assert _in_order(e.context_weights(), _context_rank)
+    for context in e.context_weights():
+        assert _in_order(e.outcome_distribution(context), _outcome_rank)
+
+    h = HiddenVariableModel(ORDER_SITES, ORDER_STATES, _shuffled_weights(seed, hidden=True))
+    lam_rank = ORDER_STATES.index
+    assert _in_order(
+        h.weights, lambda key: (_context_rank(key[1]), _outcome_rank(key[0]), lam_rank(key[2]))
+    )
+    assert _in_order(h.context_weights(), _context_rank)
+    assert _in_order(h.context_lambda_weights(), lambda key: (_context_rank(key[0]), lam_rank(key[1])))
+    for context in h.context_weights():
+        assert _in_order(h.outcome_distribution(context), _outcome_rank)
+        assert _in_order(h.lambda_distribution(context), lam_rank)
+    for context, lam in h.context_lambda_weights():
+        assert _in_order(h.outcome_distribution(context, lam), _outcome_rank)
+    responses = h.site_responses()
+    assert _in_order(
+        responses, lambda key: (key[0], ORDER_SITES[key[0]].measurements.index(key[1]), lam_rank(key[2]))
+    )
+    for (i, _, _), response in responses.items():
+        assert _in_order(response, ORDER_SITES[i].outcomes.index)
+
+
+def test_site_responses_are_the_own_measurement_conditionals():
+    h = HiddenVariableModel(ORDER_SITES, ORDER_STATES, _shuffled_weights(7, hidden=True))
+    responses = h.site_responses()
+    for i, site in enumerate(ORDER_SITES):
+        for m in site.measurements:
+            for lam in ORDER_STATES:
+                given = Event(measurements={site.name: m}, hidden=lam)
+                if h.event_prob(given) == 0:
+                    assert (i, m, lam) not in responses
+                    continue
+                expected = {
+                    a: p
+                    for a in site.outcomes
+                    if (p := h.cond_prob(Event(outcomes={site.name: a}), given))
+                }
+                assert dict(responses[(i, m, lam)]) == expected
+
+
+# ---------------------------------------------------------------------------
+# Unhashable labels are input errors, not raw TypeErrors
+
+
+class _Pairs(list):
+    """A weight table given as (key, weight) pairs, so a key need not be hashable."""
+
+    def items(self):
+        return iter(self)
+
+
+def test_check_context_rejects_an_unhashable_label():
+    with pytest.raises(UnknownLabelError, match=r"\['A'\]"):
+        epr_model().check_context([["A"], "B"])
+
+
+def test_outcome_distribution_rejects_an_unhashable_label():
+    with pytest.raises(UnknownLabelError, match=r"\['A'\]"):
+        epr_model().outcome_distribution([["A"], "B"])
+    with pytest.raises(UnknownLabelError):
+        epr_escape_hvm().outcome_distribution([["A"], "B"], "l1")
+
+
+def test_event_prob_rejects_an_unhashable_label():
+    with pytest.raises(UnknownLabelError, match=r"\['x'\]"):
+        epr_model().event_prob(Event(outcomes={"a": ["x"]}))
+    with pytest.raises(UnknownLabelError):
+        epr_model().event_prob(Event(measurements={"a": ["A"]}))
+    with pytest.raises(UnknownLabelError):
+        epr_model().site_index(["a"])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_weight_key_with_unhashable_labels_is_rejected(kind):
+    e = epr_model()
+    key = ((["+_a"], "-_b"), ("A", "B"))
+    with pytest.raises(UnknownLabelError):
+        if kind == "empirical":
+            EmpiricalModel(e.sites, _Pairs([(key, 1)]))
+        else:
+            HiddenVariableModel(e.sites, ("l",), _Pairs([(key + ("l",), 1)]))

@@ -50,6 +50,26 @@ from hvw import (
 ONE = Fraction(1)
 
 
+def _site_masses(h: HiddenVariableModel) -> tuple[dict, dict]:
+    """Masses straight from the weight table: (site, measurement, hidden state)
+    and (site, measurement, outcome, hidden state), other sites summed out."""
+    meas_mass: dict[tuple[int, str, str], Fraction] = {}
+    out_mass: dict[tuple[int, str, str, str], Fraction] = {}
+    for (outcome, context, lam), weight in h.weights.items():
+        for i, m in enumerate(context):
+            meas_mass[(i, m, lam)] = meas_mass.get((i, m, lam), 0) + weight
+            out_mass[(i, m, outcome[i], lam)] = out_mass.get((i, m, outcome[i], lam), 0) + weight
+    return meas_mass, out_mass
+
+
+def _sorted_rows(h: HiddenVariableModel) -> list[tuple[tuple[str, ...], str]]:
+    """Non-null (context, hidden state) pairs, sorted into canonical order here."""
+    lambda_rank = {lam: i for i, lam in enumerate(h.lambda_set)}
+    return sorted(
+        h.context_lambda_weights(), key=lambda key: (h.context_sort_key(key[0]), lambda_rank[key[1]])
+    )
+
+
 # ---------------------------------------------------------------------------
 # Single-valuedness
 
@@ -228,6 +248,97 @@ def test_parameter_independence_fails_with_known_witness():
 
 
 # ---------------------------------------------------------------------------
+# Reference forms of the checks that read per-site responses
+
+
+def strong_determinism_by_scan(h: HiddenVariableModel) -> PropertyVerdict:
+    """Reference form of strong determinism: scan every site, measurement and
+    declared hidden state in order, with masses taken from the weight table."""
+    meas_mass, out_mass = _site_masses(h)
+    for i, site in enumerate(h.sites):
+        for m in site.measurements:
+            for lam in h.lambda_set:
+                total = meas_mass.get((i, m, lam), 0)
+                values = [out_mass.get((i, m, a, lam), 0) for a in site.outcomes]
+                if total == 0 or total in values:
+                    continue
+                a, value = next((a, v) for a, v in zip(site.outcomes, values) if v)
+                return PropertyVerdict(
+                    False,
+                    Witness(
+                        lhs_desc=f"p({site.name}={a} | {site.name}={m}, λ={lam})",
+                        rhs_desc="the point mass required by strong determinism",
+                        lhs=value / total,
+                        rhs=ONE,
+                        where=(site.name, m, lam),
+                    ),
+                )
+    return PropertyVerdict(True)
+
+
+def parameter_independence_by_scan(h: HiddenVariableModel) -> PropertyVerdict:
+    """Reference form of parameter independence: compare each row's site
+    marginal with the own-measurement response from the weight table."""
+    meas_mass, out_mass = _site_masses(h)
+    for context, lam in _sorted_rows(h):
+        dist = h.outcome_distribution(context, lam)
+        ctx = ", ".join(f"{s.name}={m}" for s, m in zip(h.sites, context))
+        for i, (site, m) in enumerate(zip(h.sites, context)):
+            for a in site.outcomes:
+                left = sum((p for o, p in dist.items() if o[i] == a), Fraction(0))
+                right = out_mass.get((i, m, a, lam), 0) / meas_mass[(i, m, lam)]
+                if left != right:
+                    return PropertyVerdict(
+                        False,
+                        Witness(
+                            lhs_desc=f"p({site.name}={a} | {ctx}, λ={lam})",
+                            rhs_desc=f"p({site.name}={a} | {site.name}={m}, λ={lam})",
+                            lhs=left,
+                            rhs=right,
+                            where=(site.name, lam),
+                        ),
+                    )
+    return PropertyVerdict(True)
+
+
+def _response_check_cases(uniform_quarter, all_pairs_anticorrelation) -> list[HiddenVariableModel]:
+    cases: list[HiddenVariableModel] = [
+        epr_escape_hvm(),
+        pi_violating_hvm(),
+        construct_sv(point_mass_model()),
+        construct_sv(single_site_third_model()),
+        construct_sv(uniform_quarter),
+        construct_sv(all_pairs_anticorrelation),
+        construct_e1(bell_model()),
+        construct_e2(bell_model()),
+    ]
+    for seed in range(40):
+        for shape in ((2, 2, 2), (2, 2, 3), (3, 2, 2), (1, 2, 3)):
+            cases.append(generate_random_model(seed, grid_sites(*shape), lambda_size=1 + seed % 3))
+        cases.append(random_strategy_mixture(seed, grid_sites(2, 2, 2)))
+    for seed in range(12):
+        empirical = generate_random_model(seed, grid_sites(2, 2, 2 + seed % 2))
+        cases.extend(construct(empirical) for construct in (construct_e1, construct_e2, construct_sv))
+    return cases
+
+
+def test_strong_determinism_matches_scan(uniform_quarter, all_pairs_anticorrelation):
+    cases = _response_check_cases(uniform_quarter, all_pairs_anticorrelation)
+    verdicts = [check_strong_determinism(hidden) for hidden in cases]
+    assert verdicts == [strong_determinism_by_scan(hidden) for hidden in cases]
+    assert sum(v.holds for v in verdicts) >= 40
+    assert sum(not v.holds for v in verdicts) >= 40
+
+
+def test_parameter_independence_matches_scan(uniform_quarter, all_pairs_anticorrelation):
+    cases = _response_check_cases(uniform_quarter, all_pairs_anticorrelation)
+    verdicts = [check_parameter_independence(hidden) for hidden in cases]
+    assert verdicts == [parameter_independence_by_scan(hidden) for hidden in cases]
+    assert sum(v.holds for v in verdicts) >= 40
+    assert sum(not v.holds for v in verdicts) >= 40
+
+
+# ---------------------------------------------------------------------------
 # Locality
 
 
@@ -267,13 +378,8 @@ def locality_by_dense_scan(h: HiddenVariableModel) -> PropertyVerdict:
     """Reference form of locality: scan the full outcome product of every
     non-null (context, hidden state) row in canonical order, comparing each
     probability with the product of its per-site responses."""
-    meas_mass = h.site_measurement_mass()
-    out_mass = h.site_outcome_mass()
-    lambda_rank = {lam: i for i, lam in enumerate(h.lambda_set)}
-    rows = sorted(
-        h.context_lambda_weights(), key=lambda key: (h.context_sort_key(key[0]), lambda_rank[key[1]])
-    )
-    for context, lam in rows:
+    meas_mass, out_mass = _site_masses(h)
+    for context, lam in _sorted_rows(h):
         dist = h.outcome_distribution(context, lam)
         factors = [
             {a: out_mass.get((i, m, a, lam), 0) / meas_mass[(i, m, lam)] for a in site.outcomes}
@@ -301,23 +407,7 @@ def locality_by_dense_scan(h: HiddenVariableModel) -> PropertyVerdict:
 
 
 def test_locality_matches_dense_scan(uniform_quarter, all_pairs_anticorrelation):
-    cases: list[HiddenVariableModel] = [
-        epr_escape_hvm(),
-        pi_violating_hvm(),
-        construct_sv(point_mass_model()),
-        construct_sv(single_site_third_model()),
-        construct_sv(uniform_quarter),
-        construct_sv(all_pairs_anticorrelation),
-        construct_e1(bell_model()),
-        construct_e2(bell_model()),
-    ]
-    for seed in range(40):
-        for shape in ((2, 2, 2), (2, 2, 3), (3, 2, 2), (1, 2, 3)):
-            cases.append(generate_random_model(seed, grid_sites(*shape), lambda_size=1 + seed % 3))
-        cases.append(random_strategy_mixture(seed, grid_sites(2, 2, 2)))
-    for seed in range(12):
-        empirical = generate_random_model(seed, grid_sites(2, 2, 2 + seed % 2))
-        cases.extend(construct(empirical) for construct in (construct_e1, construct_e2, construct_sv))
+    cases = _response_check_cases(uniform_quarter, all_pairs_anticorrelation)
     verdicts = [check_locality(hidden) for hidden in cases]
     assert verdicts == [locality_by_dense_scan(hidden) for hidden in cases]
     assert sum(v.holds for v in verdicts) >= 40
