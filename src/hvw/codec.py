@@ -3,7 +3,8 @@
 One mixin gives each frozen result dataclass its `to_dict` and `from_dict`.
 The dict form is the class's `kind` tag (when it declares one), then its
 fields in declaration order, then the derived read-only keys the class lists
-in `derived`. Fractions become strings like "3/8", tuples become lists,
+in `derived`. Fractions become strings like "3/8" (written and read in
+pieces when a part is too long for one `str` or `int` call), tuples become lists,
 nested results become objects, and an embedded hidden-variable model takes
 the model-file form of `modelio`. Decoding follows each field's annotation;
 a missing key takes the field's default, and derived keys are not read back.
@@ -13,12 +14,53 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 from fractions import Fraction
 from typing import Any, ClassVar, Mapping, TypeVar
 
 T = TypeVar("T", bound="Codec")
+
+# CPython refuses to convert an int of more than 4,300 digits (by default; the
+# limit is never below 640) to or from decimal text in one call. Longer ones
+# are split at a power of ten, recursively, into pieces of about 450 digits.
+_PIECE_BITS = 1500
+_PIECE_DIGITS = 450
+
+
+def _int_text(value: int) -> str:
+    if value < 0:
+        return "-" + _int_text(-value)
+    if value.bit_length() <= _PIECE_BITS:
+        return str(value)
+    half = int(value.bit_length() * math.log10(2)) // 2
+    high, low = divmod(value, 10**half)
+    return _int_text(high) + _int_text(low).zfill(half)
+
+
+def _text_int(text: str) -> int:
+    if len(text) <= _PIECE_DIGITS:
+        return int(text)
+    half = len(text) // 2
+    return _text_int(text[:-half]) * 10**half + _text_int(text[-half:])
+
+
+def fraction_text(value: Fraction) -> str:
+    """`str(value)`, exact also when a part is too long for `str`."""
+    numerator = _int_text(value.numerator)
+    return numerator if value.denominator == 1 else f"{numerator}/{_int_text(value.denominator)}"
+
+
+def text_fraction(text: str) -> Fraction:
+    """`Fraction(text)`, also for the long "n/d" strings `fraction_text` writes."""
+    try:
+        return Fraction(text)
+    except ValueError:  # a part over the digit limit, or not a number at all
+        pass
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    numerator, _, denominator = digits.partition("/")
+    return Fraction(sign * _text_int(numerator), _text_int(denominator or "1"))
 
 
 class Codec:
@@ -52,7 +94,7 @@ def _encode(value: object) -> object:
     if value is None or isinstance(value, (str, int)):
         return value
     if isinstance(value, Fraction):
-        return str(value)
+        return fraction_text(value)
     if isinstance(value, tuple):
         return [_encode(item) for item in value]
     if isinstance(value, Codec):
@@ -75,6 +117,8 @@ def _decode(hint: Any, value: object) -> object:
         if len(args) == 2 and args[1] is Ellipsis:
             return tuple(_decode(args[0], item) for item in value)  # type: ignore[union-attr]
         return tuple(_decode(arg, item) for arg, item in zip(args, value))  # type: ignore[call-overload]
+    if hint is Fraction and isinstance(value, str):
+        return text_fraction(value)
     if hint in (Fraction, int, bool, str):
         return hint(value)
     if isinstance(hint, type) and issubclass(hint, Codec):

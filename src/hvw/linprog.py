@@ -1,26 +1,39 @@
 """Exact feasibility of equality systems with nonnegative variables.
 
 Decides whether A x = b has a solution x >= 0 over the rationals, by a
-phase-one simplex with Bland's anti-cycling rule carried out entirely in
-`fractions.Fraction`. Infeasible systems come with a Farkas certificate y
-(y.A >= 0 componentwise while y.b < 0), and `verify_farkas` /
-`verify_solution` recheck either answer by direct arithmetic, independent of
-the solver's internals.
+phase-one simplex with Bland's anti-cycling rule. Infeasible systems come
+with a Farkas certificate y (y.A >= 0 componentwise while y.b < 0), and
+`verify_farkas` / `verify_solution` recheck either answer by direct
+arithmetic, independent of the solver's internals.
 
-The tableau is dense, but every operation on it touches only the entries that
-are not exactly zero: a pivot collects the nonzero cells of the pivot row once
-and updates just those columns of the other rows and of the cost row, in
-place. Bland's rule picks the same entering column and leaving row as a dense
-update would, so the pivot sequence and the answers do not depend on this.
+Every value stays an exact rational, but the tableau holds no `Fraction`:
+each row, the cost row included, is a list of `int` numerators over one
+positive `int` denominator, as in Bareiss's fraction-free elimination
+(Math. Comp. 22, 1968) but with each row kept reduced by its gcd. A pivot
+scales the pivot row to a 1 in the pivot column, so that row is p over a
+with p[q] = a, and turns every other row u over d whose entry f = u[q] is
+nonzero into (a u - f p) over d a, again divided by its gcd. Only the
+nonzero cells of the pivot row need the subtraction; when a = 1 the other
+cells stay as they are. The ratio test compares rhs_i c_k with rhs_k c_i, in
+which the row denominators cancel.
+
+Since every denominator is positive, each sign and each comparison that
+Bland's rule reads (the first negative reduced cost, the least ratio, the
+lowest basic variable on a tie) comes out as it would in `Fraction`
+arithmetic. So the pivot sequence is that of a `Fraction` tableau, and the x
+or y built from the final rows, the only `Fraction`s the solver makes, is the
+same to the last bit.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
-from .models import ONE, ZERO
+from .models import ZERO
 
 
 def _exact(value: object, where: str) -> Fraction:
@@ -30,9 +43,14 @@ def _exact(value: object, where: str) -> Fraction:
         raise InputError(f"{where} is not a finite rational number: {value!r}") from None
 
 
+# Entry types taken as they are; anything else is converted to a Fraction.
+_EXACT_TYPES = frozenset((Fraction, int))
+_DENOMINATOR = operator.attrgetter("denominator")
+
+
 def _checked_system(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[list[list[Fraction]], list[Fraction]]:
+) -> tuple[list[list[Fraction | int]], list[Fraction | int]]:
     # A string would otherwise read as its characters, one entry each.
     if not isinstance(rhs, (list, tuple)):
         raise InputError(f"the right-hand side is not a list or tuple of numbers: {rhs!r}")
@@ -42,13 +60,13 @@ def _checked_system(
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)):
             raise InputError(f"row {i} is not a list or tuple of numbers: {row!r}")
-        matrix.append(
-            [v if type(v) is Fraction else _exact(v, f"row {i}, column {j}") for j, v in enumerate(row)]
-        )
+        if not _EXACT_TYPES.issuperset(map(type, row)):
+            row = [v if type(v) in _EXACT_TYPES else _exact(v, f"row {i}, column {j}") for j, v in enumerate(row)]
+        matrix.append(row)
     width = {len(row) for row in matrix}
     if len(width) > 1:
         raise InputError(f"rows have inconsistent lengths: {sorted(width)}")
-    b = [v if type(v) is Fraction else _exact(v, f"right-hand side {i}") for i, v in enumerate(rhs)]
+    b = [v if type(v) in _EXACT_TYPES else _exact(v, f"right-hand side {i}") for i, v in enumerate(rhs)]
     return matrix, b
 
 
@@ -60,100 +78,105 @@ def feasible_point(
     Returns (x, None) with a nonnegative rational solution when the system is
     feasible, else (None, y) with a Farkas certificate of infeasibility.
     """
-    # The tableau grows in place from the private rows `_checked_system`
-    # copies, never from the caller's.
-    tableau, b = _checked_system(rows, rhs)
-    m = len(tableau)
-    n = len(tableau[0]) if m else 0
+    matrix, b = _checked_system(rows, rhs)
+    m = len(matrix)
     if m == 0:
         return [], None
+    n = len(matrix[0])
 
-    # Phase-one tableau: structural columns, artificial columns, rhs.
-    # Rows with negative rhs are negated first (sign unwound in the certificate).
+    # Phase-one tableau: structural columns, artificial columns, rhs, each row
+    # scaled by the lcm of its denominators. Rows with negative rhs are negated
+    # first (sign unwound in the certificate).
     flip = [-1 if value < 0 else 1 for value in b]
-    for i, row in enumerate(tableau):
-        if flip[i] < 0:
-            row[:] = [-v for v in row]
-        row.extend(ONE if j == i else ZERO for j in range(m))
-        row.append(abs(b[i]))
+    tableau: list[list[int]] = []
+    den: list[int] = []
+    for i, row in enumerate(matrix):
+        d = math.lcm(b[i].denominator, *map(_DENOMINATOR, row))
+        scale = flip[i] * d
+        nums = [v.numerator * (scale // v.denominator) for v in row]
+        nums += [0] * (m + 1)
+        nums[n + i] = d
+        nums[-1] = b[i].numerator * (scale // b[i].denominator)
+        tableau.append(nums)
+        den.append(d)
     basis = [n + i for i in range(m)]
-    # Reduced costs for min sum(artificials); last cell is minus the objective.
-    cost = [ZERO] * (n + m + 1)
-    for row in tableau:
-        for j in range(n):
-            if row[j]:
-                cost[j] -= row[j]
-        cost[-1] -= row[-1]
+    # Reduced costs for min sum(artificials), kept as row m of the tableau;
+    # last cell is minus the objective.
+    common = math.lcm(*den)
+    scaled = [row if d == common else [v * (common // d) for v in row] for row, d in zip(tableau, den)]
+    cost = [-sum(column) for column in zip(*scaled)]
+    cost[n : n + m] = [0] * m
+    tableau.append(cost)
+    den.append(common)
+    _reduce(tableau, den, m)
 
     total_cols = n + m
     while True:
         pivot_col = next((j for j in range(total_cols) if cost[j] < 0), None)
         if pivot_col is None:
             break
+        # Ratio rhs_i / coeff_i over the rows with coeff_i > 0; both share the
+        # row's denominator, so cross-multiplied numerators compare the ratios.
         pivot_row = -1
-        best: Fraction | None = None
+        best_rhs = best_coeff = 0
         for i in range(m):
-            coeff = tableau[i][pivot_col]
+            row = tableau[i]
+            coeff = row[pivot_col]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
-                    best = ratio
-                    pivot_row = i
+                lhs, rhs_i = row[-1] * best_coeff, best_rhs * coeff
+                if pivot_row < 0 or lhs < rhs_i or (lhs == rhs_i and basis[i] < basis[pivot_row]):
+                    pivot_row, best_rhs, best_coeff = i, row[-1], coeff
         if pivot_row < 0:
             raise AssertionError("phase-one objective cannot be unbounded")
-        _pivot(tableau, cost, basis, pivot_row, pivot_col)
+        _pivot(tableau, den, pivot_row, pivot_col)
+        basis[pivot_row] = pivot_col
 
-    objective = -cost[-1]
-    if objective == 0:
+    if cost[-1] == 0:
         x = [ZERO] * n
         for i, var in enumerate(basis):
             if var < n:
-                x[var] = tableau[i][-1]
+                x[var] = Fraction(tableau[i][-1], den[i])
         return x, None
 
     # Optimal dual prices off the artificial columns, signs restored per row.
-    y = [(cost[n + i] - 1) * flip[i] for i in range(m)]
+    y = [Fraction((cost[n + i] - den[m]) * flip[i], den[m]) for i in range(m)]
     return None, y
 
 
-def _pivot(
-    tableau: list[list[Fraction]],
-    cost: list[Fraction],
-    basis: list[int],
-    pivot_row: int,
-    pivot_col: int,
-) -> None:
+def _reduce(tableau: list[list[int]], den: list[int], i: int) -> None:
+    """Divide row i and its denominator by their greatest common divisor."""
+    if den[i] == 1:
+        return
+    row = tableau[i]
+    g = math.gcd(den[i], *row)
+    if g > 1:
+        row[:] = [v // g for v in row]
+        den[i] //= g
+
+
+def _pivot(tableau: list[list[int]], den: list[int], pivot_row: int, pivot_col: int) -> None:
+    """Scale the pivot row to a 1 in the pivot column and clear that column
+    from every other row, the cost row included.
+
+    With the pivot row reduced to numerators p over denominator a (so p[q] =
+    a), row r with numerators u over d and factor f = u[q] becomes
+    (a u - f p) / (d a), which is u - f p over d when a = 1.
+    """
     row = tableau[pivot_row]
-    pivot = row[pivot_col]
+    den[pivot_row] = row[pivot_col]
+    _reduce(tableau, den, pivot_row)
+    a = den[pivot_row]
     nonzero = [(j, v) for j, v in enumerate(row) if v]
-    if pivot != 1:
-        nonzero = [(j, v / pivot) for j, v in nonzero]
-        for j, v in nonzero:
-            row[j] = v
-    for other in tableau:
+    for i, other in enumerate(tableau):
         factor = other[pivot_col]
-        if factor and other is not row:
-            _subtract(other, factor, nonzero)
-    factor = cost[pivot_col]
-    if factor:
-        _subtract(cost, factor, nonzero)
-    basis[pivot_row] = pivot_col
-
-
-def _subtract(
-    target: list[Fraction], factor: Fraction, nonzero: list[tuple[int, Fraction]]
-) -> None:
-    """target -= factor * row, given the row's nonzero cells."""
-    # Most factors in 0/1 membership systems are +1 or -1; skip the product.
-    if factor == 1:
+        if not factor or i == pivot_row:
+            continue
+        if a != 1:
+            other[:] = [a * v for v in other]
+            den[i] *= a
         for j, v in nonzero:
-            target[j] -= v
-    elif factor == -1:
-        for j, v in nonzero:
-            target[j] += v
-    else:
-        for j, v in nonzero:
-            target[j] -= factor * v
+            other[j] -= factor * v
+        _reduce(tableau, den, i)
 
 
 def verify_solution(
@@ -183,14 +206,22 @@ def verify_farkas(
     matrix, b = _checked_system(rows, rhs)
     if len(y) != len(matrix):
         return False
-    # y.A accumulated row by row over the nonzero products only.
-    n = len(matrix[0]) if matrix else 0
-    combination = [ZERO] * n
-    for yi, row in zip(y, matrix):
+    y = [v if type(v) in _EXACT_TYPES else _exact(v, f"certificate entry {i}") for i, v in enumerate(y)]
+    # Every product y_i a_ij and y_i b_i times one positive common factor L is
+    # an integer with the sign of the rational product. L is one factor for
+    # all rows: scaling row i by a factor of its own would change y.A.
+    used = []
+    for yi, row, bi in zip(y, matrix, b):
         if yi:
-            for j, a in enumerate(row):
-                if a:
-                    combination[j] += yi * a
-    if any(v < 0 for v in combination):
-        return False
-    return sum(yi * bi for yi, bi in zip(y, b) if yi and bi) < 0
+            used.append((yi, row, bi, math.lcm(bi.denominator, *[a.denominator for a in row])))
+    common = math.lcm(*[yi.denominator * d for yi, _, _, d in used])
+    n = len(matrix[0]) if matrix else 0
+    combination = [0] * n
+    total = 0
+    for yi, row, bi, d in used:
+        s = yi.numerator * (common // (yi.denominator * d))
+        for j, a in enumerate(row):
+            if a:
+                combination[j] += s * a.numerator * (d // a.denominator)
+        total += s * bi.numerator * (d // bi.denominator)
+    return all(v >= 0 for v in combination) and total < 0

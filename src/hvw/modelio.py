@@ -21,23 +21,18 @@ in lowest terms, so equal models serialize byte-identically.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import InputError, ModelFormatError
-from .models import EmpiricalModel, HiddenVariableModel, Site
+# MAX_EXPONENT, the bound parse_fraction applies, stays importable from here.
+from .models import MAX_EXPONENT, EmpiricalModel, HiddenVariableModel, Site, check_exponent
 
 Model = EmpiricalModel | HiddenVariableModel
 
 _TOP_KEYS = {"sites", "lambda", "weights"}
 _SITE_KEYS = {"name", "measurements", "outcomes"}
 _ROW_KEYS = {"outcome", "measurement", "lambda", "p"}
-
-# Largest decimal exponent a probability string may carry ("1e-300" is fine).
-# A larger one is refused before 10 ** exponent is built.
-MAX_EXPONENT = 1000
-_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)")
 
 
 def parse_fraction(value: object, where: str) -> Fraction:
@@ -46,11 +41,8 @@ def parse_fraction(value: object, where: str) -> Fraction:
         raise ModelFormatError(f"{where}: probability must be an exact rational string, got {value!r}")
     if not isinstance(value, (str, int)):
         raise ModelFormatError(f"{where}: probability must be a string like \"3/8\", got {value!r}")
-    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
-    if exponent is not None:
-        digits = exponent.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
-            raise ModelFormatError(f"{where}: exponent in {value!r} is beyond ±{MAX_EXPONENT}")
+    if isinstance(value, str):
+        check_exponent(value, where)
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .codec import Codec
+from .codec import Codec, fraction_text
 from .errors import (
     InputError,
     ModelFormatError,
@@ -55,11 +56,28 @@ ONE = Fraction(1)
 DEFAULT_GUARD = 10**6
 
 
+# Largest decimal exponent a probability string may carry ("1e-300" is fine).
+# A larger one is refused before 10 ** exponent is built.
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)")
+
+
+def check_exponent(text: str, where: str) -> None:
+    """Refuse a number written with an exponent beyond ±MAX_EXPONENT."""
+    exponent = _EXPONENT.search(text)
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+            raise ModelFormatError(f"{where}: exponent in {text!r} is beyond ±{MAX_EXPONENT}")
+
+
 def _as_fraction(value: object, where: object) -> Fraction:
     if type(value) is Fraction:  # immutable, so shared as it is
         return value
     if isinstance(value, float):
         raise InputError(f"weight at {where!r} is a float; weights must be exact rationals")
+    if isinstance(value, str):
+        check_exponent(value, f"weight at {where!r}")
     try:
         return Fraction(value)  # type: ignore[arg-type]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -152,7 +170,9 @@ class Witness(Codec):
             raise ValueError("witness values must genuinely differ")
 
     def describe(self) -> str:
-        return f"{self.lhs_desc} = {self.lhs} but {self.rhs_desc} = {self.rhs}"
+        return (
+            f"{self.lhs_desc} = {fraction_text(self.lhs)} but {self.rhs_desc} = {fraction_text(self.rhs)}"
+        )
 
 
 @dataclass(frozen=True)

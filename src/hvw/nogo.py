@@ -261,24 +261,26 @@ def local_polytope_feasibility(
     if not isinstance(model, EmpiricalModel):
         raise InputError("local_polytope_feasibility expects an empirical model")
     strategies = enumerate_deterministic_strategies(model.sites, guard)
-    contexts = list(model.context_weights())
     outcomes = list(model.outcome_tuples())
-    behavior = [
-        [strategy.outcome_for(model.sites, context) for context in contexts]
-        for strategy in strategies
-    ]
-    rows: list[list[Fraction]] = []
+    row_in_block = {outcome: k for k, outcome in enumerate(outcomes)}
+    rows: list[list[int]] = []
     rhs: list[Fraction] = []
     labels: list[str] = []
-    for ci, context in enumerate(contexts):
+    for context in model.context_weights():
+        # Each site's measurement index, looked up once per context.
+        where = [(i, site.measurements.index(m)) for i, (site, m) in enumerate(zip(model.sites, context))]
+        block = [[0] * len(strategies) for _ in outcomes]
+        for si, strategy in enumerate(strategies):
+            responses = strategy.responses
+            block[row_in_block[tuple(responses[i][k] for i, k in where)]][si] = 1
         distribution = model.outcome_distribution(context)
-        for outcome in outcomes:
-            rows.append([ONE if behavior[si][ci] == outcome else ZERO for si in range(len(strategies))])
+        for outcome, row in zip(outcomes, block):
+            rows.append(row)
             rhs.append(distribution.get(outcome, ZERO))
             labels.append(
                 f"p({describe_outcome(model.sites, outcome)} | {describe_context(model.sites, context)})"
             )
-    rows.append([ONE] * len(strategies))
+    rows.append([1] * len(strategies))
     rhs.append(ONE)
     labels.append("total probability")
 

@@ -164,7 +164,23 @@ def test_criterion_3_membership_at_512_strategies():
         assert result.hvm is not None
         assert equivalent_empirical(control, result.hvm).holds
         elapsed = time.monotonic() - started
-        assert elapsed < 10.0, f"took {elapsed:.2f}s"
+        assert elapsed < 3.0, f"took {elapsed:.2f}s"
+
+
+def test_criterion_3_membership_at_1024_strategies():
+    """A two-site control with five measurements per site: (2,5,2) has 1,024
+    deterministic strategies and 101 equations."""
+    with criterion(3, "deterministic-mixture membership at 1,024 strategies"):
+        started = time.monotonic()
+        control = project_to_empirical(random_strategy_mixture(0, grid_sites(2, 5, 2)))
+        result = local_polytope_feasibility(control)
+        assert result.strategy_count == 1024
+        assert len(result.row_labels) == 101
+        assert result.feasible
+        assert result.hvm is not None
+        assert equivalent_empirical(control, result.hvm).holds
+        elapsed = time.monotonic() - started
+        assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
 
 def test_criterion_4_orthogonality_table(cli):

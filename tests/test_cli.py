@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from hvw import (
     EprReport,
     HiddenVariableModel,
     KsReport,
+    PropertyVerdict,
     bell_model,
     classify_all,
     epr_model,
@@ -131,6 +133,37 @@ def test_huge_rationals_in_a_model_file_exit_two(cli, tmp_path, first, second):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_witness_over_the_digit_limit_prints_exactly(cli, tmp_path):
+    """The locality witness of this valid model has a 6,001-digit denominator."""
+    big = 10**3000 + 1
+    path = tmp_path / "long.em"
+    path.write_text(
+        json.dumps(
+            {
+                "sites": [
+                    {"name": "a", "measurements": ["m"], "outcomes": ["0", "1"]},
+                    {"name": "b", "measurements": ["m"], "outcomes": ["0", "1"]},
+                ],
+                "lambda": ["l"],
+                "weights": [
+                    {"outcome": [a, a], "measurement": ["m", "m"], "lambda": "l", "p": f"{p}/{big}"}
+                    for a, p in (("0", 1), ("1", 10**3000))
+                ],
+            }
+        )
+    )
+    code, out, err = cli("check", str(path), "--property", "locality")
+    assert (code, err) == (1, "")
+    assert out.startswith("locality: fails\n")
+    assert " = 1/1" + "0" * 2999 + "1 but " in out
+    code, out, err = cli("check", str(path), "--property", "locality", "--format", "json")
+    assert (code, err) == (1, "")
+    verdict = PropertyVerdict.from_dict(json.loads(out)["verdict"])
+    assert not verdict.holds
+    assert verdict.witness.lhs == Fraction(1, big)
+    assert verdict.witness.rhs == Fraction(1, big) ** 2
 
 
 def test_deeply_nested_model_file_exits_two(cli, tmp_path):

@@ -107,3 +107,19 @@ def test_missing_optional_keys_take_defaults():
     del data["where"]
     assert Witness.from_dict(data).where == ()
     assert KsColoring.from_dict({"assignment": [["a", 1]]}) == KsColoring((("a", 1),))
+
+
+def test_parts_over_the_digit_limit_are_written_and_read_exactly():
+    """CPython's `str` and `int` refuse an int of more than 4,300 digits."""
+    cases = [
+        (Fraction(1, 10**3000 + 1) ** 2, "1/1" + "0" * 2999 + "2" + "0" * 2999 + "1"),
+        (-Fraction(10**5000 + 3, 7), "-1" + "0" * 4999 + "3/7"),
+        (Fraction(10**4400), "1" + "0" * 4400),
+        (Fraction(-(3**20000), 2**30000), None),
+        (Fraction(3, 8), "3/8"),
+    ]
+    for value, text in cases:
+        witness = Witness("p(a)", "p(b)", value, value + 1)
+        data = json.loads(json.dumps(witness.to_dict()))
+        assert text is None or data["lhs"] == text
+        assert Witness.from_dict(data) == witness

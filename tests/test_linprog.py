@@ -84,6 +84,15 @@ def dense_feasible_point(rows, rhs):
     return None, [(cost[n + i] - 1) * flip[i] for i in range(m)]
 
 
+def dense_farkas_holds(rows, rhs, y):
+    """Reference recheck in Fraction arithmetic: y.A >= 0 and y.b < 0."""
+    y = [F(v) for v in y]
+    columns = zip(*[[F(v) for v in row] for row in rows]) if rows else ()
+    if any(sum((yi * a for yi, a in zip(y, column)), F(0)) < 0 for column in columns):
+        return False
+    return sum((yi * F(bi) for yi, bi in zip(y, rhs)), F(0)) < 0
+
+
 def test_two_by_two_feasible():
     rows = rows_of([1, 1], [1, -1])
     rhs = [F(3), F(1)]
@@ -152,6 +161,8 @@ def test_bad_entries_raise_input_error(bad):
         verify_solution([[bad]], [F(1)], [F(1)])
     with pytest.raises(InputError):
         verify_farkas([[F(1)]], [bad], [F(1)])
+    with pytest.raises(InputError, match=r"certificate entry 1 is not a finite rational"):
+        verify_farkas([[F(1)], [F(1)]], [F(1), F(2)], [F(1), bad])
 
 
 @pytest.mark.parametrize("bad_row", ["12", 5, None, {0: F(1)}])
@@ -247,6 +258,77 @@ def free_systems():
         n = rng.randint(1, 5)
         rows = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
         yield rows, [F(rng.randint(-2, 2)) for _ in range(m)]
+
+
+def _wide_fraction(rng, bits):
+    """A random rational of either sign over a denominator of `bits` bits,
+    before reduction."""
+    return F(rng.randint(-(2**bits), 2**bits), rng.randint(2 ** (bits - 1), 2**bits))
+
+
+def fractional_systems():
+    """Seeded systems with fractional entries and right-hand sides of either
+    sign, some with denominators of 50 to 64 bits, so that every row carries
+    its own denominator and the cost row a common multiple of them."""
+    rng = random.Random(23)
+    for k in range(60):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 6)
+        bits = (4, 50, 64)[k % 3]
+        rows = [
+            [F(0) if rng.random() < 0.3 else _wide_fraction(rng, bits) for _ in range(n)]
+            for _ in range(m)
+        ]
+        if k % 2:
+            # Planted, so that about half the systems are feasible.
+            planted = [F(0) if rng.random() < 0.4 else abs(_wide_fraction(rng, bits)) for _ in range(n)]
+            rhs = [sum((c * v for c, v in zip(row, planted)), F(0)) for row in rows]
+        else:
+            rhs = [_wide_fraction(rng, bits) for _ in range(m)]
+        yield rows, rhs
+
+
+def test_fractional_systems_match_dense_reference():
+    verdicts = set()
+    big_denominators = 0
+    for rows, rhs in fractional_systems():
+        answer = feasible_point(rows, rhs)
+        assert answer == dense_feasible_point(rows, rhs), (rows, rhs)
+        x, y = answer
+        verdicts.add(x is not None)
+        big_denominators += max(v.denominator for v in rhs).bit_length() >= 50
+        if x is not None:
+            assert verify_solution(rows, rhs, x)
+        else:
+            assert verify_farkas(rows, rhs, y) and dense_farkas_holds(rows, rhs, y)
+    assert verdicts == {True, False}
+    assert big_denominators >= 20
+    assert any(v < 0 for _, rhs in fractional_systems() for v in rhs)
+
+
+def test_verify_farkas_agrees_with_the_dense_recheck():
+    """On solver certificates, perturbed certificates and random vectors, the
+    integer recheck and the Fraction reference give the same verdict."""
+    rng = random.Random(5)
+    agreed = {True: 0, False: 0}
+    systems = itertools.chain(free_systems(), fractional_systems())
+    for rows, rhs in systems:
+        _, certificate = feasible_point(rows, rhs)
+        candidates = [[_wide_fraction(rng, rng.choice((3, 52))) for _ in rows] for _ in range(3)]
+        if certificate is not None:
+            candidates.append(certificate)
+            for i in range(len(certificate)):
+                for delta in (F(1, 3), -F(1, 2**55 + 1)):
+                    nudged = list(certificate)
+                    nudged[i] += delta
+                    candidates.append(nudged)
+            candidates.append([2 * v for v in certificate])
+            candidates.append([-v for v in certificate])
+        for y in candidates:
+            verdict = verify_farkas(rows, rhs, y)
+            assert verdict == dense_farkas_holds(rows, rhs, y), (rows, rhs, y)
+            agreed[verdict] += 1
+    assert agreed[True] > 20 and agreed[False] > 20
 
 
 def test_random_systems_round_trip():

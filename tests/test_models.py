@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,17 @@ def test_floats_are_rejected_outright():
     site = Site("X", ("A",), ("a1", "a2"))
     with pytest.raises(InputError):
         EmpiricalModel((site,), {(("a1",), ("A",)): 0.5, (("a2",), ("A",)): 0.5})
+
+
+def test_string_weights_refuse_a_huge_exponent_before_building_it():
+    site = Site("X", ("A",), ("a1", "a2"))
+    started = time.monotonic()
+    for bad in ("1e999999999", "1E+1001", "5e-1_001", "1e" + "9" * 5000):
+        with pytest.raises(ModelFormatError, match=r"exponent in .* is beyond ±1000"):
+            EmpiricalModel((site,), {(("a1",), ("A",)): bad, (("a2",), ("A",)): "0"})
+    assert time.monotonic() - started < 0.5
+    within = EmpiricalModel((site,), {(("a1",), ("A",)): "1e-1000", (("a2",), ("A",)): f"{10**1000 - 1}e-1000"})
+    assert within.weights[(("a1",), ("A",))] == Fraction(1, 10**1000)
 
 
 def test_zero_weights_are_dropped_from_support():
