@@ -31,9 +31,9 @@ from .models import (
     EmpiricalModel,
     HiddenVariableModel,
     PropertyVerdict,
+    as_empirical,
     equivalent_empirical,
     equivalent_models,
-    project_to_empirical,
 )
 from .modelio import load_model, model_to_dict, save_model, serialize_model
 from .nogo import (
@@ -57,12 +57,13 @@ EXIT_ERROR = 2
 
 
 def _positive_int(raw: str) -> int:
+    """The positive-integer rule of --guard, the shape flags and HVW_GUARD."""
     try:
         value = int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -70,15 +71,12 @@ def _resolve_guard(flag: int | None) -> int:
     if flag is not None:
         return flag
     raw = os.environ.get(GUARD_ENV_VAR)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InputError(f"{GUARD_ENV_VAR} must be an integer, got {raw!r}") from None
-        if value <= 0:
-            raise InputError(f"{GUARD_ENV_VAR} must be positive, got {value}")
-        return value
-    return DEFAULT_GUARD
+    if not raw:
+        return DEFAULT_GUARD
+    try:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"{GUARD_ENV_VAR} {exc}") from None
 
 
 def _print_json(payload: dict) -> None:
@@ -121,7 +119,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    source = project_to_empirical(model) if isinstance(model, HiddenVariableModel) else model
+    source = as_empirical(model, "construct")
     method = ConstructionMethod(args.method)
     guard = _resolve_guard(args.guard)
     hvm = construct(source, method, guard=guard)
@@ -301,12 +299,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     guard = _resolve_guard(args.guard)
     sample = None
     if args.sample is not None:
-        loaded = load_model(args.sample)
-        sample = (
-            project_to_empirical(loaded)
-            if isinstance(loaded, HiddenVariableModel)
-            else loaded
-        )
+        sample = as_empirical(load_model(args.sample), "classify --sample")
     report = classify_all(sample=sample, guard=guard)
     if args.format == "json":
         _print_json({"command": "classify", "report": report.to_dict()})

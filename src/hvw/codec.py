@@ -3,11 +3,12 @@
 One mixin gives each frozen result dataclass its `to_dict` and `from_dict`.
 The dict form is the class's `kind` tag (when it declares one), then its
 fields in declaration order, then the derived read-only keys the class lists
-in `derived`. Fractions become strings like "3/8" (written and read in
-pieces when a part is too long for one `str` or `int` call), tuples become lists,
-nested results become objects, and an embedded hidden-variable model takes
-the model-file form of `modelio`. Decoding follows each field's annotation;
-a missing key takes the field's default, and derived keys are not read back.
+in `derived`. Fractions become strings like "3/8", written exactly by
+`fraction_text` and read back by `read_rational`, the one reader of exact
+rationals from outside the program. Tuples become lists, nested results
+become objects, and an embedded hidden-variable model takes the model-file
+form of `modelio`. Decoding follows each field's annotation; a missing key
+takes the field's default, and derived keys are not read back.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import re
 import types
 import typing
 from fractions import Fraction
 from typing import Any, ClassVar, Mapping, TypeVar
+
+from .errors import ModelFormatError
 
 T = TypeVar("T", bound="Codec")
 
@@ -52,15 +56,47 @@ def fraction_text(value: Fraction) -> str:
     return numerator if value.denominator == 1 else f"{numerator}/{_int_text(value.denominator)}"
 
 
-def text_fraction(text: str) -> Fraction:
-    """`Fraction(text)`, also for the long "n/d" strings `fraction_text` writes."""
+# Largest decimal exponent a number string may carry ("1e-300" is fine).
+# A larger one is refused before 10 ** exponent is built.
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)")
+# What `fraction_text` writes; only this form is read in pieces when too long.
+_PLAIN = re.compile(r"(-?)(\d+)(?:/(\d+))?")
+
+
+def read_rational(value: object, where: str) -> Fraction | int:
+    """The one reader of an exact rational from outside the program.
+
+    A `Fraction` or `int` is taken as it is. A string is read as `Fraction`
+    reads it ("3/8", "-2", "0.125", "1e-30"), after its exponent is checked
+    against ±MAX_EXPONENT; a plain "n" or "n/d" too long for one `int` call,
+    as `fraction_text` writes it, is read in pieces. Booleans, floats,
+    decimals and anything else raise `ModelFormatError` naming `where`.
+    """
+    if type(value) is Fraction or type(value) is int:
+        return value
+    if not isinstance(value, str):
+        raise ModelFormatError(
+            f"{where} is not a finite rational: {value!r}; "
+            'exact rationals are ints, Fractions and strings like "3/8"'
+        )
+    exponent = _EXPONENT.search(value)
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+            raise ModelFormatError(f"{where}: exponent in {value!r} is beyond ±{MAX_EXPONENT}")
     try:
-        return Fraction(text)
-    except ValueError:  # a part over the digit limit, or not a number at all
-        pass
-    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
-    numerator, _, denominator = digits.partition("/")
-    return Fraction(sign * _text_int(numerator), _text_int(denominator or "1"))
+        try:
+            return Fraction(value)
+        except ValueError:  # a part over the digit limit, or not a number at all
+            plain = _PLAIN.fullmatch(value)
+            if plain is None:
+                raise
+            sign, numerator, denominator = plain.groups()
+            numerator_int = _text_int(numerator)
+            return Fraction(-numerator_int if sign else numerator_int, _text_int(denominator or "1"))
+    except (ValueError, ZeroDivisionError):
+        raise ModelFormatError(f"{where} is not a finite rational: {value!r}") from None
 
 
 class Codec:
@@ -80,7 +116,7 @@ class Codec:
     @classmethod
     def from_dict(cls: type[T], data: Mapping) -> T:
         fields = _fields(cls)
-        return cls(**{name: _decode(hint, data[name]) for name, hint in fields if name in data})
+        return cls(**{name: _decode(hint, data[name], name) for name, hint in fields if name in data})
 
 
 @functools.cache
@@ -105,21 +141,21 @@ def _encode(value: object) -> object:
     return model_to_dict(value)  # type: ignore[arg-type]
 
 
-def _decode(hint: Any, value: object) -> object:
+def _decode(hint: Any, value: object, where: str) -> object:
     if value is None:
         return None
     origin = typing.get_origin(hint)
     args = typing.get_args(hint)
     if origin is types.UnionType:
         (inner,) = (arg for arg in args if arg is not type(None))
-        return _decode(inner, value)
+        return _decode(inner, value, where)
     if origin is tuple:
         if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_decode(args[0], item) for item in value)  # type: ignore[union-attr]
-        return tuple(_decode(arg, item) for arg, item in zip(args, value))  # type: ignore[call-overload]
-    if hint is Fraction and isinstance(value, str):
-        return text_fraction(value)
-    if hint in (Fraction, int, bool, str):
+            return tuple(_decode(args[0], item, where) for item in value)  # type: ignore[union-attr]
+        return tuple(_decode(arg, item, where) for arg, item in zip(args, value))  # type: ignore[call-overload]
+    if hint is Fraction:
+        return Fraction(read_rational(value, where))
+    if hint in (int, bool, str):
         return hint(value)
     if isinstance(hint, type) and issubclass(hint, Codec):
         return hint.from_dict(value)  # type: ignore[arg-type]

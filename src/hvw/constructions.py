@@ -27,8 +27,8 @@ from .models import (
     EmpiricalModel,
     HiddenVariableModel,
     project_to_empirical,
+    require,
 )
-from .properties import _require_empirical
 
 
 class ConstructionMethod(Enum):
@@ -45,7 +45,7 @@ def construct_e1(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVar
     The state labeled "o1,..,on|m1,..,mn" has weight q(outcomes, context) and
     forces exactly that context and outcome tuple.
     """
-    e = _require_empirical(model, "construct_e1")
+    e = require(model, EmpiricalModel, "construct_e1")
     size = e.n_outcome_tuples() * e.n_context_tuples()
     if size > guard:
         raise SizeGuardError("e1 hidden state set", size, guard)
@@ -69,7 +69,7 @@ def construct_e2(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVar
     equivalence is preserved), and the hidden state is uniform and independent
     of the context, which is what makes lambda independence hold.
     """
-    e = _require_empirical(model, "construct_e2")
+    e = require(model, EmpiricalModel, "construct_e2")
     context_weights = e.context_weights()
     denominators = [1]
     for context in context_weights:
@@ -94,7 +94,7 @@ def construct_e2(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVar
 
 def construct_sv(model: EmpiricalModel) -> HiddenVariableModel:
     """Completion with a single hidden state carrying the weights unchanged."""
-    e = _require_empirical(model, "construct_sv")
+    e = require(model, EmpiricalModel, "construct_sv")
     label = "l0"
     weights = {(outcome, context, label): value for (outcome, context), value in e.weights.items()}
     return HiddenVariableModel(e.sites, (label,), weights)
@@ -121,6 +121,4 @@ def reconstruct_hvm(
     The output predicts exactly like the input but carries the completion's
     guaranteed properties.
     """
-    if not isinstance(model, HiddenVariableModel):
-        raise InputError("reconstruct_hvm expects a hidden-variable model")
-    return construct(project_to_empirical(model), method, guard)
+    return construct(project_to_empirical(require(model, HiddenVariableModel, "reconstruct_hvm")), method, guard)

@@ -4,7 +4,9 @@ Decides whether A x = b has a solution x >= 0 over the rationals, by a
 phase-one simplex with Bland's anti-cycling rule. Infeasible systems come
 with a Farkas certificate y (y.A >= 0 componentwise while y.b < 0), and
 `verify_farkas` / `verify_solution` recheck either answer by direct
-arithmetic, independent of the solver's internals.
+arithmetic, independent of the solver's internals. Every entry they take,
+of A, b, x or y, is an int, a `Fraction`, a string `codec.read_rational`
+reads, or a finite float, which counts at its exact binary value.
 
 Every value stays an exact rational, but the tableau holds no `Fraction`:
 each row, the cost row included, is a list of `int` numerators over one
@@ -32,18 +34,23 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
+from .codec import read_rational
 from .errors import InputError
 from .models import ZERO
 
 
-def _exact(value: object, where: str) -> Fraction:
+def _exact(value: object, where: str) -> Fraction | int:
+    """An entry as an exact rational: a float is taken at its exact binary
+    value, and everything else goes through the one reader, `read_rational`."""
+    if type(value) is not float:
+        return read_rational(value, where)
     try:
         return Fraction(value)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise InputError(f"{where} is not a finite rational number: {value!r}") from None
+    except (ValueError, OverflowError):  # nan or an infinity
+        raise InputError(f"{where} is not a finite rational: {value!r}") from None
 
 
-# Entry types taken as they are; anything else is converted to a Fraction.
+# Entry types taken as they are; anything else goes through _exact.
 _EXACT_TYPES = frozenset((Fraction, int))
 _DENOMINATOR = operator.attrgetter("denominator")
 
@@ -186,6 +193,7 @@ def verify_solution(
     matrix, b = _checked_system(rows, rhs)
     if matrix and len(x) != len(matrix[0]):
         return False
+    x = [v if type(v) in _EXACT_TYPES else _exact(v, f"solution entry {j}") for j, v in enumerate(x)]
     if any(v < 0 for v in x):
         return False
     support = [(j, v) for j, v in enumerate(x) if v]

@@ -12,41 +12,29 @@ A model file is UTF-8 JSON with three blocks:
     }
 
 Each weight row assigns an exact rational to one (outcome tuple, context[,
-hidden state]) cell; omitted cells have weight 0. Probabilities are strings
-like "3/8" (integers are also accepted); floats are rejected. Serialization is
-canonical: rows sorted by context, then outcome, then hidden state, fractions
-in lowest terms, so equal models serialize byte-identically.
+hidden state]) cell; omitted cells have weight 0. A probability is a JSON
+integer or a string `codec.read_rational` reads: "n/d", an integer, or a
+decimal or exponent string such as "0.125" or "1e-30" with |exponent| <=
+MAX_EXPONENT (1000). Booleans, floats and decimals are refused. Serialization
+is canonical: rows sorted by context, then outcome, then hidden state,
+fractions in lowest terms written exactly by `codec.fraction_text` (also when
+a part is too long for one `str` call), so equal models serialize
+byte-identically and every file written here reads back to the same model.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Mapping
 
+# MAX_EXPONENT and parse_fraction, the codec's reader, stay importable from here.
+from .codec import MAX_EXPONENT, fraction_text, read_rational as parse_fraction  # noqa: F401
 from .errors import InputError, ModelFormatError
-# MAX_EXPONENT, the bound parse_fraction applies, stays importable from here.
-from .models import MAX_EXPONENT, EmpiricalModel, HiddenVariableModel, Site, check_exponent
-
-Model = EmpiricalModel | HiddenVariableModel
+from .models import EmpiricalModel, HiddenVariableModel, Model, Site, require
 
 _TOP_KEYS = {"sites", "lambda", "weights"}
 _SITE_KEYS = {"name", "measurements", "outcomes"}
 _ROW_KEYS = {"outcome", "measurement", "lambda", "p"}
-
-
-def parse_fraction(value: object, where: str) -> Fraction:
-    """Exact rational from a JSON value; floats are refused outright."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ModelFormatError(f"{where}: probability must be an exact rational string, got {value!r}")
-    if not isinstance(value, (str, int)):
-        raise ModelFormatError(f"{where}: probability must be a string like \"3/8\", got {value!r}")
-    if isinstance(value, str):
-        check_exponent(value, where)
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ModelFormatError(f"{where}: not a valid rational: {value!r}") from exc
 
 
 def _string_list(value: object, where: str) -> list[str]:
@@ -143,8 +131,7 @@ def parse_model(text: str) -> Model:
 
 def model_to_dict(model: Model) -> dict:
     """Canonical JSON-ready form of a model (rows in the model's canonical order)."""
-    if not isinstance(model, (EmpiricalModel, HiddenVariableModel)):
-        raise InputError(f"not a model: {model!r}")
+    require(model, Model, "model_to_dict")  # type: ignore[arg-type]
     data: dict = {
         "sites": [
             {"name": site.name, "measurements": list(site.measurements), "outcomes": list(site.outcomes)}
@@ -156,11 +143,11 @@ def model_to_dict(model: Model) -> dict:
         data["lambda"] = list(model.lambda_set)
         for (outcome, context, lam), value in model.weights.items():
             rows.append(
-                {"outcome": list(outcome), "measurement": list(context), "lambda": lam, "p": str(value)}
+                {"outcome": list(outcome), "measurement": list(context), "lambda": lam, "p": fraction_text(value)}
             )
     else:
         for (outcome, context), value in model.weights.items():
-            rows.append({"outcome": list(outcome), "measurement": list(context), "p": str(value)})
+            rows.append({"outcome": list(outcome), "measurement": list(context), "p": fraction_text(value)})
     data["weights"] = rows
     return data
 

@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .codec import Codec, fraction_text
+from .codec import Codec, fraction_text, read_rational
 from .errors import (
     InputError,
     ModelFormatError,
@@ -54,34 +53,6 @@ ONE = Fraction(1)
 # Ceiling on enumerations (deterministic strategies, coloring candidates,
 # constructed hidden-state sets). Overridable per call and via the CLI.
 DEFAULT_GUARD = 10**6
-
-
-# Largest decimal exponent a probability string may carry ("1e-300" is fine).
-# A larger one is refused before 10 ** exponent is built.
-MAX_EXPONENT = 1000
-_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)")
-
-
-def check_exponent(text: str, where: str) -> None:
-    """Refuse a number written with an exponent beyond ±MAX_EXPONENT."""
-    exponent = _EXPONENT.search(text)
-    if exponent is not None:
-        digits = exponent.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
-            raise ModelFormatError(f"{where}: exponent in {text!r} is beyond ±{MAX_EXPONENT}")
-
-
-def _as_fraction(value: object, where: object) -> Fraction:
-    if type(value) is Fraction:  # immutable, so shared as it is
-        return value
-    if isinstance(value, float):
-        raise InputError(f"weight at {where!r} is a float; weights must be exact rationals")
-    if isinstance(value, str):
-        check_exponent(value, f"weight at {where!r}")
-    try:
-        return Fraction(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ModelFormatError(f"weight at {where!r} is not a rational: {value!r}") from exc
 
 
 def _unique_labels(labels: Sequence[str], what: str) -> tuple[str, ...]:
@@ -231,7 +202,7 @@ class _BaseModel:
         total = ZERO
         for raw_key, raw in weights.items():
             key = self._check_key(raw_key)
-            value = _as_fraction(raw, raw_key)
+            value = raw if type(raw) is Fraction else Fraction(read_rational(raw, f"weight at {raw_key!r}"))
             if value < 0:
                 raise NegativeWeightError(key, value)
             total += value
@@ -272,10 +243,10 @@ class _BaseModel:
         return len(self.sites)
 
     def site_index(self, name: str) -> int:
-        try:
-            return self._site_index[name]
-        except (KeyError, TypeError):
-            raise UnknownLabelError(f"unknown site name: {name!r}") from None
+        index = self._site_index.get(name) if isinstance(name, str) else None
+        if index is None:
+            raise UnknownLabelError(f"unknown site name: {name!r}")
+        return index
 
     def context_tuples(self) -> Iterator[Context]:
         """All contexts in canonical (declared-label lexicographic) order."""
@@ -297,53 +268,40 @@ class _BaseModel:
     def outcome_sort_key(self, outcome: OutcomeTuple) -> tuple[int, ...]:
         return tuple(map(dict.__getitem__, self._out_index, outcome))
 
+    def _check_labels(
+        self, labels: Iterable[tuple[int, object]], index: tuple[dict[str, int], ...], what: str
+    ) -> None:
+        """The label rule: each (site index, label) pair names a `str` label
+        declared at that site, a measurement or an outcome as `what` says."""
+        for i, label in labels:
+            if not isinstance(label, str) or label not in index[i]:
+                raise UnknownLabelError(f"unknown {what} {label!r} at site {self.sites[i].name!r}")
+
+    def _site_tuple(self, labels: Sequence[str], index: tuple[dict[str, int], ...], what: str) -> tuple[str, ...]:
+        """One declared label per site, as a tuple."""
+        if isinstance(labels, str):
+            raise ModelFormatError(f"{labels!r} is a string, not a sequence of {what}s, one per site")
+        labels = tuple(labels)
+        if len(labels) != self.n_sites:
+            raise ModelFormatError(f"{labels} does not have one {what} per site")
+        self._check_labels(enumerate(labels), index, what)
+        return labels
+
     def check_context(self, context: Sequence[str]) -> Context:
         """Validate and canonicalize a context, one measurement per site."""
-        if isinstance(context, str):
-            raise ModelFormatError(f"context {context!r} is a string, not a sequence of measurements")
-        context = tuple(context)
-        if len(context) != self.n_sites:
-            raise ModelFormatError(f"context {context} does not have one entry per site")
-        for i, label in enumerate(context):
-            try:
-                known = label in self._meas_index[i]
-            except TypeError:  # an unhashable label
-                known = False
-            if not known:
-                raise UnknownLabelError(f"unknown measurement {label!r} at site {self.sites[i].name!r}")
-        return context
+        return self._site_tuple(context, self._meas_index, "measurement")
 
     def check_outcome_tuple(self, outcome: Sequence[str]) -> OutcomeTuple:
         """Validate and canonicalize an outcome tuple, one outcome per site."""
-        if isinstance(outcome, str):
-            raise ModelFormatError(f"outcome tuple {outcome!r} is a string, not a sequence of outcomes")
-        outcome = tuple(outcome)
-        if len(outcome) != self.n_sites:
-            raise ModelFormatError(f"outcome tuple {outcome} does not have one entry per site")
-        for i, label in enumerate(outcome):
-            try:
-                known = label in self._out_index[i]
-            except TypeError:  # an unhashable label
-                known = False
-            if not known:
-                raise UnknownLabelError(f"unknown outcome {label!r} at site {self.sites[i].name!r}")
-        return outcome
+        return self._site_tuple(outcome, self._out_index, "outcome")
 
     def event_prob(self, event: Event) -> Fraction:
         """Exact probability that every constraint in `event` is realized."""
         hidden = None if event.hidden is None else self.check_lambda(event.hidden)
-        outcome_by_index: dict[int, str] = {}
-        for name, label in event.outcomes.items():
-            i = self.site_index(name)
-            if not isinstance(label, str) or label not in self._out_index[i]:
-                raise UnknownLabelError(f"unknown outcome {label!r} at site {name!r}")
-            outcome_by_index[i] = label
-        measurement_by_index: dict[int, str] = {}
-        for name, label in event.measurements.items():
-            i = self.site_index(name)
-            if not isinstance(label, str) or label not in self._meas_index[i]:
-                raise UnknownLabelError(f"unknown measurement {label!r} at site {name!r}")
-            measurement_by_index[i] = label
+        outcome_by_index = {self.site_index(name): a for name, a in event.outcomes.items()}
+        self._check_labels(outcome_by_index.items(), self._out_index, "outcome")
+        measurement_by_index = {self.site_index(name): m for name, m in event.measurements.items()}
+        self._check_labels(measurement_by_index.items(), self._meas_index, "measurement")
         total = ZERO
         for key, weight in self._weights.items():
             outcome, context = key[0], key[1]
@@ -556,10 +514,36 @@ class HiddenVariableModel(_BaseModel):
         return MappingProxyType(self._responses)
 
 
+Model = EmpiricalModel | HiddenVariableModel
+M = TypeVar("M", bound=_BaseModel)
+
+_KIND_NAMES = {
+    EmpiricalModel: "an empirical model",
+    HiddenVariableModel: "a hidden-variable model",
+    Model: "a model",
+}
+
+
+def require(model: object, kind: type[M], name: str) -> M:
+    """The model-kind gate: `model` itself if it is a `kind` (one of the two
+    classes, or `Model` for either), else an `InputError` saying which kind
+    the operation `name` needs."""
+    if not isinstance(model, kind):
+        got = _KIND_NAMES.get(type(model), f"a {type(model).__name__}")
+        raise InputError(f"{name} needs {_KIND_NAMES[kind]}, not {got}")
+    return model
+
+
+def as_empirical(model: object, name: str) -> EmpiricalModel:
+    """`model` as an empirical model: a hidden-variable model is projected."""
+    if isinstance(model, HiddenVariableModel):
+        return project_to_empirical(model)
+    return require(model, EmpiricalModel, name)
+
+
 def project_to_empirical(hvm: HiddenVariableModel) -> EmpiricalModel:
     """Sum the hidden states out of a hidden-variable model."""
-    if not isinstance(hvm, HiddenVariableModel):
-        raise InputError("project_to_empirical expects a hidden-variable model")
+    require(hvm, HiddenVariableModel, "project_to_empirical")
     joint: dict[tuple[OutcomeTuple, Context], Fraction] = {}
     for (outcome, context, _), weight in hvm.weights.items():
         key = (outcome, context)
@@ -617,22 +601,23 @@ def equivalent_empirical(empirical: EmpiricalModel, hvm: HiddenVariableModel) ->
     On failure the witness names the first disagreement in canonical
     (context, outcome) order.
     """
-    if not isinstance(empirical, EmpiricalModel):
-        raise InputError("equivalent_empirical expects an empirical model first")
-    if not isinstance(hvm, HiddenVariableModel):
-        raise InputError("equivalent_empirical expects a hidden-variable model second")
-    return _prediction_agreement(empirical, hvm)
+    return _prediction_agreement(
+        require(empirical, EmpiricalModel, "equivalent_empirical"),
+        require(hvm, HiddenVariableModel, "equivalent_empirical"),
+    )
 
 
 def equivalent_hvm(first: HiddenVariableModel, second: HiddenVariableModel) -> PropertyVerdict:
     """Do two hidden-variable models predict alike (hidden states summed out)?"""
-    if not isinstance(first, HiddenVariableModel) or not isinstance(second, HiddenVariableModel):
-        raise InputError("equivalent_hvm expects two hidden-variable models")
-    return _prediction_agreement(first, second)
+    return _prediction_agreement(
+        require(first, HiddenVariableModel, "equivalent_hvm"),
+        require(second, HiddenVariableModel, "equivalent_hvm"),
+    )
 
 
-def equivalent_models(left: _BaseModel, right: _BaseModel) -> PropertyVerdict:
+def equivalent_models(left: Model, right: Model) -> PropertyVerdict:
     """Prediction agreement for any combination of model kinds."""
-    if not isinstance(left, _BaseModel) or not isinstance(right, _BaseModel):
-        raise InputError("equivalent_models expects two models")
-    return _prediction_agreement(left, right)
+    return _prediction_agreement(
+        require(left, Model, "equivalent_models"),  # type: ignore[arg-type]
+        require(right, Model, "equivalent_models"),  # type: ignore[arg-type]
+    )

@@ -46,9 +46,11 @@ from .models import (
     HiddenVariableModel,
     PropertyVerdict,
     Site,
+    _unique_labels,
     describe_context,
     describe_outcome,
     equivalent_empirical,
+    require,
 )
 from .properties import (
     check_exchangeability,
@@ -258,8 +260,7 @@ def local_polytope_feasibility(
     solves it with nonnegative weights. Either answer is rechecked by direct
     arithmetic before being returned.
     """
-    if not isinstance(model, EmpiricalModel):
-        raise InputError("local_polytope_feasibility expects an empirical model")
+    require(model, EmpiricalModel, "local_polytope_feasibility")
     strategies = enumerate_deterministic_strategies(model.sites, guard)
     outcomes = list(model.outcome_tuples())
     row_in_block = {outcome: k for k, outcome in enumerate(outcomes)}
@@ -561,18 +562,11 @@ class KsTable(Codec):
     columns: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
-        columns = tuple(tuple(column) for column in self.columns)
+        columns = tuple(_unique_labels(column, f"column {k}") for k, column in enumerate(self.columns))
         if not columns:
             raise InputError("a table needs at least one column")
-        heights = {len(column) for column in columns}
-        if heights == {0} or len(heights) != 1:
-            raise InputError("all columns must share one nonzero height")
-        for column in columns:
-            for label in column:
-                if not isinstance(label, str) or not label:
-                    raise InputError(f"bad label {label!r} in column {column}")
-            if len(set(column)) != len(column):
-                raise InputError(f"duplicate label within column {column}")
+        if len({len(column) for column in columns}) != 1:
+            raise InputError("all columns must share one height")
         object.__setattr__(self, "columns", columns)
 
     @property

@@ -51,9 +51,10 @@ from .models import (
     PropertyVerdict,
     Site,
     Witness,
+    as_empirical,
     describe_context,
     describe_outcome,
-    project_to_empirical,
+    require,
 )
 
 
@@ -111,21 +112,9 @@ class Permutation:
         return "(" + " ".join(str(j) for j in self.image) + ")"
 
 
-def _require_hidden(model: object, name: str) -> HiddenVariableModel:
-    if not isinstance(model, HiddenVariableModel):
-        raise InputError(f"{name} applies to hidden-variable models")
-    return model
-
-
-def _require_empirical(model: object, name: str) -> EmpiricalModel:
-    if not isinstance(model, EmpiricalModel):
-        raise InputError(f"{name} applies to empirical models")
-    return model
-
-
 def check_single_valuedness(model: HiddenVariableModel) -> PropertyVerdict:
     """Exactly one hidden state."""
-    h = _require_hidden(model, "single-valuedness")
+    h = require(model, HiddenVariableModel, "single-valuedness")
     if len(h.lambda_set) == 1:
         return PropertyVerdict(True)
     return PropertyVerdict(
@@ -142,7 +131,7 @@ def check_single_valuedness(model: HiddenVariableModel) -> PropertyVerdict:
 
 def check_lambda_independence(model: HiddenVariableModel) -> PropertyVerdict:
     """The hidden state's distribution is the same on every non-null context."""
-    h = _require_hidden(model, "lambda-independence")
+    h = require(model, HiddenVariableModel, "lambda-independence")
     contexts = list(h.context_weights())
     first = h.lambda_distribution(contexts[0])
     for context in contexts[1:]:
@@ -166,7 +155,7 @@ def check_lambda_independence(model: HiddenVariableModel) -> PropertyVerdict:
 
 def check_strong_determinism(model: HiddenVariableModel) -> PropertyVerdict:
     """Given the hidden state, each site responds to its own measurement deterministically."""
-    h = _require_hidden(model, "strong-determinism")
+    h = require(model, HiddenVariableModel, "strong-determinism")
     for (i, m, lam), response in h.site_responses().items():
         if len(response) == 1:
             continue
@@ -187,7 +176,7 @@ def check_strong_determinism(model: HiddenVariableModel) -> PropertyVerdict:
 
 def check_weak_determinism(model: HiddenVariableModel) -> PropertyVerdict:
     """Given context and hidden state, the whole outcome tuple is determined."""
-    h = _require_hidden(model, "weak-determinism")
+    h = require(model, HiddenVariableModel, "weak-determinism")
     for context, lam in h.context_lambda_weights():
         dist = h.outcome_distribution(context, lam)
         if len(dist) == 1:
@@ -227,7 +216,7 @@ def check_outcome_independence(model: HiddenVariableModel) -> PropertyVerdict:
     product distribution, so only rows with two or more outcome tuples are
     scanned.
     """
-    h = _require_hidden(model, "outcome-independence")
+    h = require(model, HiddenVariableModel, "outcome-independence")
     # Per site: the other sites and the rank of each of their outcomes.
     partners = []
     for i in range(h.n_sites):
@@ -270,7 +259,7 @@ def check_outcome_independence(model: HiddenVariableModel) -> PropertyVerdict:
 
 def check_parameter_independence(model: HiddenVariableModel) -> PropertyVerdict:
     """A site's response given the hidden state ignores the partners' measurements."""
-    h = _require_hidden(model, "parameter-independence")
+    h = require(model, HiddenVariableModel, "parameter-independence")
     responses = h.site_responses()
     for context, lam in h.context_lambda_weights():
         dist = h.outcome_distribution(context, lam)
@@ -313,7 +302,7 @@ def check_locality(model: HiddenVariableModel) -> PropertyVerdict:
     stops within |support| + 1 steps. The witness is the canonically first
     failing outcome tuple, as in a scan of the full outcome product.
     """
-    h = _require_hidden(model, "locality")
+    h = require(model, HiddenVariableModel, "locality")
     responses = h.site_responses()
     for context, lam in h.context_lambda_weights():
         dist = h.outcome_distribution(context, lam)
@@ -343,7 +332,7 @@ def check_locality(model: HiddenVariableModel) -> PropertyVerdict:
 
 def check_non_contextuality(model: EmpiricalModel) -> PropertyVerdict:
     """A measurement's observed marginal is the same in every context containing it."""
-    e = _require_empirical(model, "non-contextuality")
+    e = require(model, EmpiricalModel, "non-contextuality")
     contexts = list(e.context_weights())
     marginal_cache: dict[tuple[str, ...], list[dict[str, Fraction]]] = {}
 
@@ -390,7 +379,7 @@ def check_exchangeability(model: EmpiricalModel) -> PropertyVerdict:
     list and the same outcome list, otherwise the permuted predictions are not
     even comparable and an input error is raised.
     """
-    e = _require_empirical(model, "exchangeability")
+    e = require(model, EmpiricalModel, "exchangeability")
     first = e.sites[0]
     for site in e.sites[1:]:
         if site.measurements != first.measurements or site.outcomes != first.outcomes:
@@ -476,10 +465,6 @@ def check_property(
         except ValueError:
             names = ", ".join(p.value for p in PropertyId)
             raise InputError(f"unknown property {prop!r}; expected one of: {names}") from None
-    if prop in HIDDEN_MODEL_PROPERTIES and not isinstance(model, HiddenVariableModel):
-        raise InputError(
-            f"property {prop.value!r} needs a hidden-variable model, not an empirical one"
-        )
-    if prop in EMPIRICAL_MODEL_PROPERTIES and isinstance(model, HiddenVariableModel):
-        model = project_to_empirical(model)
+    if prop in EMPIRICAL_MODEL_PROPERTIES:
+        model = as_empirical(model, prop.value)
     return _CHECKERS[prop](model)

@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hvw import (
     ClassificationReport,
@@ -133,6 +135,82 @@ def test_huge_rationals_in_a_model_file_exit_two(cli, tmp_path, first, second):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def _long_weight_file(tmp_path) -> str:
+    """A valid hidden model whose projection has the 6,001-digit weight 1/p + 1/q."""
+    p, q = 10**3000 + 1, 10**3000 + 3
+    path = tmp_path / "long.hvm"
+    path.write_text(
+        json.dumps(
+            {
+                "sites": [{"name": "a", "measurements": ["M1"], "outcomes": ["o1", "o2"]}],
+                "lambda": ["l0", "l1"],
+                "weights": [
+                    {"outcome": [o], "measurement": ["M1"], "lambda": lam, "p": value}
+                    for o, lam, value in (
+                        ("o1", "l0", f"1/{p}"),
+                        ("o2", "l0", f"{p - 2}/{2 * p}"),
+                        ("o1", "l1", f"1/{q}"),
+                        ("o2", "l1", f"{q - 2}/{2 * q}"),
+                    )
+                ],
+            }
+        )
+    )
+    return str(path)
+
+
+def test_weights_over_the_digit_limit_are_written_and_read_back(cli, tmp_path):
+    source = _long_weight_file(tmp_path)
+    expected = Fraction(1, 10**3000 + 1) + Fraction(1, 10**3000 + 3)
+    out_file = str(tmp_path / "long-sv.hvm")
+    code, out, err = cli("construct", source, "--method", "sv", "--out", out_file)
+    assert (code, err) == (0, "")
+    assert out == f"sv: wrote equivalent completion with 1 hidden states to {out_file}\n"
+    assert load_model(out_file).weights[(("o1",), ("M1",), "l0")] == expected
+    assert cli("check", out_file, "--property", "single-valuedness")[:2] == (0, "single-valuedness: holds\n")
+    code, out, err = cli("construct", source, "--method", "sv", "--format", "json")
+    assert (code, err) == (0, "")
+    model = parse_model(json.dumps(json.loads(out)["model"]))
+    assert model == load_model(out_file)
+
+
+# What a model file may hold as "p", well formed or not: exponents far beyond
+# the bound, parts over the digit limit, "n/-d", and every non-string JSON type.
+_DIGITS = st.integers(1, 10**6).map(str)
+_P_VALUES = st.one_of(
+    st.builds("{}e{}".format, st.sampled_from(["1", "-2", "0.5", "7_5"]), st.integers(-(10**9), 10**9)),
+    st.builds("{}/{}".format, _DIGITS, _DIGITS),
+    st.builds("{}/-{}".format, _DIGITS, _DIGITS),
+    st.builds(lambda n, zeros: "1" + "0" * n + zeros, st.integers(4000, 6000), st.sampled_from(["", "/3", "e-5"])),
+    st.builds(lambda n: "1/" + "3" * n, st.integers(4000, 6000)),
+    st.sampled_from(["1", "0", "1/2", "", "half", "1/0", "-1/-2", "NaN", "inf"]),
+    st.integers(-(10**30), 10**30),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+
+
+@settings(
+    derandomize=True, deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_P_VALUES, _P_VALUES)
+def test_any_weight_value_exits_zero_one_or_two(cli, tmp_path, first, second):
+    rows = [{"outcome": [a], "measurement": ["M"], "p": p} for a, p in (("0", first), ("1", second))]
+    path = tmp_path / "fuzz.em"
+    path.write_text(
+        json.dumps({"sites": [{"name": "a", "measurements": ["M"], "outcomes": ["0", "1"]}], "weights": rows})
+    )
+    code, out, err = cli("check", str(path), "--property", "non-contextuality")
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
 
 
 def test_witness_over_the_digit_limit_prints_exactly(cli, tmp_path):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from hvw import (
     ClassificationReport,
+    ModelFormatError,
     KsColoring,
     KsTable,
     PolytopeResult,
@@ -29,7 +32,7 @@ from hvw import (
     verify_epr,
     verify_ks,
 )
-from hvw.codec import Codec
+from hvw.codec import Codec, read_rational
 from hvw.nogo import CertificateEquation
 
 WITNESS = Witness(
@@ -123,3 +126,31 @@ def test_parts_over_the_digit_limit_are_written_and_read_exactly():
         data = json.loads(json.dumps(witness.to_dict()))
         assert text is None or data["lhs"] == text
         assert Witness.from_dict(data) == witness
+
+
+def test_read_rational_takes_ints_and_fractions_as_they_are():
+    for value in (7, -(10**5000), Fraction(3, 8)):
+        assert read_rational(value, "w") is value
+    assert read_rational(" 6/8 ", "w") == Fraction(3, 4)
+    assert read_rational("-1.25e-3", "w") == Fraction(-1, 800)
+    long = "-" + "9" * 5000 + "/" + "7" * 4500
+    assert read_rational(long, "w") == Fraction(1 - 10**5000, 7 * (10**4500 - 1) // 9)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [True, False, 0.5, Decimal("0.5"), Decimal("1e999999999"), None, [1], {"n": 1}, "-1/-2", "1/-2",
+     "1" * 5000 + "/-2", "1/" + "0" * 5000, "", "half"],
+)
+def test_read_rational_refuses_everything_else(bad):
+    with pytest.raises(ModelFormatError, match=r"^p\[3\] is not a finite rational: "):
+        read_rational(bad, "p[3]")
+
+
+def test_decoding_a_huge_exponent_fails_fast():
+    data = PropertyVerdict(False, WITNESS).to_dict()
+    data["witness"]["lhs"] = "1e999999999"
+    started = time.monotonic()
+    with pytest.raises(ModelFormatError, match=r"^lhs: exponent in '1e999999999' is beyond ±1000"):
+        PropertyVerdict.from_dict(data)
+    assert time.monotonic() - started < 0.5

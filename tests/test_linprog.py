@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -150,7 +152,7 @@ def test_empty_system_is_trivially_feasible():
 
 
 @pytest.mark.parametrize(
-    "bad", [float("nan"), float("inf"), float("-inf"), None, "abc", "1/0", object()]
+    "bad", [float("nan"), float("inf"), float("-inf"), None, "abc", "1/0", "-1/-2", object(), True, Decimal("0.5")]
 )
 def test_bad_entries_raise_input_error(bad):
     with pytest.raises(InputError, match=r"row 1, column 0 is not a finite rational"):
@@ -163,6 +165,29 @@ def test_bad_entries_raise_input_error(bad):
         verify_farkas([[F(1)]], [bad], [F(1)])
     with pytest.raises(InputError, match=r"certificate entry 1 is not a finite rational"):
         verify_farkas([[F(1)], [F(1)]], [F(1), F(2)], [F(1), bad])
+    with pytest.raises(InputError, match=r"solution entry 1 is not a finite rational"):
+        verify_solution([[F(1), F(0)]], [F(1)], [F(1), bad])
+
+
+def test_huge_exponents_are_refused_before_the_power_is_built():
+    started = time.monotonic()
+    with pytest.raises(InputError, match=r"row 0, column 0: exponent in '1e999999999'"):
+        feasible_point([["1e999999999"]], [1])
+    with pytest.raises(InputError, match=r"right-hand side 0: exponent"):
+        feasible_point([[1]], ["-1E+1_000_000"])
+    with pytest.raises(InputError, match=r"certificate entry 0: exponent"):
+        verify_farkas([[1]], [1], ["1e999999999"])
+    with pytest.raises(InputError, match=r"solution entry 0: exponent"):
+        verify_solution([[1]], [1], ["1e-999999999"])
+    assert time.monotonic() - started < 0.5
+
+
+def test_solution_entries_are_read_like_row_entries():
+    assert verify_solution([[F(1)]], [F(1)], ["1"])
+    assert verify_solution([[2, 2]], ["1"], [0.25, "1/4"])
+    # 0.1 + 0.9 rounds to 1.0 in float arithmetic, but not in exact arithmetic.
+    assert 0.1 + 0.9 == 1
+    assert not verify_solution([[1, 1]], [1], [0.1, 0.9])
 
 
 @pytest.mark.parametrize("bad_row", ["12", 5, None, {0: F(1)}])

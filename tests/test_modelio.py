@@ -8,10 +8,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvw import (
+    EmpiricalModel,
+    HiddenVariableModel,
     InputError,
     ModelFormatError,
+    Site,
     WeightSumError,
     bell_model,
     epr_escape_hvm,
@@ -212,6 +217,20 @@ def test_exponent_limit_is_checked_before_the_power_is_built():
     for bad in (f"1e{MAX_EXPONENT + 1}", f"1.5e-{MAX_EXPONENT + 1}", "1e999999999", "1e" + "9" * 5000):
         with pytest.raises(ModelFormatError, match="exponent"):
             parse_fraction(bad, "w")
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.integers(4000, 6000), st.integers(1, 10**9), st.integers(1, 10**9), st.booleans())
+def test_weights_with_parts_over_the_digit_limit_round_trip(digits, low, high, hidden):
+    """Every rational a model holds is written exactly and reads back."""
+    weight = Fraction(10 ** (digits - 1) + low, 10**digits + high)
+    sites = (Site("a", ("M",), ("0", "1")),)
+    table = {(("0",), ("M",)): weight, (("1",), ("M",)): 1 - weight}
+    if hidden:
+        model = HiddenVariableModel(sites, ("l",), {key + ("l",): value for key, value in table.items()})
+    else:
+        model = EmpiricalModel(sites, table)
+    assert parse_model(serialize_model(model)) == model
 
 
 def test_weight_sum_error_shows_only_the_size_of_a_huge_sum():

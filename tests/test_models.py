@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from hvw import (
+    ConstructionMethod,
     EmpiricalModel,
     Event,
     HiddenVariableModel,
@@ -34,9 +36,15 @@ from hvw import (
     equivalent_models,
     generate_random_model,
     grid_sites,
+    check_locality,
+    check_non_contextuality,
+    check_property,
+    local_polytope_feasibility,
     merge_events,
     project_to_empirical,
+    reconstruct_hvm,
 )
+from hvw.models import as_empirical, require
 
 from conftest import point_mass_model
 
@@ -394,6 +402,12 @@ VALIDATION_CASES = {
     ),
     "float-weight": ({(("0", "0"), ("A", "C")): 0.5, (("1", "1"), ("A", "C")): 0.5}, InputError),
     "not-a-rational": ({(("0", "0"), ("A", "C")): "half"}, ModelFormatError),
+    "bool-weight": ({(("0", "0"), ("A", "C")): True}, ModelFormatError),
+    "decimal-weight": (
+        {(("0", "0"), ("A", "C")): Decimal("0.5"), (("1", "1"), ("A", "C")): Decimal("0.5")},
+        ModelFormatError,
+    ),
+    "huge-decimal-weight": ({(("0", "0"), ("A", "C")): Decimal("1e999999999")}, ModelFormatError),
 }
 
 
@@ -608,3 +622,36 @@ def test_weight_key_with_unhashable_labels_is_rejected(kind):
             EmpiricalModel(e.sites, _Pairs([(key, 1)]))
         else:
             HiddenVariableModel(e.sites, ("l",), _Pairs([(key + ("l",), 1)]))
+
+
+# ---------------------------------------------------------------------------
+# One gate for every operation that takes one model kind
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_locality(epr_model()), "locality needs a hidden-variable model, not an empirical model"),
+        (lambda: check_property(epr_model(), "locality"), "locality needs a hidden-variable model"),
+        (lambda: check_non_contextuality(epr_escape_hvm()), "non-contextuality needs an empirical model"),
+        (lambda: check_property("x", "exchangeability"), "exchangeability needs an empirical model, not a str"),
+        (lambda: construct_e1(epr_escape_hvm()), "construct_e1 needs an empirical model, not a hidden-variable"),
+        (lambda: reconstruct_hvm(epr_model(), ConstructionMethod("sv")), "reconstruct_hvm needs a hidden"),
+        (lambda: local_polytope_feasibility(epr_escape_hvm()), "local_polytope_feasibility needs an empirical"),
+        (lambda: project_to_empirical(epr_model()), "project_to_empirical needs a hidden-variable model"),
+        (lambda: equivalent_empirical(epr_escape_hvm(), epr_escape_hvm()), "equivalent_empirical needs an"),
+        (lambda: equivalent_hvm(epr_escape_hvm(), epr_model()), "equivalent_hvm needs a hidden-variable model"),
+        (lambda: equivalent_models(epr_model(), None), "equivalent_models needs a model, not a NoneType"),
+    ],
+)
+def test_a_wrong_model_kind_gets_one_wording(call, message):
+    with pytest.raises(InputError, match=f"^{message}"):
+        call()
+
+
+def test_as_empirical_projects_a_hidden_model():
+    h = epr_escape_hvm()
+    assert as_empirical(h, "op") == project_to_empirical(h)
+    e = epr_model()
+    assert as_empirical(e, "op") is e
+    assert require(e, EmpiricalModel, "op") is e

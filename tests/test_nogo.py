@@ -359,6 +359,8 @@ def test_ks_table_validation():
         KsTable((("a", "a"),))
     with pytest.raises(InputError):
         KsTable((("a", ""),))
+    with pytest.raises(InputError, match="not the string 'AB'"):
+        KsTable(("AB", "BA"))
 
 
 def test_full_table_admits_no_coloring():
