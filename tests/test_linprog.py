@@ -152,7 +152,7 @@ def test_empty_system_is_trivially_feasible():
 
 
 @pytest.mark.parametrize(
-    "bad", [float("nan"), float("inf"), float("-inf"), None, "abc", "1/0", "-1/-2", object(), True, Decimal("0.5")]
+    "bad", [float("nan"), float("inf"), float("-inf"), None, "abc", "1/0", object(), "-1/-2", True, Decimal("0.5")]
 )
 def test_bad_entries_raise_input_error(bad):
     with pytest.raises(InputError, match=r"row 1, column 0 is not a finite rational"):
