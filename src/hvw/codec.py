@@ -22,7 +22,7 @@ import typing
 from fractions import Fraction
 from typing import Any, ClassVar, Mapping, TypeVar
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, show_value
 
 T = TypeVar("T", bound="Codec")
 
@@ -71,20 +71,21 @@ def read_rational(value: object, where: str) -> Fraction | int:
     reads it ("3/8", "-2", "0.125", "1e-30"), after its exponent is checked
     against ±MAX_EXPONENT; a plain "n" or "n/d" too long for one `int` call,
     as `fraction_text` writes it, is read in pieces. Booleans, floats,
-    decimals and anything else raise `ModelFormatError` naming `where`.
+    decimals and anything else raise `ModelFormatError` naming `where`; a
+    message echoes the value only as far as `show_value` cuts it.
     """
     if type(value) is Fraction or type(value) is int:
         return value
     if not isinstance(value, str):
         raise ModelFormatError(
-            f"{where} is not a finite rational: {value!r}; "
+            f"{where} is not a finite rational: {show_value(value)}; "
             'exact rationals are ints, Fractions and strings like "3/8"'
         )
     exponent = _EXPONENT.search(value)
     if exponent is not None:
         digits = exponent.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
-            raise ModelFormatError(f"{where}: exponent in {value!r} is beyond ±{MAX_EXPONENT}")
+            raise ModelFormatError(f"{where}: exponent in {show_value(value)} is beyond ±{MAX_EXPONENT}")
     try:
         try:
             return Fraction(value)
@@ -96,7 +97,7 @@ def read_rational(value: object, where: str) -> Fraction | int:
             numerator_int = _text_int(numerator)
             return Fraction(-numerator_int if sign else numerator_int, _text_int(denominator or "1"))
     except (ValueError, ZeroDivisionError):
-        raise ModelFormatError(f"{where} is not a finite rational: {value!r}") from None
+        raise ModelFormatError(f"{where} is not a finite rational: {show_value(value)}") from None
 
 
 class Codec:

@@ -13,6 +13,17 @@ from fractions import Fraction
 # Longest numerator or denominator, in bits, that a message prints in full:
 # about 900 decimal digits, well under CPython's int-to-str conversion limit.
 _MAX_SHOWN_BITS = 3000
+# Longest part of a bad value's repr that a message echoes.
+_MAX_SHOWN_CHARS = 100
+
+
+def show_value(value: object) -> str:
+    """`repr(value)` cut to its first _MAX_SHOWN_CHARS characters and "...",
+    or only the size of an int too long to print."""
+    if type(value) is int and value.bit_length() > _MAX_SHOWN_BITS:
+        return f"an int of {value.bit_length()} bits"
+    text = repr(value)
+    return text if len(text) <= _MAX_SHOWN_CHARS else text[:_MAX_SHOWN_CHARS] + "..."
 
 
 def _show_fraction(value: Fraction) -> str:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .codec import read_rational
-from .errors import InputError
+from .errors import InputError, show_value
 from .models import ZERO
 
 
@@ -55,18 +55,23 @@ _EXACT_TYPES = frozenset((Fraction, int))
 _DENOMINATOR = operator.attrgetter("denominator")
 
 
+def _listed(value: object, what: str) -> Sequence:
+    """`value` itself if it is a list or tuple, else an `InputError` naming
+    `what`. A string would otherwise read as its characters, one entry each."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{what} is not a list or tuple of numbers: {show_value(value)}")
+    return value
+
+
 def _checked_system(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[list[list[Fraction | int]], list[Fraction | int]]:
-    # A string would otherwise read as its characters, one entry each.
-    if not isinstance(rhs, (list, tuple)):
-        raise InputError(f"the right-hand side is not a list or tuple of numbers: {rhs!r}")
+    _listed(rhs, "the right-hand side")
     if len(rows) != len(rhs):
         raise InputError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
     matrix = []
     for i, row in enumerate(rows):
-        if not isinstance(row, (list, tuple)):
-            raise InputError(f"row {i} is not a list or tuple of numbers: {row!r}")
+        _listed(row, f"row {i}")
         if not _EXACT_TYPES.issuperset(map(type, row)):
             row = [v if type(v) in _EXACT_TYPES else _exact(v, f"row {i}, column {j}") for j, v in enumerate(row)]
         matrix.append(row)
@@ -191,6 +196,7 @@ def verify_solution(
 ) -> bool:
     """Directly recheck that x >= 0 and A x = b, term by term."""
     matrix, b = _checked_system(rows, rhs)
+    x = _listed(x, "the solution")
     if matrix and len(x) != len(matrix[0]):
         return False
     x = [v if type(v) in _EXACT_TYPES else _exact(v, f"solution entry {j}") for j, v in enumerate(x)]
@@ -212,6 +218,7 @@ def verify_farkas(
     0 <= (y.A).x = y.b < 0.
     """
     matrix, b = _checked_system(rows, rhs)
+    y = _listed(y, "the certificate")
     if len(y) != len(matrix):
         return False
     y = [v if type(v) in _EXACT_TYPES else _exact(v, f"certificate entry {i}") for i, v in enumerate(y)]

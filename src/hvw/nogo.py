@@ -14,9 +14,9 @@ Three classic obstruction patterns, each verified by exact computation:
   strategies reproduces the table, returning an independently rechecked
   Farkas certificate.
 * `verify_ks`: the 18-label, 9-column orthogonality table. The coloring route
-  exhaustively checks all winner patterns and finds no consistent
-  one-winner-per-column labeling; the parity route counts label occurrences
-  (all even) against the odd column count.
+  searches the 262,144 winner patterns and finds zero valid colorings (no
+  consistent one-winner-per-column labeling); the parity route counts label
+  occurrences (all even) against the odd column count.
 
 `local_polytope_feasibility` is the general membership test behind the Bell
 polytope route and works on any empirical model: feasible inputs come back
@@ -309,11 +309,11 @@ def local_polytope_feasibility(
     )
 
 
+MAX_MIXTURE_COMPONENTS = 4
+
+
 def random_strategy_mixture(
-    seed: int,
-    sites: Sequence[Site],
-    max_components: int = 4,
-    guard: int = DEFAULT_GUARD,
+    seed: int, sites: Sequence[Site], guard: int = DEFAULT_GUARD
 ) -> HiddenVariableModel:
     """Seeded random mixture of deterministic strategies, uniform over contexts.
 
@@ -323,7 +323,7 @@ def random_strategy_mixture(
     sites = tuple(sites)
     rng = random.Random(seed)
     strategies = enumerate_deterministic_strategies(sites, guard)
-    k = rng.randint(1, max(1, min(max_components, len(strategies))))
+    k = rng.randint(1, max(1, min(MAX_MIXTURE_COMPONENTS, len(strategies))))
     indices = sorted(rng.sample(range(len(strategies)), k))
     parts = [rng.randint(1, 8) for _ in indices]
     total = sum(parts)
@@ -607,50 +607,48 @@ class KsColoring(Codec):
 
 
 def ks_coloring_candidates(table: KsTable) -> int:
-    """Size of the winner-pattern space the search enumerates."""
+    """Size of the winner-pattern space the search covers; the guard caps it."""
     return table.height ** len(table.columns)
 
 
 def ks_search_colorings(table: KsTable, guard: int = DEFAULT_GUARD) -> list[KsColoring]:
-    """Exhaustively enumerate winner patterns; keep the globally consistent ones.
+    """Every valid coloring, by a depth-first search over the columns in order.
 
-    A pattern picks one winner per column. It is consistent exactly when every
-    label of every column is in the winner set precisely if it is that
-    column's winner; consistent patterns correspond one-to-one with valid
-    colorings (winner labels get 1, all others 0).
+    Column k's winner is a label not yet colored 0 whose column holds no other
+    label colored 1; the column's uncolored labels then take 1 for the winner
+    and 0 for the rest. Winners are tried in column order, so the colorings
+    come out as `itertools.product` lists their winner patterns, first column
+    slowest. Each partial pattern is met at most once, so the guard on
+    `ks_coloring_candidates` also bounds the work.
     """
     if not isinstance(table, KsTable):
         raise InputError("ks_search_colorings expects a KsTable")
-    labels = table.labels()
-    if len(labels) > 30:
-        raise SizeGuardError("coloring search label set", len(labels), 30)
     candidates = ks_coloring_candidates(table)
     if candidates > guard:
         raise SizeGuardError("coloring candidate enumeration", candidates, guard)
 
-    bit = {label: 1 << k for k, label in enumerate(labels)}
-    column_masks = []
-    winner_masks = []
-    for column in table.columns:
-        mask = 0
-        for label in column:
-            mask |= bit[label]
-        column_masks.append(mask)
-        winner_masks.append(tuple(bit[label] for label in column))
-
-    n_columns = len(table.columns)
+    labels, columns = table.labels(), table.columns
+    values: dict[str, int] = {}
+    trail: list[str] = []  # the colored labels, in the order they were colored
     found = []
-    for choice in itertools.product(*winner_masks):
-        union = 0
-        for winner in choice:
-            union |= winner
-        for ci in range(n_columns):
-            if column_masks[ci] & union != choice[ci]:
-                break
+    # Untried (column, winner, trail length on entering the column), pushed in
+    # reverse so that winners pop in column order; nothing recurses per column.
+    stack = [(0, label, 0) for label in reversed(columns[0])]
+    while stack:
+        k, winner, mark = stack.pop()
+        while len(trail) > mark:
+            del values[trail.pop()]
+        for label in columns[k]:
+            if label not in values:
+                values[label] = 1 if label == winner else 0
+                trail.append(label)
+        if k + 1 < len(columns):
+            column = columns[k + 1]
+            ones = {label for label in column if values.get(label) == 1}
+            winners = [w for w in column if values.get(w) != 0 and ones <= {w}]
+            stack.extend((k + 1, w, len(trail)) for w in reversed(winners))
         else:
-            found.append(
-                KsColoring(tuple((label, 1 if bit[label] & union else 0) for label in labels))
-            )
+            found.append(KsColoring(tuple((label, values[label]) for label in labels)))
     return found
 
 

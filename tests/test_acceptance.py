@@ -42,6 +42,8 @@ from hvw import (
     equivalent_empirical,
     generate_random_model,
     grid_sites,
+    ks_search_colorings,
+    ks_table,
     local_polytope_feasibility,
     project_to_empirical,
     random_strategy_mixture,
@@ -203,7 +205,17 @@ def test_criterion_4_orthogonality_table(cli):
         assert parity.column_count_odd
         assert parity.conclusive
         assert report.confirmed
-        assert elapsed < 5.0, f"took {elapsed:.2f}s"
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def test_criterion_4_coloring_search_is_fast():
+    """The 262,144 winner patterns of the 18-label table are settled by a
+    search, not by listing them."""
+    with criterion(4, "coloring search of the orthogonality table"):
+        started = time.monotonic()
+        assert ks_search_colorings(ks_table()) == []
+        elapsed = time.monotonic() - started
+        assert elapsed < 0.05, f"took {elapsed:.3f}s"
 
 
 def test_criterion_4_exchangeability_at_9_sites():

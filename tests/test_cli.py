@@ -213,6 +213,24 @@ def test_any_weight_value_exits_zero_one_or_two(cli, tmp_path, first, second):
         assert err == ""
 
 
+def test_a_long_bad_weight_is_echoed_in_part(cli, tmp_path):
+    bad = "x" * 200_000
+    path = tmp_path / "long-bad.em"
+    path.write_text(
+        json.dumps(
+            {
+                "sites": [{"name": "a", "measurements": ["M"], "outcomes": ["0"]}],
+                "weights": [{"outcome": ["0"], "measurement": ["M"], "p": bad}],
+            }
+        )
+    )
+    code, out, err = cli("check", str(path), "--property", "non-contextuality")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"is not a finite rational: '{'x' * 99}...\n" in err
+    assert len(err) < 300
+
+
 def test_witness_over_the_digit_limit_prints_exactly(cli, tmp_path):
     """The locality witness of this valid model has a 6,001-digit denominator."""
     big = 10**3000 + 1

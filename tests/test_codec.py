@@ -147,6 +147,19 @@ def test_read_rational_refuses_everything_else(bad):
         read_rational(bad, "p[3]")
 
 
+def test_a_long_bad_value_is_echoed_in_part():
+    with pytest.raises(ModelFormatError) as caught:
+        read_rational(["1"] * 100_000, "w")
+    message = str(caught.value)
+    assert message.startswith("w is not a finite rational: ['1', '1', ")
+    assert "'1',...; exact rationals are ints" in message
+    assert len(message) < 250
+    with pytest.raises(ModelFormatError, match=r"^w is not a finite rational: 'x{99}\.\.\.$"):
+        read_rational("x" * 200_000, "w")
+    with pytest.raises(ModelFormatError, match=r"^w: exponent in '1e9{97}\.\.\. is beyond"):
+        read_rational("1e" + "9" * 200_000, "w")
+
+
 def test_decoding_a_huge_exponent_fails_fast():
     data = PropertyVerdict(False, WITNESS).to_dict()
     data["witness"]["lhs"] = "1e999999999"

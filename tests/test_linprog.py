@@ -201,6 +201,15 @@ def test_bad_rows_raise_input_error(bad_row):
         verify_farkas([bad_row], [F(3)], [F(-1)])
 
 
+@pytest.mark.parametrize("bad", [None, 5, "12", pytest.param(10**5000, id="int-of-16610-bits")])
+def test_solutions_and_certificates_must_be_lists(bad):
+    # A string would otherwise read as its characters: "12" as x = [1, 2].
+    with pytest.raises(InputError, match=r"^the solution is not a list or tuple of numbers: "):
+        verify_solution([[F(1), F(1)]], [F(3)], bad)
+    with pytest.raises(InputError, match=r"^the certificate is not a list or tuple of numbers: "):
+        verify_farkas([[F(1)], [F(-1)]], [F(1), F(1)], bad)
+
+
 def test_string_right_hand_side_raises_input_error():
     with pytest.raises(InputError, match=r"^the right-hand side is not a list or tuple"):
         feasible_point([[F(1)], [F(1)]], "12")

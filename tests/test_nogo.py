@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -405,11 +406,62 @@ def test_coloring_validity_checks():
 
 
 def test_coloring_search_guards():
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match="coloring candidate enumeration"):
         ks_search_colorings(ks_table(), guard=1000)
     wide = KsTable((tuple(f"x{i}" for i in range(31)),))
-    with pytest.raises(SizeGuardError):
-        ks_search_colorings(wide)
+    assert len(ks_search_colorings(wide)) == 31
+
+
+def colorings_by_enumeration(table):
+    """Reference search: every winner pattern as a bitmask, in
+    `itertools.product` order, kept when each column's labels meet the winner
+    set in exactly that column's winner.
+
+    The search under test must return exactly the same list in the same order.
+    """
+    labels = table.labels()
+    bit = {label: 1 << k for k, label in enumerate(labels)}
+    column_masks = [sum(bit[label] for label in column) for column in table.columns]
+    winner_masks = [tuple(bit[label] for label in column) for column in table.columns]
+    found = []
+    for choice in itertools.product(*winner_masks):
+        union = 0
+        for winner in choice:
+            union |= winner
+        if all(mask & union == winner for mask, winner in zip(column_masks, choice)):
+            found.append(KsColoring(tuple((label, 1 if bit[label] & union else 0) for label in labels)))
+    return found
+
+
+def random_ks_tables(count, seed):
+    """Seeded tables of height 1-4 with 1-6 columns drawn from pools of up to
+    10 labels."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        height = rng.randint(1, 4)
+        pool = [f"v{i}" for i in range(rng.randint(height, 10))]
+        yield KsTable(tuple(tuple(rng.sample(pool, height)) for _ in range(rng.randint(1, 6))))
+
+
+def test_search_matches_enumeration():
+    """Same colorings in the same order as the winner-pattern enumeration:
+    on the canonical table, its first k columns, and seeded random tables."""
+    canonical = ks_table()
+    tables = [canonical] + [KsTable(canonical.columns[:k]) for k in range(1, 10)]
+    tables += random_ks_tables(600, seed=9)
+    counts = []
+    for table in tables:
+        found = ks_search_colorings(table)
+        assert found == colorings_by_enumeration(table), table.columns
+        counts.append(len(found))
+    assert counts[0] == 0
+    assert sum(count == 0 for count in counts) >= 10
+    assert sum(count > 1 for count in counts) >= 300
+
+
+def test_search_does_not_recurse_per_column():
+    table = KsTable(tuple((f"x{i}",) for i in range(3000)))
+    assert ks_search_colorings(table) == [KsColoring(tuple((f"x{i}", 1) for i in range(3000)))]
 
 
 def test_parity_certificate_on_the_full_table():
