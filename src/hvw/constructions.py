@@ -70,19 +70,19 @@ def construct_e2(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVar
     of the context, which is what makes lambda independence hold.
     """
     e = require(model, EmpiricalModel, "construct_e2")
-    context_weights = e.context_weights()
+    rows = e.context_distributions()
     denominators = [1]
-    for context in context_weights:
-        denominators.extend(p.denominator for p in e.outcome_distribution(context).values())
+    for dist in rows.values():
+        denominators.extend(p.denominator for p in dist.values())
     size = math.lcm(*denominators)
     if size > guard:
         raise SizeGuardError("e2 hidden state set", size, guard)
     labels = tuple(str(i) for i in range(size))
     weights: dict = {}
-    for context, mass in context_weights.items():
+    for context, mass in e.context_weights().items():
         share = mass / size
         start = 0
-        for outcome, p in e.outcome_distribution(context).items():
+        for outcome, p in rows[context].items():
             block = p * size
             assert block.denominator == 1
             for state in range(start, start + block.numerator):

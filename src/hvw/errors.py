@@ -17,13 +17,17 @@ _MAX_SHOWN_BITS = 3000
 _MAX_SHOWN_CHARS = 100
 
 
+def show_text(text: str) -> str:
+    """`text` cut to its first _MAX_SHOWN_CHARS characters and "..."."""
+    return text if len(text) <= _MAX_SHOWN_CHARS else text[:_MAX_SHOWN_CHARS] + "..."
+
+
 def show_value(value: object) -> str:
-    """`repr(value)` cut to its first _MAX_SHOWN_CHARS characters and "...",
-    or only the size of an int too long to print."""
+    """`repr(value)` cut by `show_text`, or only the size of an int too long
+    to print."""
     if type(value) is int and value.bit_length() > _MAX_SHOWN_BITS:
         return f"an int of {value.bit_length()} bits"
-    text = repr(value)
-    return text if len(text) <= _MAX_SHOWN_CHARS else text[:_MAX_SHOWN_CHARS] + "..."
+    return show_text(repr(value))
 
 
 def _show_fraction(value: Fraction) -> str:
@@ -54,7 +58,7 @@ class NegativeWeightError(InputError):
     """A probability weight is negative."""
 
     def __init__(self, key: object, value: Fraction) -> None:
-        super().__init__(f"negative weight {_show_fraction(value)} at {key}")
+        super().__init__(f"negative weight {_show_fraction(value)} at {show_value(key)}")
         self.key = key
         self.value = value
 

@@ -29,7 +29,7 @@ from typing import Mapping
 
 # MAX_EXPONENT and parse_fraction, the codec's reader, stay importable from here.
 from .codec import MAX_EXPONENT, fraction_text, read_rational as parse_fraction  # noqa: F401
-from .errors import InputError, ModelFormatError
+from .errors import InputError, ModelFormatError, show_value
 from .models import EmpiricalModel, HiddenVariableModel, Model, Site, require
 
 _TOP_KEYS = {"sites", "lambda", "weights"}
@@ -39,23 +39,23 @@ _ROW_KEYS = {"outcome", "measurement", "lambda", "p"}
 
 def _string_list(value: object, where: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ModelFormatError(f"{where}: expected a list of strings, got {value!r}")
+        raise ModelFormatError(f"{where}: expected a list of strings, got {show_value(value)}")
     return value
 
 
 def _parse_site(entry: object, index: int) -> Site:
     where = f"sites[{index}]"
     if not isinstance(entry, dict):
-        raise ModelFormatError(f"{where}: expected an object, got {entry!r}")
+        raise ModelFormatError(f"{where}: expected an object, got {show_value(entry)}")
     extra = set(entry) - _SITE_KEYS
     if extra:
-        raise ModelFormatError(f"{where}: unknown keys {sorted(extra)}")
+        raise ModelFormatError(f"{where}: unknown keys {show_value(sorted(extra))}")
     missing = _SITE_KEYS - set(entry)
     if missing:
-        raise ModelFormatError(f"{where}: missing keys {sorted(missing)}")
+        raise ModelFormatError(f"{where}: missing keys {show_value(sorted(missing))}")
     name = entry["name"]
     if not isinstance(name, str):
-        raise ModelFormatError(f"{where}: site name must be a string, got {name!r}")
+        raise ModelFormatError(f"{where}: site name must be a string, got {show_value(name)}")
     return Site(
         name=name,
         measurements=tuple(_string_list(entry["measurements"], f"{where}.measurements")),
@@ -69,7 +69,7 @@ def model_from_dict(data: object) -> Model:
         raise ModelFormatError(f"model must be a JSON object, got {type(data).__name__}")
     extra = set(data) - _TOP_KEYS
     if extra:
-        raise ModelFormatError(f"unknown top-level keys {sorted(extra)}")
+        raise ModelFormatError(f"unknown top-level keys {show_value(sorted(extra))}")
     for required in ("sites", "weights"):
         if required not in data:
             raise ModelFormatError(f"missing top-level key {required!r}")
@@ -88,10 +88,10 @@ def model_from_dict(data: object) -> Model:
     for i, row in enumerate(rows):
         where = f"weights[{i}]"
         if not isinstance(row, dict):
-            raise ModelFormatError(f"{where}: expected an object, got {row!r}")
+            raise ModelFormatError(f"{where}: expected an object, got {show_value(row)}")
         extra = set(row) - _ROW_KEYS
         if extra:
-            raise ModelFormatError(f"{where}: unknown keys {sorted(extra)}")
+            raise ModelFormatError(f"{where}: unknown keys {show_value(sorted(extra))}")
         for required in ("outcome", "measurement", "p"):
             if required not in row:
                 raise ModelFormatError(f"{where}: missing key {required!r}")
@@ -107,10 +107,10 @@ def model_from_dict(data: object) -> Model:
                 raise ModelFormatError(f"{where}: model declares hidden states, row is missing \"lambda\"")
             lam = row["lambda"]
             if not isinstance(lam, str):
-                raise ModelFormatError(f"{where}.lambda: expected a string, got {lam!r}")
+                raise ModelFormatError(f"{where}.lambda: expected a string, got {show_value(lam)}")
             key = (outcome, measurement, lam)
         if key in weights:
-            raise ModelFormatError(f"{where}: duplicate weight row for {key}")
+            raise ModelFormatError(f"{where}: duplicate weight row for {show_value(key)}")
         weights[key] = value
 
     if hidden_states is None:

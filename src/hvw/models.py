@@ -16,6 +16,11 @@ per-context and per-(context, hidden state) outcome rows, hidden-state
 distributions, per-site responses) iterate in canonical order, and a check
 that scans them in turn finds the canonically first violation.
 
+The two row views take no arguments: `context_distributions()` maps each
+non-null context to p(o | context), `context_lambda_distributions()` each
+positive (context, hidden state) pair to p(o | context, λ). The lookups
+`outcome_distribution` and `lambda_distribution` validate their arguments.
+
 Events are partial assignments (some sites' outcomes, some sites'
 measurements, optionally a hidden state). `event_prob` and `cond_prob` give
 exact unconditional and conditional probabilities, and the module-level
@@ -31,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .codec import Codec, fraction_text, read_rational
 from .errors import (
@@ -42,6 +47,8 @@ from .errors import (
     SignatureMismatchError,
     UnknownLabelError,
     WeightSumError,
+    show_text,
+    show_value,
 )
 
 OutcomeTuple = tuple[str, ...]
@@ -57,15 +64,15 @@ DEFAULT_GUARD = 10**6
 
 def _unique_labels(labels: Sequence[str], what: str) -> tuple[str, ...]:
     if isinstance(labels, str):
-        raise InputError(f"{what} must be a sequence of labels, not the string {labels!r}")
+        raise InputError(f"{what} must be a sequence of labels, not the string {show_value(labels)}")
     out = tuple(labels)
     if not out:
         raise InputError(f"{what} must not be empty")
     for label in out:
         if not isinstance(label, str) or not label:
-            raise InputError(f"{what} contains a non-string or empty label: {label!r}")
+            raise InputError(f"{what} contains a non-string or empty label: {show_value(label)}")
     if len(set(out)) != len(out):
-        raise InputError(f"{what} contains duplicate labels: {out}")
+        raise InputError(f"{what} contains duplicate labels: {show_value(out)}")
     return out
 
 
@@ -79,9 +86,10 @@ class Site:
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
-            raise InputError(f"site name must be a nonempty string, got {self.name!r}")
-        object.__setattr__(self, "measurements", _unique_labels(self.measurements, f"site {self.name}: measurements"))
-        object.__setattr__(self, "outcomes", _unique_labels(self.outcomes, f"site {self.name}: outcomes"))
+            raise InputError(f"site name must be a nonempty string, got {show_value(self.name)}")
+        where = f"site {show_text(self.name)}"
+        object.__setattr__(self, "measurements", _unique_labels(self.measurements, f"{where}: measurements"))
+        object.__setattr__(self, "outcomes", _unique_labels(self.outcomes, f"{where}: outcomes"))
 
 
 @dataclass(frozen=True)
@@ -190,10 +198,10 @@ class _BaseModel:
             raise InputError("a model needs at least one site")
         for site in sites:
             if not isinstance(site, Site):
-                raise InputError(f"expected a Site, got {site!r}")
+                raise InputError(f"expected a Site, got {show_value(site)}")
         names = [site.name for site in sites]
         if len(set(names)) != len(names):
-            raise InputError(f"duplicate site names: {names}")
+            raise InputError(f"duplicate site names: {show_value(names)}")
         self.sites: tuple[Site, ...] = sites
         self._site_index = {site.name: i for i, site in enumerate(sites)}
         self._meas_index = tuple({m: i for i, m in enumerate(site.measurements)} for site in sites)
@@ -202,7 +210,7 @@ class _BaseModel:
         total = ZERO
         for raw_key, raw in weights.items():
             key = self._check_key(raw_key)
-            value = raw if type(raw) is Fraction else Fraction(read_rational(raw, f"weight at {raw_key!r}"))
+            value = raw if type(raw) is Fraction else Fraction(read_rational(raw, f"weight at {show_value(raw_key)}"))
             if value < 0:
                 raise NegativeWeightError(key, value)
             total += value
@@ -211,11 +219,10 @@ class _BaseModel:
         if total != 1:
             raise WeightSumError(total)
         self._weights = {key: cleaned[key] for key in sorted(cleaned, key=self._rank)}
-        # Aggregate views, built on first use. Every cache attribute is assigned
+        # Aggregate tables, built on first use. Every cache attribute is assigned
         # in __init__, so instances keep sharing one dict key layout.
         self._ctx_mass: dict[Context, Fraction] | None = None
-        self._by_context: dict[Context, dict[OutcomeTuple, Fraction]] | None = None
-        self._dist_cache: dict[object, Mapping[OutcomeTuple, Fraction]] = {}
+        self._ctx_rows: dict[Context, Mapping[OutcomeTuple, Fraction]] | None = None
 
     def _check_key(self, key: tuple) -> tuple:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -245,7 +252,7 @@ class _BaseModel:
     def site_index(self, name: str) -> int:
         index = self._site_index.get(name) if isinstance(name, str) else None
         if index is None:
-            raise UnknownLabelError(f"unknown site name: {name!r}")
+            raise UnknownLabelError(f"unknown site name: {show_value(name)}")
         return index
 
     def context_tuples(self) -> Iterator[Context]:
@@ -275,15 +282,16 @@ class _BaseModel:
         declared at that site, a measurement or an outcome as `what` says."""
         for i, label in labels:
             if not isinstance(label, str) or label not in index[i]:
-                raise UnknownLabelError(f"unknown {what} {label!r} at site {self.sites[i].name!r}")
+                site = show_value(self.sites[i].name)
+                raise UnknownLabelError(f"unknown {what} {show_value(label)} at site {site}")
 
     def _site_tuple(self, labels: Sequence[str], index: tuple[dict[str, int], ...], what: str) -> tuple[str, ...]:
         """One declared label per site, as a tuple."""
         if isinstance(labels, str):
-            raise ModelFormatError(f"{labels!r} is a string, not a sequence of {what}s, one per site")
+            raise ModelFormatError(f"{show_value(labels)} is a string, not a sequence of {what}s, one per site")
         labels = tuple(labels)
         if len(labels) != self.n_sites:
-            raise ModelFormatError(f"{labels} does not have one {what} per site")
+            raise ModelFormatError(f"{show_value(labels)} does not have one {what} per site")
         self._check_labels(enumerate(labels), index, what)
         return labels
 
@@ -322,43 +330,42 @@ class _BaseModel:
         numerator = ZERO if merged is None else self.event_prob(merged)
         return numerator / denominator
 
-    def context_weights(self) -> Mapping[Context, Fraction]:
-        """Marginal weight of each non-null context (hidden states summed out)."""
-        if self._ctx_mass is None:
-            mass: dict[Context, Fraction] = {}
+    def context_distributions(self) -> Mapping[Context, Mapping[OutcomeTuple, Fraction]]:
+        """Row p(o | context) of each non-null context, hidden states summed
+        out: a read-only view in canonical order, built with `context_weights`
+        in one pass over the weight table."""
+        if self._ctx_rows is None:
+            masses: dict[Context, Fraction] = {}
+            sums: dict[Context, dict[OutcomeTuple, Fraction]] = {}
             for key, weight in self._weights.items():
-                mass[key[1]] = mass.get(key[1], ZERO) + weight
-            self._ctx_mass = mass
-        return MappingProxyType(self._ctx_mass)
-
-    def _context_table(self) -> dict[Context, dict[OutcomeTuple, Fraction]]:
-        """Outcome weights grouped by context, hidden states summed out."""
-        if self._by_context is None:
-            table: dict[Context, dict[OutcomeTuple, Fraction]] = {}
-            for key, weight in self._weights.items():
-                row = table.setdefault(key[1], {})
-                outcome = key[0]
+                outcome, context = key[0], key[1]
+                masses[context] = masses.get(context, ZERO) + weight
+                row = sums.setdefault(context, {})
                 # A cell seen once keeps its weight object: no new Fraction.
                 row[outcome] = row[outcome] + weight if outcome in row else weight
-            self._by_context = table
-        return self._by_context
+            self._ctx_mass = masses
+            self._ctx_rows = {
+                context: MappingProxyType({o: w / masses[context] for o, w in row.items()})
+                for context, row in sums.items()
+            }
+        return MappingProxyType(self._ctx_rows)
 
-    def _conditional(
-        self, key: object, masses: Callable[[], Mapping], rows: Callable[[], Mapping]
-    ) -> Mapping[OutcomeTuple, Fraction]:
-        """`rows()[key]` divided by `masses()[key]`, cached by key."""
-        dist = self._dist_cache.get(key)
-        if dist is None:
-            mass = masses().get(key, ZERO)
-            if mass == 0:
-                raise NullConditioningError(f"conditioning event {key} has probability 0")
-            dist = MappingProxyType({o: w / mass for o, w in rows()[key].items()})
-            self._dist_cache[key] = dist
-        return dist
+    def context_weights(self) -> Mapping[Context, Fraction]:
+        """Marginal weight of each non-null context (hidden states summed out)."""
+        self.context_distributions()
+        return MappingProxyType(self._ctx_mass)
 
     def outcome_distribution(self, context: Sequence[str]) -> Mapping[OutcomeTuple, Fraction]:
         """Conditional outcome distribution on a non-null context (sparse)."""
-        return self._conditional(self.check_context(context), self.context_weights, self._context_table)
+        return _row(self.context_distributions(), self.check_context(context))
+
+
+def _row(rows: Mapping, key: tuple) -> Mapping[OutcomeTuple, Fraction]:
+    """`rows[key]`, or the null-conditioning error for a key with no row."""
+    row = rows.get(key)
+    if row is None:
+        raise NullConditioningError(f"conditioning event {key} has probability 0")
+    return row
 
 
 class EmpiricalModel(_BaseModel):
@@ -371,7 +378,7 @@ class EmpiricalModel(_BaseModel):
         try:
             outcome, context = key
         except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"weight key {key!r} is not an (outcome, context) pair") from exc
+            raise ModelFormatError(f"weight key {show_value(key)} is not an (outcome, context) pair") from exc
         return self.check_outcome_tuple(outcome), self.check_context(context)
 
     def _rank(self, key: tuple[OutcomeTuple, Context]) -> tuple[int, ...]:
@@ -403,15 +410,17 @@ class HiddenVariableModel(_BaseModel):
         self._lambda_index = {lam: i for i, lam in enumerate(self.lambda_set)}
         super().__init__(sites, weights)
         self._ctx_lam_mass: dict[tuple[Context, str], Fraction] | None = None
-        self._lambda_by_context: dict[Context, dict[str, Fraction]] | None = None
-        self._by_context_lambda: dict[tuple[Context, str], dict[OutcomeTuple, Fraction]] | None = None
+        self._lambda_mass: dict[Context, dict[str, Fraction]] | None = None
+        self._ctx_lam_rows: dict[tuple[Context, str], Mapping[OutcomeTuple, Fraction]] | None = None
         self._responses: dict[tuple[int, str, str], Mapping[str, Fraction]] | None = None
 
     def _check_key(self, key: tuple) -> tuple[OutcomeTuple, Context, str]:
         try:
             outcome, context, lam = key
         except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"weight key {key!r} is not an (outcome, context, hidden) triple") from exc
+            raise ModelFormatError(
+                f"weight key {show_value(key)} is not an (outcome, context, hidden) triple"
+            ) from exc
         return self.check_outcome_tuple(outcome), self.check_context(context), self.check_lambda(lam)
 
     def _rank(self, key: tuple[OutcomeTuple, Context, str]) -> tuple[int, ...]:
@@ -423,7 +432,7 @@ class HiddenVariableModel(_BaseModel):
 
     def check_lambda(self, lam: str) -> str:
         if not isinstance(lam, str) or lam not in self._lambda_index:
-            raise UnknownLabelError(f"unknown hidden state {lam!r}")
+            raise UnknownLabelError(f"unknown hidden state {show_value(lam)}")
         return lam
 
     def __eq__(self, other: object) -> bool:
@@ -437,12 +446,31 @@ class HiddenVariableModel(_BaseModel):
             f"{len(self.lambda_set)} hidden states, support {len(self._weights)})"
         )
 
+    def context_lambda_distributions(self) -> Mapping[tuple[Context, str], Mapping[OutcomeTuple, Fraction]]:
+        """Row p(o | context, λ) of each positive (context, hidden state) pair:
+        a read-only view in canonical order, built with `context_lambda_weights`
+        and the hidden-state masses per context in one pass over the weights."""
+        if self._ctx_lam_rows is None:
+            sums: dict[Context, dict[str, dict[OutcomeTuple, Fraction]]] = {}
+            for (outcome, context, lam), weight in self._weights.items():
+                sums.setdefault(context, {}).setdefault(lam, {})[outcome] = weight
+            masses: dict[tuple[Context, str], Fraction] = {}
+            lambda_mass: dict[Context, dict[str, Fraction]] = {}
+            rows: dict[tuple[Context, str], Mapping[OutcomeTuple, Fraction]] = {}
+            # Storage order sorts the contexts, not the hidden states within one.
+            rank = self._lambda_index.__getitem__
+            for context, by_lambda in sums.items():
+                per_lambda = lambda_mass[context] = {}
+                for lam in sorted(by_lambda, key=rank):
+                    row = by_lambda[lam]
+                    mass = per_lambda[lam] = masses[(context, lam)] = sum(row.values(), ZERO)
+                    rows[(context, lam)] = MappingProxyType({o: w / mass for o, w in row.items()})
+            self._ctx_lam_mass, self._lambda_mass, self._ctx_lam_rows = masses, lambda_mass, rows
+        return MappingProxyType(self._ctx_lam_rows)
+
     def context_lambda_weights(self) -> Mapping[tuple[Context, str], Fraction]:
         """Joint weight of each (context, hidden state) pair with positive mass."""
-        if self._ctx_lam_mass is None:
-            self._ctx_lam_mass = {
-                key: sum(row.values(), ZERO) for key, row in self._context_lambda_table().items()
-            }
+        self.context_lambda_distributions()
         return MappingProxyType(self._ctx_lam_mass)
 
     def lambda_distribution(self, context: Sequence[str]) -> Mapping[str, Fraction]:
@@ -451,31 +479,8 @@ class HiddenVariableModel(_BaseModel):
         mass = self.context_weights().get(context, ZERO)
         if mass == 0:
             raise NullConditioningError(f"context {context} has probability 0")
-        return {lam: weight / mass for lam, weight in self._lambda_table()[context].items()}
-
-    def _lambda_table(self) -> dict[Context, dict[str, Fraction]]:
-        """`context_lambda_weights` grouped by context."""
-        if self._lambda_by_context is None:
-            table: dict[Context, dict[str, Fraction]] = {}
-            for (context, lam), weight in self.context_lambda_weights().items():
-                table.setdefault(context, {})[lam] = weight
-            self._lambda_by_context = table
-        return self._lambda_by_context
-
-    def _context_lambda_table(self) -> dict[tuple[Context, str], dict[OutcomeTuple, Fraction]]:
-        """Outcome weights of each positive (context, hidden state) row."""
-        if self._by_context_lambda is None:
-            by_context: dict[Context, dict[str, dict[OutcomeTuple, Fraction]]] = {}
-            for (outcome, context, lam), weight in self._weights.items():
-                by_context.setdefault(context, {}).setdefault(lam, {})[outcome] = weight
-            # Storage order sorts the contexts, not the hidden states within one.
-            rank = self._lambda_index.__getitem__
-            self._by_context_lambda = {
-                (context, lam): rows[lam]
-                for context, rows in by_context.items()
-                for lam in sorted(rows, key=rank)
-            }
-        return self._by_context_lambda
+        self.context_lambda_distributions()
+        return {lam: weight / mass for lam, weight in self._lambda_mass[context].items()}
 
     def outcome_distribution(
         self, context: Sequence[str], lam: str | None = None
@@ -484,7 +489,7 @@ class HiddenVariableModel(_BaseModel):
         if lam is None:
             return super().outcome_distribution(context)
         key = (self.check_context(context), self.check_lambda(lam))
-        return self._conditional(key, self.context_lambda_weights, self._context_lambda_table)
+        return _row(self.context_lambda_distributions(), key)
 
     def site_responses(self) -> Mapping[tuple[int, str, str], Mapping[str, Fraction]]:
         """Each site's response to its own measurement, p(a | m, λ).
@@ -554,8 +559,8 @@ def project_to_empirical(hvm: HiddenVariableModel) -> EmpiricalModel:
 def _prediction_agreement(left: _BaseModel, right: _BaseModel) -> PropertyVerdict:
     if left.sites != right.sites:
         raise SignatureMismatchError("models do not share the same site signature")
-    left_ctx = left.context_weights()
-    right_ctx = right.context_weights()
+    left_ctx, left_rows = left.context_weights(), left.context_distributions()
+    right_ctx, right_rows = right.context_weights(), right.context_distributions()
     contexts = sorted(set(left_ctx) | set(right_ctx), key=left.context_sort_key)
     for context in contexts:
         left_mass = left_ctx.get(context, ZERO)
@@ -574,8 +579,7 @@ def _prediction_agreement(left: _BaseModel, right: _BaseModel) -> PropertyVerdic
             )
         if left_mass == 0:
             continue
-        left_dist = left.outcome_distribution(context)
-        right_dist = right.outcome_distribution(context)
+        left_dist, right_dist = left_rows[context], right_rows[context]
         for outcome in sorted(set(left_dist) | set(right_dist), key=left.outcome_sort_key):
             left_p = left_dist.get(outcome, ZERO)
             right_p = right_dist.get(outcome, ZERO)

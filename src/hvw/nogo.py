@@ -267,14 +267,13 @@ def local_polytope_feasibility(
     rows: list[list[int]] = []
     rhs: list[Fraction] = []
     labels: list[str] = []
-    for context in model.context_weights():
+    for context, distribution in model.context_distributions().items():
         # Each site's measurement index, looked up once per context.
         where = [(i, site.measurements.index(m)) for i, (site, m) in enumerate(zip(model.sites, context))]
         block = [[0] * len(strategies) for _ in outcomes]
         for si, strategy in enumerate(strategies):
             responses = strategy.responses
             block[row_in_block[tuple(responses[i][k] for i, k in where)]][si] = 1
-        distribution = model.outcome_distribution(context)
         for outcome, row in zip(outcomes, block):
             rows.append(row)
             rhs.append(distribution.get(outcome, ZERO))
@@ -709,16 +708,11 @@ def verify_ks(method: str = "both", guard: int = DEFAULT_GUARD) -> KsReport:
         raise InputError(f"unknown ks method {method!r}; expected coloring, parity, or both")
     e = ks_model()
     exchangeability = check_exchangeability(e)
-    pattern_ok = True
-    for context in e.context_weights():
-        distribution = e.outcome_distribution(context)
-        if len(distribution) != 1:
-            pattern_ok = False
-            break
-        ((outcome, p),) = distribution.items()
-        if p != 1 or sum(1 for a in outcome if a == "1") != 1:
-            pattern_ok = False
-            break
+    # Each context's row is one outcome tuple (so of probability 1) with one winner.
+    pattern_ok = all(
+        len(row) == 1 and sum(a == "1" for a in next(iter(row))) == 1
+        for row in e.context_distributions().values()
+    )
     non_contextuality = check_non_contextuality(e)
 
     table = ks_table()

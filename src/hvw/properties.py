@@ -132,21 +132,22 @@ def check_single_valuedness(model: HiddenVariableModel) -> PropertyVerdict:
 def check_lambda_independence(model: HiddenVariableModel) -> PropertyVerdict:
     """The hidden state's distribution is the same on every non-null context."""
     h = require(model, HiddenVariableModel, "lambda-independence")
-    contexts = list(h.context_weights())
-    first = h.lambda_distribution(contexts[0])
-    for context in contexts[1:]:
-        dist = h.lambda_distribution(context)
+    masses = h.context_weights()
+    joint = h.context_lambda_weights()
+    first, *contexts = masses
+    for context in contexts:
         for lam in h.lambda_set:
-            left = first.get(lam, ZERO)
-            right = dist.get(lam, ZERO)
-            if left != right:
+            left = joint.get((first, lam), ZERO)
+            right = joint.get((context, lam), ZERO)
+            # left / mass(first) != right / mass(context), without the divisions.
+            if left * masses[context] != right * masses[first]:
                 return PropertyVerdict(
                     False,
                     Witness(
-                        lhs_desc=f"p(λ={lam} | {describe_context(h.sites, contexts[0])})",
+                        lhs_desc=f"p(λ={lam} | {describe_context(h.sites, first)})",
                         rhs_desc=f"p(λ={lam} | {describe_context(h.sites, context)})",
-                        lhs=left,
-                        rhs=right,
+                        lhs=left / masses[first],
+                        rhs=right / masses[context],
                         where=(lam,),
                     ),
                 )
@@ -177,8 +178,7 @@ def check_strong_determinism(model: HiddenVariableModel) -> PropertyVerdict:
 def check_weak_determinism(model: HiddenVariableModel) -> PropertyVerdict:
     """Given context and hidden state, the whole outcome tuple is determined."""
     h = require(model, HiddenVariableModel, "weak-determinism")
-    for context, lam in h.context_lambda_weights():
-        dist = h.outcome_distribution(context, lam)
+    for (context, lam), dist in h.context_lambda_distributions().items():
         if len(dist) == 1:
             continue
         outcome, p = next(iter(dist.items()))
@@ -222,8 +222,7 @@ def check_outcome_independence(model: HiddenVariableModel) -> PropertyVerdict:
     for i in range(h.n_sites):
         others = h.sites[:i] + h.sites[i + 1 :]
         partners.append((others, [{a: k for k, a in enumerate(s.outcomes)} for s in others]))
-    for context, lam in h.context_lambda_weights():
-        dist = h.outcome_distribution(context, lam)
+    for (context, lam), dist in h.context_lambda_distributions().items():
         if len(dist) == 1:
             continue
         marginals = _site_marginals(h.sites, dist)
@@ -261,8 +260,7 @@ def check_parameter_independence(model: HiddenVariableModel) -> PropertyVerdict:
     """A site's response given the hidden state ignores the partners' measurements."""
     h = require(model, HiddenVariableModel, "parameter-independence")
     responses = h.site_responses()
-    for context, lam in h.context_lambda_weights():
-        dist = h.outcome_distribution(context, lam)
+    for (context, lam), dist in h.context_lambda_distributions().items():
         ctx_desc = describe_context(h.sites, context)
         marginals = _site_marginals(h.sites, dist)
         for i, site in enumerate(h.sites):
@@ -304,8 +302,7 @@ def check_locality(model: HiddenVariableModel) -> PropertyVerdict:
     """
     h = require(model, HiddenVariableModel, "locality")
     responses = h.site_responses()
-    for context, lam in h.context_lambda_weights():
-        dist = h.outcome_distribution(context, lam)
+    for (context, lam), dist in h.context_lambda_distributions().items():
         # Per site, the positive factors p(a | own measurement, λ).
         factors = [responses[(i, m, lam)] for i, m in enumerate(context)]
         failing = [o for o, p in dist.items() if p != _factor_product(factors, o)]
@@ -333,19 +330,19 @@ def check_locality(model: HiddenVariableModel) -> PropertyVerdict:
 def check_non_contextuality(model: EmpiricalModel) -> PropertyVerdict:
     """A measurement's observed marginal is the same in every context containing it."""
     e = require(model, EmpiricalModel, "non-contextuality")
-    contexts = list(e.context_weights())
+    rows = e.context_distributions()
     marginal_cache: dict[tuple[str, ...], list[dict[str, Fraction]]] = {}
 
     def marginals(context: tuple[str, ...]) -> list[dict[str, Fraction]]:
         got = marginal_cache.get(context)
         if got is None:
-            got = _site_marginals(e.sites, e.outcome_distribution(context))
+            got = _site_marginals(e.sites, rows[context])
             marginal_cache[context] = got
         return got
 
     for i, site in enumerate(e.sites):
         for m in site.measurements:
-            relevant = [c for c in contexts if c[i] == m]
+            relevant = [c for c in rows if c[i] == m]
             for other in relevant[1:]:
                 left_marg = marginals(relevant[0])[i]
                 right_marg = marginals(other)[i]
@@ -396,25 +393,24 @@ def check_exchangeability(model: EmpiricalModel) -> PropertyVerdict:
         generators.append(Permutation((1, 0) + tuple(range(2, n))))
     if n >= 3:
         generators.append(Permutation(tuple(range(1, n)) + (0,)))
-    ctx_weights = e.context_weights()
+    rows = e.context_distributions()
     for perm in generators:
-        for context in ctx_weights:
+        for context, dist in rows.items():
             moved_ctx = perm.apply(context)
             ctx_desc = describe_context(e.sites, context)
             moved_ctx_desc = describe_context(e.sites, moved_ctx)
-            if moved_ctx not in ctx_weights:
+            if moved_ctx not in rows:
                 return PropertyVerdict(
                     False,
                     Witness(
                         lhs_desc=f"q({ctx_desc})",
                         rhs_desc=f"q({moved_ctx_desc}) after permuting sites by {perm.describe()}",
-                        lhs=ctx_weights[context],
+                        lhs=e.context_weights()[context],
                         rhs=ZERO,
                         where=(perm.describe(),),
                     ),
                 )
-            dist = e.outcome_distribution(context)
-            moved_dist = e.outcome_distribution(moved_ctx)
+            moved_dist = rows[moved_ctx]
             for outcome, left in dist.items():
                 moved_outcome = perm.apply(outcome)
                 right = moved_dist.get(moved_outcome, ZERO)

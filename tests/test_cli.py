@@ -231,6 +231,56 @@ def test_a_long_bad_weight_is_echoed_in_part(cli, tmp_path):
     assert len(err) < 300
 
 
+_SITE = {"name": "a", "measurements": ["M"], "outcomes": ["0"]}
+_ROW = {"outcome": ["0"], "measurement": ["M"], "p": "1"}
+_LONG = "x" * 200_000
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"sites": {}, "weights": []}, '"sites" must be a list'),
+        ({"sites": [_SITE], "weights": {}}, '"weights" must be a list'),
+        ({"sites": ["a"], "weights": []}, "sites[0]: expected an object, got 'a'"),
+        ({"sites": [_SITE], "weights": [["0"]]}, "weights[0]: expected an object, got ['0']"),
+        ({"sites": [{**_SITE, "name": 7}], "weights": []}, "sites[0]: site name must be a string, got 7"),
+        (
+            {"sites": [{**_SITE, "outcomes": ["0", 1]}], "weights": []},
+            "sites[0].outcomes: expected a list of strings, got ['0', 1]",
+        ),
+        (
+            {"sites": [_SITE], "lambda": ["l0"], "weights": [{**_ROW, "lambda": 0}]},
+            "weights[0].lambda: expected a string, got 0",
+        ),
+        (
+            {"sites": [_SITE], "weights": [{**_ROW, "outcome": [_LONG]}]},
+            f"unknown outcome '{'x' * 99}... at site 'a'",
+        ),
+        (
+            {"sites": [_SITE], "weights": [{**_ROW, _LONG: 1}]},
+            f"weights[0]: unknown keys ['{'x' * 98}...",
+        ),
+    ],
+    ids=[
+        "sites-not-a-list",
+        "weights-not-a-list",
+        "site-not-an-object",
+        "row-not-an-object",
+        "site-name-not-a-string",
+        "label-not-a-string",
+        "row-lambda-not-a-string",
+        "long-outcome-label",
+        "long-row-key",
+    ],
+)
+def test_malformed_model_file_exits_two_with_its_message(cli, tmp_path, data, message):
+    path = tmp_path / "bad.em"
+    path.write_text(json.dumps(data))
+    code, out, err = cli("check", str(path), "--property", "non-contextuality")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err.encode()) < 400
+
+
 def test_witness_over_the_digit_limit_prints_exactly(cli, tmp_path):
     """The locality witness of this valid model has a 6,001-digit denominator."""
     big = 10**3000 + 1
@@ -325,6 +375,17 @@ def test_construct_json_embeds_the_model(cli, epr_file):
     assert payload["lambda_size"] == 4
     assert payload["equivalent"] is True
     assert payload["model"]["lambda"] is not None
+
+
+def test_construct_json_with_out_writes_the_file(cli, tmp_path, epr_file):
+    target = tmp_path / "epr-e1.hvm"
+    code, out, err = cli("construct", epr_file, "--method", "e1", "--out", str(target), "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload == {
+        "command": "construct", "method": "e1", "lambda_size": 4, "equivalent": True, "out": str(target)
+    }
+    assert len(load_model(str(target)).lambda_set) == 4
 
 
 def test_construct_projects_hidden_input(cli, tmp_path):

@@ -45,6 +45,7 @@ from hvw import (
     reconstruct_hvm,
 )
 from hvw.models import as_empirical, require
+from hvw.nogo import random_strategy_mixture
 
 from conftest import point_mass_model
 
@@ -542,6 +543,9 @@ def test_weights_and_views_iterate_in_canonical_order(seed):
     assert _in_order(e.context_weights(), _context_rank)
     for context in e.context_weights():
         assert _in_order(e.outcome_distribution(context), _outcome_rank)
+    assert _in_order(e.context_distributions(), _context_rank)
+    for row in e.context_distributions().values():
+        assert _in_order(row, _outcome_rank)
 
     h = HiddenVariableModel(ORDER_SITES, ORDER_STATES, _shuffled_weights(seed, hidden=True))
     lam_rank = ORDER_STATES.index
@@ -555,12 +559,84 @@ def test_weights_and_views_iterate_in_canonical_order(seed):
         assert _in_order(h.lambda_distribution(context), lam_rank)
     for context, lam in h.context_lambda_weights():
         assert _in_order(h.outcome_distribution(context, lam), _outcome_rank)
+    assert _in_order(h.context_distributions(), _context_rank)
+    for row in h.context_distributions().values():
+        assert _in_order(row, _outcome_rank)
+    assert _in_order(
+        h.context_lambda_distributions(), lambda key: (_context_rank(key[0]), lam_rank(key[1]))
+    )
+    for row in h.context_lambda_distributions().values():
+        assert _in_order(row, _outcome_rank)
     responses = h.site_responses()
     assert _in_order(
         responses, lambda key: (key[0], ORDER_SITES[key[0]].measurements.index(key[1]), lam_rank(key[2]))
     )
     for (i, _, _), response in responses.items():
         assert _in_order(response, ORDER_SITES[i].outcomes.index)
+
+
+def _row_view_models() -> list:
+    """Seeded random models of both kinds, strategy mixtures and the e1, e2
+    and sv completions of the empirical ones."""
+    found = []
+    for seed in range(4):
+        for shape in ((1, 2, 2), (2, 2, 2), (2, 2, 3)):
+            sites = grid_sites(*shape)
+            e = generate_random_model(seed, sites)
+            found += [e, generate_random_model(seed, sites, lambda_size=3), random_strategy_mixture(seed, sites)]
+            found += [construct_e1(e), construct_e2(e), construct_sv(e)]
+    return found
+
+
+def _given(model, context, lam=None) -> Event:
+    return Event(measurements={s.name: m for s, m in zip(model.sites, context)}, hidden=lam)
+
+
+def _cond_prob_row(model, context, lam=None) -> dict:
+    """p(o | context[, λ]) of every positive outcome tuple, by `cond_prob`."""
+    given = _given(model, context, lam)
+    row = {}
+    for outcome in model.outcome_tuples():
+        p = model.cond_prob(Event(outcomes={s.name: a for s, a in zip(model.sites, outcome)}), given)
+        if p:
+            row[outcome] = p
+    return row
+
+
+def test_row_views_match_conditional_probability():
+    for model in _row_view_models():
+        rows = model.context_distributions()
+        assert list(rows) == [c for c in model.context_tuples() if model.event_prob(_given(model, c))]
+        for context, row in rows.items():
+            assert dict(row) == _cond_prob_row(model, context)
+            assert row == model.outcome_distribution(context)
+        if isinstance(model, HiddenVariableModel):
+            rows = model.context_lambda_distributions()
+            assert list(rows) == [
+                (c, lam)
+                for c in model.context_tuples()
+                for lam in model.lambda_set
+                if model.event_prob(_given(model, c, lam))
+            ]
+            for (context, lam), row in rows.items():
+                assert dict(row) == _cond_prob_row(model, context, lam)
+                assert row == model.outcome_distribution(context, lam)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_row_views_are_read_only(kind):
+    model = epr_model() if kind == "empirical" else epr_escape_hvm()
+    views = [model.context_distributions()]
+    if kind == "hidden":
+        views.append(model.context_lambda_distributions())
+    for view in views:
+        key, row = next(iter(view.items()))
+        with pytest.raises(TypeError):
+            view[key] = {}
+        with pytest.raises(TypeError):
+            row[next(iter(row))] = Fraction(0)
+        with pytest.raises(TypeError):
+            del view[key]
 
 
 def test_site_responses_are_the_own_measurement_conditionals():
