@@ -59,6 +59,9 @@ def fraction_text(value: Fraction) -> str:
 # Largest decimal exponent a number string may carry ("1e-300" is fine).
 # A larger one is refused before 10 ** exponent is built.
 MAX_EXPONENT = 1000
+# Most decimal digits a number string may hold: 10^5 digits read in about
+# 0.03 s, 10^6 in over a second. More are refused before any int is built.
+MAX_DIGITS = 100_000
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)")
 # What `fraction_text` writes; only this form is read in pieces when too long.
 _PLAIN = re.compile(r"(-?)(\d+)(?:/(\d+))?")
@@ -69,10 +72,11 @@ def read_rational(value: object, where: str) -> Fraction | int:
 
     A `Fraction` or `int` is taken as it is. A string is read as `Fraction`
     reads it ("3/8", "-2", "0.125", "1e-30"), after its exponent is checked
-    against ±MAX_EXPONENT; a plain "n" or "n/d" too long for one `int` call,
-    as `fraction_text` writes it, is read in pieces. Booleans, floats,
-    decimals and anything else raise `ModelFormatError` naming `where`; a
-    message echoes the value only as far as `show_value` cuts it.
+    against ±MAX_EXPONENT and its digit count against MAX_DIGITS; a plain "n"
+    or "n/d" too long for one `int` call, as `fraction_text` writes it, is
+    read in pieces. Booleans, floats, decimals and anything else raise
+    `ModelFormatError` naming `where`; a message echoes the value only as far
+    as `show_value` cuts it.
     """
     if type(value) is Fraction or type(value) is int:
         return value
@@ -86,6 +90,8 @@ def read_rational(value: object, where: str) -> Fraction | int:
         digits = exponent.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
             raise ModelFormatError(f"{where}: exponent in {show_value(value)} is beyond ±{MAX_EXPONENT}")
+    if len(value) > MAX_DIGITS and sum(map(value.count, "0123456789")) > MAX_DIGITS:
+        raise ModelFormatError(f"{where}: {show_value(value)} has more than {MAX_DIGITS} digits")
     try:
         try:
             return Fraction(value)

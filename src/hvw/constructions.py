@@ -70,24 +70,22 @@ def construct_e2(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVar
     of the context, which is what makes lambda independence hold.
     """
     e = require(model, EmpiricalModel, "construct_e2")
-    rows = e.context_distributions()
-    denominators = [1]
-    for dist in rows.values():
-        denominators.extend(p.denominator for p in dist.values())
-    size = math.lcm(*denominators)
+    table = e._context_table()
+    # p = n / mass in lowest terms has denominator mass // gcd(n, mass).
+    size = math.lcm(*(mass // math.gcd(n, mass) for mass, row in table.values() for n in row.values()))
     if size > guard:
         raise SizeGuardError("e2 hidden state set", size, guard)
     labels = tuple(str(i) for i in range(size))
     weights: dict = {}
-    for context, mass in e.context_weights().items():
-        share = mass / size
+    for context, (mass, row) in table.items():
+        share = Fraction(mass, e._denominator * size)
         start = 0
-        for outcome, p in rows[context].items():
-            block = p * size
-            assert block.denominator == 1
-            for state in range(start, start + block.numerator):
+        for outcome, n in row.items():
+            block, remainder = divmod(n * size, mass)
+            assert remainder == 0
+            for state in range(start, start + block):
                 weights[(outcome, context, labels[state])] = share
-            start += block.numerator
+            start += block
         assert start == size
     return HiddenVariableModel(e.sites, labels, weights)
 

@@ -8,6 +8,11 @@ weights triples (outcome tuple, context, hidden state). All weights are
 nonnegative `fractions.Fraction` values summing to exactly 1; nothing in this
 package ever rounds.
 
+A model stores its weights as fractions and caches only integer tables:
+counts over D, the lcm of the weights' denominators, per context, per
+(context, hidden state) and per site response. Checks compare ratios of
+counts by cross-multiplying; every fraction view is derived per call.
+
 Canonical order sorts contexts, outcome tuples and hidden states by the
 index of each label in its declared list, position by position. A model
 stores its weight table in canonical order: by context, then outcome tuple,
@@ -19,7 +24,8 @@ that scans them in turn finds the canonically first violation.
 The two row views take no arguments: `context_distributions()` maps each
 non-null context to p(o | context), `context_lambda_distributions()` each
 positive (context, hidden state) pair to p(o | context, λ). The lookups
-`outcome_distribution` and `lambda_distribution` validate their arguments.
+`outcome_distribution` and `lambda_distribution` validate their arguments
+and derive only the row they return.
 
 Events are partial assignments (some sites' outcomes, some sites'
 measurements, optionally a hidden state). `event_prob` and `cond_prob` give
@@ -207,22 +213,23 @@ class _BaseModel:
         self._meas_index = tuple({m: i for i, m in enumerate(site.measurements)} for site in sites)
         self._out_index = tuple({a: i for i, a in enumerate(site.outcomes)} for site in sites)
         cleaned: dict[tuple, Fraction] = {}
-        total = ZERO
         for raw_key, raw in weights.items():
             key = self._check_key(raw_key)
             value = raw if type(raw) is Fraction else Fraction(read_rational(raw, f"weight at {show_value(raw_key)}"))
             if value < 0:
                 raise NegativeWeightError(key, value)
-            total += value
             if value:
                 cleaned[key] = value
-        if total != 1:
-            raise WeightSumError(total)
+        # Every weight is an int numerator over D, the lcm of the denominators.
+        self._denominator = math.lcm(*{value.denominator for value in cleaned.values()})
         self._weights = {key: cleaned[key] for key in sorted(cleaned, key=self._rank)}
-        # Aggregate tables, built on first use. Every cache attribute is assigned
-        # in __init__, so instances keep sharing one dict key layout.
-        self._ctx_mass: dict[Context, Fraction] | None = None
-        self._ctx_rows: dict[Context, Mapping[OutcomeTuple, Fraction]] | None = None
+        total = sum(n for _, n in self._numerators())
+        if total != self._denominator:
+            raise WeightSumError(Fraction(total, self._denominator))
+        # Int tables, key -> (mass, {item: count}) over D in canonical order,
+        # built on first use in one pass over the weights. Every cache attribute
+        # is assigned in __init__, so instances keep sharing one dict key layout.
+        self._ctx_table: dict[Context, tuple[int, dict[OutcomeTuple, int]]] | None = None
 
     def _check_key(self, key: tuple) -> tuple:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -330,48 +337,65 @@ class _BaseModel:
         numerator = ZERO if merged is None else self.event_prob(merged)
         return numerator / denominator
 
+    def _numerators(self) -> Iterator[tuple[tuple, int]]:
+        """Each stored key, in canonical order, with its weight times D."""
+        scale = self._denominator
+        for key, weight in self._weights.items():
+            yield key, weight.numerator * (scale // weight.denominator)
+
+    def _build_tables(self) -> None:
+        rows: dict[Context, dict[OutcomeTuple, int]] = {}
+        for (outcome, context), n in self._numerators():
+            rows.setdefault(context, {})[outcome] = n
+        self._ctx_table = _totalled(rows)
+
+    def _context_table(self) -> dict[Context, tuple[int, dict[OutcomeTuple, int]]]:
+        """Each non-null context's outcome counts, hidden states summed out."""
+        if self._ctx_table is None:
+            self._build_tables()
+        return self._ctx_table  # type: ignore[return-value]
+
+    def _masses(self, table: Mapping[tuple, tuple[int, Mapping]]) -> Mapping[tuple, Fraction]:
+        return MappingProxyType({key: Fraction(mass, self._denominator) for key, (mass, _) in table.items()})
+
     def context_distributions(self) -> Mapping[Context, Mapping[OutcomeTuple, Fraction]]:
         """Row p(o | context) of each non-null context, hidden states summed
-        out: a read-only view in canonical order, built with `context_weights`
-        in one pass over the weight table."""
-        if self._ctx_rows is None:
-            masses: dict[Context, Fraction] = {}
-            sums: dict[Context, dict[OutcomeTuple, Fraction]] = {}
-            for key, weight in self._weights.items():
-                outcome, context = key[0], key[1]
-                masses[context] = masses.get(context, ZERO) + weight
-                row = sums.setdefault(context, {})
-                # A cell seen once keeps its weight object: no new Fraction.
-                row[outcome] = row[outcome] + weight if outcome in row else weight
-            self._ctx_mass = masses
-            self._ctx_rows = {
-                context: MappingProxyType({o: w / masses[context] for o, w in row.items()})
-                for context, row in sums.items()
-            }
-        return MappingProxyType(self._ctx_rows)
+        out: a read-only view in canonical order."""
+        return _fraction_rows(self._context_table())
 
     def context_weights(self) -> Mapping[Context, Fraction]:
         """Marginal weight of each non-null context (hidden states summed out)."""
-        self.context_distributions()
-        return MappingProxyType(self._ctx_mass)
+        return self._masses(self._context_table())
 
     def outcome_distribution(self, context: Sequence[str]) -> Mapping[OutcomeTuple, Fraction]:
         """Conditional outcome distribution on a non-null context (sparse)."""
-        return _row(self.context_distributions(), self.check_context(context))
+        return _row(self._context_table(), self.check_context(context))
 
 
-def _row(rows: Mapping, key: tuple) -> Mapping[OutcomeTuple, Fraction]:
-    """`rows[key]`, or the null-conditioning error for a key with no row."""
-    row = rows.get(key)
-    if row is None:
+def _totalled(rows: Mapping[tuple, dict]) -> dict[tuple, tuple[int, dict]]:
+    return {key: (sum(row.values()), row) for key, row in rows.items()}
+
+
+def _fraction_row(mass: int, row: Mapping) -> Mapping:
+    return MappingProxyType({item: Fraction(n, mass) for item, n in row.items()})
+
+
+def _fraction_rows(table: Mapping[tuple, tuple[int, Mapping]]) -> Mapping[tuple, Mapping]:
+    return MappingProxyType({key: _fraction_row(mass, row) for key, (mass, row) in table.items()})
+
+
+def _row(table: Mapping[tuple, tuple[int, Mapping]], key: tuple) -> Mapping[OutcomeTuple, Fraction]:
+    """The row of `key` as fractions, or the null-conditioning error."""
+    entry = table.get(key)
+    if entry is None:
         raise NullConditioningError(f"conditioning event {key} has probability 0")
-    return row
+    return _fraction_row(*entry)
 
 
 class EmpiricalModel(_BaseModel):
     """A weight for every (outcome tuple, context) pair, summing to 1.
 
-    Treat instances as immutable; aggregate views are cached on first use.
+    Treat instances as immutable; integer tables are cached on first use.
     """
 
     def _check_key(self, key: tuple) -> tuple[OutcomeTuple, Context]:
@@ -397,7 +421,7 @@ class EmpiricalModel(_BaseModel):
 class HiddenVariableModel(_BaseModel):
     """A weight for every (outcome tuple, context, hidden state), summing to 1.
 
-    Treat instances as immutable; aggregate views are cached on first use.
+    Treat instances as immutable; integer tables are cached on first use.
     """
 
     def __init__(
@@ -409,10 +433,8 @@ class HiddenVariableModel(_BaseModel):
         self.lambda_set: tuple[str, ...] = _unique_labels(lambda_set, "hidden state set")
         self._lambda_index = {lam: i for i, lam in enumerate(self.lambda_set)}
         super().__init__(sites, weights)
-        self._ctx_lam_mass: dict[tuple[Context, str], Fraction] | None = None
-        self._lambda_mass: dict[Context, dict[str, Fraction]] | None = None
-        self._ctx_lam_rows: dict[tuple[Context, str], Mapping[OutcomeTuple, Fraction]] | None = None
-        self._responses: dict[tuple[int, str, str], Mapping[str, Fraction]] | None = None
+        self._lambda_rows: dict[tuple[Context, str], tuple[int, dict[OutcomeTuple, int]]] | None = None
+        self._responses: dict[tuple[int, str, str], tuple[int, dict[str, int]]] | None = None
 
     def _check_key(self, key: tuple) -> tuple[OutcomeTuple, Context, str]:
         try:
@@ -446,41 +468,56 @@ class HiddenVariableModel(_BaseModel):
             f"{len(self.lambda_set)} hidden states, support {len(self._weights)})"
         )
 
+    def _build_tables(self) -> None:
+        rows: dict = {}
+        by_context: dict[Context, dict[str, dict]] = {}
+        responses: dict[tuple[int, str, str], dict[str, int]] = {}
+        for (outcome, context, lam), n in self._numerators():
+            row = rows.setdefault(context, {})
+            row[outcome] = row.get(outcome, 0) + n
+            by_context.setdefault(context, {}).setdefault(lam, {})[outcome] = n
+            for i, m in enumerate(context):
+                response = responses.setdefault((i, m, lam), {})
+                response[outcome[i]] = response.get(outcome[i], 0) + n
+        # Storage order sorts the contexts, not the hidden states within one
+        # nor the outcomes of one site.
+        rank = self._lambda_index.__getitem__
+        self._ctx_table = _totalled(rows)
+        self._lambda_rows = _totalled(
+            {(c, lam): by_lambda[lam] for c, by_lambda in by_context.items() for lam in sorted(by_lambda, key=rank)}
+        )
+        order = sorted(responses, key=lambda k: (k[0], self._meas_index[k[0]][k[1]], rank(k[2])))
+        self._responses = _totalled(
+            {k: {a: responses[k][a] for a in self.sites[k[0]].outcomes if a in responses[k]} for k in order}
+        )
+
+    def _lambda_table(self) -> dict[tuple[Context, str], tuple[int, dict[OutcomeTuple, int]]]:
+        """Each positive (context, hidden state) pair's outcome counts."""
+        self._context_table()  # builds every table
+        return self._lambda_rows  # type: ignore[return-value]
+
+    def _response_table(self) -> dict[tuple[int, str, str], tuple[int, dict[str, int]]]:
+        """Each site's outcome counts given its own measurement and λ, as in `site_responses`."""
+        self._context_table()  # builds every table
+        return self._responses  # type: ignore[return-value]
+
     def context_lambda_distributions(self) -> Mapping[tuple[Context, str], Mapping[OutcomeTuple, Fraction]]:
-        """Row p(o | context, λ) of each positive (context, hidden state) pair:
-        a read-only view in canonical order, built with `context_lambda_weights`
-        and the hidden-state masses per context in one pass over the weights."""
-        if self._ctx_lam_rows is None:
-            sums: dict[Context, dict[str, dict[OutcomeTuple, Fraction]]] = {}
-            for (outcome, context, lam), weight in self._weights.items():
-                sums.setdefault(context, {}).setdefault(lam, {})[outcome] = weight
-            masses: dict[tuple[Context, str], Fraction] = {}
-            lambda_mass: dict[Context, dict[str, Fraction]] = {}
-            rows: dict[tuple[Context, str], Mapping[OutcomeTuple, Fraction]] = {}
-            # Storage order sorts the contexts, not the hidden states within one.
-            rank = self._lambda_index.__getitem__
-            for context, by_lambda in sums.items():
-                per_lambda = lambda_mass[context] = {}
-                for lam in sorted(by_lambda, key=rank):
-                    row = by_lambda[lam]
-                    mass = per_lambda[lam] = masses[(context, lam)] = sum(row.values(), ZERO)
-                    rows[(context, lam)] = MappingProxyType({o: w / mass for o, w in row.items()})
-            self._ctx_lam_mass, self._lambda_mass, self._ctx_lam_rows = masses, lambda_mass, rows
-        return MappingProxyType(self._ctx_lam_rows)
+        """Row p(o | context, λ) of each positive (context, hidden state)
+        pair: a read-only view in canonical order."""
+        return _fraction_rows(self._lambda_table())
 
     def context_lambda_weights(self) -> Mapping[tuple[Context, str], Fraction]:
         """Joint weight of each (context, hidden state) pair with positive mass."""
-        self.context_lambda_distributions()
-        return MappingProxyType(self._ctx_lam_mass)
+        return self._masses(self._lambda_table())
 
     def lambda_distribution(self, context: Sequence[str]) -> Mapping[str, Fraction]:
         """Conditional distribution of the hidden state on a non-null context."""
         context = self.check_context(context)
-        mass = self.context_weights().get(context, ZERO)
-        if mass == 0:
+        entry = self._context_table().get(context)
+        if entry is None:
             raise NullConditioningError(f"context {context} has probability 0")
-        self.context_lambda_distributions()
-        return {lam: weight / mass for lam, weight in self._lambda_mass[context].items()}
+        mass, table = entry[0], self._lambda_table()
+        return {lam: Fraction(table[(context, lam)][0], mass) for lam in self.lambda_set if (context, lam) in table}
 
     def outcome_distribution(
         self, context: Sequence[str], lam: str | None = None
@@ -488,8 +525,7 @@ class HiddenVariableModel(_BaseModel):
         """Conditional outcome distribution given a context, optionally a state."""
         if lam is None:
             return super().outcome_distribution(context)
-        key = (self.check_context(context), self.check_lambda(lam))
-        return _row(self.context_lambda_distributions(), key)
+        return _row(self._lambda_table(), (self.check_context(context), self.check_lambda(lam)))
 
     def site_responses(self) -> Mapping[tuple[int, str, str], Mapping[str, Fraction]]:
         """Each site's response to its own measurement, p(a | m, λ).
@@ -499,24 +535,7 @@ class HiddenVariableModel(_BaseModel):
         canonical order: site, then measurement, then hidden state. Each
         response lists its positive outcomes in the site's declared order.
         """
-        if self._responses is None:
-            masses: dict[tuple[int, str, str], dict[str, Fraction]] = {}
-            for (outcome, context, lam), weight in self._weights.items():
-                for i, m in enumerate(context):
-                    row = masses.setdefault((i, m, lam), {})
-                    a = outcome[i]
-                    row[a] = row[a] + weight if a in row else weight
-            responses: dict[tuple[int, str, str], Mapping[str, Fraction]] = {}
-            for i, m, lam in sorted(
-                masses, key=lambda k: (k[0], self._meas_index[k[0]][k[1]], self._lambda_index[k[2]])
-            ):
-                row = masses[(i, m, lam)]
-                total = sum(row.values(), ZERO)
-                responses[(i, m, lam)] = MappingProxyType(
-                    {a: row[a] / total for a in self.sites[i].outcomes if a in row}
-                )
-            self._responses = responses
-        return MappingProxyType(self._responses)
+        return _fraction_rows(self._response_table())
 
 
 Model = EmpiricalModel | HiddenVariableModel
@@ -559,39 +578,35 @@ def project_to_empirical(hvm: HiddenVariableModel) -> EmpiricalModel:
 def _prediction_agreement(left: _BaseModel, right: _BaseModel) -> PropertyVerdict:
     if left.sites != right.sites:
         raise SignatureMismatchError("models do not share the same site signature")
-    left_ctx, left_rows = left.context_weights(), left.context_distributions()
-    right_ctx, right_rows = right.context_weights(), right.context_distributions()
-    contexts = sorted(set(left_ctx) | set(right_ctx), key=left.context_sort_key)
+    left_table, right_table = left._context_table(), right._context_table()
+    contexts = sorted(set(left_table) | set(right_table), key=left.context_sort_key)
     for context in contexts:
-        left_mass = left_ctx.get(context, ZERO)
-        right_mass = right_ctx.get(context, ZERO)
+        left_mass, left_row = left_table.get(context, (0, {}))
+        right_mass, right_row = right_table.get(context, (0, {}))
         ctx_desc = describe_context(left.sites, context)
-        if (left_mass == 0) != (right_mass == 0):
+        if not left_mass or not right_mass:
             return PropertyVerdict(
                 False,
                 Witness(
                     lhs_desc=f"left p({ctx_desc})",
                     rhs_desc=f"right p({ctx_desc})",
-                    lhs=left_mass,
-                    rhs=right_mass,
+                    lhs=Fraction(left_mass, left._denominator),
+                    rhs=Fraction(right_mass, right._denominator),
                     where=tuple(context),
                 ),
             )
-        if left_mass == 0:
-            continue
-        left_dist, right_dist = left_rows[context], right_rows[context]
-        for outcome in sorted(set(left_dist) | set(right_dist), key=left.outcome_sort_key):
-            left_p = left_dist.get(outcome, ZERO)
-            right_p = right_dist.get(outcome, ZERO)
-            if left_p != right_p:
+        for outcome in sorted(set(left_row) | set(right_row), key=left.outcome_sort_key):
+            left_n, right_n = left_row.get(outcome, 0), right_row.get(outcome, 0)
+            # left_n / left_mass != right_n / right_mass, without the divisions.
+            if left_n * right_mass != right_n * left_mass:
                 out_desc = describe_outcome(left.sites, outcome)
                 return PropertyVerdict(
                     False,
                     Witness(
                         lhs_desc=f"left p({out_desc} | {ctx_desc})",
                         rhs_desc=f"right p({out_desc} | {ctx_desc})",
-                        lhs=left_p,
-                        rhs=right_p,
+                        lhs=Fraction(left_n, left_mass),
+                        rhs=Fraction(right_n, right_mass),
                         where=tuple(context) + tuple(outcome),
                     ),
                 )

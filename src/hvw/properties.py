@@ -29,7 +29,9 @@ Two apply to empirical models:
   sending site i to i+1 (mod n): they generate all n! permutations, so a
   failing check names the first of the two that changes a prediction.
 
-Each check returns a `PropertyVerdict`; a failing verdict carries the first
+Each check reads the model's integer tables: determinism is decided on
+supports alone, and every other comparison of two ratios cross-multiplies.
+Each returns a `PropertyVerdict`; a failing verdict carries the first
 violation found in a fixed canonical scan order, with exact values on both
 sides.
 """
@@ -37,19 +39,19 @@ sides.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import InputError
+from .errors import InputError, show_value
 from .models import (
     ONE,
     ZERO,
     EmpiricalModel,
     HiddenVariableModel,
     PropertyVerdict,
-    Site,
     Witness,
     as_empirical,
     describe_context,
@@ -97,12 +99,12 @@ class Permutation:
 
     def __post_init__(self) -> None:
         if sorted(self.image) != list(range(len(self.image))):
-            raise InputError(f"not a permutation of 0..{len(self.image) - 1}: {self.image}")
+            raise InputError(f"not a permutation of 0..{len(self.image) - 1}: {show_value(self.image)}")
 
     def apply(self, values: Sequence[str]) -> tuple[str, ...]:
         """Reorder a per-site tuple: entry i moves to position image[i]."""
         if len(values) != len(self.image):
-            raise InputError(f"cannot apply a {len(self.image)}-site permutation to {values!r}")
+            raise InputError(f"cannot apply a {len(self.image)}-site permutation to {show_value(values)}")
         moved: list[str | None] = [None] * len(self.image)
         for i, j in enumerate(self.image):
             moved[j] = values[i]
@@ -132,22 +134,22 @@ def check_single_valuedness(model: HiddenVariableModel) -> PropertyVerdict:
 def check_lambda_independence(model: HiddenVariableModel) -> PropertyVerdict:
     """The hidden state's distribution is the same on every non-null context."""
     h = require(model, HiddenVariableModel, "lambda-independence")
-    masses = h.context_weights()
-    joint = h.context_lambda_weights()
-    first, *contexts = masses
-    for context in contexts:
+    contexts = h._context_table()
+    joint = h._lambda_table()
+    (first, (first_mass, _)), *rest = contexts.items()
+    for context, (mass, _) in rest:
         for lam in h.lambda_set:
-            left = joint.get((first, lam), ZERO)
-            right = joint.get((context, lam), ZERO)
-            # left / mass(first) != right / mass(context), without the divisions.
-            if left * masses[context] != right * masses[first]:
+            left = joint.get((first, lam), (0,))[0]
+            right = joint.get((context, lam), (0,))[0]
+            # left / first_mass != right / mass, without the divisions.
+            if left * mass != right * first_mass:
                 return PropertyVerdict(
                     False,
                     Witness(
                         lhs_desc=f"p(λ={lam} | {describe_context(h.sites, first)})",
                         rhs_desc=f"p(λ={lam} | {describe_context(h.sites, context)})",
-                        lhs=left / masses[first],
-                        rhs=right / masses[context],
+                        lhs=Fraction(left, first_mass),
+                        rhs=Fraction(right, mass),
                         where=(lam,),
                     ),
                 )
@@ -157,17 +159,17 @@ def check_lambda_independence(model: HiddenVariableModel) -> PropertyVerdict:
 def check_strong_determinism(model: HiddenVariableModel) -> PropertyVerdict:
     """Given the hidden state, each site responds to its own measurement deterministically."""
     h = require(model, HiddenVariableModel, "strong-determinism")
-    for (i, m, lam), response in h.site_responses().items():
+    for (i, m, lam), (total, response) in h._response_table().items():
         if len(response) == 1:
             continue
         name = h.sites[i].name
-        a, p = next(iter(response.items()))
+        a, n = next(iter(response.items()))
         return PropertyVerdict(
             False,
             Witness(
                 lhs_desc=f"p({name}={a} | {name}={m}, λ={lam})",
                 rhs_desc="the point mass required by strong determinism",
-                lhs=p,
+                lhs=Fraction(n, total),
                 rhs=ONE,
                 where=(name, m, lam),
             ),
@@ -178,10 +180,10 @@ def check_strong_determinism(model: HiddenVariableModel) -> PropertyVerdict:
 def check_weak_determinism(model: HiddenVariableModel) -> PropertyVerdict:
     """Given context and hidden state, the whole outcome tuple is determined."""
     h = require(model, HiddenVariableModel, "weak-determinism")
-    for (context, lam), dist in h.context_lambda_distributions().items():
-        if len(dist) == 1:
+    for (context, lam), (mass, row) in h._lambda_table().items():
+        if len(row) == 1:
             continue
-        outcome, p = next(iter(dist.items()))
+        outcome, n = next(iter(row.items()))
         return PropertyVerdict(
             False,
             Witness(
@@ -190,7 +192,7 @@ def check_weak_determinism(model: HiddenVariableModel) -> PropertyVerdict:
                     f"{describe_context(h.sites, context)}, λ={lam})"
                 ),
                 rhs_desc="the point mass required by weak determinism",
-                lhs=p,
+                lhs=Fraction(n, mass),
                 rhs=ONE,
                 where=(lam,),
             ),
@@ -198,13 +200,12 @@ def check_weak_determinism(model: HiddenVariableModel) -> PropertyVerdict:
     return PropertyVerdict(True)
 
 
-def _site_marginals(
-    sites: tuple[Site, ...], dist: dict | object
-) -> list[dict[str, Fraction]]:
-    marginals: list[dict[str, Fraction]] = [dict() for _ in sites]
-    for outcome, p in dist.items():  # type: ignore[union-attr]
-        for i, a in enumerate(outcome):
-            marginals[i][a] = marginals[i].get(a, ZERO) + p
+def _site_marginals(n_sites: int, row: Mapping[tuple[str, ...], int]) -> list[dict[str, int]]:
+    """Each site's outcome counts in one row of int numerators."""
+    marginals: list[dict[str, int]] = [{} for _ in range(n_sites)]
+    for outcome, n in row.items():
+        for marginal, a in zip(marginals, outcome):
+            marginal[a] = marginal.get(a, 0) + n
     return marginals
 
 
@@ -222,25 +223,25 @@ def check_outcome_independence(model: HiddenVariableModel) -> PropertyVerdict:
     for i in range(h.n_sites):
         others = h.sites[:i] + h.sites[i + 1 :]
         partners.append((others, [{a: k for k, a in enumerate(s.outcomes)} for s in others]))
-    for (context, lam), dist in h.context_lambda_distributions().items():
-        if len(dist) == 1:
+    for (context, lam), (mass, row) in h._lambda_table().items():
+        if len(row) == 1:
             continue
-        marginals = _site_marginals(h.sites, dist)
+        marginals = _site_marginals(h.n_sites, row)
         for i, site in enumerate(h.sites):
             others, ranks = partners[i]
-            rest_mass: dict[tuple[str, ...], Fraction] = {}
-            for outcome, p in dist.items():
+            rest_mass: dict[tuple[str, ...], int] = {}
+            for outcome, n in row.items():
                 rest = outcome[:i] + outcome[i + 1 :]
-                rest_mass[rest] = rest_mass.get(rest, ZERO) + p
+                rest_mass[rest] = rest_mass.get(rest, 0) + n
             for rest in sorted(
                 rest_mass, key=lambda r: tuple(idx[b] for idx, b in zip(ranks, r))
             ):
-                mass = rest_mass[rest]
+                given = rest_mass[rest]
                 for a in site.outcomes:
-                    joint = dist.get(rest[:i] + (a,) + rest[i:], ZERO)
-                    right = marginals[i].get(a, ZERO)
-                    # joint / mass != right, without the division: mass > 0.
-                    if joint != right * mass:
+                    joint = row.get(rest[:i] + (a,) + rest[i:], 0)
+                    right = marginals[i].get(a, 0)
+                    # joint / given != right / mass, without the divisions.
+                    if joint * mass != right * given:
                         ctx_desc = describe_context(h.sites, context)
                         rest_desc = ", ".join(f"{s.name}={b}" for s, b in zip(others, rest))
                         return PropertyVerdict(
@@ -248,8 +249,8 @@ def check_outcome_independence(model: HiddenVariableModel) -> PropertyVerdict:
                             Witness(
                                 lhs_desc=f"p({site.name}={a} | {ctx_desc}, {rest_desc}, λ={lam})",
                                 rhs_desc=f"p({site.name}={a} | {ctx_desc}, λ={lam})",
-                                lhs=joint / mass,
-                                rhs=right,
+                                lhs=Fraction(joint, given),
+                                rhs=Fraction(right, mass),
                                 where=(site.name, lam),
                             ),
                         )
@@ -259,35 +260,29 @@ def check_outcome_independence(model: HiddenVariableModel) -> PropertyVerdict:
 def check_parameter_independence(model: HiddenVariableModel) -> PropertyVerdict:
     """A site's response given the hidden state ignores the partners' measurements."""
     h = require(model, HiddenVariableModel, "parameter-independence")
-    responses = h.site_responses()
-    for (context, lam), dist in h.context_lambda_distributions().items():
+    responses = h._response_table()
+    for (context, lam), (mass, row) in h._lambda_table().items():
         ctx_desc = describe_context(h.sites, context)
-        marginals = _site_marginals(h.sites, dist)
+        marginals = _site_marginals(h.n_sites, row)
         for i, site in enumerate(h.sites):
             m = context[i]
-            response = responses[(i, m, lam)]
+            total, response = responses[(i, m, lam)]
             for a in site.outcomes:
-                left = marginals[i].get(a, ZERO)
-                right = response.get(a, ZERO)
-                if left != right:
+                left = marginals[i].get(a, 0)
+                right = response.get(a, 0)
+                # left / mass != right / total, without the divisions.
+                if left * total != right * mass:
                     return PropertyVerdict(
                         False,
                         Witness(
                             lhs_desc=f"p({site.name}={a} | {ctx_desc}, λ={lam})",
                             rhs_desc=f"p({site.name}={a} | {site.name}={m}, λ={lam})",
-                            lhs=left,
-                            rhs=right,
+                            lhs=Fraction(left, mass),
+                            rhs=Fraction(right, total),
                             where=(site.name, lam),
                         ),
                     )
     return PropertyVerdict(True)
-
-
-def _factor_product(factors: list[Mapping[str, Fraction]], outcome: tuple[str, ...]) -> Fraction:
-    right = ONE
-    for i, a in enumerate(outcome):
-        right *= factors[i].get(a, ZERO)
-    return right
 
 
 def check_locality(model: HiddenVariableModel) -> PropertyVerdict:
@@ -301,12 +296,16 @@ def check_locality(model: HiddenVariableModel) -> PropertyVerdict:
     failing outcome tuple, as in a scan of the full outcome product.
     """
     h = require(model, HiddenVariableModel, "locality")
-    responses = h.site_responses()
-    for (context, lam), dist in h.context_lambda_distributions().items():
-        # Per site, the positive factors p(a | own measurement, λ).
-        factors = [responses[(i, m, lam)] for i, m in enumerate(context)]
-        failing = [o for o, p in dist.items() if p != _factor_product(factors, o)]
-        missing = next((o for o in itertools.product(*factors) if o not in dist), None)
+    responses = h._response_table()
+    for (context, lam), (mass, row) in h._lambda_table().items():
+        # Per site, the positive factors p(a | own measurement, λ) as counts
+        # over their totals. Every outcome of a row has all its factors.
+        entries = [responses[(i, m, lam)] for i, m in enumerate(context)]
+        scale = math.prod(total for total, _ in entries)
+        factors = [counts for _, counts in entries]
+        # n / mass != product / scale, without the divisions.
+        failing = [o for o, n in row.items() if n * scale != math.prod(map(dict.__getitem__, factors, o)) * mass]
+        missing = next((o for o in itertools.product(*factors) if o not in row), None)
         if missing is not None:
             failing.append(missing)
         if failing:
@@ -319,8 +318,8 @@ def check_locality(model: HiddenVariableModel) -> PropertyVerdict:
                         f"{describe_context(h.sites, context)}, λ={lam})"
                     ),
                     rhs_desc="the product of per-site responses to own measurements",
-                    lhs=dist.get(outcome, ZERO),
-                    rhs=_factor_product(factors, outcome),
+                    lhs=Fraction(row.get(outcome, 0), mass),
+                    rhs=Fraction(math.prod(map(dict.__getitem__, factors, outcome)), scale),
                     where=(lam,),
                 ),
             )
@@ -330,39 +329,34 @@ def check_locality(model: HiddenVariableModel) -> PropertyVerdict:
 def check_non_contextuality(model: EmpiricalModel) -> PropertyVerdict:
     """A measurement's observed marginal is the same in every context containing it."""
     e = require(model, EmpiricalModel, "non-contextuality")
-    rows = e.context_distributions()
-    marginal_cache: dict[tuple[str, ...], list[dict[str, Fraction]]] = {}
+    table = e._context_table()
+    marginal_cache: dict[tuple[str, ...], list[dict[str, int]]] = {}
 
-    def marginals(context: tuple[str, ...]) -> list[dict[str, Fraction]]:
+    def marginals(context: tuple[str, ...]) -> list[dict[str, int]]:
         got = marginal_cache.get(context)
         if got is None:
-            got = _site_marginals(e.sites, rows[context])
-            marginal_cache[context] = got
+            got = marginal_cache[context] = _site_marginals(e.n_sites, table[context][1])
         return got
 
     for i, site in enumerate(e.sites):
         for m in site.measurements:
-            relevant = [c for c in rows if c[i] == m]
+            relevant = [c for c in table if c[i] == m]
             for other in relevant[1:]:
-                left_marg = marginals(relevant[0])[i]
-                right_marg = marginals(other)[i]
+                first = relevant[0]
+                left_marg, right_marg = marginals(first)[i], marginals(other)[i]
+                left_mass, right_mass = table[first][0], table[other][0]
                 for a in site.outcomes:
-                    left = left_marg.get(a, ZERO)
-                    right = right_marg.get(a, ZERO)
-                    if left != right:
+                    left = left_marg.get(a, 0)
+                    right = right_marg.get(a, 0)
+                    # left / left_mass != right / right_mass, without the divisions.
+                    if left * right_mass != right * left_mass:
                         return PropertyVerdict(
                             False,
                             Witness(
-                                lhs_desc=(
-                                    f"q({site.name}={a} | "
-                                    f"{describe_context(e.sites, relevant[0])})"
-                                ),
-                                rhs_desc=(
-                                    f"q({site.name}={a} | "
-                                    f"{describe_context(e.sites, other)})"
-                                ),
-                                lhs=left,
-                                rhs=right,
+                                lhs_desc=f"q({site.name}={a} | {describe_context(e.sites, first)})",
+                                rhs_desc=f"q({site.name}={a} | {describe_context(e.sites, other)})",
+                                lhs=Fraction(left, left_mass),
+                                rhs=Fraction(right, right_mass),
                                 where=(site.name, m),
                             ),
                         )
@@ -382,7 +376,7 @@ def check_exchangeability(model: EmpiricalModel) -> PropertyVerdict:
         if site.measurements != first.measurements or site.outcomes != first.outcomes:
             raise InputError(
                 "exchangeability requires all sites to share identical measurement "
-                f"and outcome label lists; {site.name!r} differs from {first.name!r}"
+                f"and outcome label lists; {show_value(site.name)} differs from {show_value(first.name)}"
             )
     # The swap of sites 0 and 1 and the n-cycle generate the symmetric group,
     # and the permutations that leave the model unchanged form a group, so
@@ -393,13 +387,13 @@ def check_exchangeability(model: EmpiricalModel) -> PropertyVerdict:
         generators.append(Permutation((1, 0) + tuple(range(2, n))))
     if n >= 3:
         generators.append(Permutation(tuple(range(1, n)) + (0,)))
-    rows = e.context_distributions()
+    table = e._context_table()
     for perm in generators:
-        for context, dist in rows.items():
+        for context, (mass, row) in table.items():
             moved_ctx = perm.apply(context)
             ctx_desc = describe_context(e.sites, context)
             moved_ctx_desc = describe_context(e.sites, moved_ctx)
-            if moved_ctx not in rows:
+            if moved_ctx not in table:
                 return PropertyVerdict(
                     False,
                     Witness(
@@ -410,11 +404,12 @@ def check_exchangeability(model: EmpiricalModel) -> PropertyVerdict:
                         where=(perm.describe(),),
                     ),
                 )
-            moved_dist = rows[moved_ctx]
-            for outcome, left in dist.items():
+            moved_mass, moved_row = table[moved_ctx]
+            for outcome, left in row.items():
                 moved_outcome = perm.apply(outcome)
-                right = moved_dist.get(moved_outcome, ZERO)
-                if left != right:
+                right = moved_row.get(moved_outcome, 0)
+                # left / mass != right / moved_mass, without the divisions.
+                if left * moved_mass != right * mass:
                     return PropertyVerdict(
                         False,
                         Witness(
@@ -425,8 +420,8 @@ def check_exchangeability(model: EmpiricalModel) -> PropertyVerdict:
                                 f"q({describe_outcome(e.sites, moved_outcome)} | "
                                 f"{moved_ctx_desc}) after permuting sites by {perm.describe()}"
                             ),
-                            lhs=left,
-                            rhs=right,
+                            lhs=Fraction(left, mass),
+                            rhs=Fraction(right, moved_mass),
                             where=(perm.describe(),),
                         ),
                     )
@@ -460,7 +455,7 @@ def check_property(
             prop = PropertyId(prop)
         except ValueError:
             names = ", ".join(p.value for p in PropertyId)
-            raise InputError(f"unknown property {prop!r}; expected one of: {names}") from None
+            raise InputError(f"unknown property {show_value(prop)}; expected one of: {names}") from None
     if prop in EMPIRICAL_MODEL_PROPERTIES:
         model = as_empirical(model, prop.value)
     return _CHECKERS[prop](model)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from hvw import (
     verify_bell,
     verify_epr,
 )
+from hvw.codec import MAX_DIGITS
 from hvw.nogo import BellReport
 
 
@@ -229,6 +231,33 @@ def test_a_long_bad_weight_is_echoed_in_part(cli, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"is not a finite rational: '{'x' * 99}...\n" in err
     assert len(err) < 300
+
+
+def test_a_weight_of_a_million_digits_exits_two_fast(cli, tmp_path):
+    path = tmp_path / "many-digits.em"
+    row = {"outcome": ["0"], "measurement": ["M"], "p": "1" * 10**6}
+    path.write_text(json.dumps({"sites": [{"name": "a", "measurements": ["M"], "outcomes": ["0"]}], "weights": [row]}))
+    started = time.monotonic()
+    code, out, err = cli("check", str(path), "--property", "non-contextuality")
+    assert time.monotonic() - started < 2
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"... has more than {MAX_DIGITS} digits\n")
+    assert len(err.encode()) < 400
+
+
+def test_exchangeability_with_a_long_site_name_exits_two_in_one_short_line(cli, tmp_path):
+    path = tmp_path / "long-site.em"
+    sites = [
+        {"name": "x" * 200_000, "measurements": ["M"], "outcomes": ["0"]},
+        {"name": "b", "measurements": ["N"], "outcomes": ["0"]},
+    ]
+    row = {"outcome": ["0", "0"], "measurement": ["M", "N"], "p": "1"}
+    path.write_text(json.dumps({"sites": sites, "weights": [row]}))
+    code, out, err = cli("check", str(path), "--property", "exchangeability")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: exchangeability requires") and err.count("\n") == 1
+    assert len(err.encode()) < 400
 
 
 _SITE = {"name": "a", "measurements": ["M"], "outcomes": ["0"]}

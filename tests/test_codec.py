@@ -32,7 +32,7 @@ from hvw import (
     verify_epr,
     verify_ks,
 )
-from hvw.codec import Codec, read_rational
+from hvw.codec import MAX_DIGITS, Codec, read_rational
 from hvw.nogo import CertificateEquation
 
 WITNESS = Witness(
@@ -158,6 +158,17 @@ def test_a_long_bad_value_is_echoed_in_part():
         read_rational("x" * 200_000, "w")
     with pytest.raises(ModelFormatError, match=r"^w: exponent in '1e9{97}\.\.\. is beyond"):
         read_rational("1e" + "9" * 200_000, "w")
+
+
+def test_read_rational_refuses_more_than_max_digits_before_reading():
+    assert read_rational("7" * MAX_DIGITS, "w") == 7 * (10**MAX_DIGITS - 1) // 9
+    half = MAX_DIGITS // 2
+    assert read_rational("1" * half + "/" + "3" * half, "w") == Fraction(1, 3)
+    for bad in ("7" * (MAX_DIGITS + 1), "1" * half + "/" + "3" * (half + 1), "7" * 10**6):
+        started = time.monotonic()
+        with pytest.raises(ModelFormatError, match=rf"^w: '(7{{99}}|1{{99}})\.\.\. has more than {MAX_DIGITS} digits$"):
+            read_rational(bad, "w")
+        assert time.monotonic() - started < 0.5
 
 
 def test_decoding_a_huge_exponent_fails_fast():

@@ -1,13 +1,39 @@
-"""Invariants checked over generated inputs with Hypothesis."""
+"""Invariants checked over generated inputs with Hypothesis: the LP recheck,
+the implications between the hidden-variable properties, the completions'
+guarantees, and Fine's theorem for the membership LP."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hvw import feasible_point, verify_farkas, verify_solution
+from hvw import (
+    ConstructionMethod,
+    EmpiricalModel,
+    HiddenVariableModel,
+    check_lambda_independence,
+    check_locality,
+    check_non_contextuality,
+    check_outcome_independence,
+    check_parameter_independence,
+    check_single_valuedness,
+    check_strong_determinism,
+    check_weak_determinism,
+    construct,
+    enumerate_deterministic_strategies,
+    equivalent_models,
+    feasible_point,
+    generate_random_model,
+    grid_sites,
+    local_polytope_feasibility,
+    project_to_empirical,
+    random_strategy_mixture,
+    verify_farkas,
+    verify_solution,
+)
 
 
 @st.composite
@@ -30,3 +56,124 @@ def test_every_lp_answer_passes_its_recheck(system):
         assert verify_solution(rows, rhs, x)
     else:
         assert verify_farkas(rows, rhs, y)
+
+
+# ---------------------------------------------------------------------------
+# The theorems the classification rests on, over generated hidden models
+
+_SHAPES = ((1, 2, 2), (1, 3, 3), (2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2))
+_CODES = {
+    "SV": check_single_valuedness,
+    "LI": check_lambda_independence,
+    "SD": check_strong_determinism,
+    "WD": check_weak_determinism,
+    "OI": check_outcome_independence,
+    "PI": check_parameter_independence,
+    "LOC": check_locality,
+}
+# What each completion guarantees.
+_GUARANTEES = {
+    ConstructionMethod.E1_STRONG_DETERMINISTIC: ("SD",),
+    ConstructionMethod.E2_WEAK_DET_LAMBDA_INDEP: ("WD", "LI"),
+    ConstructionMethod.SV_SINGLE_VALUED: ("SV", "LI"),
+}
+
+
+@st.composite
+def hidden_models(draw):
+    """A seeded random hidden model with 1-3 states, or a strategy mixture."""
+    sites = grid_sites(*draw(st.sampled_from(_SHAPES)))
+    seed = draw(st.integers(0, 10**6))
+    states = draw(st.integers(0, 3))
+    if states == 0:
+        return random_strategy_mixture(seed, sites)
+    return generate_random_model(seed, sites, lambda_size=states)
+
+
+def _verdicts(model: HiddenVariableModel) -> dict[str, bool]:
+    return {code: check(model).holds for code, check in _CODES.items()}
+
+
+def _assert_theorems(v: dict[str, bool]) -> None:
+    assert not v["SV"] or v["LI"]
+    assert not v["SD"] or v["WD"]
+    assert not v["SD"] or v["PI"]
+    assert not v["WD"] or v["OI"]
+    assert v["LOC"] == (v["PI"] and v["OI"])  # Jarrett
+    assert not (v["WD"] and v["PI"]) or v["SD"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(hidden_models())
+def test_implications_hold_on_models_and_their_completions(model):
+    _assert_theorems(_verdicts(model))
+    empirical = project_to_empirical(model)
+    for method, guaranteed in _GUARANTEES.items():
+        completion = construct(empirical, method)
+        verdicts = _verdicts(completion)
+        _assert_theorems(verdicts)
+        assert all(verdicts[code] for code in guaranteed), (method, verdicts)
+        assert equivalent_models(empirical, completion).holds
+        assert equivalent_models(model, completion).holds
+
+
+# ---------------------------------------------------------------------------
+# Fine's theorem as an oracle for the membership LP
+
+_CHSH_SITES = grid_sites(2, 2, 2)
+_SIGN = {"o1": 1, "o2": -1}
+
+
+def _pr_box(context: tuple[str, str], outcome: tuple[str, str]) -> Fraction:
+    x, y = (m == "M2" for m in context)
+    a, b = (o == "o2" for o in outcome)
+    return Fraction(1, 2) if (a != b) == (x and y) else Fraction(0)
+
+
+def _mixture(pr: int, noise: int, strategies: list[tuple[int, int]]) -> EmpiricalModel:
+    """pr parts of the PR box, noise parts of white noise and the given parts
+    of deterministic strategies, with every context weighted 1/4."""
+    total = pr + noise + sum(part for _, part in strategies)
+    all_strategies = enumerate_deterministic_strategies(_CHSH_SITES)
+    weights: dict = {}
+    for context in itertools.product(("M1", "M2"), repeat=2):
+        for outcome in itertools.product(("o1", "o2"), repeat=2):
+            p = pr * _pr_box(context, outcome) + Fraction(noise, 4)
+            for index, part in strategies:
+                if all_strategies[index].outcome_for(_CHSH_SITES, context) == outcome:
+                    p += part
+            if p:
+                weights[(outcome, context)] = p / (4 * total)
+    return EmpiricalModel(_CHSH_SITES, weights)
+
+
+def _chsh_holds(model: EmpiricalModel) -> bool:
+    """All 8 CHSH inequalities: |sum of the four correlators, one negated| <= 2."""
+    rows = model.context_distributions()
+    correlator = {
+        context: sum(_SIGN[a] * _SIGN[b] * p for (a, b), p in rows[context].items())
+        for context in itertools.product(("M1", "M2"), repeat=2)
+    }
+    for negated in correlator:
+        value = sum(-e if context == negated else e for context, e in correlator.items())
+        if abs(value) > 2:
+            return False
+    return True
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.lists(st.tuples(st.integers(0, 15), st.integers(1, 8)), max_size=3),
+)
+@example(1, 0, [])  # the PR box: CHSH value 4
+@example(1, 1, [])  # PR box and noise, 1/2 each: CHSH value exactly 2, local
+@example(1001, 999, [])  # just over the boundary: CHSH value 2.004
+@example(0, 0, [(5, 1)])  # one deterministic strategy
+def test_membership_lp_agrees_with_fines_theorem(pr, noise, strategies):
+    if pr + noise + len(strategies) == 0:
+        pr = 1
+    model = _mixture(pr, noise, strategies)
+    assert check_non_contextuality(model).holds  # no signalling
+    assert local_polytope_feasibility(model).feasible == _chsh_holds(model)

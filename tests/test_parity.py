@@ -1,0 +1,113 @@
+"""Pinned digests of every check, view and completion over a seeded sweep.
+
+For each shape, seeds 0-9 each give a random empirical model, random hidden
+models with 1, 2 and 3 states and a deterministic-strategy mixture; each of
+these five and the e1, e2 and sv completions of its projection is one model of
+the sweep (1,200 in all). The digest covers, in order:
+
+* every `Fraction` view of each model, with the type of every value;
+* `to_dict()` of every property check that applies to it (the empirical
+  properties of a hidden-variable model through its projection);
+* `serialize_model` of each completion and its equivalence verdict against
+  its source, and the equivalence verdicts between the sources;
+* the membership LP's answer for the empirical model and the mixture.
+
+The digests were recorded when the model stored `Fraction` aggregates. A
+change to how models store or compare weights must leave each one as it is.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from hvw import (
+    ConstructionMethod,
+    HiddenVariableModel,
+    PropertyId,
+    check_property,
+    construct,
+    equivalent_models,
+    generate_random_model,
+    grid_sites,
+    local_polytope_feasibility,
+    random_strategy_mixture,
+    serialize_model,
+)
+from hvw.models import as_empirical
+
+SEEDS = range(10)
+
+DIGESTS = {
+    (1, 2, 2): "7f1b757513be2fd8235bc6f079fd76a592f3a2017808fac0f8b7a656f1f31911",
+    (2, 2, 2): "2f3b443bc5d8956e6be174cf02eeadd1dfd3156534a8ab73f03d95c4d5412b56",
+    (2, 3, 2): "acf02efb204e7db944c796ff4ba97a4998c52adf143cd0ed2283079a49736d4e",
+    (3, 2, 2): "cf366c931c68e52fefa58a1da96e099fd5571b9156332151f7c05257df57a908",
+    (2, 2, 3): "4aad4978c5a2098091addfd984985f3bb5e268d20b6afda654236b8a284a33d6",
+    (1, 3, 3): "ec3f252139d5f39e856eccf2a4ce1750dcbd1ba0da1267786e44ad86afa256d2",
+}
+
+EMPIRICAL_PROPERTIES = (PropertyId.NON_CONTEXTUALITY, PropertyId.EXCHANGEABILITY)
+
+
+def _table(mapping) -> list:
+    return [(key, repr(value)) for key, value in mapping.items()]
+
+
+def _rows(mapping) -> list:
+    return [(key, _table(row)) for key, row in mapping.items()]
+
+
+def _views(model) -> list:
+    views = [_rows(model.context_distributions()), _table(model.context_weights())]
+    views += [_table(model.outcome_distribution(context)) for context in model.context_weights()]
+    if isinstance(model, HiddenVariableModel):
+        views += [
+            _rows(model.context_lambda_distributions()),
+            _table(model.context_lambda_weights()),
+            _rows(model.site_responses()),
+        ]
+        views += [_table(model.lambda_distribution(context)) for context in model.context_weights()]
+        views += [
+            _table(model.outcome_distribution(context, lam))
+            for context, lam in model.context_lambda_weights()
+        ]
+    return views
+
+
+def _checks(model) -> list:
+    props = PropertyId if isinstance(model, HiddenVariableModel) else EMPIRICAL_PROPERTIES
+    return [check_property(model, prop).to_dict() for prop in props]
+
+
+def _model_record(model) -> list:
+    return [repr(_views(model)), _checks(model)]
+
+
+def _sweep_text(shape: tuple[int, int, int]) -> str:
+    sites = grid_sites(*shape)
+    records: list = []
+    for seed in SEEDS:
+        empirical = generate_random_model(seed, sites)
+        mixture = random_strategy_mixture(seed, sites)
+        sources = [empirical, *(generate_random_model(seed, sites, lambda_size=k) for k in (1, 2, 3)), mixture]
+        for source in sources:
+            records.append(_model_record(source))
+            projected = as_empirical(source, "parity sweep")
+            for method in ConstructionMethod:
+                completion = construct(projected, method)
+                records.append(serialize_model(completion))
+                records.append(equivalent_models(projected, completion).to_dict())
+                records.append(_model_record(completion))
+        for other in sources[1:]:
+            records.append(equivalent_models(empirical, other).to_dict())
+        for model in (empirical, as_empirical(mixture, "parity sweep")):
+            records.append(local_polytope_feasibility(model).to_dict())
+    return json.dumps(records)
+
+
+@pytest.mark.parametrize("shape", list(DIGESTS), ids=str)
+def test_sweep_digest_is_pinned(shape):
+    assert hashlib.sha256(_sweep_text(shape).encode()).hexdigest() == DIGESTS[shape]

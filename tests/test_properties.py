@@ -466,6 +466,16 @@ def test_exchangeability_rejects_heterogeneous_sites():
         check_exchangeability(epr_model())
 
 
+def test_exchangeability_echoes_long_site_names_in_part():
+    long = "x" * 200_000
+    sites = (Site(long, ("M",), ("0",)), Site("b", ("N",), ("0",)))
+    with pytest.raises(InputError) as exc:
+        check_exchangeability(EmpiricalModel(sites, {(("0", "0"), ("M", "N")): ONE}))
+    message = str(exc.value)
+    assert message.endswith(f"'b' differs from '{'x' * 99}...")
+    assert len(message.encode()) < 400
+
+
 def test_exchangeability_fails_on_asymmetric_outcomes():
     sites = two_site_sites()
     model = EmpiricalModel(sites, {(("0", "1"), ("M1", "M1")): ONE})
@@ -611,6 +621,13 @@ def test_check_property_rejects_unknown_name():
     assert "exchangeability" in str(exc.value)
 
 
+def test_check_property_echoes_a_long_unknown_name_in_part():
+    with pytest.raises(InputError) as exc:
+        check_property(epr_model(), "x" * 200_000)
+    assert str(exc.value).startswith(f"unknown property '{'x' * 99}...; expected one of: ")
+    assert len(str(exc.value).encode()) < 400
+
+
 def test_check_property_guards_hidden_properties():
     with pytest.raises(InputError):
         check_property(epr_model(), "locality")
@@ -633,6 +650,14 @@ def test_permutation_rejects_non_bijections():
     with pytest.raises(InputError):
         Permutation((0, 0))
     with pytest.raises(InputError):
+        Permutation((1, 2))
+
+
+def test_permutation_echoes_long_values_in_part():
+    with pytest.raises(InputError) as exc:
+        Permutation((1, 0)).apply(("x" * 200_000,))
+    assert str(exc.value) == f"cannot apply a 2-site permutation to ('{'x' * 98}..."
+    with pytest.raises(InputError, match=r"^not a permutation of 0\.\.1: \(1, 2\)$"):
         Permutation((1, 2))
 
 
