@@ -7,215 +7,77 @@ independence and determinism properties with explicit counterexample
 witnesses, completes any empirical model by three constructions, replays
 three classical impossibility arguments mechanically, and classifies every
 implication-closed combination of properties as achievable or impossible.
+
+`from hvw import X` imports X's module on first use, so `import hvw` alone
+loads none of them.
 """
 
 from __future__ import annotations
 
-from .classify import (
-    CODE_TO_PROPERTY,
-    CONSTRUCTION_GUARANTEES,
-    IMPLICATIONS,
-    OBSTRUCTION_KERNELS,
-    PROPERTY_CODES,
-    SPLIT_NOTE,
-    ClassificationReport,
-    RegionEntry,
-    RegionEvidence,
-    RegionVerdict,
-    canonical_codes,
-    classify_all,
-    classify_region,
-    closure,
-    enumerate_regions,
-    region_sort_key,
-)
-from .constructions import (
-    ConstructionMethod,
-    construct,
-    construct_e1,
-    construct_e2,
-    construct_sv,
-    reconstruct_hvm,
-)
-from .errors import (
-    InputError,
-    ModelFormatError,
-    NegativeWeightError,
-    NullConditioningError,
-    SignatureMismatchError,
-    SizeGuardError,
-    UnknownLabelError,
-    WeightSumError,
-    WorkbenchError,
-)
-from .linprog import feasible_point, verify_farkas, verify_solution
-from .models import (
-    DEFAULT_GUARD,
-    EmpiricalModel,
-    Event,
-    HiddenVariableModel,
-    PropertyVerdict,
-    Site,
-    Witness,
-    equivalent_empirical,
-    equivalent_hvm,
-    equivalent_models,
-    merge_events,
-    project_to_empirical,
-)
-from .modelio import (
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    parse_model,
-    save_model,
-    serialize_model,
-)
-from .nogo import (
-    BellCertificate,
-    BellEscapeReport,
-    BellReport,
-    DeterministicStrategy,
-    EprReport,
-    KsColoring,
-    KsParityReport,
-    KsReport,
-    KsTable,
-    PolytopeResult,
-    bell_certificate,
-    bell_model,
-    bell_pi_escape,
-    canonical_model,
-    count_deterministic_strategies,
-    enumerate_deterministic_strategies,
-    epr_escape_hvm,
-    epr_model,
-    ks_coloring_candidates,
-    ks_model,
-    ks_parity_certificate,
-    ks_search_colorings,
-    ks_table,
-    local_polytope_feasibility,
-    random_strategy_mixture,
-    verify_bell,
-    verify_epr,
-    verify_ks,
-)
-from .properties import (
-    EMPIRICAL_MODEL_PROPERTIES,
-    HIDDEN_MODEL_PROPERTIES,
-    Permutation,
-    PropertyId,
-    check_exchangeability,
-    check_lambda_independence,
-    check_locality,
-    check_non_contextuality,
-    check_outcome_independence,
-    check_parameter_independence,
-    check_property,
-    check_single_valuedness,
-    check_strong_determinism,
-    check_weak_determinism,
-)
-from .randgen import generate_random_model, grid_sites
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CODE_TO_PROPERTY",
-    "CONSTRUCTION_GUARANTEES",
-    "DEFAULT_GUARD",
-    "EMPIRICAL_MODEL_PROPERTIES",
-    "HIDDEN_MODEL_PROPERTIES",
-    "IMPLICATIONS",
-    "OBSTRUCTION_KERNELS",
-    "PROPERTY_CODES",
-    "SPLIT_NOTE",
-    "BellCertificate",
-    "BellEscapeReport",
-    "BellReport",
-    "ClassificationReport",
-    "ConstructionMethod",
-    "DeterministicStrategy",
-    "EmpiricalModel",
-    "EprReport",
-    "Event",
-    "HiddenVariableModel",
-    "InputError",
-    "KsColoring",
-    "KsParityReport",
-    "KsReport",
-    "KsTable",
-    "ModelFormatError",
-    "NegativeWeightError",
-    "NullConditioningError",
-    "Permutation",
-    "PolytopeResult",
-    "PropertyId",
-    "PropertyVerdict",
-    "RegionEntry",
-    "RegionEvidence",
-    "RegionVerdict",
-    "SignatureMismatchError",
-    "Site",
-    "SizeGuardError",
-    "UnknownLabelError",
-    "WeightSumError",
-    "Witness",
-    "WorkbenchError",
-    "bell_certificate",
-    "bell_model",
-    "bell_pi_escape",
-    "canonical_model",
-    "check_exchangeability",
-    "check_lambda_independence",
-    "check_locality",
-    "check_non_contextuality",
-    "check_outcome_independence",
-    "check_parameter_independence",
-    "canonical_codes",
-    "check_property",
-    "check_single_valuedness",
-    "check_strong_determinism",
-    "check_weak_determinism",
-    "classify_all",
-    "classify_region",
-    "closure",
-    "construct",
-    "construct_e1",
-    "construct_e2",
-    "construct_sv",
-    "count_deterministic_strategies",
-    "enumerate_deterministic_strategies",
-    "enumerate_regions",
-    "epr_escape_hvm",
-    "epr_model",
-    "equivalent_empirical",
-    "equivalent_hvm",
-    "equivalent_models",
-    "feasible_point",
-    "generate_random_model",
-    "grid_sites",
-    "ks_coloring_candidates",
-    "ks_model",
-    "ks_parity_certificate",
-    "ks_search_colorings",
-    "ks_table",
-    "load_model",
-    "local_polytope_feasibility",
-    "merge_events",
-    "model_from_dict",
-    "model_to_dict",
-    "parse_model",
-    "project_to_empirical",
-    "random_strategy_mixture",
-    "reconstruct_hvm",
-    "region_sort_key",
-    "save_model",
-    "serialize_model",
-    "verify_bell",
-    "verify_epr",
-    "verify_farkas",
-    "verify_ks",
-    "verify_solution",
-]
+# Each public name, once, under the module that defines it.
+_EXPORTS = {
+    "classify": (
+        "CODE_TO_PROPERTY", "CONSTRUCTION_GUARANTEES", "IMPLICATIONS", "OBSTRUCTION_KERNELS",
+        "PROPERTY_CODES", "SPLIT_NOTE", "ClassificationReport", "RegionEntry", "RegionEvidence",
+        "RegionVerdict", "canonical_codes", "classify_all", "classify_region", "closure",
+        "enumerate_regions", "region_sort_key",
+    ),
+    "constructions": (
+        "ConstructionMethod", "construct", "construct_e1", "construct_e2", "construct_sv",
+        "reconstruct_hvm",
+    ),
+    "errors": (
+        "InputError", "ModelFormatError", "NegativeWeightError", "NullConditioningError",
+        "SignatureMismatchError", "SizeGuardError", "UnknownLabelError", "WeightSumError",
+        "WorkbenchError",
+    ),
+    "linprog": ("feasible_point", "verify_farkas", "verify_solution"),
+    "models": (
+        "DEFAULT_GUARD", "EmpiricalModel", "Event", "HiddenVariableModel", "PropertyVerdict",
+        "Site", "Witness", "equivalent_empirical", "equivalent_hvm", "equivalent_models",
+        "merge_events", "project_to_empirical",
+    ),
+    "modelio": (
+        "load_model", "model_from_dict", "model_to_dict", "parse_model", "save_model",
+        "serialize_model",
+    ),
+    "nogo": (
+        "BellCertificate", "BellEscapeReport", "BellReport", "DeterministicStrategy", "EprReport",
+        "KsColoring", "KsParityReport", "KsReport", "KsTable", "PolytopeResult",
+        "bell_certificate", "bell_model", "bell_pi_escape", "canonical_model",
+        "count_deterministic_strategies", "enumerate_deterministic_strategies",
+        "epr_escape_hvm", "epr_model", "ks_coloring_candidates", "ks_model",
+        "ks_parity_certificate", "ks_search_colorings", "ks_table", "local_polytope_feasibility",
+        "random_strategy_mixture", "verify_bell", "verify_epr", "verify_ks",
+    ),
+    "properties": (
+        "EMPIRICAL_MODEL_PROPERTIES", "HIDDEN_MODEL_PROPERTIES", "Permutation", "PropertyId",
+        "check_exchangeability", "check_lambda_independence", "check_locality",
+        "check_non_contextuality", "check_outcome_independence", "check_parameter_independence",
+        "check_property", "check_single_valuedness", "check_strong_determinism",
+        "check_weak_determinism",
+    ),
+    "randgen": ("generate_random_model", "grid_sites"),
+}
+_MODULE_OF = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    """Read `name` from its module on every access; nothing is stored here, so
+    a function later replaced in its module (by a test's monkeypatch, or a
+    tracing wrapper) is seen through the package too."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Reading sys.modules first keeps the common, already-loaded case cheap.
+    return getattr(sys.modules.get(module) or importlib.import_module(module), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -21,11 +21,11 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .classify import ClassificationReport, classify_all
 from .constructions import ConstructionMethod, construct
-from .errors import InputError, WorkbenchError
+from .errors import InputError, WorkbenchError, show_text, show_value
 from .models import (
     DEFAULT_GUARD,
     EmpiricalModel,
@@ -55,15 +55,28 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
+# Longest usage error printed whole. argparse echoes a bad token in full, so
+# longer messages are cut; the longest one with a short token (check's
+# --property choice list) has 263 characters.
+_MAX_USAGE_MESSAGE = 300
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with an over-long usage error cut short. Subparsers
+    are built from the same class, so they cut theirs too."""
+
+    def error(self, message: str) -> NoReturn:
+        super().error(show_text(message, _MAX_USAGE_MESSAGE))
+
 
 def _positive_int(raw: str) -> int:
     """The positive-integer rule of --guard, the shape flags and HVW_GUARD."""
     try:
         value = int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"must be an integer, got {show_value(raw)}") from None
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+        raise argparse.ArgumentTypeError(f"must be positive, got {show_value(value)}")
     return value
 
 
@@ -355,7 +368,7 @@ def _common_options() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hvw",
         description="Exact workbench for finite hidden-variable models.",
     )

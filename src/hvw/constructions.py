@@ -21,7 +21,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .errors import InputError, SizeGuardError
+from .errors import InputError, SizeGuardError, show_value
 from .models import (
     DEFAULT_GUARD,
     EmpiricalModel,
@@ -103,7 +103,7 @@ def construct(
 ) -> HiddenVariableModel:
     """Dispatch one of the three completions."""
     if not isinstance(method, ConstructionMethod):
-        raise InputError(f"unknown construction method: {method!r}")
+        raise InputError(f"unknown construction method: {show_value(method)}")
     if method is ConstructionMethod.E1_STRONG_DETERMINISTIC:
         return construct_e1(model, guard)
     if method is ConstructionMethod.E2_WEAK_DET_LAMBDA_INDEP:

@@ -17,9 +17,9 @@ _MAX_SHOWN_BITS = 3000
 _MAX_SHOWN_CHARS = 100
 
 
-def show_text(text: str) -> str:
-    """`text` cut to its first _MAX_SHOWN_CHARS characters and "..."."""
-    return text if len(text) <= _MAX_SHOWN_CHARS else text[:_MAX_SHOWN_CHARS] + "..."
+def show_text(text: str, limit: int = _MAX_SHOWN_CHARS) -> str:
+    """`text` cut to its first `limit` characters and "..."."""
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 def show_value(value: object) -> str:

@@ -36,7 +36,6 @@ from typing import Sequence
 
 from .codec import read_rational
 from .errors import InputError, show_value
-from .models import ZERO
 
 
 def _exact(value: object, where: str) -> Fraction | int:
@@ -144,7 +143,7 @@ def feasible_point(
         basis[pivot_row] = pivot_col
 
     if cost[-1] == 0:
-        x = [ZERO] * n
+        x = [Fraction(0)] * n
         for i, var in enumerate(basis):
             if var < n:
                 x[var] = Fraction(tableau[i][-1], den[i])

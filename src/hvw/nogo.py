@@ -14,9 +14,10 @@ Three classic obstruction patterns, each verified by exact computation:
   strategies reproduces the table, returning an independently rechecked
   Farkas certificate.
 * `verify_ks`: the 18-label, 9-column orthogonality table. The coloring route
-  searches the 262,144 winner patterns and finds zero valid colorings (no
-  consistent one-winner-per-column labeling); the parity route counts label
-  occurrences (all even) against the odd column count.
+  searches the columns depth first and finds zero valid colorings (no
+  consistent one-winner-per-column labeling); the guard caps its 262,144
+  candidate winner patterns. The parity route counts label occurrences (all
+  even) against the odd column count.
 
 `local_polytope_feasibility` is the general membership test behind the Bell
 polytope route and works on any empirical model: feasible inputs come back
@@ -35,7 +36,7 @@ from typing import Mapping, Sequence
 
 from .codec import Codec
 from .constructions import construct_sv
-from .errors import InputError, SizeGuardError
+from .errors import InputError, SizeGuardError, show_value
 from .linprog import feasible_point, verify_farkas, verify_solution
 from .models import (
     DEFAULT_GUARD,
@@ -169,7 +170,7 @@ def canonical_model(name: str) -> EmpiricalModel:
     try:
         return builders[name]()
     except KeyError:
-        raise InputError(f"unknown canonical model {name!r}; expected epr, bell, or ks") from None
+        raise InputError(f"unknown canonical model {show_value(name)}; expected epr, bell, or ks") from None
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +535,7 @@ class BellReport(Codec):
 def verify_bell(method: str = "both", guard: int = DEFAULT_GUARD) -> BellReport:
     """Run the certificate route, the polytope route, or both."""
     if method not in ("certificate", "polytope", "both"):
-        raise InputError(f"unknown bell method {method!r}; expected certificate, polytope, or both")
+        raise InputError(f"unknown bell method {show_value(method)}; expected certificate, polytope, or both")
     certificate = bell_certificate() if method in ("certificate", "both") else None
     polytope = (
         local_polytope_feasibility(bell_model(), guard) if method in ("polytope", "both") else None
@@ -705,7 +706,7 @@ class KsReport(Codec):
 def verify_ks(method: str = "both", guard: int = DEFAULT_GUARD) -> KsReport:
     """Check the canonical table model and run the requested obstruction routes."""
     if method not in ("coloring", "parity", "both"):
-        raise InputError(f"unknown ks method {method!r}; expected coloring, parity, or both")
+        raise InputError(f"unknown ks method {show_value(method)}; expected coloring, parity, or both")
     e = ks_model()
     exchangeability = check_exchangeability(e)
     # Each context's row is one outcome tuple (so of probability 1) with one winner.

@@ -357,8 +357,12 @@ def test_check_hidden_property_on_empirical_file(cli, epr_file):
 
 
 def test_check_unknown_property_is_usage_error(cli, epr_file):
-    code, _, _ = cli("check", epr_file, "--property", "determinism")
+    code, _, err = cli("check", epr_file, "--property", "determinism")
     assert code == 2
+    # The longest usage error with a short token is printed whole.
+    last = err.splitlines()[-1]
+    assert last.startswith("hvw check: error: argument --property: invalid choice: ")
+    assert "determinism" in last and "exchangeability" in last and not last.endswith("...")
 
 
 def test_check_missing_file(cli):
@@ -649,8 +653,12 @@ def test_bad_env_guard_reports_cleanly(cli, monkeypatch):
 
 
 def test_negative_guard_flag_is_usage_error(cli):
-    code, _, _ = cli("nogo", "bell", "--guard", "-5")
+    code, _, err = cli("nogo", "bell", "--guard", "-5")
     assert code == 2
+    assert err.endswith("hvw nogo: error: argument --guard: must be positive, got -5\n")
+    code, _, err = cli("nogo", "bell", "--guard", "-" + "9" * 4000)
+    assert code == 2
+    assert err.endswith("hvw nogo: error: argument --guard: must be positive, got an int of 13288 bits\n")
 
 
 @pytest.mark.parametrize("command", ("check", "equiv", "canon"))
@@ -675,6 +683,41 @@ def test_guard_is_accepted_by_the_enumerating_subcommands(cli, epr_file):
     code, _, err = cli("construct", epr_file, "--method", "e1", "--guard", "1")
     assert code == 2
     assert "over the guard of 1" in err
+
+
+# ---------------------------------------------------------------------------
+# A 200,000-character token in any position
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        pytest.param(("{huge}",), None, id="subcommand"),
+        pytest.param(("check", "m.em", "--property", "{huge}"), None, id="check--property"),
+        pytest.param(("check", "m.em", "--property", "locality", "--format", "{huge}"), None, id="--format"),
+        pytest.param(("construct", "m.em", "--method", "{huge}"), None, id="construct--method"),
+        pytest.param(("nogo", "{huge}"), None, id="nogo-argument"),
+        pytest.param(("canon", "{huge}"), None, id="canon-name"),
+        pytest.param(("nogo", "epr", "--guard", "{huge}"), None, id="--guard"),
+        pytest.param(("random", "--seed", "{huge}"), None, id="--seed"),
+        pytest.param(("random", "--seed", "1", "--sites", "{huge}"), None, id="--sites"),
+        pytest.param(("random", "--seed", "1", "--measurements", "{huge}"), None, id="--measurements"),
+        pytest.param(("random", "--seed", "1", "--outcomes", "{huge}"), None, id="--outcomes"),
+        pytest.param(("random", "--seed", "1", "--hidden", "{huge}"), None, id="--hidden"),
+        pytest.param(("random", "--seed", "1", "--guard", "9" * 200_000), None, id="--guard-digits"),
+        pytest.param(("nogo", "bell", "--method", "{huge}"), None, id="bell--method"),
+        pytest.param(("nogo", "ks", "--method", "{huge}"), None, id="ks--method"),
+        pytest.param(("nogo", "epr"), "{huge}", id="HVW_GUARD"),
+    ],
+)
+def test_a_huge_token_exits_two_in_short_lines(cli, monkeypatch, args, env):
+    huge = "x" * 200_000
+    if env is not None:
+        monkeypatch.setenv("HVW_GUARD", env.format(huge=huge))
+    code, out, err = cli(*(arg.format(huge=huge) for arg in args))
+    assert (code, out) == (2, "")
+    assert "error: " in err.splitlines()[-1]
+    assert max(len(line.encode()) for line in err.splitlines()) < 400
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,11 @@ def test_construct_dispatch_matches_direct_calls():
 
 
 def test_construct_rejects_unknown_method():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^unknown construction method: 'e1'$"):
         construct(epr_model(), "e1")  # type: ignore[arg-type]
+    with pytest.raises(InputError) as long:
+        construct(epr_model(), "x" * 200_000)  # type: ignore[arg-type]
+    assert str(long.value) == "unknown construction method: '" + "x" * 99 + "..."
 
 
 def test_reconstruct_hvm_swaps_completions():

@@ -1,24 +1,29 @@
 """Invariants checked over generated inputs with Hypothesis: the LP recheck,
 the implications between the hidden-variable properties, the completions'
-guarantees, and Fine's theorem for the membership LP."""
+guarantees, round trips through the model and verdict formats, and Fine's
+theorem for the membership LP."""
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvw import (
+    EMPIRICAL_MODEL_PROPERTIES,
     ConstructionMethod,
     EmpiricalModel,
     HiddenVariableModel,
+    PropertyId,
     check_lambda_independence,
     check_locality,
     check_non_contextuality,
     check_outcome_independence,
     check_parameter_independence,
+    check_property,
     check_single_valuedness,
     check_strong_determinism,
     check_weak_determinism,
@@ -29,8 +34,10 @@ from hvw import (
     generate_random_model,
     grid_sites,
     local_polytope_feasibility,
+    parse_model,
     project_to_empirical,
     random_strategy_mixture,
+    serialize_model,
     verify_farkas,
     verify_solution,
 )
@@ -115,6 +122,37 @@ def test_implications_hold_on_models_and_their_completions(model):
         assert all(verdicts[code] for code in guaranteed), (method, verdicts)
         assert equivalent_models(empirical, completion).holds
         assert equivalent_models(model, completion).holds
+
+
+# ---------------------------------------------------------------------------
+# Round trips through the model file format and the verdict dicts
+
+
+@st.composite
+def any_models(draw):
+    """A seeded random empirical or hidden model (1-3 sites, 1-3 states), or
+    an e1/e2/sv completion of a random empirical model."""
+    sites = grid_sites(*draw(st.sampled_from(_SHAPES)))
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(("empirical", "hidden", *ConstructionMethod)))
+    if kind == "empirical":
+        return generate_random_model(seed, sites)
+    if kind == "hidden":
+        return generate_random_model(seed, sites, lambda_size=draw(st.integers(1, 3)))
+    return construct(generate_random_model(seed, sites), kind)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(any_models())
+def test_models_and_verdicts_round_trip(model):
+    text = serialize_model(model)
+    parsed = parse_model(text)
+    assert type(parsed) is type(model) and parsed == model
+    assert serialize_model(parsed) == text
+    hidden = isinstance(model, HiddenVariableModel)
+    for prop in PropertyId if hidden else EMPIRICAL_MODEL_PROPERTIES:
+        verdict = check_property(model, prop)
+        assert type(verdict).from_dict(json.loads(json.dumps(verdict.to_dict()))) == verdict
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,29 @@ def test_canonical_model_lookup():
         canonical_model("chsh")
 
 
+_LONG_NAME = "x" * 200_000
+_LONG_SHOWN = "'" + "x" * 99 + "..."  # errors.show_value of _LONG_NAME
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (canonical_model, "unknown canonical model "),
+        (lambda name: verify_bell(method=name), "unknown bell method "),
+        (lambda name: verify_ks(method=name), "unknown ks method "),
+    ],
+    ids=("canonical_model", "verify_bell", "verify_ks"),
+)
+def test_a_long_unknown_name_is_echoed_in_part(call, message):
+    with pytest.raises(InputError) as short:
+        call("chsh")
+    assert str(short.value).startswith(f"{message}'chsh'; expected ")
+    with pytest.raises(InputError) as long:
+        call(_LONG_NAME)
+    assert str(long.value).startswith(message + _LONG_SHOWN + "; expected ")
+    assert len(str(long.value)) < 200
+
+
 # ---------------------------------------------------------------------------
 # Deterministic strategies
 

@@ -1,0 +1,73 @@
+"""The package's public names: each resolves lazily to its module's current
+object, and importing one module loads only what it imports."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hvw
+import hvw.properties
+
+SRC = Path(hvw.__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("hvw", set()),
+        ("hvw.models", {"hvw.errors", "hvw.codec", "hvw.models"}),
+        ("hvw.linprog", {"hvw.errors", "hvw.codec", "hvw.linprog"}),
+    ],
+)
+def test_an_import_loads_only_what_it_needs(module, loaded):
+    code = f"import sys, {module}; print(' '.join(n for n in sys.modules if n.startswith('hvw.')))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert set(result.stdout.split()) == loaded
+
+
+def test_every_public_name_is_its_modules_current_object():
+    assert len(hvw.__all__) == len(set(hvw.__all__)) == 96
+    for name in hvw.__all__:
+        module = sys.modules[hvw._MODULE_OF[name]]
+        assert getattr(hvw, name) is getattr(module, name)
+        assert getattr(getattr(module, name), "__module__", module.__name__) == module.__name__
+    assert "check_locality" not in vars(hvw)
+
+
+def test_a_patched_function_shows_through_the_package(monkeypatch):
+    original = hvw.check_locality
+    replacement = lambda model: None  # noqa: E731
+    monkeypatch.setattr(hvw.properties, "check_locality", replacement)
+    assert hvw.check_locality is replacement
+    monkeypatch.undo()
+    assert hvw.check_locality is original
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from hvw import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(hvw.__all__)
+
+
+def test_dir_lists_every_public_name():
+    assert set(hvw.__all__) <= set(dir(hvw))
+    assert "__version__" in dir(hvw)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'hvw' has no attribute 'no_such_name'"):
+        hvw.no_such_name
+    assert not hasattr(hvw, "no_such_name")
+    with pytest.raises(ImportError):
+        from hvw import no_such_name  # noqa: F401
