@@ -18,12 +18,13 @@ built-in default.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 from typing import Callable, NoReturn, Sequence
 
 from .classify import ClassificationReport, classify_all
+from .codec import write_json
 from .constructions import ConstructionMethod, construct
 from .errors import InputError, WorkbenchError, show_text, show_value
 from .models import (
@@ -55,10 +56,11 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
-# Longest usage error printed whole. argparse echoes a bad token in full, so
-# longer messages are cut; the longest one with a short token (check's
-# --property choice list) has 263 characters.
-_MAX_USAGE_MESSAGE = 300
+# Longest usage error, in UTF-8 bytes, printed whole. argparse echoes a bad
+# token in full, so longer messages are cut. The longest one with a
+# one-character token (check's --property choice list) has 241 bytes; a cut
+# `canon` error, with its two usage lines, stays under 400 bytes.
+_MAX_USAGE_MESSAGE = 270
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +95,7 @@ def _resolve_guard(flag: int | None) -> int:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, ensure_ascii=False))
+    print(write_json(payload))
 
 
 def _verdict_lines(name: str, verdict: PropertyVerdict, indent: str = "") -> list[str]:
@@ -367,7 +369,11 @@ def _common_options() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]
     return common, guarded
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process. It holds no per-call
+    state: argparse looks up `sys.stderr` and the help width when it prints,
+    and the guard reads HVW_GUARD when a command runs."""
     parser = _Parser(
         prog="hvw",
         description="Exact workbench for finite hidden-variable models.",
@@ -457,9 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_ERROR
         return EXIT_OK if code == 0 else EXIT_ERROR

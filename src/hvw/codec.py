@@ -9,6 +9,10 @@ rationals from outside the program. Tuples become lists, nested results
 become objects, and an embedded hidden-variable model takes the model-file
 form of `modelio`. Decoding follows each field's annotation; a missing key
 takes the field's default, and derived keys are not read back.
+
+`write_json` writes every JSON document the program prints or saves: the
+bytes of `json.dumps(value, indent=2, ensure_ascii=False)`, without the
+pure-Python encoder that any `indent` makes `json` fall back to.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import re
 import types
 import typing
 from fractions import Fraction
+from json.encoder import encode_basestring as _quote  # the C encoder when built
 from typing import Any, ClassVar, Mapping, TypeVar
 
 from .errors import ModelFormatError, show_value
@@ -104,6 +109,74 @@ def read_rational(value: object, where: str) -> Fraction | int:
             return Fraction(-numerator_int if sign else numerator_int, _text_int(denominator or "1"))
     except (ValueError, ZeroDivisionError):
         raise ModelFormatError(f"{where} is not a finite rational: {show_value(value)}") from None
+
+
+def write_json(value: object) -> str:
+    """`json.dumps(value, indent=2, ensure_ascii=False)`, byte for byte, for
+    values made of dicts with `str` keys, lists, tuples, strings, ints, bools
+    and None. Anything else raises `TypeError`."""
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _is_string_list(items: list | tuple) -> bool:
+    return all(map(isinstance, items, (str,) * len(items)))
+
+
+def _string_list(items: list | tuple, newline: str) -> str:
+    """A nonempty list of strings, its items one level below `newline`."""
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(map(_quote, items))}{newline}]"
+
+
+def _write(value: object, newline: str, out: list[str]) -> None:
+    """Append the pieces of `value`, written at the indent `newline` ends in.
+    A string, or a nonempty list of strings as a dict value, is one piece."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead, sep = "{" + inner, "," + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head = f"{lead}{_quote(key)}: "
+            if isinstance(item, str):
+                out.append(head + _quote(item))
+            elif isinstance(item, list) and item and _is_string_list(item):
+                out.append(head + _string_list(item, inner))
+            else:
+                out.append(head)
+                _write(item, inner, out)
+            lead = sep
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+        elif _is_string_list(value):
+            out.append(_string_list(value, newline))
+        else:
+            inner = newline + "  "
+            lead, sep = "[" + inner, "," + inner
+            for item in value:
+                out.append(lead)
+                _write(item, inner, out)
+                lead = sep
+            out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))  # as `json` writes an int subclass
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class Codec:

@@ -13,13 +13,19 @@ from fractions import Fraction
 # Longest numerator or denominator, in bits, that a message prints in full:
 # about 900 decimal digits, well under CPython's int-to-str conversion limit.
 _MAX_SHOWN_BITS = 3000
-# Longest part of a bad value's repr that a message echoes.
-_MAX_SHOWN_CHARS = 100
+# Longest part of a bad value's repr, in UTF-8 bytes, that a message echoes.
+_MAX_SHOWN_BYTES = 100
 
 
-def show_text(text: str, limit: int = _MAX_SHOWN_CHARS) -> str:
-    """`text` cut to its first `limit` characters and "..."."""
-    return text if len(text) <= limit else text[:limit] + "..."
+def show_text(text: str, limit: int = _MAX_SHOWN_BYTES) -> str:
+    """`text`, or its first `limit` bytes of UTF-8 and "..." when it is longer.
+
+    A character cut in two is dropped. A lone surrogate counts as the 6-byte
+    backslash escape that stderr prints for it, and a cut text shows it so."""
+    head = text[: limit + 1].encode("utf-8", "backslashreplace")
+    if len(head) <= limit:
+        return text
+    return head[:limit].decode("utf-8", "ignore") + "..."
 
 
 def show_value(value: object) -> str:

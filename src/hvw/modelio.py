@@ -20,6 +20,8 @@ is canonical: rows sorted by context, then outcome, then hidden state,
 fractions in lowest terms written exactly by `codec.fraction_text` (also when
 a part is too long for one `str` call), so equal models serialize
 byte-identically and every file written here reads back to the same model.
+The canonical bytes are those of `json.dumps(indent=2, ensure_ascii=False)`
+and a final newline, written by the codec's `write_json`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import json
 from typing import Mapping
 
 # MAX_EXPONENT and parse_fraction, the codec's reader, stay importable from here.
-from .codec import MAX_EXPONENT, fraction_text, read_rational as parse_fraction  # noqa: F401
+from .codec import MAX_EXPONENT, fraction_text, read_rational as parse_fraction, write_json  # noqa: F401
 from .errors import InputError, ModelFormatError, show_value
 from .models import EmpiricalModel, HiddenVariableModel, Model, Site, require
 
@@ -154,7 +156,7 @@ def model_to_dict(model: Model) -> dict:
 
 def serialize_model(model: Model) -> str:
     """Canonical text form; equal models produce byte-identical output."""
-    return json.dumps(model_to_dict(model), indent=2, ensure_ascii=False) + "\n"
+    return write_json(model_to_dict(model)) + "\n"
 
 
 def load_model(path: str) -> Model:

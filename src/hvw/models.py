@@ -191,11 +191,13 @@ def describe_outcome(sites: Sequence[Site], outcome: OutcomeTuple) -> str:
 class _BaseModel:
     """The weight table both model kinds share.
 
-    Every key starts with (outcome tuple, context); a subclass's `_check_key`
-    validates the rest of its key shape and its `_rank` gives the key's
-    position in canonical order: the label indices of its context, then of its
-    outcome tuple, then of its hidden state. Validation, the support, event
-    probabilities and the per-context outcome table live here.
+    Every key starts with (outcome tuple, context). A subclass's `_rank`
+    gives a well-formed key's position in canonical order, the label indices
+    of its context, then of its outcome tuple, then of its hidden state, in
+    one lookup per label; any other key goes through its `_check_key`, which
+    raises the error that names the fault or returns the key in tuple form.
+    Validation, the support, event probabilities and the per-context outcome
+    table live here.
     """
 
     def __init__(self, sites: Sequence[Site], weights: Mapping[tuple, object]) -> None:
@@ -212,17 +214,20 @@ class _BaseModel:
         self._site_index = {site.name: i for i, site in enumerate(sites)}
         self._meas_index = tuple({m: i for i, m in enumerate(site.measurements)} for site in sites)
         self._out_index = tuple({a: i for i, a in enumerate(site.outcomes)} for site in sites)
-        cleaned: dict[tuple, Fraction] = {}
+        ranked: dict[tuple[int, ...], tuple[tuple, Fraction]] = {}
         for raw_key, raw in weights.items():
-            key = self._check_key(raw_key)
+            key, rank = raw_key, self._rank(raw_key)
+            if rank is None:
+                key = self._check_key(raw_key)
+                rank = self._rank(key)
             value = raw if type(raw) is Fraction else Fraction(read_rational(raw, f"weight at {show_value(raw_key)}"))
-            if value < 0:
+            if value.numerator < 0:
                 raise NegativeWeightError(key, value)
-            if value:
-                cleaned[key] = value
+            if value.numerator:
+                ranked[rank] = key, value
         # Every weight is an int numerator over D, the lcm of the denominators.
-        self._denominator = math.lcm(*{value.denominator for value in cleaned.values()})
-        self._weights = {key: cleaned[key] for key in sorted(cleaned, key=self._rank)}
+        self._denominator = math.lcm(*{value.denominator for _, value in ranked.values()})
+        self._weights = dict(map(ranked.__getitem__, sorted(ranked)))
         total = sum(n for _, n in self._numerators())
         if total != self._denominator:
             raise WeightSumError(Fraction(total, self._denominator))
@@ -234,7 +239,7 @@ class _BaseModel:
     def _check_key(self, key: tuple) -> tuple:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _rank(self, key: tuple) -> tuple[int, ...]:  # pragma: no cover - abstract
+    def _rank(self, key: object) -> tuple[int, ...] | None:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def check_lambda(self, lam: str) -> str:  # pragma: no cover - abstract
@@ -372,6 +377,20 @@ class _BaseModel:
         return _row(self._context_table(), self.check_context(context))
 
 
+def _label_indices(labels: object, index: tuple[dict[str, int], ...]) -> tuple[int, ...] | None:
+    """The index of each label of a tuple of declared `str` labels, one per
+    site, or None when `labels` is anything else."""
+    if type(labels) is tuple and len(labels) == len(index):
+        try:
+            "".join(labels)  # raises unless every label is a str
+        except TypeError:
+            return None
+        indices = tuple(map(dict.get, index, labels))
+        if None not in indices:
+            return indices  # type: ignore[return-value]
+    return None
+
+
 def _totalled(rows: Mapping[tuple, dict]) -> dict[tuple, tuple[int, dict]]:
     return {key: (sum(row.values()), row) for key, row in rows.items()}
 
@@ -405,11 +424,13 @@ class EmpiricalModel(_BaseModel):
             raise ModelFormatError(f"weight key {show_value(key)} is not an (outcome, context) pair") from exc
         return self.check_outcome_tuple(outcome), self.check_context(context)
 
-    def _rank(self, key: tuple[OutcomeTuple, Context]) -> tuple[int, ...]:
-        return (
-            *map(dict.__getitem__, self._meas_index, key[1]),
-            *map(dict.__getitem__, self._out_index, key[0]),
-        )
+    def _rank(self, key: object) -> tuple[int, ...] | None:
+        if type(key) is tuple and len(key) == 2:
+            context = _label_indices(key[1], self._meas_index)
+            outcome = _label_indices(key[0], self._out_index)
+            if context is not None and outcome is not None:
+                return context + outcome
+        return None
 
     def check_lambda(self, lam: str) -> str:
         raise InputError("empirical models have no hidden states to condition on")
@@ -445,12 +466,14 @@ class HiddenVariableModel(_BaseModel):
             ) from exc
         return self.check_outcome_tuple(outcome), self.check_context(context), self.check_lambda(lam)
 
-    def _rank(self, key: tuple[OutcomeTuple, Context, str]) -> tuple[int, ...]:
-        return (
-            *map(dict.__getitem__, self._meas_index, key[1]),
-            *map(dict.__getitem__, self._out_index, key[0]),
-            self._lambda_index[key[2]],
-        )
+    def _rank(self, key: object) -> tuple[int, ...] | None:
+        if type(key) is tuple and len(key) == 3 and isinstance(key[2], str):
+            context = _label_indices(key[1], self._meas_index)
+            outcome = _label_indices(key[0], self._out_index)
+            lam = self._lambda_index.get(key[2])
+            if context is not None and outcome is not None and lam is not None:
+                return (*context, *outcome, lam)
+        return None
 
     def check_lambda(self, lam: str) -> str:
         if not isinstance(lam, str) or lam not in self._lambda_index:

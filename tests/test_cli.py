@@ -686,7 +686,8 @@ def test_guard_is_accepted_by_the_enumerating_subcommands(cli, epr_file):
 
 
 # ---------------------------------------------------------------------------
-# A 200,000-character token in any position
+# A 200,000-character token in any position, ASCII or four UTF-8 bytes a
+# character
 
 
 @pytest.mark.parametrize(
@@ -708,16 +709,29 @@ def test_guard_is_accepted_by_the_enumerating_subcommands(cli, epr_file):
         pytest.param(("nogo", "bell", "--method", "{huge}"), None, id="bell--method"),
         pytest.param(("nogo", "ks", "--method", "{huge}"), None, id="ks--method"),
         pytest.param(("nogo", "epr"), "{huge}", id="HVW_GUARD"),
+        pytest.param(("canon", "{wide}"), None, id="canon-name-emoji"),
+        pytest.param(("nogo", "bell", "--method", "{wide}"), None, id="bell--method-emoji"),
     ],
 )
 def test_a_huge_token_exits_two_in_short_lines(cli, monkeypatch, args, env):
-    huge = "x" * 200_000
+    tokens = {"huge": "x" * 200_000, "wide": "\N{GRINNING FACE}" * 200_000}
     if env is not None:
-        monkeypatch.setenv("HVW_GUARD", env.format(huge=huge))
-    code, out, err = cli(*(arg.format(huge=huge) for arg in args))
+        monkeypatch.setenv("HVW_GUARD", env.format(**tokens))
+    code, out, err = cli(*(arg.format(**tokens) for arg in args))
     assert (code, out) == (2, "")
     assert "error: " in err.splitlines()[-1]
     assert max(len(line.encode()) for line in err.splitlines()) < 400
+
+
+def test_show_text_bounds_utf8_bytes_and_keeps_ascii_as_it_was():
+    from hvw.errors import show_text
+
+    assert show_text("x" * 100) == "x" * 100
+    assert show_text("x" * 101) == "x" * 100 + "..."
+    assert show_text("\N{GRINNING FACE}" * 25) == "\N{GRINNING FACE}" * 25
+    assert show_text("\N{GRINNING FACE}" * 26) == "\N{GRINNING FACE}" * 25 + "..."
+    assert show_text("ab" + "\N{GRINNING FACE}" * 30, 8) == "ab\N{GRINNING FACE}..."
+    assert show_text("\udcff" * 20, 15) == "\\udcff\\udcff\\ud..."
 
 
 # ---------------------------------------------------------------------------

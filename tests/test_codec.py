@@ -8,9 +8,12 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hvw import (
     ClassificationReport,
+    ConstructionMethod,
     ModelFormatError,
     KsColoring,
     KsTable,
@@ -22,7 +25,10 @@ from hvw import (
     bell_pi_escape,
     classify_all,
     classify_region,
+    construct,
     epr_model,
+    generate_random_model,
+    grid_sites,
     ks_parity_certificate,
     ks_search_colorings,
     ks_table,
@@ -32,7 +38,8 @@ from hvw import (
     verify_epr,
     verify_ks,
 )
-from hvw.codec import MAX_DIGITS, Codec, read_rational
+from hvw import cli, modelio
+from hvw.codec import MAX_DIGITS, Codec, read_rational, write_json
 from hvw.nogo import CertificateEquation
 
 WITNESS = Witness(
@@ -178,3 +185,87 @@ def test_decoding_a_huge_exponent_fails_fast():
     with pytest.raises(ModelFormatError, match=r"^lhs: exponent in '1e999999999' is beyond ±1000"):
         PropertyVerdict.from_dict(data)
     assert time.monotonic() - started < 0.5
+
+
+# ---------------------------------------------------------------------------
+# write_json against json.dumps(indent=2, ensure_ascii=False)
+
+
+def _dumps(value: object) -> str:
+    return json.dumps(value, indent=2, ensure_ascii=False)
+
+
+_STRINGS = st.one_of(
+    st.text(st.characters(exclude_categories=())),  # surrogates included
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u00e9", "\N{GRINNING FACE}", "\ud800", "\udfff"]),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=10**4300, max_value=10**4400),
+    st.integers(min_value=-(10**4400), max_value=-(10**4300)),
+    _STRINGS,
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_VALUES)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[], {}], "d": ["x", "y"], "e": [1, "x"]})
+@example(["\"\\\x00\u00e9\ud800"])
+def test_write_json_matches_json_dumps(value):
+    try:
+        expected = _dumps(value)
+    except ValueError:  # an int past the int-to-str digit limit
+        with pytest.raises(ValueError):
+            write_json(value)
+    else:
+        assert write_json(value) == expected
+
+
+def test_write_json_matches_json_dumps_on_every_golden_payload(tmp_path, monkeypatch):
+    """Every value the golden CLI cases print through the writer: each
+    report's `to_dict()` payload and each model file."""
+    from test_golden import CASES, run_case, write_inputs
+
+    seen: list = []
+
+    def recording(value):
+        seen.append(value)
+        return write_json(value)
+
+    monkeypatch.setattr(cli, "write_json", recording)
+    monkeypatch.setattr(modelio, "write_json", recording)
+    monkeypatch.delenv("HVW_GUARD", raising=False)
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for case in CASES:
+        run_case(case)
+    commands = {value["command"] for value in seen if "command" in value}
+    assert commands == {"check", "construct", "equiv", "nogo", "classify"}
+    assert sum("weights" in value for value in seen) >= 10
+    for value in seen:
+        assert write_json(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("method", ["e1", "e2", "sv"])
+def test_write_json_matches_json_dumps_on_a_completion(method):
+    source = generate_random_model(11, grid_sites(2, 2, 2))
+    data = model_to_dict(construct(source, ConstructionMethod(method)))
+    assert write_json(data) == _dumps(data)
+
+
+def test_write_json_refuses_what_it_cannot_write():
+    with pytest.raises(TypeError):
+        write_json(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        write_json({1: "x"})

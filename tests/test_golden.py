@@ -125,6 +125,25 @@ def test_golden_output(case, index, workdir):
         assert _digest(stdout) == digest
 
 
+def test_the_one_parser_keeps_no_state_between_calls(index, workdir, monkeypatch):
+    """`main` reuses one parser per process: a usage error, --help and a
+    changed HVW_GUARD leave nothing behind, so every case, run afterwards in
+    reverse order, still prints its recorded bytes."""
+    from hvw.cli import build_parser
+
+    assert build_parser() is build_parser()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["nogo", "frobnicate"]) == 2
+        assert main(["--help"]) == 0
+        monkeypatch.setenv("HVW_GUARD", "1")
+        assert main(["nogo", "bell"]) == 2
+    assert err.getvalue().endswith("over the guard of 1\n")
+    monkeypatch.delenv("HVW_GUARD")
+    for case in reversed(CASES):
+        test_golden_output(case, index, workdir)
+
+
 def record() -> None:
     """Run every case and overwrite the recording."""
     GOLDEN_DIR.mkdir(exist_ok=True)

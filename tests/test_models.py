@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import UserString
 from decimal import Decimal
 from fractions import Fraction
 
@@ -383,41 +384,107 @@ def build(kind: str, weights: dict, sites=None, lambda_set=("l0",)):
     )
 
 
+# Each case: weights, the error, and its exact message (or one per kind). In
+# a message, {lam} stands for the hidden state a hidden-kind key gains
+# (", 'l0'") and {shape} for the key shape the kind expects.
+_RATIONALS = 'exact rationals are ints, Fractions and strings like "3/8"'
 VALIDATION_CASES = {
-    "key-too-short": ({(("0", "1"),): 1}, ModelFormatError),
-    "key-not-a-tuple": ({5: 1}, ModelFormatError),
-    "outcome-length": ({(("0",), ("A", "C")): 1}, ModelFormatError),
-    "context-length": ({(("0", "1"), ("A",)): 1}, ModelFormatError),
-    "unknown-outcome": ({(("0", "9"), ("A", "C")): 1}, UnknownLabelError),
-    "unknown-measurement": ({(("0", "1"), ("Z", "C")): 1}, UnknownLabelError),
-    "string-outcome": ({("01", ("A", "C")): 1}, ModelFormatError),
-    "string-context": ({(("0", "1"), "AC"): 1}, ModelFormatError),
+    "key-too-short": (
+        {(("0", "1"),): 1},
+        ModelFormatError,
+        {
+            "empirical": "weight key (('0', '1'),) is not an {shape}",
+            "hidden": "weight key (('0', '1'), 'l0') is not an {shape}",
+        },
+    ),
+    "key-too-long": (
+        {(("0", "1"), ("A", "C"), "x"): 1},
+        ModelFormatError,
+        "weight key (('0', '1'), ('A', 'C'), 'x'{lam}) is not an {shape}",
+    ),
+    "key-not-a-tuple": ({5: 1}, ModelFormatError, "weight key 5 is not an {shape}"),
+    "outcome-length": ({(("0",), ("A", "C")): 1}, ModelFormatError, "('0',) does not have one outcome per site"),
+    "context-length": (
+        {(("0", "1"), ("A",)): 1},
+        ModelFormatError,
+        "('A',) does not have one measurement per site",
+    ),
+    "unknown-outcome": ({(("0", "9"), ("A", "C")): 1}, UnknownLabelError, "unknown outcome '9' at site 'Y'"),
+    "unknown-measurement": (
+        {(("0", "1"), ("Z", "C")): 1},
+        UnknownLabelError,
+        "unknown measurement 'Z' at site 'X'",
+    ),
+    "non-string-outcome": ({(("0", 1), ("A", "C")): 1}, UnknownLabelError, "unknown outcome 1 at site 'Y'"),
+    "string-like-outcome": (
+        {(("0", UserString("1")), ("A", "C")): 1},
+        UnknownLabelError,
+        "unknown outcome '1' at site 'Y'",
+    ),
+    "string-outcome": (
+        {("01", ("A", "C")): 1},
+        ModelFormatError,
+        "'01' is a string, not a sequence of outcomes, one per site",
+    ),
+    "string-context": (
+        {(("0", "1"), "AC"): 1},
+        ModelFormatError,
+        "'AC' is a string, not a sequence of measurements, one per site",
+    ),
     "negative-weight": (
         {(("0", "0"), ("A", "C")): Fraction(3, 2), (("0", "1"), ("A", "C")): Fraction(-1, 2)},
         NegativeWeightError,
+        "negative weight -1/2 at (('0', '1'), ('A', 'C'){lam})",
     ),
-    "sum-short": ({(("0", "0"), ("A", "C")): Fraction(35, 36)}, WeightSumError),
+    "sum-short": (
+        {(("0", "0"), ("A", "C")): Fraction(35, 36)},
+        WeightSumError,
+        "weights sum to 35/36, not 1 (short by 1/36)",
+    ),
     "sum-over": (
         {(("0", "0"), ("A", "C")): 1, (("1", "1"), ("B", "C")): Fraction(1, 4)},
         WeightSumError,
+        "weights sum to 5/4, not 1 (over by 1/4)",
     ),
-    "float-weight": ({(("0", "0"), ("A", "C")): 0.5, (("1", "1"), ("A", "C")): 0.5}, InputError),
-    "not-a-rational": ({(("0", "0"), ("A", "C")): "half"}, ModelFormatError),
-    "bool-weight": ({(("0", "0"), ("A", "C")): True}, ModelFormatError),
+    "float-weight": (
+        {(("0", "0"), ("A", "C")): 0.5, (("1", "1"), ("A", "C")): 0.5},
+        InputError,
+        f"weight at (('0', '0'), ('A', 'C'){{lam}}) is not a finite rational: 0.5; {_RATIONALS}",
+    ),
+    "not-a-rational": (
+        {(("0", "0"), ("A", "C")): "half"},
+        ModelFormatError,
+        "weight at (('0', '0'), ('A', 'C'){lam}) is not a finite rational: 'half'",
+    ),
+    "bool-weight": (
+        {(("0", "0"), ("A", "C")): True},
+        ModelFormatError,
+        f"weight at (('0', '0'), ('A', 'C'){{lam}}) is not a finite rational: True; {_RATIONALS}",
+    ),
     "decimal-weight": (
         {(("0", "0"), ("A", "C")): Decimal("0.5"), (("1", "1"), ("A", "C")): Decimal("0.5")},
         ModelFormatError,
+        f"weight at (('0', '0'), ('A', 'C'){{lam}}) is not a finite rational: Decimal('0.5'); {_RATIONALS}",
     ),
-    "huge-decimal-weight": ({(("0", "0"), ("A", "C")): Decimal("1e999999999")}, ModelFormatError),
+    "huge-decimal-weight": (
+        {(("0", "0"), ("A", "C")): Decimal("1e999999999")},
+        ModelFormatError,
+        f"weight at (('0', '0'), ('A', 'C'){{lam}}) is not a finite rational: Decimal('1E+999999999'); {_RATIONALS}",
+    ),
 }
+_SHAPES = {"empirical": "(outcome, context) pair", "hidden": "(outcome, context, hidden) triple"}
 
 
 @pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
 @pytest.mark.parametrize("kind", KINDS)
 def test_weight_table_validation_for_both_kinds(kind, case):
-    weights, error = VALIDATION_CASES[case]
-    with pytest.raises(error):
+    weights, error, message = VALIDATION_CASES[case]
+    with pytest.raises(error) as exc:
         build(kind, weights)
+    if isinstance(message, dict):
+        message = message[kind]
+    lam = ", 'l0'" if kind == "hidden" else ""
+    assert str(exc.value) == message.format(lam=lam, shape=_SHAPES[kind])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -687,6 +754,22 @@ def test_event_prob_rejects_an_unhashable_label():
         epr_model().event_prob(Event(measurements={"a": ["A"]}))
     with pytest.raises(UnknownLabelError):
         epr_model().site_index(["a"])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_weight_keys_given_as_lists_or_string_subclasses_are_stored_as_tuples(kind):
+    class Label(str):
+        pass
+
+    e = epr_model()
+    key = (["+_a", Label("-_b")], ["A", "B"])
+    if kind == "empirical":
+        model = EmpiricalModel(e.sites, _Pairs([(key, 1)]))
+    else:
+        model = HiddenVariableModel(e.sites, ("l",), _Pairs([(key + ("l",), 1)]))
+    (stored,) = model.weights
+    assert stored[:2] == (("+_a", "-_b"), ("A", "B"))
+    assert all(type(part) is tuple for part in stored[:2])
 
 
 @pytest.mark.parametrize("kind", KINDS)
