@@ -11,7 +11,9 @@ package ever rounds.
 A model stores its weights as fractions and caches only integer tables:
 counts over D, the lcm of the weights' denominators, per context, per
 (context, hidden state) and per site response. Checks compare ratios of
-counts by cross-multiplying; every fraction view is derived per call.
+counts by cross-multiplying, two count rows through `first_unequal`; every
+fraction view is derived per call. `describe` writes the labels of a
+witness.
 
 Canonical order sorts contexts, outcome tuples and hidden states by the
 index of each label in its declared list, position by position. A model
@@ -180,12 +182,24 @@ class PropertyVerdict(Codec):
         return f"fails: {self.witness.describe()}"
 
 
-def describe_context(sites: Sequence[Site], context: Context) -> str:
-    return ", ".join(f"{s.name}={m}" for s, m in zip(sites, context))
+def describe(sites: Sequence[Site], labels: Sequence[str]) -> str:
+    """One label per site as witness text, "a=x, b=y": a context, an outcome
+    tuple or part of one."""
+    return ", ".join(f"{s.name}={x}" for s, x in zip(sites, labels))
 
 
-def describe_outcome(sites: Sequence[Site], outcome: OutcomeTuple) -> str:
-    return ", ".join(f"{s.name}={a}" for s, a in zip(sites, outcome))
+def first_unequal(
+    keys: Iterable, left: Mapping, left_mass: int, right: Mapping, right_mass: int
+) -> tuple[object, Fraction, Fraction] | None:
+    """The first of `keys` whose counts differ as ratios, left[key] /
+    left_mass != right[key] / right_mass (an absent key counts 0), with
+    both ratios, or None. The one comparison of two count rows."""
+    for key in keys:
+        n, k = left.get(key, 0), right.get(key, 0)
+        # n / left_mass != k / right_mass, without the divisions.
+        if n * right_mass != k * left_mass:
+            return key, Fraction(n, left_mass), Fraction(k, right_mass)
+    return None
 
 
 class _BaseModel:
@@ -337,7 +351,7 @@ class _BaseModel:
         """Exact conditional probability of `target` given `given`."""
         denominator = self.event_prob(given)
         if denominator == 0:
-            raise NullConditioningError(f"conditioning event has probability 0: {given}")
+            raise NullConditioningError(f"conditioning event has probability 0: {show_value(given)}")
         merged = merge_events(target, given)
         numerator = ZERO if merged is None else self.event_prob(merged)
         return numerator / denominator
@@ -407,7 +421,7 @@ def _row(table: Mapping[tuple, tuple[int, Mapping]], key: tuple) -> Mapping[Outc
     """The row of `key` as fractions, or the null-conditioning error."""
     entry = table.get(key)
     if entry is None:
-        raise NullConditioningError(f"conditioning event {key} has probability 0")
+        raise NullConditioningError(f"conditioning event {show_value(key)} has probability 0")
     return _fraction_row(*entry)
 
 
@@ -538,7 +552,7 @@ class HiddenVariableModel(_BaseModel):
         context = self.check_context(context)
         entry = self._context_table().get(context)
         if entry is None:
-            raise NullConditioningError(f"context {context} has probability 0")
+            raise NullConditioningError(f"context {show_value(context)} has probability 0")
         mass, table = entry[0], self._lambda_table()
         return {lam: Fraction(table[(context, lam)][0], mass) for lam in self.lambda_set if (context, lam) in table}
 
@@ -606,8 +620,8 @@ def _prediction_agreement(left: _BaseModel, right: _BaseModel) -> PropertyVerdic
     for context in contexts:
         left_mass, left_row = left_table.get(context, (0, {}))
         right_mass, right_row = right_table.get(context, (0, {}))
-        ctx_desc = describe_context(left.sites, context)
         if not left_mass or not right_mass:
+            ctx_desc = describe(left.sites, context)
             return PropertyVerdict(
                 False,
                 Witness(
@@ -618,21 +632,21 @@ def _prediction_agreement(left: _BaseModel, right: _BaseModel) -> PropertyVerdic
                     where=tuple(context),
                 ),
             )
-        for outcome in sorted(set(left_row) | set(right_row), key=left.outcome_sort_key):
-            left_n, right_n = left_row.get(outcome, 0), right_row.get(outcome, 0)
-            # left_n / left_mass != right_n / right_mass, without the divisions.
-            if left_n * right_mass != right_n * left_mass:
-                out_desc = describe_outcome(left.sites, outcome)
-                return PropertyVerdict(
-                    False,
-                    Witness(
-                        lhs_desc=f"left p({out_desc} | {ctx_desc})",
-                        rhs_desc=f"right p({out_desc} | {ctx_desc})",
-                        lhs=Fraction(left_n, left_mass),
-                        rhs=Fraction(right_n, right_mass),
-                        where=tuple(context) + tuple(outcome),
-                    ),
-                )
+        outcomes = sorted(set(left_row) | set(right_row), key=left.outcome_sort_key)
+        found = first_unequal(outcomes, left_row, left_mass, right_row, right_mass)
+        if found:
+            outcome, lhs, rhs = found
+            desc = f"p({describe(left.sites, outcome)} | {describe(left.sites, context)})"
+            return PropertyVerdict(
+                False,
+                Witness(
+                    lhs_desc=f"left {desc}",
+                    rhs_desc=f"right {desc}",
+                    lhs=lhs,
+                    rhs=rhs,
+                    where=tuple(context) + tuple(outcome),
+                ),
+            )
     return PropertyVerdict(True)
 
 

@@ -26,6 +26,7 @@ with an explicit lambda-independent, local hidden-variable model.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -48,8 +49,7 @@ from .models import (
     PropertyVerdict,
     Site,
     _unique_labels,
-    describe_context,
-    describe_outcome,
+    describe,
     equivalent_empirical,
     require,
 )
@@ -140,13 +140,14 @@ _KS_COLUMNS: tuple[tuple[str, str, str, str], ...] = (
 )
 
 
+@functools.cache
 def ks_model() -> EmpiricalModel:
     """Four homogeneous sites over labels E1..E18 with one-winner contexts.
 
     The support has one context per (column, slot assignment) pair: each of
     the 9 columns is distributed over the 4 sites in all 24 ways, uniformly
     weighted 1/216, and the site holding the column's first label outputs 1
-    while the rest output 0.
+    while the rest output 0. Built once per process: models are immutable.
     """
     labels = tuple(f"E{i}" for i in range(1, 19))
     marks = ("0", "1")
@@ -278,9 +279,7 @@ def local_polytope_feasibility(
         for outcome, row in zip(outcomes, block):
             rows.append(row)
             rhs.append(distribution.get(outcome, ZERO))
-            labels.append(
-                f"p({describe_outcome(model.sites, outcome)} | {describe_context(model.sites, context)})"
-            )
+            labels.append(f"p({describe(model.sites, outcome)} | {describe(model.sites, context)})")
     rows.append([1] * len(strategies))
     rhs.append(ONE)
     labels.append("total probability")

@@ -31,9 +31,14 @@ Two apply to empirical models:
 
 Each check reads the model's integer tables: determinism is decided on
 supports alone, and every other comparison of two ratios cross-multiplies.
-Each returns a `PropertyVerdict`; a failing verdict carries the first
-violation found in a fixed canonical scan order, with exact values on both
-sides.
+Outcome and parameter independence, non-contextuality and exchangeability
+(like model equivalence) compare two count rows through the one shared
+`models.first_unequal`; lambda independence compares masses and locality a
+row against a product of responses. Each check returns a `PropertyVerdict`;
+a failing verdict carries the first violation found in a fixed canonical
+scan order, with exact values on both sides. Witness text, built by
+`models.describe`, is written only once a violation is found, so a holding
+verdict builds none.
 """
 
 from __future__ import annotations
@@ -54,8 +59,8 @@ from .models import (
     PropertyVerdict,
     Witness,
     as_empirical,
-    describe_context,
-    describe_outcome,
+    describe,
+    first_unequal,
     require,
 )
 
@@ -146,8 +151,8 @@ def check_lambda_independence(model: HiddenVariableModel) -> PropertyVerdict:
                 return PropertyVerdict(
                     False,
                     Witness(
-                        lhs_desc=f"p(λ={lam} | {describe_context(h.sites, first)})",
-                        rhs_desc=f"p(λ={lam} | {describe_context(h.sites, context)})",
+                        lhs_desc=f"p(λ={lam} | {describe(h.sites, first)})",
+                        rhs_desc=f"p(λ={lam} | {describe(h.sites, context)})",
                         lhs=Fraction(left, first_mass),
                         rhs=Fraction(right, mass),
                         where=(lam,),
@@ -187,10 +192,7 @@ def check_weak_determinism(model: HiddenVariableModel) -> PropertyVerdict:
         return PropertyVerdict(
             False,
             Witness(
-                lhs_desc=(
-                    f"p({describe_outcome(h.sites, outcome)} | "
-                    f"{describe_context(h.sites, context)}, λ={lam})"
-                ),
+                lhs_desc=f"p({describe(h.sites, outcome)} | {describe(h.sites, context)}, λ={lam})",
                 rhs_desc="the point mass required by weak determinism",
                 lhs=Fraction(n, mass),
                 rhs=ONE,
@@ -218,42 +220,35 @@ def check_outcome_independence(model: HiddenVariableModel) -> PropertyVerdict:
     scanned.
     """
     h = require(model, HiddenVariableModel, "outcome-independence")
-    # Per site: the other sites and the rank of each of their outcomes.
-    partners = []
-    for i in range(h.n_sites):
-        others = h.sites[:i] + h.sites[i + 1 :]
-        partners.append((others, [{a: k for k, a in enumerate(s.outcomes)} for s in others]))
     for (context, lam), (mass, row) in h._lambda_table().items():
         if len(row) == 1:
             continue
         marginals = _site_marginals(h.n_sites, row)
         for i, site in enumerate(h.sites):
-            others, ranks = partners[i]
-            rest_mass: dict[tuple[str, ...], int] = {}
+            # Site i's outcome counts per partner assignment, keyed by the
+            # outcome tuple with site i's entry fixed to its first outcome,
+            # so the keys sort in canonical partner order.
+            fill = site.outcomes[:1]
+            given: dict[tuple[str, ...], dict[str, int]] = {}
             for outcome, n in row.items():
-                rest = outcome[:i] + outcome[i + 1 :]
-                rest_mass[rest] = rest_mass.get(rest, 0) + n
-            for rest in sorted(
-                rest_mass, key=lambda r: tuple(idx[b] for idx, b in zip(ranks, r))
-            ):
-                given = rest_mass[rest]
-                for a in site.outcomes:
-                    joint = row.get(rest[:i] + (a,) + rest[i:], 0)
-                    right = marginals[i].get(a, 0)
-                    # joint / given != right / mass, without the divisions.
-                    if joint * mass != right * given:
-                        ctx_desc = describe_context(h.sites, context)
-                        rest_desc = ", ".join(f"{s.name}={b}" for s, b in zip(others, rest))
-                        return PropertyVerdict(
-                            False,
-                            Witness(
-                                lhs_desc=f"p({site.name}={a} | {ctx_desc}, {rest_desc}, λ={lam})",
-                                rhs_desc=f"p({site.name}={a} | {ctx_desc}, λ={lam})",
-                                lhs=Fraction(joint, given),
-                                rhs=Fraction(right, mass),
-                                where=(site.name, lam),
-                            ),
-                        )
+                given.setdefault(outcome[:i] + fill + outcome[i + 1 :], {})[outcome[i]] = n
+            for key in sorted(given, key=h.outcome_sort_key):
+                counts = given[key]
+                found = first_unequal(site.outcomes, counts, sum(counts.values()), marginals[i], mass)
+                if found:
+                    a, lhs, rhs = found
+                    ctx_desc = describe(h.sites, context)
+                    rest_desc = describe(h.sites[:i] + h.sites[i + 1 :], key[:i] + key[i + 1 :])
+                    return PropertyVerdict(
+                        False,
+                        Witness(
+                            lhs_desc=f"p({site.name}={a} | {ctx_desc}, {rest_desc}, λ={lam})",
+                            rhs_desc=f"p({site.name}={a} | {ctx_desc}, λ={lam})",
+                            lhs=lhs,
+                            rhs=rhs,
+                            where=(site.name, lam),
+                        ),
+                    )
     return PropertyVerdict(True)
 
 
@@ -262,26 +257,22 @@ def check_parameter_independence(model: HiddenVariableModel) -> PropertyVerdict:
     h = require(model, HiddenVariableModel, "parameter-independence")
     responses = h._response_table()
     for (context, lam), (mass, row) in h._lambda_table().items():
-        ctx_desc = describe_context(h.sites, context)
         marginals = _site_marginals(h.n_sites, row)
-        for i, site in enumerate(h.sites):
-            m = context[i]
+        for i, (site, m) in enumerate(zip(h.sites, context)):
             total, response = responses[(i, m, lam)]
-            for a in site.outcomes:
-                left = marginals[i].get(a, 0)
-                right = response.get(a, 0)
-                # left / mass != right / total, without the divisions.
-                if left * total != right * mass:
-                    return PropertyVerdict(
-                        False,
-                        Witness(
-                            lhs_desc=f"p({site.name}={a} | {ctx_desc}, λ={lam})",
-                            rhs_desc=f"p({site.name}={a} | {site.name}={m}, λ={lam})",
-                            lhs=Fraction(left, mass),
-                            rhs=Fraction(right, total),
-                            where=(site.name, lam),
-                        ),
-                    )
+            found = first_unequal(site.outcomes, marginals[i], mass, response, total)
+            if found:
+                a, lhs, rhs = found
+                return PropertyVerdict(
+                    False,
+                    Witness(
+                        lhs_desc=f"p({site.name}={a} | {describe(h.sites, context)}, λ={lam})",
+                        rhs_desc=f"p({site.name}={a} | {site.name}={m}, λ={lam})",
+                        lhs=lhs,
+                        rhs=rhs,
+                        where=(site.name, lam),
+                    ),
+                )
     return PropertyVerdict(True)
 
 
@@ -313,10 +304,7 @@ def check_locality(model: HiddenVariableModel) -> PropertyVerdict:
             return PropertyVerdict(
                 False,
                 Witness(
-                    lhs_desc=(
-                        f"p({describe_outcome(h.sites, outcome)} | "
-                        f"{describe_context(h.sites, context)}, λ={lam})"
-                    ),
+                    lhs_desc=f"p({describe(h.sites, outcome)} | {describe(h.sites, context)}, λ={lam})",
                     rhs_desc="the product of per-site responses to own measurements",
                     lhs=Fraction(row.get(outcome, 0), mass),
                     rhs=Fraction(math.prod(map(dict.__getitem__, factors, outcome)), scale),
@@ -343,23 +331,21 @@ def check_non_contextuality(model: EmpiricalModel) -> PropertyVerdict:
             relevant = [c for c in table if c[i] == m]
             for other in relevant[1:]:
                 first = relevant[0]
-                left_marg, right_marg = marginals(first)[i], marginals(other)[i]
-                left_mass, right_mass = table[first][0], table[other][0]
-                for a in site.outcomes:
-                    left = left_marg.get(a, 0)
-                    right = right_marg.get(a, 0)
-                    # left / left_mass != right / right_mass, without the divisions.
-                    if left * right_mass != right * left_mass:
-                        return PropertyVerdict(
-                            False,
-                            Witness(
-                                lhs_desc=f"q({site.name}={a} | {describe_context(e.sites, first)})",
-                                rhs_desc=f"q({site.name}={a} | {describe_context(e.sites, other)})",
-                                lhs=Fraction(left, left_mass),
-                                rhs=Fraction(right, right_mass),
-                                where=(site.name, m),
-                            ),
-                        )
+                found = first_unequal(
+                    site.outcomes, marginals(first)[i], table[first][0], marginals(other)[i], table[other][0]
+                )
+                if found:
+                    a, lhs, rhs = found
+                    return PropertyVerdict(
+                        False,
+                        Witness(
+                            lhs_desc=f"q({site.name}={a} | {describe(e.sites, first)})",
+                            rhs_desc=f"q({site.name}={a} | {describe(e.sites, other)})",
+                            lhs=lhs,
+                            rhs=rhs,
+                            where=(site.name, m),
+                        ),
+                    )
     return PropertyVerdict(True)
 
 
@@ -391,40 +377,30 @@ def check_exchangeability(model: EmpiricalModel) -> PropertyVerdict:
     for perm in generators:
         for context, (mass, row) in table.items():
             moved_ctx = perm.apply(context)
-            ctx_desc = describe_context(e.sites, context)
-            moved_ctx_desc = describe_context(e.sites, moved_ctx)
             if moved_ctx not in table:
+                found = None, e.context_weights()[context], ZERO
+            else:
+                # Both rows sum to 1, so equal ratios on this row's support
+                # leave no mass elsewhere in the moved row.
+                moved_mass, moved_row = table[moved_ctx]
+                moved = {o: moved_row.get(perm.apply(o), 0) for o in row}
+                found = first_unequal(row, row, mass, moved, moved_mass)
+            if found:
+                outcome, lhs, rhs = found
+                lhs_desc, rhs_desc = describe(e.sites, context), describe(e.sites, moved_ctx)
+                if outcome is not None:
+                    lhs_desc = f"{describe(e.sites, outcome)} | {lhs_desc}"
+                    rhs_desc = f"{describe(e.sites, perm.apply(outcome))} | {rhs_desc}"
                 return PropertyVerdict(
                     False,
                     Witness(
-                        lhs_desc=f"q({ctx_desc})",
-                        rhs_desc=f"q({moved_ctx_desc}) after permuting sites by {perm.describe()}",
-                        lhs=e.context_weights()[context],
-                        rhs=ZERO,
+                        lhs_desc=f"q({lhs_desc})",
+                        rhs_desc=f"q({rhs_desc}) after permuting sites by {perm.describe()}",
+                        lhs=lhs,
+                        rhs=rhs,
                         where=(perm.describe(),),
                     ),
                 )
-            moved_mass, moved_row = table[moved_ctx]
-            for outcome, left in row.items():
-                moved_outcome = perm.apply(outcome)
-                right = moved_row.get(moved_outcome, 0)
-                # left / mass != right / moved_mass, without the divisions.
-                if left * moved_mass != right * mass:
-                    return PropertyVerdict(
-                        False,
-                        Witness(
-                            lhs_desc=(
-                                f"q({describe_outcome(e.sites, outcome)} | {ctx_desc})"
-                            ),
-                            rhs_desc=(
-                                f"q({describe_outcome(e.sites, moved_outcome)} | "
-                                f"{moved_ctx_desc}) after permuting sites by {perm.describe()}"
-                            ),
-                            lhs=Fraction(left, mass),
-                            rhs=Fraction(right, moved_mass),
-                            where=(perm.describe(),),
-                        ),
-                    )
     return PropertyVerdict(True)
 
 

@@ -144,6 +144,17 @@ def test_the_one_parser_keeps_no_state_between_calls(index, workdir, monkeypatch
         test_golden_output(case, index, workdir)
 
 
+def test_the_shared_ks_model_prints_its_recorded_bytes(index, workdir):
+    """`ks_model` is built once per process, and reusing it (its tables
+    already built by an earlier command) still prints the recorded bytes."""
+    from hvw import ks_model
+
+    assert ks_model() is ks_model()
+    for _ in range(2):
+        for case in ("canon-ks.text", "canon-ks.json", "nogo-ks.text"):
+            test_golden_output(case, index, workdir)
+
+
 def record() -> None:
     """Run every case and overwrite the recording."""
     GOLDEN_DIR.mkdir(exist_ok=True)

@@ -188,6 +188,28 @@ def test_outcome_distribution_null_context_raises():
         e.outcome_distribution(("M2",))
 
 
+@pytest.mark.parametrize("size", [1, 200_000])
+def test_null_conditioning_echoes_a_long_label_in_part(size):
+    label = "N" * size
+    h = HiddenVariableModel((Site("a", ("M", label), ("0",)),), ("l",), {(("0",), ("M",), "l"): 1})
+    calls = [
+        (lambda: h.outcome_distribution((label,)), f"conditioning event {(label,)} has probability 0"),
+        (lambda: h.outcome_distribution((label,), "l"), f"conditioning event {((label,), 'l')} has probability 0"),
+        (lambda: h.lambda_distribution((label,)), f"context {(label,)} has probability 0"),
+        (
+            lambda: h.cond_prob(Event(), Event(measurements={"a": label})),
+            f"conditioning event has probability 0: {Event(measurements={'a': label})}",
+        ),
+    ]
+    for call, unbounded in calls:
+        with pytest.raises(NullConditioningError) as exc:
+            call()
+        if size == 1:
+            assert str(exc.value) == unbounded
+        else:
+            assert len(str(exc.value).encode()) < 200 < len(unbounded)
+
+
 def test_contradictory_target_gives_zero_not_error():
     epr = epr_model()
     target = Event(outcomes={"a": "+_a"})

@@ -41,6 +41,9 @@ from hvw import (
     construct_sv,
     epr_escape_hvm,
     epr_model,
+    equivalent_empirical,
+    equivalent_hvm,
+    equivalent_models,
     generate_random_model,
     grid_sites,
     ks_model,
@@ -605,6 +608,54 @@ def test_exchangeability_witness_on_three_sites_is_the_failing_generator():
 
 # ---------------------------------------------------------------------------
 # Dispatch
+
+
+def test_holding_verdicts_build_no_witness_text(monkeypatch):
+    """Witness text is written only once a violation is found: with
+    `describe` raising wherever it is looked up, every check and equivalence
+    that holds still returns, and failing ones reach it."""
+    import hvw.models
+    import hvw.nogo
+    import hvw.properties
+
+    class Described(Exception):
+        pass
+
+    def describe(*args):
+        raise Described
+
+    for module in (hvw.models, hvw.properties, hvw.nogo):
+        monkeypatch.setattr(module, "describe", describe)
+    holding = [(check_exchangeability, ks_model()), (check_exchangeability, bell_model())]
+    for seed in range(6):
+        sites = grid_sites(2 + seed % 2, 2, 2 + seed // 4)
+        m = generate_random_model(seed, sites)
+        e1, e2, sv = construct_e1(m), construct_e2(m), construct_sv(m)
+        mixture = random_strategy_mixture(seed, sites)
+        holding += [
+            (check_single_valuedness, sv),
+            (check_lambda_independence, e2),
+            (check_lambda_independence, mixture),
+            (check_strong_determinism, e1),
+            (check_weak_determinism, e2),
+            (check_outcome_independence, e1),
+            (check_parameter_independence, e1),
+            (check_locality, e1),
+            (check_locality, mixture),
+            (lambda h: check_property(h, "non-contextuality"), mixture),
+            (lambda h, m=m: equivalent_empirical(m, h), e2),
+            (lambda h, e1=e1: equivalent_hvm(e1, h), e2),
+            (lambda h, m=m: equivalent_models(m, h), sv),
+        ]
+    for check, model in holding:
+        assert check(model).holds
+    with pytest.raises(Described):
+        check_non_contextuality(ks_model())
+    with pytest.raises(Described):
+        check_parameter_independence(pi_violating_hvm())
+    m = generate_random_model(0, grid_sites(2, 2, 2))
+    with pytest.raises(Described):
+        equivalent_empirical(m, construct_e2(generate_random_model(1, grid_sites(2, 2, 2))))
 
 
 def test_check_property_accepts_names_and_ids():
