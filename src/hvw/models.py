@@ -23,11 +23,18 @@ per-context and per-(context, hidden state) outcome rows, hidden-state
 distributions, per-site responses) iterate in canonical order, and a check
 that scans them in turn finds the canonically first violation.
 
+One label rule, `_BaseModel._labels`, accepts a context or an outcome
+tuple: a non-`str` sequence of one declared `str` label per site (a tuple is
+kept as given), every label's index found in one lookup. Weight keys (outcome
+tuple, then context, then hidden state, each ranked in the same pass),
+`check_context`, `check_outcome_tuple` and every lookup that takes a context
+go through it; anything else raises an `InputError` naming the first fault.
+
 The two row views take no arguments: `context_distributions()` maps each
 non-null context to p(o | context), `context_lambda_distributions()` each
 positive (context, hidden state) pair to p(o | context, λ). The lookups
-`outcome_distribution` and `lambda_distribution` validate their arguments
-and derive only the row they return.
+`outcome_distribution` and `lambda_distribution` derive only the row they
+return.
 
 Events are partial assignments (some sites' outcomes, some sites'
 measurements, optionally a hidden state). `event_prob` and `cond_prob` give
@@ -73,7 +80,10 @@ DEFAULT_GUARD = 10**6
 def _unique_labels(labels: Sequence[str], what: str) -> tuple[str, ...]:
     if isinstance(labels, str):
         raise InputError(f"{what} must be a sequence of labels, not the string {show_value(labels)}")
-    out = tuple(labels)
+    try:
+        out = tuple(labels)
+    except TypeError:
+        raise InputError(f"{what} must be a sequence of labels, not {show_value(labels)}") from None
     if not out:
         raise InputError(f"{what} must not be empty")
     for label in out:
@@ -205,13 +215,11 @@ def first_unequal(
 class _BaseModel:
     """The weight table both model kinds share.
 
-    Every key starts with (outcome tuple, context). A subclass's `_rank`
-    gives a well-formed key's position in canonical order, the label indices
-    of its context, then of its outcome tuple, then of its hidden state, in
-    one lookup per label; any other key goes through its `_check_key`, which
-    raises the error that names the fault or returns the key in tuple form.
-    Validation, the support, event probabilities and the per-context outcome
-    table live here.
+    Every key starts with (outcome tuple, context). `_ranked_key` checks a
+    key part by part through the label rule and returns it in tuple form
+    with its rank in canonical order, the label indices of its context, then
+    of its outcome tuple, then of its hidden state. Validation, the support,
+    event probabilities and the per-context outcome table live here.
     """
 
     def __init__(self, sites: Sequence[Site], weights: Mapping[tuple, object]) -> None:
@@ -229,15 +237,14 @@ class _BaseModel:
         self._meas_index = tuple({m: i for i, m in enumerate(site.measurements)} for site in sites)
         self._out_index = tuple({a: i for i, a in enumerate(site.outcomes)} for site in sites)
         ranked: dict[tuple[int, ...], tuple[tuple, Fraction]] = {}
+        ranked_key = self._ranked_key
         for raw_key, raw in weights.items():
-            key, rank = raw_key, self._rank(raw_key)
-            if rank is None:
-                key = self._check_key(raw_key)
-                rank = self._rank(key)
+            key, rank = ranked_key(raw_key)
             value = raw if type(raw) is Fraction else Fraction(read_rational(raw, f"weight at {show_value(raw_key)}"))
-            if value.numerator < 0:
+            n = value.numerator
+            if n < 0:
                 raise NegativeWeightError(key, value)
-            if value.numerator:
+            if n:
                 ranked[rank] = key, value
         # Every weight is an int numerator over D, the lcm of the denominators.
         self._denominator = math.lcm(*{value.denominator for _, value in ranked.values()})
@@ -250,11 +257,17 @@ class _BaseModel:
         # is assigned in __init__, so instances keep sharing one dict key layout.
         self._ctx_table: dict[Context, tuple[int, dict[OutcomeTuple, int]]] | None = None
 
-    def _check_key(self, key: tuple) -> tuple:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _rank(self, key: object) -> tuple[int, ...] | None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _ranked_key(self, key: object) -> tuple[tuple, tuple[int, ...]]:
+        """An (outcome, context) key; the hidden kind adds a hidden state."""
+        try:
+            outcome, context = key  # type: ignore[misc]
+        except (TypeError, ValueError) as exc:
+            raise ModelFormatError(f"weight key {show_value(key)} is not an (outcome, context) pair") from exc
+        outcome, o = self._labels(outcome, self._out_index, "outcome")
+        context, c = self._labels(context, self._meas_index, "measurement")
+        if type(key) is not tuple or outcome is not key[0] or context is not key[1]:
+            key = outcome, context
+        return key, c + o  # type: ignore[return-value]
 
     def check_lambda(self, lam: str) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -301,33 +314,43 @@ class _BaseModel:
     def outcome_sort_key(self, outcome: OutcomeTuple) -> tuple[int, ...]:
         return tuple(map(dict.__getitem__, self._out_index, outcome))
 
-    def _check_labels(
-        self, labels: Iterable[tuple[int, object]], index: tuple[dict[str, int], ...], what: str
-    ) -> None:
-        """The label rule: each (site index, label) pair names a `str` label
-        declared at that site, a measurement or an outcome as `what` says."""
+    def _check_labels(self, labels: Iterable[tuple[int, object]], index: tuple[dict[str, int], ...], what: str) -> None:
+        """Each (site index, label) pair names a `str` label declared at that
+        site, a measurement or an outcome as `what` says."""
         for i, label in labels:
             if not isinstance(label, str) or label not in index[i]:
                 site = show_value(self.sites[i].name)
                 raise UnknownLabelError(f"unknown {what} {show_value(label)} at site {site}")
 
-    def _site_tuple(self, labels: Sequence[str], index: tuple[dict[str, int], ...], what: str) -> tuple[str, ...]:
-        """One declared label per site, as a tuple."""
-        if isinstance(labels, str):
-            raise ModelFormatError(f"{show_value(labels)} is a string, not a sequence of {what}s, one per site")
-        labels = tuple(labels)
-        if len(labels) != self.n_sites:
+    def _labels(self, labels: object, index: tuple[dict[str, int], ...], what: str) -> tuple[tuple, tuple[int, ...]]:
+        """The label rule: `labels` as a tuple (kept as given when it is one)
+        of one declared `str` label per site, with the index of each, or the
+        error that names the first fault."""
+        if type(labels) is not tuple:
+            if isinstance(labels, str):
+                raise ModelFormatError(f"{show_value(labels)} is a string, not a sequence of {what}s, one per site")
+            try:
+                labels = tuple(labels)  # type: ignore[call-overload]
+            except TypeError:
+                raise ModelFormatError(f"{show_value(labels)} is not a sequence of {what}s, one per site") from None
+        if len(labels) != len(index):
             raise ModelFormatError(f"{show_value(labels)} does not have one {what} per site")
-        self._check_labels(enumerate(labels), index, what)
-        return labels
+        try:
+            "".join(labels)  # raises unless every label is a str
+            ranks = tuple(map(dict.get, index, labels))
+        except TypeError:
+            ranks = (None,)
+        if None in ranks:
+            self._check_labels(enumerate(labels), index, what)
+        return labels, ranks  # type: ignore[return-value]
 
     def check_context(self, context: Sequence[str]) -> Context:
         """Validate and canonicalize a context, one measurement per site."""
-        return self._site_tuple(context, self._meas_index, "measurement")
+        return self._labels(context, self._meas_index, "measurement")[0]
 
     def check_outcome_tuple(self, outcome: Sequence[str]) -> OutcomeTuple:
         """Validate and canonicalize an outcome tuple, one outcome per site."""
-        return self._site_tuple(outcome, self._out_index, "outcome")
+        return self._labels(outcome, self._out_index, "outcome")[0]
 
     def event_prob(self, event: Event) -> Fraction:
         """Exact probability that every constraint in `event` is realized."""
@@ -391,20 +414,6 @@ class _BaseModel:
         return _row(self._context_table(), self.check_context(context))
 
 
-def _label_indices(labels: object, index: tuple[dict[str, int], ...]) -> tuple[int, ...] | None:
-    """The index of each label of a tuple of declared `str` labels, one per
-    site, or None when `labels` is anything else."""
-    if type(labels) is tuple and len(labels) == len(index):
-        try:
-            "".join(labels)  # raises unless every label is a str
-        except TypeError:
-            return None
-        indices = tuple(map(dict.get, index, labels))
-        if None not in indices:
-            return indices  # type: ignore[return-value]
-    return None
-
-
 def _totalled(rows: Mapping[tuple, dict]) -> dict[tuple, tuple[int, dict]]:
     return {key: (sum(row.values()), row) for key, row in rows.items()}
 
@@ -431,21 +440,6 @@ class EmpiricalModel(_BaseModel):
     Treat instances as immutable; integer tables are cached on first use.
     """
 
-    def _check_key(self, key: tuple) -> tuple[OutcomeTuple, Context]:
-        try:
-            outcome, context = key
-        except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"weight key {show_value(key)} is not an (outcome, context) pair") from exc
-        return self.check_outcome_tuple(outcome), self.check_context(context)
-
-    def _rank(self, key: object) -> tuple[int, ...] | None:
-        if type(key) is tuple and len(key) == 2:
-            context = _label_indices(key[1], self._meas_index)
-            outcome = _label_indices(key[0], self._out_index)
-            if context is not None and outcome is not None:
-                return context + outcome
-        return None
-
     def check_lambda(self, lam: str) -> str:
         raise InputError("empirical models have no hidden states to condition on")
 
@@ -471,23 +465,19 @@ class HiddenVariableModel(_BaseModel):
         self._lambda_rows: dict[tuple[Context, str], tuple[int, dict[OutcomeTuple, int]]] | None = None
         self._responses: dict[tuple[int, str, str], tuple[int, dict[str, int]]] | None = None
 
-    def _check_key(self, key: tuple) -> tuple[OutcomeTuple, Context, str]:
+    def _ranked_key(self, key: object) -> tuple[tuple[OutcomeTuple, Context, str], tuple[int, ...]]:
         try:
-            outcome, context, lam = key
+            outcome, context, lam = key  # type: ignore[misc]
         except (TypeError, ValueError) as exc:
-            raise ModelFormatError(
-                f"weight key {show_value(key)} is not an (outcome, context, hidden) triple"
-            ) from exc
-        return self.check_outcome_tuple(outcome), self.check_context(context), self.check_lambda(lam)
-
-    def _rank(self, key: object) -> tuple[int, ...] | None:
-        if type(key) is tuple and len(key) == 3 and isinstance(key[2], str):
-            context = _label_indices(key[1], self._meas_index)
-            outcome = _label_indices(key[0], self._out_index)
-            lam = self._lambda_index.get(key[2])
-            if context is not None and outcome is not None and lam is not None:
-                return (*context, *outcome, lam)
-        return None
+            raise ModelFormatError(f"weight key {show_value(key)} is not an (outcome, context, hidden) triple") from exc
+        outcome, o = self._labels(outcome, self._out_index, "outcome")
+        context, c = self._labels(context, self._meas_index, "measurement")
+        rank = self._lambda_index.get(lam) if isinstance(lam, str) else None
+        if rank is None:
+            self.check_lambda(lam)
+        if type(key) is not tuple or outcome is not key[0] or context is not key[1]:
+            key = outcome, context, lam
+        return key, (*c, *o, rank)  # type: ignore[return-value]
 
     def check_lambda(self, lam: str) -> str:
         if not isinstance(lam, str) or lam not in self._lambda_index:

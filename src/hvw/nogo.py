@@ -33,7 +33,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .codec import Codec
 from .constructions import construct_sv
@@ -317,7 +317,8 @@ def random_strategy_mixture(
     """Seeded random mixture of deterministic strategies, uniform over contexts.
 
     By construction the result is lambda-independent, strongly deterministic,
-    and local; useful as a feasible control for the membership test.
+    and local; useful as a feasible control for the membership test. `guard`
+    bounds the strategies and the weight rows (one per context and component).
     """
     sites = tuple(sites)
     rng = random.Random(seed)
@@ -326,6 +327,9 @@ def random_strategy_mixture(
     indices = sorted(rng.sample(range(len(strategies)), k))
     parts = [rng.randint(1, 8) for _ in indices]
     total = sum(parts)
+    rows = math.prod(len(site.measurements) for site in sites) * k
+    if rows > guard:
+        raise SizeGuardError("strategy mixture weight table", rows, guard)
     contexts = list(itertools.product(*(site.measurements for site in sites)))
     context_weights = dict.fromkeys(contexts, Fraction(1, len(contexts)))
     mixture = [(index, Fraction(part, total)) for index, part in zip(indices, parts)]
@@ -561,6 +565,8 @@ class KsTable(Codec):
     columns: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.columns, Iterable):
+            raise InputError(f"a table must be a sequence of columns, not {show_value(self.columns)}")
         columns = tuple(_unique_labels(column, f"column {k}") for k, column in enumerate(self.columns))
         if not columns:
             raise InputError("a table needs at least one column")

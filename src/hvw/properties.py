@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -106,14 +107,15 @@ class Permutation:
         if sorted(self.image) != list(range(len(self.image))):
             raise InputError(f"not a permutation of 0..{len(self.image) - 1}: {show_value(self.image)}")
 
+    def source(self) -> tuple[int, ...]:
+        """Entry j of a moved tuple is entry source()[j] of the original."""
+        return tuple(sorted(range(len(self.image)), key=self.image.__getitem__))
+
     def apply(self, values: Sequence[str]) -> tuple[str, ...]:
         """Reorder a per-site tuple: entry i moves to position image[i]."""
         if len(values) != len(self.image):
             raise InputError(f"cannot apply a {len(self.image)}-site permutation to {show_value(values)}")
-        moved: list[str | None] = [None] * len(self.image)
-        for i, j in enumerate(self.image):
-            moved[j] = values[i]
-        return tuple(moved)  # type: ignore[arg-type]
+        return tuple(values[i] for i in self.source())
 
     def describe(self) -> str:
         return "(" + " ".join(str(j) for j in self.image) + ")"
@@ -375,22 +377,23 @@ def check_exchangeability(model: EmpiricalModel) -> PropertyVerdict:
         generators.append(Permutation(tuple(range(1, n)) + (0,)))
     table = e._context_table()
     for perm in generators:
+        move = operator.itemgetter(*perm.source())  # n >= 2, so it returns tuples
         for context, (mass, row) in table.items():
-            moved_ctx = perm.apply(context)
+            moved_ctx = move(context)
             if moved_ctx not in table:
                 found = None, e.context_weights()[context], ZERO
             else:
                 # Both rows sum to 1, so equal ratios on this row's support
                 # leave no mass elsewhere in the moved row.
                 moved_mass, moved_row = table[moved_ctx]
-                moved = {o: moved_row.get(perm.apply(o), 0) for o in row}
+                moved = {o: moved_row.get(move(o), 0) for o in row}
                 found = first_unequal(row, row, mass, moved, moved_mass)
             if found:
                 outcome, lhs, rhs = found
                 lhs_desc, rhs_desc = describe(e.sites, context), describe(e.sites, moved_ctx)
                 if outcome is not None:
                     lhs_desc = f"{describe(e.sites, outcome)} | {lhs_desc}"
-                    rhs_desc = f"{describe(e.sites, perm.apply(outcome))} | {rhs_desc}"
+                    rhs_desc = f"{describe(e.sites, move(outcome))} | {rhs_desc}"
                 return PropertyVerdict(
                     False,
                     Witness(

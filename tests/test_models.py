@@ -453,6 +453,16 @@ VALIDATION_CASES = {
         ModelFormatError,
         "'AC' is a string, not a sequence of measurements, one per site",
     ),
+    "non-iterable-outcome": (
+        {(5, ("A", "C")): 1},
+        ModelFormatError,
+        "5 is not a sequence of outcomes, one per site",
+    ),
+    "non-iterable-context": (
+        {(("0", "1"), 5): 1},
+        ModelFormatError,
+        "5 is not a sequence of measurements, one per site",
+    ),
     "negative-weight": (
         {(("0", "0"), ("A", "C")): Fraction(3, 2), (("0", "1"), ("A", "C")): Fraction(-1, 2)},
         NegativeWeightError,
@@ -558,6 +568,56 @@ def test_hidden_model_rejects_a_string_as_its_state_set():
     with pytest.raises(InputError, match="'lm'"):
         HiddenVariableModel(sites, "lm", {(("0",), ("M",), "l"): 1})
     assert HiddenVariableModel(sites, ["l", "m"], {(("0",), ("M",), "l"): 1}).lambda_set == ("l", "m")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lookups_reject_a_non_iterable_label_list(kind):
+    model = build(kind, {(("0", "1"), ("A", "C")): 1})
+    calls = [model.check_context, model.outcome_distribution]
+    if kind == "hidden":
+        calls += [model.lambda_distribution, lambda context: model.outcome_distribution(context, "l0")]
+    for call in calls:
+        with pytest.raises(ModelFormatError) as exc:
+            call(5)
+        assert str(exc.value) == "5 is not a sequence of measurements, one per site"
+    with pytest.raises(ModelFormatError) as exc:
+        model.check_outcome_tuple(5)
+    assert str(exc.value) == "5 is not a sequence of outcomes, one per site"
+
+
+@pytest.mark.parametrize(
+    "declare, message",
+    [
+        (lambda: Site("x", 5, ("0",)), "site x: measurements must be a sequence of labels, not 5"),
+        (lambda: Site("x", ("M",), None), "site x: outcomes must be a sequence of labels, not None"),
+        (
+            lambda: HiddenVariableModel((Site("X", ("M",), ("0",)),), 5, {}),
+            "hidden state set must be a sequence of labels, not 5",
+        ),
+    ],
+    ids=["site-measurements", "site-outcomes", "hidden-state-set"],
+)
+def test_declarations_reject_a_non_iterable_label_list(declare, message):
+    with pytest.raises(InputError) as exc:
+        declare()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_valid_tuple_key_is_stored_as_given_and_ranked_canonically(kind):
+    sites = (Site("X", ("B", "A"), ("1", "0")), Site("Y", ("C",), ("0", "1")))
+    keys = [(("0", "1"), ("A", "C")), (("1", "1"), ("B", "C")), (("0", "0"), ("B", "C")), (("1", "0"), ("A", "C"))]
+    if kind == "empirical":
+        model = EmpiricalModel(sites, {key: Fraction(1, 4) for key in keys})
+    else:
+        keys = [key + ("l0",) for key in keys]
+        model = HiddenVariableModel(sites, ("l0",), {key: Fraction(1, 4) for key in keys})
+    # Declared order is B before A and 1 before 0: by context, then outcome.
+    order = [keys[1], keys[2], keys[3], keys[0]]
+    assert list(model.weights) == order
+    assert all(stored is given for stored, given in zip(model.weights, order))
+    assert model.check_context(keys[0][1]) is keys[0][1]
+    assert model.check_outcome_tuple(keys[0][0]) is keys[0][0]
 
 
 def test_hidden_outcome_distribution_given_a_state():

@@ -250,6 +250,18 @@ def test_strategy_mixtures_project_inside():
         assert local_polytope_feasibility(project_to_empirical(hidden)).feasible
 
 
+def test_strategy_mixture_weight_table_is_held_to_the_guard():
+    # One strategy (one outcome per site), so only the weight table grows:
+    # one row per context, 2**14 of them.
+    with pytest.raises(SizeGuardError) as exc:
+        random_strategy_mixture(0, grid_sites(14, 2, 1), guard=10)
+    assert str(exc.value) == "strategy mixture weight table would enumerate 16384 items, over the guard of 10"
+    assert (exc.value.size, exc.value.guard) == (16384, 10)
+    with pytest.raises(SizeGuardError):
+        random_strategy_mixture(0, grid_sites(2, 2, 1), guard=3)
+    assert len(random_strategy_mixture(0, grid_sites(2, 2, 1), guard=4).weights) == 4
+
+
 def test_strategy_mixture_serialization_is_pinned():
     """Seeded strategy mixtures serialize to pinned bytes: one sha256 over
     seeds 0-49 on four shapes."""
@@ -385,6 +397,21 @@ def test_ks_table_validation():
         KsTable((("a", ""),))
     with pytest.raises(InputError, match="not the string 'AB'"):
         KsTable(("AB", "BA"))
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        (5, "a table must be a sequence of columns, not 5"),
+        ((5,), "column 0 must be a sequence of labels, not 5"),
+        ((("a", "b"), None), "column 1 must be a sequence of labels, not None"),
+    ],
+    ids=["table", "column-0", "column-1"],
+)
+def test_ks_table_rejects_a_non_iterable_column_list(columns, message):
+    with pytest.raises(InputError) as exc:
+        KsTable(columns)
+    assert str(exc.value) == message
 
 
 def test_full_table_admits_no_coloring():
