@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 
 from .errors import InputError, SizeGuardError, show_value
 from .models import (
     DEFAULT_GUARD,
     EmpiricalModel,
     HiddenVariableModel,
+    _unique_labels,
     project_to_empirical,
     require,
 )
@@ -53,11 +53,13 @@ def construct_e1(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVar
     for outcome in e.outcome_tuples():
         for context in e.context_tuples():
             labels.append(",".join(outcome) + "|" + ",".join(context))
+    # Labels that hold commas or bars can join to the same state label.
+    lambda_set = _unique_labels(labels, "hidden state set")
     weights = {
-        (outcome, context, ",".join(outcome) + "|" + ",".join(context)): value
-        for (outcome, context), value in e.weights.items()
+        (outcome, context, ",".join(outcome) + "|" + ",".join(context)): n
+        for (outcome, context), n in e._weights.items()
     }
-    return HiddenVariableModel(e.sites, labels, weights)
+    return e._derive(HiddenVariableModel, weights, e._denominator, lambda_set)
 
 
 def construct_e2(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVariableModel:
@@ -78,24 +80,24 @@ def construct_e2(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVar
     labels = tuple(str(i) for i in range(size))
     weights: dict = {}
     for context, (mass, row) in table.items():
-        share = Fraction(mass, e._denominator * size)
+        # Each state of the context carries mass / (D * size).
         start = 0
         for outcome, n in row.items():
             block, remainder = divmod(n * size, mass)
             assert remainder == 0
             for state in range(start, start + block):
-                weights[(outcome, context, labels[state])] = share
+                weights[(outcome, context, labels[state])] = mass
             start += block
         assert start == size
-    return HiddenVariableModel(e.sites, labels, weights)
+    return e._derive(HiddenVariableModel, weights, e._denominator * size, labels)
 
 
 def construct_sv(model: EmpiricalModel) -> HiddenVariableModel:
     """Completion with a single hidden state carrying the weights unchanged."""
     e = require(model, EmpiricalModel, "construct_sv")
     label = "l0"
-    weights = {(outcome, context, label): value for (outcome, context), value in e.weights.items()}
-    return HiddenVariableModel(e.sites, (label,), weights)
+    weights = {(outcome, context, label): n for (outcome, context), n in e._weights.items()}
+    return e._derive(HiddenVariableModel, weights, e._denominator, (label,))
 
 
 def construct(

@@ -15,6 +15,8 @@ from fractions import Fraction
 _MAX_SHOWN_BITS = 3000
 # Longest part of a bad value's repr, in UTF-8 bytes, that a message echoes.
 _MAX_SHOWN_BYTES = 100
+# Longest count, in bits, that a message prints in full: 78 decimal digits.
+_MAX_COUNT_BITS = 256
 
 
 def show_text(text: str, limit: int = _MAX_SHOWN_BYTES) -> str:
@@ -42,6 +44,13 @@ def _show_fraction(value: Fraction) -> str:
     if max(bits) <= _MAX_SHOWN_BITS:
         return str(value)
     return "a fraction with a {}-bit numerator and a {}-bit denominator".format(*bits)
+
+
+def _show_count(count: int) -> object:
+    """`count`, or a power-of-two lower bound for an int too long to print."""
+    if isinstance(count, int) and count.bit_length() > _MAX_COUNT_BITS:
+        return f"at least 2^{count.bit_length() - 1}"
+    return count
 
 
 class WorkbenchError(Exception):
@@ -95,6 +104,6 @@ class SizeGuardError(WorkbenchError):
     """An enumeration would exceed the configured size guard."""
 
     def __init__(self, what: str, size: int, guard: int) -> None:
-        super().__init__(f"{what} would enumerate {size} items, over the guard of {guard}")
+        super().__init__(f"{what} would enumerate {_show_count(size)} items, over the guard of {_show_count(guard)}")
         self.size = size
         self.guard = guard

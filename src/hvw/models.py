@@ -8,12 +8,12 @@ weights triples (outcome tuple, context, hidden state). All weights are
 nonnegative `fractions.Fraction` values summing to exactly 1; nothing in this
 package ever rounds.
 
-A model stores its weights as fractions and caches only integer tables:
-counts over D, the lcm of the weights' denominators, per context, per
-(context, hidden state) and per site response. Checks compare ratios of
-counts by cross-multiplying, two count rows through `first_unequal`; every
-fraction view is derived per call. `describe` writes the labels of a
-witness.
+A model stores its weights as int numerators over D, the lcm of the
+weights' denominators, and caches only integer tables: counts over D per
+context, per (context, hidden state) and per site response. Checks compare
+ratios of counts by cross-multiplying, two count rows through
+`first_unequal`; every fraction view, `weights` included, is derived per
+call and never cached. `describe` writes the labels of a witness.
 
 Canonical order sorts contexts, outcome tuples and hidden states by the
 index of each label in its declared list, position by position. A model
@@ -29,6 +29,9 @@ kept as given), every label's index found in one lookup. Weight keys (outcome
 tuple, then context, then hidden state, each ranked in the same pass),
 `check_context`, `check_outcome_tuple` and every lookup that takes a context
 go through it; anything else raises an `InputError` naming the first fault.
+The public constructors are the only path in. Completions and projections
+hand int numerators in canonical order to `_derive`, the core that checks
+nothing, reached only as a method of the validated model they derive from.
 
 The two row views take no arguments: `context_distributions()` maps each
 non-null context to p(o | context), `context_lambda_distributions()` each
@@ -123,8 +126,11 @@ class Event:
     hidden: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "outcomes", dict(self.outcomes))
-        object.__setattr__(self, "measurements", dict(self.measurements))
+        for part in ("outcomes", "measurements"):
+            try:
+                object.__setattr__(self, part, dict(getattr(self, part)))
+            except (TypeError, ValueError):
+                raise InputError(f"event {part} must be a mapping, not {show_value(getattr(self, part))}") from None
 
     def __hash__(self) -> int:
         return hash(
@@ -223,7 +229,10 @@ class _BaseModel:
     """
 
     def __init__(self, sites: Sequence[Site], weights: Mapping[tuple, object]) -> None:
-        sites = tuple(sites)
+        try:
+            sites = tuple(sites)
+        except TypeError:
+            raise InputError(f"a model needs a sequence of sites, not {show_value(sites)}") from None
         if not sites:
             raise InputError("a model needs at least one site")
         for site in sites:
@@ -232,6 +241,8 @@ class _BaseModel:
         names = [site.name for site in sites]
         if len(set(names)) != len(names):
             raise InputError(f"duplicate site names: {show_value(names)}")
+        if not callable(getattr(weights, "items", None)):
+            raise InputError(f"a model needs a mapping of weights, not {show_value(weights)}")
         self.sites: tuple[Site, ...] = sites
         self._site_index = {site.name: i for i, site in enumerate(sites)}
         self._meas_index = tuple({m: i for i, m in enumerate(site.measurements)} for site in sites)
@@ -247,15 +258,34 @@ class _BaseModel:
             if n:
                 ranked[rank] = key, value
         # Every weight is an int numerator over D, the lcm of the denominators.
-        self._denominator = math.lcm(*{value.denominator for _, value in ranked.values()})
-        self._weights = dict(map(ranked.__getitem__, sorted(ranked)))
-        total = sum(n for _, n in self._numerators())
-        if total != self._denominator:
-            raise WeightSumError(Fraction(total, self._denominator))
-        # Int tables, key -> (mass, {item: count}) over D in canonical order,
-        # built on first use in one pass over the weights. Every cache attribute
-        # is assigned in __init__, so instances keep sharing one dict key layout.
+        scale = math.lcm(*{value.denominator for _, value in ranked.values()})
+        numerators = {key: w.numerator * (scale // w.denominator) for key, w in map(ranked.__getitem__, sorted(ranked))}
+        total = sum(numerators.values())
+        if total != scale:
+            raise WeightSumError(Fraction(total, scale))
+        self._store(numerators, scale)
+
+    def _store(self, numerators: dict[tuple, int], scale: int) -> None:
+        """Keep `numerators` over `scale`, both divided by their gcd: over D.
+        Int tables, key -> (mass, {item: count}) over D in canonical order,
+        are built on first use in one pass over the weights. Every cache is
+        assigned here, so instances keep sharing one dict key layout."""
+        common = math.gcd(scale, *numerators.values())
+        self._weights = numerators if common == 1 else {key: n // common for key, n in numerators.items()}
+        self._denominator = scale // common
         self._ctx_table: dict[Context, tuple[int, dict[OutcomeTuple, int]]] | None = None
+
+    def _derive(self, kind: type[M], numerators: dict[tuple, int], scale: int, lambda_set: tuple[str, ...] = ()) -> M:
+        """The core, which checks nothing: a `kind` model over this model's
+        sites from `numerators` summing to `scale`, keyed by its labels (and
+        distinct `lambda_set` states) in canonical order."""
+        model = kind.__new__(kind)
+        if kind is HiddenVariableModel:
+            model.lambda_set, model._lambda_index = lambda_set, {lam: i for i, lam in enumerate(lambda_set)}
+        model.sites, model._site_index = self.sites, self._site_index
+        model._meas_index, model._out_index = self._meas_index, self._out_index
+        model._store(numerators, scale)
+        return model
 
     def _ranked_key(self, key: object) -> tuple[tuple, tuple[int, ...]]:
         """An (outcome, context) key; the hidden kind adds a hidden state."""
@@ -274,8 +304,8 @@ class _BaseModel:
 
     @property
     def weights(self) -> Mapping[tuple, Fraction]:
-        """Read-only support of the joint weight table (zero entries omitted)."""
-        return MappingProxyType(self._weights)
+        """Read-only support of the joint weight table (zero entries omitted), derived per call."""
+        return MappingProxyType({key: Fraction(n, self._denominator) for key, n in self._weights.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -359,16 +389,16 @@ class _BaseModel:
         self._check_labels(outcome_by_index.items(), self._out_index, "outcome")
         measurement_by_index = {self.site_index(name): m for name, m in event.measurements.items()}
         self._check_labels(measurement_by_index.items(), self._meas_index, "measurement")
-        total = ZERO
-        for key, weight in self._weights.items():
+        total = 0
+        for key, n in self._weights.items():
             outcome, context = key[0], key[1]
             if (
                 (hidden is None or key[2] == hidden)
                 and all(outcome[i] == a for i, a in outcome_by_index.items())
                 and all(context[i] == m for i, m in measurement_by_index.items())
             ):
-                total += weight
-        return total
+                total += n
+        return Fraction(total, self._denominator)
 
     def cond_prob(self, target: Event, given: Event) -> Fraction:
         """Exact conditional probability of `target` given `given`."""
@@ -379,15 +409,9 @@ class _BaseModel:
         numerator = ZERO if merged is None else self.event_prob(merged)
         return numerator / denominator
 
-    def _numerators(self) -> Iterator[tuple[tuple, int]]:
-        """Each stored key, in canonical order, with its weight times D."""
-        scale = self._denominator
-        for key, weight in self._weights.items():
-            yield key, weight.numerator * (scale // weight.denominator)
-
     def _build_tables(self) -> None:
         rows: dict[Context, dict[OutcomeTuple, int]] = {}
-        for (outcome, context), n in self._numerators():
+        for (outcome, context), n in self._weights.items():
             rows.setdefault(context, {})[outcome] = n
         self._ctx_table = _totalled(rows)
 
@@ -462,6 +486,9 @@ class HiddenVariableModel(_BaseModel):
         self.lambda_set: tuple[str, ...] = _unique_labels(lambda_set, "hidden state set")
         self._lambda_index = {lam: i for i, lam in enumerate(self.lambda_set)}
         super().__init__(sites, weights)
+
+    def _store(self, numerators: dict[tuple, int], scale: int) -> None:
+        super()._store(numerators, scale)
         self._lambda_rows: dict[tuple[Context, str], tuple[int, dict[OutcomeTuple, int]]] | None = None
         self._responses: dict[tuple[int, str, str], tuple[int, dict[str, int]]] | None = None
 
@@ -499,7 +526,7 @@ class HiddenVariableModel(_BaseModel):
         rows: dict = {}
         by_context: dict[Context, dict[str, dict]] = {}
         responses: dict[tuple[int, str, str], dict[str, int]] = {}
-        for (outcome, context, lam), n in self._numerators():
+        for (outcome, context, lam), n in self._weights.items():
             row = rows.setdefault(context, {})
             row[outcome] = row.get(outcome, 0) + n
             by_context.setdefault(context, {}).setdefault(lam, {})[outcome] = n
@@ -595,11 +622,11 @@ def as_empirical(model: object, name: str) -> EmpiricalModel:
 def project_to_empirical(hvm: HiddenVariableModel) -> EmpiricalModel:
     """Sum the hidden states out of a hidden-variable model."""
     require(hvm, HiddenVariableModel, "project_to_empirical")
-    joint: dict[tuple[OutcomeTuple, Context], Fraction] = {}
-    for (outcome, context, _), weight in hvm.weights.items():
+    joint: dict[tuple[OutcomeTuple, Context], int] = {}
+    for (outcome, context, _), n in hvm._weights.items():
         key = (outcome, context)
-        joint[key] = joint.get(key, ZERO) + weight
-    return EmpiricalModel(hvm.sites, joint)
+        joint[key] = joint.get(key, 0) + n
+    return hvm._derive(EmpiricalModel, joint, hvm._denominator)
 
 
 def _prediction_agreement(left: _BaseModel, right: _BaseModel) -> PropertyVerdict:

@@ -33,7 +33,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .codec import Codec
 from .constructions import construct_sv
@@ -236,20 +236,23 @@ class PolytopeResult(Codec):
 
 
 def _mixture_hvm(
-    sites: tuple[Site, ...],
-    context_weights: Mapping[tuple[str, ...], Fraction],
+    model: EmpiricalModel,
     strategies: Sequence[DeterministicStrategy],
     mixture: Sequence[tuple[int, Fraction]],
 ) -> HiddenVariableModel:
-    """Hidden state `s<index>` plays strategy `index` with weight x on every context."""
-    weights: dict = {}
-    for index, x in mixture:
-        lam = f"s{index}"
-        strategy = strategies[index]
-        for context, mass in context_weights.items():
-            outcome = strategy.outcome_for(sites, context)
-            weights[(outcome, context, lam)] = weights.get((outcome, context, lam), ZERO) + mass * x
-    return HiddenVariableModel(sites, tuple(f"s{index}" for index, _ in mixture), weights)
+    """Hidden state `s<index>` plays strategy `index` with weight x on every
+    context, each context at its weight in `model`."""
+    lambda_set = tuple(f"s{index}" for index, _ in mixture)
+    scale = math.lcm(*(x.denominator for _, x in mixture))
+    ranked: dict = {}
+    for position, (index, x) in enumerate(mixture):
+        share = x.numerator * (scale // x.denominator)
+        for context, (mass, _) in model._context_table().items():
+            outcome = strategies[index].outcome_for(model.sites, context)
+            rank = model.context_sort_key(context), model.outcome_sort_key(outcome), position
+            ranked[rank] = (outcome, context, lambda_set[position]), mass * share
+    weights = dict(map(ranked.__getitem__, sorted(ranked)))
+    return model._derive(HiddenVariableModel, weights, model._denominator * scale, lambda_set)
 
 
 def local_polytope_feasibility(
@@ -289,7 +292,7 @@ def local_polytope_feasibility(
         if not verify_solution(rows, rhs, x):
             raise AssertionError("solver returned a point that fails direct recheck")
         mixture = tuple((i, w) for i, w in enumerate(x) if w)
-        hvm = _mixture_hvm(model.sites, model.context_weights(), strategies, mixture)
+        hvm = _mixture_hvm(model, strategies, mixture)
         return PolytopeResult(
             feasible=True,
             strategy_count=len(strategies),
@@ -331,9 +334,11 @@ def random_strategy_mixture(
     if rows > guard:
         raise SizeGuardError("strategy mixture weight table", rows, guard)
     contexts = list(itertools.product(*(site.measurements for site in sites)))
-    context_weights = dict.fromkeys(contexts, Fraction(1, len(contexts)))
+    # Any model whose contexts are equally likely gives the mixture its marginals.
+    first = tuple(site.outcomes[0] for site in sites)
+    uniform = EmpiricalModel(sites, {(first, context): Fraction(1, len(contexts)) for context in contexts})
     mixture = [(index, Fraction(part, total)) for index, part in zip(indices, parts)]
-    return _mixture_hvm(sites, context_weights, strategies, mixture)
+    return _mixture_hvm(uniform, strategies, mixture)
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,13 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.image) != list(range(len(self.image))):
-            raise InputError(f"not a permutation of 0..{len(self.image) - 1}: {show_value(self.image)}")
+        try:
+            valid = sorted(self.image) == list(range(len(self.image)))
+        except TypeError:  # not a sequence, or entries that do not compare, such as 0 and "x"
+            valid = False
+        if not valid:
+            indices = f"0..{len(self.image) - 1}" if hasattr(self.image, "__len__") else "site indices"
+            raise InputError(f"not a permutation of {indices}: {show_value(self.image)}")
 
     def source(self) -> tuple[int, ...]:
         """Entry j of a moved tuple is entry source()[j] of the original."""

@@ -271,7 +271,7 @@ def test_criterion_5_construction_guarantees():
                 checked += 1
         elapsed = time.monotonic() - started
         assert checked == 700
-        assert elapsed < 60.0, f"took {elapsed:.2f}s"
+        assert elapsed < 10.0, f"took {elapsed:.2f}s"
 
 
 def test_criterion_6_implication_lattice():

@@ -439,6 +439,22 @@ def test_construct_guard_failure_exits_two(cli, tmp_path):
     assert "error:" in err
 
 
+def test_construct_guard_failure_on_a_huge_lcm_is_one_short_line(cli, tmp_path):
+    p, q = 10**3000 + 1, 10**3000 + 3
+    rows = [("o1", "l0", f"1/{p}"), ("o2", "l0", f"{p - 2}/{2 * p}"), ("o1", "l1", f"1/{q}"), ("o2", "l1", f"{q - 2}/{2 * q}")]
+    sites = [{"name": "a", "measurements": ["M1"], "outcomes": ["o1", "o2"]}]
+    weights = [{"outcome": [o], "measurement": ["M1"], "lambda": lam, "p": v} for o, lam, v in rows]
+    path = tmp_path / "long.hvm"
+    path.write_text(json.dumps({"sites": sites, "lambda": ["l0", "l1"], "weights": weights}))
+    code, out, err = cli("construct", str(path), "--method", "e2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: e2 hidden state set would enumerate at least 2^")
+    assert err.count("\n") == 1 and len(err.encode()) < 400
+    e1 = tmp_path / "long-e1.hvm"
+    assert cli("construct", str(path), "--method", "e1", "--out", str(e1))[0] == 0
+    assert cli("equiv", str(path), str(e1))[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # equiv
 

@@ -11,7 +11,10 @@ from conftest import fr, point_mass_model, single_site_third_model
 
 from hvw import (
     ConstructionMethod,
+    EmpiricalModel,
+    HiddenVariableModel,
     InputError,
+    Site,
     SizeGuardError,
     bell_model,
     check_lambda_independence,
@@ -31,9 +34,13 @@ from hvw import (
     generate_random_model,
     grid_sites,
     ks_model,
+    local_polytope_feasibility,
     project_to_empirical,
     reconstruct_hvm,
+    serialize_model,
 )
+from hvw.models import _BaseModel
+from hvw.nogo import random_strategy_mixture
 
 
 def lcm_of_conditionals(model) -> int:
@@ -208,3 +215,77 @@ def test_constructions_keep_null_contexts_null():
         projected = project_to_empirical(hidden)
         assert ("M2",) not in projected.context_weights()
         assert equivalent_empirical(base, hidden).holds
+
+
+# ---------------------------------------------------------------------------
+# Derived models: completions and projections skip the label rule
+
+
+def _rebuilt(model):
+    """`model` built again through the public, validating constructor."""
+    if isinstance(model, HiddenVariableModel):
+        return HiddenVariableModel(model.sites, model.lambda_set, model.weights)
+    return EmpiricalModel(model.sites, model.weights)
+
+
+def test_derived_models_skip_the_label_rule(monkeypatch):
+    base = generate_random_model(3, grid_sites(2, 3, 2))
+    local = project_to_empirical(random_strategy_mixture(1, grid_sites(2, 2, 2)))
+    hidden = generate_random_model(4, grid_sites(2, 2, 2), lambda_size=3)
+
+    def refuse(*args):
+        raise AssertionError("the label rule ran again")
+
+    monkeypatch.setattr(_BaseModel, "_labels", refuse)
+    with pytest.raises(AssertionError, match="label rule"):
+        _rebuilt(base)
+    for construct_one in (construct_e1, construct_e2, construct_sv):
+        assert isinstance(construct_one(base), HiddenVariableModel)
+    assert isinstance(project_to_empirical(hidden), EmpiricalModel)
+    result = local_polytope_feasibility(local)
+    assert result.feasible and result.hvm is not None
+
+
+CORPUS_SHAPES = ((1, 1, 2), (1, 3, 3), (2, 1, 2), (2, 2, 2), (2, 3, 2), (2, 2, 3), (2, 3, 3), (3, 2, 2), (3, 3, 2))
+
+
+def test_derived_models_match_their_public_rebuilds():
+    derived = []
+    for shape in CORPUS_SHAPES:
+        sites = grid_sites(*shape)
+        for seed in range(3):
+            base = generate_random_model(seed, sites)
+            completions = [construct_e1(base), construct_e2(base), construct_sv(base)]
+            hidden = generate_random_model(seed, sites, lambda_size=3)
+            derived += completions + [project_to_empirical(h) for h in completions + [hidden]]
+    for seed in range(3):
+        mixture = random_strategy_mixture(seed, grid_sites(2, 2, 2))
+        found = local_polytope_feasibility(project_to_empirical(mixture)).hvm
+        derived += [mixture, found, project_to_empirical(mixture)]
+    for model in derived:
+        public = _rebuilt(model)
+        assert model == public
+        assert repr(model) == repr(public)
+        assert serialize_model(model) == serialize_model(public)
+        assert model._denominator == public._denominator
+
+
+def test_e1_rejects_state_labels_that_collide():
+    sites = (Site("X", ("A",), ("a,b", "a")), Site("Y", ("B",), ("c", "b,c")))
+    base = EmpiricalModel(sites, {(("a,b", "c"), ("A", "B")): 1})
+    with pytest.raises(InputError, match="hidden state set contains duplicate labels"):
+        construct_e1(base)
+
+
+def test_guard_message_stays_short_for_huge_sizes():
+    p = 10**3000 + 1
+    site = Site("a", ("M",), ("o1", "o2"))
+    base = EmpiricalModel((site,), {(("o1",), ("M",)): Fraction(1, p), (("o2",), ("M",)): Fraction(p - 1, p)})
+    with pytest.raises(SizeGuardError) as exc:
+        construct_e2(base)
+    assert str(exc.value) == (
+        f"e2 hidden state set would enumerate at least 2^{p.bit_length() - 1} items, over the guard of 1000000"
+    )
+    assert exc.value.size == p
+    with pytest.raises(SizeGuardError, match="^e2 hidden state set would enumerate 8 items, over the guard of 7$"):
+        construct_e2(bell_model(), guard=7)

@@ -234,6 +234,20 @@ def test_equal_events_hash_equal():
     assert len({first, second, Event()}) == 2
 
 
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ({"outcomes": 5}, "event outcomes must be a mapping, not 5"),
+        ({"measurements": "ab"}, "event measurements must be a mapping, not 'ab'"),
+    ],
+    ids=["outcomes-an-int", "measurements-a-string"],
+)
+def test_event_rejects_parts_that_are_not_mappings(parts, message):
+    with pytest.raises(InputError) as exc:
+        Event(**parts)
+    assert str(exc.value) == message
+
+
 def test_total_probability_identity_over_hidden_states():
     for seed in range(10):
         h = generate_random_model(seed, grid_sites(2, 2, 2), lambda_size=3)
@@ -399,16 +413,15 @@ def build(kind: str, weights: dict, sites=None, lambda_set=("l0",)):
         sites = (Site("X", ("A", "B"), ("0", "1")), Site("Y", ("C",), ("0", "1")))
     if kind == "empirical":
         return EmpiricalModel(sites, weights)
-    return HiddenVariableModel(
-        sites,
-        lambda_set,
-        {key + ("l0",) if isinstance(key, tuple) else key: value for key, value in weights.items()},
-    )
+    if isinstance(weights, dict):
+        weights = {key + ("l0",) if isinstance(key, tuple) else key: value for key, value in weights.items()}
+    return HiddenVariableModel(sites, lambda_set, weights)
 
 
-# Each case: weights, the error, and its exact message (or one per kind). In
-# a message, {lam} stands for the hidden state a hidden-kind key gains
-# (", 'l0'") and {shape} for the key shape the kind expects.
+# Each case: weights, the error, its exact message (or one per kind) and,
+# optionally, the sites in place of the default two. In a message, {lam}
+# stands for the hidden state a hidden-kind key gains (", 'l0'") and {shape}
+# for the key shape the kind expects.
 _RATIONALS = 'exact rationals are ints, Fractions and strings like "3/8"'
 VALIDATION_CASES = {
     "key-too-short": (
@@ -503,6 +516,9 @@ VALIDATION_CASES = {
         ModelFormatError,
         f"weight at (('0', '0'), ('A', 'C'){{lam}}) is not a finite rational: Decimal('1E+999999999'); {_RATIONALS}",
     ),
+    "weights-not-a-mapping": (5, InputError, "a model needs a mapping of weights, not 5"),
+    "weights-a-list": ([1], InputError, "a model needs a mapping of weights, not [1]"),
+    "sites-not-a-sequence": ({}, InputError, "a model needs a sequence of sites, not 5", 5),
 }
 _SHAPES = {"empirical": "(outcome, context) pair", "hidden": "(outcome, context, hidden) triple"}
 
@@ -510,9 +526,9 @@ _SHAPES = {"empirical": "(outcome, context) pair", "hidden": "(outcome, context,
 @pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
 @pytest.mark.parametrize("kind", KINDS)
 def test_weight_table_validation_for_both_kinds(kind, case):
-    weights, error, message = VALIDATION_CASES[case]
+    weights, error, message, *sites = VALIDATION_CASES[case]
     with pytest.raises(error) as exc:
-        build(kind, weights)
+        build(kind, weights, *sites)
     if isinstance(message, dict):
         message = message[kind]
     lam = ", 'l0'" if kind == "hidden" else ""

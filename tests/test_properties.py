@@ -704,6 +704,20 @@ def test_permutation_rejects_non_bijections():
         Permutation((1, 2))
 
 
+@pytest.mark.parametrize(
+    "image, message",
+    [
+        (5, "not a permutation of site indices: 5"),
+        ((0, "x"), "not a permutation of 0..1: (0, 'x')"),
+    ],
+    ids=["not-a-sequence", "entries-that-do-not-compare"],
+)
+def test_permutation_rejects_malformed_images(image, message):
+    with pytest.raises(InputError) as exc:
+        Permutation(image)
+    assert str(exc.value) == message
+
+
 def test_permutation_echoes_long_values_in_part():
     with pytest.raises(InputError) as exc:
         Permutation((1, 0)).apply(("x" * 200_000,))
