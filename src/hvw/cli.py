@@ -276,18 +276,15 @@ def _cmd_nogo(args: argparse.Namespace) -> int:
     if args.argument == "epr":
         if args.method is not None:
             raise InputError("the epr argument has a single method; omit --method")
-        report = verify_epr()
-        text = _epr_text(report)
+        report, render = verify_epr(), _epr_text
     elif args.argument == "bell":
-        report = verify_bell(method=args.method or "both", guard=guard)
-        text = _bell_text(report)
+        report, render = verify_bell(method=args.method or "both", guard=guard), _bell_text
     else:
-        report = verify_ks(method=args.method or "both", guard=guard)
-        text = _ks_text(report)
+        report, render = verify_ks(method=args.method or "both", guard=guard), _ks_text
     if args.format == "json":
         _print_json({"command": "nogo", "argument": args.argument, "report": report.to_dict()})
     else:
-        print(text)
+        print(render(report))
     return EXIT_NEGATIVE if report.confirmed else EXIT_OK
 
 

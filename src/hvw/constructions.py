@@ -25,7 +25,6 @@ from .models import (
     DEFAULT_GUARD,
     EmpiricalModel,
     HiddenVariableModel,
-    _unique_labels,
     project_to_empirical,
     require,
 )
@@ -43,23 +42,27 @@ def construct_e1(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVar
     """Completion whose hidden states enumerate the full prediction grid.
 
     The state labeled "o1,..,on|m1,..,mn" has weight q(outcomes, context) and
-    forces exactly that context and outcome tuple.
+    forces exactly that context and outcome tuple. Inside each label a
+    backslash, comma or bar is escaped by a backslash, so distinct cells get
+    distinct states; labels without them appear as they are.
     """
     e = require(model, EmpiricalModel, "construct_e1")
     size = e.n_outcome_tuples() * e.n_context_tuples()
     if size > guard:
         raise SizeGuardError("e1 hidden state set", size, guard)
-    labels = []
-    for outcome in e.outcome_tuples():
-        for context in e.context_tuples():
-            labels.append(",".join(outcome) + "|" + ",".join(context))
-    # Labels that hold commas or bars can join to the same state label.
-    lambda_set = _unique_labels(labels, "hidden state set")
+    outcomes = {outcome: _joined(outcome) for outcome in e.outcome_tuples()}
+    contexts = {context: _joined(context) for context in e.context_tuples()}
+    lambda_set = tuple(o + "|" + c for o in outcomes.values() for c in contexts.values())
     weights = {
-        (outcome, context, ",".join(outcome) + "|" + ",".join(context)): n
+        (outcome, context, outcomes[outcome] + "|" + contexts[context]): n
         for (outcome, context), n in e._weights.items()
     }
-    return e._derive(HiddenVariableModel, weights, e._denominator, lambda_set)
+    return e._derive(weights, e._denominator, lambda_set)
+
+
+def _joined(labels: tuple[str, ...]) -> str:
+    """`labels` joined by commas, each with its backslashes, commas and bars escaped."""
+    return ",".join(label.replace("\\", "\\\\").replace(",", "\\,").replace("|", "\\|") for label in labels)
 
 
 def construct_e2(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVariableModel:
@@ -89,7 +92,7 @@ def construct_e2(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVar
                 weights[(outcome, context, labels[state])] = mass
             start += block
         assert start == size
-    return e._derive(HiddenVariableModel, weights, e._denominator * size, labels)
+    return e._derive(weights, e._denominator * size, labels)
 
 
 def construct_sv(model: EmpiricalModel) -> HiddenVariableModel:
@@ -97,7 +100,7 @@ def construct_sv(model: EmpiricalModel) -> HiddenVariableModel:
     e = require(model, EmpiricalModel, "construct_sv")
     label = "l0"
     weights = {(outcome, context, label): n for (outcome, context), n in e._weights.items()}
-    return e._derive(HiddenVariableModel, weights, e._denominator, (label,))
+    return e._derive(weights, e._denominator, (label,))
 
 
 def construct(

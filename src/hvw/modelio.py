@@ -27,7 +27,6 @@ and a final newline, written by the codec's `write_json`.
 from __future__ import annotations
 
 import json
-from typing import Mapping
 
 # MAX_EXPONENT and parse_fraction, the codec's reader, stay importable from here.
 from .codec import MAX_EXPONENT, fraction_text, read_rational as parse_fraction, write_json  # noqa: F401
@@ -37,6 +36,8 @@ from .models import EmpiricalModel, HiddenVariableModel, Model, Site, require
 _TOP_KEYS = {"sites", "lambda", "weights"}
 _SITE_KEYS = {"name", "measurements", "outcomes"}
 _ROW_KEYS = {"outcome", "measurement", "lambda", "p"}
+# A row names its weight key's parts in key order; an empirical key has no "lambda".
+_KEY_FIELDS = ("outcome", "measurement", "lambda")
 
 
 def _string_list(value: object, where: str) -> list[str]:
@@ -100,17 +101,15 @@ def model_from_dict(data: object) -> Model:
         outcome = tuple(_string_list(row["outcome"], f"{where}.outcome"))
         measurement = tuple(_string_list(row["measurement"], f"{where}.measurement"))
         value = parse_fraction(row["p"], where)
-        if hidden_states is None:
-            if "lambda" in row:
+        key: tuple = (outcome, measurement)
+        if "lambda" in row:
+            if hidden_states is None:
                 raise ModelFormatError(f"{where}: row names a hidden state but the model declares no \"lambda\" block")
-            key = (outcome, measurement)
-        else:
-            if "lambda" not in row:
-                raise ModelFormatError(f"{where}: model declares hidden states, row is missing \"lambda\"")
-            lam = row["lambda"]
-            if not isinstance(lam, str):
-                raise ModelFormatError(f"{where}.lambda: expected a string, got {show_value(lam)}")
-            key = (outcome, measurement, lam)
+            if not isinstance(row["lambda"], str):
+                raise ModelFormatError(f"{where}.lambda: expected a string, got {show_value(row['lambda'])}")
+            key += (row["lambda"],)
+        elif hidden_states is not None:
+            raise ModelFormatError(f"{where}: model declares hidden states, row is missing \"lambda\"")
         if key in weights:
             raise ModelFormatError(f"{where}: duplicate weight row for {show_value(key)}")
         weights[key] = value
@@ -140,17 +139,12 @@ def model_to_dict(model: Model) -> dict:
             for site in model.sites
         ]
     }
-    rows = []
     if isinstance(model, HiddenVariableModel):
         data["lambda"] = list(model.lambda_set)
-        for (outcome, context, lam), value in model.weights.items():
-            rows.append(
-                {"outcome": list(outcome), "measurement": list(context), "lambda": lam, "p": fraction_text(value)}
-            )
-    else:
-        for (outcome, context), value in model.weights.items():
-            rows.append({"outcome": list(outcome), "measurement": list(context), "p": fraction_text(value)})
-    data["weights"] = rows
+    data["weights"] = [
+        dict(zip(_KEY_FIELDS, (list(key[0]), list(key[1]), *key[2:])), p=fraction_text(value))
+        for key, value in model.weights.items()
+    ]
     return data
 
 

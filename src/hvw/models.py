@@ -25,13 +25,15 @@ that scans them in turn finds the canonically first violation.
 
 One label rule, `_BaseModel._labels`, accepts a context or an outcome
 tuple: a non-`str` sequence of one declared `str` label per site (a tuple is
-kept as given), every label's index found in one lookup. Weight keys (outcome
-tuple, then context, then hidden state, each ranked in the same pass),
-`check_context`, `check_outcome_tuple` and every lookup that takes a context
-go through it; anything else raises an `InputError` naming the first fault.
-The public constructors are the only path in. Completions and projections
-hand int numerators in canonical order to `_derive`, the core that checks
-nothing, reached only as a method of the validated model they derive from.
+kept as given), every label's index found in one lookup. `check_context`,
+`check_outcome_tuple` and every lookup that takes a context go through it.
+One key rule, `_BaseModel._ranked_key`, serves both kinds: a weight key is
+(outcome tuple, context), followed by exactly one hidden state when the model
+has hidden states, and all its parts are ranked in the same pass. Anything
+else raises an `InputError` naming the first fault. The public constructors
+are the only path in. Completions and projections hand int numerators in
+canonical order to `_derive`, the core that checks nothing, reached only as
+a method of the validated model they derive from.
 
 The two row views take no arguments: `context_distributions()` maps each
 non-null context to p(o | context), `context_lambda_distributions()` each
@@ -54,7 +56,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, overload
 
 from .codec import Codec, fraction_text, read_rational
 from .errors import (
@@ -221,12 +223,18 @@ def first_unequal(
 class _BaseModel:
     """The weight table both model kinds share.
 
-    Every key starts with (outcome tuple, context). `_ranked_key` checks a
-    key part by part through the label rule and returns it in tuple form
-    with its rank in canonical order, the label indices of its context, then
-    of its outcome tuple, then of its hidden state. Validation, the support,
-    event probabilities and the per-context outcome table live here.
+    A key is (outcome tuple, context), then one hidden state exactly when
+    `_lambda_index` (hidden state -> index) is not None; beyond that the
+    kinds differ here only in `_KEY_SHAPE`, the key shape an error names.
+    `_ranked_key` checks a key part by part through the label rule and
+    returns it in tuple form with its rank in canonical order, the label
+    indices of its context, then of its outcome tuple, then of its hidden
+    state. Validation, equality, the support, event probabilities and the
+    per-context outcome table live here.
     """
+
+    _KEY_SHAPE: str
+    _lambda_index: dict[str, int] | None
 
     def __init__(self, sites: Sequence[Site], weights: Mapping[tuple, object]) -> None:
         try:
@@ -273,14 +281,20 @@ class _BaseModel:
         common = math.gcd(scale, *numerators.values())
         self._weights = numerators if common == 1 else {key: n // common for key, n in numerators.items()}
         self._denominator = scale // common
-        self._ctx_table: dict[Context, tuple[int, dict[OutcomeTuple, int]]] | None = None
+        self._ctx_table = self._lambda_rows = self._responses = None
 
-    def _derive(self, kind: type[M], numerators: dict[tuple, int], scale: int, lambda_set: tuple[str, ...] = ()) -> M:
-        """The core, which checks nothing: a `kind` model over this model's
-        sites from `numerators` summing to `scale`, keyed by its labels (and
-        distinct `lambda_set` states) in canonical order."""
+    @overload
+    def _derive(self, numerators: dict[tuple, int], scale: int, lambda_set: tuple[str, ...]) -> HiddenVariableModel: ...
+    @overload
+    def _derive(self, numerators: dict[tuple, int], scale: int, lambda_set: None = None) -> EmpiricalModel: ...
+    def _derive(self, numerators: dict[tuple, int], scale: int, lambda_set: tuple[str, ...] | None = None) -> Model:
+        """The core, which checks nothing: a model over this model's sites
+        from `numerators` summing to `scale`, keyed by its labels in canonical
+        order. Given distinct `lambda_set` states, it is a hidden-variable
+        model over them; else an empirical model."""
+        kind = EmpiricalModel if lambda_set is None else HiddenVariableModel
         model = kind.__new__(kind)
-        if kind is HiddenVariableModel:
+        if lambda_set is not None:
             model.lambda_set, model._lambda_index = lambda_set, {lam: i for i, lam in enumerate(lambda_set)}
         model.sites, model._site_index = self.sites, self._site_index
         model._meas_index, model._out_index = self._meas_index, self._out_index
@@ -288,19 +302,27 @@ class _BaseModel:
         return model
 
     def _ranked_key(self, key: object) -> tuple[tuple, tuple[int, ...]]:
-        """An (outcome, context) key; the hidden kind adds a hidden state."""
         try:
-            outcome, context = key  # type: ignore[misc]
-        except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"weight key {show_value(key)} is not an (outcome, context) pair") from exc
-        outcome, o = self._labels(outcome, self._out_index, "outcome")
-        context, c = self._labels(context, self._meas_index, "measurement")
-        if type(key) is not tuple or outcome is not key[0] or context is not key[1]:
-            key = outcome, context
-        return key, c + o  # type: ignore[return-value]
+            # A key longer than three parts is malformed, however long it is.
+            parts = key if type(key) is tuple else tuple(itertools.islice(key, 4))  # type: ignore[call-overload]
+        except TypeError:
+            parts = ()
+        if len(parts) != (2 if self._lambda_index is None else 3):
+            raise ModelFormatError(f"weight key {show_value(key)} is not an {self._KEY_SHAPE}")
+        outcome, o = self._labels(parts[0], self._out_index, "outcome")
+        context, c = self._labels(parts[1], self._meas_index, "measurement")
+        rank = c + o if len(parts) == 2 else (*c, *o, self._lambda_index[self.check_lambda(parts[2])])
+        if parts is not key or outcome is not parts[0] or context is not parts[1]:
+            key = (outcome, context, *parts[2:])
+        return key, rank  # type: ignore[return-value]
 
-    def check_lambda(self, lam: str) -> str:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def check_lambda(self, lam: str) -> str:
+        """`lam` itself if it is one of the model's hidden states."""
+        if self._lambda_index is None:
+            raise InputError("empirical models have no hidden states to condition on")
+        if not isinstance(lam, str) or lam not in self._lambda_index:
+            raise UnknownLabelError(f"unknown hidden state {show_value(lam)}")
+        return lam
 
     @property
     def weights(self) -> Mapping[tuple, Fraction]:
@@ -310,9 +332,14 @@ class _BaseModel:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.sites == other.sites and self._weights == other._weights
+        same_labels = self.sites == other.sites and self._lambda_index == other._lambda_index
+        return same_labels and self._weights == other._weights
 
     __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        states = "" if self._lambda_index is None else f"{len(self._lambda_index)} hidden states, "
+        return f"{type(self).__name__}({len(self.sites)} sites, {states}support {len(self._weights)})"
 
     @property
     def n_sites(self) -> int:
@@ -464,11 +491,8 @@ class EmpiricalModel(_BaseModel):
     Treat instances as immutable; integer tables are cached on first use.
     """
 
-    def check_lambda(self, lam: str) -> str:
-        raise InputError("empirical models have no hidden states to condition on")
-
-    def __repr__(self) -> str:
-        return f"EmpiricalModel({len(self.sites)} sites, support {len(self._weights)})"
+    _KEY_SHAPE = "(outcome, context) pair"
+    _lambda_index = None
 
 
 class HiddenVariableModel(_BaseModel):
@@ -476,6 +500,8 @@ class HiddenVariableModel(_BaseModel):
 
     Treat instances as immutable; integer tables are cached on first use.
     """
+
+    _KEY_SHAPE = "(outcome, context, hidden) triple"
 
     def __init__(
         self,
@@ -486,41 +512,6 @@ class HiddenVariableModel(_BaseModel):
         self.lambda_set: tuple[str, ...] = _unique_labels(lambda_set, "hidden state set")
         self._lambda_index = {lam: i for i, lam in enumerate(self.lambda_set)}
         super().__init__(sites, weights)
-
-    def _store(self, numerators: dict[tuple, int], scale: int) -> None:
-        super()._store(numerators, scale)
-        self._lambda_rows: dict[tuple[Context, str], tuple[int, dict[OutcomeTuple, int]]] | None = None
-        self._responses: dict[tuple[int, str, str], tuple[int, dict[str, int]]] | None = None
-
-    def _ranked_key(self, key: object) -> tuple[tuple[OutcomeTuple, Context, str], tuple[int, ...]]:
-        try:
-            outcome, context, lam = key  # type: ignore[misc]
-        except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"weight key {show_value(key)} is not an (outcome, context, hidden) triple") from exc
-        outcome, o = self._labels(outcome, self._out_index, "outcome")
-        context, c = self._labels(context, self._meas_index, "measurement")
-        rank = self._lambda_index.get(lam) if isinstance(lam, str) else None
-        if rank is None:
-            self.check_lambda(lam)
-        if type(key) is not tuple or outcome is not key[0] or context is not key[1]:
-            key = outcome, context, lam
-        return key, (*c, *o, rank)  # type: ignore[return-value]
-
-    def check_lambda(self, lam: str) -> str:
-        if not isinstance(lam, str) or lam not in self._lambda_index:
-            raise UnknownLabelError(f"unknown hidden state {show_value(lam)}")
-        return lam
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HiddenVariableModel):
-            return NotImplemented
-        return self.lambda_set == other.lambda_set and super().__eq__(other)
-
-    def __repr__(self) -> str:
-        return (
-            f"HiddenVariableModel({len(self.sites)} sites, "
-            f"{len(self.lambda_set)} hidden states, support {len(self._weights)})"
-        )
 
     def _build_tables(self) -> None:
         rows: dict = {}
@@ -626,7 +617,7 @@ def project_to_empirical(hvm: HiddenVariableModel) -> EmpiricalModel:
     for (outcome, context, _), n in hvm._weights.items():
         key = (outcome, context)
         joint[key] = joint.get(key, 0) + n
-    return hvm._derive(EmpiricalModel, joint, hvm._denominator)
+    return hvm._derive(joint, hvm._denominator)
 
 
 def _prediction_agreement(left: _BaseModel, right: _BaseModel) -> PropertyVerdict:

@@ -252,7 +252,7 @@ def _mixture_hvm(
             rank = model.context_sort_key(context), model.outcome_sort_key(outcome), position
             ranked[rank] = (outcome, context, lambda_set[position]), mass * share
     weights = dict(map(ranked.__getitem__, sorted(ranked)))
-    return model._derive(HiddenVariableModel, weights, model._denominator * scale, lambda_set)
+    return model._derive(weights, model._denominator * scale, lambda_set)
 
 
 def local_polytope_feasibility(

@@ -63,11 +63,9 @@ def generate_random_model(
     total_mass = sum(masses)
 
     hidden = None if lambda_size is None else tuple(f"l{i}" for i in range(lambda_size))
-    outcome_tuples = list(itertools.product(*(site.outcomes for site in sites)))
-    if hidden is None:
-        cells = outcome_tuples
-    else:
-        cells = [(o, lam) for o in outcome_tuples for lam in hidden]
+    # A cell is an outcome tuple and the hidden state its key ends with, if any.
+    states = [()] if hidden is None else [(lam,) for lam in hidden]
+    cells = list(itertools.product(itertools.product(*(site.outcomes for site in sites)), states))
 
     weights: dict = {}
     for context, mass in zip(contexts, masses):
@@ -77,15 +75,9 @@ def generate_random_model(
         for _ in range(cell_total):
             alloc[rng.randrange(len(cells))] += 1
         context_weight = Fraction(mass, total_mass)
-        for cell, count in zip(cells, alloc):
-            if count == 0:
-                continue
-            value = context_weight * Fraction(count, cell_total)
-            if hidden is None:
-                weights[(cell, context)] = value
-            else:
-                outcome, lam = cell
-                weights[(outcome, context, lam)] = value
+        for (outcome, state), count in zip(cells, alloc):
+            if count:
+                weights[(outcome, context, *state)] = context_weight * Fraction(count, cell_total)
 
     if hidden is None:
         return EmpiricalModel(sites, weights)

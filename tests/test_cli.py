@@ -571,6 +571,20 @@ def test_nogo_ks_parity_only(cli):
     assert "parity certificate" in out
 
 
+def test_nogo_json_renders_no_text(cli, monkeypatch):
+    import hvw.cli
+
+    def refuse(report):
+        raise AssertionError("text rendered for JSON output")
+
+    for name in ("_epr_text", "_bell_text", "_ks_text"):
+        monkeypatch.setattr(hvw.cli, name, refuse)
+    for argument in ("epr", "bell", "ks"):
+        code, out, err = cli("nogo", argument, "--format", "json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["report"]["confirmed"] is True
+
+
 # ---------------------------------------------------------------------------
 # classify
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -270,11 +272,54 @@ def test_derived_models_match_their_public_rebuilds():
         assert model._denominator == public._denominator
 
 
-def test_e1_rejects_state_labels_that_collide():
+def test_e1_completes_a_model_whose_labels_hold_separators():
+    # Joined without escapes, ("a,b", "c") and ("a", "b,c") both read "a,b,c".
     sites = (Site("X", ("A",), ("a,b", "a")), Site("Y", ("B",), ("c", "b,c")))
     base = EmpiricalModel(sites, {(("a,b", "c"), ("A", "B")): 1})
-    with pytest.raises(InputError, match="hidden state set contains duplicate labels"):
-        construct_e1(base)
+    hidden = construct_e1(base)
+    assert hidden.lambda_set == ("a\\,b,c|A,B", "a\\,b,b\\,c|A,B", "a,c|A,B", "a,b\\,c|A,B")
+    assert check_strong_determinism(hidden).holds
+    assert equivalent_empirical(base, hidden).holds
+
+
+def read_state(state: str) -> tuple[tuple[str, ...], ...]:
+    """An e1 state label read back into (outcome tuple, context)."""
+    parts, labels, label = [], [], ""
+    chars = iter(state)
+    for char in chars:
+        if char == "\\":
+            label += next(chars)
+        elif char in ",|":
+            labels.append(label)
+            label = ""
+            if char == "|":
+                parts.append(tuple(labels))
+                labels = []
+        else:
+            label += char
+    labels.append(label)
+    return (*parts, tuple(labels))
+
+
+def test_e1_gives_distinct_cells_distinct_states():
+    alphabet = ("a", ",", "|", "\\")
+    for seed in range(40):
+        rng = random.Random(seed)
+
+        def labels(count):
+            out = set()
+            while len(out) < count:
+                out.add("".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3))))
+            return tuple(sorted(out))
+
+        sites = tuple(Site(f"s{i}", labels(2), labels(rng.randint(2, 3))) for i in range(rng.randint(2, 3)))
+        base = generate_random_model(seed, sites)
+        hidden = construct_e1(base)
+        cells = itertools.product(base.outcome_tuples(), base.context_tuples())
+        assert [read_state(state) for state in hidden.lambda_set] == list(cells)
+        assert len(set(hidden.lambda_set)) == len(hidden.lambda_set)
+        assert HiddenVariableModel(sites, hidden.lambda_set, hidden.weights) == hidden
+        assert equivalent_empirical(base, hidden).holds
 
 
 def test_guard_message_stays_short_for_huge_sizes():

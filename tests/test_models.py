@@ -147,8 +147,15 @@ def test_event_prob_rejects_unknown_labels():
 
 
 def test_empirical_event_prob_rejects_hidden_constraint():
-    with pytest.raises(InputError):
-        epr_model().event_prob(Event(hidden="l0"))
+    epr = epr_model()
+    assert not hasattr(epr, "lambda_set")
+    for call in (
+        lambda: epr.event_prob(Event(hidden="l0")),
+        lambda: epr.cond_prob(Event(), Event(hidden="l0")),
+        lambda: epr.cond_prob(Event(hidden="l0"), Event()),
+    ):
+        with pytest.raises(InputError, match="^empirical models have no hidden states to condition on$"):
+            call()
 
 
 def test_cond_prob_oracles():
@@ -224,6 +231,12 @@ def test_merge_events():
     assert merged == Event(outcomes={"a": "+_a"}, measurements={"a": "A"}, hidden="l0")
     assert merge_events(first, Event(outcomes={"a": "-_a"})) is None
     assert merge_events(second, Event(hidden="l1")) is None
+
+
+def test_contradicting_measurements_merge_to_nothing():
+    first, second = Event(measurements={"A": "1"}), Event(measurements={"A": "2"})
+    assert merge_events(first, second) is None
+    assert bell_model().cond_prob(first, second) == 0
 
 
 def test_equal_events_hash_equal():
@@ -438,6 +451,7 @@ VALIDATION_CASES = {
         "weight key (('0', '1'), ('A', 'C'), 'x'{lam}) is not an {shape}",
     ),
     "key-not-a-tuple": ({5: 1}, ModelFormatError, "weight key 5 is not an {shape}"),
+    "key-endless": ({itertools.repeat("0"): 1}, ModelFormatError, "weight key repeat('0') is not an {shape}"),
     "outcome-length": ({(("0",), ("A", "C")): 1}, ModelFormatError, "('0',) does not have one outcome per site"),
     "context-length": (
         {(("0", "1"), ("A",)): 1},

@@ -414,6 +414,12 @@ def test_ks_table_rejects_a_non_iterable_column_list(columns, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("search", [ks_search_colorings, ks_parity_certificate])
+def test_ks_searches_need_a_ks_table(search):
+    with pytest.raises(InputError, match=f"^{search.__name__} expects a KsTable$"):
+        search((("a", "b"),))
+
+
 def test_full_table_admits_no_coloring():
     table = ks_table()
     assert ks_coloring_candidates(table) == 4**9 == 262_144

@@ -84,6 +84,11 @@ def test_guard_on_oversized_tables():
         generate_random_model(0, grid_sites(4, 6, 6), guard=10_000)
 
 
+def test_at_least_one_site_is_required():
+    with pytest.raises(InputError, match="^at least one site is required$"):
+        generate_random_model(0, ())
+
+
 def test_lambda_size_must_be_positive():
     with pytest.raises(InputError):
         generate_random_model(0, grid_sites(1, 1, 2), lambda_size=0)
