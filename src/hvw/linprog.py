@@ -8,6 +8,15 @@ arithmetic, independent of the solver's internals. Every entry they take,
 of A, b, x or y, is an int, a `Fraction`, a string `codec.read_rational`
 reads, or a finite float, which counts at its exact binary value.
 
+All three read the system the same way, once, in `_checked_system`: row i
+becomes the int numerators of A_i and b_i over one positive d_i, the lcm of
+their denominators. The solver fills its tableau from these ints, and the
+rechecks test A x = b and the signs of y.A and y.b in ints, each scaling x
+or y by one common factor. Past that reading they share nothing with the
+solver. `Fraction`s remain only at the edges: entries given or read as
+fractions, until they become ints; the x or y that the solver returns; and
+the x or y that a recheck reads, until it is scaled to ints.
+
 Every value stays an exact rational, but the tableau holds no `Fraction`:
 each row, the cost row included, is a list of `int` numerators over one
 positive `int` denominator, as in Bareiss's fraction-free elimination
@@ -23,8 +32,7 @@ Since every denominator is positive, each sign and each comparison that
 Bland's rule reads (the first negative reduced cost, the least ratio, the
 lowest basic variable on a tie) comes out as it would in `Fraction`
 arithmetic. So the pivot sequence is that of a `Fraction` tableau, and the x
-or y built from the final rows, the only `Fraction`s the solver makes, is the
-same to the last bit.
+or y built from the final rows is the same to the last bit.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ def _exact(value: object, where: str) -> Fraction | int:
 
 # Entry types taken as they are; anything else goes through _exact.
 _EXACT_TYPES = frozenset((Fraction, int))
+_INT_TYPE = frozenset((int,))
 _DENOMINATOR = operator.attrgetter("denominator")
 
 
@@ -64,21 +73,38 @@ def _listed(value: object, what: str) -> Sequence:
 
 def _checked_system(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[list[list[Fraction | int]], list[Fraction | int]]:
+) -> tuple[list[Sequence[int]], list[int], list[int]]:
+    """The system read into exact integers, the one reading that the solver
+    and both rechecks share: row i of A and b_i are the int numerators
+    `matrix[i]` and `b[i]` over one positive denominator `den[i]`, the lcm of
+    the row's denominators and b_i's. A row of ints is scaled by d_i with no
+    per-entry denominator lookup, and comes back as it is when d_i = 1."""
     _listed(rhs, "the right-hand side")
+    _listed(rows, "the matrix")
     if len(rows) != len(rhs):
         raise InputError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
-    matrix = []
-    for i, row in enumerate(rows):
+    matrix, b, den = [], [], []
+    for i, (row, bi) in enumerate(zip(rows, rhs)):
         _listed(row, f"row {i}")
-        if not _EXACT_TYPES.issuperset(map(type, row)):
-            row = [v if type(v) in _EXACT_TYPES else _exact(v, f"row {i}, column {j}") for j, v in enumerate(row)]
+        if type(bi) not in _EXACT_TYPES:
+            bi = _exact(bi, f"right-hand side {i}")
+        types = set(map(type, row))
+        if types <= _INT_TYPE:
+            d = bi.denominator
+            if d != 1:
+                row = [v * d for v in row]
+        else:
+            if not types <= _EXACT_TYPES:
+                row = [v if type(v) in _EXACT_TYPES else _exact(v, f"row {i}, column {j}") for j, v in enumerate(row)]
+            d = math.lcm(bi.denominator, *map(_DENOMINATOR, row))
+            row = [v.numerator * (d // v.denominator) for v in row]
         matrix.append(row)
+        b.append(bi.numerator * (d // bi.denominator))
+        den.append(d)
     width = {len(row) for row in matrix}
     if len(width) > 1:
         raise InputError(f"rows have inconsistent lengths: {sorted(width)}")
-    b = [v if type(v) in _EXACT_TYPES else _exact(v, f"right-hand side {i}") for i, v in enumerate(rhs)]
-    return matrix, b
+    return matrix, b, den
 
 
 def feasible_point(
@@ -89,27 +115,23 @@ def feasible_point(
     Returns (x, None) with a nonnegative rational solution when the system is
     feasible, else (None, y) with a Farkas certificate of infeasibility.
     """
-    matrix, b = _checked_system(rows, rhs)
+    matrix, b, den = _checked_system(rows, rhs)
     m = len(matrix)
     if m == 0:
         return [], None
     n = len(matrix[0])
 
-    # Phase-one tableau: structural columns, artificial columns, rhs, each row
-    # scaled by the lcm of its denominators. Rows with negative rhs are negated
-    # first (sign unwound in the certificate).
+    # Phase-one tableau: structural columns, artificial columns, rhs, row i
+    # over its denominator den[i]. Rows with negative rhs are negated first
+    # (sign unwound in the certificate).
     flip = [-1 if value < 0 else 1 for value in b]
     tableau: list[list[int]] = []
-    den: list[int] = []
     for i, row in enumerate(matrix):
-        d = math.lcm(b[i].denominator, *map(_DENOMINATOR, row))
-        scale = flip[i] * d
-        nums = [v.numerator * (scale // v.denominator) for v in row]
+        nums = [-v for v in row] if flip[i] < 0 else list(row)
         nums += [0] * (m + 1)
-        nums[n + i] = d
-        nums[-1] = b[i].numerator * (scale // b[i].denominator)
+        nums[n + i] = den[i]
+        nums[-1] = flip[i] * b[i]
         tableau.append(nums)
-        den.append(d)
     basis = [n + i for i in range(m)]
     # Reduced costs for min sum(artificials), kept as row m of the tableau;
     # last cell is minus the objective.
@@ -194,16 +216,19 @@ def verify_solution(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], x: Sequence[Fraction]
 ) -> bool:
     """Directly recheck that x >= 0 and A x = b, term by term."""
-    matrix, b = _checked_system(rows, rhs)
+    matrix, b, _ = _checked_system(rows, rhs)
     x = _listed(x, "the solution")
     if matrix and len(x) != len(matrix[0]):
         return False
     x = [v if type(v) in _EXACT_TYPES else _exact(v, f"solution entry {j}") for j, v in enumerate(x)]
     if any(v < 0 for v in x):
         return False
-    support = [(j, v) for j, v in enumerate(x) if v]
+    # Row i reads (A_i d_i) (x L) = b_i d_i L, in integers, with L the lcm of
+    # x's denominators.
+    scale = math.lcm(*map(_DENOMINATOR, x))
+    support = [(j, v.numerator * (scale // v.denominator)) for j, v in enumerate(x) if v]
     for row, target in zip(matrix, b):
-        if sum(row[j] * v for j, v in support if row[j]) != target:
+        if sum(row[j] * v for j, v in support) != target * scale:
             return False
     return True
 
@@ -216,26 +241,23 @@ def verify_farkas(
     Any such y proves A x = b, x >= 0 unsolvable: it would force
     0 <= (y.A).x = y.b < 0.
     """
-    matrix, b = _checked_system(rows, rhs)
+    matrix, b, den = _checked_system(rows, rhs)
     y = _listed(y, "the certificate")
     if len(y) != len(matrix):
         return False
     y = [v if type(v) in _EXACT_TYPES else _exact(v, f"certificate entry {i}") for i, v in enumerate(y)]
-    # Every product y_i a_ij and y_i b_i times one positive common factor L is
-    # an integer with the sign of the rational product. L is one factor for
-    # all rows: scaling row i by a factor of its own would change y.A.
-    used = []
-    for yi, row, bi in zip(y, matrix, b):
-        if yi:
-            used.append((yi, row, bi, math.lcm(bi.denominator, *[a.denominator for a in row])))
-    common = math.lcm(*[yi.denominator * d for yi, _, _, d in used])
-    n = len(matrix[0]) if matrix else 0
-    combination = [0] * n
+    # Row i holds A_i d_i and b_i d_i, so y_i A_i = s_i (A_i d_i) / L with
+    # s_i = y_i L / d_i. One positive common factor L = lcm(den(y_i) d_i)
+    # makes every s_i an integer, and only signs are tested. L is one factor
+    # for all rows: scaling row i by a factor of its own would change y.A.
+    used = [(yi, row, bi, yi.denominator * d) for yi, row, bi, d in zip(y, matrix, b, den) if yi]
+    common = math.lcm(*[q for _, _, _, q in used])
+    combination = [0] * (len(matrix[0]) if matrix else 0)
     total = 0
-    for yi, row, bi, d in used:
-        s = yi.numerator * (common // (yi.denominator * d))
+    for yi, row, bi, q in used:
+        s = yi.numerator * (common // q)
         for j, a in enumerate(row):
             if a:
-                combination[j] += s * a.numerator * (d // a.denominator)
-        total += s * bi.numerator * (d // bi.denominator)
+                combination[j] += s * a
+        total += s * bi
     return all(v >= 0 for v in combination) and total < 0

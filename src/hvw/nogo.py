@@ -266,23 +266,33 @@ def local_polytope_feasibility(
     arithmetic before being returned.
     """
     require(model, EmpiricalModel, "local_polytope_feasibility")
-    strategies = enumerate_deterministic_strategies(model.sites, guard)
+    sites = model.sites
+    strategies = enumerate_deterministic_strategies(sites, guard)
     outcomes = list(model.outcome_tuples())
-    row_in_block = {outcome: k for k, outcome in enumerate(outcomes)}
+    outcome_texts = [describe(sites, outcome) for outcome in outcomes]
+    # A strategy's answer in a context is outcome row sum_i stride_i * (its
+    # outcome index at site i), strides in canonical outcome order; each site's
+    # answers are listed in the order that the strategies enumerate them.
+    strides = [math.prod(len(site.outcomes) for site in sites[i + 1 :]) for i in range(len(sites))]
+    answers = [
+        list(itertools.product(range(len(site.outcomes)), repeat=len(site.measurements))) for site in sites
+    ]
     rows: list[list[int]] = []
     rhs: list[Fraction] = []
     labels: list[str] = []
     for context, distribution in model.context_distributions().items():
-        # Each site's measurement index, looked up once per context.
-        where = [(i, site.measurements.index(m)) for i, (site, m) in enumerate(zip(model.sites, context))]
+        parts = [
+            [stride * answer[site.measurements.index(m)] for answer in site_answers]
+            for site, m, stride, site_answers in zip(sites, context, strides, answers)
+        ]
         block = [[0] * len(strategies) for _ in outcomes]
-        for si, strategy in enumerate(strategies):
-            responses = strategy.responses
-            block[row_in_block[tuple(responses[i][k] for i, k in where)]][si] = 1
-        for outcome, row in zip(outcomes, block):
+        for si, k in enumerate(map(sum, itertools.product(*parts))):
+            block[k][si] = 1
+        context_text = describe(sites, context)
+        for outcome, row, text in zip(outcomes, block, outcome_texts):
             rows.append(row)
             rhs.append(distribution.get(outcome, ZERO))
-            labels.append(f"p({describe(model.sites, outcome)} | {describe(model.sites, context)})")
+            labels.append(f"p({text} | {context_text})")
     rows.append([1] * len(strategies))
     rhs.append(ONE)
     labels.append("total probability")

@@ -210,6 +210,21 @@ def test_solutions_and_certificates_must_be_lists(bad):
         verify_farkas([[F(1)], [F(-1)]], [F(1), F(1)], bad)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: feasible_point(5, [1]), id="feasible_point-int"),
+        pytest.param(lambda: feasible_point(None, []), id="feasible_point-None"),
+        pytest.param(lambda: verify_solution(5, [1], [1]), id="verify_solution-int"),
+        # A dict would otherwise read as its keys: {0: [1]} as the row 0.
+        pytest.param(lambda: verify_farkas({0: [1]}, [1], [1]), id="verify_farkas-dict"),
+    ],
+)
+def test_non_list_matrices_raise_input_error(call):
+    with pytest.raises(InputError, match=r"^the matrix is not a list or tuple of numbers: "):
+        call()
+
+
 def test_string_right_hand_side_raises_input_error():
     with pytest.raises(InputError, match=r"^the right-hand side is not a list or tuple"):
         feasible_point([[F(1)], [F(1)]], "12")
@@ -363,6 +378,77 @@ def test_verify_farkas_agrees_with_the_dense_recheck():
             assert verdict == dense_farkas_holds(rows, rhs, y), (rows, rhs, y)
             agreed[verdict] += 1
     assert agreed[True] > 20 and agreed[False] > 20
+
+
+def dense_solution_holds(rows, rhs, x):
+    """Reference recheck in Fraction arithmetic: x >= 0 and A x = b."""
+    x = [F(v) for v in x]
+    if any(v < 0 for v in x):
+        return False
+    return all(sum((F(a) * v for a, v in zip(row, x)), F(0)) == F(bi) for row, bi in zip(rows, rhs))
+
+
+def mixed_systems():
+    """Seeded systems whose entries mix ints, Fractions, "p/q" strings and
+    finite floats, with right-hand sides of either sign and some zero rows.
+    Every third system has rows of ints only, over fractional right-hand
+    sides."""
+    rng = random.Random(31)
+
+    def entry(kinds):
+        kind = rng.choice(kinds)
+        if kind == "int":
+            return rng.randint(-3, 3)
+        if kind == "fraction":
+            return F(rng.randint(-9, 9), rng.randint(1, 12))
+        if kind == "string":
+            return f"{rng.randint(-9, 9)}/{rng.randint(1, 16)}"
+        return rng.choice((0.1, -0.3, 0.75, 2.5, 0.0))
+
+    for k in range(90):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 6)
+        kinds = ("int",) if k % 3 == 0 else ("int", "fraction", "string", "float")
+        rows = [[entry(kinds) for _ in range(n)] for _ in range(m)]
+        if k % 4 == 0:
+            rows[rng.randrange(m)] = [0] * n
+        if k % 2:
+            # Planted, so that about half the systems are feasible.
+            planted = [F(rng.randint(0, 4), rng.randint(1, 4)) for _ in range(n)]
+            rhs = [sum((F(a) * v for a, v in zip(row, planted)), F(0)) for row in rows]
+            rhs = [str(v) if i % 2 else v for i, v in enumerate(rhs)]
+        else:
+            rhs = [entry(("int", "fraction", "string", "float")) for _ in range(m)]
+        yield rows, rhs
+
+
+def test_rechecks_agree_with_the_fraction_references():
+    rng = random.Random(13)
+    verdicts = set()
+    for rows, rhs in mixed_systems():
+        x, y = answer = feasible_point(rows, rhs)
+        assert answer == dense_feasible_point(rows, rhs), (rows, rhs)
+        verdicts.add(x is not None)
+        if x is not None:
+            assert verify_solution(rows, rhs, x) and dense_solution_holds(rows, rhs, x)
+            # Moving x along a nonzero column moves A x off b.
+            j = next((j for j in range(len(x)) if any(F(row[j]) for row in rows)), None)
+            if j is not None:
+                moved = list(x)
+                moved[j] += F(1, 7)
+                assert not verify_solution(rows, rhs, moved)
+                assert not dense_solution_holds(rows, rhs, moved)
+        else:
+            assert verify_farkas(rows, rhs, y) and dense_farkas_holds(rows, rhs, y)
+            # -y has y.b > 0.
+            assert not verify_farkas(rows, rhs, [-v for v in y])
+            assert verify_farkas(rows, rhs, [2 * v for v in y])
+        n = len(rows[0])
+        for candidate in ([_wide_fraction(rng, 5) for _ in range(n)], [abs(_wide_fraction(rng, 3)) for _ in range(n)]):
+            assert verify_solution(rows, rhs, candidate) == dense_solution_holds(rows, rhs, candidate)
+        for candidate in ([_wide_fraction(rng, 5) for _ in rows], [_wide_fraction(rng, 60) for _ in rows]):
+            assert verify_farkas(rows, rhs, candidate) == dense_farkas_holds(rows, rhs, candidate)
+    assert verdicts == {True, False}
 
 
 def test_random_systems_round_trip():

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import fr
 
+import hvw.nogo
 from hvw import (
     BellCertificate,
     BellReport,
@@ -24,6 +25,7 @@ from hvw import (
     KsTable,
     PolytopeResult,
     SizeGuardError,
+    Site,
     bell_certificate,
     bell_model,
     bell_pi_escape,
@@ -34,6 +36,8 @@ from hvw import (
     enumerate_deterministic_strategies,
     epr_model,
     equivalent_empirical,
+    feasible_point,
+    generate_random_model,
     grid_sites,
     ks_coloring_candidates,
     ks_model,
@@ -179,6 +183,47 @@ def rebuild_rows(model, strategies):
     rows.append([ONE] * len(strategies))
     rhs.append(ONE)
     return rows, rhs
+
+
+# Sites whose measurement and outcome counts differ from site to site.
+MIXED_SITES = (
+    (Site("a", ("A", "B", "C"), ("0", "1")),),
+    (Site("a", ("A", "B"), ("0", "1", "2")), Site("b", ("C",), ("x", "y"))),
+    (
+        Site("a", ("A",), ("0", "1")),
+        Site("b", ("C", "D", "E"), ("x", "y")),
+        Site("c", ("F", "G"), ("p", "q", "r")),
+    ),
+)
+
+
+@pytest.mark.parametrize("sites", MIXED_SITES, ids=lambda sites: f"{len(sites)}-sites")
+def test_membership_rows_match_their_definition(monkeypatch, sites):
+    """Row (context, outcome) holds 1 for each strategy that answers the
+    context with the outcome and 0 for every other strategy."""
+    systems = []
+
+    def recorded(rows, rhs):
+        systems.append((rows, rhs))
+        return feasible_point(rows, rhs)
+
+    monkeypatch.setattr(hvw.nogo, "feasible_point", recorded)
+    strategies = enumerate_deterministic_strategies(sites)
+    verdicts = set()
+    for seed in range(4):
+        for model in (generate_random_model(seed, sites), project_to_empirical(random_strategy_mixture(seed, sites))):
+            result = local_polytope_feasibility(model)
+            verdicts.add(result.feasible)
+            assert systems.pop() == rebuild_rows(model, strategies)
+            labels = []
+            for context in sorted(model.context_weights(), key=model.context_sort_key):
+                given = ", ".join(f"{site.name}={m}" for site, m in zip(sites, context))
+                for outcome in model.outcome_tuples():
+                    shown = ", ".join(f"{site.name}={o}" for site, o in zip(sites, outcome))
+                    labels.append(f"p({shown} | {given})")
+            assert result.row_labels == (*labels, "total probability")
+    # Any table of one site is a mixture of strategies.
+    assert verdicts == ({True} if len(sites) == 1 else {True, False})
 
 
 def test_bell_is_outside_the_polytope():

@@ -71,3 +71,25 @@ def test_an_unknown_name_raises_attribute_error():
     assert not hasattr(hvw, "no_such_name")
     with pytest.raises(ImportError):
         from hvw import no_such_name  # noqa: F401
+
+
+def _run_module(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", *args],
+        capture_output=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
+def test_python_m_hvw_runs_the_command_line(tmp_path):
+    result = _run_module("hvw", "nogo", "bell", cwd=tmp_path)
+    golden = Path(__file__).parent / "golden" / "nogo-bell.text.stdout"
+    assert (result.returncode, result.stderr) == (1, b"")
+    assert result.stdout == golden.read_bytes()
+
+
+def test_python_m_hvw_cli_runs_the_command_line(tmp_path):
+    result = _run_module("hvw.cli", "canon", "bell", "--out", "f.em", cwd=tmp_path)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert hvw.load_model(tmp_path / "f.em") == hvw.bell_model()
