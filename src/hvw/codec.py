@@ -10,9 +10,12 @@ become objects, and an embedded hidden-variable model takes the model-file
 form of `modelio`. Decoding follows each field's annotation; a missing key
 takes the field's default, and derived keys are not read back.
 
-`write_json` writes every JSON document the program prints or saves: the
-bytes of `json.dumps(value, indent=2, ensure_ascii=False)`, without the
-pure-Python encoder that any `indent` makes `json` fall back to.
+`write_json` writes the JSON documents the program prints or saves, and
+the `sites` and `lambda` blocks of a model file: the bytes of
+`json.dumps(value, indent=2, ensure_ascii=False)`, without the pure-Python
+encoder that any `indent` makes `json` fall back to. `modelio` writes a model
+file's weight rows itself, in the same bytes, with this module's
+`_string_list`, `_quote` and `_int_text`.
 """
 
 from __future__ import annotations
@@ -77,11 +80,12 @@ def read_rational(value: object, where: str) -> Fraction | int:
 
     A `Fraction` or `int` is taken as it is. A string is read as `Fraction`
     reads it ("3/8", "-2", "0.125", "1e-30"), after its exponent is checked
-    against ±MAX_EXPONENT and its digit count against MAX_DIGITS; a plain "n"
-    or "n/d" too long for one `int` call, as `fraction_text` writes it, is
-    read in pieces. Booleans, floats, decimals and anything else raise
-    `ModelFormatError` naming `where`; a message echoes the value only as far
-    as `show_value` cuts it.
+    against ±MAX_EXPONENT and its count of Unicode decimal digits against
+    MAX_DIGITS. A plain "n" or "n/d" as `fraction_text` writes it is read by
+    two `int` calls when both parts are short, and in pieces when a part is
+    too long for one `int` call. Booleans, floats, decimals and anything
+    else raise `ModelFormatError` naming `where`; a message echoes the value
+    only as far as `show_value` cuts it.
     """
     if type(value) is Fraction or type(value) is int:
         return value
@@ -90,12 +94,25 @@ def read_rational(value: object, where: str) -> Fraction | int:
             f"{where} is not a finite rational: {show_value(value)}; "
             'exact rationals are ints, Fractions and strings like "3/8"'
         )
+    numerator, slash, denominator = value.partition("/")
+    if (
+        len(numerator) <= _PIECE_DIGITS
+        and len(denominator) <= _PIECE_DIGITS
+        and numerator.isdecimal()
+        and (denominator.isdecimal() or not slash)
+    ):
+        # The plain "n" or "n/d" that `fraction_text` writes, read as
+        # `Fraction(value)` reads it; a zero denominator takes the path below.
+        d = int(denominator) if slash else 1
+        if d:
+            return Fraction(int(numerator), d)
     exponent = _EXPONENT.search(value)
     if exponent is not None:
         digits = exponent.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
             raise ModelFormatError(f"{where}: exponent in {show_value(value)} is beyond ±{MAX_EXPONENT}")
-    if len(value) > MAX_DIGITS and sum(map(value.count, "0123456789")) > MAX_DIGITS:
+    # `Fraction` and `int` read every Unicode decimal digit, not only 0-9.
+    if len(value) > MAX_DIGITS and (value.isdecimal() or sum(map(str.isdecimal, value)) > MAX_DIGITS):
         raise ModelFormatError(f"{where}: {show_value(value)} has more than {MAX_DIGITS} digits")
     try:
         try:

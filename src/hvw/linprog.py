@@ -134,10 +134,16 @@ def feasible_point(
         tableau.append(nums)
     basis = [n + i for i in range(m)]
     # Reduced costs for min sum(artificials), kept as row m of the tableau;
-    # last cell is minus the objective.
+    # last cell is minus the objective. The rows that share a denominator
+    # are summed first, and each sum is scaled to the common one once.
     common = math.lcm(*den)
-    scaled = [row if d == common else [v * (common // d) for v in row] for row, d in zip(tableau, den)]
-    cost = [-sum(column) for column in zip(*scaled)]
+    by_den: dict[int, list[list[int]]] = {}
+    for row, d in zip(tableau, den):
+        by_den.setdefault(d, []).append(row)
+    cost = [0] * (n + m + 1)
+    for d, group in by_den.items():
+        scale = common // d
+        cost = [c - scale * v for c, v in zip(cost, map(sum, zip(*group)))]
     cost[n : n + m] = [0] * m
     tableau.append(cost)
     den.append(common)

@@ -34,12 +34,14 @@ from hvw import (
     ks_table,
     local_polytope_feasibility,
     model_to_dict,
+    serialize_model,
     verify_bell,
     verify_epr,
     verify_ks,
 )
 from hvw import cli, modelio
-from hvw.codec import MAX_DIGITS, Codec, read_rational, write_json
+from hvw.codec import _EXPONENT, _PLAIN, MAX_DIGITS, MAX_EXPONENT, Codec, _text_int, read_rational, write_json
+from hvw.errors import show_value
 from hvw.nogo import CertificateEquation
 
 WITNESS = Witness(
@@ -178,6 +180,72 @@ def test_read_rational_refuses_more_than_max_digits_before_reading():
         assert time.monotonic() - started < 0.5
 
 
+def test_non_ascii_digits_count_against_max_digits():
+    """`Fraction` and `int` read every Unicode decimal digit, so each counts."""
+    assert read_rational("\u0663/\u0668", "w") == Fraction(3, 8)
+    started = time.monotonic()
+    with pytest.raises(ModelFormatError, match=rf"^w: '\u0661+\.\.\. has more than {MAX_DIGITS} digits$"):
+        read_rational("\u0661" * 10**6, "w")
+    assert time.monotonic() - started < 0.1
+
+
+def _read_rational_before_the_fast_path(value: object, where: str) -> Fraction | int:
+    """`read_rational` as it was before plain short strings took two `int`
+    calls, kept verbatim as the reference for that path."""
+    if type(value) is Fraction or type(value) is int:
+        return value
+    if not isinstance(value, str):
+        raise ModelFormatError(
+            f"{where} is not a finite rational: {show_value(value)}; "
+            'exact rationals are ints, Fractions and strings like "3/8"'
+        )
+    exponent = _EXPONENT.search(value)
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+            raise ModelFormatError(f"{where}: exponent in {show_value(value)} is beyond ±{MAX_EXPONENT}")
+    if len(value) > MAX_DIGITS and sum(map(value.count, "0123456789")) > MAX_DIGITS:
+        raise ModelFormatError(f"{where}: {show_value(value)} has more than {MAX_DIGITS} digits")
+    try:
+        try:
+            return Fraction(value)
+        except ValueError:  # a part over the digit limit, or not a number at all
+            plain = _PLAIN.fullmatch(value)
+            if plain is None:
+                raise
+            sign, numerator, denominator = plain.groups()
+            numerator_int = _text_int(numerator)
+            return Fraction(-numerator_int if sign else numerator_int, _text_int(denominator or "1"))
+    except (ValueError, ZeroDivisionError):
+        raise ModelFormatError(f"{where} is not a finite rational: {show_value(value)}") from None
+
+
+_FAST_PATH_CASES = [
+    "3/8", "+3/8", " 3/8", "-3/8", "00/01", "3/0", "0/0", "3/", "/3", "", "1_0/3",
+    "\u0663/\u0668", "\u00b2/3", "3/\u00b2", "1e-30", "0.125", "7", "6/8", "3/8/9", "3/8 ",
+] + [
+    text
+    for digits in (449, 450, 451)
+    for part in ("9" * digits, "1" + "0" * (digits - 1))
+    for text in (part, f"{part}/7", f"7/{part}", f"{part}/{part}", f"-{part}/3")
+]
+
+
+@pytest.mark.parametrize("text", _FAST_PATH_CASES, ids=lambda text: repr(text)[:24])
+def test_read_rational_fast_path_matches_the_reference(text):
+    def outcome(reader):
+        try:
+            value = reader(text, "p[0]")
+        except ModelFormatError as exc:
+            return "error", str(exc)
+        return type(value), value
+
+    new, old = outcome(read_rational), outcome(_read_rational_before_the_fast_path)
+    assert new == old
+    if new[0] is Fraction:
+        assert (new[1].numerator, new[1].denominator) == (old[1].numerator, old[1].denominator)
+
+
 def test_decoding_a_huge_exponent_fails_fast():
     data = PropertyVerdict(False, WITNESS).to_dict()
     data["witness"]["lhs"] = "1e999999999"
@@ -233,18 +301,25 @@ def test_write_json_matches_json_dumps(value):
 
 
 def test_write_json_matches_json_dumps_on_every_golden_payload(tmp_path, monkeypatch):
-    """Every value the golden CLI cases print through the writer: each
-    report's `to_dict()` payload and each model file."""
+    """Every document the golden CLI cases print or save: each report's
+    `to_dict()` payload through `write_json`, and each model file through
+    `serialize_model`, which writes its weight rows itself."""
     from test_golden import CASES, run_case, write_inputs
 
     seen: list = []
+    models: list = []
 
     def recording(value):
         seen.append(value)
         return write_json(value)
 
+    def recording_model(model):
+        models.append(model)
+        return serialize_model(model)
+
     monkeypatch.setattr(cli, "write_json", recording)
-    monkeypatch.setattr(modelio, "write_json", recording)
+    monkeypatch.setattr(cli, "serialize_model", recording_model)
+    monkeypatch.setattr(modelio, "serialize_model", recording_model)
     monkeypatch.delenv("HVW_GUARD", raising=False)
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
@@ -252,9 +327,11 @@ def test_write_json_matches_json_dumps_on_every_golden_payload(tmp_path, monkeyp
         run_case(case)
     commands = {value["command"] for value in seen if "command" in value}
     assert commands == {"check", "construct", "equiv", "nogo", "classify"}
-    assert sum("weights" in value for value in seen) >= 10
+    assert len(models) >= 10
     for value in seen:
         assert write_json(value) == _dumps(value)
+    for model in models:
+        assert serialize_model(model) == _dumps(model_to_dict(model)) + "\n"
 
 
 @pytest.mark.parametrize("method", ["e1", "e2", "sv"])

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvw import (
+    ConstructionMethod,
     EmpiricalModel,
     HiddenVariableModel,
     InputError,
@@ -19,6 +22,7 @@ from hvw import (
     Site,
     WeightSumError,
     bell_model,
+    construct,
     epr_escape_hvm,
     epr_model,
     generate_random_model,
@@ -31,6 +35,7 @@ from hvw import (
     save_model,
     serialize_model,
 )
+from hvw.codec import _PIECE_BITS, fraction_text
 from hvw.modelio import MAX_EXPONENT, parse_fraction
 
 EPR_TEXT = """
@@ -274,3 +279,134 @@ def test_readme_model_examples_parse():
     assert blocks
     for block in blocks:
         parse_model(block)
+
+
+# ---------------------------------------------------------------------------
+# The writer against json.dumps, and the row checks' order
+
+
+def _weights_view_dict(model) -> dict:
+    """`model_to_dict` as built from the `weights` Fraction view."""
+    data: dict = {
+        "sites": [
+            {"name": site.name, "measurements": list(site.measurements), "outcomes": list(site.outcomes)}
+            for site in model.sites
+        ]
+    }
+    if isinstance(model, HiddenVariableModel):
+        data["lambda"] = list(model.lambda_set)
+    data["weights"] = [
+        dict(zip(("outcome", "measurement", "lambda"), (list(key[0]), list(key[1]), *key[2:])), p=fraction_text(value))
+        for key, value in model.weights.items()
+    ]
+    return data
+
+
+def _odd_label_model() -> EmpiricalModel:
+    """Labels with quotes, backslashes, control characters, emoji, U+2028,
+    and the `,` `|` `\\` that e1 escapes in its hidden-state labels."""
+    sites = (
+        Site('q"uote\\', ("M,1", "M|2"), ("a\u2028b", '"', "\x1f\x00")),
+        Site("\N{GRINNING FACE}", ("\\", "\t"), ("x,|\\", "\N{GRINNING FACE}\u00e9")),
+    )
+    outcomes = itertools.product(*(site.outcomes for site in sites))
+    contexts = list(itertools.product(*(site.measurements for site in sites)))
+    shares = (1, 1, 2, 2, 1, 1)  # eighths, in each of the 4 contexts
+    return EmpiricalModel(sites, {(o, c): Fraction(k, 32) for o, k in zip(outcomes, shares) for c in contexts})
+
+
+def _long_weight_models() -> list:
+    """Weights whose numerator or denominator is longer than `_PIECE_BITS`."""
+    big = 10 ** (_PIECE_BITS // 3 + 40)  # about 1,790 bits
+    site = Site("a", ("M",), ("0", "1", "2"))
+    tables = [
+        (Fraction(1, big + 1), Fraction(big, 3 * (big + 1))),  # long denominators
+        (Fraction(big, 3 * big + 1), Fraction(big + 1, 3 * big + 1)),  # long numerators too
+    ]
+    models = []
+    for first, second in tables:
+        table = {(("0",), ("M",)): first, (("1",), ("M",)): second, (("2",), ("M",)): 1 - first - second}
+        models.append(EmpiricalModel((site,), table))
+        models.append(HiddenVariableModel((site,), ("l",), {key + ("l",): value for key, value in table.items()}))
+    return models
+
+
+def _oracle_models() -> list:
+    models = [epr_model(), bell_model(), ks_model(), epr_escape_hvm()]
+    for seed in range(3):
+        for shape in ((1, 1, 2), (1, 3, 3), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)):
+            models.append(generate_random_model(seed, grid_sites(*shape)))
+            models.append(generate_random_model(seed, grid_sites(*shape), lambda_size=1 + seed))
+    odd = _odd_label_model()
+    models.append(odd)
+    for source in (odd, generate_random_model(7, grid_sites(2, 2, 2)), bell_model()):
+        models.extend(construct(source, ConstructionMethod(method)) for method in ("e1", "e2", "sv"))
+    models.extend(_long_weight_models())
+    return models
+
+
+def test_serialize_model_is_json_dumps_of_model_to_dict():
+    """The writer builds no dict, yet writes the bytes of `json.dumps`; and
+    `model_to_dict`, built from the int table, equals the dict built from
+    the `weights` view."""
+    models = _oracle_models()
+    assert any("\\," in lam for model in models if isinstance(model, HiddenVariableModel) for lam in model.lambda_set)
+    assert any(
+        max(value.numerator.bit_length(), value.denominator.bit_length()) > _PIECE_BITS
+        for model in models
+        for value in model.weights.values()
+    )
+    for model in models:
+        data = model_to_dict(model)
+        assert data == _weights_view_dict(model)
+        assert serialize_model(model) == json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+        assert parse_model(serialize_model(model)) == model
+
+
+_ROW_SITES = [{"name": "a", "measurements": ["A"], "outcomes": ["x", "y"]}]
+
+
+@pytest.mark.parametrize(
+    "hidden, row, message",
+    [
+        (False, {"outcome": ["x"], "q": 1, "p": "1"}, "weights[1]: unknown keys ['q']"),
+        (False, ["x", "A", "1"], "weights[1]: expected an object, got ['x', 'A', '1']"),
+        (False, None, "weights[1]: expected an object, got None"),
+        (
+            False,
+            {"outcome": ["x"], "measurement": ["A"], "p": "1", "lambda": "l0"},
+            'weights[1]: row names a hidden state but the model declares no "lambda" block',
+        ),
+        (True, {"outcome": ["x"], "measurement": ["A"], "p": "1"}, 'weights[1]: model declares hidden states, row is missing "lambda"'),
+        (False, {"outcome": ["x"], "measurement": ["A"], "lambda": "l0"}, "weights[1]: missing key 'p'"),
+        (True, {"outcome": "x", "measurement": ["A"], "p": "1"}, "weights[1].outcome: expected a list of strings, got 'x'"),
+        (
+            False,
+            {"outcome": ["x"], "measurement": ["A"], "p": 0.5, "lambda": "l0"},
+            'weights[1] is not a finite rational: 0.5; exact rationals are ints, Fractions and strings like "3/8"',
+        ),
+        (
+            True,
+            {"outcome": ["x"], "measurement": [1], "p": "1", "lambda": 3},
+            "weights[1].measurement: expected a list of strings, got [1]",
+        ),
+        (True, {"outcome": ["x"], "measurement": ["A"], "p": "1", "lambda": 3}, "weights[1].lambda: expected a string, got 3"),
+    ],
+)
+def test_row_faults_keep_their_order(hidden, row, message):
+    """A row whose keys are not exactly the expected ones is checked fault
+    by fault, in the order the messages name: shape, then the fields, then
+    the hidden state."""
+    good = {"outcome": ["y"], "measurement": ["A"], "p": "0"}
+    data: dict = {"sites": _ROW_SITES, "weights": [good, row]}
+    if hidden:
+        data["lambda"] = ["l0"]
+        good["lambda"] = "l0"
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_dict(data)
+    assert str(exc.value) == message
+
+
+def test_a_row_of_a_dict_subclass_is_read():
+    row = OrderedDict(outcome=["x"], measurement=["A"], p="1")
+    assert model_from_dict({"sites": _ROW_SITES, "weights": [row]}).weights == {(("x",), ("A",)): 1}
