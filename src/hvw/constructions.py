@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .errors import InputError, SizeGuardError, show_value
+from .errors import InputError, check_size, show_value
 from .models import (
     DEFAULT_GUARD,
     EmpiricalModel,
@@ -48,8 +48,7 @@ def construct_e1(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVar
     """
     e = require(model, EmpiricalModel, "construct_e1")
     size = e.n_outcome_tuples() * e.n_context_tuples()
-    if size > guard:
-        raise SizeGuardError("e1 hidden state set", size, guard)
+    check_size("e1 hidden state set", size, guard)
     outcomes = {outcome: _joined(outcome) for outcome in e.outcome_tuples()}
     contexts = {context: _joined(context) for context in e.context_tuples()}
     lambda_set = tuple(o + "|" + c for o in outcomes.values() for c in contexts.values())
@@ -78,8 +77,7 @@ def construct_e2(model: EmpiricalModel, guard: int = DEFAULT_GUARD) -> HiddenVar
     table = e._context_table()
     # p = n / mass in lowest terms has denominator mass // gcd(n, mass).
     size = math.lcm(*(mass // math.gcd(n, mass) for mass, row in table.values() for n in row.values()))
-    if size > guard:
-        raise SizeGuardError("e2 hidden state set", size, guard)
+    check_size("e2 hidden state set", size, guard)
     labels = tuple(str(i) for i in range(size))
     weights: dict = {}
     for context, (mass, row) in table.items():

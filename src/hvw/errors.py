@@ -107,3 +107,13 @@ class SizeGuardError(WorkbenchError):
         super().__init__(f"{what} would enumerate {_show_count(size)} items, over the guard of {_show_count(guard)}")
         self.size = size
         self.guard = guard
+
+
+def check_size(what: str, size: int, guard: int) -> None:
+    """The one guard rule: `SizeGuardError` when `what` would enumerate more
+    than `guard` items, and `InputError` when `guard` is not a positive int
+    (a bool is not one)."""
+    if not isinstance(guard, int) or isinstance(guard, bool) or guard < 1:
+        raise InputError(f"the guard must be a positive int, not {show_value(guard)}")
+    if size > guard:
+        raise SizeGuardError(what, size, guard)

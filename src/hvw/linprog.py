@@ -20,19 +20,24 @@ the x or y that a recheck reads, until it is scaled to ints.
 Every value stays an exact rational, but the tableau holds no `Fraction`:
 each row, the cost row included, is a list of `int` numerators over one
 positive `int` denominator, as in Bareiss's fraction-free elimination
-(Math. Comp. 22, 1968) but with each row kept reduced by its gcd. A pivot
-scales the pivot row to a 1 in the pivot column, so that row is p over a
-with p[q] = a, and turns every other row u over d whose entry f = u[q] is
-nonzero into (a u - f p) over d a, again divided by its gcd. Only the
-nonzero cells of the pivot row need the subtraction; when a = 1 the other
-cells stay as they are. The ratio test compares rhs_i c_k with rhs_k c_i, in
-which the row denominators cancel.
+(Math. Comp. 22, 1968). A pivot scales the pivot row to a 1 in the pivot
+column and divides it by its gcd, so that row is p over a with p[q] = a, and
+turns every other row u over d whose entry f = u[q] is nonzero into
+(a u - f p) over d a. Only the nonzero cells of the pivot row need the
+subtraction; when a = 1 the other cells stay as they are. Every row starts
+reduced by its gcd, and is divided by its gcd again whenever its denominator
+changes: as the pivot row, and as a row cleared at a pivot with a != 1. A
+row cleared at a unit pivot becomes u - f p over its unchanged d, so its
+denominator cannot grow, and it is left as it is: it may share a factor with
+d until it is next reduced. The ratio test compares rhs_i c_k with rhs_k c_i,
+in which the row denominators cancel.
 
 Since every denominator is positive, each sign and each comparison that
 Bland's rule reads (the first negative reduced cost, the least ratio, the
 lowest basic variable on a tie) comes out as it would in `Fraction`
-arithmetic. So the pivot sequence is that of a `Fraction` tableau, and the x
-or y built from the final rows is the same to the last bit.
+arithmetic, reduced rows or not. So the pivot sequence is that of a
+`Fraction` tableau, and the x or y built from the final rows, one `Fraction`
+per entry, is the same to the last bit.
 """
 
 from __future__ import annotations
@@ -199,7 +204,9 @@ def _pivot(tableau: list[list[int]], den: list[int], pivot_row: int, pivot_col: 
 
     With the pivot row reduced to numerators p over denominator a (so p[q] =
     a), row r with numerators u over d and factor f = u[q] becomes
-    (a u - f p) / (d a), which is u - f p over d when a = 1.
+    (a u - f p) / (d a), divided by its gcd. When a = 1 it becomes u - f p
+    over the same d and is not reduced: a gcd over the whole row then rarely
+    finds a factor, and the denominator does not grow.
     """
     row = tableau[pivot_row]
     den[pivot_row] = row[pivot_col]
@@ -215,7 +222,8 @@ def _pivot(tableau: list[list[int]], den: list[int], pivot_row: int, pivot_col: 
             den[i] *= a
         for j, v in nonzero:
             other[j] -= factor * v
-        _reduce(tableau, den, i)
+        if a != 1:
+            _reduce(tableau, den, i)
 
 
 def verify_solution(

@@ -200,6 +200,18 @@ class PropertyVerdict(Codec):
         return f"fails: {self.witness.describe()}"
 
 
+def site_tuple(sites: Sequence[Site], who: str) -> tuple[Site, ...]:
+    """`sites` as a tuple of `Site`s, else an `InputError` naming `who`."""
+    try:
+        sites = tuple(sites)
+    except TypeError:
+        raise InputError(f"{who} needs a sequence of sites, not {show_value(sites)}") from None
+    for site in sites:
+        if not isinstance(site, Site):
+            raise InputError(f"expected a Site, got {show_value(site)}")
+    return sites
+
+
 def describe(sites: Sequence[Site], labels: Sequence[str]) -> str:
     """One label per site as witness text, "a=x, b=y": a context, an outcome
     tuple or part of one."""
@@ -237,15 +249,9 @@ class _BaseModel:
     _lambda_index: dict[str, int] | None
 
     def __init__(self, sites: Sequence[Site], weights: Mapping[tuple, object]) -> None:
-        try:
-            sites = tuple(sites)
-        except TypeError:
-            raise InputError(f"a model needs a sequence of sites, not {show_value(sites)}") from None
+        sites = site_tuple(sites, "a model")
         if not sites:
             raise InputError("a model needs at least one site")
-        for site in sites:
-            if not isinstance(site, Site):
-                raise InputError(f"expected a Site, got {show_value(site)}")
         names = [site.name for site in sites]
         if len(set(names)) != len(names):
             raise InputError(f"duplicate site names: {show_value(names)}")

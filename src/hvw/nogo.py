@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 from .codec import Codec
 from .constructions import construct_sv
-from .errors import InputError, SizeGuardError, show_value
+from .errors import InputError, check_size, show_value
 from .linprog import feasible_point, verify_farkas, verify_solution
 from .models import (
     DEFAULT_GUARD,
@@ -52,6 +52,7 @@ from .models import (
     describe,
     equivalent_empirical,
     require,
+    site_tuple,
 )
 from .properties import (
     check_exchangeability,
@@ -198,6 +199,7 @@ class DeterministicStrategy:
 
 
 def count_deterministic_strategies(sites: Sequence[Site]) -> int:
+    sites = site_tuple(sites, "count_deterministic_strategies")
     return math.prod(len(site.outcomes) ** len(site.measurements) for site in sites)
 
 
@@ -205,10 +207,9 @@ def enumerate_deterministic_strategies(
     sites: Sequence[Site], guard: int = DEFAULT_GUARD
 ) -> list[DeterministicStrategy]:
     """All per-site response functions, in a fixed lexicographic order."""
-    sites = tuple(sites)
+    sites = site_tuple(sites, "enumerate_deterministic_strategies")
     total = count_deterministic_strategies(sites)
-    if total > guard:
-        raise SizeGuardError("deterministic strategy enumeration", total, guard)
+    check_size("deterministic strategy enumeration", total, guard)
     per_site = [
         list(itertools.product(site.outcomes, repeat=len(site.measurements))) for site in sites
     ]
@@ -333,7 +334,7 @@ def random_strategy_mixture(
     and local; useful as a feasible control for the membership test. `guard`
     bounds the strategies and the weight rows (one per context and component).
     """
-    sites = tuple(sites)
+    sites = site_tuple(sites, "random_strategy_mixture")
     rng = random.Random(seed)
     strategies = enumerate_deterministic_strategies(sites, guard)
     k = rng.randint(1, max(1, min(MAX_MIXTURE_COMPONENTS, len(strategies))))
@@ -341,8 +342,7 @@ def random_strategy_mixture(
     parts = [rng.randint(1, 8) for _ in indices]
     total = sum(parts)
     rows = math.prod(len(site.measurements) for site in sites) * k
-    if rows > guard:
-        raise SizeGuardError("strategy mixture weight table", rows, guard)
+    check_size("strategy mixture weight table", rows, guard)
     contexts = list(itertools.product(*(site.measurements for site in sites)))
     # Any model whose contexts are equally likely gives the mixture its marginals.
     first = tuple(site.outcomes[0] for site in sites)
@@ -644,8 +644,7 @@ def ks_search_colorings(table: KsTable, guard: int = DEFAULT_GUARD) -> list[KsCo
     if not isinstance(table, KsTable):
         raise InputError("ks_search_colorings expects a KsTable")
     candidates = ks_coloring_candidates(table)
-    if candidates > guard:
-        raise SizeGuardError("coloring candidate enumeration", candidates, guard)
+    check_size("coloring candidate enumeration", candidates, guard)
 
     labels, columns = table.labels(), table.columns
     values: dict[str, int] = {}

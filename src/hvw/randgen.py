@@ -16,8 +16,8 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError, SizeGuardError
-from .models import DEFAULT_GUARD, EmpiricalModel, HiddenVariableModel, Site
+from .errors import InputError, check_size
+from .models import DEFAULT_GUARD, EmpiricalModel, HiddenVariableModel, Site, site_tuple
 
 _CELL_TOTALS = (4, 6, 8, 12)
 _MAX_CONTEXT_MASS = 4
@@ -44,15 +44,14 @@ def generate_random_model(
     hidden-variable model over that many hidden states. Some contexts may be
     null; weights are exact rationals summing to 1.
     """
-    sites = tuple(sites)
+    sites = site_tuple(sites, "generate_random_model")
     if not sites:
         raise InputError("at least one site is required")
     if lambda_size is not None and lambda_size < 1:
         raise InputError(f"lambda_size must be at least 1, got {lambda_size}")
     n_contexts = math.prod(len(site.measurements) for site in sites)
     n_cells = math.prod(len(site.outcomes) for site in sites) * (lambda_size or 1)
-    if n_contexts * n_cells > guard:
-        raise SizeGuardError("random model weight table", n_contexts * n_cells, guard)
+    check_size("random model weight table", n_contexts * n_cells, guard)
 
     rng = random.Random(seed)
     cell_total = rng.choice(_CELL_TOTALS)

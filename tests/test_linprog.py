@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from decimal import Decimal
@@ -12,6 +13,7 @@ import pytest
 
 from conftest import fr
 
+import hvw.linprog
 import hvw.nogo
 from hvw import (
     InputError,
@@ -463,15 +465,21 @@ def test_matches_dense_reference_on_random_systems():
         assert feasible_point(rows, rhs) == dense_feasible_point(rows, rhs), (rows, rhs)
 
 
-def test_matches_dense_reference_on_membership_systems(monkeypatch):
-    """Same x and y as the dense reference on the exact systems that the
-    deterministic-mixture membership test builds, of both verdicts."""
+def _membership_models():
+    """Bell and seeded tables and strategy-mixture controls on two shapes."""
     models = [bell_model()]
     for shape in ((2, 3, 2), (3, 2, 2)):
         sites = grid_sites(*shape)
         for seed in range(3):
             models.append(project_to_empirical(random_strategy_mixture(seed, sites)))
             models.append(generate_random_model(seed, sites))
+    return models
+
+
+def test_matches_dense_reference_on_membership_systems(monkeypatch):
+    """Same x and y as the dense reference on the exact systems that the
+    deterministic-mixture membership test builds, of both verdicts."""
+    models = _membership_models()
     solved = []
 
     def compared(rows, rhs):
@@ -485,6 +493,83 @@ def test_matches_dense_reference_on_membership_systems(monkeypatch):
         local_polytope_feasibility(model)
     assert len(solved) == len(models)
     assert any(solved) and not all(solved)
+
+
+@pytest.mark.parametrize("shape, pivots", [((2, 3, 2), 32), ((2, 4, 2), 123), ((3, 3, 2), 127)])
+def test_roadmap_controls_keep_their_pivot_counts(monkeypatch, shape, pivots):
+    """The seed-0 strategy-mixture controls take as many Bland pivots as
+    recorded in ROADMAP.md."""
+    counted = 0
+    pivot = hvw.linprog._pivot
+
+    def counting(*args):
+        nonlocal counted
+        counted += 1
+        pivot(*args)
+
+    monkeypatch.setattr(hvw.linprog, "_pivot", counting)
+    result = local_polytope_feasibility(project_to_empirical(random_strategy_mixture(0, grid_sites(*shape))))
+    assert result.feasible
+    assert counted == pivots
+
+
+def always_reduced_pivot(tableau, den, pivot_row, pivot_col):
+    """The pivot as it was when every row it touched was divided by its gcd,
+    unit pivots included: the reference for the values of the rows."""
+
+    def reduce(i):
+        g = math.gcd(den[i], *tableau[i])
+        if g > 1:
+            tableau[i][:] = [v // g for v in tableau[i]]
+            den[i] //= g
+
+    row = tableau[pivot_row]
+    den[pivot_row] = row[pivot_col]
+    reduce(pivot_row)
+    a = den[pivot_row]
+    nonzero = [(j, v) for j, v in enumerate(row) if v]
+    for i, other in enumerate(tableau):
+        factor = other[pivot_col]
+        if not factor or i == pivot_row:
+            continue
+        if a != 1:
+            other[:] = [a * v for v in other]
+            den[i] *= a
+        for j, v in nonzero:
+            other[j] -= factor * v
+        reduce(i)
+
+
+def test_pivots_keep_the_values_of_the_always_reduced_reference(monkeypatch):
+    """After every pivot, each row read as `Fraction`s equals the row that the
+    always-reduced reference pivot makes from the same start; and some row is
+    left with a common factor, so the unreduced path runs."""
+    pivot = hvw.linprog._pivot
+    started: list = []  # the solver's tableau and a reference copy, per solve
+    unreduced = pivots = 0
+
+    def compared(tableau, den, pivot_row, pivot_col):
+        nonlocal unreduced, pivots
+        if not started or started[0] is not tableau:
+            started[:] = [tableau, [row[:] for row in tableau], den[:]]
+        _, reference, reference_den = started
+        always_reduced_pivot(reference, reference_den, pivot_row, pivot_col)
+        pivot(tableau, den, pivot_row, pivot_col)
+        pivots += 1
+        for row, d, expected, e in zip(tableau, den, reference, reference_den):
+            # With both denominators positive, v / d == w / e as Fractions
+            # exactly when v e == w d.
+            assert d > 0 and e > 0
+            assert all(v * e == w * d for v, w in zip(row, expected))
+            unreduced += math.gcd(d, *row) > 1
+
+    monkeypatch.setattr(hvw.linprog, "_pivot", compared)
+    for model in _membership_models():
+        local_polytope_feasibility(model)
+    for rows, rhs in fractional_systems():
+        assert feasible_point(rows, rhs) == dense_feasible_point(rows, rhs)
+    assert pivots > 300
+    assert unreduced > 0
 
 
 def test_random_verdicts_are_always_certified():

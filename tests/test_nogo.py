@@ -32,6 +32,8 @@ from hvw import (
     canonical_model,
     check_lambda_independence,
     check_locality,
+    construct_e1,
+    construct_e2,
     count_deterministic_strategies,
     enumerate_deterministic_strategies,
     epr_model,
@@ -158,6 +160,57 @@ def test_strategy_enumeration_order_and_responses():
 def test_strategy_enumeration_guard():
     with pytest.raises(SizeGuardError):
         enumerate_deterministic_strategies(ks_model().sites)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: enumerate_deterministic_strategies(5), "enumerate_deterministic_strategies needs a sequence of sites, not 5", id="enumerate-int"),
+        pytest.param(lambda: count_deterministic_strategies(5), "count_deterministic_strategies needs a sequence of sites, not 5", id="count-int"),
+        pytest.param(lambda: random_strategy_mixture(0, 5), "random_strategy_mixture needs a sequence of sites, not 5", id="mixture-int"),
+        pytest.param(lambda: enumerate_deterministic_strategies("ab"), "expected a Site, got 'a'", id="enumerate-string"),
+        pytest.param(lambda: generate_random_model(0, 5), "generate_random_model needs a sequence of sites, not 5", id="random-int"),
+        pytest.param(lambda: generate_random_model(0, "ab"), "expected a Site, got 'a'", id="random-string"),
+    ],
+)
+def test_strategy_functions_check_their_site_list(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+GUARDED_CALLS = {
+    "local_polytope_feasibility": lambda guard: local_polytope_feasibility(bell_model(), guard=guard),
+    "construct_e1": lambda guard: construct_e1(bell_model(), guard=guard),
+    "construct_e2": lambda guard: construct_e2(bell_model(), guard=guard),
+    "generate_random_model": lambda guard: generate_random_model(0, grid_sites(2, 2, 2), guard=guard),
+    "ks_search_colorings": lambda guard: ks_search_colorings(ks_table(), guard=guard),
+    "random_strategy_mixture": lambda guard: random_strategy_mixture(0, grid_sites(2, 2, 2), guard=guard),
+}
+
+
+@pytest.mark.parametrize("call", GUARDED_CALLS.values(), ids=GUARDED_CALLS)
+@pytest.mark.parametrize("guard", ["x", None, True, False, 0, -1, 1.5, 1e7], ids=repr)
+def test_a_guard_that_is_not_a_positive_int_is_an_input_error(call, guard):
+    with pytest.raises(InputError) as exc:
+        call(guard)
+    assert str(exc.value) == f"the guard must be a positive int, not {guard!r}"
+
+
+@pytest.mark.parametrize("call", GUARDED_CALLS.values(), ids=GUARDED_CALLS)
+def test_a_guard_of_one_keeps_its_message(call):
+    with pytest.raises(SizeGuardError) as exc:
+        call(1)
+    assert str(exc.value).endswith(" items, over the guard of 1")
+    assert exc.value.guard == 1
+
+
+def test_the_membership_guard_holds_at_its_boundary():
+    """Bell's two sites of three two-outcome measurements have 8 * 8 strategies."""
+    assert local_polytope_feasibility(bell_model(), guard=64).strategy_count == 64
+    with pytest.raises(SizeGuardError) as exc:
+        local_polytope_feasibility(bell_model(), guard=63)
+    assert str(exc.value) == "deterministic strategy enumeration would enumerate 64 items, over the guard of 63"
 
 
 # ---------------------------------------------------------------------------
