@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 from .codec import Codec
 from .constructions import ConstructionMethod, construct
 from .errors import InputError
-from .models import DEFAULT_GUARD, EmpiricalModel, HiddenVariableModel, equivalent_empirical
+from .models import DEFAULT_GUARD, EmpiricalModel, HiddenVariableModel, equivalent_empirical, require
 from .properties import PropertyId, check_property
 
 PROPERTY_CODES: tuple[str, ...] = ("SV", "LI", "SD", "WD", "OI", "PI")
@@ -209,6 +209,8 @@ def classify_all(
     completion, and each check on it, runs once per call however many
     regions share it.
     """
+    if sample is not None:
+        require(sample, EmpiricalModel, "classify_all")
 
     @functools.cache
     def completion(method_value: str) -> HiddenVariableModel:

@@ -9,6 +9,14 @@ succeeded; 1 means the property fails, the models differ, the system is
 infeasible, or an impossibility argument was confirmed; 2 means the command
 line or the input could not be used at all.
 
+Output has one path. Each subcommand does its work, saves any file named by
+--out, and returns its exit code, its JSON payload (the result objects, not
+yet encoded) and a function that renders its text. `main` alone writes
+stdout: the payload through the codec's encoder under --format json, else the
+text. canon and random have no payload and print the model file under either
+format. A run renders only the format it prints, and any failure up to and
+including the write exits 2.
+
 The size guard for combinatorial enumerations applies to construct, nogo,
 classify and random, the subcommands that enumerate. It resolves in this
 order: the --guard flag, the HVW_GUARD environment variable, then the
@@ -24,19 +32,18 @@ import sys
 from typing import Callable, NoReturn, Sequence
 
 from .classify import ClassificationReport, classify_all
-from .codec import write_json
+from .codec import _encode, write_json
 from .constructions import ConstructionMethod, construct
 from .errors import InputError, WorkbenchError, show_text, show_value
 from .models import (
     DEFAULT_GUARD,
-    EmpiricalModel,
-    HiddenVariableModel,
+    Model,
     PropertyVerdict,
     as_empirical,
     equivalent_empirical,
     equivalent_models,
 )
-from .modelio import load_model, model_to_dict, save_model, serialize_model
+from .modelio import load_model, save_model, serialize_model
 from .nogo import (
     BellReport,
     EprReport,
@@ -94,8 +101,7 @@ def _resolve_guard(flag: int | None) -> int:
         raise InputError(f"{GUARD_ENV_VAR} {exc}") from None
 
 
-def _print_json(payload: dict) -> None:
-    print(write_json(payload))
+_Result = tuple[int, dict | None, Callable[[], str]]
 
 
 def _verdict_lines(name: str, verdict: PropertyVerdict, indent: str = "") -> list[str]:
@@ -105,76 +111,49 @@ def _verdict_lines(name: str, verdict: PropertyVerdict, indent: str = "") -> lis
     return [f"{indent}{name}: fails", f"{indent}  {verdict.witness.describe()}"]
 
 
-def _write_model(model: EmpiricalModel | HiddenVariableModel, out: str | None) -> None:
+def _verdict_result(name: str, verdict: PropertyVerdict, payload: dict) -> _Result:
+    code = EXIT_OK if verdict.holds else EXIT_NEGATIVE
+    return code, payload, lambda: "\n".join(_verdict_lines(name, verdict)) + "\n"
+
+
+def _model_output(model: Model, out: str | None) -> Callable[[], str]:
+    """The one writer of a model: save it to `out` now and print nothing, or,
+    with no `out`, print its file text."""
     if out is None:
-        sys.stdout.write(serialize_model(model))
-    else:
-        save_model(model, out)
+        return functools.partial(serialize_model, model)
+    save_model(model, out)
+    return lambda: ""
 
 
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    verdict = check_property(model, args.property)
-    if args.format == "json":
-        _print_json(
-            {
-                "command": "check",
-                "property": args.property,
-                "verdict": verdict.to_dict(),
-            }
-        )
-    else:
-        print("\n".join(_verdict_lines(args.property, verdict)))
-    return EXIT_OK if verdict.holds else EXIT_NEGATIVE
+def _cmd_check(args: argparse.Namespace) -> _Result:
+    verdict = check_property(load_model(args.model), args.property)
+    payload = {"command": "check", "property": args.property, "verdict": verdict}
+    return _verdict_result(args.property, verdict, payload)
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    source = as_empirical(model, "construct")
-    method = ConstructionMethod(args.method)
-    guard = _resolve_guard(args.guard)
-    hvm = construct(source, method, guard=guard)
-    agreement = equivalent_empirical(source, hvm)
-    if not agreement.holds:
+def _cmd_construct(args: argparse.Namespace) -> _Result:
+    source = as_empirical(load_model(args.model), "construct")
+    hvm = construct(source, ConstructionMethod(args.method), guard=_resolve_guard(args.guard))
+    if not equivalent_empirical(source, hvm).holds:
         raise AssertionError("constructed model disagrees with its source")
-    if args.format == "json":
-        payload = {
-            "command": "construct",
-            "method": args.method,
-            "lambda_size": len(hvm.lambda_set),
-            "equivalent": True,
-        }
-        if args.out is None:
-            payload["model"] = model_to_dict(hvm)
-        else:
-            save_model(hvm, args.out)
-            payload["out"] = args.out
-        _print_json(payload)
+    states = len(hvm.lambda_set)
+    payload = {"command": "construct", "method": args.method, "lambda_size": states, "equivalent": True}
+    text = _model_output(hvm, args.out)
+    if args.out is None:
+        payload["model"] = hvm
     else:
-        if args.out is None:
-            sys.stdout.write(serialize_model(hvm))
-        else:
-            save_model(hvm, args.out)
-            print(
-                f"{args.method}: wrote equivalent completion with "
-                f"{len(hvm.lambda_set)} hidden states to {args.out}"
-            )
-    return EXIT_OK
+        payload["out"] = args.out
+        text = lambda: f"{args.method}: wrote equivalent completion with {states} hidden states to {args.out}\n"
+    return EXIT_OK, payload, text
 
 
-def _cmd_equiv(args: argparse.Namespace) -> int:
-    left = load_model(args.left)
-    right = load_model(args.right)
-    verdict = equivalent_models(left, right)
-    if args.format == "json":
-        _print_json({"command": "equiv", "verdict": verdict.to_dict()})
-    else:
-        print("\n".join(_verdict_lines("equivalent", verdict)))
-    return EXIT_OK if verdict.holds else EXIT_NEGATIVE
+def _cmd_equiv(args: argparse.Namespace) -> _Result:
+    verdict = equivalent_models(load_model(args.left), load_model(args.right))
+    return _verdict_result("equivalent", verdict, {"command": "equiv", "verdict": verdict})
 
 
 def _epr_text(report: EprReport) -> str:
@@ -194,7 +173,7 @@ def _epr_text(report: EprReport) -> str:
         )
     else:
         lines.append("no-go NOT confirmed")
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n"
 
 
 def _bell_text(report: BellReport) -> str:
@@ -240,7 +219,7 @@ def _bell_text(report: BellReport) -> str:
         )
     else:
         lines.append("no-go NOT confirmed")
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n"
 
 
 def _ks_text(report: KsReport) -> str:
@@ -268,10 +247,10 @@ def _ks_text(report: KsReport) -> str:
         )
     else:
         lines.append("no-go NOT confirmed")
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_nogo(args: argparse.Namespace) -> int:
+def _cmd_nogo(args: argparse.Namespace) -> _Result:
     guard = _resolve_guard(args.guard)
     if args.argument == "epr":
         if args.method is not None:
@@ -281,11 +260,8 @@ def _cmd_nogo(args: argparse.Namespace) -> int:
         report, render = verify_bell(method=args.method or "both", guard=guard), _bell_text
     else:
         report, render = verify_ks(method=args.method or "both", guard=guard), _ks_text
-    if args.format == "json":
-        _print_json({"command": "nogo", "argument": args.argument, "report": report.to_dict()})
-    else:
-        print(render(report))
-    return EXIT_NEGATIVE if report.confirmed else EXIT_OK
+    payload = {"command": "nogo", "argument": args.argument, "report": report}
+    return (EXIT_NEGATIVE if report.confirmed else EXIT_OK), payload, functools.partial(render, report)
 
 
 def _classification_text(report: ClassificationReport) -> str:
@@ -304,32 +280,22 @@ def _classification_text(report: ClassificationReport) -> str:
         f"achievable: {report.achievable_count}, impossible: {report.impossible_count}"
     )
     lines.append(report.split_note)
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> _Result:
     guard = _resolve_guard(args.guard)
-    sample = None
-    if args.sample is not None:
-        sample = as_empirical(load_model(args.sample), "classify --sample")
+    sample = None if args.sample is None else as_empirical(load_model(args.sample), "classify --sample")
     report = classify_all(sample=sample, guard=guard)
-    if args.format == "json":
-        _print_json({"command": "classify", "report": report.to_dict()})
-    else:
-        print(_classification_text(report))
-    return EXIT_OK
+    return EXIT_OK, {"command": "classify", "report": report}, functools.partial(_classification_text, report)
 
 
-def _cmd_canon(args: argparse.Namespace) -> int:
-    if args.name == "epr-escape":
-        model: EmpiricalModel | HiddenVariableModel = epr_escape_hvm()
-    else:
-        model = canonical_model(args.name)
-    _write_model(model, args.out)
-    return EXIT_OK
+def _cmd_canon(args: argparse.Namespace) -> _Result:
+    model = epr_escape_hvm() if args.name == "epr-escape" else canonical_model(args.name)
+    return EXIT_OK, None, _model_output(model, args.out)
 
 
-def _cmd_random(args: argparse.Namespace) -> int:
+def _cmd_random(args: argparse.Namespace) -> _Result:
     if args.seed is None:
         raise InputError("the random command requires --seed")
     guard = _resolve_guard(args.guard)
@@ -337,8 +303,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
     model = generate_random_model(
         args.seed, sites, lambda_size=args.hidden, guard=guard
     )
-    _write_model(model, args.out)
-    return EXIT_OK
+    return EXIT_OK, None, _model_output(model, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +430,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_ERROR
         return EXIT_OK if code == 0 else EXIT_ERROR
-    func: Callable[[argparse.Namespace], int] = args.func
+    func: Callable[[argparse.Namespace], _Result] = args.func
     try:
-        return func(args)
+        code, payload, text = func(args)
+        if args.format == "json" and payload is not None:
+            sys.stdout.write(write_json({key: _encode(value) for key, value in payload.items()}) + "\n")
+        else:
+            sys.stdout.write(text())
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return code
 
 
 def main_entry() -> None:

@@ -109,11 +109,15 @@ class SizeGuardError(WorkbenchError):
         self.guard = guard
 
 
+def check_positive_int(what: str, value: object) -> None:
+    """`InputError` unless `value` is a positive int (a bool is not one)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InputError(f"{what} must be a positive int, not {show_value(value)}")
+
+
 def check_size(what: str, size: int, guard: int) -> None:
     """The one guard rule: `SizeGuardError` when `what` would enumerate more
-    than `guard` items, and `InputError` when `guard` is not a positive int
-    (a bool is not one)."""
-    if not isinstance(guard, int) or isinstance(guard, bool) or guard < 1:
-        raise InputError(f"the guard must be a positive int, not {show_value(guard)}")
+    than `guard` items, and `InputError` when `guard` is not a positive int."""
+    check_positive_int("the guard", guard)
     if size > guard:
         raise SizeGuardError(what, size, guard)

@@ -38,7 +38,7 @@ import math
 # MAX_EXPONENT and parse_fraction, the codec's reader, stay importable from here.
 from .codec import MAX_EXPONENT, _int_text, _quote, read_rational as parse_fraction, write_json  # noqa: F401
 from .codec import _string_list as _label_block
-from .errors import InputError, ModelFormatError, show_value
+from .errors import InputError, ModelFormatError, show_text, show_value
 from .models import EmpiricalModel, HiddenVariableModel, Model, Site, require
 
 _TOP_KEYS = {"sites", "lambda", "weights"}
@@ -217,7 +217,7 @@ def load_model(path: str) -> Model:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {show_text(str(path))}: {exc.strerror}") from exc
     return parse_model(text)
 
 
@@ -228,4 +228,4 @@ def save_model(model: Model, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise InputError(f"cannot write {show_text(str(path))}: {exc.strerror}") from exc

@@ -604,7 +604,8 @@ def require(model: object, kind: type[M], name: str) -> M:
     classes, or `Model` for either), else an `InputError` saying which kind
     the operation `name` needs."""
     if not isinstance(model, kind):
-        got = _KIND_NAMES.get(type(model), f"a {type(model).__name__}")
+        type_name = type(model).__name__
+        got = _KIND_NAMES.get(type(model), f"{'an' if type_name[0] in 'AEIOUaeiou' else 'a'} {type_name}")
         raise InputError(f"{name} needs {_KIND_NAMES[kind]}, not {got}")
     return model
 

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError, check_size
+from .errors import InputError, check_positive_int, check_size
 from .models import DEFAULT_GUARD, EmpiricalModel, HiddenVariableModel, Site, site_tuple
 
 _CELL_TOTALS = (4, 6, 8, 12)
@@ -25,8 +25,8 @@ _MAX_CONTEXT_MASS = 4
 
 def grid_sites(n_sites: int, n_measurements: int, n_outcomes: int) -> tuple[Site, ...]:
     """Homogeneous sites s1..sn sharing measurement and outcome labels."""
-    if n_sites < 1 or n_measurements < 1 or n_outcomes < 1:
-        raise InputError("site, measurement, and outcome counts must all be at least 1")
+    for what, count in (("site", n_sites), ("measurement", n_measurements), ("outcome", n_outcomes)):
+        check_positive_int(f"the {what} count", count)
     measurements = tuple(f"M{i + 1}" for i in range(n_measurements))
     outcomes = tuple(f"o{i + 1}" for i in range(n_outcomes))
     return tuple(Site(f"s{i + 1}", measurements, outcomes) for i in range(n_sites))
@@ -47,8 +47,8 @@ def generate_random_model(
     sites = site_tuple(sites, "generate_random_model")
     if not sites:
         raise InputError("at least one site is required")
-    if lambda_size is not None and lambda_size < 1:
-        raise InputError(f"lambda_size must be at least 1, got {lambda_size}")
+    if lambda_size is not None:
+        check_positive_int("lambda_size", lambda_size)
     n_contexts = math.prod(len(site.measurements) for site in sites)
     n_cells = math.prod(len(site.outcomes) for site in sites) * (lambda_size or 1)
     check_size("random model weight table", n_contexts * n_cells, guard)

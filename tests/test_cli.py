@@ -18,7 +18,10 @@ from hvw import (
     PropertyVerdict,
     bell_model,
     classify_all,
+    epr_escape_hvm,
     epr_model,
+    generate_random_model,
+    grid_sites,
     load_model,
     parse_model,
     save_model,
@@ -571,18 +574,81 @@ def test_nogo_ks_parity_only(cli):
     assert "parity certificate" in out
 
 
-def test_nogo_json_renders_no_text(cli, monkeypatch):
+@pytest.fixture
+def failing_files(tmp_path):
+    """A hidden-variable model that fails single-valuedness, and two random
+    models of one shape that are not equivalent."""
+    models = {
+        "escape.hvm": epr_escape_hvm(),
+        "r1.em": generate_random_model(1, grid_sites(2, 2, 2)),
+        "r2.em": generate_random_model(2, grid_sites(2, 2, 2)),
+    }
+    for name, model in models.items():
+        save_model(model, str(tmp_path / name))
+    return [str(tmp_path / name) for name in models]
+
+
+def test_nogo_json_renders_no_text(cli, monkeypatch, epr_file, failing_files):
+    """No JSON run renders text: every text renderer of `hvw.cli` refuses."""
     import hvw.cli
 
-    def refuse(report):
+    escape, left, right = failing_files
+
+    def refuse(*args, **kwargs):
         raise AssertionError("text rendered for JSON output")
 
-    for name in ("_epr_text", "_bell_text", "_ks_text"):
+    for name in ("_epr_text", "_bell_text", "_ks_text", "_verdict_lines", "_classification_text", "serialize_model"):
         monkeypatch.setattr(hvw.cli, name, refuse)
     for argument in ("epr", "bell", "ks"):
         code, out, err = cli("nogo", argument, "--format", "json")
         assert (code, err) == (1, "")
         assert json.loads(out)["report"]["confirmed"] is True
+    for args, code, key in [
+        (("check", epr_file, "--property", "non-contextuality"), 0, "verdict"),
+        (("check", escape, "--property", "single-valuedness"), 1, "verdict"),
+        (("equiv", epr_file, epr_file), 0, "verdict"),
+        (("equiv", left, right), 1, "verdict"),
+        (("classify", "--sample", epr_file), 0, "report"),
+        (("construct", epr_file, "--method", "e2"), 0, "model"),
+    ]:
+        status, out, err = cli(*args, "--format", "json")
+        assert (status, err) == (code, "")
+        assert key in json.loads(out)
+
+
+def test_text_runs_encode_nothing(cli, monkeypatch, tmp_path, epr_file, failing_files):
+    """No run that prints text builds a JSON form (canon and random print
+    their model file under --format json too): the codec's encoder, `to_dict`
+    and `model_to_dict` refuse, and every subcommand still prints."""
+    import hvw.cli
+    import hvw.codec
+    import hvw.modelio
+
+    escape, left, right = failing_files
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("JSON built for text output")
+
+    monkeypatch.setattr(hvw.cli, "_encode", refuse)
+    monkeypatch.setattr(hvw.codec.Codec, "to_dict", refuse)
+    monkeypatch.setattr(hvw.modelio, "model_to_dict", refuse)
+    for args, code in [
+        (("check", escape, "--property", "single-valuedness"), 1),
+        (("equiv", left, right), 1),
+        (("equiv", epr_file, epr_file), 0),
+        (("construct", epr_file, "--method", "e1"), 0),
+        (("construct", epr_file, "--method", "e1", "--out", str(tmp_path / "e1.hvm")), 0),
+        (("nogo", "epr"), 1),
+        (("nogo", "bell"), 1),
+        (("nogo", "ks"), 1),
+        (("classify", "--sample", epr_file), 0),
+        (("canon", "epr-escape"), 0),
+        (("canon", "bell", "--format", "json"), 0),
+        (("random", "--seed", "3", "--hidden", "2"), 0),
+    ]:
+        status, out, err = cli(*args)
+        assert (status, err) == (code, "")
+        assert out
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +722,24 @@ def test_random_out_writes_file(cli, tmp_path):
     code, _, _ = cli("random", "--seed", "1", "--out", str(target))
     assert code == 0
     assert load_model(str(target)).n_sites == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(("construct", "{model}", "--method", "e1"), id="construct"),
+        pytest.param(("construct", "{model}", "--method", "e1", "--format", "json"), id="construct-json"),
+        pytest.param(("canon", "bell"), id="canon"),
+        pytest.param(("canon", "bell", "--format", "json"), id="canon-json"),
+        pytest.param(("random", "--seed", "1"), id="random"),
+    ],
+)
+def test_out_in_a_missing_directory_exits_two_before_any_output(cli, tmp_path, epr_file, args):
+    target = tmp_path / "missing" / "out.em"
+    code, out, err = cli(*(arg.format(model=epr_file) for arg in args), "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -741,9 +825,26 @@ def test_guard_is_accepted_by_the_enumerating_subcommands(cli, epr_file):
         pytest.param(("nogo", "epr"), "{huge}", id="HVW_GUARD"),
         pytest.param(("canon", "{wide}"), None, id="canon-name-emoji"),
         pytest.param(("nogo", "bell", "--method", "{wide}"), None, id="bell--method-emoji"),
+        pytest.param(("check", "{huge}", "--property", "locality"), None, id="check-model-path"),
+        pytest.param(("equiv", "{huge}", "m.em"), None, id="equiv-left-path"),
+        pytest.param(("equiv", "m.em", "{huge}"), None, id="equiv-right-path"),
+        pytest.param(("classify", "--sample", "{huge}"), None, id="classify--sample-path"),
+        pytest.param(("canon", "bell", "--out", "{huge}"), None, id="canon--out-path"),
+        pytest.param(("construct", "m.em", "--method", "e1", "--out", "{huge}"), None, id="construct--out-path"),
+        pytest.param(("random", "--seed", "1", "--out", "{huge}"), None, id="random--out-path"),
+        pytest.param(("check", "{wide}", "--property", "locality"), None, id="check-model-path-emoji"),
+        pytest.param(("equiv", "{wide}", "m.em"), None, id="equiv-left-path-emoji"),
+        pytest.param(("equiv", "m.em", "{wide}"), None, id="equiv-right-path-emoji"),
+        pytest.param(("classify", "--sample", "{wide}"), None, id="classify--sample-path-emoji"),
+        pytest.param(("canon", "bell", "--out", "{wide}"), None, id="canon--out-path-emoji"),
+        pytest.param(("construct", "m.em", "--method", "e1", "--out", "{wide}"), None, id="construct--out-path-emoji"),
+        pytest.param(("random", "--seed", "1", "--out", "{wide}"), None, id="random--out-path-emoji"),
     ],
 )
-def test_a_huge_token_exits_two_in_short_lines(cli, monkeypatch, args, env):
+def test_a_huge_token_exits_two_in_short_lines(cli, monkeypatch, tmp_path, args, env):
+    """A bad token, or a file path too long to open, is echoed in part."""
+    monkeypatch.chdir(tmp_path)
+    save_model(epr_model(), "m.em")
     tokens = {"huge": "x" * 200_000, "wide": "\N{GRINNING FACE}" * 200_000}
     if env is not None:
         monkeypatch.setenv("HVW_GUARD", env.format(**tokens))

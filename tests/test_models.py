@@ -40,6 +40,7 @@ from hvw import (
     check_locality,
     check_non_contextuality,
     check_property,
+    classify_all,
     local_polytope_feasibility,
     merge_events,
     project_to_empirical,
@@ -913,6 +914,8 @@ def test_weight_key_with_unhashable_labels_is_rejected(kind):
         (lambda: equivalent_empirical(epr_escape_hvm(), epr_escape_hvm()), "equivalent_empirical needs an"),
         (lambda: equivalent_hvm(epr_escape_hvm(), epr_model()), "equivalent_hvm needs a hidden-variable model"),
         (lambda: equivalent_models(epr_model(), None), "equivalent_models needs a model, not a NoneType"),
+        (lambda: check_property(5, "exchangeability"), "exchangeability needs an empirical model, not an int$"),
+        (lambda: classify_all(sample=5), "classify_all needs an empirical model, not an int$"),
     ],
 )
 def test_a_wrong_model_kind_gets_one_wording(call, message):

@@ -34,6 +34,27 @@ def test_grid_sites_rejects_bad_counts():
         grid_sites(1, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: grid_sites("a", 1, 1), "the site count must be a positive int, not 'a'"),
+        (lambda: grid_sites(2.5, 1, 1), "the site count must be a positive int, not 2.5"),
+        (lambda: grid_sites(True, 1, 1), "the site count must be a positive int, not True"),
+        (lambda: grid_sites(1, None, 1), "the measurement count must be a positive int, not None"),
+        (lambda: grid_sites(1, 1, -2), "the outcome count must be a positive int, not -2"),
+        (lambda: generate_random_model(0, grid_sites(2, 2, 2), lambda_size="x"), "lambda_size must be a positive int, not 'x'"),
+        (lambda: generate_random_model(0, grid_sites(2, 2, 2), lambda_size=1.5), "lambda_size must be a positive int, not 1.5"),
+        (lambda: generate_random_model(0, grid_sites(2, 2, 2), lambda_size=False), "lambda_size must be a positive int, not False"),
+        (lambda: generate_random_model(0, grid_sites(2, 2, 2), lambda_size=0), "lambda_size must be a positive int, not 0"),
+    ],
+)
+def test_shape_counts_and_lambda_size_are_positive_ints(call, message):
+    """The guard's rule, `errors.check_positive_int`, checks every count."""
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_same_seed_same_bytes():
     sites = grid_sites(2, 2, 2)
     first = serialize_model(generate_random_model(5, sites, lambda_size=2))
