@@ -218,6 +218,8 @@ def load_model(path: str) -> Model:
             text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {show_text(str(path))}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {show_text(str(path))}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return parse_model(text)
 
 

@@ -21,7 +21,13 @@ Three classic obstruction patterns, each verified by exact computation:
 
 `local_polytope_feasibility` is the general membership test behind the Bell
 polytope route and works on any empirical model: feasible inputs come back
-with an explicit lambda-independent, local hidden-variable model.
+with an explicit lambda-independent, local hidden-variable model. Its answer
+may come from an exact presolve (E. D. Andersen and K. D. Andersen, Math.
+Prog. 71, 1995) rather than from the simplex over all strategies. A model
+that signals gets a +-1 Farkas certificate off the non-contextuality scan,
+and otherwise the strategies that answer some context with a
+zero-probability outcome are fixed at weight 0 before the simplex runs. The
+returned x or y is still rechecked against the full, unpresolved system.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from .properties import (
     check_outcome_independence,
     check_parameter_independence,
     check_strong_determinism,
+    first_signal,
 )
 
 
@@ -256,19 +263,15 @@ def _mixture_hvm(
     return model._derive(weights, model._denominator * scale, lambda_set)
 
 
-def local_polytope_feasibility(
-    model: EmpiricalModel, guard: int = DEFAULT_GUARD
-) -> PolytopeResult:
-    """Can any mixture of deterministic strategies reproduce the model?
-
-    Builds the exact equality system (one row per non-null context and
-    outcome tuple, plus normalization) over all deterministic strategies and
-    solves it with nonnegative weights. Either answer is rechecked by direct
-    arithmetic before being returned.
-    """
-    require(model, EmpiricalModel, "local_polytope_feasibility")
+def _membership_system(
+    model: EmpiricalModel, strategies: Sequence[DeterministicStrategy]
+) -> tuple[list[list[int]], list[Fraction], list[str], list[int | None]]:
+    """The full membership system A x = b over every listed strategy, with
+    the row labels: one 0/1 row per non-null context and outcome tuple, in
+    canonical order, then normalization. Also, per strategy, the index of the
+    first row with b = 0 that it answers, or None when it answers every
+    context with an outcome of positive probability."""
     sites = model.sites
-    strategies = enumerate_deterministic_strategies(sites, guard)
     outcomes = list(model.outcome_tuples())
     outcome_texts = [describe(sites, outcome) for outcome in outcomes]
     # A strategy's answer in a context is outcome row sum_i stride_i * (its
@@ -281,14 +284,18 @@ def local_polytope_feasibility(
     rows: list[list[int]] = []
     rhs: list[Fraction] = []
     labels: list[str] = []
+    cover: list[int | None] = [None] * len(strategies)
     for context, distribution in model.context_distributions().items():
         parts = [
             [stride * answer[site.measurements.index(m)] for answer in site_answers]
             for site, m, stride, site_answers in zip(sites, context, strides, answers)
         ]
         block = [[0] * len(strategies) for _ in outcomes]
+        zero_row = [None if outcome in distribution else len(rows) + k for k, outcome in enumerate(outcomes)]
         for si, k in enumerate(map(sum, itertools.product(*parts))):
             block[k][si] = 1
+            if cover[si] is None:
+                cover[si] = zero_row[k]
         context_text = describe(sites, context)
         for outcome, row, text in zip(outcomes, block, outcome_texts):
             rows.append(row)
@@ -297,8 +304,103 @@ def local_polytope_feasibility(
     rows.append([1] * len(strategies))
     rhs.append(ONE)
     labels.append("total probability")
+    return rows, rhs, labels, cover
 
-    x, y = feasible_point(rows, rhs)
+
+def _signalling_certificate(
+    model: EmpiricalModel, signal: tuple, n_rows: int
+) -> list[Fraction]:
+    """y over the membership rows of a model whose marginal q(a | c) for
+    measurement m at site i differs from q(a | c'): +1 on the rows (o, c)
+    and -1 on the rows (o, c') with o_i = a, negated if need be so that
+    y.b < 0. Every strategy answers m the same in c and c', so y.A = 0."""
+    i, _, first, other, a, lhs, rhs = signal
+    contexts = list(model._context_table())
+    width = model.n_outcome_tuples()
+    # Context c's block of rows starts at row (position of c) * width.
+    start, other_start = contexts.index(first) * width, contexts.index(other) * width
+    sign = ONE if lhs < rhs else -ONE
+    y = [ZERO] * n_rows
+    for k, outcome in enumerate(model.outcome_tuples()):
+        if outcome[i] == a:
+            y[start + k] = sign
+            y[other_start + k] = -sign
+    return y
+
+
+def _lifted_certificate(
+    rows: Sequence[Sequence[int]], live: Sequence[int], certificate: Sequence[Fraction], cover: Sequence[int | None]
+) -> list[Fraction]:
+    """A certificate of the 0/1 membership system reduced to rows `live` and
+    the strategies with no `cover` row, lifted to every row and strategy.
+
+    With zeros on the other rows, y.A is the reduced y.A >= 0 on each kept
+    strategy, but may be negative on a dropped one. Each such strategy j,
+    in order, raises y on its cover row by its deficit. That row has b = 0,
+    so y.b is unchanged, and it is 0 on every kept strategy and nonnegative
+    elsewhere, so no other y.A falls. All in ints over one common scale."""
+    scale = math.lcm(*(v.denominator for v in certificate))
+    y = [0] * len(rows)
+    for i, v in zip(live, certificate):
+        y[i] = v.numerator * (scale // v.denominator)
+    columns = range(len(cover))
+    combination = [0] * len(cover)
+    for row, yi in zip(rows, y):
+        if yi:
+            for j in itertools.compress(columns, row):
+                combination[j] += yi
+    for j, r in enumerate(cover):
+        deficit = -combination[j]
+        if r is not None and deficit > 0:
+            y[r] += deficit
+            for k in itertools.compress(columns, rows[r]):
+                combination[k] += deficit
+    return [Fraction(v, scale) for v in y]
+
+
+def _presolved_answer(
+    model: EmpiricalModel, rows: list[list[int]], rhs: list[Fraction], cover: list[int | None]
+) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+    """(x, None) or (None, y) for the full membership system, as
+    `feasible_point` answers, with the simplex run only where needed.
+
+    A model that signals is answered by `_signalling_certificate`. Otherwise
+    a strategy with a cover row must have weight 0, since that row has b = 0
+    and A >= 0, so the simplex runs only on the other strategies and on the
+    rows with b != 0 (the dropped rows are 0 on every kept strategy). Its x
+    is lifted by zeros, and its y by `_lifted_certificate`."""
+    signal = first_signal(model)
+    if signal is not None:
+        return None, _signalling_certificate(model, signal, len(rows))
+    kept = [j for j, r in enumerate(cover) if r is None]
+    live = [i for i, bi in enumerate(rhs) if bi]
+    x, y = feasible_point([[rows[i][j] for j in kept] for i in live], [rhs[i] for i in live])
+    if x is None:
+        assert y is not None
+        return None, _lifted_certificate(rows, live, y, cover)
+    full = [ZERO] * len(cover)
+    for j, v in zip(kept, x):
+        full[j] = v
+    return full, None
+
+
+def local_polytope_feasibility(
+    model: EmpiricalModel, guard: int = DEFAULT_GUARD
+) -> PolytopeResult:
+    """Can any mixture of deterministic strategies reproduce the model?
+
+    Builds the exact equality system (one row per non-null context and
+    outcome tuple, plus normalization) over all deterministic strategies and
+    asks for nonnegative weights. The answer may come from the presolve
+    (`_presolved_answer`): a signalling model gets a +-1 certificate with no
+    simplex, and otherwise the simplex sees only the strategies that no zero
+    cell rules out. Either answer is rechecked against the full system by
+    direct arithmetic before being returned.
+    """
+    require(model, EmpiricalModel, "local_polytope_feasibility")
+    strategies = enumerate_deterministic_strategies(model.sites, guard)
+    rows, rhs, labels, cover = _membership_system(model, strategies)
+    x, y = _presolved_answer(model, rows, rhs, cover)
     if x is not None:
         if not verify_solution(rows, rhs, x):
             raise AssertionError("solver returned a point that fails direct recheck")

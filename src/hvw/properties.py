@@ -321,9 +321,16 @@ def check_locality(model: HiddenVariableModel) -> PropertyVerdict:
     return PropertyVerdict(True)
 
 
-def check_non_contextuality(model: EmpiricalModel) -> PropertyVerdict:
-    """A measurement's observed marginal is the same in every context containing it."""
-    e = require(model, EmpiricalModel, "non-contextuality")
+def first_signal(
+    e: EmpiricalModel,
+) -> tuple[int, str, tuple[str, ...], tuple[str, ...], str, Fraction, Fraction] | None:
+    """The first measurement whose observed marginal moves with its context,
+    in canonical scan order: (site i, measurement m, first context c holding
+    m, later context c' holding it, outcome a, q(a | c), q(a | c')) with the
+    two values unequal, or None when every marginal is context-free. A
+    measurement in no non-null context has no marginal and is passed over.
+    The non-contextuality check and the membership presolve in `nogo` both
+    read this one scan."""
     table = e._context_table()
     marginal_cache: dict[tuple[str, ...], list[dict[str, int]]] = {}
 
@@ -343,17 +350,28 @@ def check_non_contextuality(model: EmpiricalModel) -> PropertyVerdict:
                 )
                 if found:
                     a, lhs, rhs = found
-                    return PropertyVerdict(
-                        False,
-                        Witness(
-                            lhs_desc=f"q({site.name}={a} | {describe(e.sites, first)})",
-                            rhs_desc=f"q({site.name}={a} | {describe(e.sites, other)})",
-                            lhs=lhs,
-                            rhs=rhs,
-                            where=(site.name, m),
-                        ),
-                    )
-    return PropertyVerdict(True)
+                    return i, m, first, other, a, lhs, rhs
+    return None
+
+
+def check_non_contextuality(model: EmpiricalModel) -> PropertyVerdict:
+    """A measurement's observed marginal is the same in every context containing it."""
+    e = require(model, EmpiricalModel, "non-contextuality")
+    found = first_signal(e)
+    if found is None:
+        return PropertyVerdict(True)
+    i, m, first, other, a, lhs, rhs = found
+    site = e.sites[i]
+    return PropertyVerdict(
+        False,
+        Witness(
+            lhs_desc=f"q({site.name}={a} | {describe(e.sites, first)})",
+            rhs_desc=f"q({site.name}={a} | {describe(e.sites, other)})",
+            lhs=lhs,
+            rhs=rhs,
+            where=(site.name, m),
+        ),
+    )
 
 
 def check_exchangeability(model: EmpiricalModel) -> PropertyVerdict:

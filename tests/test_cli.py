@@ -374,6 +374,15 @@ def test_check_missing_file(cli):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_model_file_that_is_not_utf8_exits_two_with_one_line(cli, tmp_path, fmt):
+    path = tmp_path / "bad.em"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = cli("check", str(path), "--property", "locality", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
 def test_check_json_format(cli, epr_file):
     code, out, _ = cli("check", epr_file, "--property", "non-contextuality", "--format", "json")
     assert code == 0

@@ -1,7 +1,7 @@
 """Invariants checked over generated inputs with Hypothesis: the LP recheck,
 the implications between the hidden-variable properties, the completions'
-guarantees, round trips through the model and verdict formats, and Fine's
-theorem for the membership LP."""
+guarantees, round trips through the model and verdict formats, Fine's
+theorem for the membership LP, and its presolve against the full simplex."""
 
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ from hvw import (
     verify_farkas,
     verify_solution,
 )
+from hvw.nogo import _membership_system
 
 
 @st.composite
@@ -215,3 +216,32 @@ def test_membership_lp_agrees_with_fines_theorem(pr, noise, strategies):
     model = _mixture(pr, noise, strategies)
     assert check_non_contextuality(model).holds  # no signalling
     assert local_polytope_feasibility(model).feasible == _chsh_holds(model)
+
+
+def _unpresolved_feasible(model: EmpiricalModel) -> bool:
+    """The simplex's verdict on the full membership system."""
+    rows, rhs, _, _ = _membership_system(model, enumerate_deterministic_strategies(model.sites))
+    return feasible_point(rows, rhs)[0] is not None
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.lists(st.tuples(st.integers(0, 15), st.integers(1, 8)), max_size=3),
+    st.sampled_from(((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3))),
+    st.integers(0, 10_000),
+)
+def test_presolved_membership_matches_the_full_simplex(pr, noise, strategies, shape, seed):
+    """The presolve answers as the simplex on the unpresolved system does: on
+    a no-signalling CHSH mixture, a seeded table and a strategy mixture."""
+    if pr + noise + len(strategies) == 0:
+        pr = 1
+    sites = grid_sites(*shape)
+    models = (
+        _mixture(pr, noise, strategies),
+        generate_random_model(seed, sites),
+        project_to_empirical(random_strategy_mixture(seed, sites)),
+    )
+    for model in models:
+        assert local_polytope_feasibility(model).feasible == _unpresolved_feasible(model)

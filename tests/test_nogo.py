@@ -12,10 +12,10 @@ import pytest
 
 from conftest import fr
 
-import hvw.nogo
 from hvw import (
     BellCertificate,
     BellReport,
+    EmpiricalModel,
     EprReport,
     Event,
     InputError,
@@ -32,6 +32,7 @@ from hvw import (
     canonical_model,
     check_lambda_independence,
     check_locality,
+    check_non_contextuality,
     construct_e1,
     construct_e2,
     count_deterministic_strategies,
@@ -52,8 +53,11 @@ from hvw import (
     serialize_model,
     verify_bell,
     verify_epr,
+    verify_farkas,
     verify_ks,
 )
+from hvw.nogo import _membership_system
+from hvw.properties import first_signal
 
 ONE = Fraction(1)
 
@@ -251,30 +255,30 @@ MIXED_SITES = (
 
 
 @pytest.mark.parametrize("sites", MIXED_SITES, ids=lambda sites: f"{len(sites)}-sites")
-def test_membership_rows_match_their_definition(monkeypatch, sites):
+def test_membership_rows_match_their_definition(sites):
     """Row (context, outcome) holds 1 for each strategy that answers the
-    context with the outcome and 0 for every other strategy."""
-    systems = []
-
-    def recorded(rows, rhs):
-        systems.append((rows, rhs))
-        return feasible_point(rows, rhs)
-
-    monkeypatch.setattr(hvw.nogo, "feasible_point", recorded)
+    context with the outcome and 0 for every other strategy; a strategy's
+    cover row is the first row with b = 0 that holds a 1 for it."""
     strategies = enumerate_deterministic_strategies(sites)
     verdicts = set()
     for seed in range(4):
         for model in (generate_random_model(seed, sites), project_to_empirical(random_strategy_mixture(seed, sites))):
-            result = local_polytope_feasibility(model)
-            verdicts.add(result.feasible)
-            assert systems.pop() == rebuild_rows(model, strategies)
-            labels = []
+            rows, rhs, labels, cover = _membership_system(model, strategies)
+            assert (rows, rhs) == rebuild_rows(model, strategies)
+            expected = []
             for context in sorted(model.context_weights(), key=model.context_sort_key):
                 given = ", ".join(f"{site.name}={m}" for site, m in zip(sites, context))
                 for outcome in model.outcome_tuples():
                     shown = ", ".join(f"{site.name}={o}" for site, o in zip(sites, outcome))
-                    labels.append(f"p({shown} | {given})")
-            assert result.row_labels == (*labels, "total probability")
+                    expected.append(f"p({shown} | {given})")
+            assert labels == [*expected, "total probability"]
+            for j, r in enumerate(cover):
+                zero_rows = [i for i, (row, bi) in enumerate(zip(rows, rhs)) if row[j] and not bi]
+                assert r == (zero_rows[0] if zero_rows else None)
+            result = local_polytope_feasibility(model)
+            assert result.row_labels == tuple(labels)
+            assert result.feasible == (feasible_point(rows, rhs)[0] is not None)
+            verdicts.add(result.feasible)
     # Any table of one site is a mixture of strategies.
     assert verdicts == ({True} if len(sites) == 1 else {True, False})
 
@@ -382,6 +386,114 @@ def test_polytope_rejects_hidden_models():
 
     with pytest.raises(InputError):
         local_polytope_feasibility(epr_escape_hvm())
+
+
+# ---------------------------------------------------------------------------
+# The presolve in front of the simplex
+
+
+def unpresolved_feasible(model):
+    """The simplex's verdict on the full membership system."""
+    rows, rhs, _, _ = _membership_system(model, enumerate_deterministic_strategies(model.sites))
+    return feasible_point(rows, rhs)[0] is not None
+
+
+def half_noise(model):
+    """Half the model and half the uniform table on the same contexts: every
+    cell of a non-null context is positive, so no strategy is dropped."""
+    outcomes = list(model.outcome_tuples())
+    weights = {}
+    for context, mass in model.context_weights().items():
+        row = model.outcome_distribution(context)
+        for outcome in outcomes:
+            weights[(outcome, context)] = mass * (row.get(outcome, 0) + Fraction(1, len(outcomes))) / 2
+    return EmpiricalModel(model.sites, weights)
+
+
+def pr_box():
+    """Two sites of two two-outcome measurements: the outcomes differ exactly
+    when both sites measure M2. No signalling, and no strategy fits."""
+    sites = grid_sites(2, 2, 2)
+    weights = {}
+    for context in itertools.product(("M1", "M2"), repeat=2):
+        for outcome in itertools.product(("o1", "o2"), repeat=2):
+            if (outcome[0] != outcome[1]) == (context == ("M2", "M2")):
+                weights[(outcome, context)] = Fraction(1, 8)
+    return EmpiricalModel(sites, weights)
+
+
+PRESOLVE_SHAPES = ((1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (1, 3, 3))
+
+
+def test_presolved_verdicts_match_the_full_simplex():
+    """Seeded tables, strategy mixtures and their half-noise blends on seven
+    shapes, with Bell, EPR and the PR box: every route of the presolve gives
+    the verdict of the simplex on the full system."""
+    models = [bell_model(), epr_model(), pr_box()]
+    for sites in (*map(lambda shape: grid_sites(*shape), PRESOLVE_SHAPES), MIXED_SITES[2]):
+        for seed in range(8):
+            mixture = project_to_empirical(random_strategy_mixture(seed, sites))
+            models += [generate_random_model(seed, sites), mixture, half_noise(mixture)]
+    routes = {"signalling": 0, "feasible": 0, "certificate": 0}
+    for model in models:
+        feasible = local_polytope_feasibility(model).feasible
+        assert feasible == unpresolved_feasible(model)
+        route = "feasible" if feasible else "certificate" if first_signal(model) is None else "signalling"
+        routes[route] += 1
+    assert len(models) == 171
+    assert min(routes.values()) >= 2, routes
+
+
+def test_a_signalling_certificate_is_plus_and_minus_one_on_two_marginals():
+    """The certificate of a signalling table is +-1 on the rows of one
+    outcome's marginal in two contexts, and 0 elsewhere."""
+    checked = 0
+    for shape in PRESOLVE_SHAPES:
+        sites = grid_sites(*shape)
+        for seed in range(10):
+            model = generate_random_model(seed, sites)
+            signal = first_signal(model)
+            if signal is None:
+                continue
+            i, _, first, other, a, _, _ = signal
+            result = local_polytope_feasibility(model)
+            share = sum(outcome[i] == a for outcome in model.outcome_tuples())
+            nonzero = [(label, v) for label, v in zip(result.row_labels, result.certificate) if v]
+            assert len(nonzero) == 2 * share
+            assert {v for _, v in nonzero} == {1, -1}
+            given = {f"| {', '.join(f'{s.name}={m}' for s, m in zip(sites, c))})" for c in (first, other)}
+            assert {label[label.index("|") :] for label, _ in nonzero} == given
+            checked += 1
+    assert checked >= 30
+
+
+def test_the_pr_box_drops_every_strategy_and_lifts_its_certificate():
+    model = pr_box()
+    strategies = enumerate_deterministic_strategies(model.sites)
+    rows, rhs, _, cover = _membership_system(model, strategies)
+    assert first_signal(model) is None
+    assert None not in cover
+    result = local_polytope_feasibility(model)
+    assert not result.feasible
+    assert len(result.certificate) == len(rows) == len(result.row_labels)
+    assert verify_farkas(rows, rhs, list(result.certificate))
+    assert not unpresolved_feasible(model)
+
+
+def test_a_measurement_in_no_non_null_context_is_passed_over():
+    """Measurement N of site a and M of site b appear only in null contexts;
+    the scan skips them, and the verdicts are the simplex's."""
+    sites = (Site("a", ("N", "A"), ("0", "1")), Site("b", ("C", "D", "M"), ("0", "1")))
+    half = Fraction(1, 2)
+    signalling = EmpiricalModel(sites, {(("0", "0"), ("A", "C")): half, (("1", "1"), ("A", "D")): half})
+    product = EmpiricalModel(
+        sites, {(("0", b), ("A", m)): Fraction(1, 4) for b in ("0", "1") for m in ("C", "D")}
+    )
+    assert first_signal(signalling)[:2] == (0, "A")
+    assert check_non_contextuality(signalling).witness.where == ("a", "A")
+    assert first_signal(product) is None
+    for model, feasible in ((signalling, False), (product, True)):
+        assert local_polytope_feasibility(model).feasible == feasible == unpresolved_feasible(model)
 
 
 # ---------------------------------------------------------------------------
