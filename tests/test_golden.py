@@ -48,6 +48,10 @@ COMMANDS: dict[str, list[str]] = {
     "nogo-epr": ["nogo", "epr"],
     "nogo-bell": ["nogo", "bell"],
     "nogo-ks": ["nogo", "ks"],
+    "nogo-bell-certificate": ["nogo", "bell", "--method", "certificate"],
+    "nogo-bell-polytope": ["nogo", "bell", "--method", "polytope"],
+    "nogo-ks-coloring": ["nogo", "ks", "--method", "coloring"],
+    "nogo-ks-parity": ["nogo", "ks", "--method", "parity"],
     "classify": ["classify"],
     "classify-sample": ["classify", "--sample", "random.em"],
     "check-oi": ["check", "hidden.hvm", "--property", "outcome-independence"],
