@@ -3,7 +3,9 @@
 Each case runs `hvw.cli.main` in process from a scratch working directory
 that holds a fixed set of model files under relative names, and compares the
 exit code, stdout and stderr with the recording under `tests/golden/`. A
-refactor that changes any byte of any report fails here.
+refactor that changes any byte of any report fails here. The `help` cases pin
+argparse's help text; the harness sets `COLUMNS=80` so that it wraps the same
+way on every terminal.
 
 Recorded outputs live in `tests/golden/<case>.stdout`; outputs too large to
 keep readable are stored as `<case>.stdout.sha256` instead. Exit codes and
@@ -30,6 +32,9 @@ from hvw.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 INDEX = GOLDEN_DIR / "index.json"
+
+# The terminal width argparse wraps help text to.
+HELP_COLUMNS = "80"
 
 # Outputs above this size are pinned by digest rather than stored verbatim.
 MAX_STORED_BYTES = 20_000
@@ -69,6 +74,14 @@ COMMANDS: dict[str, list[str]] = {
     "error-epr-method": ["nogo", "epr", "--method", "x"],
     "error-random-seed": ["random"],
     "error-malformed": ["check", "malformed.em", "--property", "locality"],
+    "help": ["--help"],
+    "help-check": ["check", "--help"],
+    "help-construct": ["construct", "--help"],
+    "help-equiv": ["equiv", "--help"],
+    "help-nogo": ["nogo", "--help"],
+    "help-classify": ["classify", "--help"],
+    "help-canon": ["canon", "--help"],
+    "help-random": ["random", "--help"],
 }
 
 CASES = [f"{name}.{fmt}" for name in COMMANDS for fmt in ("text", "json")]
@@ -107,6 +120,7 @@ def index() -> dict:
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.delenv("HVW_GUARD", raising=False)
+    monkeypatch.setenv("COLUMNS", HELP_COLUMNS)
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     return tmp_path
@@ -167,6 +181,7 @@ def record() -> None:
     index = {}
     home = os.getcwd()
     os.environ.pop("HVW_GUARD", None)
+    os.environ["COLUMNS"] = HELP_COLUMNS
     with tempfile.TemporaryDirectory() as scratch:
         write_inputs(Path(scratch))
         os.chdir(scratch)
