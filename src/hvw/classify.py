@@ -28,8 +28,6 @@ from .errors import InputError
 from .models import DEFAULT_GUARD, EmpiricalModel, HiddenVariableModel, equivalent_empirical, require
 from .properties import PropertyId, check_property
 
-PROPERTY_CODES: tuple[str, ...] = ("SV", "LI", "SD", "WD", "OI", "PI")
-
 CODE_TO_PROPERTY: Mapping[str, PropertyId] = {
     "SV": PropertyId.SINGLE_VALUEDNESS,
     "LI": PropertyId.LAMBDA_INDEPENDENCE,
@@ -38,6 +36,8 @@ CODE_TO_PROPERTY: Mapping[str, PropertyId] = {
     "OI": PropertyId.OUTCOME_INDEPENDENCE,
     "PI": PropertyId.PARAMETER_INDEPENDENCE,
 }
+
+PROPERTY_CODES: tuple[str, ...] = tuple(CODE_TO_PROPERTY)
 
 IMPLICATIONS: tuple[tuple[str, str], ...] = (
     ("SV", "LI"),
@@ -129,13 +129,7 @@ def classify_region(region: Iterable[str]) -> RegionVerdict:
         missing = sorted(closure(codes) - codes)
         raise InputError(f"region must be implication-closed; missing {missing}")
     methods = tuple(
-        method.value
-        for method in (
-            ConstructionMethod.E1_STRONG_DETERMINISTIC,
-            ConstructionMethod.E2_WEAK_DET_LAMBDA_INDEP,
-            ConstructionMethod.SV_SINGLE_VALUED,
-        )
-        if codes <= CONSTRUCTION_GUARANTEES[method]
+        method.value for method, guaranteed in CONSTRUCTION_GUARANTEES.items() if codes <= guaranteed
     )
     kernel = next(
         ((name, props) for name, props in OBSTRUCTION_KERNELS if props <= codes), None

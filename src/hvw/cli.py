@@ -156,6 +156,12 @@ def _cmd_equiv(args: argparse.Namespace) -> _Result:
     return _verdict_result("equivalent", verdict, {"command": "equiv", "verdict": verdict})
 
 
+def _nogo_text(lines: list[str], confirmed: bool, claim: str) -> str:
+    """A no-go report's lines, closed by its one conclusion line."""
+    conclusion = f"no-go confirmed: {claim}" if confirmed else "no-go NOT confirmed"
+    return "\n".join([*lines, conclusion]) + "\n"
+
+
 def _epr_text(report: EprReport) -> str:
     lines = ["single-state completion of the anti-correlated pair:"]
     lines.append(f"  p(a=+_a | a=A, b=B, λ) = {report.marginal}")
@@ -166,14 +172,8 @@ def _epr_text(report: EprReport) -> str:
     lines.extend(_verdict_lines("lambda independence", report.escape_li, "  "))
     lines.extend(_verdict_lines("outcome independence", report.escape_oi, "  "))
     lines.extend(_verdict_lines("matches the original", report.escape_equivalent, "  "))
-    if report.confirmed:
-        lines.append(
-            "no-go confirmed: single-valuedness and outcome independence "
-            "cannot hold together on this model"
-        )
-    else:
-        lines.append("no-go NOT confirmed")
-    return "\n".join(lines) + "\n"
+    claim = "single-valuedness and outcome independence cannot hold together on this model"
+    return _nogo_text(lines, report.confirmed, claim)
 
 
 def _bell_text(report: BellReport) -> str:
@@ -212,14 +212,8 @@ def _bell_text(report: BellReport) -> str:
         f"  p(A=+ | A=1, B=1, B=-, λ) = {escape.conditional_with_partner} vs "
         f"p(A=+ | A=1, B=1, λ) = {escape.conditional_alone}"
     )
-    if report.confirmed:
-        lines.append(
-            "no-go confirmed: no lambda-independent completion of this model "
-            "satisfies both independence conditions"
-        )
-    else:
-        lines.append("no-go NOT confirmed")
-    return "\n".join(lines) + "\n"
+    claim = "no lambda-independent completion of this model satisfies both independence conditions"
+    return _nogo_text(lines, report.confirmed, claim)
 
 
 def _ks_text(report: KsReport) -> str:
@@ -241,13 +235,8 @@ def _ks_text(report: KsReport) -> str:
             f"parity certificate: label occurrence counts {even}, "
             f"column count {parity.column_count} is {odd}: {parity.verdict}"
         )
-    if report.confirmed:
-        lines.append(
-            "no-go confirmed: no context-free 0/1 assignment reproduces this model"
-        )
-    else:
-        lines.append("no-go NOT confirmed")
-    return "\n".join(lines) + "\n"
+    claim = "no context-free 0/1 assignment reproduces this model"
+    return _nogo_text(lines, report.confirmed, claim)
 
 
 def _cmd_nogo(args: argparse.Namespace) -> _Result:

@@ -43,10 +43,10 @@ from .models import EmpiricalModel, HiddenVariableModel, Model, Site, require
 
 _TOP_KEYS = {"sites", "lambda", "weights"}
 _SITE_KEYS = {"name", "measurements", "outcomes"}
-_ROW_KEYS = {"outcome", "measurement", "lambda", "p"}
-_EMPIRICAL_ROW_KEYS = _ROW_KEYS - {"lambda"}
 # A row names its weight key's parts in key order; an empirical key has no "lambda".
 _KEY_FIELDS = ("outcome", "measurement", "lambda")
+_ROW_KEYS = {*_KEY_FIELDS, "p"}
+_EMPIRICAL_ROW_KEYS = _ROW_KEYS - {"lambda"}
 
 
 def _string_list(value: object, where: str) -> list[str]:

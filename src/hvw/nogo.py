@@ -76,15 +76,17 @@ from .properties import (
 # Canonical models
 
 
+_EPR_SITES = (
+    Site("a", ("A",), ("+_a", "-_a")),
+    Site("b", ("B",), ("+_b", "-_b")),
+)
+
+
 def epr_model() -> EmpiricalModel:
     """Two sites, one measurement each, perfectly anti-correlated outcomes."""
     half = Fraction(1, 2)
-    sites = (
-        Site("a", ("A",), ("+_a", "-_a")),
-        Site("b", ("B",), ("+_b", "-_b")),
-    )
     return EmpiricalModel(
-        sites,
+        _EPR_SITES,
         {
             (("+_a", "-_b"), ("A", "B")): half,
             (("-_a", "+_b"), ("A", "B")): half,
@@ -95,12 +97,8 @@ def epr_model() -> EmpiricalModel:
 def epr_escape_hvm() -> HiddenVariableModel:
     """Two equally weighted hidden states, each pinning one joint outcome."""
     half = Fraction(1, 2)
-    sites = (
-        Site("a", ("A",), ("+_a", "-_a")),
-        Site("b", ("B",), ("+_b", "-_b")),
-    )
     return HiddenVariableModel(
-        sites,
+        _EPR_SITES,
         ("l1", "l2"),
         {
             (("+_a", "-_b"), ("A", "B"), "l1"): half,
@@ -522,11 +520,8 @@ _K_SETS: tuple[frozenset[int], ...] = (
     frozenset({1, 2, 5, 6}),
     frozenset({1, 2, 3, 4}),
 )
-_L_SETS: tuple[frozenset[int], ...] = (
-    frozenset({2, 3, 6, 7}),
-    frozenset({3, 4, 7, 8}),
-    frozenset({5, 6, 7, 8}),
-)
+# Equal directions anti-correlate, so the second site answers + exactly where the first answers -.
+_L_SETS: tuple[frozenset[int], ...] = tuple(frozenset(range(1, 9)) - k for k in _K_SETS)
 
 
 @dataclass(frozen=True)

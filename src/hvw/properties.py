@@ -80,21 +80,11 @@ class PropertyId(Enum):
     EXCHANGEABILITY = "exchangeability"
 
 
-HIDDEN_MODEL_PROPERTIES = frozenset(
-    {
-        PropertyId.SINGLE_VALUEDNESS,
-        PropertyId.LAMBDA_INDEPENDENCE,
-        PropertyId.STRONG_DETERMINISM,
-        PropertyId.WEAK_DETERMINISM,
-        PropertyId.OUTCOME_INDEPENDENCE,
-        PropertyId.PARAMETER_INDEPENDENCE,
-        PropertyId.LOCALITY,
-    }
-)
-
 EMPIRICAL_MODEL_PROPERTIES = frozenset(
     {PropertyId.NON_CONTEXTUALITY, PropertyId.EXCHANGEABILITY}
 )
+
+HIDDEN_MODEL_PROPERTIES = frozenset(PropertyId) - EMPIRICAL_MODEL_PROPERTIES
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from hvw import (
     save_model,
     verify_bell,
     verify_epr,
+    verify_ks,
 )
 from hvw.codec import MAX_DIGITS
 from hvw.nogo import BellReport
@@ -581,6 +582,24 @@ def test_nogo_ks_parity_only(cli):
     assert code == 1
     assert "coloring search" not in out
     assert "parity certificate" in out
+
+
+def test_each_nogo_text_ends_with_its_one_conclusion_line():
+    """A confirmed report closes with "no-go confirmed: <claim>", an
+    unconfirmed one with "no-go NOT confirmed", after the same lines."""
+    import dataclasses
+
+    import hvw.cli
+
+    for render, report in (
+        (hvw.cli._epr_text, verify_epr()),
+        (hvw.cli._bell_text, verify_bell()),
+        (hvw.cli._ks_text, verify_ks()),
+    ):
+        *body, conclusion, end = render(report).split("\n")
+        assert (conclusion.startswith("no-go confirmed: "), end) == (True, "")
+        unconfirmed = render(dataclasses.replace(report, confirmed=False))
+        assert unconfirmed == "\n".join([*body, "no-go NOT confirmed", ""])
 
 
 @pytest.fixture

@@ -17,6 +17,8 @@ from conftest import (
 )
 
 from hvw import (
+    EMPIRICAL_MODEL_PROPERTIES,
+    HIDDEN_MODEL_PROPERTIES,
     EmpiricalModel,
     HiddenVariableModel,
     InputError,
@@ -71,6 +73,20 @@ def _sorted_rows(h: HiddenVariableModel) -> list[tuple[tuple[str, ...], str]]:
     return sorted(
         h.context_lambda_weights(), key=lambda key: (h.context_sort_key(key[0]), lambda_rank[key[1]])
     )
+
+
+def test_the_hidden_model_checks_are_the_seven_that_read_hidden_states():
+    assert {p.value for p in HIDDEN_MODEL_PROPERTIES} == {
+        "single-valuedness",
+        "lambda-independence",
+        "strong-determinism",
+        "weak-determinism",
+        "outcome-independence",
+        "parameter-independence",
+        "locality",
+    }
+    assert HIDDEN_MODEL_PROPERTIES | EMPIRICAL_MODEL_PROPERTIES == set(PropertyId)
+    assert not HIDDEN_MODEL_PROPERTIES & EMPIRICAL_MODEL_PROPERTIES
 
 
 # ---------------------------------------------------------------------------
