@@ -21,13 +21,17 @@ Three classic obstruction patterns, each verified by exact computation:
 
 `local_polytope_feasibility` is the general membership test behind the Bell
 polytope route and works on any empirical model: feasible inputs come back
-with an explicit lambda-independent, local hidden-variable model. Its answer
-may come from an exact presolve (E. D. Andersen and K. D. Andersen, Math.
-Prog. 71, 1995) rather than from the simplex over all strategies. A model
-that signals gets a +-1 Farkas certificate off the non-contextuality scan,
-and otherwise the strategies that answer some context with a
-zero-probability outcome are fixed at weight 0 before the simplex runs. The
-returned x or y is still rechecked against the full, unpresolved system.
+with an explicit lambda-independent, local hidden-variable model. Its 0/1
+system is held by columns, as the row that each strategy answers in each
+context, so it takes (non-null contexts x strategies) ints rather than a
+dense (rows x strategies) table. Its answer may come from an exact presolve
+(E. D. Andersen and K. D. Andersen, Math. Prog. 71, 1995) rather than from
+the simplex over all strategies. A model that signals gets a +-1 Farkas
+certificate off the non-contextuality scan, and otherwise the strategies
+that answer some context with a zero-probability outcome are fixed at
+weight 0 before the simplex runs on a dense table of the rest. The returned
+x or y is still rechecked against the full, unpresolved system, by an int
+check over the columns that shares no code with `linprog`.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import Iterable, Sequence
 from .codec import Codec
 from .constructions import construct_sv
 from .errors import InputError, check_size, show_value
-from .linprog import feasible_point, verify_farkas, verify_solution
+from .linprog import feasible_point
 from .models import (
     DEFAULT_GUARD,
     ONE,
@@ -264,45 +268,53 @@ def _mixture_hvm(
 def _membership_system(
     model: EmpiricalModel, strategies: Sequence[DeterministicStrategy]
 ) -> tuple[list[list[int]], list[Fraction], list[str], list[int | None]]:
-    """The full membership system A x = b over every listed strategy, with
-    the row labels: one 0/1 row per non-null context and outcome tuple, in
-    canonical order, then normalization. Also, per strategy, the index of the
-    first row with b = 0 that it answers, or None when it answers every
-    context with an outcome of positive probability."""
+    """The full membership system A x = b over every listed strategy, held
+    by columns, with the right-hand side and the row labels.
+
+    The rows are one per non-null context and outcome tuple, in canonical
+    order, then normalization. A is 0/1: column j holds a 1 in the row of
+    the outcome that strategy j gives in each context, and in the last row.
+    So the system is `hits`, with `hits[c][j]` the row that strategy j
+    answers in the c-th non-null context, and the last row left implicit:
+    (non-null contexts x strategies) ints, never a (rows x strategies)
+    table. Also, per strategy, the index of the first row with b = 0 that it
+    answers, or None when it answers every context with an outcome of
+    positive probability."""
     sites = model.sites
     outcomes = list(model.outcome_tuples())
     outcome_texts = [describe(sites, outcome) for outcome in outcomes]
-    # A strategy's answer in a context is outcome row sum_i stride_i * (its
-    # outcome index at site i), strides in canonical outcome order; each site's
-    # answers are listed in the order that the strategies enumerate them.
+    # A strategy's answer in a context is row start + sum_i stride_i * (its
+    # outcome index at site i), with start the context's first row and strides
+    # in canonical outcome order; each site's answers are listed in the order
+    # that the strategies enumerate them.
     strides = [math.prod(len(site.outcomes) for site in sites[i + 1 :]) for i in range(len(sites))]
     answers = [
         list(itertools.product(range(len(site.outcomes)), repeat=len(site.measurements))) for site in sites
     ]
-    rows: list[list[int]] = []
+    hits: list[list[int]] = []
     rhs: list[Fraction] = []
     labels: list[str] = []
     cover: list[int | None] = [None] * len(strategies)
     for context, distribution in model.context_distributions().items():
+        start = len(rhs)
         parts = [
-            [stride * answer[site.measurements.index(m)] for answer in site_answers]
-            for site, m, stride, site_answers in zip(sites, context, strides, answers)
+            [stride * answer[k] for answer in site_answers]
+            for k, stride, site_answers in zip(model.context_sort_key(context), strides, answers)
         ]
-        block = [[0] * len(strategies) for _ in outcomes]
-        zero_row = [None if outcome in distribution else len(rows) + k for k, outcome in enumerate(outcomes)]
-        for si, k in enumerate(map(sum, itertools.product(*parts))):
-            block[k][si] = 1
-            if cover[si] is None:
-                cover[si] = zero_row[k]
+        column = list(map(sum, itertools.product((start,), *parts)))
+        # Each zero row maps to itself, so `zero.get` gives a strategy's answer
+        # if it is a zero row and None otherwise; a first cover row is kept.
+        zero = {start + k: start + k for k, outcome in enumerate(outcomes) if outcome not in distribution}
+        if zero:
+            cover = [zero.get(r) if c is None else c for c, r in zip(cover, column)]
+        hits.append(column)
         context_text = describe(sites, context)
-        for outcome, row, text in zip(outcomes, block, outcome_texts):
-            rows.append(row)
+        for outcome, text in zip(outcomes, outcome_texts):
             rhs.append(distribution.get(outcome, ZERO))
             labels.append(f"p({text} | {context_text})")
-    rows.append([1] * len(strategies))
     rhs.append(ONE)
     labels.append("total probability")
-    return rows, rhs, labels, cover
+    return hits, rhs, labels, cover
 
 
 def _signalling_certificate(
@@ -327,37 +339,37 @@ def _signalling_certificate(
 
 
 def _lifted_certificate(
-    rows: Sequence[Sequence[int]], live: Sequence[int], certificate: Sequence[Fraction], cover: Sequence[int | None]
+    hits: Sequence[Sequence[int]],
+    n_rows: int,
+    live: Sequence[int],
+    certificate: Sequence[Fraction],
+    cover: Sequence[int | None],
 ) -> list[Fraction]:
-    """A certificate of the 0/1 membership system reduced to rows `live` and
-    the strategies with no `cover` row, lifted to every row and strategy.
+    """A certificate of the membership system reduced to rows `live` and the
+    strategies with no `cover` row, lifted to all `n_rows` rows and every
+    strategy.
 
     With zeros on the other rows, y.A is the reduced y.A >= 0 on each kept
     strategy, but may be negative on a dropped one. Each such strategy j,
-    in order, raises y on its cover row by its deficit. That row has b = 0,
-    so y.b is unchanged, and it is 0 on every kept strategy and nonnegative
-    elsewhere, so no other y.A falls. All in ints over one common scale."""
+    in order, raises y on its cover row by its deficit -y.A_j, where y.A_j
+    is y's last (normalization) entry plus y on the row that j answers in
+    each context. That row has b = 0, so y.b is unchanged, and it is 0 on
+    every kept strategy and nonnegative elsewhere, so no other y.A falls.
+    All in ints over one common scale."""
     scale = math.lcm(*(v.denominator for v in certificate))
-    y = [0] * len(rows)
+    y = [0] * n_rows
     for i, v in zip(live, certificate):
         y[i] = v.numerator * (scale // v.denominator)
-    columns = range(len(cover))
-    combination = [0] * len(cover)
-    for row, yi in zip(rows, y):
-        if yi:
-            for j in itertools.compress(columns, row):
-                combination[j] += yi
     for j, r in enumerate(cover):
-        deficit = -combination[j]
-        if r is not None and deficit > 0:
-            y[r] += deficit
-            for k in itertools.compress(columns, rows[r]):
-                combination[k] += deficit
+        if r is not None:
+            deficit = -(y[-1] + sum(y[column[j]] for column in hits))
+            if deficit > 0:
+                y[r] += deficit
     return [Fraction(v, scale) for v in y]
 
 
 def _presolved_answer(
-    model: EmpiricalModel, rows: list[list[int]], rhs: list[Fraction], cover: list[int | None]
+    model: EmpiricalModel, hits: list[list[int]], rhs: list[Fraction], cover: list[int | None]
 ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
     """(x, None) or (None, y) for the full membership system, as
     `feasible_point` answers, with the simplex run only where needed.
@@ -365,21 +377,69 @@ def _presolved_answer(
     A model that signals is answered by `_signalling_certificate`. Otherwise
     a strategy with a cover row must have weight 0, since that row has b = 0
     and A >= 0, so the simplex runs only on the other strategies and on the
-    rows with b != 0 (the dropped rows are 0 on every kept strategy). Its x
-    is lifted by zeros, and its y by `_lifted_certificate`."""
+    rows with b != 0 (the dropped rows are 0 on every kept strategy). Its
+    dense 0/1 table is built from `hits`, kept rows by kept strategies. Its
+    x is lifted by zeros, and its y by `_lifted_certificate`."""
     signal = first_signal(model)
     if signal is not None:
-        return None, _signalling_certificate(model, signal, len(rows))
+        return None, _signalling_certificate(model, signal, len(rhs))
     kept = [j for j, r in enumerate(cover) if r is None]
     live = [i for i, bi in enumerate(rhs) if bi]
-    x, y = feasible_point([[rows[i][j] for j in kept] for i in live], [rhs[i] for i in live])
+    # A kept strategy answers only rows with b != 0, and so has a 1 in the
+    # live row of each of its answers and in the last, normalization, row.
+    position = {i: p for p, i in enumerate(live)}
+    table = [[0] * len(kept) for _ in live]
+    for column in hits:
+        for p, j in enumerate(kept):
+            table[position[column[j]]][p] = 1
+    table[-1] = [1] * len(kept)
+    x, y = feasible_point(table, [rhs[i] for i in live])
     if x is None:
         assert y is not None
-        return None, _lifted_certificate(rows, live, y, cover)
+        return None, _lifted_certificate(hits, len(rhs), live, y, cover)
     full = [ZERO] * len(cover)
     for j, v in zip(kept, x):
         full[j] = v
     return full, None
+
+
+def _solves(hits: Sequence[Sequence[int]], rhs: Sequence[Fraction], n: int, x: Sequence[Fraction]) -> bool:
+    """Recheck that x, over n strategies, is >= 0 and solves the membership
+    system held by columns, in ints. Each nonzero weight, scaled by the lcm
+    L of their denominators, is added into the row its strategy answers in
+    each context and into the last row; row i must then hold b_i L."""
+    if len(x) != n:
+        return False
+    support = [(j, v) for j, v in enumerate(x) if v]
+    if any(v < 0 for _, v in support):
+        return False
+    scale = math.lcm(*(v.denominator for _, v in support))
+    sums = [0] * len(rhs)
+    for j, v in support:
+        w = v.numerator * (scale // v.denominator)
+        for column in hits:
+            sums[column[j]] += w
+        sums[-1] += w
+    return all(s * b.denominator == b.numerator * scale for s, b in zip(sums, rhs))
+
+
+def _certifies(hits: Sequence[Sequence[int]], rhs: Sequence[Fraction], n: int, y: Sequence[Fraction]) -> bool:
+    """Recheck a Farkas certificate of the membership system held by
+    columns, in ints: y.A_j >= 0 for each of the n strategies, and y.b < 0.
+    With y scaled by the lcm of its denominators, y.A_j is the last row's
+    entry plus the entries of the rows that strategy j answers."""
+    if len(y) != len(rhs):
+        return False
+    scale = math.lcm(*(v.denominator for v in y))
+    z = [v.numerator * (scale // v.denominator) for v in y]
+    sums = [z[-1]] * n
+    for column in hits:
+        sums = [s + z[r] for s, r in zip(sums, column)]
+    if any(s < 0 for s in sums):
+        return False
+    # y.b < 0 as an int over the lcm of b's denominators.
+    common = math.lcm(*(b.denominator for b in rhs))
+    return sum(zi * b.numerator * (common // b.denominator) for zi, b in zip(z, rhs) if zi) < 0
 
 
 def local_polytope_feasibility(
@@ -389,18 +449,21 @@ def local_polytope_feasibility(
 
     Builds the exact equality system (one row per non-null context and
     outcome tuple, plus normalization) over all deterministic strategies and
-    asks for nonnegative weights. The answer may come from the presolve
-    (`_presolved_answer`): a signalling model gets a +-1 certificate with no
-    simplex, and otherwise the simplex sees only the strategies that no zero
-    cell rules out. Either answer is rechecked against the full system by
-    direct arithmetic before being returned.
+    asks for nonnegative weights. The 0/1 system is held by columns: for
+    each context, the row that each strategy answers. The answer may come
+    from the presolve (`_presolved_answer`): a signalling model gets a +-1
+    certificate with no simplex, and otherwise the simplex sees only the
+    strategies that no zero cell rules out. Either answer is rechecked
+    against the full system by direct int arithmetic over the columns
+    (`_solves`, `_certifies`), which shares no code with the solver, before
+    being returned.
     """
     require(model, EmpiricalModel, "local_polytope_feasibility")
     strategies = enumerate_deterministic_strategies(model.sites, guard)
-    rows, rhs, labels, cover = _membership_system(model, strategies)
-    x, y = _presolved_answer(model, rows, rhs, cover)
+    hits, rhs, labels, cover = _membership_system(model, strategies)
+    x, y = _presolved_answer(model, hits, rhs, cover)
     if x is not None:
-        if not verify_solution(rows, rhs, x):
+        if not _solves(hits, rhs, len(strategies), x):
             raise AssertionError("solver returned a point that fails direct recheck")
         mixture = tuple((i, w) for i, w in enumerate(x) if w)
         hvm = _mixture_hvm(model, strategies, mixture)
@@ -412,7 +475,7 @@ def local_polytope_feasibility(
             hvm=hvm,
         )
     assert y is not None
-    if not verify_farkas(rows, rhs, y):
+    if not _certifies(hits, rhs, len(strategies), y):
         raise AssertionError("solver returned a certificate that fails direct recheck")
     return PolytopeResult(
         feasible=False,

@@ -1,4 +1,5 @@
-"""Shared fixtures: small models, the two polytope controls, a CLI runner."""
+"""Shared fixtures: small models, the two polytope controls, a CLI runner,
+and the membership system expanded into dense rows."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from hvw import EmpiricalModel, HiddenVariableModel, Site, bell_model
+from hvw import EmpiricalModel, HiddenVariableModel, Site, bell_model, enumerate_deterministic_strategies
 from hvw.cli import main
+from hvw.nogo import _membership_system
 
 
 def fr(text: str) -> Fraction:
@@ -28,6 +30,22 @@ def cli():
         return code, out.getvalue(), err.getvalue()
 
     return run
+
+
+def full_membership_system(model: EmpiricalModel) -> tuple[list[list[int]], list[Fraction]]:
+    """The membership system over every strategy, before any presolve, as
+    the dense 0/1 int rows that `feasible_point`, `verify_solution` and
+    `verify_farkas` read: `nogo._membership_system`'s columns expanded, a 1
+    for strategy j in row `hits[c][j]` of each context c and in the last
+    (normalization) row."""
+    strategies = enumerate_deterministic_strategies(model.sites)
+    hits, rhs, _, _ = _membership_system(model, strategies)
+    rows = [[0] * len(strategies) for _ in rhs]
+    for column in hits:
+        for j, r in enumerate(column):
+            rows[r][j] = 1
+    rows[-1] = [1] * len(strategies)
+    return rows, rhs
 
 
 def two_site_sites() -> tuple[Site, Site]:

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from hvw import (
     EprReport,
     HiddenVariableModel,
     KsReport,
+    Site,
     bell_model,
     check_exchangeability,
     check_lambda_independence,
@@ -201,6 +203,31 @@ def test_criterion_3_membership_at_4096_strategies(shape, rows):
         assert result.hvm is not None
         assert equivalent_empirical(control, result.hvm).holds
         elapsed = time.monotonic() - started
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+
+def test_criterion_3_membership_of_a_point_mass_over_4000_outcomes():
+    """One site, one measurement and 4,000 outcomes, all mass on the first:
+    4,000 strategies and 4,001 rows, settled by the presolve. The system is
+    held by columns, so memory grows with the strategies, not with rows x
+    strategies (125 MiB as a dense 0/1 table)."""
+    with criterion(3, "deterministic-mixture membership of a 4,000-outcome point mass"):
+        site = Site("X", ("M",), tuple(f"o{i}" for i in range(4000)))
+        model = EmpiricalModel((site,), {(("o0",), ("M",)): ONE})
+        tracemalloc.start()
+        try:
+            started = time.monotonic()
+            result = local_polytope_feasibility(model)
+            elapsed = time.monotonic() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.strategy_count == 4000
+        assert len(result.row_labels) == 4001
+        assert result.feasible
+        assert result.strategy_weights == ((0, ONE),)
+        assert equivalent_empirical(model, result.hvm).holds
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
         assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 

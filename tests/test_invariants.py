@@ -12,6 +12,8 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import full_membership_system
+
 from hvw import (
     EMPIRICAL_MODEL_PROPERTIES,
     ConstructionMethod,
@@ -41,7 +43,6 @@ from hvw import (
     verify_farkas,
     verify_solution,
 )
-from hvw.nogo import _membership_system
 
 
 @st.composite
@@ -220,8 +221,7 @@ def test_membership_lp_agrees_with_fines_theorem(pr, noise, strategies):
 
 def _unpresolved_feasible(model: EmpiricalModel) -> bool:
     """The simplex's verdict on the full membership system."""
-    rows, rhs, _, _ = _membership_system(model, enumerate_deterministic_strategies(model.sites))
-    return feasible_point(rows, rhs)[0] is not None
+    return feasible_point(*full_membership_system(model))[0] is not None
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

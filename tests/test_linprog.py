@@ -11,14 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fr
+from conftest import fr, full_membership_system
 
 import hvw.linprog
-from hvw.nogo import _membership_system
 from hvw import (
     InputError,
     bell_model,
-    enumerate_deterministic_strategies,
     feasible_point,
     generate_random_model,
     grid_sites,
@@ -477,18 +475,12 @@ def _membership_models():
     return models
 
 
-def _full_system(model):
-    """The membership system over every strategy, before any presolve."""
-    rows, rhs, _, _ = _membership_system(model, enumerate_deterministic_strategies(model.sites))
-    return rows, rhs
-
-
 def test_matches_dense_reference_on_membership_systems():
     """Same x and y as the dense reference on the full, unpresolved systems
     that the deterministic-mixture membership test builds, of both verdicts."""
     solved = []
     for model in _membership_models():
-        rows, rhs = _full_system(model)
+        rows, rhs = full_membership_system(model)
         answer = feasible_point(rows, rhs)
         assert answer == dense_feasible_point(rows, rhs)
         solved.append(answer[0] is not None)
@@ -566,7 +558,7 @@ def test_pivots_keep_the_values_of_the_always_reduced_reference(monkeypatch):
 
     monkeypatch.setattr(hvw.linprog, "_pivot", compared)
     for model in _membership_models():
-        feasible_point(*_full_system(model))
+        feasible_point(*full_membership_system(model))
     for rows, rhs in fractional_systems():
         assert feasible_point(rows, rhs) == dense_feasible_point(rows, rhs)
     assert pivots > 300

@@ -6,11 +6,12 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import fr
+from conftest import fr, full_membership_system
 
 from hvw import (
     BellCertificate,
@@ -55,8 +56,9 @@ from hvw import (
     verify_epr,
     verify_farkas,
     verify_ks,
+    verify_solution,
 )
-from hvw.nogo import _membership_system
+from hvw.nogo import _certifies, _membership_system, _solves
 from hvw.properties import first_signal
 
 ONE = Fraction(1)
@@ -256,19 +258,30 @@ MIXED_SITES = (
 
 @pytest.mark.parametrize("sites", MIXED_SITES, ids=lambda sites: f"{len(sites)}-sites")
 def test_membership_rows_match_their_definition(sites):
-    """Row (context, outcome) holds 1 for each strategy that answers the
-    context with the outcome and 0 for every other strategy; a strategy's
-    cover row is the first row with b = 0 that holds a 1 for it."""
+    """In the c-th non-null context, strategy j answers row c * (outcome
+    tuples) + (index of its outcome), and its dense column holds a 1 there
+    and in the normalization row and 0 elsewhere; a strategy's cover row is
+    the first row with b = 0 that holds a 1 for it."""
     strategies = enumerate_deterministic_strategies(sites)
     verdicts = set()
     for seed in range(4):
         for model in (generate_random_model(seed, sites), project_to_empirical(random_strategy_mixture(seed, sites))):
-            rows, rhs, labels, cover = _membership_system(model, strategies)
-            assert (rows, rhs) == rebuild_rows(model, strategies)
+            hits, rhs, labels, cover = _membership_system(model, strategies)
+            contexts = sorted(model.context_weights(), key=model.context_sort_key)
+            outcomes = list(model.outcome_tuples())
+            assert len(hits) == len(contexts)
+            for c, (context, column) in enumerate(zip(contexts, hits)):
+                assert column == [
+                    c * len(outcomes) + outcomes.index(strategy.outcome_for(sites, context)) for strategy in strategies
+                ]
+            rows, expected_rhs = rebuild_rows(model, strategies)
+            assert rhs == expected_rhs
+            dense = full_membership_system(model)
+            assert dense == (rows, rhs)
             expected = []
-            for context in sorted(model.context_weights(), key=model.context_sort_key):
+            for context in contexts:
                 given = ", ".join(f"{site.name}={m}" for site, m in zip(sites, context))
-                for outcome in model.outcome_tuples():
+                for outcome in outcomes:
                     shown = ", ".join(f"{site.name}={o}" for site, o in zip(sites, outcome))
                     expected.append(f"p({shown} | {given})")
             assert labels == [*expected, "total probability"]
@@ -277,7 +290,7 @@ def test_membership_rows_match_their_definition(sites):
                 assert r == (zero_rows[0] if zero_rows else None)
             result = local_polytope_feasibility(model)
             assert result.row_labels == tuple(labels)
-            assert result.feasible == (feasible_point(rows, rhs)[0] is not None)
+            assert result.feasible == (feasible_point(*dense)[0] is not None)
             verdicts.add(result.feasible)
     # Any table of one site is a mixture of strategies.
     assert verdicts == ({True} if len(sites) == 1 else {True, False})
@@ -394,8 +407,7 @@ def test_polytope_rejects_hidden_models():
 
 def unpresolved_feasible(model):
     """The simplex's verdict on the full membership system."""
-    rows, rhs, _, _ = _membership_system(model, enumerate_deterministic_strategies(model.sites))
-    return feasible_point(rows, rhs)[0] is not None
+    return feasible_point(*full_membership_system(model))[0] is not None
 
 
 def half_noise(model):
@@ -425,15 +437,21 @@ def pr_box():
 PRESOLVE_SHAPES = ((1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (1, 3, 3))
 
 
-def test_presolved_verdicts_match_the_full_simplex():
+def presolve_sweep():
     """Seeded tables, strategy mixtures and their half-noise blends on seven
-    shapes, with Bell, EPR and the PR box: every route of the presolve gives
-    the verdict of the simplex on the full system."""
+    shapes, with Bell, EPR and the PR box."""
     models = [bell_model(), epr_model(), pr_box()]
     for sites in (*map(lambda shape: grid_sites(*shape), PRESOLVE_SHAPES), MIXED_SITES[2]):
         for seed in range(8):
             mixture = project_to_empirical(random_strategy_mixture(seed, sites))
             models += [generate_random_model(seed, sites), mixture, half_noise(mixture)]
+    return models
+
+
+def test_presolved_verdicts_match_the_full_simplex():
+    """Every route of the presolve gives the verdict of the simplex on the
+    full system, over the presolve sweep."""
+    models = presolve_sweep()
     routes = {"signalling": 0, "feasible": 0, "certificate": 0}
     for model in models:
         feasible = local_polytope_feasibility(model).feasible
@@ -442,6 +460,82 @@ def test_presolved_verdicts_match_the_full_simplex():
         routes[route] += 1
     assert len(models) == 171
     assert min(routes.values()) >= 2, routes
+
+
+def null_direction(sites, strategies):
+    """d with A d = 0 over the membership columns, or None: +1 on s00 and
+    s11 and -1 on s01 and s10, where s_ab is the first strategy with the
+    first site that has two measurements and two outcomes answering its
+    first measurement with outcome a and its second with outcome b. Each
+    context reads only one of the two answers, so every row sums to 0."""
+    i = next((i for i, site in enumerate(sites) if len(site.measurements) > 1 and len(site.outcomes) > 1), None)
+    if i is None:
+        return None
+    index = {strategy.responses: j for j, strategy in enumerate(strategies)}
+    base = strategies[0].responses
+    o = sites[i].outcomes
+
+    def variant(a, b):
+        return index[(*base[:i], (o[a], o[b], *base[i][2:]), *base[i + 1 :])]
+
+    return {variant(0, 0): 1, variant(1, 1): 1, variant(0, 1): -1, variant(1, 0): -1}
+
+
+def test_the_column_rechecks_agree_with_the_dense_ones():
+    """Over the presolve sweep, `_solves` and `_certifies` on the columns,
+    and `verify_solution` and `verify_farkas` on `rebuild_rows`, accept every
+    returned answer and both refuse each corruption of it: a wrong length;
+    for x, a weight moved to a strategy with another column, and a negative
+    weight that still solves A x = b; for y, -y, and one entry lowered until
+    some y.A_j < 0 while y.b stays negative."""
+    counted = Counter()
+    for model in presolve_sweep():
+        strategies = enumerate_deterministic_strategies(model.sites)
+        n = len(strategies)
+        hits, rhs, _, _ = _membership_system(model, strategies)
+        rows, _ = rebuild_rows(model, strategies)
+        result = local_polytope_feasibility(model)
+        if result.feasible:
+
+            def verdicts(x):
+                return _solves(hits, rhs, n, x), verify_solution(rows, rhs, x)
+
+            x = [Fraction(0)] * n
+            for j, w in result.strategy_weights:
+                x[j] = w
+            assert verdicts(x) == (True, True)
+            corrupted = [x[:-1], [*x, Fraction(0)]]
+            j = result.strategy_weights[0][0]
+            k = next(k for k in range(n) if any(row[k] != row[j] for row in rows))
+            moved = list(x)
+            moved[j], moved[k] = 0, x[k] + x[j]
+            corrupted.append(moved)
+            direction = null_direction(model.sites, strategies)
+            if direction is not None:
+                t = 1 + max(x[j] for j, sign in direction.items() if sign < 0)
+                negative = [v + t * direction.get(j, 0) for j, v in enumerate(x)]
+                assert min(negative) < 0
+                assert all(sum(v for a, v in zip(row, negative) if a) == bi for row, bi in zip(rows, rhs))
+                corrupted.append(negative)
+                counted["negative"] += 1
+        else:
+
+            def verdicts(y):
+                return _certifies(hits, rhs, n, y), verify_farkas(rows, rhs, y)
+
+            y = list(result.certificate)
+            assert verdicts(y) == (True, True)
+            corrupted = [y[:-1], [*y, Fraction(0)], [-v for v in y]]
+            combination = [sum(v for row, v in zip(rows, y) if row[j]) for j in range(n)]
+            for r in (len(rows) - 1, next(i for i, row in enumerate(rows) if row[0])):
+                lowered = list(y)
+                lowered[r] -= 1 + min(c for c, a in zip(combination, rows[r]) if a)
+                assert sum(v * bi for v, bi in zip(lowered, rhs)) < 0
+                corrupted.append(lowered)
+        counted[result.feasible] += 1
+        for answer in corrupted:
+            assert verdicts(answer) == (False, False)
+    assert counted[True] >= 40 and counted[False] >= 40 and counted["negative"] >= 40, counted
 
 
 def test_a_signalling_certificate_is_plus_and_minus_one_on_two_marginals():
@@ -469,8 +563,8 @@ def test_a_signalling_certificate_is_plus_and_minus_one_on_two_marginals():
 
 def test_the_pr_box_drops_every_strategy_and_lifts_its_certificate():
     model = pr_box()
-    strategies = enumerate_deterministic_strategies(model.sites)
-    rows, rhs, _, cover = _membership_system(model, strategies)
+    _, _, _, cover = _membership_system(model, enumerate_deterministic_strategies(model.sites))
+    rows, rhs = full_membership_system(model)
     assert first_signal(model) is None
     assert None not in cover
     result = local_polytope_feasibility(model)
