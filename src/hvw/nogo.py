@@ -21,17 +21,19 @@ Three classic obstruction patterns, each verified by exact computation:
 
 `local_polytope_feasibility` is the general membership test behind the Bell
 polytope route and works on any empirical model: feasible inputs come back
-with an explicit lambda-independent, local hidden-variable model. Its 0/1
-system is held by columns, as the row that each strategy answers in each
-context, so it takes (non-null contexts x strategies) ints rather than a
-dense (rows x strategies) table. Its answer may come from an exact presolve
-(E. D. Andersen and K. D. Andersen, Math. Prog. 71, 1995) rather than from
-the simplex over all strategies. A model that signals gets a +-1 Farkas
-certificate off the non-contextuality scan, and otherwise the strategies
-that answer some context with a zero-probability outcome are fixed at
-weight 0 before the simplex runs on a dense table of the rest. The returned
-x or y is still rechecked against the full, unpresolved system, by an int
-check over the columns that shares no code with `linprog`.
+with an explicit lambda-independent, local hidden-variable model. It counts
+the strategies and decodes by index only those of a feasible mixture, never
+listing them. Its 0/1 system is held by columns, as the row that each
+strategy index answers in each context, so it takes (non-null contexts x
+strategies) ints rather than a dense (rows x strategies) table. Its answer
+may come from an exact presolve (E. D. Andersen and K. D. Andersen, Math.
+Prog. 71, 1995) rather than from the simplex over all strategies. A model
+that signals gets a +-1 Farkas certificate off the non-contextuality scan,
+and otherwise the strategies that answer some context with a
+zero-probability outcome are fixed at weight 0 before the simplex runs on a
+dense table of the rest. The returned x or y is still rechecked against the
+full, unpresolved system, by an int check over the columns that shares no
+code with `linprog`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Iterable, Sequence
 
 from .codec import Codec
 from .constructions import construct_sv
-from .errors import InputError, check_size, show_value
+from .errors import InputError, UnknownLabelError, check_size, show_value
 from .linprog import feasible_point
 from .models import (
     DEFAULT_GUARD,
@@ -195,9 +197,20 @@ class DeterministicStrategy:
     responses: tuple[tuple[str, ...], ...]
 
     def outcome_for(self, sites: Sequence[Site], context: Sequence[str]) -> tuple[str, ...]:
-        return tuple(
-            self.responses[i][sites[i].measurements.index(m)] for i, m in enumerate(context)
-        )
+        """The outcome tuple answered in `context`, one measurement per site of
+        `sites`, the sites the strategy ranges over."""
+        n = len(self.responses)
+        if not len(context) == len(sites) == n:
+            if len(context) != n:
+                raise InputError(f"context {show_value(context)} does not name one measurement for each of {n} sites")
+            raise InputError(f"the strategy ranges over {n} sites, not the {len(sites)} given")
+        try:
+            return tuple(
+                [answers[site.measurements.index(m)] for answers, site, m in zip(self.responses, sites, context)]
+            )
+        except ValueError:
+            site, m = next((site, m) for site, m in zip(sites, context) if m not in site.measurements)
+            raise UnknownLabelError(f"unknown measurement {show_value(m)} at site {show_value(site.name)}") from None
 
     def describe(self, sites: Sequence[Site]) -> str:
         parts = []
@@ -212,17 +225,38 @@ def count_deterministic_strategies(sites: Sequence[Site]) -> int:
     return math.prod(len(site.outcomes) ** len(site.measurements) for site in sites)
 
 
+def _guarded_strategy_count(sites: Sequence[Site], guard: int) -> int:
+    """N, the number of strategies over `sites`, once the guard allows N."""
+    total = count_deterministic_strategies(sites)
+    check_size("deterministic strategy enumeration", total, guard)
+    return total
+
+
 def enumerate_deterministic_strategies(
     sites: Sequence[Site], guard: int = DEFAULT_GUARD
 ) -> list[DeterministicStrategy]:
     """All per-site response functions, in a fixed lexicographic order."""
     sites = site_tuple(sites, "enumerate_deterministic_strategies")
-    total = count_deterministic_strategies(sites)
-    check_size("deterministic strategy enumeration", total, guard)
+    _guarded_strategy_count(sites, guard)
     per_site = [
         list(itertools.product(site.outcomes, repeat=len(site.measurements))) for site in sites
     ]
     return [DeterministicStrategy(combo) for combo in itertools.product(*per_site)]
+
+
+def _decode_strategy(sites: Sequence[Site], index: int) -> DeterministicStrategy:
+    """Strategy `index` of `enumerate_deterministic_strategies(sites)`, with
+    no other listed: `index` read in mixed radix, one digit per site and
+    measurement, each in base the site's outcome count, the last site's last
+    measurement lowest."""
+    responses = []
+    for site in reversed(sites):
+        answers = []
+        for _ in site.measurements:
+            index, digit = divmod(index, len(site.outcomes))
+            answers.append(site.outcomes[digit])
+        responses.append(tuple(reversed(answers)))
+    return DeterministicStrategy(tuple(reversed(responses)))
 
 
 @dataclass(frozen=True)
@@ -245,31 +279,28 @@ class PolytopeResult(Codec):
     hvm: HiddenVariableModel | None = None
 
 
-def _mixture_hvm(
-    model: EmpiricalModel,
-    strategies: Sequence[DeterministicStrategy],
-    mixture: Sequence[tuple[int, Fraction]],
-) -> HiddenVariableModel:
+def _mixture_hvm(model: EmpiricalModel, mixture: Sequence[tuple[int, Fraction]]) -> HiddenVariableModel:
     """Hidden state `s<index>` plays strategy `index` with weight x on every
-    context, each context at its weight in `model`."""
+    context, each context at its weight in `model`. Only the strategies of
+    the mixture are decoded."""
     lambda_set = tuple(f"s{index}" for index, _ in mixture)
     scale = math.lcm(*(x.denominator for _, x in mixture))
     ranked: dict = {}
     for position, (index, x) in enumerate(mixture):
+        strategy = _decode_strategy(model.sites, index)
         share = x.numerator * (scale // x.denominator)
         for context, (mass, _) in model._context_table().items():
-            outcome = strategies[index].outcome_for(model.sites, context)
+            outcome = strategy.outcome_for(model.sites, context)
             rank = model.context_sort_key(context), model.outcome_sort_key(outcome), position
             ranked[rank] = (outcome, context, lambda_set[position]), mass * share
     weights = dict(map(ranked.__getitem__, sorted(ranked)))
     return model._derive(weights, model._denominator * scale, lambda_set)
 
 
-def _membership_system(
-    model: EmpiricalModel, strategies: Sequence[DeterministicStrategy]
-) -> tuple[list[list[int]], list[Fraction], list[str], list[int | None]]:
-    """The full membership system A x = b over every listed strategy, held
-    by columns, with the right-hand side and the row labels.
+def _membership_system(model: EmpiricalModel) -> tuple[list[list[int]], list[Fraction], list[str]]:
+    """The full membership system A x = b over all N strategies, held by
+    columns, with the right-hand side and the row labels. The strategies are
+    counted and addressed by index, never listed.
 
     The rows are one per non-null context and outcome tuple, in canonical
     order, then normalization. A is 0/1: column j holds a 1 in the row of
@@ -277,44 +308,63 @@ def _membership_system(
     So the system is `hits`, with `hits[c][j]` the row that strategy j
     answers in the c-th non-null context, and the last row left implicit:
     (non-null contexts x strategies) ints, never a (rows x strategies)
-    table. Also, per strategy, the index of the first row with b = 0 that it
-    answers, or None when it answers every context with an outcome of
-    positive probability."""
+    table."""
     sites = model.sites
     outcomes = list(model.outcome_tuples())
     outcome_texts = [describe(sites, outcome) for outcome in outcomes]
-    # A strategy's answer in a context is row start + sum_i stride_i * (its
-    # outcome index at site i), with start the context's first row and strides
-    # in canonical outcome order; each site's answers are listed in the order
-    # that the strategies enumerate them.
+    # Strategy j is, in mixed radix, one outcome index per site and
+    # measurement, the first slowest, as `enumerate_deterministic_strategies`
+    # lists them. In a context whose block of rows starts at `start`, it
+    # answers row start + sum_i stride_i * (its outcome index for site i's
+    # measurement there), strides in canonical outcome order. parts[i][k][t]
+    # is stride_i times digit k of t, over the response functions t of site
+    # i, so a context's column sums one part per site.
     strides = [math.prod(len(site.outcomes) for site in sites[i + 1 :]) for i in range(len(sites))]
-    answers = [
-        list(itertools.product(range(len(site.outcomes)), repeat=len(site.measurements))) for site in sites
-    ]
+    parts = []
+    for site, stride in zip(sites, strides):
+        base, digits = len(site.outcomes), len(site.measurements)
+        parts.append(
+            [
+                [stride * d for _ in range(base**k) for d in range(base) for _ in range(base ** (digits - 1 - k))]
+                for k in range(digits)
+            ]
+        )
     hits: list[list[int]] = []
     rhs: list[Fraction] = []
     labels: list[str] = []
-    cover: list[int | None] = [None] * len(strategies)
-    for context, distribution in model.context_distributions().items():
+    for context, (mass, row) in model._context_table().items():
         start = len(rhs)
-        parts = [
-            [stride * answer[k] for answer in site_answers]
-            for k, stride, site_answers in zip(model.context_sort_key(context), strides, answers)
-        ]
-        column = list(map(sum, itertools.product((start,), *parts)))
-        # Each zero row maps to itself, so `zero.get` gives a strategy's answer
-        # if it is a zero row and None otherwise; a first cover row is kept.
-        zero = {start + k: start + k for k, outcome in enumerate(outcomes) if outcome not in distribution}
-        if zero:
-            cover = [zero.get(r) if c is None else c for c, r in zip(cover, column)]
+        chosen = [site_parts[k] for site_parts, k in zip(parts, model.context_sort_key(context))]
+        column = [start + v for v in chosen[-1]]
+        for part in reversed(chosen[:-1]):
+            column = [v + w for v in part for w in column]
         hits.append(column)
         context_text = describe(sites, context)
-        for outcome, text in zip(outcomes, outcome_texts):
-            rhs.append(distribution.get(outcome, ZERO))
-            labels.append(f"p({text} | {context_text})")
+        rhs += [Fraction(n, mass) if n else ZERO for n in map(row.get, outcomes)]
+        labels += [f"p({text} | {context_text})" for text in outcome_texts]
     rhs.append(ONE)
     labels.append("total probability")
-    return hits, rhs, labels, cover
+    return hits, rhs, labels
+
+
+def _cover(hits: Sequence[Sequence[int]], rhs: Sequence[Fraction], width: int) -> list[int | None]:
+    """Per strategy, the first row with b = 0 that it answers, or None when
+    it answers every context with an outcome of positive probability. The
+    c-th context's block of `width` rows starts at row c * width. Each
+    context reads only the strategies that no earlier context covers."""
+    cover: list[int | None] = [None] * len(hits[0])
+    uncovered: Iterable[int] = range(len(cover))
+    for c, column in enumerate(hits):
+        zero = {r for r in range(c * width, (c + 1) * width) if not rhs[r]}
+        if zero:
+            still = []
+            for j in uncovered:
+                if column[j] in zero:
+                    cover[j] = column[j]
+                else:
+                    still.append(j)
+            uncovered = still
+    return cover
 
 
 def _signalling_certificate(
@@ -369,20 +419,22 @@ def _lifted_certificate(
 
 
 def _presolved_answer(
-    model: EmpiricalModel, hits: list[list[int]], rhs: list[Fraction], cover: list[int | None]
+    model: EmpiricalModel, hits: list[list[int]], rhs: list[Fraction]
 ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
     """(x, None) or (None, y) for the full membership system, as
     `feasible_point` answers, with the simplex run only where needed.
 
-    A model that signals is answered by `_signalling_certificate`. Otherwise
-    a strategy with a cover row must have weight 0, since that row has b = 0
-    and A >= 0, so the simplex runs only on the other strategies and on the
-    rows with b != 0 (the dropped rows are 0 on every kept strategy). Its
-    dense 0/1 table is built from `hits`, kept rows by kept strategies. Its
-    x is lifted by zeros, and its y by `_lifted_certificate`."""
+    A model that signals is answered by `_signalling_certificate`, with no
+    pass over the strategies. Otherwise a strategy with a `_cover` row must
+    have weight 0, since that row has b = 0 and A >= 0, so the simplex runs
+    only on the other strategies and on the rows with b != 0 (the dropped
+    rows are 0 on every kept strategy). Its dense 0/1 table is built from
+    `hits`, kept rows by kept strategies. Its x is lifted by zeros, and its
+    y by `_lifted_certificate`."""
     signal = first_signal(model)
     if signal is not None:
         return None, _signalling_certificate(model, signal, len(rhs))
+    cover = _cover(hits, rhs, model.n_outcome_tuples())
     kept = [j for j, r in enumerate(cover) if r is None]
     live = [i for i, bi in enumerate(rhs) if bi]
     # A kept strategy answers only rows with b != 0, and so has a 1 in the
@@ -449,8 +501,10 @@ def local_polytope_feasibility(
 
     Builds the exact equality system (one row per non-null context and
     outcome tuple, plus normalization) over all deterministic strategies and
-    asks for nonnegative weights. The 0/1 system is held by columns: for
-    each context, the row that each strategy answers. The answer may come
+    asks for nonnegative weights. The strategies are counted, not listed:
+    the 0/1 system is held by columns, for each context the row that each
+    strategy index answers, and only the strategies of a feasible mixture
+    are decoded, for its witness model. The answer may come
     from the presolve (`_presolved_answer`): a signalling model gets a +-1
     certificate with no simplex, and otherwise the simplex sees only the
     strategies that no zero cell rules out. Either answer is rechecked
@@ -459,27 +513,27 @@ def local_polytope_feasibility(
     being returned.
     """
     require(model, EmpiricalModel, "local_polytope_feasibility")
-    strategies = enumerate_deterministic_strategies(model.sites, guard)
-    hits, rhs, labels, cover = _membership_system(model, strategies)
-    x, y = _presolved_answer(model, hits, rhs, cover)
+    n = _guarded_strategy_count(model.sites, guard)
+    hits, rhs, labels = _membership_system(model)
+    x, y = _presolved_answer(model, hits, rhs)
     if x is not None:
-        if not _solves(hits, rhs, len(strategies), x):
+        if not _solves(hits, rhs, n, x):
             raise AssertionError("solver returned a point that fails direct recheck")
         mixture = tuple((i, w) for i, w in enumerate(x) if w)
-        hvm = _mixture_hvm(model, strategies, mixture)
+        hvm = _mixture_hvm(model, mixture)
         return PolytopeResult(
             feasible=True,
-            strategy_count=len(strategies),
+            strategy_count=n,
             row_labels=tuple(labels),
             strategy_weights=mixture,
             hvm=hvm,
         )
     assert y is not None
-    if not _certifies(hits, rhs, len(strategies), y):
+    if not _certifies(hits, rhs, n, y):
         raise AssertionError("solver returned a certificate that fails direct recheck")
     return PolytopeResult(
         feasible=False,
-        strategy_count=len(strategies),
+        strategy_count=n,
         row_labels=tuple(labels),
         certificate=tuple(y),
     )
@@ -499,9 +553,9 @@ def random_strategy_mixture(
     """
     sites = site_tuple(sites, "random_strategy_mixture")
     rng = random.Random(seed)
-    strategies = enumerate_deterministic_strategies(sites, guard)
-    k = rng.randint(1, max(1, min(MAX_MIXTURE_COMPONENTS, len(strategies))))
-    indices = sorted(rng.sample(range(len(strategies)), k))
+    count = _guarded_strategy_count(sites, guard)
+    k = rng.randint(1, max(1, min(MAX_MIXTURE_COMPONENTS, count)))
+    indices = sorted(rng.sample(range(count), k))
     parts = [rng.randint(1, 8) for _ in indices]
     total = sum(parts)
     rows = math.prod(len(site.measurements) for site in sites) * k
@@ -511,7 +565,7 @@ def random_strategy_mixture(
     first = tuple(site.outcomes[0] for site in sites)
     uniform = EmpiricalModel(sites, {(first, context): Fraction(1, len(contexts)) for context in contexts})
     mixture = [(index, Fraction(part, total)) for index, part in zip(indices, parts)]
-    return _mixture_hvm(uniform, strategies, mixture)
+    return _mixture_hvm(uniform, mixture)
 
 
 # ---------------------------------------------------------------------------

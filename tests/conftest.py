@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hvw import EmpiricalModel, HiddenVariableModel, Site, bell_model, enumerate_deterministic_strategies
+from hvw import EmpiricalModel, HiddenVariableModel, Site, bell_model, count_deterministic_strategies
 from hvw.cli import main
 from hvw.nogo import _membership_system
 
@@ -38,13 +38,14 @@ def full_membership_system(model: EmpiricalModel) -> tuple[list[list[int]], list
     `verify_farkas` read: `nogo._membership_system`'s columns expanded, a 1
     for strategy j in row `hits[c][j]` of each context c and in the last
     (normalization) row."""
-    strategies = enumerate_deterministic_strategies(model.sites)
-    hits, rhs, _, _ = _membership_system(model, strategies)
-    rows = [[0] * len(strategies) for _ in rhs]
+    n = count_deterministic_strategies(model.sites)
+    hits, rhs, _ = _membership_system(model)
+    rows = [[0] * n for _ in rhs]
     for column in hits:
+        assert len(column) == n
         for j, r in enumerate(column):
             rows[r][j] = 1
-    rows[-1] = [1] * len(strategies)
+    rows[-1] = [1] * n
     return rows, rhs
 
 

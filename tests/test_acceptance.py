@@ -203,14 +203,15 @@ def test_criterion_3_membership_at_4096_strategies(shape, rows):
         assert result.hvm is not None
         assert equivalent_empirical(control, result.hvm).holds
         elapsed = time.monotonic() - started
-        assert elapsed < 2.0, f"took {elapsed:.2f}s"
+        assert elapsed < 0.5, f"took {elapsed:.2f}s"
 
 
 def test_criterion_3_membership_of_a_point_mass_over_4000_outcomes():
     """One site, one measurement and 4,000 outcomes, all mass on the first:
-    4,000 strategies and 4,001 rows, settled by the presolve. The system is
-    held by columns, so memory grows with the strategies, not with rows x
-    strategies (125 MiB as a dense 0/1 table)."""
+    4,000 strategies and 4,001 rows, settled by the presolve. The strategies
+    are counted, not listed, and the system is held by columns, so memory
+    grows with the strategies, not with rows x strategies (125 MiB as a dense
+    0/1 table)."""
     with criterion(3, "deterministic-mixture membership of a 4,000-outcome point mass"):
         site = Site("X", ("M",), tuple(f"o{i}" for i in range(4000)))
         model = EmpiricalModel((site,), {(("o0",), ("M",)): ONE})
@@ -227,8 +228,8 @@ def test_criterion_3_membership_of_a_point_mass_over_4000_outcomes():
         assert result.feasible
         assert result.strategy_weights == ((0, ONE),)
         assert equivalent_empirical(model, result.hvm).holds
-        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-        assert elapsed < 2.0, f"took {elapsed:.2f}s"
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert elapsed < 0.5, f"took {elapsed:.2f}s"
 
 
 def test_criterion_4_orthogonality_table(cli):

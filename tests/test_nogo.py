@@ -27,6 +27,7 @@ from hvw import (
     PolytopeResult,
     SizeGuardError,
     Site,
+    UnknownLabelError,
     bell_certificate,
     bell_model,
     bell_pi_escape,
@@ -58,7 +59,8 @@ from hvw import (
     verify_ks,
     verify_solution,
 )
-from hvw.nogo import _certifies, _membership_system, _solves
+from hvw import nogo
+from hvw.nogo import _certifies, _cover, _decode_strategy, _membership_system, _solves
 from hvw.properties import first_signal
 
 ONE = Fraction(1)
@@ -169,6 +171,28 @@ def test_strategy_enumeration_guard():
 
 
 @pytest.mark.parametrize(
+    "sites, context, error, message",
+    [
+        pytest.param(None, ("1", "4"), UnknownLabelError, "unknown measurement '4' at site 'B'", id="undeclared"),
+        pytest.param(None, ("x", "1"), UnknownLabelError, "unknown measurement 'x' at site 'A'", id="undeclared-first"),
+        pytest.param(None, ("1", 2), UnknownLabelError, "unknown measurement 2 at site 'B'", id="not-a-str"),
+        pytest.param(
+            None, ("1", "2", "3"), InputError, "context ('1', '2', '3') does not name one measurement for each of 2 sites",
+            id="long-context",
+        ),
+        pytest.param(None, ("1",), InputError, "context ('1',) does not name one measurement for each of 2 sites", id="short-context"),
+        pytest.param(1, ("1", "2"), InputError, "the strategy ranges over 2 sites, not the 1 given", id="short-sites"),
+    ],
+)
+def test_a_strategy_refuses_a_context_it_cannot_answer(sites, context, error, message):
+    bell_sites = bell_model().sites
+    strategy = enumerate_deterministic_strategies(bell_sites)[13]
+    with pytest.raises(error) as exc:
+        strategy.outcome_for(bell_sites[:sites], context)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
     "call, message",
     [
         pytest.param(lambda: enumerate_deterministic_strategies(5), "enumerate_deterministic_strategies needs a sequence of sites, not 5", id="enumerate-int"),
@@ -256,6 +280,17 @@ MIXED_SITES = (
 )
 
 
+@pytest.mark.parametrize(
+    "sites",
+    (*MIXED_SITES, grid_sites(1, 2, 3), grid_sites(2, 2, 3), grid_sites(3, 2, 2)),
+    ids=lambda sites: "-".join(f"{len(site.measurements)}x{len(site.outcomes)}" for site in sites),
+)
+def test_a_decoded_strategy_is_the_enumerated_one(sites):
+    strategies = enumerate_deterministic_strategies(sites)
+    assert len(strategies) == count_deterministic_strategies(sites)
+    assert [_decode_strategy(sites, j) for j in range(len(strategies))] == strategies
+
+
 @pytest.mark.parametrize("sites", MIXED_SITES, ids=lambda sites: f"{len(sites)}-sites")
 def test_membership_rows_match_their_definition(sites):
     """In the c-th non-null context, strategy j answers row c * (outcome
@@ -266,9 +301,10 @@ def test_membership_rows_match_their_definition(sites):
     verdicts = set()
     for seed in range(4):
         for model in (generate_random_model(seed, sites), project_to_empirical(random_strategy_mixture(seed, sites))):
-            hits, rhs, labels, cover = _membership_system(model, strategies)
+            hits, rhs, labels = _membership_system(model)
             contexts = sorted(model.context_weights(), key=model.context_sort_key)
             outcomes = list(model.outcome_tuples())
+            cover = _cover(hits, rhs, len(outcomes))
             assert len(hits) == len(contexts)
             for c, (context, column) in enumerate(zip(contexts, hits)):
                 assert column == [
@@ -492,7 +528,7 @@ def test_the_column_rechecks_agree_with_the_dense_ones():
     for model in presolve_sweep():
         strategies = enumerate_deterministic_strategies(model.sites)
         n = len(strategies)
-        hits, rhs, _, _ = _membership_system(model, strategies)
+        hits, rhs, _ = _membership_system(model)
         rows, _ = rebuild_rows(model, strategies)
         result = local_polytope_feasibility(model)
         if result.feasible:
@@ -563,7 +599,8 @@ def test_a_signalling_certificate_is_plus_and_minus_one_on_two_marginals():
 
 def test_the_pr_box_drops_every_strategy_and_lifts_its_certificate():
     model = pr_box()
-    _, _, _, cover = _membership_system(model, enumerate_deterministic_strategies(model.sites))
+    hits, rhs, _ = _membership_system(model)
+    cover = _cover(hits, rhs, model.n_outcome_tuples())
     rows, rhs = full_membership_system(model)
     assert first_signal(model) is None
     assert None not in cover
@@ -572,6 +609,43 @@ def test_the_pr_box_drops_every_strategy_and_lifts_its_certificate():
     assert len(result.certificate) == len(rows) == len(result.row_labels)
     assert verify_farkas(rows, rhs, list(result.certificate))
     assert not unpresolved_feasible(model)
+
+
+def test_membership_lists_no_strategy(monkeypatch):
+    """The LP path and the mixture controls count and decode strategies:
+    with the enumeration made to raise, they give the same answers."""
+    sites = grid_sites(2, 3, 2)
+    models = [bell_model(), project_to_empirical(random_strategy_mixture(3, sites)), generate_random_model(3, sites)]
+    expected = [local_polytope_feasibility(model) for model in models]
+    mixture = random_strategy_mixture(5, sites)
+
+    def listed(*args, **kwargs):
+        raise AssertionError("strategies listed")
+
+    monkeypatch.setattr(nogo, "enumerate_deterministic_strategies", listed)
+    assert [local_polytope_feasibility(model) for model in models] == expected
+    assert [result.feasible for result in expected] == [False, True, False]
+    assert random_strategy_mixture(5, sites) == mixture
+
+
+def test_the_cover_pass_runs_only_on_a_table_that_does_not_signal(monkeypatch):
+    """A signalling table is answered before any cover row is sought; Bell,
+    which does not signal, still reaches that pass."""
+    signalling = generate_random_model(0, grid_sites(2, 2, 2))
+    assert first_signal(signalling) is not None and first_signal(bell_model()) is None
+    expected = local_polytope_feasibility(signalling)
+
+    class Reached(Exception):
+        pass
+
+    def cover(*args):
+        raise Reached
+
+    monkeypatch.setattr(nogo, "_cover", cover)
+    assert local_polytope_feasibility(signalling) == expected
+    assert not expected.feasible
+    with pytest.raises(Reached):
+        local_polytope_feasibility(bell_model())
 
 
 def test_a_measurement_in_no_non_null_context_is_passed_over():
