@@ -23,17 +23,19 @@ Three classic obstruction patterns, each verified by exact computation:
 polytope route and works on any empirical model: feasible inputs come back
 with an explicit lambda-independent, local hidden-variable model. It counts
 the strategies and decodes by index only those of a feasible mixture, never
-listing them. Its 0/1 system is held by columns, as the row that each
-strategy index answers in each context, so it takes (non-null contexts x
-strategies) ints rather than a dense (rows x strategies) table. Its answer
+listing them. Its system is all ints: the 0/1 matrix is held by columns,
+as the row that each strategy index answers in each context, so it takes
+(non-null contexts x strategies) ints rather than a dense (rows x
+strategies) table, and b is int counts over the context masses. Its answer
 may come from an exact presolve (E. D. Andersen and K. D. Andersen, Math.
 Prog. 71, 1995) rather than from the simplex over all strategies. A model
 that signals gets a +-1 Farkas certificate off the non-contextuality scan,
 and otherwise the strategies that answer some context with a
 zero-probability outcome are fixed at weight 0 before the simplex runs on a
-dense table of the rest. The returned x or y is still rechecked against the
-full, unpresolved system, by an int check over the columns that shares no
-code with `linprog`.
+dense table of the rest; in a certificate, each dropped strategy is repaired
+on the first zero row it answers. The returned x or y is still rechecked
+against the full, unpresolved system, by an int check over the columns that
+shares no code with `linprog`.
 """
 
 from __future__ import annotations
@@ -244,19 +246,20 @@ def enumerate_deterministic_strategies(
     return [DeterministicStrategy(combo) for combo in itertools.product(*per_site)]
 
 
-def _decode_strategy(sites: Sequence[Site], index: int) -> DeterministicStrategy:
+def _digits(sites: Sequence[Site], index: int) -> list[list[int]]:
     """Strategy `index` of `enumerate_deterministic_strategies(sites)`, with
-    no other listed: `index` read in mixed radix, one digit per site and
+    no other listed, as `[i][k]`, the index of its outcome for measurement k
+    of site i: `index` read in mixed radix, one digit per site and
     measurement, each in base the site's outcome count, the last site's last
     measurement lowest."""
-    responses = []
+    digits = []
     for site in reversed(sites):
         answers = []
         for _ in site.measurements:
             index, digit = divmod(index, len(site.outcomes))
-            answers.append(site.outcomes[digit])
-        responses.append(tuple(reversed(answers)))
-    return DeterministicStrategy(tuple(reversed(responses)))
+            answers.append(digit)
+        digits.append(answers[::-1])
+    return digits[::-1]
 
 
 @dataclass(frozen=True)
@@ -282,105 +285,90 @@ class PolytopeResult(Codec):
 def _mixture_hvm(model: EmpiricalModel, mixture: Sequence[tuple[int, Fraction]]) -> HiddenVariableModel:
     """Hidden state `s<index>` plays strategy `index` with weight x on every
     context, each context at its weight in `model`. Only the strategies of
-    the mixture are decoded."""
+    the mixture are decoded. Contexts come in canonical order, so only the
+    mixture's answers within one are sorted, by outcome and then position."""
+    sites = model.sites
     lambda_set = tuple(f"s{index}" for index, _ in mixture)
     scale = math.lcm(*(x.denominator for _, x in mixture))
-    ranked: dict = {}
-    for position, (index, x) in enumerate(mixture):
-        strategy = _decode_strategy(model.sites, index)
-        share = x.numerator * (scale // x.denominator)
-        for context, (mass, _) in model._context_table().items():
-            outcome = strategy.outcome_for(model.sites, context)
-            rank = model.context_sort_key(context), model.outcome_sort_key(outcome), position
-            ranked[rank] = (outcome, context, lambda_set[position]), mass * share
-    weights = dict(map(ranked.__getitem__, sorted(ranked)))
+    shares = [x.numerator * (scale // x.denominator) for _, x in mixture]
+    decoded = [_digits(sites, index) for index, _ in mixture]
+    weights = {}
+    for context, (mass, _) in model._context_table().items():
+        key = model.context_sort_key(context)
+        answers = sorted((tuple(map(list.__getitem__, digits, key)), p) for p, digits in enumerate(decoded))
+        for answer, p in answers:
+            outcome = tuple(site.outcomes[o] for site, o in zip(sites, answer))
+            weights[(outcome, context, lambda_set[p])] = mass * shares[p]
     return model._derive(weights, model._denominator * scale, lambda_set)
 
 
-def _membership_system(model: EmpiricalModel) -> tuple[list[list[int]], list[Fraction], list[str]]:
-    """The full membership system A x = b over all N strategies, held by
-    columns, with the right-hand side and the row labels. The strategies are
-    counted and addressed by index, never listed.
+class _System:
+    """The full membership system A x = b over all N strategies, in ints,
+    with the row labels. The strategies are counted and addressed by index,
+    never listed.
 
     The rows are one per non-null context and outcome tuple, in canonical
-    order, then normalization. A is 0/1: column j holds a 1 in the row of
-    the outcome that strategy j gives in each context, and in the last row.
-    So the system is `hits`, with `hits[c][j]` the row that strategy j
-    answers in the c-th non-null context, and the last row left implicit:
-    (non-null contexts x strategies) ints, never a (rows x strategies)
-    table."""
-    sites = model.sites
-    outcomes = list(model.outcome_tuples())
-    outcome_texts = [describe(sites, outcome) for outcome in outcomes]
-    # Strategy j is, in mixed radix, one outcome index per site and
-    # measurement, the first slowest, as `enumerate_deterministic_strategies`
-    # lists them. In a context whose block of rows starts at `start`, it
-    # answers row start + sum_i stride_i * (its outcome index for site i's
-    # measurement there), strides in canonical outcome order. parts[i][k][t]
-    # is stride_i times digit k of t, over the response functions t of site
-    # i, so a context's column sums one part per site.
-    strides = [math.prod(len(site.outcomes) for site in sites[i + 1 :]) for i in range(len(sites))]
-    parts = []
-    for site, stride in zip(sites, strides):
-        base, digits = len(site.outcomes), len(site.measurements)
-        parts.append(
-            [
-                [stride * d for _ in range(base**k) for d in range(base) for _ in range(base ** (digits - 1 - k))]
-                for k in range(digits)
-            ]
-        )
-    hits: list[list[int]] = []
-    rhs: list[Fraction] = []
-    labels: list[str] = []
-    for context, (mass, row) in model._context_table().items():
-        start = len(rhs)
-        chosen = [site_parts[k] for site_parts, k in zip(parts, model.context_sort_key(context))]
-        column = [start + v for v in chosen[-1]]
-        for part in reversed(chosen[:-1]):
-            column = [v + w for v in part for w in column]
-        hits.append(column)
-        context_text = describe(sites, context)
-        rhs += [Fraction(n, mass) if n else ZERO for n in map(row.get, outcomes)]
-        labels += [f"p({text} | {context_text})" for text in outcome_texts]
-    rhs.append(ONE)
-    labels.append("total probability")
-    return hits, rhs, labels
+    order, then normalization: the c-th of `contexts` has the `width` rows
+    from c * width. A is 0/1: column j holds a 1 in the row of the outcome
+    that strategy j gives in each context, and in the last row. So A is held
+    by columns, as `hits[c][j]`, the row that strategy j answers in context
+    c: (non-null contexts x strategies) ints, never a (rows x strategies)
+    table. Row r of context c has b = counts[r] / masses[c], both over the
+    model's denominator, and the last row b = counts[-1] = 1."""
+
+    def __init__(self, model: EmpiricalModel) -> None:
+        sites = model.sites
+        table = model._context_table()
+        outcomes = list(model.outcome_tuples())
+        outcome_texts = [describe(sites, outcome) for outcome in outcomes]
+        # Strategy j is, in mixed radix, one outcome index per site and
+        # measurement, the first slowest, as `enumerate_deterministic_strategies`
+        # lists them. In a context whose block of rows starts at `start`, it
+        # answers row start + sum_i stride_i * (its outcome index for site i's
+        # measurement there), strides in canonical outcome order. parts[i][k][t]
+        # is stride_i times digit k of t, over the response functions t of site
+        # i, so a context's column sums one part per site.
+        strides = [math.prod(len(site.outcomes) for site in sites[i + 1 :]) for i in range(len(sites))]
+        parts = []
+        for site, stride in zip(sites, strides):
+            base, digits = len(site.outcomes), len(site.measurements)
+            parts.append(
+                [
+                    [stride * d for _ in range(base**k) for d in range(base) for _ in range(base ** (digits - 1 - k))]
+                    for k in range(digits)
+                ]
+            )
+        self.contexts = list(table)
+        self.width = len(outcomes)
+        self.hits: list[list[int]] = []
+        self.masses: list[int] = []
+        self.counts: list[int] = []
+        self.labels: list[str] = []
+        for context, (mass, row) in table.items():
+            start = len(self.counts)
+            chosen = [site_parts[k] for site_parts, k in zip(parts, model.context_sort_key(context))]
+            column = [start + v for v in chosen[-1]]
+            for part in reversed(chosen[:-1]):
+                column = [v + w for v in part for w in column]
+            self.hits.append(column)
+            self.masses.append(mass)
+            self.counts += [row.get(outcome, 0) for outcome in outcomes]
+            context_text = describe(sites, context)
+            self.labels += [f"p({text} | {context_text})" for text in outcome_texts]
+        self.counts.append(1)
+        self.labels.append("total probability")
 
 
-def _cover(hits: Sequence[Sequence[int]], rhs: Sequence[Fraction], width: int) -> list[int | None]:
-    """Per strategy, the first row with b = 0 that it answers, or None when
-    it answers every context with an outcome of positive probability. The
-    c-th context's block of `width` rows starts at row c * width. Each
-    context reads only the strategies that no earlier context covers."""
-    cover: list[int | None] = [None] * len(hits[0])
-    uncovered: Iterable[int] = range(len(cover))
-    for c, column in enumerate(hits):
-        zero = {r for r in range(c * width, (c + 1) * width) if not rhs[r]}
-        if zero:
-            still = []
-            for j in uncovered:
-                if column[j] in zero:
-                    cover[j] = column[j]
-                else:
-                    still.append(j)
-            uncovered = still
-    return cover
-
-
-def _signalling_certificate(
-    model: EmpiricalModel, signal: tuple, n_rows: int
-) -> list[Fraction]:
+def _signalling_certificate(model: EmpiricalModel, system: _System, signal: tuple) -> list[Fraction]:
     """y over the membership rows of a model whose marginal q(a | c) for
     measurement m at site i differs from q(a | c'): +1 on the rows (o, c)
     and -1 on the rows (o, c') with o_i = a, negated if need be so that
     y.b < 0. Every strategy answers m the same in c and c', so y.A = 0."""
     i, _, first, other, a, lhs, rhs = signal
-    contexts = list(model._context_table())
-    width = model.n_outcome_tuples()
-    # Context c's block of rows starts at row (position of c) * width.
-    start, other_start = contexts.index(first) * width, contexts.index(other) * width
+    width = system.width
+    start, other_start = system.contexts.index(first) * width, system.contexts.index(other) * width
     sign = ONE if lhs < rhs else -ONE
-    y = [ZERO] * n_rows
+    y = [ZERO] * len(system.counts)
     for k, outcome in enumerate(model.outcome_tuples()):
         if outcome[i] == a:
             y[start + k] = sign
@@ -388,110 +376,121 @@ def _signalling_certificate(
     return y
 
 
-def _lifted_certificate(
-    hits: Sequence[Sequence[int]],
-    n_rows: int,
-    live: Sequence[int],
-    certificate: Sequence[Fraction],
-    cover: Sequence[int | None],
-) -> list[Fraction]:
-    """A certificate of the membership system reduced to rows `live` and the
-    strategies with no `cover` row, lifted to all `n_rows` rows and every
-    strategy.
+def _kept_strategies(system: _System) -> Sequence[int]:
+    """The strategies that answer no row with b = 0, in order. Each
+    context reads only the strategies that the earlier ones kept."""
+    kept: Sequence[int] = range(len(system.hits[0]))
+    for column in system.hits:
+        kept = [j for j in kept if system.counts[column[j]]]
+    return kept
+
+
+def _lifted_certificate(system: _System, live: Sequence[int], certificate: Sequence[Fraction]) -> list[Fraction]:
+    """A certificate of the membership system reduced to rows `live` and
+    the `_kept_strategies`, lifted to all rows and every strategy.
 
     With zeros on the other rows, y.A is the reduced y.A >= 0 on each kept
-    strategy, but may be negative on a dropped one. Each such strategy j,
-    in order, raises y on its cover row by its deficit -y.A_j, where y.A_j
-    is y's last (normalization) entry plus y on the row that j answers in
-    each context. That row has b = 0, so y.b is unchanged, and it is 0 on
+    strategy, but may be negative on a dropped one. Each strategy j, in
+    order, raises y by its deficit -y.A_j, if positive, on the first row
+    with b = 0 that it answers (only a dropped one has a deficit), where
+    y.A_j is y's last (normalization) entry plus y on the row that j answers
+    in each context. That row has b = 0, so y.b is unchanged, and it is 0 on
     every kept strategy and nonnegative elsewhere, so no other y.A falls.
     All in ints over one common scale."""
+    hits, counts = system.hits, system.counts
     scale = math.lcm(*(v.denominator for v in certificate))
-    y = [0] * n_rows
+    y = [0] * len(counts)
     for i, v in zip(live, certificate):
         y[i] = v.numerator * (scale // v.denominator)
-    for j, r in enumerate(cover):
-        if r is not None:
-            deficit = -(y[-1] + sum(y[column[j]] for column in hits))
-            if deficit > 0:
-                y[r] += deficit
+    for j in range(len(hits[0])):
+        deficit = -(y[-1] + sum(y[column[j]] for column in hits))
+        if deficit > 0:
+            y[next(column[j] for column in hits if not counts[column[j]])] += deficit
     return [Fraction(v, scale) for v in y]
 
 
 def _presolved_answer(
-    model: EmpiricalModel, hits: list[list[int]], rhs: list[Fraction]
+    model: EmpiricalModel, system: _System
 ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
     """(x, None) or (None, y) for the full membership system, as
     `feasible_point` answers, with the simplex run only where needed.
 
     A model that signals is answered by `_signalling_certificate`, with no
-    pass over the strategies. Otherwise a strategy with a `_cover` row must
-    have weight 0, since that row has b = 0 and A >= 0, so the simplex runs
-    only on the other strategies and on the rows with b != 0 (the dropped
-    rows are 0 on every kept strategy). Its dense 0/1 table is built from
-    `hits`, kept rows by kept strategies. Its x is lifted by zeros, and its
-    y by `_lifted_certificate`."""
+    column read. Otherwise a strategy that answers a row with b = 0 must
+    have weight 0, since A >= 0, so the simplex runs only on the
+    `_kept_strategies` and on the rows with b != 0 (the dropped rows are 0
+    on every kept strategy): a dense 0/1 table built from `hits`, and a
+    `Fraction` b for those rows alone. Its x is lifted by zeros, and its y
+    by `_lifted_certificate`."""
     signal = first_signal(model)
     if signal is not None:
-        return None, _signalling_certificate(model, signal, len(rhs))
-    cover = _cover(hits, rhs, model.n_outcome_tuples())
-    kept = [j for j, r in enumerate(cover) if r is None]
-    live = [i for i, bi in enumerate(rhs) if bi]
+        return None, _signalling_certificate(model, system, signal)
+    kept = _kept_strategies(system)
+    counts, width = system.counts, system.width
+    live = [r for r, count in enumerate(counts) if count]
     # A kept strategy answers only rows with b != 0, and so has a 1 in the
     # live row of each of its answers and in the last, normalization, row.
-    position = {i: p for p, i in enumerate(live)}
+    position = {r: p for p, r in enumerate(live)}
     table = [[0] * len(kept) for _ in live]
-    for column in hits:
+    for column in system.hits:
         for p, j in enumerate(kept):
             table[position[column[j]]][p] = 1
     table[-1] = [1] * len(kept)
-    x, y = feasible_point(table, [rhs[i] for i in live])
+    b = [Fraction(counts[r], system.masses[r // width]) for r in live[:-1]]
+    x, y = feasible_point(table, [*b, ONE])
     if x is None:
         assert y is not None
-        return None, _lifted_certificate(hits, len(rhs), live, y, cover)
-    full = [ZERO] * len(cover)
+        return None, _lifted_certificate(system, live, y)
+    full = [ZERO] * len(system.hits[0])
     for j, v in zip(kept, x):
         full[j] = v
     return full, None
 
 
-def _solves(hits: Sequence[Sequence[int]], rhs: Sequence[Fraction], n: int, x: Sequence[Fraction]) -> bool:
+def _solves(system: _System, n: int, x: Sequence[Fraction]) -> bool:
     """Recheck that x, over n strategies, is >= 0 and solves the membership
     system held by columns, in ints. Each nonzero weight, scaled by the lcm
     L of their denominators, is added into the row its strategy answers in
-    each context and into the last row; row i must then hold b_i L."""
+    each context and into the last row; row r of context c must then hold
+    b_r L, that is sums[r] * masses[c] == counts[r] * L."""
     if len(x) != n:
         return False
     support = [(j, v) for j, v in enumerate(x) if v]
     if any(v < 0 for _, v in support):
         return False
     scale = math.lcm(*(v.denominator for _, v in support))
-    sums = [0] * len(rhs)
+    masses, width = system.masses, system.width
+    sums = [0] * len(system.counts)
     for j, v in support:
         w = v.numerator * (scale // v.denominator)
-        for column in hits:
+        for column in system.hits:
             sums[column[j]] += w
         sums[-1] += w
-    return all(s * b.denominator == b.numerator * scale for s, b in zip(sums, rhs))
+    return sums[-1] == scale and all(
+        s * masses[r // width] == count * scale for r, (s, count) in enumerate(zip(sums[:-1], system.counts))
+    )
 
 
-def _certifies(hits: Sequence[Sequence[int]], rhs: Sequence[Fraction], n: int, y: Sequence[Fraction]) -> bool:
+def _certifies(system: _System, n: int, y: Sequence[Fraction]) -> bool:
     """Recheck a Farkas certificate of the membership system held by
     columns, in ints: y.A_j >= 0 for each of the n strategies, and y.b < 0.
     With y scaled by the lcm of its denominators, y.A_j is the last row's
     entry plus the entries of the rows that strategy j answers."""
-    if len(y) != len(rhs):
+    if len(y) != len(system.counts):
         return False
     scale = math.lcm(*(v.denominator for v in y))
     z = [v.numerator * (scale // v.denominator) for v in y]
     sums = [z[-1]] * n
-    for column in hits:
+    for column in system.hits:
         sums = [s + z[r] for s, r in zip(sums, column)]
     if any(s < 0 for s in sums):
         return False
-    # y.b < 0 as an int over the lcm of b's denominators.
-    common = math.lcm(*(b.denominator for b in rhs))
-    return sum(zi * b.numerator * (common // b.denominator) for zi, b in zip(z, rhs) if zi) < 0
+    # y.b < 0 as an int over M, the lcm of the masses: row r of context c
+    # adds z_r counts_r (M / masses_c), and the last row z_last M.
+    masses, width = system.masses, system.width
+    common = math.lcm(*masses)
+    rows = enumerate(zip(z[:-1], system.counts))
+    return z[-1] * common + sum(v * count * (common // masses[r // width]) for r, (v, count) in rows if v) < 0
 
 
 def local_polytope_feasibility(
@@ -514,27 +513,26 @@ def local_polytope_feasibility(
     """
     require(model, EmpiricalModel, "local_polytope_feasibility")
     n = _guarded_strategy_count(model.sites, guard)
-    hits, rhs, labels = _membership_system(model)
-    x, y = _presolved_answer(model, hits, rhs)
+    system = _System(model)
+    x, y = _presolved_answer(model, system)
     if x is not None:
-        if not _solves(hits, rhs, n, x):
+        if not _solves(system, n, x):
             raise AssertionError("solver returned a point that fails direct recheck")
         mixture = tuple((i, w) for i, w in enumerate(x) if w)
-        hvm = _mixture_hvm(model, mixture)
         return PolytopeResult(
             feasible=True,
             strategy_count=n,
-            row_labels=tuple(labels),
+            row_labels=tuple(system.labels),
             strategy_weights=mixture,
-            hvm=hvm,
+            hvm=_mixture_hvm(model, mixture),
         )
     assert y is not None
-    if not _certifies(hits, rhs, n, y):
+    if not _certifies(system, n, y):
         raise AssertionError("solver returned a certificate that fails direct recheck")
     return PolytopeResult(
         feasible=False,
         strategy_count=n,
-        row_labels=tuple(labels),
+        row_labels=tuple(system.labels),
         certificate=tuple(y),
     )
 

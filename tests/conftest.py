@@ -1,5 +1,5 @@
 """Shared fixtures: small models, the two polytope controls, a CLI runner,
-and the membership system expanded into dense rows."""
+and a dense reference for the membership system."""
 
 from __future__ import annotations
 
@@ -9,9 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from hvw import EmpiricalModel, HiddenVariableModel, Site, bell_model, count_deterministic_strategies
+from hvw import EmpiricalModel, HiddenVariableModel, Site, bell_model, enumerate_deterministic_strategies, feasible_point
 from hvw.cli import main
-from hvw.nogo import _membership_system
 
 
 def fr(text: str) -> Fraction:
@@ -34,19 +33,29 @@ def cli():
 
 def full_membership_system(model: EmpiricalModel) -> tuple[list[list[int]], list[Fraction]]:
     """The membership system over every strategy, before any presolve, as
-    the dense 0/1 int rows that `feasible_point`, `verify_solution` and
-    `verify_farkas` read: `nogo._membership_system`'s columns expanded, a 1
-    for strategy j in row `hits[c][j]` of each context c and in the last
-    (normalization) row."""
-    n = count_deterministic_strategies(model.sites)
-    hits, rhs, _ = _membership_system(model)
-    rows = [[0] * n for _ in rhs]
-    for column in hits:
-        assert len(column) == n
-        for j, r in enumerate(column):
-            rows[r][j] = 1
-    rows[-1] = [1] * n
+    the dense 0/1 int rows and the b that `feasible_point`, `verify_solution`
+    and `verify_farkas` read. Built here from the public pieces, apart from
+    the code under test: one row per non-null context (in canonical order)
+    and outcome tuple, with a 1 where the enumerated strategy's `outcome_for`
+    is that outcome and b its `context_distributions()` entry; then the
+    normalization row."""
+    strategies = enumerate_deterministic_strategies(model.sites)
+    distributions = model.context_distributions()
+    rows = []
+    rhs = []
+    for context in sorted(distributions, key=model.context_sort_key):
+        answers = [strategy.outcome_for(model.sites, context) for strategy in strategies]
+        for outcome in model.outcome_tuples():
+            rows.append([int(answer == outcome) for answer in answers])
+            rhs.append(distributions[context].get(outcome, Fraction(0)))
+    rows.append([1] * len(strategies))
+    rhs.append(Fraction(1))
     return rows, rhs
+
+
+def unpresolved_feasible(model: EmpiricalModel) -> bool:
+    """The simplex's verdict on the full membership system."""
+    return feasible_point(*full_membership_system(model))[0] is not None
 
 
 def two_site_sites() -> tuple[Site, Site]:

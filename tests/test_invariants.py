@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import full_membership_system
+from conftest import unpresolved_feasible
 
 from hvw import (
     EMPIRICAL_MODEL_PROPERTIES,
@@ -219,11 +219,6 @@ def test_membership_lp_agrees_with_fines_theorem(pr, noise, strategies):
     assert local_polytope_feasibility(model).feasible == _chsh_holds(model)
 
 
-def _unpresolved_feasible(model: EmpiricalModel) -> bool:
-    """The simplex's verdict on the full membership system."""
-    return feasible_point(*full_membership_system(model))[0] is not None
-
-
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(
     st.integers(0, 8),
@@ -244,4 +239,4 @@ def test_presolved_membership_matches_the_full_simplex(pr, noise, strategies, sh
         project_to_empirical(random_strategy_mixture(seed, sites)),
     )
     for model in models:
-        assert local_polytope_feasibility(model).feasible == _unpresolved_feasible(model)
+        assert local_polytope_feasibility(model).feasible == unpresolved_feasible(model)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fr, full_membership_system
+from conftest import fr, full_membership_system, unpresolved_feasible
 
 from hvw import (
     BellCertificate,
@@ -60,7 +60,7 @@ from hvw import (
     verify_solution,
 )
 from hvw import nogo
-from hvw.nogo import _certifies, _cover, _decode_strategy, _membership_system, _solves
+from hvw.nogo import _System, _certifies, _digits, _kept_strategies, _presolved_answer, _solves
 from hvw.properties import first_signal
 
 ONE = Fraction(1)
@@ -247,27 +247,6 @@ def test_the_membership_guard_holds_at_its_boundary():
 # Local polytope membership
 
 
-def rebuild_rows(model, strategies):
-    """Row order is the documented one: sorted contexts x all outcomes, then total."""
-    contexts = sorted(model.context_weights(), key=model.context_sort_key)
-    outcomes = list(model.outcome_tuples())
-    rows = []
-    rhs = []
-    for context in contexts:
-        distribution = model.outcome_distribution(context)
-        for outcome in outcomes:
-            rows.append(
-                [
-                    ONE if strategy.outcome_for(model.sites, context) == outcome else Fraction(0)
-                    for strategy in strategies
-                ]
-            )
-            rhs.append(distribution.get(outcome, Fraction(0)))
-    rows.append([ONE] * len(strategies))
-    rhs.append(ONE)
-    return rows, rhs
-
-
 # Sites whose measurement and outcome counts differ from site to site.
 MIXED_SITES = (
     (Site("a", ("A", "B", "C"), ("0", "1")),),
@@ -288,45 +267,60 @@ MIXED_SITES = (
 def test_a_decoded_strategy_is_the_enumerated_one(sites):
     strategies = enumerate_deterministic_strategies(sites)
     assert len(strategies) == count_deterministic_strategies(sites)
-    assert [_decode_strategy(sites, j) for j in range(len(strategies))] == strategies
+    decoded = [
+        tuple(tuple(site.outcomes[d] for d in digits) for site, digits in zip(sites, _digits(sites, j)))
+        for j in range(len(strategies))
+    ]
+    assert decoded == [strategy.responses for strategy in strategies]
 
 
 @pytest.mark.parametrize("sites", MIXED_SITES, ids=lambda sites: f"{len(sites)}-sites")
 def test_membership_rows_match_their_definition(sites):
     """In the c-th non-null context, strategy j answers row c * (outcome
-    tuples) + (index of its outcome), and its dense column holds a 1 there
-    and in the normalization row and 0 elsewhere; a strategy's cover row is
-    the first row with b = 0 that holds a 1 for it."""
+    tuples) + (index of its outcome), so the columns expand to the reference
+    rows. The masses are the context weights and the counts the cells of the
+    model's table, over one denominator, so counts[r] / masses[c] is the
+    reference b of each row r of context c."""
     strategies = enumerate_deterministic_strategies(sites)
     verdicts = set()
     for seed in range(4):
         for model in (generate_random_model(seed, sites), project_to_empirical(random_strategy_mixture(seed, sites))):
-            hits, rhs, labels = _membership_system(model)
+            system = _System(model)
             contexts = sorted(model.context_weights(), key=model.context_sort_key)
             outcomes = list(model.outcome_tuples())
-            cover = _cover(hits, rhs, len(outcomes))
-            assert len(hits) == len(contexts)
-            for c, (context, column) in enumerate(zip(contexts, hits)):
+            assert system.contexts == contexts and system.width == len(outcomes)
+            assert len(system.hits) == len(system.masses) == len(contexts)
+            for c, (context, column) in enumerate(zip(contexts, system.hits)):
                 assert column == [
                     c * len(outcomes) + outcomes.index(strategy.outcome_for(sites, context)) for strategy in strategies
                 ]
-            rows, expected_rhs = rebuild_rows(model, strategies)
-            assert rhs == expected_rhs
-            dense = full_membership_system(model)
-            assert dense == (rows, rhs)
+            rows, rhs = full_membership_system(model)
+            expanded = [[0] * len(strategies) for _ in rhs]
+            for column in system.hits:
+                for j, r in enumerate(column):
+                    expanded[r][j] = 1
+            expanded[-1] = [1] * len(strategies)
+            assert expanded == rows
+            total = sum(system.masses)
+            weights = model.context_weights()
+            assert [Fraction(mass, total) for mass in system.masses] == [weights[context] for context in contexts]
+            assert [Fraction(count, total) for count in system.counts[:-1]] == [
+                weights[context] * model.outcome_distribution(context).get(outcome, 0)
+                for context in contexts
+                for outcome in outcomes
+            ]
+            assert len(system.counts) == len(rhs) and system.counts[-1] == 1
+            assert [Fraction(n, system.masses[r // len(outcomes)]) for r, n in enumerate(system.counts[:-1])] == rhs[:-1]
             expected = []
             for context in contexts:
                 given = ", ".join(f"{site.name}={m}" for site, m in zip(sites, context))
                 for outcome in outcomes:
                     shown = ", ".join(f"{site.name}={o}" for site, o in zip(sites, outcome))
                     expected.append(f"p({shown} | {given})")
-            assert labels == [*expected, "total probability"]
-            for j, r in enumerate(cover):
-                zero_rows = [i for i, (row, bi) in enumerate(zip(rows, rhs)) if row[j] and not bi]
-                assert r == (zero_rows[0] if zero_rows else None)
+            assert system.labels == [*expected, "total probability"]
             result = local_polytope_feasibility(model)
-            assert result.row_labels == tuple(labels)
-            assert result.feasible == (feasible_point(*dense)[0] is not None)
+            assert result.row_labels == tuple(system.labels)
+            assert result.feasible == (feasible_point(rows, rhs)[0] is not None)
             verdicts.add(result.feasible)
     # Any table of one site is a mixture of strategies.
     assert verdicts == ({True} if len(sites) == 1 else {True, False})
@@ -349,8 +343,7 @@ def test_bell_farkas_certificate_rechecked_from_scratch():
 
     model = bell_model()
     result = local_polytope_feasibility(model)
-    strategies = enumerate_deterministic_strategies(model.sites)
-    rows, rhs = rebuild_rows(model, strategies)
+    rows, rhs = full_membership_system(model)
     assert len(rows) == len(result.row_labels)
     assert verify_farkas(rows, rhs, list(result.certificate))
 
@@ -378,9 +371,8 @@ def test_feasible_point_satisfies_rebuilt_system(uniform_quarter):
     from hvw import verify_solution
 
     result = local_polytope_feasibility(uniform_quarter)
-    strategies = enumerate_deterministic_strategies(uniform_quarter.sites)
-    rows, rhs = rebuild_rows(uniform_quarter, strategies)
-    x = [Fraction(0)] * len(strategies)
+    rows, rhs = full_membership_system(uniform_quarter)
+    x = [Fraction(0)] * len(rows[0])
     for index, weight in result.strategy_weights:
         x[index] = weight
     assert verify_solution(rows, rhs, x)
@@ -439,11 +431,6 @@ def test_polytope_rejects_hidden_models():
 
 # ---------------------------------------------------------------------------
 # The presolve in front of the simplex
-
-
-def unpresolved_feasible(model):
-    """The simplex's verdict on the full membership system."""
-    return feasible_point(*full_membership_system(model))[0] is not None
 
 
 def half_noise(model):
@@ -519,7 +506,7 @@ def null_direction(sites, strategies):
 
 def test_the_column_rechecks_agree_with_the_dense_ones():
     """Over the presolve sweep, `_solves` and `_certifies` on the columns,
-    and `verify_solution` and `verify_farkas` on `rebuild_rows`, accept every
+    and `verify_solution` and `verify_farkas` on the reference rows, accept every
     returned answer and both refuse each corruption of it: a wrong length;
     for x, a weight moved to a strategy with another column, and a negative
     weight that still solves A x = b; for y, -y, and one entry lowered until
@@ -528,13 +515,13 @@ def test_the_column_rechecks_agree_with_the_dense_ones():
     for model in presolve_sweep():
         strategies = enumerate_deterministic_strategies(model.sites)
         n = len(strategies)
-        hits, rhs, _ = _membership_system(model)
-        rows, _ = rebuild_rows(model, strategies)
+        system = _System(model)
+        rows, rhs = full_membership_system(model)
         result = local_polytope_feasibility(model)
         if result.feasible:
 
             def verdicts(x):
-                return _solves(hits, rhs, n, x), verify_solution(rows, rhs, x)
+                return _solves(system, n, x), verify_solution(rows, rhs, x)
 
             x = [Fraction(0)] * n
             for j, w in result.strategy_weights:
@@ -557,7 +544,7 @@ def test_the_column_rechecks_agree_with_the_dense_ones():
         else:
 
             def verdicts(y):
-                return _certifies(hits, rhs, n, y), verify_farkas(rows, rhs, y)
+                return _certifies(system, n, y), verify_farkas(rows, rhs, y)
 
             y = list(result.certificate)
             assert verdicts(y) == (True, True)
@@ -597,13 +584,65 @@ def test_a_signalling_certificate_is_plus_and_minus_one_on_two_marginals():
     assert checked >= 30
 
 
+def kept_reference(model):
+    """The strategies whose reference column has a 1 in no row with b = 0."""
+    rows, rhs = full_membership_system(model)
+    zero = [row for row, bi in zip(rows, rhs) if not bi]
+    return [j for j in range(len(rows[0])) if not any(row[j] for row in zero)]
+
+
+def test_the_presolve_keeps_the_strategies_that_answer_no_zero_row():
+    """The kept strategies are exactly those whose reference column hits no
+    row with b = 0, in order, over the PR box and the presolve sweep."""
+    kinds = Counter()
+    for model in [pr_box(), *presolve_sweep()]:
+        kept = list(_kept_strategies(_System(model)))
+        assert kept == kept_reference(model)
+        n = count_deterministic_strategies(model.sites)
+        kinds["none" if not kept else "all" if len(kept) == n else "some"] += 1
+    assert min(kinds.values()) >= 5, kinds
+
+
+def test_a_lifted_certificate_puts_each_deficit_on_the_first_zero_row(monkeypatch):
+    """On a table that does not signal and has no mixture, the certificate is
+    the reduced system's y, on the rows with b != 0, lifted over the
+    reference rows: each strategy j in order with y.A_j < 0 has -y.A_j added
+    on the first row with b = 0 that it answers."""
+    reduced = []
+    solve = nogo.feasible_point
+
+    def recording(table, b):
+        answer = solve(table, b)
+        reduced.append(answer[1])
+        return answer
+
+    monkeypatch.setattr(nogo, "feasible_point", recording)
+    counted = Counter()
+    for model in [pr_box(), *presolve_sweep()]:
+        reduced.clear()
+        result = local_polytope_feasibility(model)
+        if result.feasible or first_signal(model) is not None:
+            continue
+        rows, rhs = full_membership_system(model)
+        y = [Fraction(0)] * len(rhs)
+        (certificate,) = reduced
+        for i, v in zip([i for i, bi in enumerate(rhs) if bi], certificate):
+            y[i] = v
+        for j in range(len(rows[0])):
+            deficit = -sum(v for row, v in zip(rows, y) if row[j])
+            if deficit > 0:
+                y[next(i for i, (row, bi) in enumerate(zip(rows, rhs)) if row[j] and not bi)] += deficit
+                counted["repaired"] += 1
+        assert list(result.certificate) == y
+        counted["lifted"] += 1
+    assert counted["lifted"] >= 2 and counted["repaired"] >= 10, counted
+
+
 def test_the_pr_box_drops_every_strategy_and_lifts_its_certificate():
     model = pr_box()
-    hits, rhs, _ = _membership_system(model)
-    cover = _cover(hits, rhs, model.n_outcome_tuples())
     rows, rhs = full_membership_system(model)
     assert first_signal(model) is None
-    assert None not in cover
+    assert not _kept_strategies(_System(model))
     result = local_polytope_feasibility(model)
     assert not result.feasible
     assert len(result.certificate) == len(rows) == len(result.row_labels)
@@ -613,39 +652,53 @@ def test_the_pr_box_drops_every_strategy_and_lifts_its_certificate():
 
 def test_membership_lists_no_strategy(monkeypatch):
     """The LP path and the mixture controls count and decode strategies:
-    with the enumeration made to raise, they give the same answers."""
+    with the enumeration and `DeterministicStrategy.outcome_for` made to
+    raise, they give the same answers."""
     sites = grid_sites(2, 3, 2)
     models = [bell_model(), project_to_empirical(random_strategy_mixture(3, sites)), generate_random_model(3, sites)]
     expected = [local_polytope_feasibility(model) for model in models]
     mixture = random_strategy_mixture(5, sites)
 
     def listed(*args, **kwargs):
-        raise AssertionError("strategies listed")
+        raise AssertionError("a strategy object was used")
 
     monkeypatch.setattr(nogo, "enumerate_deterministic_strategies", listed)
+    monkeypatch.setattr(nogo.DeterministicStrategy, "outcome_for", listed)
     assert [local_polytope_feasibility(model) for model in models] == expected
     assert [result.feasible for result in expected] == [False, True, False]
     assert random_strategy_mixture(5, sites) == mixture
 
 
-def test_the_cover_pass_runs_only_on_a_table_that_does_not_signal(monkeypatch):
-    """A signalling table is answered before any cover row is sought; Bell,
-    which does not signal, still reaches that pass."""
+def test_a_signalling_table_is_answered_without_reading_a_column():
+    """The presolve answers a signalling table before it reads any column:
+    with the columns made to raise when read, it gives the same answer.
+    Bell, which does not signal, still reads them."""
     signalling = generate_random_model(0, grid_sites(2, 2, 2))
     assert first_signal(signalling) is not None and first_signal(bell_model()) is None
-    expected = local_polytope_feasibility(signalling)
 
     class Reached(Exception):
         pass
 
-    def cover(*args):
-        raise Reached
+    class Unread:
+        def __getitem__(self, c):
+            raise Reached
 
-    monkeypatch.setattr(nogo, "_cover", cover)
-    assert local_polytope_feasibility(signalling) == expected
-    assert not expected.feasible
+        def __iter__(self):
+            raise Reached
+
+        def __len__(self):
+            raise Reached
+
+    def unread(model):
+        system = _System(model)
+        system.hits = Unread()
+        return system
+
+    expected = _presolved_answer(signalling, _System(signalling))
+    assert _presolved_answer(signalling, unread(signalling)) == expected
+    assert expected[0] is None
     with pytest.raises(Reached):
-        local_polytope_feasibility(bell_model())
+        _presolved_answer(bell_model(), unread(bell_model()))
 
 
 def test_a_measurement_in_no_non_null_context_is_passed_over():
