@@ -31,11 +31,13 @@ may come from an exact presolve (E. D. Andersen and K. D. Andersen, Math.
 Prog. 71, 1995) rather than from the simplex over all strategies. A model
 that signals gets a +-1 Farkas certificate off the non-contextuality scan,
 and otherwise the strategies that answer some context with a
-zero-probability outcome are fixed at weight 0 before the simplex runs on a
-dense table of the rest; in a certificate, each dropped strategy is repaired
-on the first zero row it answers. The returned x or y is still rechecked
-against the full, unpresolved system, by an int check over the columns that
-shares no code with `linprog`.
+zero-probability outcome are fixed at weight 0. When rows answered by a
+single unfixed strategy then force every weight of the rest, that is the
+answer; else the simplex runs on a dense table of the rest, and in a
+certificate each dropped strategy is repaired on the first zero row it
+answers. The returned x or y is still rechecked against the full,
+unpresolved system, by an int check over the columns that shares no code
+with `linprog`.
 """
 
 from __future__ import annotations
@@ -115,11 +117,13 @@ def epr_escape_hvm() -> HiddenVariableModel:
     )
 
 
+@functools.cache
 def bell_model() -> EmpiricalModel:
     """Two sites sharing three measurement directions, contexts weighted 1/9.
 
     Equal directions anti-correlate perfectly; unequal directions agree with
-    probability 3/4, split evenly between the two agreeing outcomes.
+    probability 3/4, split evenly between the two agreeing outcomes. Built
+    once per process: models are immutable.
     """
     directions = ("1", "2", "3")
     marks = ("+", "-")
@@ -385,6 +389,58 @@ def _kept_strategies(system: _System) -> Sequence[int]:
     return kept
 
 
+def _peeled_weights(system: _System, kept: Sequence[int]) -> list[Fraction] | None:
+    """The weights of the `kept` strategies, in order, when the rows force
+    them all, else None.
+
+    Singleton rows, the first rule of the Andersen and Andersen presolve: a
+    row that exactly one unfixed kept strategy answers fixes that strategy's
+    weight at the row's residual, b less the weights fixed before, and the
+    weight is taken off every row the strategy answers, normalization
+    included. All in ints over L, the lcm of the masses. Each row keeps its
+    residual b L, and its number of unfixed kept strategies with the sum of
+    their positions in `kept`, which names the last one left. Every fixed
+    weight is implied by rows that any solution satisfies, so when every
+    kept strategy is fixed, each weight is >= 0 and each residual is 0, x is
+    the only solution of the kept system, the one the simplex would return.
+    Otherwise (a negative weight, a residual left over, or no singleton row
+    to go on) None, and the simplex answers."""
+    hits, masses, width = system.hits, system.masses, system.width
+    common = math.lcm(*masses)
+    residual = [count * (common // masses[r // width]) for r, count in enumerate(system.counts[:-1])]
+    residual.append(common)
+    last = len(residual) - 1
+    unfixed = [0] * len(residual)
+    positions = [0] * len(residual)
+    for column in hits:
+        for p, j in enumerate(kept):
+            r = column[j]
+            unfixed[r] += 1
+            positions[r] += p
+    unfixed[last] = len(kept)
+    positions[last] = len(kept) * (len(kept) - 1) // 2
+    weights: dict[int, int] = {}
+    ready = [r for r, k in enumerate(unfixed) if k == 1]
+    while ready:
+        r = ready.pop()
+        if unfixed[r] != 1:  # its one strategy was fixed from another row
+            continue
+        p, w = positions[r], residual[r]
+        if w < 0:
+            return None
+        weights[p] = w
+        j = kept[p]
+        for s in [*(column[j] for column in hits), last]:
+            residual[s] -= w
+            unfixed[s] -= 1
+            positions[s] -= p
+            if unfixed[s] == 1:
+                ready.append(s)
+    if len(weights) < len(kept) or any(residual):
+        return None
+    return [Fraction(weights[p], common) for p in range(len(kept))]
+
+
 def _lifted_certificate(system: _System, live: Sequence[int], certificate: Sequence[Fraction]) -> list[Fraction]:
     """A certificate of the membership system reduced to rows `live` and
     the `_kept_strategies`, lifted to all rows and every strategy.
@@ -419,28 +475,32 @@ def _presolved_answer(
     column read. Otherwise a strategy that answers a row with b = 0 must
     have weight 0, since A >= 0, so the simplex runs only on the
     `_kept_strategies` and on the rows with b != 0 (the dropped rows are 0
-    on every kept strategy): a dense 0/1 table built from `hits`, and a
-    `Fraction` b for those rows alone. Its x is lifted by zeros, and its y
-    by `_lifted_certificate`."""
+    on every kept strategy). When the rows force every kept weight
+    (`_peeled_weights`), that x is the answer, with no simplex. Otherwise
+    the simplex runs on a dense 0/1 table built from `hits`, with a
+    `Fraction` b for those rows alone. Either x is lifted by zeros, and the
+    simplex's y by `_lifted_certificate`."""
     signal = first_signal(model)
     if signal is not None:
         return None, _signalling_certificate(model, system, signal)
     kept = _kept_strategies(system)
-    counts, width = system.counts, system.width
-    live = [r for r, count in enumerate(counts) if count]
-    # A kept strategy answers only rows with b != 0, and so has a 1 in the
-    # live row of each of its answers and in the last, normalization, row.
-    position = {r: p for p, r in enumerate(live)}
-    table = [[0] * len(kept) for _ in live]
-    for column in system.hits:
-        for p, j in enumerate(kept):
-            table[position[column[j]]][p] = 1
-    table[-1] = [1] * len(kept)
-    b = [Fraction(counts[r], system.masses[r // width]) for r in live[:-1]]
-    x, y = feasible_point(table, [*b, ONE])
+    x = _peeled_weights(system, kept)
     if x is None:
-        assert y is not None
-        return None, _lifted_certificate(system, live, y)
+        counts, width = system.counts, system.width
+        live = [r for r, count in enumerate(counts) if count]
+        # A kept strategy answers only rows with b != 0, and so has a 1 in the
+        # live row of each of its answers and in the last, normalization, row.
+        position = {r: p for p, r in enumerate(live)}
+        table = [[0] * len(kept) for _ in live]
+        for column in system.hits:
+            for p, j in enumerate(kept):
+                table[position[column[j]]][p] = 1
+        table[-1] = [1] * len(kept)
+        b = [Fraction(counts[r], system.masses[r // width]) for r in live[:-1]]
+        x, y = feasible_point(table, [*b, ONE])
+        if x is None:
+            assert y is not None
+            return None, _lifted_certificate(system, live, y)
     full = [ZERO] * len(system.hits[0])
     for j, v in zip(kept, x):
         full[j] = v
@@ -505,11 +565,13 @@ def local_polytope_feasibility(
     strategy index answers, and only the strategies of a feasible mixture
     are decoded, for its witness model. The answer may come
     from the presolve (`_presolved_answer`): a signalling model gets a +-1
-    certificate with no simplex, and otherwise the simplex sees only the
-    strategies that no zero cell rules out. Either answer is rechecked
-    against the full system by direct int arithmetic over the columns
-    (`_solves`, `_certifies`), which shares no code with the solver, before
-    being returned.
+    certificate with no simplex; otherwise the strategies that no zero cell
+    rules out are kept, and when rows that one unfixed kept strategy answers
+    force every kept weight in turn, those weights are the mixture, again
+    with no simplex. Only the rest reach the simplex, on the kept strategies
+    alone. Either answer is rechecked against the full system by direct int
+    arithmetic over the columns (`_solves`, `_certifies`), which shares no
+    code with the solver, before being returned.
     """
     require(model, EmpiricalModel, "local_polytope_feasibility")
     n = _guarded_strategy_count(model.sites, guard)
@@ -942,8 +1004,7 @@ def verify_ks(method: str = "both", guard: int = DEFAULT_GUARD) -> KsReport:
     exchangeability = check_exchangeability(e)
     # Each context's row is one outcome tuple (so of probability 1) with one winner.
     pattern_ok = all(
-        len(row) == 1 and sum(a == "1" for a in next(iter(row))) == 1
-        for row in e.context_distributions().values()
+        len(row) == 1 and sum(a == "1" for a in next(iter(row))) == 1 for _, row in e._context_table().values()
     )
     non_contextuality = check_non_contextuality(e)
 

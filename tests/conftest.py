@@ -53,6 +53,17 @@ def full_membership_system(model: EmpiricalModel) -> tuple[list[list[int]], list
     return rows, rhs
 
 
+def kept_membership_system(model: EmpiricalModel) -> tuple[list[int], list[list[int]], list[Fraction]]:
+    """The reference system restricted as the presolve restricts it: the
+    strategies whose column has a 1 in no row with b = 0, in order, and the
+    rows with b != 0 over those strategies alone, with their b."""
+    rows, rhs = full_membership_system(model)
+    zero = [row for row, bi in zip(rows, rhs) if not bi]
+    kept = [j for j in range(len(rows[0])) if not any(row[j] for row in zero)]
+    live = [([row[j] for j in kept], bi) for row, bi in zip(rows, rhs) if bi]
+    return kept, [row for row, _ in live], [bi for _, bi in live]
+
+
 def unpresolved_feasible(model: EmpiricalModel) -> bool:
     """The simplex's verdict on the full membership system."""
     return feasible_point(*full_membership_system(model))[0] is not None
@@ -102,6 +113,13 @@ def point_mass_model() -> EmpiricalModel:
     """Single context, single certain outcome."""
     sites = (Site("X", ("M",), ("u", "v")), Site("Y", ("N",), ("u", "v")))
     return EmpiricalModel(sites, {(("u", "v"), ("M", "N")): Fraction(1)})
+
+
+def uniform_one_site(k: int) -> EmpiricalModel:
+    """One site, one measurement, k equally likely outcomes: every cell is
+    positive, and each strategy alone answers its outcome's row."""
+    site = Site("X", ("M",), tuple(f"o{i}" for i in range(k)))
+    return EmpiricalModel((site,), {((outcome,), ("M",)): Fraction(1, k) for outcome in site.outcomes})
 
 
 def single_site_third_model() -> EmpiricalModel:

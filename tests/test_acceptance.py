@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fr, pi_violating_hvm
+from conftest import fr, pi_violating_hvm, uniform_one_site
 
 from hvw import (
     ClassificationReport,
@@ -227,6 +227,31 @@ def test_criterion_3_membership_of_a_point_mass_over_4000_outcomes():
         assert len(result.row_labels) == 4001
         assert result.feasible
         assert result.strategy_weights == ((0, ONE),)
+        assert equivalent_empirical(model, result.hvm).holds
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert elapsed < 0.5, f"took {elapsed:.2f}s"
+
+
+def test_criterion_3_membership_of_the_uniform_table_over_4000_outcomes():
+    """One site, one measurement and 4,000 equally likely outcomes: every
+    cell is positive, so no strategy is dropped, but each row has one
+    strategy, so the rows force every weight and the simplex never runs
+    (20.8 s and 515 MiB through a 4,000 x 4,001 tableau). Timed on its
+    own, with the `tracemalloc` peak taken in a second call."""
+    with criterion(3, "deterministic-mixture membership of the uniform 4,000-outcome table"):
+        model = uniform_one_site(4000)
+        started = time.monotonic()
+        result = local_polytope_feasibility(model)
+        elapsed = time.monotonic() - started
+        tracemalloc.start()
+        try:
+            local_polytope_feasibility(uniform_one_site(4000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.strategy_count == 4000
+        assert result.feasible
+        assert result.strategy_weights == tuple((j, Fraction(1, 4000)) for j in range(4000))
         assert equivalent_empirical(model, result.hvm).holds
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
         assert elapsed < 0.5, f"took {elapsed:.2f}s"

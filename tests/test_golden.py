@@ -173,6 +173,17 @@ def test_the_shared_ks_model_prints_its_recorded_bytes(index, workdir):
             test_golden_output(case, index, workdir)
 
 
+def test_the_shared_bell_model_prints_its_recorded_bytes(index, workdir):
+    """`bell_model` is built once per process too, and the no-go routes
+    that share it print the recorded bytes on every run."""
+    from hvw import bell_model
+
+    assert bell_model() is bell_model()
+    for _ in range(2):
+        for case in ("canon-bell.text", "canon-bell.json", "nogo-bell.text", "nogo-bell.json"):
+            test_golden_output(case, index, workdir)
+
+
 def record() -> None:
     """Run every case and overwrite the recording."""
     GOLDEN_DIR.mkdir(exist_ok=True)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fr, full_membership_system
+from conftest import fr, full_membership_system, kept_membership_system
 
 import hvw.linprog
 from hvw import (
@@ -487,23 +487,42 @@ def test_matches_dense_reference_on_membership_systems():
     assert any(solved) and not all(solved)
 
 
-@pytest.mark.parametrize("shape, pivots", [((2, 3, 2), 6), ((2, 4, 2), 9), ((3, 3, 2), 5)])
-def test_roadmap_controls_keep_their_pivot_counts(monkeypatch, shape, pivots):
-    """The seed-0 strategy-mixture controls take as many Bland pivots as
-    recorded, on the system that the presolve leaves (32, 123 and 127 on the
-    full systems)."""
-    counted = 0
+def counted_pivots(monkeypatch) -> list[int]:
+    """A one-item list holding the number of Bland pivots taken from here on."""
+    counted = [0]
     pivot = hvw.linprog._pivot
 
     def counting(*args):
-        nonlocal counted
-        counted += 1
+        counted[0] += 1
         pivot(*args)
 
     monkeypatch.setattr(hvw.linprog, "_pivot", counting)
+    return counted
+
+
+@pytest.mark.parametrize("shape, pivots", [((2, 3, 2), 6), ((2, 4, 2), 9), ((3, 3, 2), 0)])
+def test_roadmap_controls_keep_their_pivot_counts(monkeypatch, shape, pivots):
+    """The seed-0 strategy-mixture controls take as many Bland pivots as
+    recorded, on the system that the presolve leaves (32, 123 and 127 on the
+    full systems). The (3,3,2) control takes none: its rows force every
+    kept weight."""
+    counted = counted_pivots(monkeypatch)
     result = local_polytope_feasibility(project_to_empirical(random_strategy_mixture(0, grid_sites(*shape))))
     assert result.feasible
-    assert counted == pivots
+    assert counted == [pivots]
+
+
+def test_the_peeled_control_still_takes_five_pivots_in_the_simplex(monkeypatch):
+    """The simplex on the kept system of the (3,3,2) seed-0 control, the
+    system it was handed before peeling, still takes 5 pivots, and its x,
+    lifted by zeros, is the mixture that the peel returns."""
+    control = project_to_empirical(random_strategy_mixture(0, grid_sites(3, 3, 2)))
+    result = local_polytope_feasibility(control)
+    kept, rows, rhs = kept_membership_system(control)
+    counted = counted_pivots(monkeypatch)
+    x, _ = feasible_point(rows, rhs)
+    assert counted == [5]
+    assert [(j, v) for j, v in zip(kept, x) if v] == list(result.strategy_weights)
 
 
 def always_reduced_pivot(tableau, den, pivot_row, pivot_col):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fr, full_membership_system, unpresolved_feasible
+from conftest import fr, full_membership_system, kept_membership_system, uniform_one_site, unpresolved_feasible
 
 from hvw import (
     BellCertificate,
@@ -60,7 +60,7 @@ from hvw import (
     verify_solution,
 )
 from hvw import nogo
-from hvw.nogo import _System, _certifies, _digits, _kept_strategies, _presolved_answer, _solves
+from hvw.nogo import _System, _certifies, _digits, _kept_strategies, _peeled_weights, _presolved_answer, _solves
 from hvw.properties import first_signal
 
 ONE = Fraction(1)
@@ -584,20 +584,13 @@ def test_a_signalling_certificate_is_plus_and_minus_one_on_two_marginals():
     assert checked >= 30
 
 
-def kept_reference(model):
-    """The strategies whose reference column has a 1 in no row with b = 0."""
-    rows, rhs = full_membership_system(model)
-    zero = [row for row, bi in zip(rows, rhs) if not bi]
-    return [j for j in range(len(rows[0])) if not any(row[j] for row in zero)]
-
-
 def test_the_presolve_keeps_the_strategies_that_answer_no_zero_row():
     """The kept strategies are exactly those whose reference column hits no
     row with b = 0, in order, over the PR box and the presolve sweep."""
     kinds = Counter()
     for model in [pr_box(), *presolve_sweep()]:
         kept = list(_kept_strategies(_System(model)))
-        assert kept == kept_reference(model)
+        assert kept == kept_membership_system(model)[0]
         n = count_deterministic_strategies(model.sites)
         kinds["none" if not kept else "all" if len(kept) == n else "some"] += 1
     assert min(kinds.values()) >= 5, kinds
@@ -699,6 +692,125 @@ def test_a_signalling_table_is_answered_without_reading_a_column():
     assert expected[0] is None
     with pytest.raises(Reached):
         _presolved_answer(bell_model(), unread(bell_model()))
+
+
+def peeled(model):
+    """`_peeled_weights` on the model's kept strategies."""
+    system = _System(model)
+    return _peeled_weights(system, _kept_strategies(system))
+
+
+PEEL_SHAPES = ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 4, 2), (3, 3, 2), (4, 2, 2))
+
+
+def test_a_peeled_mixture_is_the_point_of_the_simplex():
+    """Over seeded strategy mixtures on six shapes, whenever the peel
+    answers, its x is the one `feasible_point` returns on the same kept
+    system, and the mixture returned is that x lifted by zeros."""
+    answered = Counter()
+    for shape in PEEL_SHAPES:
+        for seed in range(8):
+            model = project_to_empirical(random_strategy_mixture(seed, grid_sites(*shape)))
+            x = peeled(model)
+            answered[x is not None] += 1
+            if x is None:
+                continue
+            kept, rows, rhs = kept_membership_system(model)
+            assert feasible_point(rows, rhs) == (x, None)
+            lifted = tuple((j, v) for j, v in zip(kept, x) if v)
+            assert local_polytope_feasibility(model).strategy_weights == lifted
+    assert answered[True] >= 30 and answered[False] >= 5, answered
+
+
+def signed_mixture(terms):
+    """The (2,2,2) table of sum_j c_j (strategy j's 0/1 table), contexts
+    equally likely, for (j, c_j) in `terms` with coefficients summing to 1.
+    Some c_j < 0, so it need not be a mixture, but like every sum of
+    strategies it does not signal."""
+    sites = grid_sites(2, 2, 2)
+    strategies = enumerate_deterministic_strategies(sites)
+    weights = Counter()
+    for context in itertools.product(*(site.measurements for site in sites)):
+        for j, c in terms:
+            weights[(strategies[j].outcome_for(sites, context), context)] += c / 4
+    assert min(weights.values()) >= 0
+    return EmpiricalModel(sites, {key: v for key, v in weights.items() if v})
+
+
+# name: (the table, whether some kept row has one kept strategy, sha256 of
+# the answer's `to_dict()` as recorded before the peel came in)
+FALL_THROUGH = {
+    # Every row has two or more of Bell's eight kept strategies.
+    "bell": (bell_model, False, "be0f82169db3af8dd6b1a8acf5aba71c5f6c99548f0847f0deaa98e508715287"),
+    # Both kept strategies are fixed, and a residual is left over.
+    "residual": (
+        lambda: signed_mixture([(3, fr("1/2")), (6, fr("3/10")), (7, fr("-3/10")), (13, fr("1/2"))]),
+        True,
+        "04a6eff440f50f6b4d1351a2646bfa2b7ebfc3d64bd21467c0ffa0932f64471f",
+    ),
+    # The second weight the peel fixes is negative.
+    "negative": (
+        lambda: signed_mixture([(5, fr("1/10")), (1, fr("-1/10")), (3, fr("2/5")), (8, fr("1/5")), (13, fr("2/5"))]),
+        True,
+        "487d36350fcfc4f27b4b98a65edddf303d5900d998b54be0a182c5881ab08d92",
+    ),
+    # Every cell is positive, and each row has 16 of the 64 strategies.
+    "half-noise": (
+        lambda: half_noise(project_to_empirical(random_strategy_mixture(0, grid_sites(2, 3, 2)))),
+        False,
+        "c4a6aa1dbf2d0a3211b9068f6d628b20a850e7f103ee359e89edda101d7c759b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FALL_THROUGH)
+def test_a_table_the_peel_cannot_finish_keeps_its_answer(monkeypatch, name):
+    """Where the peel stalls, leaves a residual or meets a negative weight,
+    the simplex answers, and the answer is the one recorded before."""
+    build, singleton, digest = FALL_THROUGH[name]
+    model = build()
+    _, rows, _ = kept_membership_system(model)
+    assert any(sum(row) == 1 for row in rows[:-1]) == singleton
+    assert first_signal(model) is None
+    assert peeled(model) is None
+    solves = []
+    solve = nogo.feasible_point
+
+    def recording(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(nogo, "feasible_point", recording)
+    result = local_polytope_feasibility(model)
+    assert len(solves) == 1
+    assert result.feasible == (name == "half-noise")
+    assert hashlib.sha256(json.dumps(result.to_dict(), sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_a_peeled_answer_needs_no_simplex_and_is_rechecked(monkeypatch):
+    """With `feasible_point` made to raise, the uniform one-site tables and
+    the (3,3,2) seed-0 control are still answered, and `_solves` rechecks
+    each answer over every strategy."""
+    models = [uniform_one_site(k) for k in (1, 7, 50)]
+    models.append(project_to_empirical(random_strategy_mixture(0, grid_sites(3, 3, 2))))
+    expected = [local_polytope_feasibility(model) for model in models]
+    rechecked = []
+    solves = nogo._solves
+
+    def recording(system, n, x):
+        rechecked.append(n)
+        return solves(system, n, x)
+
+    def unreached(*args):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(nogo, "feasible_point", unreached)
+    monkeypatch.setattr(nogo, "_solves", recording)
+    assert [local_polytope_feasibility(model) for model in models] == expected
+    assert rechecked == [1, 7, 50, 512]
+    for k, result in zip((1, 7, 50), expected):
+        assert result.strategy_weights == tuple((j, Fraction(1, k)) for j in range(k))
+    assert equivalent_empirical(models[-1], expected[-1].hvm).holds
 
 
 def test_a_measurement_in_no_non_null_context_is_passed_over():
