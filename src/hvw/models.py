@@ -475,6 +475,11 @@ def _totalled(rows: Mapping[tuple, dict]) -> dict[tuple, tuple[int, dict]]:
     return {key: (sum(row.values()), row) for key, row in rows.items()}
 
 
+def _declared(row: dict[str, int], index: Mapping[str, int]) -> dict[str, int]:
+    """`row` with its outcomes in their declared order at the site."""
+    return row if len(row) == 1 else {a: row[a] for a in sorted(row, key=index.__getitem__)}
+
+
 def _fraction_row(mass: int, row: Mapping) -> Mapping:
     return MappingProxyType({item: Fraction(n, mass) for item, n in row.items()})
 
@@ -531,16 +536,14 @@ class HiddenVariableModel(_BaseModel):
                 response = responses.setdefault((i, m, lam), {})
                 response[outcome[i]] = response.get(outcome[i], 0) + n
         # Storage order sorts the contexts, not the hidden states within one
-        # nor the outcomes of one site.
+        # nor the outcomes of one site; a row sorts only its own outcomes.
         rank = self._lambda_index.__getitem__
         self._ctx_table = _totalled(rows)
         self._lambda_rows = _totalled(
             {(c, lam): by_lambda[lam] for c, by_lambda in by_context.items() for lam in sorted(by_lambda, key=rank)}
         )
         order = sorted(responses, key=lambda k: (k[0], self._meas_index[k[0]][k[1]], rank(k[2])))
-        self._responses = _totalled(
-            {k: {a: responses[k][a] for a in self.sites[k[0]].outcomes if a in responses[k]} for k in order}
-        )
+        self._responses = _totalled({k: _declared(responses[k], self._out_index[k[0]]) for k in order})
 
     def _lambda_table(self) -> dict[tuple[Context, str], tuple[int, dict[OutcomeTuple, int]]]:
         """Each positive (context, hidden state) pair's outcome counts."""

@@ -24,9 +24,10 @@ polytope route and works on any empirical model: feasible inputs come back
 with an explicit lambda-independent, local hidden-variable model. It counts
 the strategies and decodes by index only those of a feasible mixture, never
 listing them. Its system is all ints: the 0/1 matrix is held by columns,
-as the row that each strategy index answers in each context, so it takes
-(non-null contexts x strategies) ints rather than a dense (rows x
-strategies) table, and b is int counts over the context masses. Its answer
+as the row that each strategy index answers in each context and in
+normalization, so it takes (non-null contexts + 1) x strategies ints rather
+than a dense (rows x strategies) table, and b is one int per row over one
+common denominator, the lcm of the context masses. Its answer
 may come from an exact presolve (E. D. Andersen and K. D. Andersen, Math.
 Prog. 71, 1995) rather than from the simplex over all strategies. A model
 that signals gets a +-1 Farkas certificate off the non-contextuality scan,
@@ -316,9 +317,12 @@ class _System:
     from c * width. A is 0/1: column j holds a 1 in the row of the outcome
     that strategy j gives in each context, and in the last row. So A is held
     by columns, as `hits[c][j]`, the row that strategy j answers in context
-    c: (non-null contexts x strategies) ints, never a (rows x strategies)
-    table. Row r of context c has b = counts[r] / masses[c], both over the
-    model's denominator, and the last row b = counts[-1] = 1."""
+    c, and `hits[-1]`, the last row, which every strategy answers:
+    (non-null contexts + 1) x strategies ints, never a (rows x strategies)
+    table. Row r has b = rhs[r] / common, where `common` is the lcm of the
+    context masses: a cell of count n in a context of mass m, both over the
+    model's denominator, has rhs[r] = n * (common // m), and the last row
+    has rhs[-1] = common."""
 
     def __init__(self, model: EmpiricalModel) -> None:
         sites = model.sites
@@ -331,35 +335,34 @@ class _System:
         # answers row start + sum_i stride_i * (its outcome index for site i's
         # measurement there), strides in canonical outcome order. parts[i][k][t]
         # is stride_i times digit k of t, over the response functions t of site
-        # i, so a context's column sums one part per site.
+        # i, so a context's column sums one part per site. Digit k of t is
+        # t // base**e % base for e = digits - 1 - k, the last measurement lowest.
         strides = [math.prod(len(site.outcomes) for site in sites[i + 1 :]) for i in range(len(sites))]
         parts = []
         for site, stride in zip(sites, strides):
             base, digits = len(site.outcomes), len(site.measurements)
             parts.append(
-                [
-                    [stride * d for _ in range(base**k) for d in range(base) for _ in range(base ** (digits - 1 - k))]
-                    for k in range(digits)
-                ]
+                [[stride * (t // base**e % base) for t in range(base**digits)] for e in reversed(range(digits))]
             )
         self.contexts = list(table)
         self.width = len(outcomes)
+        self.common = math.lcm(*(mass for mass, _ in table.values()))
         self.hits: list[list[int]] = []
-        self.masses: list[int] = []
-        self.counts: list[int] = []
+        self.rhs: list[int] = []
         self.labels: list[str] = []
         for context, (mass, row) in table.items():
-            start = len(self.counts)
+            start = len(self.rhs)
             chosen = [site_parts[k] for site_parts, k in zip(parts, model.context_sort_key(context))]
             column = [start + v for v in chosen[-1]]
             for part in reversed(chosen[:-1]):
                 column = [v + w for v in part for w in column]
             self.hits.append(column)
-            self.masses.append(mass)
-            self.counts += [row.get(outcome, 0) for outcome in outcomes]
+            scale = self.common // mass
+            self.rhs += [row.get(outcome, 0) * scale for outcome in outcomes]
             context_text = describe(sites, context)
             self.labels += [f"p({text} | {context_text})" for text in outcome_texts]
-        self.counts.append(1)
+        self.hits.append([len(self.rhs)] * len(self.hits[0]))
+        self.rhs.append(self.common)
         self.labels.append("total probability")
 
 
@@ -372,7 +375,7 @@ def _signalling_certificate(model: EmpiricalModel, system: _System, signal: tupl
     width = system.width
     start, other_start = system.contexts.index(first) * width, system.contexts.index(other) * width
     sign = ONE if lhs < rhs else -ONE
-    y = [ZERO] * len(system.counts)
+    y = [ZERO] * len(system.rhs)
     for k, outcome in enumerate(model.outcome_tuples()):
         if outcome[i] == a:
             y[start + k] = sign
@@ -385,7 +388,7 @@ def _kept_strategies(system: _System) -> Sequence[int]:
     context reads only the strategies that the earlier ones kept."""
     kept: Sequence[int] = range(len(system.hits[0]))
     for column in system.hits:
-        kept = [j for j in kept if system.counts[column[j]]]
+        kept = [j for j in kept if system.rhs[column[j]]]
     return kept
 
 
@@ -397,19 +400,16 @@ def _peeled_weights(system: _System, kept: Sequence[int]) -> list[Fraction] | No
     row that exactly one unfixed kept strategy answers fixes that strategy's
     weight at the row's residual, b less the weights fixed before, and the
     weight is taken off every row the strategy answers, normalization
-    included. All in ints over L, the lcm of the masses. Each row keeps its
-    residual b L, and its number of unfixed kept strategies with the sum of
-    their positions in `kept`, which names the last one left. Every fixed
-    weight is implied by rows that any solution satisfies, so when every
+    included. All in ints over `common`: each row keeps its residual, from
+    `rhs`, and its number of unfixed kept strategies with the sum of their
+    positions in `kept`, which names the last one left. Every fixed weight
+    is implied by rows that any solution satisfies, so when every
     kept strategy is fixed, each weight is >= 0 and each residual is 0, x is
     the only solution of the kept system, the one the simplex would return.
     Otherwise (a negative weight, a residual left over, or no singleton row
     to go on) None, and the simplex answers."""
-    hits, masses, width = system.hits, system.masses, system.width
-    common = math.lcm(*masses)
-    residual = [count * (common // masses[r // width]) for r, count in enumerate(system.counts[:-1])]
-    residual.append(common)
-    last = len(residual) - 1
+    hits = system.hits
+    residual = list(system.rhs)
     unfixed = [0] * len(residual)
     positions = [0] * len(residual)
     for column in hits:
@@ -417,8 +417,6 @@ def _peeled_weights(system: _System, kept: Sequence[int]) -> list[Fraction] | No
             r = column[j]
             unfixed[r] += 1
             positions[r] += p
-    unfixed[last] = len(kept)
-    positions[last] = len(kept) * (len(kept) - 1) // 2
     weights: dict[int, int] = {}
     ready = [r for r, k in enumerate(unfixed) if k == 1]
     while ready:
@@ -430,7 +428,7 @@ def _peeled_weights(system: _System, kept: Sequence[int]) -> list[Fraction] | No
             return None
         weights[p] = w
         j = kept[p]
-        for s in [*(column[j] for column in hits), last]:
+        for s in [column[j] for column in hits]:
             residual[s] -= w
             unfixed[s] -= 1
             positions[s] -= p
@@ -438,7 +436,7 @@ def _peeled_weights(system: _System, kept: Sequence[int]) -> list[Fraction] | No
                 ready.append(s)
     if len(weights) < len(kept) or any(residual):
         return None
-    return [Fraction(weights[p], common) for p in range(len(kept))]
+    return [Fraction(weights[p], system.common) for p in range(len(kept))]
 
 
 def _lifted_certificate(system: _System, live: Sequence[int], certificate: Sequence[Fraction]) -> list[Fraction]:
@@ -449,19 +447,19 @@ def _lifted_certificate(system: _System, live: Sequence[int], certificate: Seque
     strategy, but may be negative on a dropped one. Each strategy j, in
     order, raises y by its deficit -y.A_j, if positive, on the first row
     with b = 0 that it answers (only a dropped one has a deficit), where
-    y.A_j is y's last (normalization) entry plus y on the row that j answers
-    in each context. That row has b = 0, so y.b is unchanged, and it is 0 on
+    y.A_j is the sum of y on the rows that j answers, one per column of
+    `hits`. That row has b = 0, so y.b is unchanged, and it is 0 on
     every kept strategy and nonnegative elsewhere, so no other y.A falls.
     All in ints over one common scale."""
-    hits, counts = system.hits, system.counts
+    hits, rhs = system.hits, system.rhs
     scale = math.lcm(*(v.denominator for v in certificate))
-    y = [0] * len(counts)
+    y = [0] * len(rhs)
     for i, v in zip(live, certificate):
         y[i] = v.numerator * (scale // v.denominator)
     for j in range(len(hits[0])):
-        deficit = -(y[-1] + sum(y[column[j]] for column in hits))
+        deficit = -sum(y[column[j]] for column in hits)
         if deficit > 0:
-            y[next(column[j] for column in hits if not counts[column[j]])] += deficit
+            y[next(column[j] for column in hits if not rhs[column[j]])] += deficit
     return [Fraction(v, scale) for v in y]
 
 
@@ -486,18 +484,16 @@ def _presolved_answer(
     kept = _kept_strategies(system)
     x = _peeled_weights(system, kept)
     if x is None:
-        counts, width = system.counts, system.width
-        live = [r for r, count in enumerate(counts) if count]
+        rhs = system.rhs
+        live = [r for r, v in enumerate(rhs) if v]
         # A kept strategy answers only rows with b != 0, and so has a 1 in the
-        # live row of each of its answers and in the last, normalization, row.
+        # live row of each of its answers, normalization included.
         position = {r: p for p, r in enumerate(live)}
         table = [[0] * len(kept) for _ in live]
         for column in system.hits:
             for p, j in enumerate(kept):
                 table[position[column[j]]][p] = 1
-        table[-1] = [1] * len(kept)
-        b = [Fraction(counts[r], system.masses[r // width]) for r in live[:-1]]
-        x, y = feasible_point(table, [*b, ONE])
+        x, y = feasible_point(table, [Fraction(rhs[r], system.common) for r in live])
         if x is None:
             assert y is not None
             return None, _lifted_certificate(system, live, y)
@@ -511,46 +507,39 @@ def _solves(system: _System, n: int, x: Sequence[Fraction]) -> bool:
     """Recheck that x, over n strategies, is >= 0 and solves the membership
     system held by columns, in ints. Each nonzero weight, scaled by the lcm
     L of their denominators, is added into the row its strategy answers in
-    each context and into the last row; row r of context c must then hold
-    b_r L, that is sums[r] * masses[c] == counts[r] * L."""
+    each column of `hits`, normalization included; every row r must then
+    hold b_r L, that is sums[r] * common == rhs[r] * L."""
     if len(x) != n:
         return False
     support = [(j, v) for j, v in enumerate(x) if v]
     if any(v < 0 for _, v in support):
         return False
     scale = math.lcm(*(v.denominator for _, v in support))
-    masses, width = system.masses, system.width
-    sums = [0] * len(system.counts)
+    sums = [0] * len(system.rhs)
     for j, v in support:
         w = v.numerator * (scale // v.denominator)
         for column in system.hits:
             sums[column[j]] += w
-        sums[-1] += w
-    return sums[-1] == scale and all(
-        s * masses[r // width] == count * scale for r, (s, count) in enumerate(zip(sums[:-1], system.counts))
-    )
+    return all(s * system.common == b * scale for s, b in zip(sums, system.rhs))
 
 
 def _certifies(system: _System, n: int, y: Sequence[Fraction]) -> bool:
     """Recheck a Farkas certificate of the membership system held by
     columns, in ints: y.A_j >= 0 for each of the n strategies, and y.b < 0.
-    With y scaled by the lcm of its denominators, y.A_j is the last row's
-    entry plus the entries of the rows that strategy j answers."""
-    if len(y) != len(system.counts):
+    With y scaled by the lcm of its denominators, y.A_j is the sum of the
+    entries of the rows that strategy j answers, one per column of `hits`,
+    and y.b < 0 is z.rhs < 0, since z.rhs is y.b times that lcm and
+    `common`."""
+    if len(y) != len(system.rhs):
         return False
     scale = math.lcm(*(v.denominator for v in y))
     z = [v.numerator * (scale // v.denominator) for v in y]
-    sums = [z[-1]] * n
+    sums = [0] * n
     for column in system.hits:
         sums = [s + z[r] for s, r in zip(sums, column)]
     if any(s < 0 for s in sums):
         return False
-    # y.b < 0 as an int over M, the lcm of the masses: row r of context c
-    # adds z_r counts_r (M / masses_c), and the last row z_last M.
-    masses, width = system.masses, system.width
-    common = math.lcm(*masses)
-    rows = enumerate(zip(z[:-1], system.counts))
-    return z[-1] * common + sum(v * count * (common // masses[r // width]) for r, (v, count) in rows if v) < 0
+    return sum(v * b for v, b in zip(z, system.rhs)) < 0
 
 
 def local_polytope_feasibility(

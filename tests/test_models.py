@@ -837,6 +837,21 @@ def test_site_responses_are_the_own_measurement_conditionals():
                 assert dict(responses[(i, m, lam)]) == expected
 
 
+def test_site_responses_list_outcomes_in_declared_order():
+    """Storage order sorts by the first site's outcome before the second's,
+    so the second site meets "o2" before "o1"; its response still lists
+    them as declared."""
+    sites = (Site("X", ("A",), ("x0", "x1")), Site("Y", ("B",), ("o1", "o2")))
+    half = Fraction(1, 2)
+    weights = {(("x1", "o1"), ("A", "B"), "l"): half, (("x0", "o2"), ("A", "B"), "l"): half}
+    h = HiddenVariableModel(sites, ("l",), weights)
+    assert [outcome[1] for outcome, _, _ in h.weights] == ["o2", "o1"]
+    responses = h.site_responses()
+    assert list(responses) == [(0, "A", "l"), (1, "B", "l")]
+    assert list(responses[(0, "A", "l")].items()) == [("x0", half), ("x1", half)]
+    assert list(responses[(1, "B", "l")].items()) == [("o1", half), ("o2", half)]
+
+
 # ---------------------------------------------------------------------------
 # Unhashable labels are input errors, not raw TypeErrors
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -277,10 +278,10 @@ def test_a_decoded_strategy_is_the_enumerated_one(sites):
 @pytest.mark.parametrize("sites", MIXED_SITES, ids=lambda sites: f"{len(sites)}-sites")
 def test_membership_rows_match_their_definition(sites):
     """In the c-th non-null context, strategy j answers row c * (outcome
-    tuples) + (index of its outcome), so the columns expand to the reference
-    rows. The masses are the context weights and the counts the cells of the
-    model's table, over one denominator, so counts[r] / masses[c] is the
-    reference b of each row r of context c."""
+    tuples) + (index of its outcome), and every strategy answers the last,
+    normalization, row, so the columns, that one included, expand to the
+    reference rows. `common` is the lcm of the context masses over the
+    model's denominator, and rhs[r] / common is the reference b of each row."""
     strategies = enumerate_deterministic_strategies(sites)
     verdicts = set()
     for seed in range(4):
@@ -289,28 +290,24 @@ def test_membership_rows_match_their_definition(sites):
             contexts = sorted(model.context_weights(), key=model.context_sort_key)
             outcomes = list(model.outcome_tuples())
             assert system.contexts == contexts and system.width == len(outcomes)
-            assert len(system.hits) == len(system.masses) == len(contexts)
+            assert len(system.hits) == len(contexts) + 1
             for c, (context, column) in enumerate(zip(contexts, system.hits)):
                 assert column == [
                     c * len(outcomes) + outcomes.index(strategy.outcome_for(sites, context)) for strategy in strategies
                 ]
             rows, rhs = full_membership_system(model)
+            assert system.hits[-1] == [len(rhs) - 1] * len(strategies)
             expanded = [[0] * len(strategies) for _ in rhs]
             for column in system.hits:
                 for j, r in enumerate(column):
                     expanded[r][j] = 1
-            expanded[-1] = [1] * len(strategies)
             assert expanded == rows
-            total = sum(system.masses)
             weights = model.context_weights()
-            assert [Fraction(mass, total) for mass in system.masses] == [weights[context] for context in contexts]
-            assert [Fraction(count, total) for count in system.counts[:-1]] == [
-                weights[context] * model.outcome_distribution(context).get(outcome, 0)
-                for context in contexts
-                for outcome in outcomes
-            ]
-            assert len(system.counts) == len(rhs) and system.counts[-1] == 1
-            assert [Fraction(n, system.masses[r // len(outcomes)]) for r, n in enumerate(system.counts[:-1])] == rhs[:-1]
+            masses = [weights[context] * model._denominator for context in contexts]
+            assert all(mass.denominator == 1 for mass in masses)
+            assert system.common == math.lcm(*(mass.numerator for mass in masses))
+            assert all(type(v) is int for v in system.rhs) and system.rhs[-1] == system.common
+            assert [Fraction(v, system.common) for v in system.rhs] == rhs
             expected = []
             for context in contexts:
                 given = ", ".join(f"{site.name}={m}" for site, m in zip(sites, context))

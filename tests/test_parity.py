@@ -19,6 +19,11 @@ re-recorded when the presolve came in front of the simplex: a signalling
 table now gets its +-1 certificate, and a mixture the point of the reduced
 system. Both answers, old and new, pass the rechecks against the full system,
 and the old answers substituted back give the old digests.
+
+Two membership sweeps pin `local_polytope_feasibility` alone, as the sha256
+of each model's `to_dict()` JSON, concatenated in order: 146 small models
+(random tables and projected strategy mixtures, with Bell and EPR first), and
+1,206 projected mixtures on eight shapes followed by uniform one-site tables.
 """
 
 from __future__ import annotations
@@ -28,16 +33,20 @@ import json
 
 import pytest
 
+from conftest import uniform_one_site
 from hvw import (
     ConstructionMethod,
     HiddenVariableModel,
     PropertyId,
+    bell_model,
     check_property,
     construct,
+    epr_model,
     equivalent_models,
     generate_random_model,
     grid_sites,
     local_polytope_feasibility,
+    project_to_empirical,
     random_strategy_mixture,
     serialize_model,
 )
@@ -116,3 +125,35 @@ def _sweep_text(shape: tuple[int, int, int]) -> str:
 @pytest.mark.parametrize("shape", list(DIGESTS), ids=str)
 def test_sweep_digest_is_pinned(shape):
     assert hashlib.sha256(_sweep_text(shape).encode()).hexdigest() == DIGESTS[shape]
+
+
+def _membership_digest(models) -> str:
+    digest = hashlib.sha256()
+    for model in models:
+        digest.update(json.dumps(local_polytope_feasibility(model).to_dict(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_small_membership_sweep_is_pinned():
+    """Bell, EPR, then seeds 0-11 of a random table and a projected
+    strategy mixture on six shapes: 146 models."""
+    models = [bell_model(), epr_model()]
+    for shape in ((1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (1, 3, 3)):
+        sites = grid_sites(*shape)
+        for seed in range(12):
+            models += [generate_random_model(seed, sites), project_to_empirical(random_strategy_mixture(seed, sites))]
+    assert len(models) == 146
+    assert _membership_digest(models) == "d83159a1b1eefd4d80825a6c4114d5f652d096384234579ce90ec1538bef5c55"
+
+
+def test_mixture_membership_sweep_is_pinned():
+    """Seeds 0-149 of projected strategy mixtures on eight shapes, then the
+    uniform one-site tables over k outcomes: 1,206 models."""
+    models = [
+        project_to_empirical(random_strategy_mixture(seed, grid_sites(*shape)))
+        for shape in ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 4, 2), (3, 3, 2), (2, 2, 3), (1, 3, 3), (4, 2, 2))
+        for seed in range(150)
+    ]
+    models += [uniform_one_site(k) for k in (1, 2, 3, 7, 50, 500)]
+    assert len(models) == 1206
+    assert _membership_digest(models) == "4c4688c3f07fb66641ffdf2cc76c71a5cd1c254cf861079b81b750f9a0f301f4"
