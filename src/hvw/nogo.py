@@ -20,25 +20,13 @@ Three classic obstruction patterns, each verified by exact computation:
   even) against the odd column count.
 
 `local_polytope_feasibility` is the general membership test behind the Bell
-polytope route and works on any empirical model: feasible inputs come back
-with an explicit lambda-independent, local hidden-variable model. It counts
-the strategies and decodes by index only those of a feasible mixture, never
-listing them. Its system is all ints: the 0/1 matrix is held by columns,
-as the row that each strategy index answers in each context and in
-normalization, so it takes (non-null contexts + 1) x strategies ints rather
-than a dense (rows x strategies) table, and b is one int per row over one
-common denominator, the lcm of the context masses. Its answer
-may come from an exact presolve (E. D. Andersen and K. D. Andersen, Math.
-Prog. 71, 1995) rather than from the simplex over all strategies. A model
-that signals gets a +-1 Farkas certificate off the non-contextuality scan,
-and otherwise the strategies that answer some context with a
-zero-probability outcome are fixed at weight 0. When rows answered by a
-single unfixed strategy then force every weight of the rest, that is the
-answer; else the simplex runs on a dense table of the rest, and in a
-certificate each dropped strategy is repaired on the first zero row it
-answers. The returned x or y is still rechecked against the full,
-unpresolved system, by an int check over the columns that shares no code
-with `linprog`.
+polytope route and works on any empirical model. A feasible input comes back
+with its mixture of deterministic strategies and an explicit
+lambda-independent, local hidden-variable model built from it; an infeasible
+one with a Farkas certificate. The guard counts the strategies, which are
+never listed. Every answer is rechecked against the full system, over all N
+strategies, by int code that shares nothing with `linprog`. `_System`
+describes the system, and `_presolved_answer` the routes an answer takes.
 """
 
 from __future__ import annotations
@@ -465,19 +453,26 @@ def _lifted_certificate(system: _System, live: Sequence[int], certificate: Seque
 
 def _presolved_answer(
     model: EmpiricalModel, system: _System
-) -> tuple[list[Fraction] | None, list[Fraction] | None]:
-    """(x, None) or (None, y) for the full membership system, as
-    `feasible_point` answers, with the simplex run only where needed.
+) -> tuple[list[tuple[int, Fraction]] | None, list[Fraction] | None]:
+    """(mixture, None) or (None, y) for the full membership system: the
+    mixture as (strategy, weight) pairs, the strategies strictly increasing
+    and every weight > 0, or a Farkas certificate y, one entry per row. The
+    routes, an exact presolve (E. D. Andersen and K. D. Andersen, Math.
+    Prog. 71, 1995) in front of the simplex:
 
-    A model that signals is answered by `_signalling_certificate`, with no
-    column read. Otherwise a strategy that answers a row with b = 0 must
-    have weight 0, since A >= 0, so the simplex runs only on the
-    `_kept_strategies` and on the rows with b != 0 (the dropped rows are 0
-    on every kept strategy). When the rows force every kept weight
-    (`_peeled_weights`), that x is the answer, with no simplex. Otherwise
-    the simplex runs on a dense 0/1 table built from `hits`, with a
-    `Fraction` b for those rows alone. Either x is lifted by zeros, and the
-    simplex's y by `_lifted_certificate`."""
+    * signalling certificate: a model that signals is answered by
+      `_signalling_certificate`, with no column read;
+    * kept strategies: otherwise a strategy that answers a row with b = 0
+      must have weight 0, since A >= 0, so only the `_kept_strategies` and
+      the rows with b != 0 stay (the dropped rows are 0 on every kept
+      strategy);
+    * peel: when the rows force every kept weight (`_peeled_weights`), those
+      weights are the mixture, with no simplex;
+    * simplex: else `feasible_point` runs on a dense 0/1 table of the kept
+      strategies and the live rows, built from `hits`, with a `Fraction` b
+      for those rows alone;
+    * lifted certificate: the simplex's y is lifted to every row and
+      strategy by `_lifted_certificate`."""
     signal = first_signal(model)
     if signal is not None:
         return None, _signalling_certificate(model, system, signal)
@@ -495,28 +490,26 @@ def _presolved_answer(
                 table[position[column[j]]][p] = 1
         x, y = feasible_point(table, [Fraction(rhs[r], system.common) for r in live])
         if x is None:
-            assert y is not None
             return None, _lifted_certificate(system, live, y)
-    full = [ZERO] * len(system.hits[0])
-    for j, v in zip(kept, x):
-        full[j] = v
-    return full, None
+    return [(j, v) for j, v in zip(kept, x) if v], None
 
 
-def _solves(system: _System, n: int, x: Sequence[Fraction]) -> bool:
-    """Recheck that x, over n strategies, is >= 0 and solves the membership
-    system held by columns, in ints. Each nonzero weight, scaled by the lcm
-    L of their denominators, is added into the row its strategy answers in
-    each column of `hits`, normalization included; every row r must then
-    hold b_r L, that is sums[r] * common == rhs[r] * L."""
-    if len(x) != n:
-        return False
-    support = [(j, v) for j, v in enumerate(x) if v]
-    if any(v < 0 for _, v in support):
-        return False
-    scale = math.lcm(*(v.denominator for _, v in support))
+def _solves(system: _System, n: int, mixture: Sequence[tuple[int, Fraction]]) -> bool:
+    """Recheck that `mixture`, (strategy, weight) pairs over n strategies,
+    has each strategy in range(n), the strategies strictly increasing and
+    every weight > 0, and solves the membership system held by columns, in
+    ints. Each weight, scaled by the lcm L of their denominators, is added
+    into the row its strategy answers in each column of `hits`,
+    normalization included; every row r must then hold b_r L, that is
+    sums[r] * common == rhs[r] * L."""
+    previous = -1
+    for j, v in mixture:
+        if not previous < j < n or v <= 0:
+            return False
+        previous = j
+    scale = math.lcm(*(v.denominator for _, v in mixture))
     sums = [0] * len(system.rhs)
-    for j, v in support:
+    for j, v in mixture:
         w = v.numerator * (scale // v.denominator)
         for column in system.hits:
             sums[column[j]] += w
@@ -547,37 +540,29 @@ def local_polytope_feasibility(
 ) -> PolytopeResult:
     """Can any mixture of deterministic strategies reproduce the model?
 
-    Builds the exact equality system (one row per non-null context and
-    outcome tuple, plus normalization) over all deterministic strategies and
-    asks for nonnegative weights. The strategies are counted, not listed:
-    the 0/1 system is held by columns, for each context the row that each
-    strategy index answers, and only the strategies of a feasible mixture
-    are decoded, for its witness model. The answer may come
-    from the presolve (`_presolved_answer`): a signalling model gets a +-1
-    certificate with no simplex; otherwise the strategies that no zero cell
-    rules out are kept, and when rows that one unfixed kept strategy answers
-    force every kept weight in turn, those weights are the mixture, again
-    with no simplex. Only the rest reach the simplex, on the kept strategies
-    alone. Either answer is rechecked against the full system by direct int
-    arithmetic over the columns (`_solves`, `_certifies`), which shares no
-    code with the solver, before being returned.
+    Feasible: `strategy_weights` is the mixture, (strategy index, weight)
+    pairs with the indices increasing and every weight > 0, and `hvm` its
+    witness model. Infeasible: `certificate` is a Farkas certificate, one
+    rational per row of `row_labels`. The guard counts the strategies, which
+    are never listed. Either answer is rechecked against the full system
+    over all N strategies (`_solves`, `_certifies`), by int code that shares
+    nothing with `linprog`, before it is returned. `_System` describes the
+    system, and `_presolved_answer` the routes an answer takes.
     """
     require(model, EmpiricalModel, "local_polytope_feasibility")
     n = _guarded_strategy_count(model.sites, guard)
     system = _System(model)
-    x, y = _presolved_answer(model, system)
-    if x is not None:
-        if not _solves(system, n, x):
+    mixture, y = _presolved_answer(model, system)
+    if mixture is not None:
+        if not _solves(system, n, mixture):
             raise AssertionError("solver returned a point that fails direct recheck")
-        mixture = tuple((i, w) for i, w in enumerate(x) if w)
         return PolytopeResult(
             feasible=True,
             strategy_count=n,
             row_labels=tuple(system.labels),
-            strategy_weights=mixture,
+            strategy_weights=tuple(mixture),
             hvm=_mixture_hvm(model, mixture),
         )
-    assert y is not None
     if not _certifies(system, n, y):
         raise AssertionError("solver returned a certificate that fails direct recheck")
     return PolytopeResult(

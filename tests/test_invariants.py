@@ -1,12 +1,14 @@
 """Invariants checked over generated inputs with Hypothesis: the LP recheck,
 the implications between the hidden-variable properties, the completions'
 guarantees, round trips through the model and verdict formats, Fine's
-theorem for the membership LP, and its presolve against the full simplex."""
+theorem for the membership LP, the CHSH inequalities on three measurements a
+site, and the presolve against the full simplex."""
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -43,6 +45,7 @@ from hvw import (
     verify_farkas,
     verify_solution,
 )
+from hvw import nogo
 
 
 @st.composite
@@ -217,6 +220,107 @@ def test_membership_lp_agrees_with_fines_theorem(pr, noise, strategies):
     model = _mixture(pr, noise, strategies)
     assert check_non_contextuality(model).holds  # no signalling
     assert local_polytope_feasibility(model).feasible == _chsh_holds(model)
+
+
+_SITES_232 = grid_sites(2, 3, 2)
+_MEASUREMENTS_232 = _SITES_232[0].measurements
+_STRATEGIES_232 = enumerate_deterministic_strategies(_SITES_232)
+_CELLS_232 = [
+    (outcome, context)
+    for context in itertools.product(_MEASUREMENTS_232, repeat=2)
+    for outcome in itertools.product(("o1", "o2"), repeat=2)
+]
+
+
+def _chsh_vectors() -> set[tuple[int, ...]]:
+    """Every CHSH inequality on (2,3,2) as its coefficient vector c over
+    `_CELLS_232`, with c.p <= 2 on every local table: a pair of measurements
+    at each site, the one correlator of the four that is negated, and a
+    sign."""
+    vectors = set()
+    for xs, ys in itertools.product(itertools.combinations(_MEASUREMENTS_232, 2), repeat=2):
+        square = list(itertools.product(xs, ys))
+        for negated, sign in itertools.product(square, (1, -1)):
+            vectors.add(
+                tuple(
+                    sign * (-1 if context == negated else 1) * _SIGN[a] * _SIGN[b] if context in square else 0
+                    for (a, b), context in _CELLS_232
+                )
+            )
+    return vectors
+
+
+_CHSH_232 = _chsh_vectors()
+
+
+def _mixture_232(boxes: list[tuple[int, int]], noise: int, strategies: list[tuple[int, int]]) -> EmpiricalModel:
+    """The given parts of boxes, noise parts of white noise and the given
+    parts of deterministic strategies on (2,3,2), with every context
+    weighted 1/9. Box f answers a xor b = f(x, y), uniformly, where
+    f(M(i+1), M(k+1)) is bit 3i + k of f."""
+    total = sum(part for _, part in boxes) + noise + sum(part for _, part in strategies)
+    weights: dict = {}
+    for (i, x), (k, y) in itertools.product(enumerate(_MEASUREMENTS_232), repeat=2):
+        for outcome in itertools.product(("o1", "o2"), repeat=2):
+            differ = outcome[0] != outcome[1]
+            p = Fraction(noise, 4) + sum(Fraction(part, 2) for f, part in boxes if (f >> (3 * i + k)) & 1 == differ)
+            for index, part in strategies:
+                if _STRATEGIES_232[index].outcome_for(_SITES_232, (x, y)) == outcome:
+                    p += part
+            if p:
+                weights[(outcome, (x, y))] = p / (9 * total)
+    return EmpiricalModel(_SITES_232, weights)
+
+
+def _violates_chsh_232(model: EmpiricalModel) -> bool:
+    rows = model.context_distributions()
+    table = [rows[context].get(outcome, 0) for outcome, context in _CELLS_232]
+    return any(sum(c * p for c, p in zip(vector, table)) > 2 for vector in _CHSH_232)
+
+
+def test_membership_lp_refuses_every_table_past_a_chsh_inequality_on_three_measurements(monkeypatch):
+    """On (2,3,2) the CHSH inequalities are facets of the local polytope,
+    though not its only ones (I3322 is another), so a violation must be
+    infeasible and nothing is asserted of a table that violates none. Over no-signalling
+    mixtures of boxes, noise and strategies, both verdicts are met, and every
+    table with noise, which has no zero cell, reaches `feasible_point`."""
+    assert len(_CHSH_232) == 72
+    solve = nogo.feasible_point
+    verdicts = Counter()
+
+    def counted(*args):
+        verdicts["simplex"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(nogo, "feasible_point", counted)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        st.lists(st.tuples(st.integers(0, 511), st.integers(1, 8)), max_size=2),
+        st.integers(0, 8),
+        st.lists(st.tuples(st.integers(0, 63), st.integers(1, 8)), max_size=3),
+    )
+    @example([(16, 1)], 0, [])  # a PR box on M1, M2 at each site: CHSH value 4
+    @example([(16, 1001)], 999, [])  # just over the boundary: CHSH value 2.002
+    @example([], 1, [])  # white noise
+    @example([], 0, [(5, 1)])  # one deterministic strategy
+    def sweep(boxes, noise, strategies):
+        if not (boxes or noise or strategies):
+            noise = 1
+        model = _mixture_232(boxes, noise, strategies)
+        assert check_non_contextuality(model).holds  # no signalling
+        runs = verdicts["simplex"]
+        feasible = local_polytope_feasibility(model).feasible
+        if noise:
+            assert verdicts["simplex"] == runs + 1
+        violated = _violates_chsh_232(model)
+        if violated:
+            assert not feasible
+        verdicts[feasible, violated, noise > 0] += 1
+
+    sweep()
+    # Both verdicts are met, each on tables with noise, which the simplex answered.
+    assert verdicts[False, True, True] >= 5 and verdicts[True, False, True] >= 20, verdicts
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

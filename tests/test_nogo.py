@@ -502,12 +502,15 @@ def null_direction(sites, strategies):
 
 
 def test_the_column_rechecks_agree_with_the_dense_ones():
-    """Over the presolve sweep, `_solves` and `_certifies` on the columns,
-    and `verify_solution` and `verify_farkas` on the reference rows, accept every
-    returned answer and both refuse each corruption of it: a wrong length;
-    for x, a weight moved to a strategy with another column, and a negative
-    weight that still solves A x = b; for y, -y, and one entry lowered until
-    some y.A_j < 0 while y.b stays negative."""
+    """Over the presolve sweep, `_solves` on the mixture and `_certifies` on
+    the columns, and `verify_solution` on the dense x built from the mixture
+    and `verify_farkas` on the reference rows, accept every returned answer
+    and both refuse each corruption of it: for x, a weight moved to a
+    strategy with another column, and negative weights that still solve
+    A x = b; for y, a wrong length, -y, and one entry lowered until some
+    y.A_j < 0 while y.b stays negative. `_solves` also refuses a mixture
+    out of its form: an index equal to n, a repeated index, a zero weight,
+    and two pairs out of order."""
     counted = Counter()
     for model in presolve_sweep():
         strategies = enumerate_deterministic_strategies(model.sites)
@@ -517,27 +520,42 @@ def test_the_column_rechecks_agree_with_the_dense_ones():
         result = local_polytope_feasibility(model)
         if result.feasible:
 
-            def verdicts(x):
-                return _solves(system, n, x), verify_solution(rows, rhs, x)
+            def dense(mixture):
+                x = [Fraction(0)] * n
+                for j, w in mixture:
+                    x[j] += w
+                return x
 
-            x = [Fraction(0)] * n
-            for j, w in result.strategy_weights:
-                x[j] = w
-            assert verdicts(x) == (True, True)
-            corrupted = [x[:-1], [*x, Fraction(0)]]
-            j = result.strategy_weights[0][0]
+            def verdicts(mixture):
+                return _solves(system, n, mixture), verify_solution(rows, rhs, dense(mixture))
+
+            mixture = list(result.strategy_weights)
+            assert verdicts(mixture) == (True, True)
+            (j, w), rest = mixture[0], mixture[1:]
             k = next(k for k in range(n) if any(row[k] != row[j] for row in rows))
-            moved = list(x)
-            moved[j], moved[k] = 0, x[k] + x[j]
-            corrupted.append(moved)
+            moved = dict(rest)
+            moved[k] = moved.get(k, 0) + w
+            corrupted = [sorted(moved.items())]
             direction = null_direction(model.sites, strategies)
             if direction is not None:
-                t = 1 + max(x[j] for j, sign in direction.items() if sign < 0)
-                negative = [v + t * direction.get(j, 0) for j, v in enumerate(x)]
+                x = dense(mixture)
+                t = 1 + max(x[d] for d, sign in direction.items() if sign < 0)
+                negative = [v + t * direction.get(d, 0) for d, v in enumerate(x)]
                 assert min(negative) < 0
                 assert all(sum(v for a, v in zip(row, negative) if a) == bi for row, bi in zip(rows, rhs))
-                corrupted.append(negative)
+                corrupted.append([(d, v) for d, v in enumerate(negative) if v])
                 counted["negative"] += 1
+            unused = next(z for z in range(n) if z not in dict(mixture))
+            malformed = [
+                [*mixture[:-1], (n, mixture[-1][1])],
+                [(j, w / 2), (j, w / 2), *rest],
+                sorted([*mixture, (unused, Fraction(0))]),
+            ]
+            if rest:
+                malformed.append([rest[0], (j, w), *rest[1:]])
+                counted["out of order"] += 1
+            for pairs in malformed:
+                assert not _solves(system, n, pairs), pairs
         else:
 
             def verdicts(y):
@@ -555,7 +573,8 @@ def test_the_column_rechecks_agree_with_the_dense_ones():
         counted[result.feasible] += 1
         for answer in corrupted:
             assert verdicts(answer) == (False, False)
-    assert counted[True] >= 40 and counted[False] >= 40 and counted["negative"] >= 40, counted
+    assert counted[True] >= 40 and counted[False] >= 40, counted
+    assert counted["negative"] >= 40 and counted["out of order"] >= 40, counted
 
 
 def test_a_signalling_certificate_is_plus_and_minus_one_on_two_marginals():

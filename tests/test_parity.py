@@ -24,12 +24,16 @@ Two membership sweeps pin `local_polytope_feasibility` alone, as the sha256
 of each model's `to_dict()` JSON, concatenated in order: 146 small models
 (random tables and projected strategy mixtures, with Bell and EPR first), and
 1,206 projected mixtures on eight shapes followed by uniform one-site tables.
+Each also pins how many answers came from the simplex and from the
+signalling certificate, so the rest were peeled: a route change that keeps
+every answer still shows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -50,6 +54,7 @@ from hvw import (
     random_strategy_mixture,
     serialize_model,
 )
+from hvw import nogo
 from hvw.models import as_empirical
 
 SEEDS = range(10)
@@ -127,28 +132,44 @@ def test_sweep_digest_is_pinned(shape):
     assert hashlib.sha256(_sweep_text(shape).encode()).hexdigest() == DIGESTS[shape]
 
 
-def _membership_digest(models) -> str:
+def _membership_digest(monkeypatch, models) -> tuple[str, int, int]:
+    """The sha256 of the answers' `to_dict()` JSON, and how many answers
+    came from `feasible_point` and from `_signalling_certificate`."""
+    calls = Counter()
+    for name in ("feasible_point", "_signalling_certificate"):
+
+        def counted(*args, _name=name, _call=getattr(nogo, name)):
+            calls[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(nogo, name, counted)
     digest = hashlib.sha256()
     for model in models:
         digest.update(json.dumps(local_polytope_feasibility(model).to_dict(), sort_keys=True).encode())
-    return digest.hexdigest()
+    return digest.hexdigest(), calls["feasible_point"], calls["_signalling_certificate"]
 
 
-def test_small_membership_sweep_is_pinned():
+def test_small_membership_sweep_is_pinned(monkeypatch):
     """Bell, EPR, then seeds 0-11 of a random table and a projected
-    strategy mixture on six shapes: 146 models."""
+    strategy mixture on six shapes: 146 models. 52 reach the simplex and 46
+    signal, so 48 are peeled."""
     models = [bell_model(), epr_model()]
     for shape in ((1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (1, 3, 3)):
         sites = grid_sites(*shape)
         for seed in range(12):
             models += [generate_random_model(seed, sites), project_to_empirical(random_strategy_mixture(seed, sites))]
     assert len(models) == 146
-    assert _membership_digest(models) == "d83159a1b1eefd4d80825a6c4114d5f652d096384234579ce90ec1538bef5c55"
+    assert _membership_digest(monkeypatch, models) == (
+        "d83159a1b1eefd4d80825a6c4114d5f652d096384234579ce90ec1538bef5c55",
+        52,
+        46,
+    )
 
 
-def test_mixture_membership_sweep_is_pinned():
+def test_mixture_membership_sweep_is_pinned(monkeypatch):
     """Seeds 0-149 of projected strategy mixtures on eight shapes, then the
-    uniform one-site tables over k outcomes: 1,206 models."""
+    uniform one-site tables over k outcomes: 1,206 models. 322 reach the
+    simplex and none signals, so 884 are peeled."""
     models = [
         project_to_empirical(random_strategy_mixture(seed, grid_sites(*shape)))
         for shape in ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 4, 2), (3, 3, 2), (2, 2, 3), (1, 3, 3), (4, 2, 2))
@@ -156,4 +177,8 @@ def test_mixture_membership_sweep_is_pinned():
     ]
     models += [uniform_one_site(k) for k in (1, 2, 3, 7, 50, 500)]
     assert len(models) == 1206
-    assert _membership_digest(models) == "4c4688c3f07fb66641ffdf2cc76c71a5cd1c254cf861079b81b750f9a0f301f4"
+    assert _membership_digest(monkeypatch, models) == (
+        "4c4688c3f07fb66641ffdf2cc76c71a5cd1c254cf861079b81b750f9a0f301f4",
+        322,
+        0,
+    )
