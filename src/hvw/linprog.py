@@ -38,6 +38,14 @@ lowest basic variable on a tie) comes out as it would in `Fraction`
 arithmetic, reduced rows or not. So the pivot sequence is that of a
 `Fraction` tableau, and the x or y built from the final rows, one `Fraction`
 per entry, is the same to the last bit.
+
+Scaling b by a constant c > 0 leaves the run as it is but for x: the
+reduced costs, and so the pivot columns, do not read b; every ratio scales
+by c, so the ratio test picks the same rows and breaks the same ties; and
+the dual prices y depend on the basis alone. x comes back scaled by c. A
+caller whose b is rationals over one denominator L can thus pass the int
+numerators and divide x by L: every row then starts over denominator 1,
+and a 0/1 A gives unit pivots, with no row multiplied through or reduced.
 """
 
 from __future__ import annotations

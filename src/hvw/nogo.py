@@ -380,9 +380,9 @@ def _kept_strategies(system: _System) -> Sequence[int]:
     return kept
 
 
-def _peeled_weights(system: _System, kept: Sequence[int]) -> list[Fraction] | None:
-    """The weights of the `kept` strategies, in order, when the rows force
-    them all, else None.
+def _peeled_weights(system: _System, kept: Sequence[int]) -> list[int] | None:
+    """The weights of the `kept` strategies, in order and as ints over
+    `common`, when the rows force them all, else None.
 
     Singleton rows, the first rule of the Andersen and Andersen presolve: a
     row that exactly one unfixed kept strategy answers fixes that strategy's
@@ -393,7 +393,8 @@ def _peeled_weights(system: _System, kept: Sequence[int]) -> list[Fraction] | No
     positions in `kept`, which names the last one left. Every fixed weight
     is implied by rows that any solution satisfies, so when every
     kept strategy is fixed, each weight is >= 0 and each residual is 0, x is
-    the only solution of the kept system, the one the simplex would return.
+    the only solution of the kept system, the one the simplex would return
+    on b = `rhs`.
     Otherwise (a negative weight, a residual left over, or no singleton row
     to go on) None, and the simplex answers."""
     hits = system.hits
@@ -424,7 +425,7 @@ def _peeled_weights(system: _System, kept: Sequence[int]) -> list[Fraction] | No
                 ready.append(s)
     if len(weights) < len(kept) or any(residual):
         return None
-    return [Fraction(weights[p], system.common) for p in range(len(kept))]
+    return [weights[p] for p in range(len(kept))]
 
 
 def _lifted_certificate(system: _System, live: Sequence[int], certificate: Sequence[Fraction]) -> list[Fraction]:
@@ -469,8 +470,12 @@ def _presolved_answer(
     * peel: when the rows force every kept weight (`_peeled_weights`), those
       weights are the mixture, with no simplex;
     * simplex: else `feasible_point` runs on a dense 0/1 table of the kept
-      strategies and the live rows, built from `hits`, with a `Fraction` b
-      for those rows alone;
+      strategies and the live rows, built from `hits`, with the int `rhs` of
+      those rows as b. That is b scaled by `common`, which keeps the pivots
+      and y and scales x by `common`, and it starts every tableau row over
+      denominator 1;
+    * mixture: the weights of either route, over `common`, are divided by
+      it once, as the mixture is built;
     * lifted certificate: the simplex's y is lifted to every row and
       strategy by `_lifted_certificate`."""
     signal = first_signal(model)
@@ -488,10 +493,10 @@ def _presolved_answer(
         for column in system.hits:
             for p, j in enumerate(kept):
                 table[position[column[j]]][p] = 1
-        x, y = feasible_point(table, [Fraction(rhs[r], system.common) for r in live])
+        x, y = feasible_point(table, [rhs[r] for r in live])
         if x is None:
             return None, _lifted_certificate(system, live, y)
-    return [(j, v) for j, v in zip(kept, x) if v], None
+    return [(j, Fraction(v, system.common)) for j, v in zip(kept, x) if v], None
 
 
 def _solves(system: _System, n: int, mixture: Sequence[tuple[int, Fraction]]) -> bool:

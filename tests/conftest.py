@@ -1,5 +1,5 @@
 """Shared fixtures: small models, the two polytope controls, a CLI runner,
-and a dense reference for the membership system."""
+a dense reference for the membership system, and the half-noise blend."""
 
 from __future__ import annotations
 
@@ -62,6 +62,18 @@ def kept_membership_system(model: EmpiricalModel) -> tuple[list[int], list[list[
     kept = [j for j in range(len(rows[0])) if not any(row[j] for row in zero)]
     live = [([row[j] for j in kept], bi) for row, bi in zip(rows, rhs) if bi]
     return kept, [row for row, _ in live], [bi for _, bi in live]
+
+
+def half_noise(model: EmpiricalModel) -> EmpiricalModel:
+    """Half the model and half the uniform table on the same contexts: every
+    cell of a non-null context is positive, so no strategy is dropped."""
+    outcomes = list(model.outcome_tuples())
+    weights = {}
+    for context, mass in model.context_weights().items():
+        row = model.outcome_distribution(context)
+        for outcome in outcomes:
+            weights[(outcome, context)] = mass * (row.get(outcome, 0) + Fraction(1, len(outcomes))) / 2
+    return EmpiricalModel(model.sites, weights)
 
 
 def unpresolved_feasible(model: EmpiricalModel) -> bool:

@@ -18,7 +18,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fr, pi_violating_hvm, uniform_one_site
+from conftest import fr, half_noise, pi_violating_hvm, uniform_one_site
+
+import hvw.linprog
 
 from hvw import (
     ClassificationReport,
@@ -260,6 +262,35 @@ def test_criterion_3_membership_of_the_uniform_table_over_4000_outcomes():
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
         assert elapsed < 0.5, f"took {elapsed:.2f}s"
         assert checked < 0.5, f"equivalence took {checked:.2f}s"
+
+
+def test_criterion_3_membership_of_the_half_noise_control(monkeypatch):
+    """Half the (2,3,2) seed-0 control and half the uniform table: every
+    cell is positive and each row has 16 of the 64 strategies, so no
+    strategy is dropped, the peel stalls, and the simplex takes 67 Bland
+    pivots on a 37 x 64 table (0.014 s on a 2-vCPU Xeon with Python 3.11).
+    Timed on its own, with the pivots counted in a second call."""
+    with criterion(3, "deterministic-mixture membership of the half-noise (2,3,2) control"):
+        control = half_noise(project_to_empirical(random_strategy_mixture(0, grid_sites(2, 3, 2))))
+        started = time.monotonic()
+        result = local_polytope_feasibility(control)
+        elapsed = time.monotonic() - started
+        pivots = 0
+        pivot = hvw.linprog._pivot
+
+        def counting(*args):
+            nonlocal pivots
+            pivots += 1
+            pivot(*args)
+
+        monkeypatch.setattr(hvw.linprog, "_pivot", counting)
+        assert local_polytope_feasibility(control) == result
+        assert result.strategy_count == 64
+        assert len(result.row_labels) == 37
+        assert result.feasible
+        assert equivalent_empirical(control, result.hvm).holds
+        assert pivots == 67
+        assert elapsed < 0.1, f"took {elapsed:.3f}s"
 
 
 def test_criterion_4_orthogonality_table(cli):

@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fr, full_membership_system, kept_membership_system
+from conftest import fr, full_membership_system, half_noise, kept_membership_system
 
 import hvw.linprog
+import hvw.nogo
 from hvw import (
     InputError,
     bell_model,
@@ -523,6 +524,96 @@ def test_the_peeled_control_still_takes_five_pivots_in_the_simplex(monkeypatch):
     x, _ = feasible_point(rows, rhs)
     assert counted == [5]
     assert [(j, v) for j, v in zip(kept, x) if v] == list(result.strategy_weights)
+
+
+def recorded_pivots(monkeypatch) -> list[tuple[int, int, int]]:
+    """A list that gets the (pivot_row, pivot_col, a) of every Bland pivot
+    taken from here on, a the pivot row's denominator after the pivot: 1
+    for a unit pivot."""
+    pivots = []
+    pivot = hvw.linprog._pivot
+
+    def recording(tableau, den, pivot_row, pivot_col):
+        pivot(tableau, den, pivot_row, pivot_col)
+        pivots.append((pivot_row, pivot_col, den[pivot_row]))
+
+    monkeypatch.setattr(hvw.linprog, "_pivot", recording)
+    return pivots
+
+
+def assert_scaled_b_keeps_the_run(pivots, rows, ints, scale) -> tuple[int, int, bool]:
+    """`feasible_point(rows, ints)` takes the pivots that it takes on b =
+    ints / scale, returns the same y and an x `scale` times as large; the
+    number of pivots, how many of them were unit pivots on b = ints, and
+    the verdict."""
+    pivots.clear()
+    x, y = feasible_point(rows, [Fraction(v, scale) for v in ints])
+    expected = [pivot[:2] for pivot in pivots]
+    pivots.clear()
+    scaled_x, scaled_y = feasible_point(rows, ints)
+    assert [pivot[:2] for pivot in pivots] == expected
+    assert scaled_y == y
+    if x is None:
+        assert scaled_x is None
+    else:
+        assert scaled_x == [scale * v for v in x]
+    return len(expected), sum(a == 1 for _, _, a in pivots), x is not None
+
+
+# name: (the table, its pivots, how many are unit pivots on an int b, the verdict)
+SCALED_SYSTEMS = {
+    "bell": (bell_model, 7, 7, False),
+    "(2,3,2) control": (lambda: project_to_empirical(random_strategy_mixture(0, grid_sites(2, 3, 2))), 6, 6, True),
+    "(2,4,2) control": (lambda: project_to_empirical(random_strategy_mixture(0, grid_sites(2, 4, 2))), 9, 9, True),
+    "half-noise (2,3,2)": (
+        lambda: half_noise(project_to_empirical(random_strategy_mixture(0, grid_sites(2, 3, 2)))),
+        67,
+        48,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SCALED_SYSTEMS)
+def test_an_int_b_keeps_the_pivots_and_y_and_scales_x(monkeypatch, name):
+    """On the kept membership systems, b as ints over the lcm L of its
+    denominators takes the same Bland pivots as b itself, returns the same
+    y, and an x L times as large. Every row then starts over denominator 1,
+    so the 0/1 tables of the sparse controls and Bell pivot on units alone."""
+    build, *expected = SCALED_SYSTEMS[name]
+    _, rows, rhs = kept_membership_system(build())
+    scale = math.lcm(*(v.denominator for v in rhs))
+    ints = [int(v * scale) for v in rhs]
+    pivots = recorded_pivots(monkeypatch)
+    assert assert_scaled_b_keeps_the_run(pivots, rows, ints, scale) == tuple(expected)
+
+
+def test_the_sweep_systems_keep_their_run_with_an_int_b(monkeypatch):
+    """The 322 systems that the mixtures of `test_parity`'s 1,206-model
+    sweep hand the simplex (its uniform tables are peeled): each, with b the
+    ints it is handed, keeps the run of the same system with b divided by
+    the normalization row's b, 2,262 pivots in all."""
+    systems = []
+    solve = hvw.nogo.feasible_point
+
+    def recording(rows, rhs):
+        systems.append((rows, rhs))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(hvw.nogo, "feasible_point", recording)
+    shapes = ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 4, 2), (3, 3, 2), (2, 2, 3), (1, 3, 3), (4, 2, 2))
+    for shape in shapes:
+        for seed in range(150):
+            local_polytope_feasibility(project_to_empirical(random_strategy_mixture(seed, grid_sites(*shape))))
+    assert len(systems) == 322
+    pivots = recorded_pivots(monkeypatch)
+    total = 0
+    for rows, ints in systems:
+        assert all(type(v) is int for v in ints)
+        count, _, feasible = assert_scaled_b_keeps_the_run(pivots, rows, ints, ints[-1])
+        assert feasible
+        total += count
+    assert total == 2262
 
 
 def always_reduced_pivot(tableau, den, pivot_row, pivot_col):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fr, full_membership_system, kept_membership_system, uniform_one_site, unpresolved_feasible
+from conftest import fr, full_membership_system, half_noise, kept_membership_system, uniform_one_site, unpresolved_feasible
 
 from hvw import (
     BellCertificate,
@@ -430,18 +430,6 @@ def test_polytope_rejects_hidden_models():
 # The presolve in front of the simplex
 
 
-def half_noise(model):
-    """Half the model and half the uniform table on the same contexts: every
-    cell of a non-null context is positive, so no strategy is dropped."""
-    outcomes = list(model.outcome_tuples())
-    weights = {}
-    for context, mass in model.context_weights().items():
-        row = model.outcome_distribution(context)
-        for outcome in outcomes:
-            weights[(outcome, context)] = mass * (row.get(outcome, 0) + Fraction(1, len(outcomes))) / 2
-    return EmpiricalModel(model.sites, weights)
-
-
 def pr_box():
     """Two sites of two two-outcome measurements: the outcomes differ exactly
     when both sites measure M2. No signalling, and no strategy fits."""
@@ -711,9 +699,11 @@ def test_a_signalling_table_is_answered_without_reading_a_column():
 
 
 def peeled(model):
-    """`_peeled_weights` on the model's kept strategies."""
+    """`_peeled_weights` on the model's kept strategies, divided by
+    `common`, or None."""
     system = _System(model)
-    return _peeled_weights(system, _kept_strategies(system))
+    weights = _peeled_weights(system, _kept_strategies(system))
+    return None if weights is None else [Fraction(w, system.common) for w in weights]
 
 
 PEEL_SHAPES = ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 4, 2), (3, 3, 2), (4, 2, 2))
