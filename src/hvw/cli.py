@@ -340,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--property",
         required=True,
         choices=tuple(p.value for p in PropertyId),
-        help="property to test",
+        metavar="PROPERTY",
+        help="property to test: %(choices)s",
     )
     p_check.set_defaults(func=_cmd_check)
 
@@ -352,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         required=True,
         choices=tuple(m.value for m in ConstructionMethod),
-        help="completion to apply",
+        metavar="METHOD",
+        help="completion to apply: %(choices)s",
     )
     p_construct.add_argument("--out", default=None, help="write the result here")
     p_construct.set_defaults(func=_cmd_construct)

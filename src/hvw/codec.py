@@ -71,19 +71,18 @@ MAX_EXPONENT = 1000
 # 0.03 s, 10^6 in over a second. More are refused before any int is built.
 MAX_DIGITS = 100_000
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)")
-# What `fraction_text` writes; only this form is read in pieces when too long.
-_PLAIN = re.compile(r"(-?)(\d+)(?:/(\d+))?")
 
 
 def read_rational(value: object, where: str) -> Fraction | int:
     """The one reader of an exact rational from outside the program.
 
-    A `Fraction` or `int` is taken as it is. A string is read as `Fraction`
-    reads it ("3/8", "-2", "0.125", "1e-30"), after its exponent is checked
-    against ±MAX_EXPONENT and its count of Unicode decimal digits against
-    MAX_DIGITS. A plain "n" or "n/d" as `fraction_text` writes it is read by
-    two `int` calls when both parts are short, and in pieces when a part is
-    too long for one `int` call. Booleans, floats, decimals and anything
+    A `Fraction` or `int` is taken as it is. A string has its exponent
+    checked against ±MAX_EXPONENT (a plain one has none), then its count of
+    Unicode decimal digits against MAX_DIGITS. A plain "n", "-n", "n/d" or
+    "-n/d", the form that `fraction_text` writes, is then read by one `int`
+    call a part, or in pieces when a part is past the digit limit of one
+    call, at any length; every other string is read as `Fraction` reads it
+    ("+3/8", "0.125", "1e-30"). Booleans, floats, decimals and anything
     else raise `ModelFormatError` naming `where`; a message echoes the value
     only as far as `show_value` cuts it.
     """
@@ -94,19 +93,10 @@ def read_rational(value: object, where: str) -> Fraction | int:
             f"{where} is not a finite rational: {show_value(value)}; "
             'exact rationals are ints, Fractions and strings like "3/8"'
         )
-    numerator, slash, denominator = value.partition("/")
-    if (
-        len(numerator) <= _PIECE_DIGITS
-        and len(denominator) <= _PIECE_DIGITS
-        and numerator.isdecimal()
-        and (denominator.isdecimal() or not slash)
-    ):
-        # The plain "n" or "n/d" that `fraction_text` writes, read as
-        # `Fraction(value)` reads it; a zero denominator takes the path below.
-        d = int(denominator) if slash else 1
-        if d:
-            return Fraction(int(numerator), d)
-    exponent = _EXPONENT.search(value)
+    negative = value[:1] == "-"
+    numerator, slash, denominator = value[negative:].partition("/")
+    plain = numerator.isdecimal() and (denominator.isdecimal() or not slash)
+    exponent = None if plain else _EXPONENT.search(value)
     if exponent is not None:
         digits = exponent.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
@@ -115,15 +105,13 @@ def read_rational(value: object, where: str) -> Fraction | int:
     if len(value) > MAX_DIGITS and (value.isdecimal() or sum(map(str.isdecimal, value)) > MAX_DIGITS):
         raise ModelFormatError(f"{where}: {show_value(value)} has more than {MAX_DIGITS} digits")
     try:
-        try:
+        if not plain:
             return Fraction(value)
-        except ValueError:  # a part over the digit limit, or not a number at all
-            plain = _PLAIN.fullmatch(value)
-            if plain is None:
-                raise
-            sign, numerator, denominator = plain.groups()
-            numerator_int = _text_int(numerator)
-            return Fraction(-numerator_int if sign else numerator_int, _text_int(denominator or "1"))
+        try:
+            n, d = int(numerator), int(denominator) if slash else 1
+        except ValueError:  # a part past the digit limit of one `int` call
+            n, d = _text_int(numerator), _text_int(denominator) if slash else 1
+        return Fraction(-n if negative else n, d)
     except (ValueError, ZeroDivisionError):
         raise ModelFormatError(f"{where} is not a finite rational: {show_value(value)}") from None
 

@@ -90,8 +90,8 @@ def _checked_system(
     """The system read into exact integers, the one reading that the solver
     and both rechecks share: row i of A and b_i are the int numerators
     `matrix[i]` and `b[i]` over one positive denominator `den[i]`, the lcm of
-    the row's denominators and b_i's. A row of ints is scaled by d_i with no
-    per-entry denominator lookup, and comes back as it is when d_i = 1."""
+    the row's denominators and b_i's. A row of ints with an int b_i is taken
+    as it is, over d_i = 1; any other row is scaled by its d_i."""
     _listed(rhs, "the right-hand side")
     _listed(rows, "the matrix")
     if len(rows) != len(rhs):
@@ -101,18 +101,16 @@ def _checked_system(
         _listed(row, f"row {i}")
         if type(bi) not in _EXACT_TYPES:
             bi = _exact(bi, f"right-hand side {i}")
+        d = 1
         types = set(map(type, row))
-        if types <= _INT_TYPE:
-            d = bi.denominator
-            if d != 1:
-                row = [v * d for v in row]
-        else:
+        if type(bi) is not int or not types <= _INT_TYPE:
             if not types <= _EXACT_TYPES:
                 row = [v if type(v) in _EXACT_TYPES else _exact(v, f"row {i}, column {j}") for j, v in enumerate(row)]
             d = math.lcm(bi.denominator, *map(_DENOMINATOR, row))
             row = [v.numerator * (d // v.denominator) for v in row]
+            bi = bi.numerator * (d // bi.denominator)
         matrix.append(row)
-        b.append(bi.numerator * (d // bi.denominator))
+        b.append(bi)
         den.append(d)
     width = {len(row) for row in matrix}
     if len(width) > 1:
@@ -146,17 +144,13 @@ def feasible_point(
         nums[-1] = flip[i] * b[i]
         tableau.append(nums)
     basis = [n + i for i in range(m)]
-    # Reduced costs for min sum(artificials), kept as row m of the tableau;
-    # last cell is minus the objective. The rows that share a denominator
-    # are summed first, and each sum is scaled to the common one once.
+    # Reduced costs for min sum(artificials), kept as row m of the tableau
+    # over the common denominator of the rows: minus the column sums of the
+    # rows, each scaled to that denominator, with the artificial columns
+    # cleared. The last cell is minus the objective.
     common = math.lcm(*den)
-    by_den: dict[int, list[list[int]]] = {}
-    for row, d in zip(tableau, den):
-        by_den.setdefault(d, []).append(row)
-    cost = [0] * (n + m + 1)
-    for d, group in by_den.items():
-        scale = common // d
-        cost = [c - scale * v for c, v in zip(cost, map(sum, zip(*group)))]
+    scaled = [row if d == common else [v * (common // d) for v in row] for row, d in zip(tableau, den)]
+    cost = [-sum(column) for column in zip(*scaled)]
     cost[n : n + m] = [0] * m
     tableau.append(cost)
     den.append(common)

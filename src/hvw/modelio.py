@@ -32,8 +32,10 @@ fields; any other row goes through the checks that name its first fault.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import re
 
 # MAX_EXPONENT and parse_fraction, the codec's reader, stay importable from here.
 from .codec import MAX_EXPONENT, _int_text, _quote, read_rational as parse_fraction, write_json  # noqa: F401
@@ -140,15 +142,30 @@ def _check_row_keys(row: object, where: str) -> None:
             raise ModelFormatError(f"{where}: missing key {required!r}")
 
 
+# A model file nests 4 levels deep. How deep `json` parses before it raises
+# `RecursionError` depends on the Python version, so a refused file that
+# nests deeper than this, outside its strings, is refused as nested too deeply.
+_MAX_NESTING = 100
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+_BRACKET = re.compile(r"[][{}]")
+
+
 def parse_model(text: str) -> Model:
-    """Parse a model file's content."""
+    """Parse a model file's content. Only a refused file is scanned for how
+    deep it nests."""
     try:
-        data = json.loads(text)
-    except RecursionError as exc:
-        raise ModelFormatError("not valid JSON: nested too deeply") from exc
-    except ValueError as exc:  # a decoding error, or an integer past the int-to-str limit
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
-    return model_from_dict(data)
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise ModelFormatError("not valid JSON: nested too deeply") from exc
+        except ValueError as exc:  # a decoding error, or an integer past the int-to-str limit
+            raise ModelFormatError(f"not valid JSON: {exc}") from exc
+        return model_from_dict(data)
+    except InputError as exc:
+        steps = [1 if bracket in "[{" else -1 for bracket in _BRACKET.findall(_STRING.sub("", text))]
+        if max(itertools.accumulate(steps), default=0) > _MAX_NESTING:
+            raise ModelFormatError("not valid JSON: nested too deeply") from exc
+        raise
 
 
 def _p_text(n: int, d: int) -> str:

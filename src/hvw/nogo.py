@@ -296,8 +296,8 @@ def _mixture_hvm(model: EmpiricalModel, mixture: Sequence[tuple[int, Fraction]])
 
 
 class _System:
-    """The full membership system A x = b over all N strategies, in ints,
-    with the row labels. The strategies are counted and addressed by index,
+    """The full membership system A x = b over all N strategies, in ints
+    and nothing else. The strategies are counted and addressed by index,
     never listed.
 
     The rows are one per non-null context and outcome tuple, in canonical
@@ -316,7 +316,6 @@ class _System:
         sites = model.sites
         table = model._context_table()
         outcomes = list(model.outcome_tuples())
-        outcome_texts = [describe(sites, outcome) for outcome in outcomes]
         # Strategy j is, in mixed radix, one outcome index per site and
         # measurement, the first slowest, as `enumerate_deterministic_strategies`
         # lists them. In a context whose block of rows starts at `start`, it
@@ -337,7 +336,6 @@ class _System:
         self.common = math.lcm(*(mass for mass, _ in table.values()))
         self.hits: list[list[int]] = []
         self.rhs: list[int] = []
-        self.labels: list[str] = []
         for context, (mass, row) in table.items():
             start = len(self.rhs)
             chosen = [site_parts[k] for site_parts, k in zip(parts, model.context_sort_key(context))]
@@ -347,11 +345,8 @@ class _System:
             self.hits.append(column)
             scale = self.common // mass
             self.rhs += [row.get(outcome, 0) * scale for outcome in outcomes]
-            context_text = describe(sites, context)
-            self.labels += [f"p({text} | {context_text})" for text in outcome_texts]
         self.hits.append([len(self.rhs)] * len(self.hits[0]))
         self.rhs.append(self.common)
-        self.labels.append("total probability")
 
 
 def _signalling_certificate(model: EmpiricalModel, system: _System, signal: tuple) -> list[Fraction]:
@@ -552,29 +547,26 @@ def local_polytope_feasibility(
     are never listed. Either answer is rechecked against the full system
     over all N strategies (`_solves`, `_certifies`), by int code that shares
     nothing with `linprog`, before it is returned. `_System` describes the
-    system, and `_presolved_answer` the routes an answer takes.
+    system, and `_presolved_answer` the routes an answer takes. The row
+    labels, `p(outcome | context)` for each row of `_System` and then the
+    normalization row, are written here, after the recheck.
     """
     require(model, EmpiricalModel, "local_polytope_feasibility")
     n = _guarded_strategy_count(model.sites, guard)
     system = _System(model)
     mixture, y = _presolved_answer(model, system)
-    if mixture is not None:
-        if not _solves(system, n, mixture):
-            raise AssertionError("solver returned a point that fails direct recheck")
-        return PolytopeResult(
-            feasible=True,
-            strategy_count=n,
-            row_labels=tuple(system.labels),
-            strategy_weights=tuple(mixture),
-            hvm=_mixture_hvm(model, mixture),
-        )
-    if not _certifies(system, n, y):
-        raise AssertionError("solver returned a certificate that fails direct recheck")
+    if not (_certifies(system, n, y) if mixture is None else _solves(system, n, mixture)):
+        raise AssertionError("solver returned an answer that fails direct recheck")
+    outcome_texts = [describe(model.sites, outcome) for outcome in model.outcome_tuples()]
+    context_texts = [describe(model.sites, context) for context in system.contexts]
+    labels = [f"p({text} | {given})" for given in context_texts for text in outcome_texts]
     return PolytopeResult(
-        feasible=False,
+        feasible=mixture is not None,
         strategy_count=n,
-        row_labels=tuple(system.labels),
-        certificate=tuple(y),
+        row_labels=(*labels, "total probability"),
+        strategy_weights=None if mixture is None else tuple(mixture),
+        certificate=None if y is None else tuple(y),
+        hvm=None if mixture is None else _mixture_hvm(model, mixture),
     )
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fr, half_noise, pi_violating_hvm, uniform_one_site
+from conftest import fr, full_membership_system, half_noise, pi_violating_hvm, uniform_one_site
 
 import hvw.linprog
 
@@ -42,7 +42,6 @@ from hvw import (
     construct_e1,
     construct_e2,
     construct_sv,
-    enumerate_deterministic_strategies,
     epr_escape_hvm,
     epr_model,
     equivalent_empirical,
@@ -123,26 +122,9 @@ def test_criterion_3_polytope_membership(cli, uniform_quarter, all_pairs_anticor
         assert poly.strategy_count == 64
         assert report.confirmed
 
-        # Revalidate the separating certificate against a system rebuilt here,
-        # from the public strategy enumeration and the model's own table.
-        model = bell_model()
-        strategies = enumerate_deterministic_strategies(model.sites)
-        contexts = sorted(model.context_weights(), key=model.context_sort_key)
-        outcomes = list(model.outcome_tuples())
-        rows = []
-        rhs = []
-        for context in contexts:
-            distribution = model.outcome_distribution(context)
-            for outcome in outcomes:
-                rows.append(
-                    [
-                        ONE if s.outcome_for(model.sites, context) == outcome else Fraction(0)
-                        for s in strategies
-                    ]
-                )
-                rhs.append(distribution.get(outcome, Fraction(0)))
-        rows.append([ONE] * len(strategies))
-        rhs.append(ONE)
+        # Revalidate the separating certificate against the reference system,
+        # built from the public strategy enumeration and the model's own table.
+        rows, rhs = full_membership_system(bell_model())
         assert len(rows) == len(poly.row_labels) == 37
         assert verify_farkas(rows, rhs, list(poly.certificate))
 

@@ -354,6 +354,20 @@ def test_deeply_nested_model_file_exits_two(cli, tmp_path):
     assert err == "error: not valid JSON: nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 3000 + "]" * 3000, '{"sites": ' + "[" * 3000 + "]" * 3000 + ', "weights": []}'],
+    ids=["closed-list", "deep-value"],
+)
+def test_a_deep_file_that_json_may_parse_exits_two_as_nested_too_deeply(cli, tmp_path, text):
+    """Whether `json` parses 3,000 levels depends on the Python version; a
+    refused file that deep gets the same message on every version."""
+    path = tmp_path / "deep.em"
+    path.write_text(text)
+    code, out, err = cli("check", str(path), "--property", "exchangeability")
+    assert (code, out, err) == (2, "", "error: not valid JSON: nested too deeply\n")
+
+
 def test_check_hidden_property_on_empirical_file(cli, epr_file):
     code, _, err = cli("check", epr_file, "--property", "locality")
     assert code == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -40,7 +41,7 @@ from hvw import (
     verify_ks,
 )
 from hvw import cli, modelio
-from hvw.codec import _EXPONENT, _PLAIN, MAX_DIGITS, MAX_EXPONENT, Codec, _text_int, read_rational, write_json
+from hvw.codec import _EXPONENT, MAX_DIGITS, MAX_EXPONENT, Codec, _text_int, read_rational, write_json
 from hvw.errors import show_value
 from hvw.nogo import CertificateEquation
 
@@ -189,9 +190,14 @@ def test_non_ascii_digits_count_against_max_digits():
     assert time.monotonic() - started < 0.1
 
 
+# The plain form that `fraction_text` writes, as the reference below matches it.
+_PLAIN = re.compile(r"(-?)(\d+)(?:/(\d+))?")
+
+
 def _read_rational_before_the_fast_path(value: object, where: str) -> Fraction | int:
-    """`read_rational` as it was before plain short strings took two `int`
-    calls, kept verbatim as the reference for that path."""
+    """`read_rational` as it was before plain strings took one `int` call a
+    part, kept verbatim as the reference for that path: `Fraction` read every
+    string, and a plain one too long for it was read in pieces."""
     if type(value) is Fraction or type(value) is int:
         return value
     if not isinstance(value, str):
@@ -228,6 +234,14 @@ _FAST_PATH_CASES = [
     for digits in (449, 450, 451)
     for part in ("9" * digits, "1" + "0" * (digits - 1))
     for text in (part, f"{part}/7", f"7/{part}", f"{part}/{part}", f"-{part}/3")
+] + [
+    "-0", "-0/5", "-", "--3", "-/3", "3/-8",
+] + [
+    # Across the digit limit of one `int` call (4,300 by default).
+    text
+    for digits in (4300, 4301, 9000)
+    for part in ("9" * digits, "1" + "0" * (digits - 1))
+    for text in (part, f"{part}/7", f"7/{part}", f"{part}/0", f"-{part}", f"-{part}/{part}")
 ]
 
 

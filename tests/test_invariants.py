@@ -2,12 +2,15 @@
 the implications between the hidden-variable properties, the completions'
 guarantees, round trips through the model and verdict formats, Fine's
 theorem for the membership LP, the CHSH inequalities on three measurements a
-site, and the presolve against the full simplex."""
+site, with I3322 the facets of that local polytope, and the presolve against
+the full simplex."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -272,10 +275,17 @@ def _mixture_232(boxes: list[tuple[int, int]], noise: int, strategies: list[tupl
     return EmpiricalModel(_SITES_232, weights)
 
 
-def _violates_chsh_232(model: EmpiricalModel) -> bool:
+def _table_232(model: EmpiricalModel) -> tuple[list[int], int]:
+    """The table over `_CELLS_232` as ints over one denominator."""
     rows = model.context_distributions()
-    table = [rows[context].get(outcome, 0) for outcome, context in _CELLS_232]
-    return any(sum(c * p for c, p in zip(vector, table)) > 2 for vector in _CHSH_232)
+    table = [rows[context].get(outcome, Fraction(0)) for outcome, context in _CELLS_232]
+    scale = math.lcm(*(p.denominator for p in table))
+    return [p.numerator * (scale // p.denominator) for p in table], scale
+
+
+def _violates_chsh_232(model: EmpiricalModel) -> bool:
+    table, scale = _table_232(model)
+    return any(sum(c * p for c, p in zip(vector, table)) > 2 * scale for vector in _CHSH_232)
 
 
 def test_membership_lp_refuses_every_table_past_a_chsh_inequality_on_three_measurements(monkeypatch):
@@ -321,6 +331,109 @@ def test_membership_lp_refuses_every_table_past_a_chsh_inequality_on_three_measu
     sweep()
     # Both verdicts are met, each on tables with noise, which the simplex answered.
     assert verdicts[False, True, True] >= 5 and verdicts[True, False, True] >= 20, verdicts
+
+
+# I3322 in the Collins-Gisin form, with pA(x) and pB(y) the chance of o1 at
+# each site and p(x, y) that of (o1, o1): sum J[x][y] p(x, y) + sum A[x] pA(x)
+# + sum B[y] pB(y) <= 0 on every local table.
+_I3322_JOINT = ((1, 1, 1), (1, 1, -1), (1, -1, 0))
+_I3322_A = (-2, -1, 0)
+_I3322_B = (-1, 0, 0)
+# The box of `_mixture_232` whose outcomes differ exactly where J[x][y] < 1
+# (bits 5, 7 and 8): I3322 = 1 on it.
+_I3322_BOX = 416
+
+
+def _i3322_vector(relabel) -> tuple[int, ...]:
+    """I3322, times 3, as a coefficient vector c over `_CELLS_232` with
+    c.p <= 0 on every local table, after `relabel` maps each cell (a, b, x,
+    y), with a, b the indices of the outcomes and x, y of the measurements.
+    A marginal is read as the mean over the other site's three measurements,
+    hence the 3."""
+    vector = []
+    for (oa, ob), (mx, my) in _CELLS_232:
+        a, b, x, y = relabel(oa == "o2", ob == "o2", _MEASUREMENTS_232.index(mx), _MEASUREMENTS_232.index(my))
+        vector.append(3 * _I3322_JOINT[x][y] * (not a and not b) + _I3322_A[x] * (not a) + _I3322_B[y] * (not b))
+    return tuple(vector)
+
+
+# The cells that each deterministic strategy of (2,3,2) answers, by index.
+_ANSWERS_232 = [
+    [k for k, (outcome, context) in enumerate(_CELLS_232) if strategy.outcome_for(_SITES_232, context) == outcome]
+    for strategy in _STRATEGIES_232
+]
+
+
+def _strategy_scores(vector: tuple[int, ...]) -> tuple[int, ...]:
+    """c.p on the table of each deterministic strategy of (2,3,2)."""
+    return tuple(sum(vector[k] for k in cells) for cells in _ANSWERS_232)
+
+
+@functools.cache
+def _i3322_vectors() -> tuple[tuple[int, ...], ...]:
+    """Every relabelling of I3322: a permutation of each site's measurements,
+    an outcome swap on any measurement and a swap of the sites. Two vectors
+    that score every deterministic strategy alike agree on the affine hull of
+    the local polytope, every no-signalling table, so only one is kept."""
+    kept = {}
+    orders = list(itertools.permutations(range(3)))
+    swaps = list(itertools.product((False, True), repeat=3))
+    for px, py, fx, fy, sites in itertools.product(orders, orders, swaps, swaps, (False, True)):
+
+        def relabel(a, b, x, y):
+            if sites:
+                a, b, x, y = b, a, y, x
+            return a ^ fx[x], b ^ fy[y], px[x], py[y]
+
+        vector = _i3322_vector(relabel)
+        kept.setdefault(_strategy_scores(vector), vector)
+    return tuple(kept.values())
+
+
+def test_membership_lp_agrees_with_the_facets_of_the_232_local_polytope():
+    """A no-signalling (2,3,2) table is local exactly when every cell is >= 0
+    and every relabelled CHSH and I3322 inequality holds (C. Śliwa, Phys.
+    Lett. A 317, 165, 2003; D. Collins and N. Gisin, J. Phys. A 37, 1775,
+    2004). That closed form shares no code with the LP, and the LP must give
+    its verdict on every table of the sweep. The sweep meets both verdicts,
+    and tables that only I3322 refuses: the uniform mixture of the 20
+    strategies on which I3322 is tight, with ε of a box that scores 1."""
+    vectors = _i3322_vectors()
+    assert len(vectors) == 576
+    assert all(max(_strategy_scores(vector)) == 0 for vector in vectors)
+    base = _i3322_vector(lambda *cell: cell)
+    tight = [j for j, score in enumerate(_strategy_scores(base)) if score == 0]
+    assert len(tight) == 20
+    box, scale = _table_232(_mixture_232([(_I3322_BOX, 1)], 0, []))
+    assert sum(c * p for c, p in zip(base, box)) == 3 * scale
+    verdicts = Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        st.lists(st.tuples(st.integers(0, 511), st.integers(1, 8)), max_size=2),
+        st.integers(0, 8),
+        st.lists(st.tuples(st.integers(0, 63), st.integers(1, 8)), max_size=3),
+    )
+    @example([(_I3322_BOX, 20)], 0, [(j, 9) for j in tight])  # ε = 1/10
+    @example([(_I3322_BOX, 20)], 0, [(j, 49) for j in tight])  # ε = 1/50
+    @example([(_I3322_BOX, 1)], 0, [])  # the box alone: I3322 = 1
+    @example([(16, 1)], 0, [])  # a PR box: CHSH value 4
+    @example([], 1, [])  # white noise
+    def sweep(boxes, noise, strategies):
+        if not (boxes or noise or strategies):
+            noise = 1
+        model = _mixture_232(boxes, noise, strategies)
+        assert check_non_contextuality(model).holds  # no signalling
+        table, _ = _table_232(model)
+        chsh = not _violates_chsh_232(model)
+        i3322 = all(sum(c * p for c, p in zip(vector, table)) <= 0 for vector in vectors)
+        local = min(table) >= 0 and chsh and i3322
+        assert local_polytope_feasibility(model).feasible == local
+        verdicts[local] += 1
+        verdicts["I3322 only"] += chsh and not i3322
+
+    sweep()
+    assert verdicts[True] >= 20 and verdicts[False] >= 5 and verdicts["I3322 only"] >= 2, verdicts
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
