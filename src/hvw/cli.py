@@ -70,9 +70,20 @@ EXIT_ERROR = 2
 _MAX_USAGE_MESSAGE = 270
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help layout, with lines broken at spaces, never at hyphens."""
+
+    def _split_lines(self, text: str, width: int) -> list[str]:
+        import textwrap  # as in argparse, only when help is printed
+        return textwrap.wrap(self._whitespace_matcher.sub(" ", text).strip(), width, break_on_hyphens=False)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with an over-long usage error cut short. Subparsers
-    are built from the same class, so they cut theirs too."""
+    """argparse's parser, with an over-long usage error cut short and help
+    from `_HelpFormatter`. Subparsers are built from the same class."""
+
+    def __init__(self, **kwargs: object) -> None:
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
 
     def error(self, message: str) -> NoReturn:
         super().error(show_text(message, _MAX_USAGE_MESSAGE))

@@ -295,6 +295,35 @@ def _mixture_hvm(model: EmpiricalModel, mixture: Sequence[tuple[int, Fraction]])
     return model._derive(weights, model._denominator * scale, lambda_set)
 
 
+class _Scenario(dict):
+    """What a membership system takes from its sites, never from p: the
+    outcome tuples, and per context read, built on first use and kept, N
+    offsets (offsets[j], the row strategy j answers in the block) and one
+    label per outcome tuple. `_scenario` keeps the last 4, keyed by the sites."""
+
+    def __init__(self, sites: tuple[Site, ...]) -> None:
+        self.sites = sites
+        self.outcomes = list(itertools.product(*(site.outcomes for site in sites)))
+
+    def __missing__(self, context: tuple[str, ...]) -> tuple[list[int], list[str]]:
+        # Strategy j is, in mixed radix, one outcome index per site and
+        # measurement, the first slowest, as `enumerate_deterministic_strategies`
+        # lists them. In a context it answers row sum_i stride_i * a_i, a_i its
+        # index at site i's measurement k, which over site i's response functions
+        # repeats each of range(base) base**(digits - 1 - k) times, base**k times over.
+        offsets, stride = [0], len(self.outcomes)
+        for site, m in zip(self.sites, context):
+            base, k = len(site.outcomes), site.measurements.index(m)
+            stride //= base
+            part = [stride * d for d in range(base) for _ in range(base ** (len(site.measurements) - 1 - k))] * base**k
+            offsets = [v + w for v in offsets for w in part]
+        given = describe(self.sites, context)
+        return self.setdefault(context, (offsets, [f"p({describe(self.sites, o)} | {given})" for o in self.outcomes]))
+
+
+_scenario = functools.lru_cache(maxsize=4)(_Scenario)  # 3 scenarios alternate in the polytope benchmark
+
+
 class _System:
     """The full membership system A x = b over all N strategies, in ints
     and nothing else. The strategies are counted and addressed by index,
@@ -307,44 +336,24 @@ class _System:
     by columns, as `hits[c][j]`, the row that strategy j answers in context
     c, and `hits[-1]`, the last row, which every strategy answers:
     (non-null contexts + 1) x strategies ints, never a (rows x strategies)
-    table. Row r has b = rhs[r] / common, where `common` is the lcm of the
-    context masses: a cell of count n in a context of mass m, both over the
-    model's denominator, has rhs[r] = n * (common // m), and the last row
-    has rhs[-1] = common."""
+    table. hits[c] is context c's offsets in the `_scenario` plus c * width.
+    Row r has b = rhs[r] / common, where `common` is the lcm of the context
+    masses: a cell of count n in a context of mass m, both over the model's
+    denominator, has rhs[r] = n * (common // m), and rhs[-1] = common."""
 
     def __init__(self, model: EmpiricalModel) -> None:
-        sites = model.sites
         table = model._context_table()
-        outcomes = list(model.outcome_tuples())
-        # Strategy j is, in mixed radix, one outcome index per site and
-        # measurement, the first slowest, as `enumerate_deterministic_strategies`
-        # lists them. In a context whose block of rows starts at `start`, it
-        # answers row start + sum_i stride_i * (its outcome index for site i's
-        # measurement there), strides in canonical outcome order. parts[i][k][t]
-        # is stride_i times digit k of t, over the response functions t of site
-        # i, so a context's column sums one part per site. Digit k of t is
-        # t // base**e % base for e = digits - 1 - k, the last measurement lowest.
-        strides = [math.prod(len(site.outcomes) for site in sites[i + 1 :]) for i in range(len(sites))]
-        parts = []
-        for site, stride in zip(sites, strides):
-            base, digits = len(site.outcomes), len(site.measurements)
-            parts.append(
-                [[stride * (t // base**e % base) for t in range(base**digits)] for e in reversed(range(digits))]
-            )
+        scenario = _scenario(model.sites)
         self.contexts = list(table)
-        self.width = len(outcomes)
+        self.width = len(scenario.outcomes)
         self.common = math.lcm(*(mass for mass, _ in table.values()))
         self.hits: list[list[int]] = []
         self.rhs: list[int] = []
         for context, (mass, row) in table.items():
             start = len(self.rhs)
-            chosen = [site_parts[k] for site_parts, k in zip(parts, model.context_sort_key(context))]
-            column = [start + v for v in chosen[-1]]
-            for part in reversed(chosen[:-1]):
-                column = [v + w for v in part for w in column]
-            self.hits.append(column)
+            self.hits.append([start + v for v in scenario[context][0]])
             scale = self.common // mass
-            self.rhs += [row.get(outcome, 0) * scale for outcome in outcomes]
+            self.rhs += [row.get(outcome, 0) * scale for outcome in scenario.outcomes]
         self.hits.append([len(self.rhs)] * len(self.hits[0]))
         self.rhs.append(self.common)
 
@@ -428,19 +437,21 @@ def _lifted_certificate(system: _System, live: Sequence[int], certificate: Seque
     the `_kept_strategies`, lifted to all rows and every strategy.
 
     With zeros on the other rows, y.A is the reduced y.A >= 0 on each kept
-    strategy, but may be negative on a dropped one. Each strategy j, in
-    order, raises y by its deficit -y.A_j, if positive, on the first row
-    with b = 0 that it answers (only a dropped one has a deficit), where
-    y.A_j is the sum of y on the rows that j answers, one per column of
-    `hits`. That row has b = 0, so y.b is unchanged, and it is 0 on
-    every kept strategy and nonnegative elsewhere, so no other y.A falls.
-    All in ints over one common scale."""
+    strategy, but may be negative on a dropped one. So y.A_j, the sum of y
+    on the rows that j answers, is formed column by column of `hits`, and
+    each j with y.A_j < 0, in order, raises y by its deficit -y.A_j, if still
+    positive, on the first row with b = 0 that it answers. Then y.b is
+    unchanged, and a raise, 0 on every kept strategy and >= 0 elsewhere,
+    lowers no other y.A. All in ints over one common scale."""
     hits, rhs = system.hits, system.rhs
     scale = math.lcm(*(v.denominator for v in certificate))
     y = [0] * len(rhs)
     for i, v in zip(live, certificate):
         y[i] = v.numerator * (scale // v.denominator)
-    for j in range(len(hits[0])):
+    sums = [0] * len(hits[0])
+    for column in hits:
+        sums = [s + y[r] for s, r in zip(sums, column)]
+    for j in [j for j, s in enumerate(sums) if s < 0]:
         deficit = -sum(y[column[j]] for column in hits)
         if deficit > 0:
             y[next(column[j] for column in hits if not rhs[column[j]])] += deficit
@@ -549,7 +560,7 @@ def local_polytope_feasibility(
     nothing with `linprog`, before it is returned. `_System` describes the
     system, and `_presolved_answer` the routes an answer takes. The row
     labels, `p(outcome | context)` for each row of `_System` and then the
-    normalization row, are written here, after the recheck.
+    normalization row, come from the sites' `_scenario`.
     """
     require(model, EmpiricalModel, "local_polytope_feasibility")
     n = _guarded_strategy_count(model.sites, guard)
@@ -557,9 +568,7 @@ def local_polytope_feasibility(
     mixture, y = _presolved_answer(model, system)
     if not (_certifies(system, n, y) if mixture is None else _solves(system, n, mixture)):
         raise AssertionError("solver returned an answer that fails direct recheck")
-    outcome_texts = [describe(model.sites, outcome) for outcome in model.outcome_tuples()]
-    context_texts = [describe(model.sites, context) for context in system.contexts]
-    labels = [f"p({text} | {given})" for given in context_texts for text in outcome_texts]
+    labels = [label for _, block in map(_scenario(model.sites).__getitem__, system.contexts) for label in block]
     return PolytopeResult(
         feasible=mixture is not None,
         strategy_count=n,

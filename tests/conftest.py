@@ -9,7 +9,19 @@ from fractions import Fraction
 
 import pytest
 
-from hvw import EmpiricalModel, HiddenVariableModel, Site, bell_model, enumerate_deterministic_strategies, feasible_point
+from hvw import (
+    EmpiricalModel,
+    HiddenVariableModel,
+    Site,
+    bell_model,
+    enumerate_deterministic_strategies,
+    epr_model,
+    feasible_point,
+    generate_random_model,
+    grid_sites,
+    project_to_empirical,
+    random_strategy_mixture,
+)
 from hvw.cli import main
 
 
@@ -132,6 +144,28 @@ def uniform_one_site(k: int) -> EmpiricalModel:
     positive, and each strategy alone answers its outcome's row."""
     site = Site("X", ("M",), tuple(f"o{i}" for i in range(k)))
     return EmpiricalModel((site,), {((outcome,), ("M",)): Fraction(1, k) for outcome in site.outcomes})
+
+
+def small_membership_sweep() -> list[EmpiricalModel]:
+    """Bell, EPR, then seeds 0-11 of a random table and a projected
+    strategy mixture on six shapes: 146 models."""
+    models = [bell_model(), epr_model()]
+    for shape in ((1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (1, 3, 3)):
+        sites = grid_sites(*shape)
+        for seed in range(12):
+            models += [generate_random_model(seed, sites), project_to_empirical(random_strategy_mixture(seed, sites))]
+    return models
+
+
+def mixture_membership_sweep() -> list[EmpiricalModel]:
+    """Seeds 0-149 of projected strategy mixtures on eight shapes, then the
+    uniform one-site tables over k outcomes: 1,206 models."""
+    models = [
+        project_to_empirical(random_strategy_mixture(seed, grid_sites(*shape)))
+        for shape in ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 4, 2), (3, 3, 2), (2, 2, 3), (1, 3, 3), (4, 2, 2))
+        for seed in range(150)
+    ]
+    return models + [uniform_one_site(k) for k in (1, 2, 3, 7, 50, 500)]
 
 
 def single_site_third_model() -> EmpiricalModel:

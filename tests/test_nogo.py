@@ -12,7 +12,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fr, full_membership_system, half_noise, kept_membership_system, uniform_one_site, unpresolved_feasible
+from conftest import (
+    fr,
+    full_membership_system,
+    half_noise,
+    kept_membership_system,
+    mixture_membership_sweep,
+    small_membership_sweep,
+    uniform_one_site,
+    unpresolved_feasible,
+)
 
 from hvw import (
     BellCertificate,
@@ -61,7 +70,7 @@ from hvw import (
     verify_solution,
 )
 from hvw import nogo
-from hvw.nogo import _System, _certifies, _digits, _kept_strategies, _peeled_weights, _presolved_answer, _solves
+from hvw.nogo import _System, _certifies, _digits, _kept_strategies, _peeled_weights, _presolved_answer, _scenario, _solves
 from hvw.properties import first_signal
 
 ONE = Fraction(1)
@@ -633,6 +642,136 @@ def test_a_lifted_certificate_puts_each_deficit_on_the_first_zero_row(monkeypatc
         assert list(result.certificate) == y
         counted["lifted"] += 1
     assert counted["lifted"] >= 2 and counted["repaired"] >= 10, counted
+
+
+def per_strategy_lift(system, live, certificate):
+    """The lift of `_lifted_certificate` as it was before it summed y.A by
+    columns, kept verbatim as the reference: one generator per strategy."""
+    hits, rhs = system.hits, system.rhs
+    scale = math.lcm(*(v.denominator for v in certificate))
+    y = [0] * len(rhs)
+    for i, v in zip(live, certificate):
+        y[i] = v.numerator * (scale // v.denominator)
+    for j in range(len(hits[0])):
+        deficit = -sum(y[column[j]] for column in hits)
+        if deficit > 0:
+            y[next(column[j] for column in hits if not rhs[column[j]])] += deficit
+    return [Fraction(v, scale) for v in y]
+
+
+def chained_boxes():
+    """Chained PR boxes on two sites of m = 2, 3 two-outcome measurements:
+    equal outcomes on (M_i, M_i) and (M_i+1, M_i), different ones on
+    (M_1, M_m), uniform elsewhere; then the box at 7/8 blended with the
+    table of one of its first 12 strategies at 1/8. None signals, and none
+    is a mixture of strategies: the chain's 2m correlations, the last one
+    negated, sum to 2m in the box, to at least -2m and at most 2m - 2 in a
+    strategy, and so to more than 2m - 2 in a blend."""
+    for m in (2, 3):
+        sites = grid_sites(2, m, 2)
+        rows = {}
+        for i, j in itertools.product(range(m), repeat=2):
+            context = (sites[0].measurements[i], sites[1].measurements[j])
+            chained = i in (j, j + 1) or (i, j) == (0, m - 1)
+            for outcome in itertools.product(("o1", "o2"), repeat=2):
+                if not chained:
+                    rows[(outcome, context)] = Fraction(1, 4 * m * m)
+                elif (outcome[0] == outcome[1]) != ((i, j) == (0, m - 1)):
+                    rows[(outcome, context)] = Fraction(1, 2 * m * m)
+        box = EmpiricalModel(sites, rows)
+        yield box
+        for strategy in enumerate_deterministic_strategies(sites)[:12]:
+            blend = Counter({key: v * 7 / 8 for key, v in rows.items()})
+            for context in box.context_weights():
+                blend[(strategy.outcome_for(sites, context), context)] += Fraction(1, 8 * m * m)
+            yield EmpiricalModel(sites, dict(blend))
+
+
+def test_the_column_lift_gives_the_y_of_the_per_strategy_lift(monkeypatch):
+    """On every table whose certificate is lifted, the lift gives exactly
+    the y of the per-strategy reference. The tables are both membership
+    sweeps, where only Bell is infeasible and does not signal, the PR box
+    and the chained boxes; on each of them some strategy has a deficit."""
+    lifted = []
+    lift = nogo._lifted_certificate
+
+    def compared(system, live, certificate):
+        y = lift(system, live, certificate)
+        assert y == per_strategy_lift(system, live, certificate)
+        padded = [Fraction(0)] * len(system.rhs)
+        for i, v in zip(live, certificate):
+            padded[i] = v
+        lifted.append(y != padded)
+        return y
+
+    monkeypatch.setattr(nogo, "_lifted_certificate", compared)
+    models = [*small_membership_sweep(), *mixture_membership_sweep(), pr_box(), *chained_boxes()]
+    results = [local_polytope_feasibility(model) for model in models]
+    assert not results[0].feasible and lifted[0], "Bell"
+    assert all(not result.feasible for result in results[-27:])
+    assert len(lifted) == 28 and sum(lifted) == 28, lifted
+
+
+def scenario_sweep():
+    """Bell, then seeds 0-2 of a random table, a projected strategy mixture
+    and that mixture with some contexts made null, on six scenarios in
+    turn, each model on sites built afresh."""
+    yield bell_model()
+    for seed in range(3):
+        for shape in ((1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (1, 3, 3)):
+            yield generate_random_model(seed, grid_sites(*shape))
+            mixture = project_to_empirical(random_strategy_mixture(seed, grid_sites(*shape)))
+            yield mixture
+            weights = mixture.context_weights()
+            kept = list(weights)[seed % 2 :: 2]
+            total = sum(weights[c] for c in kept)
+            yield EmpiricalModel(
+                grid_sites(*shape),
+                {(o, c): weights[c] / total * p for c in kept for o, p in mixture.outcome_distribution(c).items()},
+            )
+
+
+def test_a_cold_scenario_cache_gives_the_answers_of_a_warm_one():
+    """The sweep gives the same answers, byte for byte, with the scenario
+    cache cleared before every solve and never cleared, where six scenarios
+    in turn also evict one another from the four kept."""
+
+    def answers(cold):
+        texts = []
+        for model in scenario_sweep():
+            if cold:
+                _scenario.cache_clear()
+            texts.append(json.dumps(local_polytope_feasibility(model).to_dict(), sort_keys=True))
+        return texts
+
+    _scenario.cache_clear()
+    warm = answers(cold=False)
+    assert _scenario.cache_info().misses > 7
+    assert warm == answers(cold=True)
+    models = list(scenario_sweep())
+    assert sum(len(m.context_weights()) < m.n_context_tuples() for m in models) >= 18
+    assert {True, False} <= {json.loads(text)["feasible"] for text in warm}
+
+
+def test_a_sweep_of_one_scenario_builds_it_once():
+    """Twenty tables on sites built afresh each time share one scenario."""
+    _scenario.cache_clear()
+    for seed in range(10):
+        local_polytope_feasibility(generate_random_model(seed, grid_sites(2, 3, 2)))
+        local_polytope_feasibility(project_to_empirical(random_strategy_mixture(seed, grid_sites(2, 3, 2))))
+    assert _scenario.cache_info().misses == 1
+
+
+def test_a_table_builds_only_the_contexts_it_reads():
+    """A point mass on one of the 64 contexts of (3, 4, 2) builds that
+    context alone in its scenario."""
+    sites = grid_sites(3, 4, 2)
+    cell = (tuple(site.outcomes[0] for site in sites), tuple(site.measurements[0] for site in sites))
+    model = EmpiricalModel(sites, {cell: 1})
+    _scenario.cache_clear()
+    result = local_polytope_feasibility(model)
+    assert result.feasible and result.strategy_count == 4096 and len(result.row_labels) == 9
+    assert list(_scenario(model.sites)) == [cell[1]]
 
 
 def test_the_pr_box_drops_every_strategy_and_lifts_its_certificate():

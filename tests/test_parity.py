@@ -37,20 +37,17 @@ from collections import Counter
 
 import pytest
 
-from conftest import uniform_one_site
+from conftest import mixture_membership_sweep, small_membership_sweep
 from hvw import (
     ConstructionMethod,
     HiddenVariableModel,
     PropertyId,
-    bell_model,
     check_property,
     construct,
-    epr_model,
     equivalent_models,
     generate_random_model,
     grid_sites,
     local_polytope_feasibility,
-    project_to_empirical,
     random_strategy_mixture,
     serialize_model,
 )
@@ -150,14 +147,9 @@ def _membership_digest(monkeypatch, models) -> tuple[str, int, int]:
 
 
 def test_small_membership_sweep_is_pinned(monkeypatch):
-    """Bell, EPR, then seeds 0-11 of a random table and a projected
-    strategy mixture on six shapes: 146 models. 52 reach the simplex and 46
+    """`small_membership_sweep`: 146 models. 52 reach the simplex and 46
     signal, so 48 are peeled."""
-    models = [bell_model(), epr_model()]
-    for shape in ((1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (1, 3, 3)):
-        sites = grid_sites(*shape)
-        for seed in range(12):
-            models += [generate_random_model(seed, sites), project_to_empirical(random_strategy_mixture(seed, sites))]
+    models = small_membership_sweep()
     assert len(models) == 146
     assert _membership_digest(monkeypatch, models) == (
         "d83159a1b1eefd4d80825a6c4114d5f652d096384234579ce90ec1538bef5c55",
@@ -167,15 +159,9 @@ def test_small_membership_sweep_is_pinned(monkeypatch):
 
 
 def test_mixture_membership_sweep_is_pinned(monkeypatch):
-    """Seeds 0-149 of projected strategy mixtures on eight shapes, then the
-    uniform one-site tables over k outcomes: 1,206 models. 322 reach the
-    simplex and none signals, so 884 are peeled."""
-    models = [
-        project_to_empirical(random_strategy_mixture(seed, grid_sites(*shape)))
-        for shape in ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 4, 2), (3, 3, 2), (2, 2, 3), (1, 3, 3), (4, 2, 2))
-        for seed in range(150)
-    ]
-    models += [uniform_one_site(k) for k in (1, 2, 3, 7, 50, 500)]
+    """`mixture_membership_sweep`: 1,206 models. 322 reach the simplex and
+    none signals, so 884 are peeled."""
+    models = mixture_membership_sweep()
     assert len(models) == 1206
     assert _membership_digest(monkeypatch, models) == (
         "4c4688c3f07fb66641ffdf2cc76c71a5cd1c254cf861079b81b750f9a0f301f4",
