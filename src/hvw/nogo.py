@@ -297,13 +297,15 @@ def _mixture_hvm(model: EmpiricalModel, mixture: Sequence[tuple[int, Fraction]])
 
 class _Scenario(dict):
     """What a membership system takes from its sites, never from p: the
-    outcome tuples, and per context read, built on first use and kept, N
-    offsets (offsets[j], the row strategy j answers in the block) and one
-    label per outcome tuple. `_scenario` keeps the last 4, keyed by the sites."""
+    outcome tuples, `zeros`, the normalization row's N offsets, and per
+    context read, built on first use and kept, N offsets (offsets[j], the
+    row strategy j answers in the block) and one label per outcome tuple.
+    `_scenario` keeps the last 4, keyed by the sites."""
 
     def __init__(self, sites: tuple[Site, ...]) -> None:
         self.sites = sites
         self.outcomes = list(itertools.product(*(site.outcomes for site in sites)))
+        self.zeros = bytes(count_deterministic_strategies(sites))
 
     def __missing__(self, context: tuple[str, ...]) -> tuple[list[int], list[str]]:
         # Strategy j is, in mixed radix, one outcome index per site and
@@ -333,32 +335,31 @@ class _System:
     order, then normalization: the c-th of `contexts` has the `width` rows
     from c * width. A is 0/1: column j holds a 1 in the row of the outcome
     that strategy j gives in each context, and in the last row. So A is held
-    by columns, as `hits[c][j]`, the row that strategy j answers in context
-    c, and `hits[-1]`, the last row, which every strategy answers:
-    (non-null contexts + 1) x strategies ints, never a (rows x strategies)
-    table. hits[c] is context c's offsets in the `_scenario` plus c * width.
+    by columns, as (start, offsets) pairs: strategy j answers row start +
+    offsets[j]. `hits[c]` is (c * width, context c's offsets) and `hits[-1]`
+    (the last row, `zeros`), the very lists of the `scenario`, never copied:
+    a solve adds to them one int per row, never a list of N.
     Row r has b = rhs[r] / common, where `common` is the lcm of the context
     masses: a cell of count n in a context of mass m, both over the model's
     denominator, has rhs[r] = n * (common // m), and rhs[-1] = common."""
 
     def __init__(self, model: EmpiricalModel) -> None:
         table = model._context_table()
-        scenario = _scenario(model.sites)
+        self.scenario = scenario = _scenario(model.sites)
         self.contexts = list(table)
         self.width = len(scenario.outcomes)
         self.common = math.lcm(*(mass for mass, _ in table.values()))
-        self.hits: list[list[int]] = []
+        self.hits: list[tuple[int, Sequence[int]]] = []
         self.rhs: list[int] = []
         for context, (mass, row) in table.items():
-            start = len(self.rhs)
-            self.hits.append([start + v for v in scenario[context][0]])
+            self.hits.append((len(self.rhs), scenario[context][0]))
             scale = self.common // mass
             self.rhs += [row.get(outcome, 0) * scale for outcome in scenario.outcomes]
-        self.hits.append([len(self.rhs)] * len(self.hits[0]))
+        self.hits.append((len(self.rhs), scenario.zeros))
         self.rhs.append(self.common)
 
 
-def _signalling_certificate(model: EmpiricalModel, system: _System, signal: tuple) -> list[Fraction]:
+def _signalling_certificate(system: _System, signal: tuple) -> list[Fraction]:
     """y over the membership rows of a model whose marginal q(a | c) for
     measurement m at site i differs from q(a | c'): +1 on the rows (o, c)
     and -1 on the rows (o, c') with o_i = a, negated if need be so that
@@ -368,7 +369,7 @@ def _signalling_certificate(model: EmpiricalModel, system: _System, signal: tupl
     start, other_start = system.contexts.index(first) * width, system.contexts.index(other) * width
     sign = ONE if lhs < rhs else -ONE
     y = [ZERO] * len(system.rhs)
-    for k, outcome in enumerate(model.outcome_tuples()):
+    for k, outcome in enumerate(system.scenario.outcomes):
         if outcome[i] == a:
             y[start + k] = sign
             y[other_start + k] = -sign
@@ -378,9 +379,9 @@ def _signalling_certificate(model: EmpiricalModel, system: _System, signal: tupl
 def _kept_strategies(system: _System) -> Sequence[int]:
     """The strategies that answer no row with b = 0, in order. Each
     context reads only the strategies that the earlier ones kept."""
-    kept: Sequence[int] = range(len(system.hits[0]))
-    for column in system.hits:
-        kept = [j for j in kept if system.rhs[column[j]]]
+    kept: Sequence[int] = range(len(system.scenario.zeros))
+    for start, column in system.hits:
+        kept = [j for j in kept if system.rhs[start + column[j]]]
     return kept
 
 
@@ -405,9 +406,9 @@ def _peeled_weights(system: _System, kept: Sequence[int]) -> list[int] | None:
     residual = list(system.rhs)
     unfixed = [0] * len(residual)
     positions = [0] * len(residual)
-    for column in hits:
+    for start, column in hits:
         for p, j in enumerate(kept):
-            r = column[j]
+            r = start + column[j]
             unfixed[r] += 1
             positions[r] += p
     weights: dict[int, int] = {}
@@ -421,7 +422,7 @@ def _peeled_weights(system: _System, kept: Sequence[int]) -> list[int] | None:
             return None
         weights[p] = w
         j = kept[p]
-        for s in [column[j] for column in hits]:
+        for s in [start + column[j] for start, column in hits]:
             residual[s] -= w
             unfixed[s] -= 1
             positions[s] -= p
@@ -438,7 +439,7 @@ def _lifted_certificate(system: _System, live: Sequence[int], certificate: Seque
 
     With zeros on the other rows, y.A is the reduced y.A >= 0 on each kept
     strategy, but may be negative on a dropped one. So y.A_j, the sum of y
-    on the rows that j answers, is formed column by column of `hits`, and
+    on the rows that j answers, is formed block by block of `hits`, and
     each j with y.A_j < 0, in order, raises y by its deficit -y.A_j, if still
     positive, on the first row with b = 0 that it answers. Then y.b is
     unchanged, and a raise, 0 on every kept strategy and >= 0 elsewhere,
@@ -448,13 +449,15 @@ def _lifted_certificate(system: _System, live: Sequence[int], certificate: Seque
     y = [0] * len(rhs)
     for i, v in zip(live, certificate):
         y[i] = v.numerator * (scale // v.denominator)
-    sums = [0] * len(hits[0])
-    for column in hits:
-        sums = [s + y[r] for s, r in zip(sums, column)]
+    sums = [0] * len(system.scenario.zeros)
+    for start, column in hits:
+        block = y[start : start + system.width]
+        sums = [s + block[v] for s, v in zip(sums, column)]
     for j in [j for j, s in enumerate(sums) if s < 0]:
-        deficit = -sum(y[column[j]] for column in hits)
+        rows = [start + column[j] for start, column in hits]
+        deficit = -sum(y[r] for r in rows)
         if deficit > 0:
-            y[next(column[j] for column in hits if not rhs[column[j]])] += deficit
+            y[next(r for r in rows if not rhs[r])] += deficit
     return [Fraction(v, scale) for v in y]
 
 
@@ -486,7 +489,7 @@ def _presolved_answer(
       strategy by `_lifted_certificate`."""
     signal = first_signal(model)
     if signal is not None:
-        return None, _signalling_certificate(model, system, signal)
+        return None, _signalling_certificate(system, signal)
     kept = _kept_strategies(system)
     x = _peeled_weights(system, kept)
     if x is None:
@@ -496,9 +499,9 @@ def _presolved_answer(
         # live row of each of its answers, normalization included.
         position = {r: p for p, r in enumerate(live)}
         table = [[0] * len(kept) for _ in live]
-        for column in system.hits:
+        for start, column in system.hits:
             for p, j in enumerate(kept):
-                table[position[column[j]]][p] = 1
+                table[position[start + column[j]]][p] = 1
         x, y = feasible_point(table, [rhs[r] for r in live])
         if x is None:
             return None, _lifted_certificate(system, live, y)
@@ -510,7 +513,7 @@ def _solves(system: _System, n: int, mixture: Sequence[tuple[int, Fraction]]) ->
     has each strategy in range(n), the strategies strictly increasing and
     every weight > 0, and solves the membership system held by columns, in
     ints. Each weight, scaled by the lcm L of their denominators, is added
-    into the row its strategy answers in each column of `hits`,
+    into the row its strategy answers in each block of `hits`,
     normalization included; every row r must then hold b_r L, that is
     sums[r] * common == rhs[r] * L."""
     previous = -1
@@ -522,8 +525,8 @@ def _solves(system: _System, n: int, mixture: Sequence[tuple[int, Fraction]]) ->
     sums = [0] * len(system.rhs)
     for j, v in mixture:
         w = v.numerator * (scale // v.denominator)
-        for column in system.hits:
-            sums[column[j]] += w
+        for start, column in system.hits:
+            sums[start + column[j]] += w
     return all(s * system.common == b * scale for s, b in zip(sums, system.rhs))
 
 
@@ -531,7 +534,7 @@ def _certifies(system: _System, n: int, y: Sequence[Fraction]) -> bool:
     """Recheck a Farkas certificate of the membership system held by
     columns, in ints: y.A_j >= 0 for each of the n strategies, and y.b < 0.
     With y scaled by the lcm of its denominators, y.A_j is the sum of the
-    entries of the rows that strategy j answers, one per column of `hits`,
+    entries of the rows that strategy j answers, one per block of `hits`,
     and y.b < 0 is z.rhs < 0, since z.rhs is y.b times that lcm and
     `common`."""
     if len(y) != len(system.rhs):
@@ -539,8 +542,9 @@ def _certifies(system: _System, n: int, y: Sequence[Fraction]) -> bool:
     scale = math.lcm(*(v.denominator for v in y))
     z = [v.numerator * (scale // v.denominator) for v in y]
     sums = [0] * n
-    for column in system.hits:
-        sums = [s + z[r] for s, r in zip(sums, column)]
+    for start, column in system.hits:
+        block = z[start : start + system.width]
+        sums = [s + block[v] for s, v in zip(sums, column)]
     if any(s < 0 for s in sums):
         return False
     return sum(v * b for v, b in zip(z, system.rhs)) < 0
@@ -568,7 +572,7 @@ def local_polytope_feasibility(
     mixture, y = _presolved_answer(model, system)
     if not (_certifies(system, n, y) if mixture is None else _solves(system, n, mixture)):
         raise AssertionError("solver returned an answer that fails direct recheck")
-    labels = [label for _, block in map(_scenario(model.sites).__getitem__, system.contexts) for label in block]
+    labels = [label for _, block in map(system.scenario.__getitem__, system.contexts) for label in block]
     return PolytopeResult(
         feasible=mixture is not None,
         strategy_count=n,

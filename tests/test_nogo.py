@@ -288,8 +288,9 @@ def test_a_decoded_strategy_is_the_enumerated_one(sites):
 def test_membership_rows_match_their_definition(sites):
     """In the c-th non-null context, strategy j answers row c * (outcome
     tuples) + (index of its outcome), and every strategy answers the last,
-    normalization, row, so the columns, that one included, expand to the
-    reference rows. `common` is the lcm of the context masses over the
+    normalization, row, so the columns, each (start, offsets) pair made the
+    rows start + offsets[j] and that one included, expand to the reference
+    rows. `common` is the lcm of the context masses over the
     model's denominator, and rhs[r] / common is the reference b of each row.
     The answer's `row_labels` name those rows, in order."""
     strategies = enumerate_deterministic_strategies(sites)
@@ -301,14 +302,15 @@ def test_membership_rows_match_their_definition(sites):
             outcomes = list(model.outcome_tuples())
             assert system.contexts == contexts and system.width == len(outcomes)
             assert len(system.hits) == len(contexts) + 1
-            for c, (context, column) in enumerate(zip(contexts, system.hits)):
+            columns = [[start + v for v in column] for start, column in system.hits]
+            for c, (context, column) in enumerate(zip(contexts, columns)):
                 assert column == [
                     c * len(outcomes) + outcomes.index(strategy.outcome_for(sites, context)) for strategy in strategies
                 ]
             rows, rhs = full_membership_system(model)
-            assert system.hits[-1] == [len(rhs) - 1] * len(strategies)
+            assert columns[-1] == [len(rhs) - 1] * len(strategies)
             expanded = [[0] * len(strategies) for _ in rhs]
-            for column in system.hits:
+            for column in columns:
                 for j, r in enumerate(column):
                     expanded[r][j] = 1
             assert expanded == rows
@@ -646,8 +648,9 @@ def test_a_lifted_certificate_puts_each_deficit_on_the_first_zero_row(monkeypatc
 
 def per_strategy_lift(system, live, certificate):
     """The lift of `_lifted_certificate` as it was before it summed y.A by
-    columns, kept verbatim as the reference: one generator per strategy."""
-    hits, rhs = system.hits, system.rhs
+    columns, kept as the reference: one generator per strategy, over the
+    columns made absolute rows."""
+    hits, rhs = [[start + v for v in column] for start, column in system.hits], system.rhs
     scale = math.lcm(*(v.denominator for v in certificate))
     y = [0] * len(rhs)
     for i, v in zip(live, certificate):
@@ -772,6 +775,47 @@ def test_a_table_builds_only_the_contexts_it_reads():
     result = local_polytope_feasibility(model)
     assert result.feasible and result.strategy_count == 4096 and len(result.row_labels) == 9
     assert list(_scenario(model.sites)) == [cell[1]]
+
+
+def test_the_system_shares_the_scenario_columns():
+    """`_System` copies no column and builds no list of N: each `hits[c]` is
+    (c * width, the very offsets the scenario keeps for context c), and the
+    last is (the normalization row, the scenario's one row of N zeros). On
+    Bell, a (2,3,2) strategy mixture and that mixture with every other
+    context made null; a second solve of an equal table adds no scenario
+    miss."""
+
+    def tables():
+        yield bell_model()
+        sites = grid_sites(2, 3, 2)
+        mixture = project_to_empirical(random_strategy_mixture(0, sites))
+        yield mixture
+        weights = mixture.context_weights()
+        kept = list(weights)[::2]
+        total = sum(weights[c] for c in kept)
+        yield EmpiricalModel(
+            sites, {(o, c): weights[c] / total * p for c in kept for o, p in mixture.outcome_distribution(c).items()}
+        )
+
+    nulls = []
+    for model, equal in zip(tables(), tables()):
+        _scenario.cache_clear()
+        system = _System(model)
+        scenario = _scenario(model.sites)
+        assert system.scenario is scenario
+        *blocks, (last, zeros) = system.hits
+        assert len(blocks) == len(system.contexts)
+        for c, (context, (start, offsets)) in enumerate(zip(system.contexts, blocks)):
+            assert start == c * system.width and offsets is scenario[context][0]
+        assert last == len(system.rhs) - 1 and zeros is scenario.zeros
+        assert zeros == bytes(count_deterministic_strategies(model.sites))
+        nulls.append(model.n_context_tuples() - len(system.contexts))
+        local_polytope_feasibility(model)
+        misses = _scenario.cache_info().misses
+        assert equal == model
+        assert local_polytope_feasibility(equal) == local_polytope_feasibility(model)
+        assert _scenario.cache_info().misses == misses
+    assert nulls == [0, 0, 4]
 
 
 def test_the_pr_box_drops_every_strategy_and_lifts_its_certificate():
