@@ -46,7 +46,11 @@ measurements, optionally a hidden state). `event_prob` and `cond_prob` give
 exact unconditional and conditional probabilities, and the module-level
 `equivalent_*` functions decide whether two models make identical predictions:
 the same non-null contexts and the same conditional outcome distributions on
-each of them.
+each of them. One scan, `_prediction_agreement`, serves all three. It reads
+the contexts, then each context's outcomes, as stored when both tables hold
+the same keys, else as the sorted union, and its witness is the canonically
+first disagreement: a context null on one side only, or an outcome whose
+conditional probabilities differ.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, overload
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, overload
 
 from .codec import Codec, fraction_text, read_rational
 from .errors import (
@@ -243,6 +247,11 @@ class _BaseModel:
     indices of its context, then of its outcome tuple, then of its hidden
     state. Validation, equality, the support, event probabilities and the
     per-context outcome table live here.
+
+    The weights, and so every table built from them, are stored in canonical
+    order. `_build_tables` relies on it to read each context's weights as
+    one run, and `_prediction_agreement` to scan two tables that hold the
+    same keys in their stored order.
     """
 
     _KEY_SHAPE: str
@@ -477,7 +486,7 @@ def _totalled(rows: Mapping[tuple, dict]) -> dict[tuple, tuple[int, dict]]:
 
 def _declared(row: dict[str, int], index: Mapping[str, int]) -> dict[str, int]:
     """`row` with its outcomes in their declared order at the site."""
-    return row if len(row) == 1 else {a: row[a] for a in sorted(row, key=index.__getitem__)}
+    return {a: row[a] for a in sorted(row, key=index.__getitem__)}
 
 
 def _fraction_row(mass: int, row: Mapping) -> Mapping:
@@ -525,25 +534,39 @@ class HiddenVariableModel(_BaseModel):
         super().__init__(sites, weights)
 
     def _build_tables(self) -> None:
-        rows: dict = {}
-        by_context: dict[Context, dict[str, dict]] = {}
-        responses: dict[tuple[int, str, str], dict[str, int]] = {}
-        for (outcome, context, lam), n in self._weights.items():
-            row = rows.setdefault(context, {})
+        # One pass over the weights, stored context-major: a context's row,
+        # its hidden states and each site's response slot, per_site[i][m],
+        # are found once per context.
+        per_site: list[list[dict[str, dict[str, int]]]] = [[{} for _ in index] for index in self._meas_index]
+        rows: dict[Context, dict[OutcomeTuple, int]] = {}
+        by_context: dict[Context, dict[str, dict[OutcomeTuple, int]]] = {}
+        context = None
+        for (outcome, c, lam), n in self._weights.items():
+            if c != context:
+                context, row, by_lambda = c, rows.setdefault(c, {}), by_context.setdefault(c, {})
+                slots = [per_site[i][index[m]] for i, (index, m) in enumerate(zip(self._meas_index, c))]
             row[outcome] = row.get(outcome, 0) + n
-            by_context.setdefault(context, {}).setdefault(lam, {})[outcome] = n
-            for i, m in enumerate(context):
-                response = responses.setdefault((i, m, lam), {})
-                response[outcome[i]] = response.get(outcome[i], 0) + n
+            by_lambda.setdefault(lam, {})[outcome] = n
+            for slot, a in zip(slots, outcome):
+                response = slot.setdefault(lam, {})
+                response[a] = response.get(a, 0) + n
         # Storage order sorts the contexts, not the hidden states within one
         # nor the outcomes of one site; a row sorts only its own outcomes.
         rank = self._lambda_index.__getitem__
         self._ctx_table = _totalled(rows)
-        self._lambda_rows = _totalled(
-            {(c, lam): by_lambda[lam] for c, by_lambda in by_context.items() for lam in sorted(by_lambda, key=rank)}
-        )
-        order = sorted(responses, key=lambda k: (k[0], self._meas_index[k[0]][k[1]], rank(k[2])))
-        self._responses = _totalled({k: _declared(responses[k], self._out_index[k[0]]) for k in order})
+        self._lambda_rows = {
+            (c, lam): (sum(row.values()), row)
+            for c, by_lambda in by_context.items()
+            for lam in sorted(by_lambda, key=rank)
+            for row in [by_lambda[lam]]
+        }
+        self._responses = {
+            (i, m, lam): (sum(row.values()), row if len(row) == 1 else _declared(row, self._out_index[i]))
+            for i, (site, slots) in enumerate(zip(self.sites, per_site))
+            for m, slot in zip(site.measurements, slots)
+            for lam in sorted(slot, key=rank)
+            for row in [slot[lam]]
+        }
 
     def _lambda_table(self) -> dict[tuple[Context, str], tuple[int, dict[OutcomeTuple, int]]]:
         """Each positive (context, hidden state) pair's outcome counts."""
@@ -630,41 +653,31 @@ def project_to_empirical(hvm: HiddenVariableModel) -> EmpiricalModel:
     return hvm._derive(joint, hvm._denominator)
 
 
+def _union(left: Mapping, right: Mapping, sort_key: Callable[[tuple], tuple[int, ...]]) -> Iterable:
+    """The keys of both, in canonical order: `left` as stored when both
+    hold the same keys, else the union sorted by `sort_key`."""
+    return left if left.keys() == right.keys() else sorted(left.keys() | right.keys(), key=sort_key)
+
+
 def _prediction_agreement(left: _BaseModel, right: _BaseModel) -> PropertyVerdict:
     if left.sites != right.sites:
         raise SignatureMismatchError("models do not share the same site signature")
     left_table, right_table = left._context_table(), right._context_table()
-    contexts = sorted(set(left_table) | set(right_table), key=left.context_sort_key)
-    for context in contexts:
+    for context in _union(left_table, right_table, left.context_sort_key):
         left_mass, left_row = left_table.get(context, (0, {}))
         right_mass, right_row = right_table.get(context, (0, {}))
-        if not left_mass or not right_mass:
-            ctx_desc = describe(left.sites, context)
-            return PropertyVerdict(
-                False,
-                Witness(
-                    lhs_desc=f"left p({ctx_desc})",
-                    rhs_desc=f"right p({ctx_desc})",
-                    lhs=Fraction(left_mass, left._denominator),
-                    rhs=Fraction(right_mass, right._denominator),
-                    where=tuple(context),
-                ),
-            )
-        outcomes = sorted(set(left_row) | set(right_row), key=left.outcome_sort_key)
-        found = first_unequal(outcomes, left_row, left_mass, right_row, right_mass)
-        if found:
+        if left_mass and right_mass:
+            outcomes = _union(left_row, right_row, left.outcome_sort_key)
+            found = first_unequal(outcomes, left_row, left_mass, right_row, right_mass)
+            if not found:
+                continue
             outcome, lhs, rhs = found
-            desc = f"p({describe(left.sites, outcome)} | {describe(left.sites, context)})"
-            return PropertyVerdict(
-                False,
-                Witness(
-                    lhs_desc=f"left {desc}",
-                    rhs_desc=f"right {desc}",
-                    lhs=lhs,
-                    rhs=rhs,
-                    where=tuple(context) + tuple(outcome),
-                ),
-            )
+            desc, where = f"p({describe(left.sites, outcome)} | {describe(left.sites, context)})", context + outcome
+        else:
+            desc, where = f"p({describe(left.sites, context)})", context
+            lhs, rhs = Fraction(left_mass, left._denominator), Fraction(right_mass, right._denominator)
+        witness = Witness(lhs_desc=f"left {desc}", rhs_desc=f"right {desc}", lhs=lhs, rhs=rhs, where=where)
+        return PropertyVerdict(False, witness)
     return PropertyVerdict(True)
 
 

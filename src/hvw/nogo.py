@@ -31,6 +31,7 @@ describes the system, and `_presolved_answer` the routes an answer takes.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import math
@@ -300,27 +301,30 @@ class _Scenario(dict):
     outcome tuples, `zeros`, the normalization row's N offsets, and per
     context read, built on first use and kept, N offsets (offsets[j], the
     row strategy j answers in the block) and one label per outcome tuple.
-    `_scenario` keeps the last 4, keyed by the sites."""
+    Offsets are one compact int each, `bytes` up to 256 rows a block and
+    an `array` above. `_scenario` keeps the last 4, keyed by the sites."""
 
     def __init__(self, sites: tuple[Site, ...]) -> None:
         self.sites = sites
         self.outcomes = list(itertools.product(*(site.outcomes for site in sites)))
         self.zeros = bytes(count_deterministic_strategies(sites))
 
-    def __missing__(self, context: tuple[str, ...]) -> tuple[list[int], list[str]]:
+    def __missing__(self, context: tuple[str, ...]) -> tuple[Sequence[int], list[str]]:
         # Strategy j is, in mixed radix, one outcome index per site and
         # measurement, the first slowest, as `enumerate_deterministic_strategies`
         # lists them. In a context it answers row sum_i stride_i * a_i, a_i its
         # index at site i's measurement k, which over site i's response functions
         # repeats each of range(base) base**(digits - 1 - k) times, base**k times over.
-        offsets, stride = [0], len(self.outcomes)
+        width = len(self.outcomes)
+        offsets, stride = [0], width
         for site, m in zip(self.sites, context):
             base, k = len(site.outcomes), site.measurements.index(m)
             stride //= base
             part = [stride * d for d in range(base) for _ in range(base ** (len(site.measurements) - 1 - k))] * base**k
             offsets = [v + w for v in offsets for w in part]
+        column = bytes(offsets) if width <= 256 else array.array("H" if width <= 1 << 16 else "L", offsets)
         given = describe(self.sites, context)
-        return self.setdefault(context, (offsets, [f"p({describe(self.sites, o)} | {given})" for o in self.outcomes]))
+        return self.setdefault(context, (column, [f"p({describe(self.sites, o)} | {given})" for o in self.outcomes]))
 
 
 _scenario = functools.lru_cache(maxsize=4)(_Scenario)  # 3 scenarios alternate in the polytope benchmark
@@ -337,7 +341,7 @@ class _System:
     that strategy j gives in each context, and in the last row. So A is held
     by columns, as (start, offsets) pairs: strategy j answers row start +
     offsets[j]. `hits[c]` is (c * width, context c's offsets) and `hits[-1]`
-    (the last row, `zeros`), the very lists of the `scenario`, never copied:
+    (the last row, `zeros`), the very sequences of the `scenario`, never copied:
     a solve adds to them one int per row, never a list of N.
     Row r has b = rhs[r] / common, where `common` is the lcm of the context
     masses: a cell of count n in a context of mass m, both over the model's

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import time
 from collections import UserString
@@ -43,10 +44,12 @@ from hvw import (
     classify_all,
     local_polytope_feasibility,
     merge_events,
+    parse_model,
     project_to_empirical,
     reconstruct_hvm,
+    serialize_model,
 )
-from hvw.models import as_empirical, require
+from hvw.models import as_empirical, describe, first_unequal, require
 from hvw.nogo import random_strategy_mixture
 
 from conftest import point_mass_model
@@ -754,6 +757,22 @@ def test_weights_and_views_iterate_in_canonical_order(seed):
     for (i, _, _), response in responses.items():
         assert _in_order(response, ORDER_SITES[i].outcomes.index)
 
+    # Every route that makes a model stores it in canonical order, so its
+    # context table lists contexts, and each row its outcomes, canonically:
+    # the equivalence scan reads two tables with equal keys as stored.
+    data = json.loads(serialize_model(h))
+    random.Random(seed).shuffle(data["weights"])
+    r = generate_random_model(seed, ORDER_SITES)
+    made = [parse_model(json.dumps(data)), project_to_empirical(h), r, generate_random_model(seed, ORDER_SITES, 3)]
+    made += [construct_e1(r), construct_e2(r), construct_sv(r)]
+    made.append(local_polytope_feasibility(project_to_empirical(random_strategy_mixture(seed, ORDER_SITES))).hvm)
+    assert made[0] == h
+    for model in made:
+        table = model._context_table()
+        assert _in_order(table, _context_rank)
+        for _, row in table.values():
+            assert _in_order(row, _outcome_rank)
+
 
 def _row_view_models() -> list:
     """Seeded random models of both kinds, strategy mixtures and the e1, e2
@@ -850,6 +869,201 @@ def test_site_responses_list_outcomes_in_declared_order():
     assert list(responses) == [(0, "A", "l"), (1, "B", "l")]
     assert list(responses[(0, "A", "l")].items()) == [("x0", half), ("x1", half)]
     assert list(responses[(1, "B", "l")].items()) == [("o1", half), ("o2", half)]
+
+
+# ---------------------------------------------------------------------------
+# The one-pass table build and the stored-order equivalence scan, against
+# the forms they replaced
+
+
+def _reference_totalled(rows):
+    return {key: (sum(row.values()), row) for key, row in rows.items()}
+
+
+def _reference_declared(row, index):
+    return row if len(row) == 1 else {a: row[a] for a in sorted(row, key=index.__getitem__)}
+
+
+def _reference_build_tables(self) -> None:
+    """`HiddenVariableModel._build_tables` before the one-pass build: a
+    (site, measurement, state) key for each site of every weight, then one
+    sort of every response key."""
+    rows: dict = {}
+    by_context: dict = {}
+    responses: dict = {}
+    for (outcome, context, lam), n in self._weights.items():
+        row = rows.setdefault(context, {})
+        row[outcome] = row.get(outcome, 0) + n
+        by_context.setdefault(context, {}).setdefault(lam, {})[outcome] = n
+        for i, m in enumerate(context):
+            response = responses.setdefault((i, m, lam), {})
+            response[outcome[i]] = response.get(outcome[i], 0) + n
+    # Storage order sorts the contexts, not the hidden states within one
+    # nor the outcomes of one site; a row sorts only its own outcomes.
+    rank = self._lambda_index.__getitem__
+    self._ctx_table = _reference_totalled(rows)
+    self._lambda_rows = _reference_totalled(
+        {(c, lam): by_lambda[lam] for c, by_lambda in by_context.items() for lam in sorted(by_lambda, key=rank)}
+    )
+    order = sorted(responses, key=lambda k: (k[0], self._meas_index[k[0]][k[1]], rank(k[2])))
+    self._responses = _reference_totalled({k: _reference_declared(responses[k], self._out_index[k[0]]) for k in order})
+
+
+def _layout(table) -> list:
+    """A count table as nested lists, so that equal layouts mean equal keys
+    in the same order, and equal rows listing their items in the same order."""
+    return [(key, mass, list(row.items())) for key, (mass, row) in table.items()]
+
+
+def _with_null_contexts(model):
+    """`model` with every second context in canonical order made null, the
+    rest renormalized: a model of the same kind whose first null context is
+    not its first."""
+    weights = model.weights
+    contexts = {key[1] for key in weights}
+    kept = [c for c in model.context_tuples() if c in contexts][::2]
+    total = sum(p for key, p in weights.items() if key[1] in kept)
+    kept_weights = {key: p / total for key, p in weights.items() if key[1] in kept}
+    if isinstance(model, HiddenVariableModel):
+        return HiddenVariableModel(model.sites, model.lambda_set, kept_weights)
+    return EmpiricalModel(model.sites, kept_weights)
+
+
+def _states_out_of_rank() -> HiddenVariableModel:
+    """Storage order puts outcome "a" first, so in each context state "l1"
+    is met before "l0", and in each response slot too."""
+    site = Site("X", ("x", "y"), ("a", "b"))
+    quarter = Fraction(1, 4)
+    weights = {
+        (("a",), ("x",), "l1"): quarter,
+        (("b",), ("x",), "l0"): quarter,
+        (("a",), ("y",), "l1"): quarter,
+        (("b",), ("y",), "l0"): quarter,
+    }
+    return HiddenVariableModel((site,), ("l0", "l1"), weights)
+
+
+CORPUS_SHAPES = ((1, 1, 2), (1, 3, 3), (2, 1, 2), (2, 2, 2), (2, 3, 2), (2, 2, 3), (2, 3, 3), (3, 2, 2), (3, 3, 2))
+
+
+def _table_build_models() -> list[HiddenVariableModel]:
+    found = []
+    for seed in range(2):
+        for shape in CORPUS_SHAPES:
+            sites = grid_sites(*shape)
+            e = generate_random_model(seed, sites)
+            found += [generate_random_model(seed, sites, lambda_size=size) for size in (2, 3)]
+            found += [construct_e1(e), construct_e2(e), construct_sv(e)]
+    for seed in range(3):
+        for shape in ((2, 2, 2), (2, 3, 2), (3, 2, 2)):
+            control = project_to_empirical(random_strategy_mixture(seed, grid_sites(*shape)))
+            found.append(local_polytope_feasibility(control).hvm)
+    found.append(_with_null_contexts(generate_random_model(0, grid_sites(2, 3, 2), lambda_size=3)))
+    found.append(_states_out_of_rank())
+    return found
+
+
+def test_the_one_pass_table_build_matches_the_reference():
+    """The context, (context, state) and response tables equal those of the
+    earlier build in keys, key order, row contents and row order."""
+    models = _table_build_models()
+    assert sum(m.n_context_tuples() > len(m.context_weights()) for m in models) >= 1
+    for model in models:
+        reference = HiddenVariableModel.__new__(HiddenVariableModel)
+        reference.__dict__.update(model.__dict__)
+        _reference_build_tables(reference)
+        model._context_table()
+        for name in ("_ctx_table", "_lambda_rows", "_responses"):
+            assert _layout(getattr(model, name)) == _layout(getattr(reference, name)), (model, name)
+    out_of_rank = models[-1]
+    assert [key[2] for key in out_of_rank.weights] == ["l1", "l0", "l1", "l0"]
+    assert list(out_of_rank.site_responses()) == [(0, "x", "l0"), (0, "x", "l1"), (0, "y", "l0"), (0, "y", "l1")]
+
+
+def _reference_agreement(left, right) -> PropertyVerdict:
+    """`_prediction_agreement` before the stored-order scan: contexts, then
+    each context's outcomes, always as the sorted union of both sides."""
+    left_table, right_table = left._context_table(), right._context_table()
+    for context in sorted(set(left_table) | set(right_table), key=left.context_sort_key):
+        left_mass, left_row = left_table.get(context, (0, {}))
+        right_mass, right_row = right_table.get(context, (0, {}))
+        if not left_mass or not right_mass:
+            ctx_desc = describe(left.sites, context)
+            return PropertyVerdict(
+                False,
+                Witness(
+                    lhs_desc=f"left p({ctx_desc})",
+                    rhs_desc=f"right p({ctx_desc})",
+                    lhs=Fraction(left_mass, left._denominator),
+                    rhs=Fraction(right_mass, right._denominator),
+                    where=tuple(context),
+                ),
+            )
+        outcomes = sorted(set(left_row) | set(right_row), key=left.outcome_sort_key)
+        found = first_unequal(outcomes, left_row, left_mass, right_row, right_mass)
+        if found:
+            outcome, lhs, rhs = found
+            desc = f"p({describe(left.sites, outcome)} | {describe(left.sites, context)})"
+            return PropertyVerdict(
+                False,
+                Witness(
+                    lhs_desc=f"left {desc}",
+                    rhs_desc=f"right {desc}",
+                    lhs=lhs,
+                    rhs=rhs,
+                    where=tuple(context) + tuple(outcome),
+                ),
+            )
+    return PropertyVerdict(True)
+
+
+def _full_support_table(moves=()) -> EmpiricalModel:
+    """Every cell of ORDER_SITES positive, with distinct counts; each
+    (context, from, to) of `moves` shifts one count between two outcomes of
+    that context, and a count of 0 drops the cell."""
+    counts = {
+        (o, c): 1 + k
+        for k, (o, c) in enumerate(
+            itertools.product(
+                itertools.product(*(s.outcomes for s in ORDER_SITES)),
+                itertools.product(*(s.measurements for s in ORDER_SITES)),
+            )
+        )
+    }
+    for context, source, target, n in moves:
+        counts[(source, context)] -= n
+        counts[(target, context)] += n
+    total = sum(counts.values())
+    return EmpiricalModel(ORDER_SITES, {key: Fraction(n, total) for key, n in counts.items()})
+
+
+def test_the_stored_order_scan_gives_the_sorted_union_verdicts():
+    """Equal key sets (holding, then failing on a value), different context
+    sets with a null context after the first stored, and different outcome
+    supports: both scans give the same verdict and witness, either way
+    round and through each `equivalent_*`."""
+    base = _full_support_table()
+    contexts, outcomes = list(base.context_weights()), list(base.outcome_tuples())
+    later = contexts[2]
+    value = _full_support_table([(later, outcomes[1], outcomes[2], 1)])
+    support = _full_support_table([(later, outcomes[1], outcomes[2], base._weights[(outcomes[1], later)])])
+    null = _with_null_contexts(base)
+    assert list(null.context_weights()) == contexts[::2] and contexts[1] not in null.context_weights()
+    assert set(support.context_distributions()[later]) < set(outcomes)
+    pairs = [(base, construct_sv(base)), (base, value), (base, null), (base, support), (null, construct_e1(base))]
+    holds = []
+    for left, right in pairs:
+        for a, b in ((left, right), (right, left)):
+            expected = _reference_agreement(a, b)
+            verdict = equivalent_models(a, b)
+            assert verdict.holds == expected.holds
+            assert (verdict.witness and verdict.witness.to_dict()) == (expected.witness and expected.witness.to_dict())
+            if isinstance(a, HiddenVariableModel) and isinstance(b, HiddenVariableModel):
+                assert equivalent_hvm(a, b) == verdict
+            elif isinstance(b, HiddenVariableModel):
+                assert equivalent_empirical(a, b) == verdict
+            holds.append(verdict.holds)
+    assert holds == [True, True] + [False] * 8
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ from hvw import (
     verify_solution,
 )
 from hvw import nogo
-from hvw.nogo import _System, _certifies, _digits, _kept_strategies, _peeled_weights, _presolved_answer, _scenario, _solves
+from hvw.nogo import _Scenario, _System, _certifies, _digits, _kept_strategies, _peeled_weights, _presolved_answer, _scenario, _solves
 from hvw.properties import first_signal
 
 ONE = Fraction(1)
@@ -816,6 +816,17 @@ def test_the_system_shares_the_scenario_columns():
         assert local_polytope_feasibility(equal) == local_polytope_feasibility(model)
         assert _scenario.cache_info().misses == misses
     assert nulls == [0, 0, 4]
+
+
+def test_a_scenario_column_holds_one_compact_int_per_strategy():
+    """A column is `bytes` while a block has at most 256 rows, above that
+    an array of 2-byte ints, and above 2**16 rows one of 4-byte or wider
+    ints. On one site with one measurement, strategy j answers row j."""
+    for width, form in ((2, "bytes"), (256, "bytes"), (257, "H"), (1 << 16, "H"), ((1 << 16) + 1, "L")):
+        site = Site("X", ("M",), tuple(f"o{k}" for k in range(width)))
+        column = _Scenario((site,))[("M",)][0]
+        assert (column.typecode if form != "bytes" else type(column).__name__) == form
+        assert list(column) == list(range(width))
 
 
 def test_the_pr_box_drops_every_strategy_and_lifts_its_certificate():
