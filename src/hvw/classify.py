@@ -110,11 +110,16 @@ def enumerate_regions() -> tuple[frozenset[str], ...]:
 class RegionVerdict(Codec):
     """One region's classification with its supporting construction(s) or kernel."""
 
+    derived = ("kernel_properties",)
+
     region: tuple[str, ...]
     achievable: bool
     methods: tuple[str, ...] = ()
     kernel: str | None = None
-    kernel_properties: tuple[str, ...] | None = None
+
+    @property
+    def kernel_properties(self) -> tuple[str, ...] | None:
+        return None if self.kernel is None else canonical_codes(dict(OBSTRUCTION_KERNELS)[self.kernel])
 
 
 def classify_region(region: Iterable[str]) -> RegionVerdict:
@@ -131,22 +136,12 @@ def classify_region(region: Iterable[str]) -> RegionVerdict:
     methods = tuple(
         method.value for method, guaranteed in CONSTRUCTION_GUARANTEES.items() if codes <= guaranteed
     )
-    kernel = next(
-        ((name, props) for name, props in OBSTRUCTION_KERNELS if props <= codes), None
-    )
+    kernel = next((name for name, props in OBSTRUCTION_KERNELS if props <= codes), None)
     if methods and kernel is not None:
         raise AssertionError(f"region {sorted(codes)} is both achievable and obstructed")
     if not methods and kernel is None:
         raise AssertionError(f"region {sorted(codes)} is neither achievable nor obstructed")
-    if kernel is None:
-        return RegionVerdict(region=canonical_codes(codes), achievable=True, methods=methods)
-    name, props = kernel
-    return RegionVerdict(
-        region=canonical_codes(codes),
-        achievable=False,
-        kernel=name,
-        kernel_properties=canonical_codes(props),
-    )
+    return RegionVerdict(region=canonical_codes(codes), achievable=kernel is None, methods=methods, kernel=kernel)
 
 
 @dataclass(frozen=True)
@@ -178,11 +173,18 @@ class ClassificationReport(Codec):
     """All 21 regions with verdicts, optional live evidence, and the split."""
 
     kind = "classification-report"
+    derived = ("achievable_count", "impossible_count", "split_note")
+    split_note = SPLIT_NOTE
 
     regions: tuple[RegionEntry, ...]
-    achievable_count: int
-    impossible_count: int
-    split_note: str = SPLIT_NOTE
+
+    @property
+    def achievable_count(self) -> int:
+        return sum(entry.verdict.achievable for entry in self.regions)
+
+    @property
+    def impossible_count(self) -> int:
+        return len(self.regions) - self.achievable_count
 
 
 _KERNEL_NOTES: Mapping[str, str] = {
@@ -219,12 +221,9 @@ def classify_all(
         return equivalent_empirical(sample, completion(method_value)).holds
 
     entries = []
-    achievable = 0
-    impossible = 0
     for region in enumerate_regions():
         verdict = classify_region(region)
         if verdict.achievable:
-            achievable += 1
             note = "achievable via " + ", ".join(verdict.methods)
             evidence: tuple[RegionEvidence, ...] = ()
             if sample is not None:
@@ -241,16 +240,10 @@ def classify_all(
                 evidence = tuple(checked)
             entries.append(RegionEntry(verdict=verdict, note=note, evidence=evidence))
         else:
-            impossible += 1
             assert verdict.kernel is not None and verdict.kernel_properties is not None
             note = (
                 "impossible: contains {" + ", ".join(verdict.kernel_properties) + "}, "
                 f"ruled out by the {_KERNEL_NOTES[verdict.kernel]}"
             )
             entries.append(RegionEntry(verdict=verdict, note=note))
-    assert achievable + impossible == 21
-    return ClassificationReport(
-        regions=tuple(entries),
-        achievable_count=achievable,
-        impossible_count=impossible,
-    )
+    return ClassificationReport(regions=tuple(entries))

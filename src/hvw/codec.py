@@ -2,13 +2,15 @@
 
 One mixin gives each frozen result dataclass its `to_dict` and `from_dict`.
 The dict form is the class's `kind` tag (when it declares one), then its
-fields in declaration order, then the derived read-only keys the class lists
-in `derived`. Fractions become strings like "3/8", written exactly by
-`fraction_text` and read back by `read_rational`, the one reader of exact
-rationals from outside the program. Tuples become lists, nested results
-become objects, and an embedded hidden-variable model takes the model-file
-form of `modelio`. Decoding follows each field's annotation; a missing key
-takes the field's default, and derived keys are not read back.
+fields in declaration order, then the derived keys the class lists in
+`derived`. A report's fields are its evidence, and its derived keys are the
+conclusions that follow from them: read-only properties, written after the
+fields and recomputed on read. Fractions become strings like "3/8", written
+exactly by `fraction_text` and read back by `read_rational`, the one reader
+of exact rationals from outside the program. Tuples become lists, nested
+results become objects, and an embedded hidden-variable model takes the
+model-file form of `modelio`. Decoding follows each field's annotation; a
+missing key takes the field's default.
 
 `write_json` writes the JSON documents the program prints or saves, and
 the `sites` and `lambda` blocks of a model file: the bytes of
@@ -137,7 +139,7 @@ def _string_list(items: list | tuple, newline: str) -> str:
 
 def _write(value: object, newline: str, out: list[str]) -> None:
     """Append the pieces of `value`, written at the indent `newline` ends in.
-    A string, or a nonempty list of strings as a dict value, is one piece."""
+    A string, or a nonempty list of strings, is one piece."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif isinstance(value, dict):
@@ -149,14 +151,8 @@ def _write(value: object, newline: str, out: list[str]) -> None:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            head = f"{lead}{_quote(key)}: "
-            if isinstance(item, str):
-                out.append(head + _quote(item))
-            elif isinstance(item, list) and item and _is_string_list(item):
-                out.append(head + _string_list(item, inner))
-            else:
-                out.append(head)
-                _write(item, inner, out)
+            out.append(f"{lead}{_quote(key)}: ")
+            _write(item, inner, out)
             lead = sep
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -185,7 +181,10 @@ def _write(value: object, newline: str, out: list[str]) -> None:
 
 
 class Codec:
-    """Mixin for frozen dataclasses whose reports travel as JSON."""
+    """Mixin for frozen dataclasses whose reports travel as JSON.
+
+    `derived` names a report's conclusions: properties computed from its
+    fields, written after them and recomputed, not read, by `from_dict`."""
 
     kind: ClassVar[str | None] = None
     derived: ClassVar[tuple[str, ...]] = ()

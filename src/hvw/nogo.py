@@ -625,6 +625,7 @@ class EprReport(Codec):
     """Single-valued completions of the anti-correlated model break outcome independence."""
 
     kind = "epr-report"
+    derived = ("confirmed",)
 
     marginal: Fraction
     pinned_by_partner: Fraction
@@ -633,7 +634,20 @@ class EprReport(Codec):
     escape_li: PropertyVerdict
     escape_oi: PropertyVerdict
     escape_equivalent: PropertyVerdict
-    confirmed: bool
+
+    @property
+    def confirmed(self) -> bool:
+        """The single state's 1/2 marginal is pinned to 1 by its partner,
+        and the two-state escape keeps SD, LI and OI and matches the model."""
+        return (
+            self.marginal == Fraction(1, 2)
+            and self.pinned_by_partner == 1
+            and not self.oi_single_state.holds
+            and self.escape_sd.holds
+            and self.escape_li.holds
+            and self.escape_oi.holds
+            and self.escape_equivalent.holds
+        )
 
 
 def verify_epr() -> EprReport:
@@ -647,32 +661,15 @@ def verify_epr() -> EprReport:
         Event(outcomes={"a": "+_a"}),
         Event(measurements={"a": "A", "b": "B"}, outcomes={"b": "-_b"}, hidden=lam),
     )
-    oi_single = check_outcome_independence(single)
-
     escape = epr_escape_hvm()
-    escape_sd = check_strong_determinism(escape)
-    escape_li = check_lambda_independence(escape)
-    escape_oi = check_outcome_independence(escape)
-    escape_equivalent = equivalent_empirical(e, escape)
-    confirmed = (
-        marginal == Fraction(1, 2)
-        and pinned == 1
-        and marginal != pinned
-        and not oi_single.holds
-        and escape_sd.holds
-        and escape_li.holds
-        and escape_oi.holds
-        and escape_equivalent.holds
-    )
     return EprReport(
         marginal=marginal,
         pinned_by_partner=pinned,
-        oi_single_state=oi_single,
-        escape_sd=escape_sd,
-        escape_li=escape_li,
-        escape_oi=escape_oi,
-        escape_equivalent=escape_equivalent,
-        confirmed=confirmed,
+        oi_single_state=check_outcome_independence(single),
+        escape_sd=check_strong_determinism(escape),
+        escape_li=check_lambda_independence(escape),
+        escape_oi=check_outcome_independence(escape),
+        escape_equivalent=equivalent_empirical(e, escape),
     )
 
 
@@ -721,14 +718,28 @@ class BellCertificate(Codec):
     """
 
     kind = "bell-certificate"
+    derived = ("aggregate_atoms", "atoms_counted_twice", "aggregate_value", "impossible")
 
     k_sets: tuple[tuple[int, ...], ...]
     l_sets: tuple[tuple[int, ...], ...]
     equations: tuple[CertificateEquation, ...]
-    aggregate_atoms: tuple[int, ...]
-    atoms_counted_twice: bool
-    aggregate_value: Fraction
-    impossible: bool
+
+    @property
+    def aggregate_atoms(self) -> tuple[int, ...]:
+        return tuple(sorted({atom for eq in self.equations for atom in eq.atoms}))
+
+    @property
+    def atoms_counted_twice(self) -> bool:
+        counts = Counter(atom for eq in self.equations for atom in eq.atoms)
+        return all(count == 2 for count in counts.values())
+
+    @property
+    def aggregate_value(self) -> Fraction:
+        return sum((eq.rhs for eq in self.equations), ZERO) / 2
+
+    @property
+    def impossible(self) -> bool:
+        return self.atoms_counted_twice and self.aggregate_value > 1
 
 
 def bell_certificate() -> BellCertificate:
@@ -745,18 +756,10 @@ def bell_certificate() -> BellCertificate:
         equations.append(
             CertificateEquation(i=i, j=j, atoms=atoms, plus_plus=plus_plus, minus_minus=minus_minus)
         )
-    counts = Counter(atom for eq in equations for atom in eq.atoms)
-    atoms_counted_twice = all(count == 2 for count in counts.values())
-    total = sum((eq.rhs for eq in equations), ZERO)
-    aggregate_value = total / 2
     return BellCertificate(
         k_sets=tuple(tuple(sorted(s)) for s in _K_SETS),
         l_sets=tuple(tuple(sorted(s)) for s in _L_SETS),
         equations=tuple(equations),
-        aggregate_atoms=tuple(sorted(counts)),
-        atoms_counted_twice=atoms_counted_twice,
-        aggregate_value=aggregate_value,
-        impossible=atoms_counted_twice and aggregate_value > 1,
     )
 
 
@@ -766,13 +769,18 @@ class BellEscapeReport(Codec):
     independence while failing outcome independence."""
 
     kind = "bell-escape"
+    derived = ("confirmed",)
 
     li: PropertyVerdict
     pi: PropertyVerdict
     oi: PropertyVerdict
     conditional_with_partner: Fraction
     conditional_alone: Fraction
-    confirmed: bool
+
+    @property
+    def confirmed(self) -> bool:
+        differs = self.conditional_with_partner != self.conditional_alone
+        return self.li.holds and self.pi.holds and not self.oi.holds and differs
 
 
 def bell_pi_escape() -> BellEscapeReport:
@@ -789,15 +797,7 @@ def bell_pi_escape() -> BellEscapeReport:
     alone = h.cond_prob(
         Event(outcomes={"A": "+"}), Event(measurements={"A": "1", "B": "1"}, hidden=lam)
     )
-    confirmed = li.holds and pi.holds and not oi.holds and with_partner != alone
-    return BellEscapeReport(
-        li=li,
-        pi=pi,
-        oi=oi,
-        conditional_with_partner=with_partner,
-        conditional_alone=alone,
-        confirmed=confirmed,
-    )
+    return BellEscapeReport(li=li, pi=pi, oi=oi, conditional_with_partner=with_partner, conditional_alone=alone)
 
 
 @dataclass(frozen=True)
@@ -805,11 +805,20 @@ class BellReport(Codec):
     """Combined result of the requested impossibility routes."""
 
     kind = "bell-report"
+    derived = ("confirmed",)
 
     certificate: BellCertificate | None
     polytope: PolytopeResult | None
     escape: BellEscapeReport
-    confirmed: bool
+
+    @property
+    def confirmed(self) -> bool:
+        """The escape holds, and so does every route that was run."""
+        return (
+            self.escape.confirmed
+            and (self.certificate is None or self.certificate.impossible)
+            and (self.polytope is None or not self.polytope.feasible)
+        )
 
 
 def verify_bell(method: str = "both", guard: int = DEFAULT_GUARD) -> BellReport:
@@ -820,13 +829,7 @@ def verify_bell(method: str = "both", guard: int = DEFAULT_GUARD) -> BellReport:
     polytope = (
         local_polytope_feasibility(bell_model(), guard) if method in ("polytope", "both") else None
     )
-    escape = bell_pi_escape()
-    confirmed = escape.confirmed
-    if certificate is not None:
-        confirmed = confirmed and certificate.impossible
-    if polytope is not None:
-        confirmed = confirmed and not polytope.feasible
-    return BellReport(certificate=certificate, polytope=polytope, escape=escape, confirmed=confirmed)
+    return BellReport(certificate=certificate, polytope=polytope, escape=bell_pi_escape())
 
 
 # ---------------------------------------------------------------------------
@@ -938,16 +941,26 @@ class KsParityReport(Codec):
     """Occurrence counts versus column count: all even against odd is conclusive."""
 
     kind = "ks-parity"
+    derived = ("all_counts_even", "column_count_odd", "verdict")
 
     label_counts: tuple[tuple[str, int], ...]
     column_count: int
-    all_counts_even: bool
-    column_count_odd: bool
-    verdict: str
+
+    @property
+    def all_counts_even(self) -> bool:
+        return all(count % 2 == 0 for _, count in self.label_counts)
+
+    @property
+    def column_count_odd(self) -> bool:
+        return self.column_count % 2 == 1
 
     @property
     def conclusive(self) -> bool:
-        return self.verdict == "impossible"
+        return self.all_counts_even and self.column_count_odd
+
+    @property
+    def verdict(self) -> str:
+        return "impossible" if self.conclusive else "undecided"
 
 
 def ks_parity_certificate(table: KsTable) -> KsParityReport:
@@ -956,17 +969,7 @@ def ks_parity_certificate(table: KsTable) -> KsParityReport:
     label occurs an even number of times, any label subset has even total."""
     if not isinstance(table, KsTable):
         raise InputError("ks_parity_certificate expects a KsTable")
-    counts = table.label_counts()
-    all_even = all(count % 2 == 0 for _, count in counts)
-    odd_columns = len(table.columns) % 2 == 1
-    verdict = "impossible" if (all_even and odd_columns) else "undecided"
-    return KsParityReport(
-        label_counts=counts,
-        column_count=len(table.columns),
-        all_counts_even=all_even,
-        column_count_odd=odd_columns,
-        verdict=verdict,
-    )
+    return KsParityReport(label_counts=table.label_counts(), column_count=len(table.columns))
 
 
 @dataclass(frozen=True)
@@ -974,6 +977,7 @@ class KsReport(Codec):
     """Combined result of the requested table obstruction routes."""
 
     kind = "ks-report"
+    derived = ("confirmed",)
 
     exchangeability: PropertyVerdict
     winner_pattern_ok: bool
@@ -981,7 +985,17 @@ class KsReport(Codec):
     coloring_candidates: int | None
     coloring_count: int | None
     parity: KsParityReport | None
-    confirmed: bool
+
+    @property
+    def confirmed(self) -> bool:
+        """The model passes its checks, and every route that was run finds no coloring."""
+        return (
+            self.exchangeability.holds
+            and self.winner_pattern_ok
+            and not self.non_contextuality.holds
+            and self.coloring_count in (None, 0)
+            and (self.parity is None or self.parity.conclusive)
+        )
 
 
 def verify_ks(method: str = "both", guard: int = DEFAULT_GUARD) -> KsReport:
@@ -1001,19 +1015,11 @@ def verify_ks(method: str = "both", guard: int = DEFAULT_GUARD) -> KsReport:
     if method in ("coloring", "both"):
         candidates = ks_coloring_candidates(table)
         count = len(ks_search_colorings(table, guard))
-    parity = ks_parity_certificate(table) if method in ("parity", "both") else None
-
-    confirmed = exchangeability.holds and pattern_ok and not non_contextuality.holds
-    if count is not None:
-        confirmed = confirmed and count == 0
-    if parity is not None:
-        confirmed = confirmed and parity.conclusive
     return KsReport(
         exchangeability=exchangeability,
         winner_pattern_ok=pattern_ok,
         non_contextuality=non_contextuality,
         coloring_candidates=candidates,
         coloring_count=count,
-        parity=parity,
-        confirmed=confirmed,
+        parity=ks_parity_certificate(table) if method in ("parity", "both") else None,
     )

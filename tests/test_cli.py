@@ -599,21 +599,47 @@ def test_nogo_ks_parity_only(cli):
 
 
 def test_each_nogo_text_ends_with_its_one_conclusion_line():
-    """A confirmed report closes with "no-go confirmed: <claim>", an
-    unconfirmed one with "no-go NOT confirmed", after the same lines."""
+    """A confirmed report closes with "no-go confirmed: <claim>". Changing one
+    piece of its evidence so that the argument no longer goes through closes
+    it with "no-go NOT confirmed" instead; only that piece's lines and the
+    conclusion line change."""
     import dataclasses
 
     import hvw.cli
 
-    for render, report in (
-        (hvw.cli._epr_text, verify_epr()),
-        (hvw.cli._bell_text, verify_bell()),
-        (hvw.cli._ks_text, verify_ks()),
+    epr, bell = verify_epr(), verify_bell()
+    witness = epr.oi_single_state.witness
+    for render, report, change, old, new in (
+        (
+            hvw.cli._epr_text,
+            epr,
+            {"escape_sd": PropertyVerdict(holds=False, witness=witness)},
+            ["  strong determinism: holds"],
+            ["  strong determinism: fails", f"    {witness.describe()}"],
+        ),
+        (
+            hvw.cli._bell_text,
+            bell,
+            {"escape": dataclasses.replace(bell.escape, oi=PropertyVerdict(holds=True))},
+            ["  outcome independence: fails", f"    {bell.escape.oi.witness.describe()}"],
+            ["  outcome independence: holds"],
+        ),
+        (
+            hvw.cli._ks_text,
+            verify_ks(),
+            {"coloring_count": 1},
+            ["coloring search: 0 valid colorings among 262144 winner patterns"],
+            ["coloring search: 1 valid colorings among 262144 winner patterns"],
+        ),
     ):
         *body, conclusion, end = render(report).split("\n")
         assert (conclusion.startswith("no-go confirmed: "), end) == (True, "")
-        unconfirmed = render(dataclasses.replace(report, confirmed=False))
-        assert unconfirmed == "\n".join([*body, "no-go NOT confirmed", ""])
+        k = body.index(old[0])
+        assert body[k : k + len(old)] == old
+        unconfirmed = dataclasses.replace(report, **change)
+        assert not unconfirmed.confirmed
+        expected = [*body[:k], *new, *body[k + len(old) :], "no-go NOT confirmed", ""]
+        assert render(unconfirmed).split("\n") == expected
 
 
 @pytest.fixture

@@ -9,7 +9,9 @@ way on every terminal.
 
 Recorded outputs live in `tests/golden/<case>.stdout`; outputs too large to
 keep readable are stored as `<case>.stdout.sha256` instead. Exit codes and
-stderr live in `tests/golden/index.json`. To record again after a deliberate
+stderr live in `tests/golden/index.json`. Every recorded JSON report also
+reads back through its class's `from_dict` to the recorded bytes, with its
+conclusions recomputed from its evidence rather than read. To record again after a deliberate
 output change, run `PYTHONPATH=src python tests/test_golden.py` from the
 repository root and review the diff.
 """
@@ -17,6 +19,7 @@ repository root and review the diff.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -28,7 +31,18 @@ from pathlib import Path
 import pytest
 
 from hvw import bell_model, epr_escape_hvm, epr_model, generate_random_model, grid_sites, save_model
+from hvw.classify import ClassificationReport, RegionVerdict
 from hvw.cli import main
+from hvw.codec import Codec, write_json
+from hvw.nogo import (
+    BellCertificate,
+    BellEscapeReport,
+    BellReport,
+    CertificateEquation,
+    EprReport,
+    KsParityReport,
+    KsReport,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 INDEX = GOLDEN_DIR / "index.json"
@@ -85,6 +99,32 @@ COMMANDS: dict[str, list[str]] = {
 }
 
 CASES = [f"{name}.{fmt}" for name in COMMANDS for fmt in ("text", "json")]
+
+# The JSON cases that print a report, and the report classes by `kind` tag.
+REPORT_CASES = [f"{name}.json" for name in COMMANDS if name.startswith(("nogo", "classify"))]
+REPORTS = {cls.kind: cls for cls in (EprReport, BellReport, KsReport, ClassificationReport)}
+
+# Each derived key of a report: the case that records it, the path from the
+# payload to the object that holds it, that object's class, and a value that
+# contradicts the recorded evidence.
+DERIVED_KEYS = [
+    ("nogo-epr", ("report",), EprReport, "confirmed", False),
+    ("nogo-bell", ("report",), BellReport, "confirmed", False),
+    ("nogo-bell", ("report", "escape"), BellEscapeReport, "confirmed", False),
+    ("nogo-bell", ("report", "certificate"), BellCertificate, "aggregate_atoms", [1, 2]),
+    ("nogo-bell", ("report", "certificate"), BellCertificate, "atoms_counted_twice", False),
+    ("nogo-bell", ("report", "certificate"), BellCertificate, "aggregate_value", "1/2"),
+    ("nogo-bell", ("report", "certificate"), BellCertificate, "impossible", False),
+    ("nogo-bell", ("report", "certificate", "equations", 0), CertificateEquation, "rhs", "99"),
+    ("nogo-ks", ("report",), KsReport, "confirmed", False),
+    ("nogo-ks", ("report", "parity"), KsParityReport, "all_counts_even", False),
+    ("nogo-ks", ("report", "parity"), KsParityReport, "column_count_odd", False),
+    ("nogo-ks", ("report", "parity"), KsParityReport, "verdict", "undecided"),
+    ("classify", ("report",), ClassificationReport, "achievable_count", 21),
+    ("classify", ("report",), ClassificationReport, "impossible_count", 0),
+    ("classify", ("report",), ClassificationReport, "split_note", "all 21 regions are achievable"),
+    ("classify", ("report", "regions", -1, "verdict"), RegionVerdict, "kernel_properties", ["SV"]),
+]
 
 
 def write_inputs(directory: Path) -> None:
@@ -182,6 +222,54 @@ def test_the_shared_bell_model_prints_its_recorded_bytes(index, workdir):
     for _ in range(2):
         for case in ("canon-bell.text", "canon-bell.json", "nogo-bell.text", "nogo-bell.json"):
             test_golden_output(case, index, workdir)
+
+
+def _recorded_payload(case: str) -> tuple[str, dict]:
+    text = (GOLDEN_DIR / f"{case}.stdout").read_text(encoding="utf-8")
+    return text, json.loads(text)
+
+
+def _decode(payload: dict):
+    return REPORTS[payload["report"]["kind"]].from_dict(payload["report"])
+
+
+def _at(node, path: tuple):
+    """The item at `path` in a payload, or the attribute at its tail in a report."""
+    for step in path:
+        node = node[step] if isinstance(node, (dict, list, tuple)) else getattr(node, step)
+    return node
+
+
+def test_every_recorded_report_reads_back_to_its_bytes():
+    for case in REPORT_CASES:
+        text, payload = _recorded_payload(case)
+        report = _decode(payload)
+        assert write_json({**payload, "report": report.to_dict()}) + "\n" == text, case
+
+
+def test_derived_keys_are_recomputed_not_read():
+    """A report's conclusions are read-only properties of its evidence: the
+    constructor refuses them, and `from_dict` recomputes them, so a payload
+    whose conclusion is altered or missing reads back as recorded."""
+    every = {(cls, key) for cls in Codec.__subclasses__() for key in cls.derived}
+    assert sorted(every, key=str) == sorted(((cls, key) for _, _, cls, key, _ in DERIVED_KEYS), key=str)
+    for case, path, cls, key, altered in DERIVED_KEYS:
+        _, payload = _recorded_payload(f"{case}.json")
+        recorded = _decode(payload)
+        for edit in ("alter", "remove"):
+            changed = json.loads(json.dumps(payload))
+            if edit == "alter":
+                _at(changed, path)[key] = altered
+            else:
+                del _at(changed, path)[key]
+            report = _decode(changed)
+            assert report == recorded, (cls, key, edit)
+            assert report.to_dict() == payload["report"], (cls, key, edit)
+        held = _at(recorded, path[1:])
+        assert type(held) is cls and key in cls.derived, (cls, key)
+        assert key not in {field.name for field in dataclasses.fields(cls)}, (cls, key)
+        with pytest.raises(TypeError):
+            dataclasses.replace(held, **{key: getattr(held, key)})
 
 
 def record() -> None:
