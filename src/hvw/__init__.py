@@ -46,14 +46,14 @@ _EXPORTS = {
         "load_model", "model_from_dict", "model_to_dict", "parse_model", "save_model",
         "serialize_model",
     ),
+    "local": ("PolytopeResult", "count_deterministic_strategies", "local_polytope_feasibility"),
     "nogo": (
-        "BellCertificate", "BellEscapeReport", "BellReport", "DeterministicStrategy", "EprReport",
-        "KsColoring", "KsParityReport", "KsReport", "KsTable", "PolytopeResult",
-        "bell_certificate", "bell_model", "bell_pi_escape", "canonical_model",
-        "count_deterministic_strategies", "enumerate_deterministic_strategies",
+        "BellCertificate", "BellEscapeReport", "BellReport", "EprReport", "KsColoring",
+        "KsParityReport", "KsReport", "KsTable", "bell_certificate", "bell_model",
+        "bell_pi_escape", "canonical_model", "enumerate_deterministic_strategies",
         "epr_escape_hvm", "epr_model", "ks_coloring_candidates", "ks_model",
-        "ks_parity_certificate", "ks_search_colorings", "ks_table", "local_polytope_feasibility",
-        "random_strategy_mixture", "verify_bell", "verify_epr", "verify_ks",
+        "ks_parity_certificate", "ks_search_colorings", "ks_table", "random_strategy_mixture",
+        "verify_bell", "verify_epr", "verify_ks",
     ),
     "properties": (
         "EMPIRICAL_MODEL_PROPERTIES", "HIDDEN_MODEL_PROPERTIES", "Permutation", "PropertyId",

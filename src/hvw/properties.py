@@ -319,7 +319,7 @@ def first_signal(
     m, later context c' holding it, outcome a, q(a | c), q(a | c')) with the
     two values unequal, or None when every marginal is context-free. A
     measurement in no non-null context has no marginal and is passed over.
-    The non-contextuality check and the membership presolve in `nogo` both
+    The non-contextuality check and the membership presolve in `local` both
     read this one scan."""
     table = e._context_table()
     marginal_cache: dict[tuple[str, ...], list[dict[str, int]]] = {}

@@ -43,20 +43,26 @@ def cli():
     return run
 
 
+def outcome_of(strategy: tuple[tuple[str, ...], ...], sites, context) -> tuple[str, ...]:
+    """The outcome tuple that an enumerated strategy, `strategy[i][k]` the
+    answer to measurement k of site i, gives in `context`."""
+    return tuple(responses[site.measurements.index(m)] for responses, site, m in zip(strategy, sites, context))
+
+
 def full_membership_system(model: EmpiricalModel) -> tuple[list[list[int]], list[Fraction]]:
     """The membership system over every strategy, before any presolve, as
     the dense 0/1 int rows and the b that `feasible_point`, `verify_solution`
     and `verify_farkas` read. Built here from the public pieces, apart from
     the code under test: one row per non-null context (in canonical order)
-    and outcome tuple, with a 1 where the enumerated strategy's `outcome_for`
-    is that outcome and b its `context_distributions()` entry; then the
-    normalization row."""
+    and outcome tuple, with a 1 where the enumerated strategy answers that
+    outcome (`outcome_of`) and b its `context_distributions()` entry; then
+    the normalization row."""
     strategies = enumerate_deterministic_strategies(model.sites)
     distributions = model.context_distributions()
     rows = []
     rhs = []
     for context in sorted(distributions, key=model.context_sort_key):
-        answers = [strategy.outcome_for(model.sites, context) for strategy in strategies]
+        answers = [outcome_of(strategy, model.sites, context) for strategy in strategies]
         for outcome in model.outcome_tuples():
             rows.append([int(answer == outcome) for answer in answers])
             rhs.append(distributions[context].get(outcome, Fraction(0)))

@@ -55,7 +55,8 @@ from hvw import (
     save_model,
     verify_farkas,
 )
-from hvw.nogo import BellReport, _scenario
+from hvw.local import _scenario
+from hvw.nogo import BellReport
 
 ONE = Fraction(1)
 

@@ -2,8 +2,8 @@
 the implications between the hidden-variable properties, the completions'
 guarantees, round trips through the model and verdict formats, Fine's
 theorem for the membership LP, the CHSH inequalities on three measurements a
-site, with I3322 the facets of that local polytope, and the presolve against
-the full simplex."""
+site, with I3322 the facets of that local polytope, the membership verdict
+under relabelling, and the presolve against the full simplex."""
 
 from __future__ import annotations
 
@@ -11,13 +11,14 @@ import functools
 import itertools
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import unpresolved_feasible
+from conftest import half_noise, outcome_of, unpresolved_feasible
 
 from hvw import (
     EMPIRICAL_MODEL_PROPERTIES,
@@ -25,6 +26,8 @@ from hvw import (
     EmpiricalModel,
     HiddenVariableModel,
     PropertyId,
+    Site,
+    bell_model,
     check_lambda_independence,
     check_locality,
     check_non_contextuality,
@@ -48,7 +51,7 @@ from hvw import (
     verify_farkas,
     verify_solution,
 )
-from hvw import nogo
+from hvw import local
 
 
 @st.composite
@@ -186,7 +189,7 @@ def _mixture(pr: int, noise: int, strategies: list[tuple[int, int]]) -> Empirica
         for outcome in itertools.product(("o1", "o2"), repeat=2):
             p = pr * _pr_box(context, outcome) + Fraction(noise, 4)
             for index, part in strategies:
-                if all_strategies[index].outcome_for(_CHSH_SITES, context) == outcome:
+                if outcome_of(all_strategies[index], _CHSH_SITES, context) == outcome:
                     p += part
             if p:
                 weights[(outcome, context)] = p / (4 * total)
@@ -268,7 +271,7 @@ def _mixture_232(boxes: list[tuple[int, int]], noise: int, strategies: list[tupl
             differ = outcome[0] != outcome[1]
             p = Fraction(noise, 4) + sum(Fraction(part, 2) for f, part in boxes if (f >> (3 * i + k)) & 1 == differ)
             for index, part in strategies:
-                if _STRATEGIES_232[index].outcome_for(_SITES_232, (x, y)) == outcome:
+                if outcome_of(_STRATEGIES_232[index], _SITES_232, (x, y)) == outcome:
                     p += part
             if p:
                 weights[(outcome, (x, y))] = p / (9 * total)
@@ -295,14 +298,14 @@ def test_membership_lp_refuses_every_table_past_a_chsh_inequality_on_three_measu
     mixtures of boxes, noise and strategies, both verdicts are met, and every
     table with noise, which has no zero cell, reaches `feasible_point`."""
     assert len(_CHSH_232) == 72
-    solve = nogo.feasible_point
+    solve = local.feasible_point
     verdicts = Counter()
 
     def counted(*args):
         verdicts["simplex"] += 1
         return solve(*args)
 
-    monkeypatch.setattr(nogo, "feasible_point", counted)
+    monkeypatch.setattr(local, "feasible_point", counted)
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(
@@ -359,7 +362,7 @@ def _i3322_vector(relabel) -> tuple[int, ...]:
 
 # The cells that each deterministic strategy of (2,3,2) answers, by index.
 _ANSWERS_232 = [
-    [k for k, (outcome, context) in enumerate(_CELLS_232) if strategy.outcome_for(_SITES_232, context) == outcome]
+    [k for k, (outcome, context) in enumerate(_CELLS_232) if outcome_of(strategy, _SITES_232, context) == outcome]
     for strategy in _STRATEGIES_232
 ]
 
@@ -434,6 +437,72 @@ def test_membership_lp_agrees_with_the_facets_of_the_232_local_polytope():
 
     sweep()
     assert verdicts[True] >= 20 and verdicts[False] >= 5 and verdicts["I3322 only"] >= 2, verdicts
+
+
+def _relabelled(model: EmpiricalModel, seed: int) -> EmpiricalModel:
+    """The model with its sites in a seeded random order, each site's
+    measurements permuted, and the outcomes of each (site, measurement)
+    permuted: the same table under other names, local exactly when the
+    model is."""
+    rng = random.Random(seed)
+    order = rng.sample(range(model.n_sites), model.n_sites)
+    measurement = [dict(zip(site.measurements, rng.sample(site.measurements, len(site.measurements)))) for site in model.sites]
+    outcome = [
+        {m: dict(zip(site.outcomes, rng.sample(site.outcomes, len(site.outcomes)))) for m in site.measurements}
+        for site in model.sites
+    ]
+    weights = {
+        (tuple(outcome[i][c[i]][o[i]] for i in order), tuple(measurement[i][c[i]] for i in order)): p
+        for (o, c), p in model.weights.items()
+    }
+    return EmpiricalModel(tuple(model.sites[i] for i in order), weights)
+
+
+def _i3322_tight_box() -> EmpiricalModel:
+    """The uniform mixture of the 20 strategies on which I3322 is tight, with
+    1/10 of a box that scores 1: refused by I3322 alone."""
+    base = _i3322_vector(lambda *cell: cell)
+    tight = [j for j, score in enumerate(_strategy_scores(base)) if score == 0]
+    return _mixture_232([(_I3322_BOX, 20)], 0, [(j, 9) for j in tight])
+
+
+# Sites whose measurement and outcome counts differ from site to site.
+_UNEVEN_SITES = (Site("a", ("A", "B"), ("0", "1", "2")), Site("b", ("C", "D", "E"), ("x", "y")))
+_RELABEL_SITES = st.sampled_from((grid_sites(2, 2, 2), grid_sites(3, 2, 2), grid_sites(2, 2, 3), _UNEVEN_SITES))
+_SEEDS = st.integers(0, 10_000)
+_RELABEL_TABLES = st.one_of(
+    st.builds(
+        _mixture_232,
+        st.lists(st.tuples(st.integers(0, 511), st.integers(1, 8)), min_size=1, max_size=2),
+        st.integers(0, 8),
+        st.lists(st.tuples(st.integers(0, 63), st.integers(1, 8)), max_size=3),
+    ),
+    st.builds(lambda seed, sites: project_to_empirical(random_strategy_mixture(seed, sites)), _SEEDS, _RELABEL_SITES),
+    st.builds(lambda seed, sites: half_noise(project_to_empirical(random_strategy_mixture(seed, sites))), _SEEDS, _RELABEL_SITES),
+    st.builds(generate_random_model, _SEEDS, _RELABEL_SITES),
+)
+
+
+def test_the_membership_verdict_survives_relabelling():
+    """Permuting the sites, each site's measurements and the outcomes of
+    each (site, measurement) renames the table and leaves it as local as it
+    was: the verdict stays. The tables are CHSH mixtures of boxes, noise
+    and strategies on (2,3,2), strategy mixtures with and without half
+    noise, and seeded random tables, which signal; both verdicts are met."""
+    verdicts = Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_RELABEL_TABLES, _SEEDS)
+    @example(bell_model(), 0)
+    @example(half_noise(project_to_empirical(random_strategy_mixture(0, grid_sites(2, 3, 2)))), 0)
+    @example(_i3322_tight_box(), 0)
+    def sweep(model, seed):
+        feasible = local_polytope_feasibility(model).feasible
+        assert local_polytope_feasibility(_relabelled(model, seed)).feasible == feasible
+        verdicts[feasible] += 1
+
+    sweep()
+    assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

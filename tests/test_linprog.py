@@ -14,7 +14,7 @@ import pytest
 from conftest import fr, full_membership_system, half_noise, kept_membership_system
 
 import hvw.linprog
-import hvw.nogo
+import hvw.local
 from hvw import (
     InputError,
     bell_model,
@@ -594,13 +594,13 @@ def test_the_sweep_systems_keep_their_run_with_an_int_b(monkeypatch):
     ints it is handed, keeps the run of the same system with b divided by
     the normalization row's b, 2,262 pivots in all."""
     systems = []
-    solve = hvw.nogo.feasible_point
+    solve = hvw.local.feasible_point
 
     def recording(rows, rhs):
         systems.append((rows, rhs))
         return solve(rows, rhs)
 
-    monkeypatch.setattr(hvw.nogo, "feasible_point", recording)
+    monkeypatch.setattr(hvw.local, "feasible_point", recording)
     shapes = ((2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 4, 2), (3, 3, 2), (2, 2, 3), (1, 3, 3), (4, 2, 2))
     for shape in shapes:
         for seed in range(150):

@@ -18,6 +18,7 @@ from conftest import (
     half_noise,
     kept_membership_system,
     mixture_membership_sweep,
+    outcome_of,
     small_membership_sweep,
     uniform_one_site,
     unpresolved_feasible,
@@ -37,7 +38,6 @@ from hvw import (
     PolytopeResult,
     SizeGuardError,
     Site,
-    UnknownLabelError,
     bell_certificate,
     bell_model,
     bell_pi_escape,
@@ -69,8 +69,8 @@ from hvw import (
     verify_ks,
     verify_solution,
 )
-from hvw import nogo
-from hvw.nogo import _Scenario, _System, _certifies, _digits, _kept_strategies, _peeled_weights, _presolved_answer, _scenario, _solves
+from hvw import local, nogo
+from hvw.local import _Scenario, _System, _certifies, _digits, _kept_strategies, _peeled_weights, _presolved_answer, _scenario, _solves
 from hvw.properties import first_signal
 
 ONE = Fraction(1)
@@ -162,44 +162,14 @@ def test_strategy_enumeration_order_and_responses():
     sites = bell_model().sites
     strategies = enumerate_deterministic_strategies(sites)
     assert len(strategies) == 64
-    assert strategies[0].responses == (("+", "+", "+"), ("+", "+", "+"))
-    assert strategies[-1].responses == (("-", "-", "-"), ("-", "-", "-"))
-    assert len({s.responses for s in strategies}) == 64
-
-    middle = strategies[13]
-    assert middle.outcome_for(sites, ("2", "3")) == (
-        middle.responses[0][1],
-        middle.responses[1][2],
-    )
-    described = strategies[0].describe(sites)
-    assert "A[1->+ 2->+ 3->+]" in described
+    assert strategies[0] == (("+", "+", "+"), ("+", "+", "+"))
+    assert strategies[-1] == (("-", "-", "-"), ("-", "-", "-"))
+    assert len(set(strategies)) == 64
 
 
 def test_strategy_enumeration_guard():
     with pytest.raises(SizeGuardError):
         enumerate_deterministic_strategies(ks_model().sites)
-
-
-@pytest.mark.parametrize(
-    "sites, context, error, message",
-    [
-        pytest.param(None, ("1", "4"), UnknownLabelError, "unknown measurement '4' at site 'B'", id="undeclared"),
-        pytest.param(None, ("x", "1"), UnknownLabelError, "unknown measurement 'x' at site 'A'", id="undeclared-first"),
-        pytest.param(None, ("1", 2), UnknownLabelError, "unknown measurement 2 at site 'B'", id="not-a-str"),
-        pytest.param(
-            None, ("1", "2", "3"), InputError, "context ('1', '2', '3') does not name one measurement for each of 2 sites",
-            id="long-context",
-        ),
-        pytest.param(None, ("1",), InputError, "context ('1',) does not name one measurement for each of 2 sites", id="short-context"),
-        pytest.param(1, ("1", "2"), InputError, "the strategy ranges over 2 sites, not the 1 given", id="short-sites"),
-    ],
-)
-def test_a_strategy_refuses_a_context_it_cannot_answer(sites, context, error, message):
-    bell_sites = bell_model().sites
-    strategy = enumerate_deterministic_strategies(bell_sites)[13]
-    with pytest.raises(error) as exc:
-        strategy.outcome_for(bell_sites[:sites], context)
-    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
@@ -281,7 +251,7 @@ def test_a_decoded_strategy_is_the_enumerated_one(sites):
         tuple(tuple(site.outcomes[d] for d in digits) for site, digits in zip(sites, _digits(sites, j)))
         for j in range(len(strategies))
     ]
-    assert decoded == [strategy.responses for strategy in strategies]
+    assert decoded == strategies
 
 
 @pytest.mark.parametrize("sites", MIXED_SITES, ids=lambda sites: f"{len(sites)}-sites")
@@ -305,7 +275,7 @@ def test_membership_rows_match_their_definition(sites):
             columns = [[start + v for v in column] for start, column in system.hits]
             for c, (context, column) in enumerate(zip(contexts, columns)):
                 assert column == [
-                    c * len(outcomes) + outcomes.index(strategy.outcome_for(sites, context)) for strategy in strategies
+                    c * len(outcomes) + outcomes.index(outcome_of(strategy, sites, context)) for strategy in strategies
                 ]
             rows, rhs = full_membership_system(model)
             assert columns[-1] == [len(rhs) - 1] * len(strategies)
@@ -490,8 +460,8 @@ def null_direction(sites, strategies):
     i = next((i for i, site in enumerate(sites) if len(site.measurements) > 1 and len(site.outcomes) > 1), None)
     if i is None:
         return None
-    index = {strategy.responses: j for j, strategy in enumerate(strategies)}
-    base = strategies[0].responses
+    index = {strategy: j for j, strategy in enumerate(strategies)}
+    base = strategies[0]
     o = sites[i].outcomes
 
     def variant(a, b):
@@ -617,14 +587,14 @@ def test_a_lifted_certificate_puts_each_deficit_on_the_first_zero_row(monkeypatc
     reference rows: each strategy j in order with y.A_j < 0 has -y.A_j added
     on the first row with b = 0 that it answers."""
     reduced = []
-    solve = nogo.feasible_point
+    solve = local.feasible_point
 
     def recording(table, b):
         answer = solve(table, b)
         reduced.append(answer[1])
         return answer
 
-    monkeypatch.setattr(nogo, "feasible_point", recording)
+    monkeypatch.setattr(local, "feasible_point", recording)
     counted = Counter()
     for model in [pr_box(), *presolve_sweep()]:
         reduced.clear()
@@ -686,7 +656,7 @@ def chained_boxes():
         for strategy in enumerate_deterministic_strategies(sites)[:12]:
             blend = Counter({key: v * 7 / 8 for key, v in rows.items()})
             for context in box.context_weights():
-                blend[(strategy.outcome_for(sites, context), context)] += Fraction(1, 8 * m * m)
+                blend[(outcome_of(strategy, sites, context), context)] += Fraction(1, 8 * m * m)
             yield EmpiricalModel(sites, dict(blend))
 
 
@@ -696,7 +666,7 @@ def test_the_column_lift_gives_the_y_of_the_per_strategy_lift(monkeypatch):
     sweeps, where only Bell is infeasible and does not signal, the PR box
     and the chained boxes; on each of them some strategy has a deficit."""
     lifted = []
-    lift = nogo._lifted_certificate
+    lift = local._lifted_certificate
 
     def compared(system, live, certificate):
         y = lift(system, live, certificate)
@@ -707,7 +677,7 @@ def test_the_column_lift_gives_the_y_of_the_per_strategy_lift(monkeypatch):
         lifted.append(y != padded)
         return y
 
-    monkeypatch.setattr(nogo, "_lifted_certificate", compared)
+    monkeypatch.setattr(local, "_lifted_certificate", compared)
     models = [*small_membership_sweep(), *mixture_membership_sweep(), pr_box(), *chained_boxes()]
     results = [local_polytope_feasibility(model) for model in models]
     assert not results[0].feasible and lifted[0], "Bell"
@@ -843,8 +813,8 @@ def test_the_pr_box_drops_every_strategy_and_lifts_its_certificate():
 
 def test_membership_lists_no_strategy(monkeypatch):
     """The LP path and the mixture controls count and decode strategies:
-    with the enumeration and `DeterministicStrategy.outcome_for` made to
-    raise, they give the same answers."""
+    `hvw.local` has no enumeration to call, and with the one in `hvw.nogo`
+    made to raise, they give the same answers."""
     sites = grid_sites(2, 3, 2)
     models = [bell_model(), project_to_empirical(random_strategy_mixture(3, sites)), generate_random_model(3, sites)]
     expected = [local_polytope_feasibility(model) for model in models]
@@ -853,8 +823,8 @@ def test_membership_lists_no_strategy(monkeypatch):
     def listed(*args, **kwargs):
         raise AssertionError("a strategy object was used")
 
+    assert not hasattr(local, "enumerate_deterministic_strategies")
     monkeypatch.setattr(nogo, "enumerate_deterministic_strategies", listed)
-    monkeypatch.setattr(nogo.DeterministicStrategy, "outcome_for", listed)
     assert [local_polytope_feasibility(model) for model in models] == expected
     assert [result.feasible for result in expected] == [False, True, False]
     assert random_strategy_mixture(5, sites) == mixture
@@ -932,7 +902,7 @@ def signed_mixture(terms):
     weights = Counter()
     for context in itertools.product(*(site.measurements for site in sites)):
         for j, c in terms:
-            weights[(strategies[j].outcome_for(sites, context), context)] += c / 4
+            weights[(outcome_of(strategies[j], sites, context), context)] += c / 4
     assert min(weights.values()) >= 0
     return EmpiricalModel(sites, {key: v for key, v in weights.items() if v})
 
@@ -974,13 +944,13 @@ def test_a_table_the_peel_cannot_finish_keeps_its_answer(monkeypatch, name):
     assert first_signal(model) is None
     assert peeled(model) is None
     solves = []
-    solve = nogo.feasible_point
+    solve = local.feasible_point
 
     def recording(*args):
         solves.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(nogo, "feasible_point", recording)
+    monkeypatch.setattr(local, "feasible_point", recording)
     result = local_polytope_feasibility(model)
     assert len(solves) == 1
     assert result.feasible == (name == "half-noise")
@@ -995,7 +965,7 @@ def test_a_peeled_answer_needs_no_simplex_and_is_rechecked(monkeypatch):
     models.append(project_to_empirical(random_strategy_mixture(0, grid_sites(3, 3, 2))))
     expected = [local_polytope_feasibility(model) for model in models]
     rechecked = []
-    solves = nogo._solves
+    solves = local._solves
 
     def recording(system, n, x):
         rechecked.append(n)
@@ -1004,8 +974,8 @@ def test_a_peeled_answer_needs_no_simplex_and_is_rechecked(monkeypatch):
     def unreached(*args):
         raise AssertionError("the simplex ran")
 
-    monkeypatch.setattr(nogo, "feasible_point", unreached)
-    monkeypatch.setattr(nogo, "_solves", recording)
+    monkeypatch.setattr(local, "feasible_point", unreached)
+    monkeypatch.setattr(local, "_solves", recording)
     assert [local_polytope_feasibility(model) for model in models] == expected
     assert rechecked == [1, 7, 50, 512]
     for k, result in zip((1, 7, 50), expected):

@@ -1,8 +1,10 @@
 """The package's public names: each resolves lazily to its module's current
-object, and importing one module loads only what it imports."""
+object, importing one module loads only what it imports, and every module
+reads each name it imports."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -22,6 +24,7 @@ SRC = Path(hvw.__file__).resolve().parent.parent
         ("hvw", set()),
         ("hvw.models", {"hvw.errors", "hvw.codec", "hvw.models"}),
         ("hvw.linprog", {"hvw.errors", "hvw.codec", "hvw.linprog"}),
+        ("hvw.local", {"hvw.errors", "hvw.codec", "hvw.models", "hvw.properties", "hvw.linprog", "hvw.local"}),
     ],
 )
 def test_an_import_loads_only_what_it_needs(module, loaded):
@@ -37,12 +40,33 @@ def test_an_import_loads_only_what_it_needs(module, loaded):
 
 
 def test_every_public_name_is_its_modules_current_object():
-    assert len(hvw.__all__) == len(set(hvw.__all__)) == 96
+    assert len(hvw.__all__) == len(set(hvw.__all__)) == 95
     for name in hvw.__all__:
         module = sys.modules[hvw._MODULE_OF[name]]
         assert getattr(hvw, name) is getattr(module, name)
         assert getattr(getattr(module, name), "__module__", module.__name__) == module.__name__
     assert "check_locality" not in vars(hvw)
+
+
+def test_every_module_level_import_is_used():
+    """A name bound by a top-level import and never read would let a test
+    patch it in the wrong module and still pass. Annotations are parsed as
+    expressions, so a name read only in one counts. Re-exports are marked
+    `# noqa: F401`."""
+    unused = []
+    for path in sorted((SRC / "hvw").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            unused += [f"{path.name}: {name}" for name in names if name not in read]
+    assert unused == []
 
 
 def test_a_patched_function_shows_through_the_package(monkeypatch):

@@ -51,7 +51,7 @@ from hvw import (
     random_strategy_mixture,
     serialize_model,
 )
-from hvw import nogo
+from hvw import local
 from hvw.models import as_empirical
 
 SEEDS = range(10)
@@ -135,11 +135,11 @@ def _membership_digest(monkeypatch, models) -> tuple[str, int, int]:
     calls = Counter()
     for name in ("feasible_point", "_signalling_certificate"):
 
-        def counted(*args, _name=name, _call=getattr(nogo, name)):
+        def counted(*args, _name=name, _call=getattr(local, name)):
             calls[_name] += 1
             return _call(*args)
 
-        monkeypatch.setattr(nogo, name, counted)
+        monkeypatch.setattr(local, name, counted)
     digest = hashlib.sha256()
     for model in models:
         digest.update(json.dumps(local_polytope_feasibility(model).to_dict(), sort_keys=True).encode())

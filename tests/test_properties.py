@@ -630,8 +630,8 @@ def test_holding_verdicts_build_no_witness_text(monkeypatch):
     """Witness text is written only once a violation is found: with
     `describe` raising wherever it is looked up, every check and equivalence
     that holds still returns, and failing ones reach it."""
+    import hvw.local
     import hvw.models
-    import hvw.nogo
     import hvw.properties
 
     class Described(Exception):
@@ -640,7 +640,7 @@ def test_holding_verdicts_build_no_witness_text(monkeypatch):
     def describe(*args):
         raise Described
 
-    for module in (hvw.models, hvw.properties, hvw.nogo):
+    for module in (hvw.models, hvw.properties, hvw.local):
         monkeypatch.setattr(module, "describe", describe)
     holding = [(check_exchangeability, ks_model()), (check_exchangeability, bell_model())]
     for seed in range(6):
