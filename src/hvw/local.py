@@ -353,7 +353,8 @@ def _certifies(system: _System, n: int, y: Sequence[Fraction]) -> bool:
     With y scaled by the lcm of its denominators, y.A_j is the sum of the
     entries of the rows that strategy j answers, one per block of `hits`,
     and y.b < 0 is z.rhs < 0, since z.rhs is y.b times that lcm and
-    `common`."""
+    `common`. A block whose slice of z is all zero adds 0 to every sum, so
+    it is skipped."""
     if len(y) != len(system.rhs):
         return False
     scale = math.lcm(*(v.denominator for v in y))
@@ -361,7 +362,8 @@ def _certifies(system: _System, n: int, y: Sequence[Fraction]) -> bool:
     sums = [0] * n
     for start, column in system.hits:
         block = z[start : start + system.width]
-        sums = [s + block[v] for s, v in zip(sums, column)]
+        if any(block):
+            sums = [s + block[v] for s, v in zip(sums, column)]
     if any(s < 0 for s in sums):
         return False
     return sum(v * b for v, b in zip(z, system.rhs)) < 0

@@ -31,9 +31,10 @@ One key rule, `_BaseModel._ranked_key`, serves both kinds: a weight key is
 (outcome tuple, context), followed by exactly one hidden state when the model
 has hidden states, and all its parts are ranked in the same pass. Anything
 else raises an `InputError` naming the first fault. The public constructors
-are the only path in. Completions and projections hand int numerators in
-canonical order to `_derive`, the core that checks nothing, reached only as
-a method of the validated model they derive from.
+are the only path in. Completions, projections, membership witnesses
+(`local._mixture_hvm`) and the seeded generator (`randgen`) hand int
+numerators in canonical order to `_derive`, the core that checks nothing,
+reached only as a method of the validated model they derive from.
 
 The two row views take no arguments: `context_distributions()` maps each
 non-null context to p(o | context), `context_lambda_distributions()` each

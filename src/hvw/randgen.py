@@ -6,6 +6,11 @@ hidden state]) cells. Every conditional probability therefore has denominator
 dividing T, which keeps downstream constructions (least common multiples of
 conditional denominators) desk-sized. The same seed and shape always produce
 the same model, byte for byte.
+
+A cell's weight is the int `mass * count` over `total mass * T`; those ints,
+drawn in canonical order, become the model's table directly through
+`_derive`, once the public constructor has checked the sites on a one-weight
+model.
 """
 
 from __future__ import annotations
@@ -13,11 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, check_positive_int, check_size
-from .models import DEFAULT_GUARD, EmpiricalModel, HiddenVariableModel, Site, site_tuple
+from .models import DEFAULT_GUARD, ONE, EmpiricalModel, HiddenVariableModel, Site, site_tuple
 
 _CELL_TOTALS = (4, 6, 8, 12)
 _MAX_CONTEXT_MASS = 4
@@ -42,7 +46,8 @@ def generate_random_model(
 
     With `lambda_size=None` the result is an empirical model; otherwise a
     hidden-variable model over that many hidden states. Some contexts may be
-    null; weights are exact rationals summing to 1.
+    null; weights are exact rationals summing to 1. The int counts drawn
+    become the model's table directly.
     """
     sites = site_tuple(sites, "generate_random_model")
     if not sites:
@@ -53,9 +58,13 @@ def generate_random_model(
     n_cells = math.prod(len(site.outcomes) for site in sites) * (lambda_size or 1)
     check_size("random model weight table", n_contexts * n_cells, guard)
 
+    contexts = list(itertools.product(*(site.measurements for site in sites)))
+    outcomes = list(itertools.product(*(site.outcomes for site in sites)))
+    # The sites' one check (duplicate names) follows the guard, whose error wins.
+    base = EmpiricalModel(sites, {(outcomes[0], contexts[0]): ONE})
+
     rng = random.Random(seed)
     cell_total = rng.choice(_CELL_TOTALS)
-    contexts = list(itertools.product(*(site.measurements for site in sites)))
     masses = [rng.randint(0, _MAX_CONTEXT_MASS) for _ in contexts]
     if not any(masses):
         masses[0] = 1
@@ -64,8 +73,10 @@ def generate_random_model(
     hidden = None if lambda_size is None else tuple(f"l{i}" for i in range(lambda_size))
     # A cell is an outcome tuple and the hidden state its key ends with, if any.
     states = [()] if hidden is None else [(lam,) for lam in hidden]
-    cells = list(itertools.product(itertools.product(*(site.outcomes for site in sites)), states))
+    cells = list(itertools.product(outcomes, states))
 
+    # Keys come in canonical order, as `_derive` requires: contexts, then
+    # outcome tuples, then hidden states.
     weights: dict = {}
     for context, mass in zip(contexts, masses):
         if mass == 0:
@@ -73,11 +84,7 @@ def generate_random_model(
         alloc = [0] * len(cells)
         for _ in range(cell_total):
             alloc[rng.randrange(len(cells))] += 1
-        context_weight = Fraction(mass, total_mass)
         for (outcome, state), count in zip(cells, alloc):
             if count:
-                weights[(outcome, context, *state)] = context_weight * Fraction(count, cell_total)
-
-    if hidden is None:
-        return EmpiricalModel(sites, weights)
-    return HiddenVariableModel(sites, hidden, weights)
+                weights[(outcome, context, *state)] = mass * count
+    return base._derive(weights, total_mass * cell_total, hidden)

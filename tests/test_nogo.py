@@ -476,10 +476,12 @@ def test_the_column_rechecks_agree_with_the_dense_ones():
     and `verify_farkas` on the reference rows, accept every returned answer
     and both refuse each corruption of it: for x, a weight moved to a
     strategy with another column, and negative weights that still solve
-    A x = b; for y, a wrong length, -y, and one entry lowered until some
-    y.A_j < 0 while y.b stays negative. `_solves` also refuses a mixture
-    out of its form: an index equal to n, a repeated index, a zero weight,
-    and two pairs out of order."""
+    A x = b; for y, a wrong length, -y, one entry lowered until some
+    y.A_j < 0 while y.b stays negative, and a lone negative entry in a
+    context block where y is otherwise zero, which `_certifies` skips
+    before the corruption. `_solves` also refuses a mixture out of its
+    form: an index equal to n, a repeated index, a zero weight, and two
+    pairs out of order."""
     counted = Counter()
     for model in presolve_sweep():
         strategies = enumerate_deterministic_strategies(model.sites)
@@ -539,11 +541,19 @@ def test_the_column_rechecks_agree_with_the_dense_ones():
                 lowered[r] -= 1 + min(c for c, a in zip(combination, rows[r]) if a)
                 assert sum(v * bi for v, bi in zip(lowered, rhs)) < 0
                 corrupted.append(lowered)
+            width = system.width
+            blank = next((r for r in range(0, len(rows) - 1, width) if not any(y[r : r + width])), None)
+            if blank is not None:
+                lone = list(y)
+                lone[blank] = -1 - min(c for c, a in zip(combination, rows[blank]) if a)
+                corrupted.append(lone)
+                counted["lone"] += 1
         counted[result.feasible] += 1
         for answer in corrupted:
             assert verdicts(answer) == (False, False)
     assert counted[True] >= 40 and counted[False] >= 40, counted
     assert counted["negative"] >= 40 and counted["out of order"] >= 40, counted
+    assert counted["lone"] >= 30, counted
 
 
 def test_a_signalling_certificate_is_plus_and_minus_one_on_two_marginals():
