@@ -7,10 +7,12 @@ fields in declaration order, then the derived keys the class lists in
 conclusions that follow from them: read-only properties, written after the
 fields and recomputed on read. Fractions become strings like "3/8", written
 exactly by `fraction_text` and read back by `read_rational`, the one reader
-of exact rationals from outside the program. Tuples become lists, nested
-results become objects, and an embedded hidden-variable model takes the
-model-file form of `modelio`. Decoding follows each field's annotation; a
-missing key takes the field's default.
+of exact rationals from outside the program. Its int form, `read_ratio`,
+gives a numerator and a denominator; the model-file reader and the model
+constructors use it. Tuples become lists, nested results become objects,
+and an embedded hidden-variable model takes the model-file form of
+`modelio`. Decoding follows each field's annotation; a missing key takes
+the field's default.
 
 `write_json` writes the JSON documents the program prints or saves, and
 the `sites` and `lambda` blocks of a model file: the bytes of
@@ -75,21 +77,24 @@ MAX_DIGITS = 100_000
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)")
 
 
-def read_rational(value: object, where: str) -> Fraction | int:
-    """The one reader of an exact rational from outside the program.
+def read_ratio(value: object, where: str) -> tuple[int, int]:
+    """The int form of the one reader of an exact rational from outside the
+    program: `value` as (n, d) with d > 0, not always in lowest terms.
 
-    A `Fraction` or `int` is taken as it is. A string has its exponent
-    checked against ±MAX_EXPONENT (a plain one has none), then its count of
-    Unicode decimal digits against MAX_DIGITS. A plain "n", "-n", "n/d" or
-    "-n/d", the form that `fraction_text` writes, is then read by one `int`
-    call a part, or in pieces when a part is past the digit limit of one
-    call, at any length; every other string is read as `Fraction` reads it
-    ("+3/8", "0.125", "1e-30"). Booleans, floats, decimals and anything
-    else raise `ModelFormatError` naming `where`; a message echoes the value
-    only as far as `show_value` cuts it.
+    An `int` is n/1 and a `Fraction` its own parts. A string has its
+    exponent checked against ±MAX_EXPONENT (a plain one has none), then its
+    count of Unicode decimal digits against MAX_DIGITS. A plain "n", "-n",
+    "n/d" or "-n/d", the form that `fraction_text` writes, is then read by
+    one `int` call a part, or in pieces when a part is past the digit limit
+    of one call, at any length, and kept as written; every other string is
+    read as `Fraction` reads it ("+3/8", "0.125", "1e-30"). Booleans,
+    floats, decimals and anything else raise `ModelFormatError` naming
+    `where`; a message echoes the value only as far as `show_value` cuts it.
     """
-    if type(value) is Fraction or type(value) is int:
-        return value
+    if type(value) is int:
+        return value, 1
+    if type(value) is Fraction:
+        return value.numerator, value.denominator
     if not isinstance(value, str):
         raise ModelFormatError(
             f"{where} is not a finite rational: {show_value(value)}; "
@@ -108,14 +113,25 @@ def read_rational(value: object, where: str) -> Fraction | int:
         raise ModelFormatError(f"{where}: {show_value(value)} has more than {MAX_DIGITS} digits")
     try:
         if not plain:
-            return Fraction(value)
+            fraction = Fraction(value)
+            return fraction.numerator, fraction.denominator
         try:
             n, d = int(numerator), int(denominator) if slash else 1
         except ValueError:  # a part past the digit limit of one `int` call
             n, d = _text_int(numerator), _text_int(denominator) if slash else 1
-        return Fraction(-n if negative else n, d)
+        if d:
+            return -n if negative else n, d
     except (ValueError, ZeroDivisionError):
-        raise ModelFormatError(f"{where} is not a finite rational: {show_value(value)}") from None
+        pass
+    raise ModelFormatError(f"{where} is not a finite rational: {show_value(value)}")
+
+
+def read_rational(value: object, where: str) -> Fraction | int:
+    """`read_ratio` as one number: a `Fraction` or `int` taken as it is,
+    anything else read to a `Fraction` in lowest terms."""
+    if type(value) is Fraction or type(value) is int:
+        return value
+    return Fraction(*read_ratio(value, where))
 
 
 def write_json(value: object) -> str:

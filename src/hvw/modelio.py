@@ -26,8 +26,19 @@ ensure_ascii=False)` and a final newline. The codec's `write_json` writes the
 the model's int table (numerators over one denominator D), each distinct
 outcome tuple and context written once per file.
 
-Reading takes a row whose keys are exactly the expected ones straight to its
-fields; any other row goes through the checks that name its first fault.
+Reading is one pass over the weight rows. A row whose keys are exactly the
+expected ones has its labels ranked against the sites' label indexes (each
+distinct outcome tuple and context becomes one shared tuple per file, as the
+writer writes each once) and its `p` read as an int numerator and
+denominator by `codec.read_ratio`; the rank-sorted int table goes to the
+model core, `_BaseModel._settle`, with no `Fraction` built. The pass stops
+at the first row it does not take: one with a fault of its own, or with a
+label, hidden state or negative weight that only the model can refuse. From
+that row on, the rows go through the checks that name a row's first fault,
+and the table, rows already read included, goes to the public constructor,
+as does every file whose site list or `lambda` block the model refuses. So
+every message and its precedence are those of the row checks and the
+constructor.
 """
 
 from __future__ import annotations
@@ -36,9 +47,10 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 
 # MAX_EXPONENT and parse_fraction, the codec's reader, stay importable from here.
-from .codec import MAX_EXPONENT, _int_text, _quote, read_rational as parse_fraction, write_json  # noqa: F401
+from .codec import MAX_EXPONENT, _int_text, _quote, read_ratio, read_rational as parse_fraction, write_json  # noqa: F401
 from .codec import _string_list as _label_block
 from .errors import InputError, ModelFormatError, show_text, show_value
 from .models import EmpiricalModel, HiddenVariableModel, Model, Site, require
@@ -103,8 +115,24 @@ def model_from_dict(data: object) -> Model:
     if not isinstance(rows, list):
         raise ModelFormatError("\"weights\" must be a list")
     row_keys = _EMPIRICAL_ROW_KEYS if hidden_states is None else _ROW_KEYS
-    weights: dict = {}
-    for i, row in enumerate(rows):
+    kind = EmpiricalModel if hidden_states is None else HiddenVariableModel
+    model = kind.__new__(kind)
+    try:
+        model._label(sites, hidden_states)
+    except InputError:  # named by the constructor, once every row is read
+        table, start = {}, 0
+    else:
+        table, start = _read_rows(model, rows, row_keys)
+        if start == len(rows):
+            model._settle(table)
+            return model
+
+    # The rows from `start` on go through the checks that name a row's first
+    # fault; the rows already read join them, and the public constructor
+    # names any fault of the whole table.
+    weights: dict = {key: Fraction(n, d) for key, n, d in table.values()}
+    del table
+    for i, row in enumerate(rows[start:], start):
         where = f"weights[{i}]"
         if type(row) is not dict or row.keys() != row_keys:
             _check_row_keys(row, where)
@@ -127,6 +155,68 @@ def model_from_dict(data: object) -> Model:
     if hidden_states is None:
         return EmpiricalModel(sites, weights)
     return HiddenVariableModel(sites, hidden_states, weights)
+
+
+class _Ranks(dict):
+    """Label tuple -> (that tuple, its rank in canonical order times
+    `stride`), for a tuple of one declared `str` label per site; any other
+    tuple raises `KeyError` or `TypeError`. One shared tuple per file for
+    each distinct outcome tuple or context, as `_Blocks` writes one text."""
+
+    def __init__(self, index: tuple[dict[str, int], ...], stride: int) -> None:
+        super().__init__()
+        self.index, self.stride = index, stride
+
+    def __missing__(self, labels: tuple) -> tuple[tuple[str, ...], int]:
+        if len(labels) != len(self.index):
+            raise KeyError(labels)
+        "".join(labels)  # raises unless every label is a str
+        rank = 0
+        for index, label in zip(self.index, labels):
+            rank = rank * len(index) + index[label]
+        entry = self[labels] = labels, rank * self.stride
+        return entry
+
+
+def _read_rows(model: Model, rows: list, row_keys: set[str]) -> tuple[dict[int, tuple[tuple, int, int]], int]:
+    """The rows read in one pass into `model`'s int table, rank -> (key, n,
+    d), and how many were read: all of them, zero weights left out, or those
+    before the first row this pass does not take. It takes a row of exactly
+    the expected keys, with one declared `str` label per site, a declared
+    hidden state, a well-formed nonnegative `p` and a cell no earlier row
+    named; it names no fault."""
+    states = 1 if model._lambda_index is None else len(model._lambda_index)
+    outcomes = _Ranks(model._out_index, states)
+    contexts = _Ranks(model._meas_index, states * math.prod(map(len, model._out_index)))
+    lambdas = None if model._lambda_index is None else {lam: (lam, l) for lam, l in model._lambda_index.items()}
+    table: dict[int, tuple[tuple, int, int]] = {}
+    zeros = False
+    for i, row in enumerate(rows):
+        if type(row) is not dict or row.keys() != row_keys:
+            return table, i
+        outcome, measurement = row["outcome"], row["measurement"]
+        if type(outcome) is not list or type(measurement) is not list:
+            return table, i
+        try:
+            outcome, o = outcomes[tuple(outcome)]
+            context, c = contexts[tuple(measurement)]
+            if lambdas is None:
+                key: tuple = (outcome, context)
+                rank = c + o
+            else:
+                lam, l = lambdas[row["lambda"]]
+                key, rank = (outcome, context, lam), c + o + l
+            n, d = read_ratio(row["p"], "p")
+        except (KeyError, TypeError, ModelFormatError):
+            return table, i
+        if n < 0 or rank in table:
+            return table, i
+        if not n:
+            zeros = True
+        table[rank] = key, n, d
+    if zeros:
+        table = {rank: entry for rank, entry in table.items() if entry[1]}
+    return table, len(rows)
 
 
 def _check_row_keys(row: object, where: str) -> None:

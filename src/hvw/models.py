@@ -31,10 +31,13 @@ One key rule, `_BaseModel._ranked_key`, serves both kinds: a weight key is
 (outcome tuple, context), followed by exactly one hidden state when the model
 has hidden states, and all its parts are ranked in the same pass. Anything
 else raises an `InputError` naming the first fault. The public constructors
-are the only path in. Completions, projections, membership witnesses
-(`local._mixture_hvm`) and the seeded generator (`randgen`) hand int
-numerators in canonical order to `_derive`, the core that checks nothing,
-reached only as a method of the validated model they derive from.
+and the model-file reader (`modelio`, on a file with no fault that only the
+model can name) are the only paths in, and share one core, `_settle`: the
+lcm of the denominators, the sort by rank, the sum check and `_store`.
+Completions, projections, membership witnesses (`local._mixture_hvm`) and
+the seeded generator (`randgen`) hand int numerators in canonical order to
+`_derive`, the core that checks nothing, reached only as a method of the
+validated model they derive from.
 
 The two row views take no arguments: `context_distributions()` maps each
 non-null context to p(o | context), `context_lambda_distributions()` each
@@ -63,7 +66,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, overload
 
-from .codec import Codec, fraction_text, read_rational
+from .codec import Codec, fraction_text, read_ratio
 from .errors import (
     InputError,
     ModelFormatError,
@@ -259,31 +262,52 @@ class _BaseModel:
     _lambda_index: dict[str, int] | None
 
     def __init__(self, sites: Sequence[Site], weights: Mapping[tuple, object]) -> None:
+        self._label(sites)
+        self._settle(self._ranked_weights(weights))
+
+    def _label(self, sites: Sequence[Site], lambda_set: Sequence[str] | None = None) -> None:
+        """Check and keep the labels, as the public constructors do: the
+        hidden states `lambda_set` first, unless it is None, then the sites."""
+        if lambda_set is not None:
+            self.lambda_set = _unique_labels(lambda_set, "hidden state set")
+            self._lambda_index = {lam: i for i, lam in enumerate(self.lambda_set)}
         sites = site_tuple(sites, "a model")
         if not sites:
             raise InputError("a model needs at least one site")
         names = [site.name for site in sites]
         if len(set(names)) != len(names):
             raise InputError(f"duplicate site names: {show_value(names)}")
-        if not callable(getattr(weights, "items", None)):
-            raise InputError(f"a model needs a mapping of weights, not {show_value(weights)}")
         self.sites: tuple[Site, ...] = sites
         self._site_index = {site.name: i for i, site in enumerate(sites)}
         self._meas_index = tuple({m: i for i, m in enumerate(site.measurements)} for site in sites)
         self._out_index = tuple({a: i for i, a in enumerate(site.outcomes)} for site in sites)
-        ranked: dict[tuple[int, ...], tuple[tuple, Fraction]] = {}
+
+    def _ranked_weights(self, weights: Mapping[tuple, object]) -> dict[tuple[int, ...], tuple[tuple, int, int]]:
+        """The positive weights of a public constructor's table, checked key
+        by key and weight by weight in the table's order, for `_settle`."""
+        if not callable(getattr(weights, "items", None)):
+            raise InputError(f"a model needs a mapping of weights, not {show_value(weights)}")
+        ranked = {}
         ranked_key = self._ranked_key
         for raw_key, raw in weights.items():
             key, rank = ranked_key(raw_key)
-            value = raw if type(raw) is Fraction else Fraction(read_rational(raw, f"weight at {show_value(raw_key)}"))
-            n = value.numerator
+            if type(raw) is Fraction:
+                n, d = raw.numerator, raw.denominator
+            else:
+                n, d = read_ratio(raw, f"weight at {show_value(raw_key)}")
             if n < 0:
-                raise NegativeWeightError(key, value)
+                raise NegativeWeightError(key, Fraction(n, d))
             if n:
-                ranked[rank] = key, value
-        # Every weight is an int numerator over D, the lcm of the denominators.
-        scale = math.lcm(*{value.denominator for _, value in ranked.values()})
-        numerators = {key: w.numerator * (scale // w.denominator) for key, w in map(ranked.__getitem__, sorted(ranked))}
+                ranked[rank] = key, n, d
+        return ranked
+
+    def _settle(self, ranked: Mapping[object, tuple[tuple, int, int]]) -> None:
+        """The core the public constructors and the model-file reader share.
+        `ranked` maps the rank in canonical order of each positive weight n / d
+        to (its key, n, d); the weights are kept in rank order, as int
+        numerators over the lcm of the denominators, once they sum to 1."""
+        scale = math.lcm(*{d for _, _, d in ranked.values()})
+        numerators = {key: n * (scale // d) for key, n, d in map(ranked.__getitem__, sorted(ranked))}
         total = sum(numerators.values())
         if total != scale:
             raise WeightSumError(Fraction(total, scale))
@@ -523,6 +547,7 @@ class HiddenVariableModel(_BaseModel):
     """
 
     _KEY_SHAPE = "(outcome, context, hidden) triple"
+    lambda_set: tuple[str, ...]
 
     def __init__(
         self,
@@ -530,9 +555,8 @@ class HiddenVariableModel(_BaseModel):
         lambda_set: Sequence[str],
         weights: Mapping[tuple[Sequence[str], Sequence[str], str], object],
     ) -> None:
-        self.lambda_set: tuple[str, ...] = _unique_labels(lambda_set, "hidden state set")
-        self._lambda_index = {lam: i for i, lam in enumerate(self.lambda_set)}
-        super().__init__(sites, weights)
+        self._label(sites, lambda_set)
+        self._settle(self._ranked_weights(weights))
 
     def _build_tables(self) -> None:
         # One pass over the weights, stored context-major: a context's row,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from hvw import (
     load_model,
     parse_model,
     save_model,
+    serialize_model,
     verify_bell,
     verify_epr,
     verify_ks,
@@ -217,6 +220,72 @@ def test_any_weight_value_exits_zero_one_or_two(cli, tmp_path, first, second):
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     else:
         assert err == ""
+
+
+# Values a structural mutation puts in place of any part of a model file.
+_NODES = (None, True, 0, -1, 0.5, "", "x", "o1", "M1", "l1", "1/0", "-1/2", "9" * 60, [], {}, ["o1"], ["o1", 2], {"p": "1"})
+
+
+def _structural_mutation(rng, data) -> None:
+    """Replace, delete, duplicate or rename one part of `data`, found by a
+    random walk down its JSON tree."""
+    if not data:
+        return
+    node, key = data, rng.choice(sorted(data))
+    while isinstance(node[key], (dict, list)) and node[key] and rng.random() < 0.75:
+        node = node[key]
+        key = rng.choice(sorted(node) if isinstance(node, dict) else range(len(node)))
+    action = rng.randrange(4)
+    if action == 0:
+        sibling = node[rng.choice(sorted(node) if isinstance(node, dict) else range(len(node)))]
+        node[key] = rng.choice(_NODES + (json.loads(json.dumps(sibling)),))
+    elif action == 1:
+        del node[key]
+    elif action == 2 and isinstance(node, list):
+        node.insert(key, json.loads(json.dumps(node[key])))
+    elif isinstance(node, dict):
+        node[rng.choice(("lambda", "p", "name", "q", key.upper()))] = node.pop(key)
+
+
+def test_structurally_mutated_files_exit_zero_one_or_two(cli, tmp_path):
+    """Seeded mutations of model files, anywhere in their JSON structure,
+    through `check`, `construct`, `equiv` and `classify --sample`: each run
+    exits 0, 1 or 2 within a second, and exit 2 writes one short `error:`
+    line and nothing else."""
+    rng = random.Random(12)
+    bases = [
+        serialize_model(generate_random_model(seed, grid_sites(2, 2, 2), lambda_size=2 if seed % 2 else None))
+        for seed in range(4)
+    ]
+    reference = tmp_path / "reference.em"
+    reference.write_text(bases[0], encoding="utf-8")
+    path = tmp_path / "mutated.em"
+    commands = (
+        ("check", str(path), "--property", "non-contextuality"),
+        ("check", str(path), "--property", "locality"),
+        ("construct", str(path), "--method", "e1"),
+        ("construct", str(path), "--method", "sv"),
+        ("equiv", str(path), str(reference)),
+        ("classify", "--sample", str(path)),
+    )
+    codes = collections.Counter()
+    for _ in range(3000):
+        data = json.loads(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            _structural_mutation(rng, data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        args = rng.choice(commands)
+        started = time.monotonic()
+        code, out, err = cli(*args, *rng.choice(((), ("--format", "json"))))
+        assert time.monotonic() - started < 1, args
+        codes[code] += 1
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            assert len(err.encode()) < 400
+        else:
+            assert code in (0, 1) and err == "", (code, err)
+    assert codes[0] + codes[1] >= 100 and codes[2] >= 1000
 
 
 def test_a_long_bad_weight_is_echoed_in_part(cli, tmp_path):

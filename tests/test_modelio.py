@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import collections
+import hashlib
 import itertools
 import json
+import random
 import re
 from collections import OrderedDict
 from fractions import Fraction
@@ -19,7 +22,9 @@ from hvw import (
     HiddenVariableModel,
     InputError,
     ModelFormatError,
+    NegativeWeightError,
     Site,
+    UnknownLabelError,
     WeightSumError,
     bell_model,
     construct,
@@ -410,3 +415,249 @@ def test_row_faults_keep_their_order(hidden, row, message):
 def test_a_row_of_a_dict_subclass_is_read():
     row = OrderedDict(outcome=["x"], measurement=["A"], p="1")
     assert model_from_dict({"sites": _ROW_SITES, "weights": [row]}).weights == {(("x",), ("A",)): 1}
+
+
+# ---------------------------------------------------------------------------
+# Every outcome of the reader over seeded mutated files, pinned as one digest
+
+
+def _mutation_bases() -> list[str]:
+    """Four model files on (2, 2, 2): seeds 0-3, the odd seeds with two
+    hidden states."""
+    return [
+        serialize_model(generate_random_model(seed, grid_sites(2, 2, 2), lambda_size=2 if seed % 2 else None))
+        for seed in range(4)
+    ]
+
+
+def _a_row(rng, data):
+    return rng.choice(data["weights"])
+
+
+def _swap_p(rng, data):
+    first, second = rng.sample(data["weights"], 2)
+    first["p"], second["p"] = second["p"], first["p"]
+
+
+def _unreduce_p(rng, data):
+    row = _a_row(rng, data)
+    n, _, d = row["p"].partition("/")
+    k = rng.randint(2, 9)
+    row["p"] = f"{int(n) * k}/{int(d or 1) * k}"
+
+
+def _reorder_rows(rng, data):
+    rng.shuffle(data["weights"])
+
+
+def _add_zero_row(rng, data):
+    row = dict(_a_row(rng, data), p=rng.choice(["0", "0/7", 0, "-0"]))
+    row["outcome"] = [rng.choice(["o1", "o2"]) for _ in row["outcome"]]
+    data["weights"].append(row)
+
+
+def _p_in_another_form(rng, data):
+    row = _a_row(rng, data)
+    value = Fraction(row["p"])
+    decimal = f"{float(value):.6f}"
+    forms = ["+" + row["p"], f" {row['p']}\n", re.sub(r"(\d)(?=\d)", r"\1_", row["p"])]
+    row["p"] = rng.choice(forms + [decimal] * (Fraction(decimal) == value) + [value.numerator] * (value.denominator == 1))
+
+
+def _unknown_label(rng, data):
+    row = _a_row(rng, data)
+    field = rng.choice(["outcome", "measurement", "lambda"] if "lambda" in row else ["outcome", "measurement"])
+    if field == "lambda":
+        row["lambda"] = rng.choice(["l9", "", "L1"])
+    else:
+        row[field][rng.randrange(len(row[field]))] = rng.choice(["o3", "M3", "zz", "O1"])
+
+
+def _miscounted_labels(rng, data):
+    row = _a_row(rng, data)
+    field = rng.choice(["outcome", "measurement"])
+    row[field] = row[field][:1] if rng.random() < 0.5 else row[field] + row[field][:1]
+
+
+def _negative_p(rng, data):
+    row = _a_row(rng, data)
+    row["p"] = "-" + row["p"] if rng.random() < 0.7 else -1
+
+
+def _other_sum(rng, data):
+    if rng.random() < 0.5:
+        data["weights"].pop(rng.randrange(len(data["weights"])))
+    else:
+        _a_row(rng, data)["p"] = rng.choice(["1/3", "1", "2/9", "5/1000"])
+
+
+def _duplicate_site_name(rng, data):
+    data["sites"][1]["name"] = data["sites"][0]["name"]
+
+
+def _bad_lambda_block(rng, data):
+    if "lambda" in data:
+        data["lambda"] = rng.choice([["l1", "l1"], [], ["l1", ""], ["l2", "l1"]])
+    else:
+        data["sites"] = rng.choice([[], data["sites"][:1], data["sites"][::-1]])
+
+
+def _bad_row_shape(rng, data):
+    rows = data["weights"]
+    i = rng.randrange(len(rows))
+    kind = rng.randrange(5)
+    if kind == 0:
+        rows[i] = rng.choice([None, ["o1"], "row", 3])
+    elif kind == 1:
+        del rows[i][rng.choice(sorted(rows[i]))]
+    elif kind == 2:
+        rows[i]["q"] = 1
+    elif kind == 3:
+        rows[i]["lambda"] = "l1" if "lambda" not in rows[i] else rows[i]["lambda"]
+        if "lambda" not in data:
+            return
+        del rows[i]["lambda"]
+    else:
+        rows[i] = dict(rows[i])
+
+
+def _bad_field(rng, data):
+    row = _a_row(rng, data)
+    field = rng.choice(["outcome", "measurement", "p", "lambda"])
+    row[field] = rng.choice(["o1", ["o1", 1], [None], {"a": 1}, [["o1"]], 0.5, True, None, "1/0", "x", "1e2000", 7])
+
+
+def _duplicate_row(rng, data):
+    data["weights"].insert(rng.randrange(len(data["weights"]) + 1), dict(_a_row(rng, data)))
+
+
+def _bad_top(rng, data):
+    kind = rng.randrange(4)
+    if kind == 0:
+        data["extra"] = 1
+    elif kind == 1:
+        data[rng.choice(["sites", "weights", "lambda"])] = rng.choice(["x", {}, None, [1]])
+    elif kind == 2:
+        del data[rng.choice(sorted(data))]
+    else:
+        data["sites"][0][rng.choice(["name", "outcomes", "measurements", "x"])] = rng.choice([3, ["o1", "o1"], "s2", []])
+
+
+_CLEAN_MUTATIONS = (_swap_p, _unreduce_p, _reorder_rows, _add_zero_row, _p_in_another_form)
+_MODEL_MUTATIONS = (_unknown_label, _miscounted_labels, _negative_p, _other_sum, _duplicate_site_name, _bad_lambda_block)
+_FORMAT_MUTATIONS = (_bad_row_shape, _bad_field, _duplicate_row, _bad_top)
+
+
+def _mutated_files(count: int, seed: int = 2024):
+    """`count` seeded files: 1-3 mutations each, drawn from the clean ones
+    half the time, the model-level ones a third and the format ones a sixth."""
+    rng = random.Random(seed)
+    bases = _mutation_bases()
+    for _ in range(count):
+        data = json.loads(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            group = rng.choices((_CLEAN_MUTATIONS, _MODEL_MUTATIONS, _FORMAT_MUTATIONS), weights=(3, 2, 1))[0]
+            try:
+                rng.choice(group)(rng, data)
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+                pass  # an earlier mutation left nothing for this one to change
+        yield data
+
+
+def _reader_outcome(data) -> tuple[str, str]:
+    """(exception type name, message), or ("", the file written back)."""
+    try:
+        model = model_from_dict(data)
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+    return "", serialize_model(model)
+
+
+_MODEL_LEVEL_ERRORS = ("UnknownLabelError", "NegativeWeightError", "WeightSumError")
+# Recorded with the reader that built a `Fraction` per row and handed every
+# file to the public constructor, before rows were read into the int table.
+_MUTATED_DIGEST = "eff35ec327cf4460ed5a0d48fae9ef8cca65dac10577e7da3e85dea1d7928a66"
+
+
+def test_mutated_files_keep_every_outcome():
+    """4,000 mutated files give the same model bytes or the same first
+    fault as they always have: one sha256 over every outcome."""
+    digest = hashlib.sha256()
+    kinds = collections.Counter()
+    for data in _mutated_files(4000):
+        kind, text = _reader_outcome(data)
+        kinds[kind] += 1
+        digest.update(f"{kind}\0{text}\0".encode())
+    assert kinds[""] >= 100
+    assert sum(kinds[kind] for kind in _MODEL_LEVEL_ERRORS) >= 300
+    assert digest.hexdigest() == _MUTATED_DIGEST
+
+
+def _hidden_file() -> dict:
+    """A two-site file with two hidden states, as `parse_model` receives it."""
+    return json.loads(serialize_model(generate_random_model(1, grid_sites(2, 2, 2), lambda_size=2)))
+
+
+def test_a_malformed_p_is_named_before_an_earlier_unknown_label():
+    data = _hidden_file()
+    data["weights"][0]["outcome"] = ["o1", "o9"]
+    data["weights"][1]["p"] = "1/0"
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_dict(data)
+    assert str(exc.value) == "weights[1] is not a finite rational: '1/0'"
+
+
+def test_a_malformed_row_is_named_before_duplicate_site_names():
+    data = _hidden_file()
+    data["sites"][1]["name"] = data["sites"][0]["name"]
+    data["weights"][-1] = ["o1", "o2"]
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_dict(data)
+    assert str(exc.value) == f"weights[{len(data['weights']) - 1}]: expected an object, got ['o1', 'o2']"
+
+
+def test_a_negative_weight_is_named_before_a_later_unknown_label():
+    data = _hidden_file()
+    data["weights"][0]["p"] = "-1/4"
+    data["weights"][1]["measurement"] = ["M1", "M9"]
+    with pytest.raises(NegativeWeightError) as exc:
+        model_from_dict(data)
+    row = data["weights"][0]
+    assert exc.value.key == (tuple(row["outcome"]), tuple(row["measurement"]), row["lambda"])
+    assert exc.value.value == Fraction(-1, 4)
+
+
+def test_an_unknown_hidden_state_is_named_before_a_short_sum():
+    data = _hidden_file()
+    data["weights"][0]["lambda"] = "l9"
+    del data["weights"][1]
+    with pytest.raises(UnknownLabelError) as exc:
+        model_from_dict(data)
+    assert str(exc.value) == "unknown hidden state 'l9'"
+
+
+def test_a_clean_file_is_read_without_the_key_rule_or_fraction_reader(monkeypatch):
+    """Plain "n/d" weights are read as ints, and their labels ranked in the
+    reader's one pass: neither the constructor's key rule nor the
+    `Fraction` reader runs."""
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    from hvw import codec, models, modelio
+    from hvw.models import _BaseModel
+
+    texts = [serialize_model(generate_random_model(seed, grid_sites(2, 3, 2), lambda_size=seed or None)) for seed in range(4)]
+    assert all(re.fullmatch(r"\d+/\d+", row["p"]) for text in texts for row in json.loads(text)["weights"])
+    monkeypatch.setattr(_BaseModel, "_ranked_key", counted("_ranked_key", _BaseModel._ranked_key))
+    for module, name in ((codec, "read_rational"), (models, "read_rational"), (modelio, "parse_fraction")):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted("read_rational", getattr(module, name)))
+    models_read = [parse_model(text) for text in texts]
+    assert calls == {}
+    assert [serialize_model(model) for model in models_read] == texts
