@@ -34,7 +34,7 @@ from typing import Callable, NoReturn, Sequence
 from .classify import ClassificationReport, classify_all
 from .codec import _encode, write_json
 from .constructions import ConstructionMethod, construct
-from .errors import InputError, WorkbenchError, show_text, show_value
+from .errors import InputError, WorkbenchError, check_size, show_text, show_value
 from .models import (
     DEFAULT_GUARD,
     Model,
@@ -299,10 +299,10 @@ def _cmd_random(args: argparse.Namespace) -> _Result:
     if args.seed is None:
         raise InputError("the random command requires --seed")
     guard = _resolve_guard(args.guard)
+    # Building the sites checks s * (m + o) labels, which the table's guard does not bound.
+    check_size("random model site list", args.sites * (args.measurements + args.outcomes), guard)
     sites = grid_sites(args.sites, args.measurements, args.outcomes)
-    model = generate_random_model(
-        args.seed, sites, lambda_size=args.hidden, guard=guard
-    )
+    model = generate_random_model(args.seed, sites, lambda_size=args.hidden, guard=guard)
     return EXIT_OK, None, _model_output(model, args.out)
 
 

@@ -31,7 +31,7 @@ K. D. Andersen, Math. Prog. 71, 1995) in front of the simplex:
 
 Whatever its route, the answer is rechecked against the full system, over
 all N strategies (`_solves`, `_certifies`), by int code that shares nothing
-with `linprog`, before it is returned.
+with `linprog`, before it is returned; `_solves` reads no column.
 """
 
 from __future__ import annotations
@@ -328,22 +328,28 @@ def _presolved_answer(
 def _solves(system: _System, n: int, mixture: Sequence[tuple[int, Fraction]]) -> bool:
     """Recheck that `mixture`, (strategy, weight) pairs over n strategies,
     has each strategy in range(n), the strategies strictly increasing and
-    every weight > 0, and solves the membership system held by columns, in
-    ints. Each weight, scaled by the lcm L of their denominators, is added
-    into the row its strategy answers in each block of `hits`,
-    normalization included; every row r must then hold b_r L, that is
-    sums[r] * common == rhs[r] * L."""
+    every weight > 0, and solves the membership system, in ints. The row
+    a strategy answers in each context comes from its `_digits` and the
+    sites' strides, not from the columns the routes read. Each weight,
+    scaled by the lcm L of their denominators, is added into that row of
+    each context and into the normalization row; every row r must then hold
+    b_r L, that is sums[r] * common == rhs[r] * L."""
     previous = -1
     for j, v in mixture:
         if not previous < j < n or v <= 0:
             return False
         previous = j
+    sites, width = system.scenario.sites, system.width
+    strides = [width // math.prod(len(site.outcomes) for site in sites[: i + 1]) for i in range(len(sites))]
+    picks = [list(map(tuple.index, [site.measurements for site in sites], context)) for context in system.contexts]
     scale = math.lcm(*(v.denominator for _, v in mixture))
     sums = [0] * len(system.rhs)
     for j, v in mixture:
         w = v.numerator * (scale // v.denominator)
-        for start, column in system.hits:
-            sums[start + column[j]] += w
+        answers = [[a * stride for a in digits] for digits, stride in zip(_digits(sites, j), strides)]
+        for c, pick in enumerate(picks):
+            sums[c * width + sum(map(list.__getitem__, answers, pick))] += w
+        sums[-1] += w
     return all(s * system.common == b * scale for s, b in zip(sums, system.rhs))
 
 

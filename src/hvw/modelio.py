@@ -26,19 +26,17 @@ ensure_ascii=False)` and a final newline. The codec's `write_json` writes the
 the model's int table (numerators over one denominator D), each distinct
 outcome tuple and context written once per file.
 
-Reading is one pass over the weight rows. A row whose keys are exactly the
-expected ones has its labels ranked against the sites' label indexes (each
-distinct outcome tuple and context becomes one shared tuple per file, as the
-writer writes each once) and its `p` read as an int numerator and
-denominator by `codec.read_ratio`; the rank-sorted int table goes to the
-model core, `_BaseModel._settle`, with no `Fraction` built. The pass stops
-at the first row it does not take: one with a fault of its own, or with a
-label, hidden state or negative weight that only the model can refuse. From
-that row on, the rows go through the checks that name a row's first fault,
-and the table, rows already read included, goes to the public constructor,
-as does every file whose site list or `lambda` block the model refuses. So
-every message and its precedence are those of the row checks and the
-constructor.
+Reading is one pass over the weight rows. A row of exactly the expected
+keys has its labels ranked by the model's key rule, `_BaseModel._key_rule`,
+and its `p` read as an int numerator and denominator by `codec.read_ratio`.
+Any other row is checked field by field, and a fault of its own is raised
+where the pass finds it: of shape, then of `outcome`, `measurement`, `p`
+and `lambda`, then a repeated cell. A fault that only the model can name is
+raised after the last row: its refusal of the site list or `lambda` block,
+else that of the first row with a miscounted or undeclared label, an
+undeclared hidden state or a negative weight. A table with neither goes to
+the model core, `_BaseModel._settle`, with no `Fraction` built; it names a
+sum other than 1.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from fractions import Fraction
 # MAX_EXPONENT and parse_fraction, the codec's reader, stay importable from here.
 from .codec import MAX_EXPONENT, _int_text, _quote, read_ratio, read_rational as parse_fraction, write_json  # noqa: F401
 from .codec import _string_list as _label_block
-from .errors import InputError, ModelFormatError, show_text, show_value
+from .errors import InputError, ModelFormatError, NegativeWeightError, show_text, show_value
 from .models import EmpiricalModel, HiddenVariableModel, Model, Site, require
 
 _TOP_KEYS = {"sites", "lambda", "weights"}
@@ -117,111 +115,48 @@ def model_from_dict(data: object) -> Model:
     row_keys = _EMPIRICAL_ROW_KEYS if hidden_states is None else _ROW_KEYS
     kind = EmpiricalModel if hidden_states is None else HiddenVariableModel
     model = kind.__new__(kind)
+    fault: InputError | None = None
     try:
         model._label(sites, hidden_states)
-    except InputError:  # named by the constructor, once every row is read
-        table, start = {}, 0
-    else:
-        table, start = _read_rows(model, rows, row_keys)
-        if start == len(rows):
-            model._settle(table)
-            return model
-
-    # The rows from `start` on go through the checks that name a row's first
-    # fault; the rows already read join them, and the public constructor
-    # names any fault of the whole table.
-    weights: dict = {key: Fraction(n, d) for key, n, d in table.values()}
-    del table
-    for i, row in enumerate(rows[start:], start):
-        where = f"weights[{i}]"
-        if type(row) is not dict or row.keys() != row_keys:
-            _check_row_keys(row, where)
-        outcome = tuple(_string_list(row["outcome"], f"{where}.outcome"))
-        measurement = tuple(_string_list(row["measurement"], f"{where}.measurement"))
-        value = parse_fraction(row["p"], where)
-        key: tuple = (outcome, measurement)
-        if "lambda" in row:
-            if hidden_states is None:
-                raise ModelFormatError(f"{where}: row names a hidden state but the model declares no \"lambda\" block")
-            if not isinstance(row["lambda"], str):
-                raise ModelFormatError(f"{where}.lambda: expected a string, got {show_value(row['lambda'])}")
-            key += (row["lambda"],)
-        elif hidden_states is not None:
-            raise ModelFormatError(f"{where}: model declares hidden states, row is missing \"lambda\"")
-        if key in weights:
-            raise ModelFormatError(f"{where}: duplicate weight row for {show_value(key)}")
-        weights[key] = value
-
-    if hidden_states is None:
-        return EmpiricalModel(sites, weights)
-    return HiddenVariableModel(sites, hidden_states, weights)
-
-
-class _Ranks(dict):
-    """Label tuple -> (that tuple, its rank in canonical order times
-    `stride`), for a tuple of one declared `str` label per site; any other
-    tuple raises `KeyError` or `TypeError`. One shared tuple per file for
-    each distinct outcome tuple or context, as `_Blocks` writes one text."""
-
-    def __init__(self, index: tuple[dict[str, int], ...], stride: int) -> None:
-        super().__init__()
-        self.index, self.stride = index, stride
-
-    def __missing__(self, labels: tuple) -> tuple[tuple[str, ...], int]:
-        if len(labels) != len(self.index):
-            raise KeyError(labels)
-        "".join(labels)  # raises unless every label is a str
-        rank = 0
-        for index, label in zip(self.index, labels):
-            rank = rank * len(index) + index[label]
-        entry = self[labels] = labels, rank * self.stride
-        return entry
-
-
-def _read_rows(model: Model, rows: list, row_keys: set[str]) -> tuple[dict[int, tuple[tuple, int, int]], int]:
-    """The rows read in one pass into `model`'s int table, rank -> (key, n,
-    d), and how many were read: all of them, zero weights left out, or those
-    before the first row this pass does not take. It takes a row of exactly
-    the expected keys, with one declared `str` label per site, a declared
-    hidden state, a well-formed nonnegative `p` and a cell no earlier row
-    named; it names no fault."""
-    states = 1 if model._lambda_index is None else len(model._lambda_index)
-    outcomes = _Ranks(model._out_index, states)
-    contexts = _Ranks(model._meas_index, states * math.prod(map(len, model._out_index)))
-    lambdas = None if model._lambda_index is None else {lam: (lam, l) for lam, l in model._lambda_index.items()}
-    table: dict[int, tuple[tuple, int, int]] = {}
-    zeros = False
+        rank = model._key_rule()
+    except InputError as exc:  # raised once every row is read
+        fault, rank = exc, None
+    # rank -> (key, n, d): the int rank of a row the key rule takes, else the
+    # row's own key, so that a repeated cell is found either way.
+    table: dict = {}
     for i, row in enumerate(rows):
-        if type(row) is not dict or row.keys() != row_keys:
-            return table, i
-        outcome, measurement = row["outcome"], row["measurement"]
-        if type(outcome) is not list or type(measurement) is not list:
-            return table, i
         try:
-            outcome, o = outcomes[tuple(outcome)]
-            context, c = contexts[tuple(measurement)]
-            if lambdas is None:
-                key: tuple = (outcome, context)
-                rank = c + o
-            else:
-                lam, l = lambdas[row["lambda"]]
-                key, rank = (outcome, context, lam), c + o + l
+            if type(row) is not dict or row.keys() != row_keys:
+                raise TypeError
+            outcome, measurement = row["outcome"], row["measurement"]
+            if type(outcome) is not list or type(measurement) is not list:
+                raise TypeError
+            lam = () if hidden_states is None else (row["lambda"],)
+            key, r = rank(tuple(outcome), tuple(measurement), lam)  # type: ignore[misc]
             n, d = read_ratio(row["p"], "p")
-        except (KeyError, TypeError, ModelFormatError):
-            return table, i
-        if n < 0 or rank in table:
-            return table, i
-        if not n:
-            zeros = True
-        table[rank] = key, n, d
-    if zeros:
-        table = {rank: entry for rank, entry in table.items() if entry[1]}
-    return table, len(rows)
+        except (InputError, KeyError, TypeError):  # a row of another form, or with a fault
+            key, n, d = _checked_row(row, f"weights[{i}]", row_keys)
+            r = key
+            if rank is not None:
+                try:
+                    key, r = model._ranked_key(key)
+                except InputError as exc:
+                    fault = fault or exc
+        if r in table:
+            raise ModelFormatError(f"weights[{i}]: duplicate weight row for {show_value(key)}")
+        if n < 0 and fault is None:
+            fault = NegativeWeightError(key, Fraction(n, d))
+        table[r] = key, n, d
+    if fault is not None:
+        raise fault
+    model._settle(table)
+    return model
 
 
-def _check_row_keys(row: object, where: str) -> None:
-    """A row's first fault of shape: not an object, an unknown key, or a
-    missing key other than "lambda", whose absence the row loop reports."""
+def _checked_row(row: object, where: str, row_keys: set[str]) -> tuple[tuple, int, int]:
+    """A row's key as given and its `p` as (n, d), or its first fault of
+    its own: not an object, an unknown key or a missing key other than
+    "lambda", then a fault of `outcome`, `measurement`, `p` and `lambda`."""
     if not isinstance(row, dict):
         raise ModelFormatError(f"{where}: expected an object, got {show_value(row)}")
     extra = set(row) - _ROW_KEYS
@@ -230,6 +165,20 @@ def _check_row_keys(row: object, where: str) -> None:
     for required in ("outcome", "measurement", "p"):
         if required not in row:
             raise ModelFormatError(f"{where}: missing key {required!r}")
+    key: tuple = (
+        tuple(_string_list(row["outcome"], f"{where}.outcome")),
+        tuple(_string_list(row["measurement"], f"{where}.measurement")),
+    )
+    n, d = read_ratio(row["p"], where)
+    if "lambda" in row:
+        if "lambda" not in row_keys:
+            raise ModelFormatError(f"{where}: row names a hidden state but the model declares no \"lambda\" block")
+        if not isinstance(row["lambda"], str):
+            raise ModelFormatError(f"{where}.lambda: expected a string, got {show_value(row['lambda'])}")
+        key += (row["lambda"],)
+    elif "lambda" in row_keys:
+        raise ModelFormatError(f"{where}: model declares hidden states, row is missing \"lambda\"")
+    return key, n, d
 
 
 # A model file nests 4 levels deep. How deep `json` parses before it raises

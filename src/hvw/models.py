@@ -27,17 +27,20 @@ One label rule, `_BaseModel._labels`, accepts a context or an outcome
 tuple: a non-`str` sequence of one declared `str` label per site (a tuple is
 kept as given), every label's index found in one lookup. `check_context`,
 `check_outcome_tuple` and every lookup that takes a context go through it.
-One key rule, `_BaseModel._ranked_key`, serves both kinds: a weight key is
-(outcome tuple, context), followed by exactly one hidden state when the model
-has hidden states, and all its parts are ranked in the same pass. Anything
-else raises an `InputError` naming the first fault. The public constructors
-and the model-file reader (`modelio`, on a file with no fault that only the
-model can name) are the only paths in, and share one core, `_settle`: the
-lcm of the denominators, the sort by rank, the sum check and `_store`.
-Completions, projections, membership witnesses (`local._mixture_hvm`) and
-the seeded generator (`randgen`) hand int numerators in canonical order to
-`_derive`, the core that checks nothing, reached only as a method of the
-validated model they derive from.
+One key rule, `_BaseModel._key_rule`, serves both kinds and both paths in:
+a weight key is (outcome tuple, context), followed by exactly one hidden
+state when the model has hidden states, and its rank in canonical order is
+one int, its label indices read in mixed radix, context first and hidden
+state last. The rule ranks each distinct label tuple once, in caches that
+live for one table and are never kept on a model. A key it does not take
+goes to `_ranked_key`, which names the first fault or ranks the key by the
+same rule. The public constructors and the model-file reader (`modelio`)
+are the only paths in, and share one core, `_settle`: the lcm of the
+denominators, the sort by rank, the sum check and `_store`. Completions,
+projections, membership witnesses (`local._mixture_hvm`) and the seeded
+generator (`randgen`) hand int numerators in canonical order to `_derive`,
+the core that checks nothing, reached only as a method of the validated
+model they derive from.
 
 The two row views take no arguments: `context_distributions()` maps each
 non-null context to p(o | context), `context_lambda_distributions()` each
@@ -240,17 +243,34 @@ def first_unequal(
     return None
 
 
+class _Ranks(dict):
+    """Label tuple -> (that tuple, its label indices read in mixed radix,
+    the first site slowest, times `stride`), each distinct tuple put once
+    through the label rule, which names the first fault of a tuple it
+    refuses; an unhashable one raises `TypeError`."""
+
+    def __init__(self, model: _BaseModel, index: tuple[dict[str, int], ...], what: str, stride: int) -> None:
+        super().__init__()
+        self.model, self.index, self.what, self.stride = model, index, what, stride
+
+    def __missing__(self, labels: tuple) -> tuple[tuple[str, ...], int]:
+        labels, digits = self.model._labels(labels, self.index, self.what)
+        rank = 0
+        for index, digit in zip(self.index, digits):
+            rank = rank * len(index) + digit
+        entry = self[labels] = labels, rank * self.stride
+        return entry
+
+
 class _BaseModel:
     """The weight table both model kinds share.
 
     A key is (outcome tuple, context), then one hidden state exactly when
     `_lambda_index` (hidden state -> index) is not None; beyond that the
     kinds differ here only in `_KEY_SHAPE`, the key shape an error names.
-    `_ranked_key` checks a key part by part through the label rule and
-    returns it in tuple form with its rank in canonical order, the label
-    indices of its context, then of its outcome tuple, then of its hidden
-    state. Validation, equality, the support, event probabilities and the
-    per-context outcome table live here.
+    `_key_rule` and `_ranked_key` return a key in tuple form with its int
+    rank in canonical order. Validation, equality, the support, event
+    probabilities and the per-context outcome table live here.
 
     The weights, and so every table built from them, are stored in canonical
     order. `_build_tables` relies on it to read each context's weights as
@@ -266,9 +286,9 @@ class _BaseModel:
         self._settle(self._ranked_weights(weights))
 
     def _label(self, sites: Sequence[Site], lambda_set: Sequence[str] | None = None) -> None:
-        """Check and keep the labels, as the public constructors do: the
-        hidden states `lambda_set` first, unless it is None, then the sites."""
-        if lambda_set is not None:
+        """Check and keep the labels, as the public constructors do: a
+        hidden-variable model's hidden states `lambda_set` first, then the sites."""
+        if isinstance(self, HiddenVariableModel):
             self.lambda_set = _unique_labels(lambda_set, "hidden state set")
             self._lambda_index = {lam: i for i, lam in enumerate(self.lambda_set)}
         sites = site_tuple(sites, "a model")
@@ -282,32 +302,54 @@ class _BaseModel:
         self._meas_index = tuple({m: i for i, m in enumerate(site.measurements)} for site in sites)
         self._out_index = tuple({a: i for i, a in enumerate(site.outcomes)} for site in sites)
 
-    def _ranked_weights(self, weights: Mapping[tuple, object]) -> dict[tuple[int, ...], tuple[tuple, int, int]]:
-        """The positive weights of a public constructor's table, checked key
-        by key and weight by weight in the table's order, for `_settle`."""
+    def _key_rule(self) -> Callable[..., tuple[tuple, int]]:
+        """The key rule for one table: (outcome tuple, context, the tuple of
+        the parts after them) -> (the key, its int rank), one shared tuple
+        per distinct outcome tuple or context. Any other key raises an
+        `InputError`, `KeyError` or `TypeError`; `_ranked_key` names its
+        first fault."""
+        # The parts after the context: none for an empirical model, else one declared hidden state.
+        lambdas = {(): ((), 0)} if self._lambda_index is None else {(lam,): ((lam,), l) for lam, l in self._lambda_index.items()}
+        outcomes = _Ranks(self, self._out_index, "outcome", len(lambdas))
+        contexts = _Ranks(self, self._meas_index, "measurement", len(lambdas) * math.prod(map(len, self._out_index)))
+
+        def rank(outcome: tuple, context: tuple, lam: tuple) -> tuple[tuple, int]:
+            (outcome, o), (context, c), (lam, l) = outcomes[outcome], contexts[context], lambdas[lam]
+            return (outcome, context) + lam, c + o + l
+
+        return rank
+
+    def _ranked_weights(self, weights: Mapping[tuple, object]) -> dict[int, tuple[tuple, int, int]]:
+        """The weights of a public constructor's table, checked key by key
+        and weight by weight in the table's order, by rank, for `_settle`."""
         if not callable(getattr(weights, "items", None)):
             raise InputError(f"a model needs a mapping of weights, not {show_value(weights)}")
         ranked = {}
-        ranked_key = self._ranked_key
+        rank = self._key_rule()
         for raw_key, raw in weights.items():
-            key, rank = ranked_key(raw_key)
+            try:
+                # A key of label tuples is stored as given.
+                if type(raw_key) is not tuple or type(raw_key[0]) is not tuple or type(raw_key[1]) is not tuple:
+                    raise TypeError
+                key, r = raw_key, rank(raw_key[0], raw_key[1], raw_key[2:])[1]
+            except (IndexError, InputError, KeyError, TypeError):
+                key, r = self._ranked_key(raw_key)
             if type(raw) is Fraction:
                 n, d = raw.numerator, raw.denominator
             else:
                 n, d = read_ratio(raw, f"weight at {show_value(raw_key)}")
             if n < 0:
                 raise NegativeWeightError(key, Fraction(n, d))
-            if n:
-                ranked[rank] = key, n, d
+            ranked[r] = key, n, d
         return ranked
 
-    def _settle(self, ranked: Mapping[object, tuple[tuple, int, int]]) -> None:
+    def _settle(self, ranked: Mapping[int, tuple[tuple, int, int]]) -> None:
         """The core the public constructors and the model-file reader share.
-        `ranked` maps the rank in canonical order of each positive weight n / d
-        to (its key, n, d); the weights are kept in rank order, as int
-        numerators over the lcm of the denominators, once they sum to 1."""
-        scale = math.lcm(*{d for _, _, d in ranked.values()})
-        numerators = {key: n * (scale // d) for key, n, d in map(ranked.__getitem__, sorted(ranked))}
+        `ranked` maps the int rank of each nonnegative weight n / d to (its
+        key, n, d); the positive weights are kept in rank order, as int
+        numerators over the lcm of their denominators, once they sum to 1."""
+        scale = math.lcm(*{d for _, n, d in ranked.values() if n})
+        numerators = {key: n * (scale // d) for key, n, d in map(ranked.__getitem__, sorted(ranked)) if n}
         total = sum(numerators.values())
         if total != scale:
             raise WeightSumError(Fraction(total, scale))
@@ -341,7 +383,10 @@ class _BaseModel:
         model._store(numerators, scale)
         return model
 
-    def _ranked_key(self, key: object) -> tuple[tuple, tuple[int, ...]]:
+    def _ranked_key(self, key: object) -> tuple[tuple, int]:
+        """Any key checked part by part through the label rule, in tuple
+        form with its int rank by `_key_rule`, or the `InputError` naming its
+        first fault."""
         try:
             # A key longer than three parts is malformed, however long it is.
             parts = key if type(key) is tuple else tuple(itertools.islice(key, 4))  # type: ignore[call-overload]
@@ -349,12 +394,9 @@ class _BaseModel:
             parts = ()
         if len(parts) != (2 if self._lambda_index is None else 3):
             raise ModelFormatError(f"weight key {show_value(key)} is not an {self._KEY_SHAPE}")
-        outcome, o = self._labels(parts[0], self._out_index, "outcome")
-        context, c = self._labels(parts[1], self._meas_index, "measurement")
-        rank = c + o if len(parts) == 2 else (*c, *o, self._lambda_index[self.check_lambda(parts[2])])
-        if parts is not key or outcome is not parts[0] or context is not parts[1]:
-            key = (outcome, context, *parts[2:])
-        return key, rank  # type: ignore[return-value]
+        outcome = self._labels(parts[0], self._out_index, "outcome")[0]
+        context = self._labels(parts[1], self._meas_index, "measurement")[0]
+        return self._key_rule()(outcome, context, tuple(map(self.check_lambda, parts[2:])))
 
     def check_lambda(self, lam: str) -> str:
         """`lam` itself if it is one of the model's hidden states."""

@@ -912,6 +912,72 @@ def test_negative_guard_flag_is_usage_error(cli):
     assert err.endswith("hvw nogo: error: argument --guard: must be positive, got an int of 13288 bits\n")
 
 
+@pytest.mark.parametrize(
+    "shape, size",
+    [(("20000", "1", "1"), 40000), (("1", "200000", "1"), 200001), (("1", "1", "200000"), 200001)],
+    ids=["sites", "measurements", "outcomes"],
+)
+def test_random_guards_the_site_list_before_building_it(cli, shape, size):
+    """Listing the sites checks each one's labels, and a table of one cell
+    can have any number of sites, so the guard counts the site list first."""
+    flags = ("--sites", "--measurements", "--outcomes")
+    code, out, err = cli("random", "--seed", "1", "--guard", "10", *(x for pair in zip(flags, shape) for x in pair))
+    assert (code, out) == (2, "")
+    assert err == f"error: random model site list would enumerate {size} items, over the guard of 10\n"
+
+
+# Tokens for the `random` and `nogo` fuzz, valid ones first: then zero,
+# negative, huge and not numeric. No valid guard is over 10**4, so no case
+# writes a large file; an empty HVW_GUARD reads as unset, which would leave
+# the default guard.
+_HUGE = "9" * 30
+_COUNTS = (("1", "2", "3", " 2 ", "٣"), ("0", "-1", "-" + _HUGE, _HUGE, "9" * 5000, "x", "", "1.5", "1e3", "0x10"))
+_GUARDS = (("16", "64", "10000"), ("1", "15", "0", "-3", "-" + _HUGE, "9" * 5000, "x", "1e3", "1.0", " ", "10**4"))
+_METHODS = (("certificate", "polytope", "both", "coloring", "parity"), ("", "x", "BOTH", _HUGE))
+_ARGUMENTS = (("epr", "bell", "ks"), ("", "x", "0", "-1", _HUGE))
+
+
+def test_random_and_nogo_arguments_exit_zero_one_or_two(cli, monkeypatch):
+    """Seeded draws of every argument of `random` and `nogo`, and of
+    HVW_GUARD, each from its valid tokens three times in four: each run
+    exits 0, 1 or 2 within a second, and exit 2 writes one short `error:`
+    line, after any usage lines."""
+    rng = random.Random(39)
+
+    def draw(tokens):
+        return rng.choice(tokens[rng.random() < 0.25])
+
+    codes = collections.Counter()
+    for _ in range(1000):
+        if rng.random() < 0.5:
+            args = ["random", "--seed", draw((("7",), _COUNTS[1]))] if rng.random() < 0.9 else ["random"]
+            for flag in ("--sites", "--measurements", "--outcomes", "--hidden"):
+                if rng.random() < 0.5:
+                    args += [flag, draw(_COUNTS)]
+            if rng.random() < 0.1:
+                args.append(draw(_ARGUMENTS))
+        else:
+            args = ["nogo", draw(_ARGUMENTS)] if rng.random() < 0.9 else ["nogo"]
+            if rng.random() < 0.5:
+                args += ["--method", draw(_METHODS)]
+        if rng.random() < 0.5:
+            args += ["--guard", draw((_GUARDS[0], _GUARDS[1] + ("",)))]
+            monkeypatch.delenv("HVW_GUARD", raising=False)
+        else:
+            monkeypatch.setenv("HVW_GUARD", draw(_GUARDS))
+        started = time.monotonic()
+        code, out, err = cli(*args)
+        assert time.monotonic() - started < 1, args
+        codes[code] += 1
+        if code == 2:
+            lines = err.splitlines()
+            assert out == "" and [line for line in lines if "error: " in line] == lines[-1:], args
+            assert max(len(line.encode()) for line in lines) < 400, args
+        else:
+            assert code in (0, 1) and err == "", (args, err)
+    assert codes[0] >= 100 and codes[1] >= 50 and codes[2] >= 300, codes
+
+
 @pytest.mark.parametrize("command", ("check", "equiv", "canon"))
 def test_guard_is_rejected_where_nothing_is_enumerated(cli, epr_file, command):
     args = {

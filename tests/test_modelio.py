@@ -636,6 +636,43 @@ def test_an_unknown_hidden_state_is_named_before_a_short_sum():
     assert str(exc.value) == "unknown hidden state 'l9'"
 
 
+def _undeclared_label_then_a_repeated_clean_row(data):
+    # A row of a dict subclass is read through the fault checks, so the
+    # repeat is found only if rows are still ranked after the deferred fault.
+    data["weights"][1]["outcome"] = ["o1", "o9"]
+    data["weights"].append(OrderedDict(data["weights"][0]))
+
+
+def _a_repeated_row_with_an_undeclared_label(data):
+    data["weights"][1]["outcome"] = ["o1", "o9"]
+    data["weights"].append(dict(data["weights"][1]))
+
+
+def _a_repeated_row_under_repeated_site_names(data):
+    data["sites"][1]["name"] = data["sites"][0]["name"]
+    data["weights"].append(dict(data["weights"][0]))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _undeclared_label_then_a_repeated_clean_row,
+        _a_repeated_row_with_an_undeclared_label,
+        _a_repeated_row_under_repeated_site_names,
+    ],
+)
+def test_a_repeated_row_is_named_before_a_fault_the_model_names(mutate):
+    """A fault that only the model can name waits for the last row, so a
+    repeated row after it, or holding it, is still named as a duplicate."""
+    data = _hidden_file()
+    mutate(data)
+    row, last = data["weights"][-1], len(data["weights"]) - 1
+    key = (tuple(row["outcome"]), tuple(row["measurement"]), row["lambda"])
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_dict(data)
+    assert str(exc.value) == f"weights[{last}]: duplicate weight row for {key!r}"
+
+
 def test_a_clean_file_is_read_without_the_key_rule_or_fraction_reader(monkeypatch):
     """Plain "n/d" weights are read as ints, and their labels ranked in the
     reader's one pass: neither the constructor's key rule nor the

@@ -628,8 +628,12 @@ def test_lookups_reject_a_non_iterable_label_list(kind):
             lambda: HiddenVariableModel((Site("X", ("M",), ("0",)),), 5, {}),
             "hidden state set must be a sequence of labels, not 5",
         ),
+        (
+            lambda: HiddenVariableModel((Site("X", ("M",), ("0",)),), None, {(("0",), ("M",), "l"): 1}),
+            "hidden state set must be a sequence of labels, not None",
+        ),
     ],
-    ids=["site-measurements", "site-outcomes", "hidden-state-set"],
+    ids=["site-measurements", "site-outcomes", "hidden-state-set", "no-hidden-state-set"],
 )
 def test_declarations_reject_a_non_iterable_label_list(declare, message):
     with pytest.raises(InputError) as exc:

@@ -556,6 +556,38 @@ def test_the_column_rechecks_agree_with_the_dense_ones():
     assert counted["lone"] >= 30, counted
 
 
+def test_the_mixture_recheck_reads_no_column(monkeypatch):
+    """`_solves` finds each strategy's rows from its index, so a fault in
+    the column build cannot pass it. The table is a point mass on strategy
+    0, which answers "0" to both measurements; with the offsets of
+    strategies 0 and 2 swapped in context M1's column, the presolve keeps
+    strategy 2, which truly answers "1" there, the columns accept that
+    mixture, and the recheck refuses it."""
+    site = Site("X", ("M1", "M2"), ("0", "1"))
+    half = Fraction(1, 2)
+    model = EmpiricalModel((site,), {(("0",), ("M1",)): half, (("0",), ("M2",)): half})
+
+    class Swapped(_Scenario):
+        def __missing__(self, context):
+            column, labels = super().__missing__(context)
+            if context == ("M1",):
+                offsets = list(column)
+                offsets[0], offsets[2] = offsets[2], offsets[0]
+                self[context] = bytes(offsets), labels
+            return self[context]
+
+    monkeypatch.setattr(local, "_scenario", Swapped)
+    system = _System(model)
+    mixture, _ = _presolved_answer(model, system)
+    assert mixture == [(2, ONE)]
+    sums = [0] * len(system.rhs)
+    for start, column in system.hits:
+        sums[start + column[2]] += 1
+    assert sums == [system.rhs[r] // system.common for r in range(len(sums))]
+    with pytest.raises(AssertionError, match="^solver returned an answer that fails direct recheck$"):
+        local_polytope_feasibility(model)
+
+
 def test_a_signalling_certificate_is_plus_and_minus_one_on_two_marginals():
     """The certificate of a signalling table is +-1 on the rows of one
     outcome's marginal in two contexts, and 0 elsewhere."""
