@@ -6,7 +6,7 @@ input comes back with its mixture of deterministic strategies and an explicit
 lambda-independent, local hidden-variable model built from it; an infeasible
 one with a Farkas certificate. The guard counts the N strategies, which are
 never listed: each is its index, and only those of a mixture are decoded.
-`_System` holds the full membership system over all of them.
+`_System` holds the full membership system over all of them, for the routes.
 
 An answer takes one of these routes, an exact presolve (E. D. Andersen and
 K. D. Andersen, Math. Prog. 71, 1995) in front of the simplex:
@@ -29,9 +29,10 @@ K. D. Andersen, Math. Prog. 71, 1995) in front of the simplex:
 * lifted certificate: the simplex's y is lifted to every row and
   strategy by `_lifted_certificate`.
 
-Whatever its route, the answer is rechecked against the full system, over
-all N strategies (`_solves`, `_certifies`), by int code that shares nothing
-with `linprog`, before it is returned; `_solves` reads no column.
+Whatever its route, the answer is rechecked over all N strategies before it
+is returned, by code that reads only the model and the answer, never
+`_System`, and shares nothing with `linprog`: a mixture through the witness
+returned (`_witness`), a certificate by `_certifies`.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .models import (
     HiddenVariableModel,
     Site,
     describe,
+    project_to_empirical,
     require,
     site_tuple,
 )
@@ -325,54 +327,50 @@ def _presolved_answer(
     return [(j, Fraction(v, system.common)) for j, v in zip(kept, x) if v], None
 
 
-def _solves(system: _System, n: int, mixture: Sequence[tuple[int, Fraction]]) -> bool:
-    """Recheck that `mixture`, (strategy, weight) pairs over n strategies,
-    has each strategy in range(n), the strategies strictly increasing and
-    every weight > 0, and solves the membership system, in ints. The row
-    a strategy answers in each context comes from its `_digits` and the
-    sites' strides, not from the columns the routes read. Each weight,
-    scaled by the lcm L of their denominators, is added into that row of
-    each context and into the normalization row; every row r must then hold
-    b_r L, that is sums[r] * common == rhs[r] * L."""
+def _witness(model: EmpiricalModel, n: int, mixture: Sequence[tuple[int, Fraction]]) -> HiddenVariableModel | None:
+    """The witness of `mixture`, (strategy, weight) pairs over n strategies,
+    if it passes the recheck, else None: the strategies in range(n) and
+    strictly increasing, every weight > 0, and the witness's hidden states
+    summed out give back `model`. The witness keeps each context's mass, so
+    that is exactly A x = b, normalization row included."""
     previous = -1
     for j, v in mixture:
         if not previous < j < n or v <= 0:
-            return False
+            return None
         previous = j
-    sites, width = system.scenario.sites, system.width
-    strides = [width // math.prod(len(site.outcomes) for site in sites[: i + 1]) for i in range(len(sites))]
-    picks = [list(map(tuple.index, [site.measurements for site in sites], context)) for context in system.contexts]
-    scale = math.lcm(*(v.denominator for _, v in mixture))
-    sums = [0] * len(system.rhs)
-    for j, v in mixture:
-        w = v.numerator * (scale // v.denominator)
-        answers = [[a * stride for a in digits] for digits, stride in zip(_digits(sites, j), strides)]
-        for c, pick in enumerate(picks):
-            sums[c * width + sum(map(list.__getitem__, answers, pick))] += w
-        sums[-1] += w
-    return all(s * system.common == b * scale for s, b in zip(sums, system.rhs))
+    hvm = _mixture_hvm(model, mixture)
+    return hvm if project_to_empirical(hvm) == model else None
 
 
-def _certifies(system: _System, n: int, y: Sequence[Fraction]) -> bool:
-    """Recheck a Farkas certificate of the membership system held by
-    columns, in ints: y.A_j >= 0 for each of the n strategies, and y.b < 0.
-    With y scaled by the lcm of its denominators, y.A_j is the sum of the
-    entries of the rows that strategy j answers, one per block of `hits`,
-    and y.b < 0 is z.rhs < 0, since z.rhs is y.b times that lcm and
-    `common`. A block whose slice of z is all zero adds 0 to every sum, so
-    it is skipped."""
-    if len(y) != len(system.rhs):
+def _certifies(model: EmpiricalModel, n: int, y: Sequence[Fraction]) -> bool:
+    """Recheck a Farkas certificate y, one entry per row of `row_labels`, in
+    ints: y.A_j >= 0 for each of the n strategies and y.b < 0, b read from
+    the model's context table. Scaled to z, y.A_j is z on the last row plus,
+    per context, z on the row that j answers, from each site's response
+    functions in the order `nogo.enumerate_deterministic_strategies` lists
+    them; an all-zero block of z adds 0, so it is skipped. y.b < 0 is
+    z.b L < 0, L the lcm of the context masses."""
+    table, sites = model._context_table(), model.sites
+    outcomes = list(itertools.product(*(site.outcomes for site in sites)))
+    width = len(outcomes)
+    if len(y) != len(table) * width + 1:
         return False
     scale = math.lcm(*(v.denominator for v in y))
     z = [v.numerator * (scale // v.denominator) for v in y]
-    sums = [0] * n
-    for start, column in system.hits:
-        block = z[start : start + system.width]
-        if any(block):
-            sums = [s + block[v] for s, v in zip(sums, column)]
-    if any(s < 0 for s in sums):
-        return False
-    return sum(v * b for v, b in zip(z, system.rhs)) < 0
+    common = math.lcm(*(mass for mass, _ in table.values()))
+    total, sums = z[-1] * common, [z[-1]] * n
+    for start, (context, (mass, row)) in zip(range(0, len(z), width), table.items()):
+        block = z[start : start + width]
+        if not any(block):
+            continue
+        total += sum(v * row.get(outcome, 0) for v, outcome in zip(block, outcomes)) * (common // mass)
+        answers = [0]
+        for site, m in zip(sites, context):
+            k, base = site.measurements.index(m), len(site.outcomes)
+            responses = [r[k] for r in itertools.product(range(base), repeat=len(site.measurements))]
+            answers = [a * base + r for a in answers for r in responses]
+        sums = [s + block[a] for s, a in zip(sums, answers)]
+    return total < 0 and min(sums) >= 0
 
 
 def local_polytope_feasibility(
@@ -382,17 +380,18 @@ def local_polytope_feasibility(
 
     Feasible: `strategy_weights` is the mixture, (strategy index, weight)
     pairs with the indices increasing and every weight > 0, and `hvm` its
-    witness model. Infeasible: `certificate` is a Farkas certificate, one
-    rational per row of `row_labels`: `p(outcome | context)` for each row of
-    `_System` and then the normalization row, from the sites' `_scenario`.
-    The guard counts the strategies. Either answer is rechecked before it
-    is returned.
+    witness model, the one rechecked. Infeasible: `certificate` is a Farkas
+    certificate, one rational per row of `row_labels`: `p(outcome | context)`
+    for each row of `_System` and then the normalization row, from the
+    sites' `_scenario`. The guard counts the strategies. Either answer is
+    rechecked before it is returned.
     """
     require(model, EmpiricalModel, "local_polytope_feasibility")
     n = _guarded_strategy_count(model.sites, guard)
     system = _System(model)
     mixture, y = _presolved_answer(model, system)
-    if not (_certifies(system, n, y) if mixture is None else _solves(system, n, mixture)):
+    hvm = None if mixture is None else _witness(model, n, mixture)
+    if not (_certifies(model, n, y) if mixture is None else hvm is not None):
         raise AssertionError("solver returned an answer that fails direct recheck")
     labels = [label for _, block in map(system.scenario.__getitem__, system.contexts) for label in block]
     return PolytopeResult(
@@ -401,5 +400,5 @@ def local_polytope_feasibility(
         row_labels=(*labels, "total probability"),
         strategy_weights=None if mixture is None else tuple(mixture),
         certificate=None if y is None else tuple(y),
-        hvm=None if mixture is None else _mixture_hvm(model, mixture),
+        hvm=hvm,
     )

@@ -139,7 +139,7 @@ def model_from_dict(data: object) -> Model:
             r = key
             if rank is not None:
                 try:
-                    key, r = model._ranked_key(key)
+                    key, r = model._ranked_key(key, rank)
                 except InputError as exc:
                     fault = fault or exc
         if r in table:

@@ -25,7 +25,7 @@ that scans them in turn finds the canonically first violation.
 
 One label rule, `_BaseModel._labels`, accepts a context or an outcome
 tuple: a non-`str` sequence of one declared `str` label per site (a tuple is
-kept as given), every label's index found in one lookup. `check_context`,
+kept as given), ranked by its label indices in mixed radix. `check_context`,
 `check_outcome_tuple` and every lookup that takes a context go through it.
 One key rule, `_BaseModel._key_rule`, serves both kinds and both paths in:
 a weight key is (outcome tuple, context), followed by exactly one hidden
@@ -34,7 +34,7 @@ one int, its label indices read in mixed radix, context first and hidden
 state last. The rule ranks each distinct label tuple once, in caches that
 live for one table and are never kept on a model. A key it does not take
 goes to `_ranked_key`, which names the first fault or ranks the key by the
-same rule. The public constructors and the model-file reader (`modelio`)
+table's rule. The public constructors and the model-file reader (`modelio`)
 are the only paths in, and share one core, `_settle`: the lcm of the
 denominators, the sort by rank, the sum check and `_store`. Completions,
 projections, membership witnesses (`local._mixture_hvm`) and the seeded
@@ -244,20 +244,17 @@ def first_unequal(
 
 
 class _Ranks(dict):
-    """Label tuple -> (that tuple, its label indices read in mixed radix,
-    the first site slowest, times `stride`), each distinct tuple put once
-    through the label rule, which names the first fault of a tuple it
-    refuses; an unhashable one raises `TypeError`."""
+    """Label tuple -> (that tuple, its rank by the label rule times
+    `stride`), each distinct tuple put once through the label rule, which
+    names the first fault of a tuple it refuses; an unhashable one raises
+    `TypeError`."""
 
     def __init__(self, model: _BaseModel, index: tuple[dict[str, int], ...], what: str, stride: int) -> None:
         super().__init__()
         self.model, self.index, self.what, self.stride = model, index, what, stride
 
     def __missing__(self, labels: tuple) -> tuple[tuple[str, ...], int]:
-        labels, digits = self.model._labels(labels, self.index, self.what)
-        rank = 0
-        for index, digit in zip(self.index, digits):
-            rank = rank * len(index) + digit
+        labels, rank = self.model._labels(labels, self.index, self.what)
         entry = self[labels] = labels, rank * self.stride
         return entry
 
@@ -333,7 +330,7 @@ class _BaseModel:
                     raise TypeError
                 key, r = raw_key, rank(raw_key[0], raw_key[1], raw_key[2:])[1]
             except (IndexError, InputError, KeyError, TypeError):
-                key, r = self._ranked_key(raw_key)
+                key, r = self._ranked_key(raw_key, rank)
             if type(raw) is Fraction:
                 n, d = raw.numerator, raw.denominator
             else:
@@ -383,10 +380,10 @@ class _BaseModel:
         model._store(numerators, scale)
         return model
 
-    def _ranked_key(self, key: object) -> tuple[tuple, int]:
+    def _ranked_key(self, key: object, rank: Callable[..., tuple[tuple, int]]) -> tuple[tuple, int]:
         """Any key checked part by part through the label rule, in tuple
-        form with its int rank by `_key_rule`, or the `InputError` naming its
-        first fault."""
+        form with its int rank by `rank`, the table's `_key_rule`, or the
+        `InputError` naming its first fault."""
         try:
             # A key longer than three parts is malformed, however long it is.
             parts = key if type(key) is tuple else tuple(itertools.islice(key, 4))  # type: ignore[call-overload]
@@ -396,7 +393,7 @@ class _BaseModel:
             raise ModelFormatError(f"weight key {show_value(key)} is not an {self._KEY_SHAPE}")
         outcome = self._labels(parts[0], self._out_index, "outcome")[0]
         context = self._labels(parts[1], self._meas_index, "measurement")[0]
-        return self._key_rule()(outcome, context, tuple(map(self.check_lambda, parts[2:])))
+        return rank(outcome, context, tuple(map(self.check_lambda, parts[2:])))
 
     def check_lambda(self, lam: str) -> str:
         """`lam` itself if it is one of the model's hidden states."""
@@ -415,7 +412,8 @@ class _BaseModel:
         if not isinstance(other, type(self)):
             return NotImplemented
         same_labels = self.sites == other.sites and self._lambda_index == other._lambda_index
-        return same_labels and self._weights == other._weights
+        # `_store` keeps both in lowest terms: the same weights are the same D and numerators.
+        return same_labels and self._denominator == other._denominator and self._weights == other._weights
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -461,10 +459,11 @@ class _BaseModel:
                 site = show_value(self.sites[i].name)
                 raise UnknownLabelError(f"unknown {what} {show_value(label)} at site {site}")
 
-    def _labels(self, labels: object, index: tuple[dict[str, int], ...], what: str) -> tuple[tuple, tuple[int, ...]]:
+    def _labels(self, labels: object, index: tuple[dict[str, int], ...], what: str) -> tuple[tuple, int]:
         """The label rule: `labels` as a tuple (kept as given when it is one)
-        of one declared `str` label per site, with the index of each, or the
-        error that names the first fault."""
+        of one declared `str` label per site, with its rank, the index of
+        each label read in mixed radix, the first site slowest, or the error
+        that names the first fault."""
         if type(labels) is not tuple:
             if isinstance(labels, str):
                 raise ModelFormatError(f"{show_value(labels)} is a string, not a sequence of {what}s, one per site")
@@ -476,12 +475,12 @@ class _BaseModel:
             raise ModelFormatError(f"{show_value(labels)} does not have one {what} per site")
         try:
             "".join(labels)  # raises unless every label is a str
-            ranks = tuple(map(dict.get, index, labels))
-        except TypeError:
-            ranks = (None,)
-        if None in ranks:
+            rank = 0
+            for position, label in zip(index, labels):
+                rank = rank * len(position) + position[label]
+        except (KeyError, TypeError):
             self._check_labels(enumerate(labels), index, what)
-        return labels, ranks  # type: ignore[return-value]
+        return labels, rank  # type: ignore[return-value]
 
     def check_context(self, context: Sequence[str]) -> Context:
         """Validate and canonicalize a context, one measurement per site."""

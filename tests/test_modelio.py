@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 import re
+import time
 from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
@@ -634,6 +635,21 @@ def test_an_unknown_hidden_state_is_named_before_a_short_sum():
     with pytest.raises(UnknownLabelError) as exc:
         model_from_dict(data)
     assert str(exc.value) == "unknown hidden state 'l9'"
+
+
+def test_many_undeclared_hidden_states_are_refused_in_linear_time(cli, tmp_path):
+    """20,000 rows, each naming its own undeclared hidden state, against as
+    many declared ones: the table's key rule is built once, not once a row,
+    so `hvw check` names the first row's state and exits 2 within 2 s."""
+    count = 20_000
+    site = {"name": "a", "measurements": ["M"], "outcomes": ["0"]}
+    rows = [{"outcome": ["0"], "measurement": ["M"], "lambda": f"zz{i}", "p": f"1/{count}"} for i in range(count)]
+    path = tmp_path / "undeclared.hvm"
+    path.write_text(json.dumps({"sites": [site], "lambda": [f"l{i}" for i in range(count)], "weights": rows}))
+    started = time.monotonic()
+    code, out, err = cli("check", str(path), "--property", "locality")
+    assert time.monotonic() - started < 2
+    assert (code, out, err) == (2, "", "error: unknown hidden state 'zz0'\n")
 
 
 def _undeclared_label_then_a_repeated_clean_row(data):

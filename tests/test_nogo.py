@@ -30,6 +30,7 @@ from hvw import (
     EmpiricalModel,
     EprReport,
     Event,
+    HiddenVariableModel,
     InputError,
     KsColoring,
     KsParityReport,
@@ -70,7 +71,7 @@ from hvw import (
     verify_solution,
 )
 from hvw import local, nogo
-from hvw.local import _Scenario, _System, _certifies, _digits, _kept_strategies, _peeled_weights, _presolved_answer, _scenario, _solves
+from hvw.local import _Scenario, _System, _certifies, _digits, _kept_strategies, _peeled_weights, _presolved_answer, _scenario, _witness
 from hvw.properties import first_signal
 
 ONE = Fraction(1)
@@ -471,22 +472,23 @@ def null_direction(sites, strategies):
 
 
 def test_the_column_rechecks_agree_with_the_dense_ones():
-    """Over the presolve sweep, `_solves` on the mixture and `_certifies` on
-    the columns, and `verify_solution` on the dense x built from the mixture
+    """Over the presolve sweep, `_witness` on the mixture and `_certifies` on
+    the model, and `verify_solution` on the dense x built from the mixture
     and `verify_farkas` on the reference rows, accept every returned answer
     and both refuse each corruption of it: for x, a weight moved to a
-    strategy with another column, and negative weights that still solve
-    A x = b; for y, a wrong length, -y, one entry lowered until some
+    strategy with another column, negative weights that still solve
+    A x = b, and every weight doubled, which most witnesses would pass if
+    models were compared by their numerators alone, without D; for y, a
+    wrong length, -y, one entry lowered until some
     y.A_j < 0 while y.b stays negative, and a lone negative entry in a
     context block where y is otherwise zero, which `_certifies` skips
-    before the corruption. `_solves` also refuses a mixture out of its
+    before the corruption. `_witness` also refuses a mixture out of its
     form: an index equal to n, a repeated index, a zero weight, and two
     pairs out of order."""
     counted = Counter()
     for model in presolve_sweep():
         strategies = enumerate_deterministic_strategies(model.sites)
         n = len(strategies)
-        system = _System(model)
         rows, rhs = full_membership_system(model)
         result = local_polytope_feasibility(model)
         if result.feasible:
@@ -498,7 +500,7 @@ def test_the_column_rechecks_agree_with_the_dense_ones():
                 return x
 
             def verdicts(mixture):
-                return _solves(system, n, mixture), verify_solution(rows, rhs, dense(mixture))
+                return _witness(model, n, mixture) is not None, verify_solution(rows, rhs, dense(mixture))
 
             mixture = list(result.strategy_weights)
             assert verdicts(mixture) == (True, True)
@@ -506,7 +508,7 @@ def test_the_column_rechecks_agree_with_the_dense_ones():
             k = next(k for k in range(n) if any(row[k] != row[j] for row in rows))
             moved = dict(rest)
             moved[k] = moved.get(k, 0) + w
-            corrupted = [sorted(moved.items())]
+            corrupted = [sorted(moved.items()), [(d, 2 * v) for d, v in mixture]]
             direction = null_direction(model.sites, strategies)
             if direction is not None:
                 x = dense(mixture)
@@ -526,11 +528,11 @@ def test_the_column_rechecks_agree_with_the_dense_ones():
                 malformed.append([rest[0], (j, w), *rest[1:]])
                 counted["out of order"] += 1
             for pairs in malformed:
-                assert not _solves(system, n, pairs), pairs
+                assert _witness(model, n, pairs) is None, pairs
         else:
 
             def verdicts(y):
-                return _certifies(system, n, y), verify_farkas(rows, rhs, y)
+                return _certifies(model, n, y), verify_farkas(rows, rhs, y)
 
             y = list(result.certificate)
             assert verdicts(y) == (True, True)
@@ -541,7 +543,7 @@ def test_the_column_rechecks_agree_with_the_dense_ones():
                 lowered[r] -= 1 + min(c for c, a in zip(combination, rows[r]) if a)
                 assert sum(v * bi for v, bi in zip(lowered, rhs)) < 0
                 corrupted.append(lowered)
-            width = system.width
+            width = model.n_outcome_tuples()
             blank = next((r for r in range(0, len(rows) - 1, width) if not any(y[r : r + width])), None)
             if blank is not None:
                 lone = list(y)
@@ -557,9 +559,10 @@ def test_the_column_rechecks_agree_with_the_dense_ones():
 
 
 def test_the_mixture_recheck_reads_no_column(monkeypatch):
-    """`_solves` finds each strategy's rows from its index, so a fault in
-    the column build cannot pass it. The table is a point mass on strategy
-    0, which answers "0" to both measurements; with the offsets of
+    """`_witness` decodes each strategy from its index and compares the
+    witness's projection with the model, so a fault in the column build
+    cannot pass it. The table is a point mass on strategy 0, which
+    answers "0" to both measurements; with the offsets of
     strategies 0 and 2 swapped in context M1's column, the presolve keeps
     strategy 2, which truly answers "1" there, the columns accept that
     mixture, and the recheck refuses it."""
@@ -584,6 +587,55 @@ def test_the_mixture_recheck_reads_no_column(monkeypatch):
     for start, column in system.hits:
         sums[start + column[2]] += 1
     assert sums == [system.rhs[r] // system.common for r in range(len(sums))]
+    with pytest.raises(AssertionError, match="^solver returned an answer that fails direct recheck$"):
+        local_polytope_feasibility(model)
+
+
+def test_the_certificate_recheck_reads_no_column(monkeypatch):
+    """`_certifies` forms each strategy's answers from the sites' response
+    functions, so a fault in the column build cannot pass it. With each
+    site's stride divided by the first site's outcome count, the columns of
+    sites with 3 and 2 outcomes put every strategy on the first row of each
+    block, the solver finds no mixture for the seed-0 control, and the
+    recheck refuses its certificate."""
+    model = project_to_empirical(random_strategy_mixture(0, MIXED_SITES[1]))
+
+    class Squeezed(_Scenario):
+        def __missing__(self, context):
+            _, labels = super().__missing__(context)
+            first, offsets, stride = len(self.sites[0].outcomes), [0], len(self.outcomes)
+            for site, m in zip(self.sites, context):
+                base, k = len(site.outcomes), site.measurements.index(m)
+                stride //= base
+                responses = list(itertools.product(range(base), repeat=len(site.measurements)))
+                offsets = [v + stride // first * r[k] for v in offsets for r in responses]
+            self[context] = bytes(offsets), labels
+            return self[context]
+
+    monkeypatch.setattr(local, "_scenario", Squeezed)
+    mixture, y = _presolved_answer(model, _System(model))
+    assert mixture is None and y is not None
+    with pytest.raises(AssertionError, match="^solver returned an answer that fails direct recheck$"):
+        local_polytope_feasibility(model)
+
+
+def test_a_witness_with_a_moved_weight_is_refused(monkeypatch):
+    """The witness handed back is the one rechecked: a `_mixture_hvm` that
+    moves one weight to another outcome of its context and hidden state
+    still builds a valid model, and the recheck refuses it."""
+    model = project_to_empirical(random_strategy_mixture(0, grid_sites(2, 2, 2)))
+    build = local._mixture_hvm
+
+    def moved(model, mixture):
+        hvm = build(model, mixture)
+        weights = dict(hvm.weights)
+        (outcome, context, lam), w = next(iter(weights.items()))
+        other = next(o for o in model.outcome_tuples() if o != outcome)
+        del weights[(outcome, context, lam)]
+        weights[(other, context, lam)] = weights.get((other, context, lam), 0) + w
+        return HiddenVariableModel(hvm.sites, hvm.lambda_set, weights)
+
+    monkeypatch.setattr(local, "_mixture_hvm", moved)
     with pytest.raises(AssertionError, match="^solver returned an answer that fails direct recheck$"):
         local_polytope_feasibility(model)
 
@@ -1001,25 +1053,29 @@ def test_a_table_the_peel_cannot_finish_keeps_its_answer(monkeypatch, name):
 
 def test_a_peeled_answer_needs_no_simplex_and_is_rechecked(monkeypatch):
     """With `feasible_point` made to raise, the uniform one-site tables and
-    the (3,3,2) seed-0 control are still answered, and `_solves` rechecks
-    each answer over every strategy."""
+    the (3,3,2) seed-0 control are still answered, and `_witness` rechecks
+    each answer over every strategy; the `hvm` returned is the witness it
+    rechecked."""
     models = [uniform_one_site(k) for k in (1, 7, 50)]
     models.append(project_to_empirical(random_strategy_mixture(0, grid_sites(3, 3, 2))))
     expected = [local_polytope_feasibility(model) for model in models]
     rechecked = []
-    solves = local._solves
+    witness = local._witness
 
-    def recording(system, n, x):
-        rechecked.append(n)
-        return solves(system, n, x)
+    def recording(model, n, x):
+        hvm = witness(model, n, x)
+        rechecked.append((n, hvm))
+        return hvm
 
     def unreached(*args):
         raise AssertionError("the simplex ran")
 
     monkeypatch.setattr(local, "feasible_point", unreached)
-    monkeypatch.setattr(local, "_solves", recording)
-    assert [local_polytope_feasibility(model) for model in models] == expected
-    assert rechecked == [1, 7, 50, 512]
+    monkeypatch.setattr(local, "_witness", recording)
+    results = [local_polytope_feasibility(model) for model in models]
+    assert results == expected
+    assert [n for n, _ in rechecked] == [1, 7, 50, 512]
+    assert all(result.hvm is hvm for result, (_, hvm) in zip(results, rechecked))
     for k, result in zip((1, 7, 50), expected):
         assert result.strategy_weights == tuple((j, Fraction(1, k)) for j in range(k))
     assert equivalent_empirical(models[-1], expected[-1].hvm).holds

@@ -263,9 +263,9 @@ def test_the_generator_ranks_at_most_one_key(monkeypatch):
     calls = []
     ranked_key = _BaseModel._ranked_key
 
-    def counted(self, key):
+    def counted(self, key, rank):
         calls.append(key)
-        return ranked_key(self, key)
+        return ranked_key(self, key, rank)
 
     monkeypatch.setattr(_BaseModel, "_ranked_key", counted)
     model = generate_random_model(0, grid_sites(4, 4, 2))
