@@ -12,7 +12,7 @@ An answer takes one of these routes, an exact presolve (E. D. Andersen and
 K. D. Andersen, Math. Prog. 71, 1995) in front of the simplex:
 
 * signalling certificate: a model that signals is answered by
-  `_signalling_certificate`, with no column read;
+  `_signalling_certificate`, with no column built;
 * kept strategies: otherwise a strategy that answers a row with b = 0
   must have weight 0, since A >= 0, so only the `_kept_strategies` and
   the rows with b != 0 stay (the dropped rows are 0 on every kept
@@ -131,18 +131,34 @@ def _mixture_hvm(model: EmpiricalModel, mixture: Sequence[tuple[int, Fraction]])
     return model._derive(weights, model._denominator * scale, lambda_set)
 
 
+class _RowLabels(dict):
+    """Context -> `p(outcome | context)` for each outcome tuple of the
+    sites, built on first use and kept."""
+
+    def __init__(self, sites: tuple[Site, ...], outcomes: list[tuple[str, ...]]) -> None:
+        self.sites, self.outcomes = sites, outcomes
+
+    def __missing__(self, context: tuple[str, ...]) -> list[str]:
+        given = describe(self.sites, context)
+        labels = self[context] = [f"p({describe(self.sites, o)} | {given})" for o in self.outcomes]
+        return labels
+
+
 class _Scenario(dict):
     """What a membership system takes from its sites, never from p: the
     outcome tuples, `zeros`, the normalization row's N offsets, and per
     context read, built on first use and kept, N offsets (offsets[j], the
     row strategy j answers in the block) and one label per outcome tuple.
     Offsets are one compact int each, `bytes` up to 256 rows a block and
-    an `array` above. `_scenario` keeps the last 4, keyed by the sites."""
+    an `array` above. The labels are kept apart from the columns, in
+    `labels`, so an answer that reads no column builds none. `_scenario`
+    keeps the last 4, keyed by the sites."""
 
     def __init__(self, sites: tuple[Site, ...]) -> None:
         self.sites = sites
         self.outcomes = list(itertools.product(*(site.outcomes for site in sites)))
         self.zeros = bytes(count_deterministic_strategies(sites))
+        self.labels = _RowLabels(sites, self.outcomes)
 
     def __missing__(self, context: tuple[str, ...]) -> tuple[Sequence[int], list[str]]:
         # Strategy j is, in mixed radix, one outcome index per site and
@@ -158,8 +174,7 @@ class _Scenario(dict):
             part = [stride * d for d in range(base) for _ in range(base ** (len(site.measurements) - 1 - k))] * base**k
             offsets = [v + w for v in offsets for w in part]
         column = bytes(offsets) if width <= 256 else array.array("H" if width <= 1 << 16 else "L", offsets)
-        given = describe(self.sites, context)
-        return self.setdefault(context, (column, [f"p({describe(self.sites, o)} | {given})" for o in self.outcomes]))
+        return self.setdefault(context, (column, self.labels[context]))
 
 
 _scenario = functools.lru_cache(maxsize=4)(_Scenario)  # 3 scenarios alternate in the polytope benchmark
@@ -176,7 +191,9 @@ class _System:
     by columns, as (start, offsets) pairs: strategy j answers row start +
     offsets[j]. `hits[c]` is (c * width, context c's offsets) and `hits[-1]`
     (the last row, `zeros`), the very sequences of the `scenario`, never copied:
-    a solve adds to them one int per row, never a list of N.
+    a solve adds to them one int per row, never a list of N. `hits` is built
+    on first read, so a signalling table, answered from `contexts` and
+    `width` alone, builds no column.
     Row r has b = rhs[r] / common, where `common` is the lcm of the context
     masses: a cell of count n in a context of mass m, both over the model's
     denominator, has rhs[r] = n * (common // m), and rhs[-1] = common."""
@@ -187,14 +204,17 @@ class _System:
         self.contexts = list(table)
         self.width = len(scenario.outcomes)
         self.common = math.lcm(*(mass for mass, _ in table.values()))
-        self.hits: list[tuple[int, Sequence[int]]] = []
         self.rhs: list[int] = []
-        for context, (mass, row) in table.items():
-            self.hits.append((len(self.rhs), scenario[context][0]))
+        for mass, row in table.values():
             scale = self.common // mass
             self.rhs += [row.get(outcome, 0) * scale for outcome in scenario.outcomes]
-        self.hits.append((len(self.rhs), scenario.zeros))
         self.rhs.append(self.common)
+
+    @functools.cached_property
+    def hits(self) -> list[tuple[int, Sequence[int]]]:
+        width, scenario = self.width, self.scenario
+        blocks = [(c * width, scenario[context][0]) for c, context in enumerate(self.contexts)]
+        return [*blocks, (len(self.rhs) - 1, scenario.zeros)]
 
 
 def _signalling_certificate(system: _System, signal: tuple) -> list[Fraction]:
@@ -393,7 +413,7 @@ def local_polytope_feasibility(
     hvm = None if mixture is None else _witness(model, n, mixture)
     if not (_certifies(model, n, y) if mixture is None else hvm is not None):
         raise AssertionError("solver returned an answer that fails direct recheck")
-    labels = [label for _, block in map(system.scenario.__getitem__, system.contexts) for label in block]
+    labels = [label for block in map(system.scenario.labels.__getitem__, system.contexts) for label in block]
     return PolytopeResult(
         feasible=mixture is not None,
         strategy_count=n,

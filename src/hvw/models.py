@@ -490,32 +490,46 @@ class _BaseModel:
         """Validate and canonicalize an outcome tuple, one outcome per site."""
         return self._labels(outcome, self._out_index, "outcome")[0]
 
-    def event_prob(self, event: Event) -> Fraction:
-        """Exact probability that every constraint in `event` is realized."""
+    def _event_labels(self, event: Event) -> tuple[str | None, list[tuple[int, str]], list[tuple[int, str]]]:
+        """The checked parts of `event`: its hidden state, then (site index,
+        label) pairs of its outcomes and of its measurements."""
         hidden = None if event.hidden is None else self.check_lambda(event.hidden)
-        outcome_by_index = {self.site_index(name): a for name, a in event.outcomes.items()}
-        self._check_labels(outcome_by_index.items(), self._out_index, "outcome")
-        measurement_by_index = {self.site_index(name): m for name, m in event.measurements.items()}
-        self._check_labels(measurement_by_index.items(), self._meas_index, "measurement")
+        outcomes = [(self.site_index(name), a) for name, a in event.outcomes.items()]
+        self._check_labels(outcomes, self._out_index, "outcome")
+        measurements = [(self.site_index(name), m) for name, m in event.measurements.items()]
+        self._check_labels(measurements, self._meas_index, "measurement")
+        return hidden, outcomes, measurements
+
+    def event_prob(self, event: Event) -> Fraction:
+        """Exact probability that every constraint in `event` is realized.
+
+        Summed from the cached count tables, not the weights: per context,
+        or per (context, λ) when the event pins λ, only the rows whose
+        context meets the measurement constraints are read. The first call
+        on a hidden-variable model builds its tables."""
+        hidden, outcomes, measurements = self._event_labels(event)
+        if hidden is None:
+            rows: Iterable = self._context_table().items()
+        else:
+            rows = ((c, entry) for (c, lam), entry in self._lambda_table().items() if lam == hidden)  # type: ignore[attr-defined]
         total = 0
-        for key, n in self._weights.items():
-            outcome, context = key[0], key[1]
-            if (
-                (hidden is None or key[2] == hidden)
-                and all(outcome[i] == a for i, a in outcome_by_index.items())
-                and all(context[i] == m for i, m in measurement_by_index.items())
-            ):
-                total += n
+        for context, (mass, row) in rows:
+            if all(context[i] == m for i, m in measurements):
+                total += sum(n for o, n in row.items() if all(o[i] == a for i, a in outcomes)) if outcomes else mass
         return Fraction(total, self._denominator)
 
     def cond_prob(self, target: Event, given: Event) -> Fraction:
-        """Exact conditional probability of `target` given `given`."""
+        """Exact conditional probability of `target` given `given`. A target
+        that contradicts `given` has probability 0 once its labels pass
+        `event_prob`'s checks."""
         denominator = self.event_prob(given)
         if denominator == 0:
             raise NullConditioningError(f"conditioning event has probability 0: {show_value(given)}")
         merged = merge_events(target, given)
-        numerator = ZERO if merged is None else self.event_prob(merged)
-        return numerator / denominator
+        if merged is None:
+            self._event_labels(target)
+            return ZERO
+        return self.event_prob(merged) / denominator
 
     def _build_tables(self) -> None:
         rows: dict[Context, dict[OutcomeTuple, int]] = {}

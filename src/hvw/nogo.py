@@ -14,7 +14,8 @@ Three classic obstruction patterns, each verified by exact computation:
   strategies reproduces the table, returning an independently rechecked
   Farkas certificate.
 * `verify_ks`: the 18-label, 9-column orthogonality table. The coloring route
-  searches the columns depth first and finds zero valid colorings (no
+  searches the columns depth first, a partial coloring held as two bitmasks
+  over the labels (colored 1, colored 0), and finds zero valid colorings (no
   consistent one-winner-per-column labeling); the guard caps its 262,144
   candidate winner patterns. The parity route counts label occurrences (all
   even) against the odd column count.
@@ -499,11 +500,13 @@ def ks_coloring_candidates(table: KsTable) -> int:
 def ks_search_colorings(table: KsTable, guard: int = DEFAULT_GUARD) -> list[KsColoring]:
     """Every valid coloring, by a depth-first search over the columns in order.
 
-    Column k's winner is a label not yet colored 0 whose column holds no other
-    label colored 1; the column's uncolored labels then take 1 for the winner
-    and 0 for the rest. Winners are tried in column order, so the colorings
-    come out as `itertools.product` lists their winner patterns, first column
-    slowest. Each partial pattern is met at most once, so the guard on
+    Label b of `labels()` is bit 1 << b, and a partial coloring is two
+    bitmasks, the labels colored 1 and those colored 0. Column k's winner is
+    a label not yet colored 0 whose column holds no other label colored 1;
+    the column's uncolored labels then take 1 for the winner and 0 for the
+    rest. Winners are tried in column order, so the colorings come out as
+    `itertools.product` lists their winner patterns, first column slowest.
+    Each partial pattern is met at most once, so the guard on
     `ks_coloring_candidates` also bounds the work.
     """
     if not isinstance(table, KsTable):
@@ -512,27 +515,23 @@ def ks_search_colorings(table: KsTable, guard: int = DEFAULT_GUARD) -> list[KsCo
     check_size("coloring candidate enumeration", candidates, guard)
 
     labels, columns = table.labels(), table.columns
-    values: dict[str, int] = {}
-    trail: list[str] = []  # the colored labels, in the order they were colored
+    bit = {label: 1 << b for b, label in enumerate(labels)}
+    bits = [[bit[label] for label in column] for column in columns]
+    masks = [sum(column) for column in bits]
     found = []
-    # Untried (column, winner, trail length on entering the column), pushed in
-    # reverse so that winners pop in column order; nothing recurses per column.
-    stack = [(0, label, 0) for label in reversed(columns[0])]
+    # Untried (column, winner's bit, labels colored 1, labels colored 0 on
+    # entering the column), pushed in reverse so that winners pop in column
+    # order; nothing recurses per column.
+    stack = [(0, w, 0, 0) for w in reversed(bits[0])]
     while stack:
-        k, winner, mark = stack.pop()
-        while len(trail) > mark:
-            del values[trail.pop()]
-        for label in columns[k]:
-            if label not in values:
-                values[label] = 1 if label == winner else 0
-                trail.append(label)
+        k, winner, ones, zeros = stack.pop()
+        ones |= winner
+        zeros |= masks[k] & ~ones
         if k + 1 < len(columns):
-            column = columns[k + 1]
-            ones = {label for label in column if values.get(label) == 1}
-            winners = [w for w in column if values.get(w) != 0 and ones <= {w}]
-            stack.extend((k + 1, w, len(trail)) for w in reversed(winners))
+            lit = ones & masks[k + 1]
+            stack.extend((k + 1, w, ones, zeros) for w in reversed(bits[k + 1]) if not (w & zeros or lit & ~w))
         else:
-            found.append(KsColoring(tuple((label, values[label]) for label in labels)))
+            found.append(KsColoring(tuple((label, ones >> b & 1) for b, label in enumerate(labels))))
     return found
 
 
@@ -605,9 +604,7 @@ def verify_ks(method: str = "both", guard: int = DEFAULT_GUARD) -> KsReport:
     e = ks_model()
     exchangeability = check_exchangeability(e)
     # Each context's row is one outcome tuple (so of probability 1) with one winner.
-    pattern_ok = all(
-        len(row) == 1 and sum(a == "1" for a in next(iter(row))) == 1 for _, row in e._context_table().values()
-    )
+    pattern_ok = all(len(row) == 1 and next(iter(row)).count("1") == 1 for _, row in e._context_table().values())
     non_contextuality = check_non_contextuality(e)
 
     table = ks_table()

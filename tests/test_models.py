@@ -6,7 +6,7 @@ import itertools
 import json
 import random
 import time
-from collections import UserString
+from collections import Counter, UserString
 from decimal import Decimal
 from fractions import Fraction
 
@@ -49,6 +49,7 @@ from hvw import (
     reconstruct_hvm,
     serialize_model,
 )
+from hvw.errors import show_value
 from hvw.models import as_empirical, describe, first_unequal, require
 from hvw.nogo import random_strategy_mixture
 
@@ -226,6 +227,106 @@ def test_contradictory_target_gives_zero_not_error():
     target = Event(outcomes={"a": "+_a"})
     given = Event(outcomes={"a": "-_a"}, measurements={"a": "A", "b": "B"})
     assert epr.cond_prob(target, given) == 0
+
+
+@pytest.mark.parametrize(
+    "model, target, given, message",
+    [
+        (epr_model, Event(outcomes={"a": "nope"}), Event(outcomes={"a": "+_a"}), "unknown outcome 'nope' at site 'a'"),
+        (epr_model, Event(measurements={"a": "Z"}), Event(measurements={"a": "A"}), "unknown measurement 'Z' at site 'a'"),
+        (epr_escape_hvm, Event(hidden="zz"), Event(hidden="l1"), "unknown hidden state 'zz'"),
+        (epr_model, Event(outcomes={"a": "-_a", "q": "x"}), Event(outcomes={"a": "+_a"}), "unknown site name: 'q'"),
+    ],
+    ids=["outcome", "measurement", "hidden", "site"],
+)
+def test_a_contradicting_target_is_checked_like_any_other(model, target, given, message):
+    """A target that contradicts `given` still has its labels, sites and
+    hidden state checked, as one that does not contradict it has."""
+    assert merge_events(target, given) is None
+    with pytest.raises(UnknownLabelError) as exc:
+        model().cond_prob(target, given)
+    assert type(exc.value) is UnknownLabelError and str(exc.value) == message
+    with pytest.raises(UnknownLabelError) as exc:
+        model().event_prob(target)
+    assert str(exc.value) == message
+
+
+def _reference_prob(model, event):
+    """p(event) summed key by key over the public `weights` view."""
+    names = [site.name for site in model.sites]
+    outcomes = [(names.index(name), a) for name, a in event.outcomes.items()]
+    measurements = [(names.index(name), m) for name, m in event.measurements.items()]
+    total = Fraction(0)
+    for key, w in model.weights.items():
+        if event.hidden is not None and key[2] != event.hidden:
+            continue
+        if all(key[0][i] == a for i, a in outcomes) and all(key[1][i] == m for i, m in measurements):
+            total += w
+    return total
+
+
+def _random_event(rng, model):
+    """An event on a random subset of sites for outcomes and another for
+    measurements, anything from none to all of them, and a hidden state
+    half the time on a hidden-variable model."""
+
+    def part(labels):
+        sites = rng.sample(model.sites, rng.randint(0, len(model.sites)))
+        return {site.name: rng.choice(getattr(site, labels)) for site in sites}
+
+    lambdas = getattr(model, "lambda_set", None)
+    hidden = rng.choice(lambdas) if lambdas and rng.random() < 0.5 else None
+    return Event(outcomes=part("outcomes"), measurements=part("measurements"), hidden=hidden)
+
+
+def _contradiction(rng, model, event):
+    """`event` with one of its labels changed, or None if it has none to change."""
+    parts = [(part, name) for part in ("outcomes", "measurements") for name in getattr(event, part)]
+    if not parts:
+        return None
+    part, name = rng.choice(parts)
+    fields = {"outcomes": dict(event.outcomes), "measurements": dict(event.measurements)}
+    labels = getattr(model.sites[model.site_index(name)], part)
+    fields[part][name] = labels[(labels.index(fields[part][name]) + 1) % len(labels)]
+    return Event(**fields, hidden=event.hidden)
+
+
+def test_event_prob_and_cond_prob_match_a_sum_over_the_weights():
+    """`event_prob` reads the cached count tables and `cond_prob` builds on
+    it; both agree with a sum over the public `weights` view on seeded
+    random empirical and hidden-variable models, for empty, partial and
+    complete events, with and without a hidden state, for contradicting
+    pairs and for null conditioning events."""
+    rng = random.Random(41)
+    shapes = [grid_sites(2, 2, 2), grid_sites(2, 3, 2), grid_sites(3, 2, 2), grid_sites(1, 3, 3)]
+    shapes.append((Site("x", ("X1", "X2"), ("0", "1", "2")), Site("y", ("Y1", "Y2", "Y3"), ("0", "1"))))
+    seen = Counter()
+    for seed in range(6):
+        for sites in shapes:
+            for lambda_size in (None, 1, 3):
+                model = generate_random_model(seed, sites, lambda_size)
+                for _ in range(12):
+                    target, given = _random_event(rng, model), _random_event(rng, model)
+                    assert model.event_prob(target) == _reference_prob(model, target)
+                    seen["empty" if target == Event() else "hidden" if target.hidden else "visible"] += 1
+                    seen["complete"] += len(target.outcomes) == len(target.measurements) == len(sites)
+                    pairs = [(target, given)]
+                    other = _contradiction(rng, model, target)
+                    if other is not None:
+                        pairs.append((target, other))
+                    for first, second in pairs:
+                        denominator = _reference_prob(model, second)
+                        if not denominator:
+                            with pytest.raises(NullConditioningError) as exc:
+                                model.cond_prob(first, second)
+                            assert str(exc.value) == f"conditioning event has probability 0: {show_value(second)}"
+                            seen["null"] += 1
+                            continue
+                        merged = merge_events(first, second)
+                        expected = Fraction(0) if merged is None else _reference_prob(model, merged) / denominator
+                        assert model.cond_prob(first, second) == expected
+                        seen["contradicting" if merged is None else "merged"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_merge_events():

@@ -924,36 +924,28 @@ def test_membership_lists_no_strategy(monkeypatch):
     assert random_strategy_mixture(5, sites) == mixture
 
 
-def test_a_signalling_table_is_answered_without_reading_a_column():
-    """The presolve answers a signalling table before it reads any column:
-    with the columns made to raise when read, it gives the same answer.
-    Bell, which does not signal, still reads them."""
+def test_a_signalling_table_is_answered_without_reading_a_column(monkeypatch):
+    """The presolve answers a signalling table before it builds any column:
+    with every column build made to raise, `local_polytope_feasibility`
+    gives the same answer, row labels included. Bell, which does not
+    signal, still builds them."""
     signalling = generate_random_model(0, grid_sites(2, 2, 2))
     assert first_signal(signalling) is not None and first_signal(bell_model()) is None
 
     class Reached(Exception):
         pass
 
-    class Unread:
-        def __getitem__(self, c):
+    class Unbuilt(_Scenario):
+        def __missing__(self, context):
             raise Reached
 
-        def __iter__(self):
-            raise Reached
-
-        def __len__(self):
-            raise Reached
-
-    def unread(model):
-        system = _System(model)
-        system.hits = Unread()
-        return system
-
-    expected = _presolved_answer(signalling, _System(signalling))
-    assert _presolved_answer(signalling, unread(signalling)) == expected
-    assert expected[0] is None
+    _scenario.cache_clear()
+    expected = local_polytope_feasibility(signalling)
+    assert not expected.feasible
+    monkeypatch.setattr(local, "_scenario", Unbuilt)
+    assert local_polytope_feasibility(signalling) == expected
     with pytest.raises(Reached):
-        _presolved_answer(bell_model(), unread(bell_model()))
+        local_polytope_feasibility(bell_model())
 
 
 def peeled(model):
